@@ -48,10 +48,10 @@ class DeviceParams:
     port_coupling: float
 
     def __post_init__(self):
-        if not self.resonance_frequency > 0:
-            raise InvalidArgumentError("resonance_frequency must be positive")
-        if not self.port_coupling > 0:
-            raise InvalidArgumentError("port_coupling must be positive")
+        if not (self.resonance_frequency > 0 and math.isfinite(self.resonance_frequency)):
+            raise InvalidArgumentError("resonance_frequency must be positive and finite")
+        if not (self.port_coupling > 0 and math.isfinite(self.port_coupling)):
+            raise InvalidArgumentError("port_coupling must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ class ModeGrid:
     half_span: int
 
     def __post_init__(self):
-        if not self.spacing > 0:
-            raise InvalidArgumentError("spacing must be positive")
+        if not math.isfinite(self.center_frequency):
+            raise InvalidArgumentError("center_frequency must be finite")
+        if not (self.spacing > 0 and math.isfinite(self.spacing)):
+            raise InvalidArgumentError("spacing must be positive and finite")
         if self.half_span < 0 or self.half_span != int(self.half_span):
             raise InvalidArgumentError("half_span must be a non-negative integer")
         object.__setattr__(self, "half_span", int(self.half_span))
@@ -143,8 +145,10 @@ class PumpTone:
     def __post_init__(self):
         if self.offset != int(self.offset):
             raise InvalidArgumentError("pump offset must be an integer grid multiple")
-        if self.amplitude < 0:
-            raise InvalidArgumentError("pump amplitude must be non-negative")
+        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
+            raise InvalidArgumentError("pump amplitude must be non-negative and finite")
+        if not math.isfinite(self.phase):
+            raise InvalidArgumentError("pump phase must be finite")
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "phase", _wrap_phase(float(self.phase)))
 

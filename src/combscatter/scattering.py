@@ -2,9 +2,13 @@
 
 The linearized equations of motion for the comb amplitudes close into a
 ``2n x 2n`` linear system over the interleaved vector
-``(a_-J, a*_-J, ..., a_J, a*_J)``.  Inverting it and applying the
-input-output matching condition yields the scattering matrix; magnitudes
-are reported in dB relative to the pump-off reflection.
+``(a_-J, a*_-J, ..., a_J, a*_J)``.  Frequency matching lets a pump tone
+couple only the amplitude of one mode to the conjugate amplitude of its
+partner, so the system splits into independent blocks: the connected
+components of the comb's coupling graph.  Each block is inverted on its
+own and the input-output matching condition turns the block inverses into
+the scattering matrix; magnitudes are reported in dB relative to the
+pump-off reflection.
 
 Pure functions on immutable inputs; independent scheme evaluations (phase
 sweeps, fit grids) can run in parallel with no shared state.
@@ -13,12 +17,9 @@ sweeps, fit grids) can run in parallel with no shared state.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import (
     AboveThresholdError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .model import CouplingSet, DeviceParams, ModeGrid, PumpScheme, resolve_couplings
 
-# Condition estimates beyond this default mark the system as effectively
+# Condition numbers beyond this default mark the system as effectively
 # singular: the pump has reached the parametric oscillation threshold and
 # the linearized model no longer applies.
 DEFAULT_CONDITION_CAP = 1e12
@@ -55,16 +56,27 @@ class SystemMatrix:
     particle-hole symmetry ``M = Sx conj(M) Sx`` with ``Sx`` the per-mode
     swap of each interleaved pair.  ``k_coupling`` is the constant diagonal
     of the mode/transmission-line coupling matrix, ``sqrt(gamma)``.
+
+    ``blocks`` partitions the ``2n`` slots into the independent blocks of
+    ``matrix``: one ``(count, size)`` integer array per distinct block
+    size, in ascending size.  Each row lists the slots of one block in
+    ascending order, rows are ordered by their first slot, and no nonzero
+    of ``matrix`` joins two blocks.
     """
 
     matrix: np.ndarray
     k_coupling: float
     grid: ModeGrid
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        blocks = tuple(np.asarray(b, dtype=np.intp) for b in self.blocks)
+        for b in blocks:
+            b.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
 
 @dataclass(frozen=True)
@@ -86,52 +98,86 @@ class ScatteringMatrix:
         return self.grid.n_modes
 
 
-def particle_hole_swap(n_modes: int) -> np.ndarray:
-    """Permutation that swaps each (a, a*) pair of the interleaved basis."""
-    swap = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        swap[2 * k, 2 * k + 1] = 1.0
-        swap[2 * k + 1, 2 * k] = 1.0
-    return swap
-
-
 def particle_hole_defect(matrix: np.ndarray) -> float:
     """Max-norm violation of ``M = Sx conj(M) Sx``."""
     m = np.asarray(matrix)
-    swap = particle_hole_swap(m.shape[0] // 2)
-    return float(np.max(np.abs(m - swap @ np.conj(m) @ swap)))
+    swap = np.arange(m.shape[0]) ^ 1  # exchanges slots 2k and 2k+1
+    return float(np.max(np.abs(m - np.conj(m[np.ix_(swap, swap)]))))
+
+
+def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Connected components of the slot graph with edges ``u[k] -- v[k]``.
+
+    Every slot points at a smaller-or-equal slot of its component; each
+    round hooks the root of every edge end onto the smaller of the two
+    roots and then jumps pointers until every slot points at its root, so
+    the final root of a component is its smallest slot.  Returns the
+    components grouped by size as described on ``SystemMatrix.blocks``.
+    """
+    root = np.arange(size)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    order = np.argsort(root, kind="stable")
+    _, starts, sizes = np.unique(root[order], return_index=True, return_counts=True)
+    return tuple(
+        order[starts[sizes == s][:, np.newaxis] + np.arange(s)] for s in np.unique(sizes)
+    )
 
 
 def assemble_system(
     grid: ModeGrid, params: DeviceParams, couplings: CouplingSet
 ) -> SystemMatrix:
-    """Build the harmonic-balance coefficient matrix.
+    """Build the harmonic-balance coefficient matrix and its block partition.
 
     Each mode contributes a 2x2 diagonal block with detuning and damping;
     each coupling entry populates the amplitude-to-conjugate positions of
-    its pair (both orientations) and their conjugate mirrors.  A coupling
+    its pair (both orientations) and their conjugate mirrors.  The same
+    slot pairs ``a_i -- a*_j`` and ``a_j -- a*_i`` are the edges whose
+    connected components make the independent blocks.  A coupling
     referencing an index off the grid is an internal inconsistency, not a
     user error.
     """
     n = grid.n_modes
+    half = grid.half_span
     gamma = params.port_coupling
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in grid.indices:
-        detuning = params.resonance_frequency - grid.frequency(j)
-        m[grid.a_slot(j), grid.a_slot(j)] = 1j * detuning + gamma / 2.0
-        m[grid.a_conj_slot(j), grid.a_conj_slot(j)] = -1j * detuning + gamma / 2.0
-    for entry in couplings:
-        if not (grid.contains(entry.i) and grid.contains(entry.j)):
-            raise InternalConsistencyError(
-                f"coupling ({entry.i}, {entry.j}) references a mode outside the grid"
-            )
-        off = -1j * entry.strength
-        m[grid.a_slot(entry.i), grid.a_conj_slot(entry.j)] += off
-        m[grid.a_conj_slot(entry.i), grid.a_slot(entry.j)] += np.conj(off)
-        if entry.i != entry.j:
-            m[grid.a_slot(entry.j), grid.a_conj_slot(entry.i)] += off
-            m[grid.a_conj_slot(entry.j), grid.a_slot(entry.i)] += np.conj(off)
-    return SystemMatrix(matrix=m, k_coupling=float(np.sqrt(gamma)), grid=grid)
+    detuning = params.resonance_frequency - (
+        grid.center_frequency + np.arange(-half, half + 1) * grid.spacing
+    )
+    diagonal = np.empty(2 * n, dtype=complex)
+    diagonal[0::2] = 1j * detuning + gamma / 2.0
+    diagonal[1::2] = -1j * detuning + gamma / 2.0
+    m = np.diag(diagonal)
+
+    entries = couplings.entries
+    count = len(entries)
+    i = np.fromiter((e.i for e in entries), dtype=np.intp, count=count)
+    j = np.fromiter((e.j for e in entries), dtype=np.intp, count=count)
+    outside = (np.abs(i) > half) | (np.abs(j) > half)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise InternalConsistencyError(
+            f"coupling ({entries[k].i}, {entries[k].j}) references a mode outside the grid"
+        )
+    off = -1j * np.fromiter((e.strength for e in entries), dtype=complex, count=count)
+    a_i, a_j = 2 * (i + half), 2 * (j + half)
+    distinct = i != j
+    rows = np.concatenate((a_i, a_i + 1, a_j[distinct], a_j[distinct] + 1))
+    cols = np.concatenate((a_j + 1, a_j, a_i[distinct] + 1, a_i[distinct]))
+    values = np.concatenate((off, off.conj(), off[distinct], off[distinct].conj()))
+    np.add.at(m, (rows, cols), values)
+
+    blocks = _block_partition(2 * n, np.concatenate((a_i, a_j)), np.concatenate((a_j, a_i)) + 1)
+    return SystemMatrix(matrix=m, k_coupling=float(np.sqrt(gamma)), grid=grid, blocks=blocks)
 
 
 def scattering_matrix(
@@ -139,12 +185,14 @@ def scattering_matrix(
 ) -> ScatteringMatrix:
     """Invert the harmonic-balance system into a scattering matrix.
 
-    Uses a dense LU factorization with partial pivoting plus the cheap
-    LAPACK reciprocal-condition estimate.  A condition estimate above
-    ``condition_cap`` (or an outright singular factorization) means the
-    pump has reached the parametric oscillation threshold, where the
-    weak-pump linearization is invalid; that raises rather than returning
-    garbage.
+    The blocks of each size are gathered into one stack and inverted in a
+    single batched call; the inverse of the whole system is block-diagonal
+    with exact zeros between blocks.  The reported condition estimate is
+    the exact 1-norm condition number ``||M||_1 * max_b ||B_b^-1||_1``,
+    read off the block inverses.  A singular block, a non-finite condition
+    number or one above ``condition_cap`` means the pump has reached the
+    parametric oscillation threshold, where the weak-pump linearization is
+    invalid; that raises rather than returning garbage.
 
     With the coupling matrix a constant ``sqrt(gamma)`` on the diagonal,
     the input-output relation reduces to ``S = gamma * M^-1 - I`` for the
@@ -152,24 +200,30 @@ def scattering_matrix(
     the stored rows).
     """
     m = system.matrix
-    anorm = np.linalg.norm(m, 1)
-    with warnings.catch_warnings():
-        # singularity is detected through the condition estimate below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
-    if info != 0:
-        raise InternalConsistencyError(f"condition estimator failed (info={info})")
-    cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
+    gamma = system.k_coupling**2
+    s = np.zeros(m.shape, dtype=complex)
+    # 1-norms (largest absolute column sum) of M and of its inverse; every
+    # column of either lies inside one block
+    norm = inverse_norm = 0.0
+    try:
+        for block in system.blocks:
+            rows, cols = block[:, :, np.newaxis], block[:, np.newaxis, :]
+            stack = m[rows, cols]
+            inverse = np.linalg.inv(stack)
+            s[rows, cols] = gamma * inverse
+            norm = np.maximum(norm, np.abs(stack).sum(axis=1).max())
+            inverse_norm = np.maximum(inverse_norm, np.abs(inverse).sum(axis=1).max())
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = float(norm * inverse_norm)
     if not np.isfinite(cond) or cond > condition_cap:
         raise AboveThresholdError(
-            "parametric oscillation threshold reached: system condition estimate "
+            "parametric oscillation threshold reached: system condition number "
             f"{cond:.3e} exceeds cap {condition_cap:.1e}",
             condition_estimate=cond,
         )
-    gamma = system.k_coupling**2
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0], dtype=complex), check_finite=False)
-    s = gamma * inv - np.eye(m.shape[0], dtype=complex)
+    s[np.diag_indices_from(s)] -= 1.0
     return ScatteringMatrix(
         matrix=s, grid=system.grid, normalization=Normalization.RAW, condition_estimate=cond
     )

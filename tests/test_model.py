@@ -17,12 +17,22 @@ from combscatter import (
     resolve_couplings,
 )
 from conftest import (
+    COUPLING,
     RESONANCE,
     SPACING,
     TWO_PI,
     balanced_scheme,
     brute_force_pairs,
 )
+
+
+class TestDeviceParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_frequencies(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            DeviceParams(bad, COUPLING)
+        with pytest.raises(InvalidArgumentError):
+            DeviceParams(RESONANCE, bad)
 
 
 class TestModeGrid:
@@ -47,6 +57,13 @@ class TestModeGrid:
         with pytest.raises(InvalidArgumentError):
             build_mode_grid(1.0, -2.0, 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_center_and_spacing(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            build_mode_grid(bad, 1.0, 3)
+        with pytest.raises(InvalidArgumentError):
+            build_mode_grid(1.0, bad, 3)
+
     def test_out_of_range_index_rejected(self, grid):
         with pytest.raises(InvalidArgumentError):
             grid.frequency(48)
@@ -70,6 +87,13 @@ class TestPumpScheme:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(InvalidArgumentError):
             PumpTone(0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_and_phase_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            PumpTone(0, bad, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            PumpTone(0, 1.0, bad)
 
     def test_duplicate_offsets_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combscatter import (
     AboveThresholdError,
@@ -12,6 +14,7 @@ from combscatter import (
     InternalConsistencyError,
     ModeGrid,
     PumpScheme,
+    PumpTone,
     assemble_system,
     normalize_pump_off,
     particle_hole_defect,
@@ -21,7 +24,14 @@ from combscatter import (
     simulate_scattering,
 )
 from combscatter.scattering import Normalization, ScatteringMatrix
-from conftest import COUPLING, RESONANCE, TWO_PI, analytic_two_mode_block, balanced_scheme
+from conftest import (
+    COUPLING,
+    RESONANCE,
+    SPACING,
+    TWO_PI,
+    analytic_two_mode_block,
+    balanced_scheme,
+)
 
 
 def random_scheme(rng, max_ratio=0.1):
@@ -30,8 +40,6 @@ def random_scheme(rng, max_ratio=0.1):
     tones = balanced_scheme(
         DeviceParams(RESONANCE, COUPLING), [int(o) for o in offsets], 1.0
     ).tones
-    from combscatter import PumpTone
-
     out = []
     for t in tones:
         ratio = float(rng.uniform(0.01, max_ratio))
@@ -208,6 +216,132 @@ class TestScatteringMatrix:
         s = pump_off_scattering(grid, device)
         with pytest.raises(ValueError):
             s.matrix[0, 0] = 0.0
+
+
+def loop_assembly(grid, device, couplings):
+    """Reference assembly: one mode and one coupling at a time."""
+    gamma = device.port_coupling
+    m = np.zeros((2 * grid.n_modes, 2 * grid.n_modes), dtype=complex)
+    for j in grid.indices:
+        detuning = device.resonance_frequency - grid.frequency(j)
+        m[grid.a_slot(j), grid.a_slot(j)] = 1j * detuning + gamma / 2.0
+        m[grid.a_conj_slot(j), grid.a_conj_slot(j)] = -1j * detuning + gamma / 2.0
+    for e in couplings:
+        off = -1j * e.strength
+        m[grid.a_slot(e.i), grid.a_conj_slot(e.j)] += off
+        m[grid.a_conj_slot(e.i), grid.a_slot(e.j)] += np.conj(off)
+        if e.i != e.j:
+            m[grid.a_slot(e.j), grid.a_conj_slot(e.i)] += off
+            m[grid.a_conj_slot(e.j), grid.a_slot(e.i)] += np.conj(off)
+    return m
+
+
+def dense_scattering(system):
+    """Reference solve: the whole system inverted at once."""
+    m = system.matrix
+    inverse = np.linalg.inv(m)
+    s = system.k_coupling**2 * inverse - np.eye(len(m))
+    return s, np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1)
+
+
+def block_labels(system):
+    """Block number of every slot; each slot must appear in exactly one block."""
+    slots = np.concatenate([b.ravel() for b in system.blocks])
+    assert np.array_equal(np.sort(slots), np.arange(system.matrix.shape[0]))
+    labels = np.empty(len(slots), dtype=int)
+    first = 0
+    for b in system.blocks:
+        labels[b] = first + np.arange(len(b))[:, np.newaxis]
+        first += len(b)
+    return labels
+
+
+@st.composite
+def small_schemes(draw):
+    half_span = draw(st.integers(1, 6))
+    offsets = draw(
+        st.lists(
+            st.integers(-2 * half_span - 1, 2 * half_span + 1), min_size=1, max_size=4, unique=True
+        )
+    )
+    tones = tuple(
+        PumpTone(
+            o,
+            2.0 * draw(st.floats(0.01, 0.1)) * COUPLING / RESONANCE,
+            draw(st.floats(0.0, TWO_PI)),
+        )
+        for o in offsets
+    )
+    detuning = draw(st.floats(-0.5, 0.5)) * COUPLING
+    return ModeGrid(RESONANCE + detuning, SPACING, half_span), PumpScheme(tones)
+
+
+class TestBlockSolver:
+    @settings(max_examples=80, deadline=None)
+    @given(small_schemes())
+    def test_matches_loop_assembly_and_dense_inverse(self, case):
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        couplings = resolve_couplings(grid, scheme, device)
+        system = assemble_system(grid, device, couplings)
+        assert np.array_equal(system.matrix, loop_assembly(grid, device, couplings))
+        s = scattering_matrix(system)
+        reference, cond = dense_scattering(system)
+        assert np.max(np.abs(s.matrix - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert s.condition_estimate == pytest.approx(cond, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_schemes())
+    def test_blocks_partition_the_slots_and_are_connected(self, case):
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        sizes = [b.shape[1] for b in system.blocks]
+        assert sizes == sorted(set(sizes))
+        labels = block_labels(system)
+        rows, cols = np.nonzero(system.matrix)
+        assert np.array_equal(labels[rows], labels[cols])
+        # each block is one component: a walk along nonzeros reaches all of it
+        for block in (row for b in system.blocks for row in b):
+            members, seen, todo = set(block.tolist()), {int(block[0])}, [int(block[0])]
+            while todo:
+                slot = todo.pop()
+                for nxt in np.nonzero(system.matrix[slot])[0].tolist():
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            assert seen == members
+
+    def test_three_pump_blocks_follow_residues(self, grid, device):
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        sizes = sorted(b.shape[1] for b in system.blocks for _ in range(len(b)))
+        assert sizes == [46, 48, 48, 48]
+
+    def test_pump_off_is_singletons_with_closed_form(self, grid, device):
+        system = assemble_system(grid, device, CouplingSet())
+        assert len(system.blocks) == 1
+        assert np.array_equal(system.blocks[0], np.arange(2 * grid.n_modes)[:, np.newaxis])
+        s = pump_off_scattering(grid, device).matrix
+        gamma = device.port_coupling
+        detuning = np.array([device.resonance_frequency - grid.frequency(j) for j in grid.indices])
+        expected = np.empty(2 * grid.n_modes, dtype=complex)
+        expected[0::2] = gamma / (gamma / 2 + 1j * detuning) - 1
+        expected[1::2] = gamma / (gamma / 2 - 1j * detuning) - 1
+        np.testing.assert_allclose(np.diag(s), expected, rtol=1e-14, atol=0)
+        assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
+
+    def test_one_singular_block_among_healthy_ones_raises(self, device):
+        grid = ModeGrid(RESONANCE, SPACING, 2)
+        gamma = device.port_coupling
+        # on resonance, the centre mode's 2x2 block has determinant
+        # (gamma/2)^2 - |c|^2, which vanishes at c = gamma/2
+        couplings = CouplingSet((Coupling(-2, 1, 0.1 * gamma), Coupling(0, 0, gamma / 2)))
+        system = assemble_system(grid, device, couplings)
+        assert len(system.blocks) == 2  # singletons and 2x2 blocks
+        with pytest.raises(AboveThresholdError) as info:
+            scattering_matrix(system)
+        assert info.value.condition_estimate == np.inf
 
 
 class TestNormalizePumpOff:
