@@ -18,11 +18,18 @@ from .model import (
     DeviceParams,
     ModeGrid,
     PumpScheme,
+    PumpTone,
+    check_band,
     predicted_intermod_indices,
 )
 from .scattering import (
     DEFAULT_CONDITION_CAP,
     ScatteringMatrix,
+    _block_index,
+    _block_pieces,
+    _gain,
+    _invert_blocks,
+    _pump_off_diagonal,
     magnitude_db,
     normalize_pump_off,
     pump_off_scattering,
@@ -122,31 +129,52 @@ def phase_sweep(
                 third_paths[idx].append((ka, kb))
 
     phases = np.array([TWO_PI * k / steps for k in range(steps)])
-    s_off = pump_off_scattering(grid, params)
-    ref = np.abs(np.diag(s_off.matrix))
     col = grid.a_slot(signal_index)
-
-    second_rows = [grid.a_conj_slot(m) for _, m in second_tracks]
     third_modes = sorted(third_paths)
-    third_rows = [grid.a_slot(m) for m in third_modes]
-    second_data = np.empty((len(second_tracks), steps))
-    third_data = np.empty((len(third_modes), steps))
+    rows = [grid.a_conj_slot(m) for _, m in second_tracks] + [grid.a_slot(m) for m in third_modes]
+    reference = abs(_pump_off_diagonal(grid, params)[0][col])
+    gain = _gain(params.port_coupling)
+
+    # only the swept tone's pieces change from step to step
+    pieces = _block_pieces(grid, params, base_scheme)
+    swept = base_scheme.tones[swept_tone]
+    fixed = pieces.stacks(
+        params.port_coupling,
+        pieces.coupling(
+            [0.0 if t == swept_tone else tone.strength for t, tone in enumerate(base_scheme.tones)]
+        ),
+    )
+    # the driven column lies in one block: its group, row in the group and position
+    for group, block in enumerate(pieces.blocks):
+        hits = np.argwhere(block == col)
+        if len(hits):
+            member, position = hits[0]
+            break
+    slots = pieces.blocks[group][member]
+
+    data = np.empty((len(rows), steps))
+    column = np.zeros(2 * grid.n_modes, dtype=complex)
     for step, phase in enumerate(phases):
-        scheme = base_scheme.with_phase(swept_tone, float(phase))
+        strength = PumpTone(swept.offset, swept.amplitude, float(phase)).strength
+        stacks = [
+            stack + strength * amplitude + np.conj(strength) * conjugate
+            for stack, amplitude, conjugate in zip(
+                fixed, pieces.amplitude[swept_tone], pieces.conjugate[swept_tone]
+            )
+        ]
         try:
-            s_on = simulate_scattering(grid, params, scheme)
+            inverses, _ = _invert_blocks(stacks, DEFAULT_CONDITION_CAP)
         except AboveThresholdError as exc:
             raise AboveThresholdError(
                 f"above threshold at swept phase {phase:.6f} rad: {exc}",
                 condition_estimate=exc.condition_estimate,
                 phase=float(phase),
             ) from exc
-        column = s_on.matrix[:, col] / ref[col]
-        for t, row in enumerate(second_rows):
-            second_data[t, step] = magnitude_db(column[row])
-        for t, row in enumerate(third_rows):
-            third_data[t, step] = magnitude_db(column[row])
+        column[slots] = gain * inverses[group][member, :, position]
+        column[col] -= 1.0
+        data[:, step] = magnitude_db(column[rows] / reference)
 
+    second_data, third_data = data[: len(second_tracks)], data[len(second_tracks) :]
     tracks = [
         SweepTrack(2, (k,), mode, second_data[t]) for t, (k, mode) in enumerate(second_tracks)
     ]
@@ -187,15 +215,6 @@ class FitResult:
             object.__setattr__(self, name, arr)
 
 
-def _aligned_distance(measured: np.ndarray, model: np.ndarray) -> float:
-    # one-time global phase alignment: instruments carry an arbitrary
-    # electrical delay, so the mean diagonal phase is referenced out
-    inner = np.sum(np.diag(measured) * np.conj(np.diag(model)))
-    if abs(inner) > 0:
-        model = model * (inner / abs(inner))
-    return float(np.sqrt(np.sum(np.abs(measured - model) ** 2)))
-
-
 def fit_parameters(
     s_measured,
     grid: ModeGrid,
@@ -215,6 +234,11 @@ def fit_parameters(
     summing squared entry differences.  The coarse grid scan is followed by
     a local coordinate-descent pass around the best cell.
 
+    Only the pump strength and the port coupling change from cell to cell,
+    so the blocks of the system are split once into their fixed and
+    strength-scaled pieces; each cell recombines and inverts them, and the
+    distance is summed block by block (the model is zero off the blocks).
+
     Above-threshold cells score +inf rather than raising; if the whole
     surface is infinite the fit is infeasible and raises.
     """
@@ -229,20 +253,49 @@ def fit_parameters(
         raise InvalidArgumentError("fit ranges must be positive and increasing")
 
     omega0 = grid.center_frequency
+    # every cell's stack is detuning + gamma/2 * I + g * coupling, from
+    # pieces built once at the top of the coupling range
+    pieces = _block_pieces(grid, DeviceParams(omega0, gamma_hi), scheme_shape)
+    coupling = pieces.coupling(
+        [complex(math.cos(t.phase), math.sin(t.phase)) for t in scheme_shape.tones]
+    )
+    indices = [_block_index(block) for block in pieces.blocks]
+    measured_blocks = [measured[index] for index in indices]
+    outside = np.ones(measured.shape, dtype=bool)
+    for index in indices:
+        outside[index] = False
+    # the model vanishes off the blocks, where the distance is the data's own
+    outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
 
     def evaluate(g: float, gamma: float) -> float:
         if g <= 0 or gamma <= 0:
             return np.inf
         params = DeviceParams(resonance_frequency=omega0, port_coupling=gamma)
-        scheme = scheme_shape.with_amplitude(2.0 * g)
+        check_band(grid, params)
         try:
-            s_on = simulate_scattering(grid, params, scheme, condition_cap)
+            inverses, _ = _invert_blocks(
+                pieces.stacks(gamma, [g * c for c in coupling]), condition_cap
+            )
         except AboveThresholdError:
             return np.inf
-        s_off = pump_off_scattering(grid, params)
-        ref = np.abs(np.diag(s_off.matrix))
-        model = s_on.matrix / ref[np.newaxis, :]
-        return _aligned_distance(measured, model)
+        reference = np.abs(_pump_off_diagonal(grid, params)[0])
+        gain = _gain(gamma)
+        models = [
+            (gain * inverse - np.eye(block.shape[1])) / reference[block][:, np.newaxis, :]
+            for block, inverse in zip(pieces.blocks, inverses)
+        ]
+        # one-time global phase alignment: instruments carry an arbitrary
+        # electrical delay, so the mean diagonal phase is referenced out
+        inner = sum(
+            np.sum(data.diagonal(0, 1, 2) * np.conj(model.diagonal(0, 1, 2)))
+            for data, model in zip(measured_blocks, models)
+        )
+        rotation = inner / abs(inner) if abs(inner) > 0 else 1.0
+        inside = sum(
+            np.sum(np.abs(data - rotation * model) ** 2)
+            for data, model in zip(measured_blocks, models)
+        )
+        return float(np.sqrt(outside_norm + inside))
 
     g_values = np.linspace(g_lo, g_hi, grid_points)
     gamma_values = np.linspace(gamma_lo, gamma_hi, grid_points)

@@ -123,6 +123,8 @@ def _apply_overrides(config: ExperimentConfig, args):
     run = config.run
     threshold = args.threshold_db if args.threshold_db is not None else run.threshold_db
     seed = args.seed if args.seed is not None else run.seed
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     steps = args.steps if args.steps is not None else run.steps
     samples = args.samples if args.samples is not None else run.samples
     signal = args.signal_index if getattr(args, "signal_index", None) is not None else run.signal_index

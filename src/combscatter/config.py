@@ -124,6 +124,11 @@ class ExperimentConfig:
         )
 
 
+# YAML 1.1 scalar rules (".nan", ".inf", "0x1F", "1_000", ...) for int and
+# float nodes; the validator decides which values a field accepts.
+_SCALARS = yaml.constructor.SafeConstructor()
+
+
 class _Node:
     """A parsed YAML value with its source line, for error context."""
 
@@ -146,9 +151,9 @@ def _convert(node) -> _Node:
     tag = node.tag
     raw = node.value
     if tag.endswith(":int"):
-        return _Node(int(raw), line)
+        return _Node(_SCALARS.construct_yaml_int(node), line)
     if tag.endswith(":float"):
-        return _Node(float(raw), line)
+        return _Node(_SCALARS.construct_yaml_float(node), line)
     if tag.endswith(":bool"):
         return _Node(raw.lower() in ("true", "yes", "on"), line)
     if tag.endswith(":null"):
@@ -193,6 +198,9 @@ class _Validator:
             return node.value
         if not isinstance(node.value, (int, float)):
             self.problem(path, "expected a number", node.line)
+            return None
+        if not math.isfinite(node.value):
+            self.problem(path, "must be finite", node.line)
             return None
         return float(node.value)
 
@@ -319,6 +327,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 got = v.number(run[name], f"run.{name}", int)
                 if got is not None:
                     run_kwargs[name] = got
+        if run_kwargs.get("seed", 0) < 0:
+            v.problem("run.seed", "must be non-negative", run["seed"].line)
         for name in ("fit_gamma_min", "fit_gamma_max"):
             if name in run:
                 got = v.quantity(run[name], f"run.{name}")

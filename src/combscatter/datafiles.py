@@ -138,7 +138,9 @@ def load_scattering_csv(path, sidecar=None) -> ScatteringMatrix:
     if meta["normalization"] not in _TAGS_TO_NORMALIZATION:
         raise DataFormatError(f"unknown normalization tag {meta['normalization']!r}")
     normalization = _TAGS_TO_NORMALIZATION[meta["normalization"]]
-    n = int(meta["n_modes"])
+    n = meta["n_modes"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0:
+        raise DataFormatError(f"mode count {n!r} must be odd and positive")
     dim = 2 * n
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):

@@ -150,6 +150,8 @@ def sample_covariance(
     """
     if sample_count < 2:
         raise InvalidArgumentError("sample_count must be at least 2")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     dim = sx.matrix.shape[0]
     std = np.sqrt(vacuum_scale)

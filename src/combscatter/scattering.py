@@ -10,8 +10,11 @@ own and the input-output matching condition turns the block inverses into
 the scattering matrix; magnitudes are reported in dB relative to the
 pump-off reflection.
 
-Pure functions on immutable inputs; independent scheme evaluations (phase
-sweeps, fit grids) can run in parallel with no shared state.
+Repeated evaluations that change only tone strengths or the port coupling
+(phase sweeps, fit grids) split the blocks once into parameter-independent
+pieces and recombine them per evaluation.  Pure functions on immutable
+inputs; independent scheme evaluations can run in parallel with no shared
+state.
 """
 
 from __future__ import annotations
@@ -134,6 +137,19 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     )
 
 
+def _diagonal(grid: ModeGrid, params: DeviceParams) -> np.ndarray:
+    """Detuning and damping of every slot: the diagonal of ``M``."""
+    half = grid.half_span
+    gamma = params.port_coupling
+    detuning = params.resonance_frequency - (
+        grid.center_frequency + np.arange(-half, half + 1) * grid.spacing
+    )
+    diagonal = np.empty(2 * grid.n_modes, dtype=complex)
+    diagonal[0::2] = 1j * detuning + gamma / 2.0
+    diagonal[1::2] = -1j * detuning + gamma / 2.0
+    return diagonal
+
+
 def assemble_system(
     grid: ModeGrid, params: DeviceParams, couplings: CouplingSet
 ) -> SystemMatrix:
@@ -150,13 +166,7 @@ def assemble_system(
     n = grid.n_modes
     half = grid.half_span
     gamma = params.port_coupling
-    detuning = params.resonance_frequency - (
-        grid.center_frequency + np.arange(-half, half + 1) * grid.spacing
-    )
-    diagonal = np.empty(2 * n, dtype=complex)
-    diagonal[0::2] = 1j * detuning + gamma / 2.0
-    diagonal[1::2] = -1j * detuning + gamma / 2.0
-    m = np.diag(diagonal)
+    m = np.diag(_diagonal(grid, params))
 
     entries = couplings.entries
     count = len(entries)
@@ -180,37 +190,38 @@ def assemble_system(
     return SystemMatrix(matrix=m, k_coupling=float(np.sqrt(gamma)), grid=grid, blocks=blocks)
 
 
-def scattering_matrix(
-    system: SystemMatrix, condition_cap: float = DEFAULT_CONDITION_CAP
-) -> ScatteringMatrix:
-    """Invert the harmonic-balance system into a scattering matrix.
+def _gain(gamma: float) -> float:
+    """Input-output factor ``gamma`` as applied: the square of ``sqrt(gamma)``.
 
-    The blocks of each size are gathered into one stack and inverted in a
-    single batched call; the inverse of the whole system is block-diagonal
-    with exact zeros between blocks.  The reported condition estimate is
-    the exact 1-norm condition number ``||M||_1 * max_b ||B_b^-1||_1``,
-    read off the block inverses.  A singular block, a non-finite condition
-    number or one above ``condition_cap`` means the pump has reached the
-    parametric oscillation threshold, where the weak-pump linearization is
-    invalid; that raises rather than returning garbage.
-
-    With the coupling matrix a constant ``sqrt(gamma)`` on the diagonal,
-    the input-output relation reduces to ``S = gamma * M^-1 - I`` for the
-    stored coefficient matrix (the conventional factor of i is absorbed in
-    the stored rows).
+    ``SystemMatrix`` stores the coupling ``sqrt(gamma)``; every path that
+    turns block inverses into scattering entries squares that stored value,
+    so they all agree bit for bit.
     """
-    m = system.matrix
-    gamma = system.k_coupling**2
-    s = np.zeros(m.shape, dtype=complex)
-    # 1-norms (largest absolute column sum) of M and of its inverse; every
-    # column of either lies inside one block
+    return float(np.sqrt(gamma)) ** 2
+
+
+def _block_index(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays gathering a ``(count, size)`` block group."""
+    return block[:, :, np.newaxis], block[:, np.newaxis, :]
+
+
+def _invert_blocks(stacks, condition_cap: float) -> tuple[list[np.ndarray], float]:
+    """Invert ``(count, size, size)`` block stacks, guarding the threshold.
+
+    Returns the inverses and the exact 1-norm condition number
+    ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
+    they form (every column of it, or of its inverse, lies inside one
+    block).  A singular block, a non-finite condition number or one above
+    ``condition_cap`` means the pump has reached the parametric oscillation
+    threshold, where the weak-pump linearization is invalid; that raises
+    rather than returning garbage.
+    """
+    inverses = []
     norm = inverse_norm = 0.0
     try:
-        for block in system.blocks:
-            rows, cols = block[:, :, np.newaxis], block[:, np.newaxis, :]
-            stack = m[rows, cols]
+        for stack in stacks:
             inverse = np.linalg.inv(stack)
-            s[rows, cols] = gamma * inverse
+            inverses.append(inverse)
             norm = np.maximum(norm, np.abs(stack).sum(axis=1).max())
             inverse_norm = np.maximum(inverse_norm, np.abs(inverse).sum(axis=1).max())
     except np.linalg.LinAlgError:
@@ -223,9 +234,103 @@ def scattering_matrix(
             f"{cond:.3e} exceeds cap {condition_cap:.1e}",
             condition_estimate=cond,
         )
+    return inverses, cond
+
+
+def scattering_matrix(
+    system: SystemMatrix, condition_cap: float = DEFAULT_CONDITION_CAP
+) -> ScatteringMatrix:
+    """Invert the harmonic-balance system into a scattering matrix.
+
+    The blocks of each size are gathered into one stack and inverted in a
+    single batched call; the inverse of the whole system is block-diagonal
+    with exact zeros between blocks.  The reported condition estimate is
+    the exact 1-norm condition number ``||M||_1 * max_b ||B_b^-1||_1``,
+    read off the block inverses.  A condition number that is infinite or
+    above ``condition_cap`` raises ``AboveThresholdError``.
+
+    With the coupling matrix a constant ``sqrt(gamma)`` on the diagonal,
+    the input-output relation reduces to ``S = gamma * M^-1 - I`` for the
+    stored coefficient matrix (the conventional factor of i is absorbed in
+    the stored rows).
+    """
+    m = system.matrix
+    indices = [_block_index(block) for block in system.blocks]
+    inverses, cond = _invert_blocks([m[index] for index in indices], condition_cap)
+    gamma = system.k_coupling**2
+    s = np.zeros(m.shape, dtype=complex)
+    for index, inverse in zip(indices, inverses):
+        s[index] = gamma * inverse
     s[np.diag_indices_from(s)] -= 1.0
     return ScatteringMatrix(
         matrix=s, grid=system.grid, normalization=Normalization.RAW, condition_estimate=cond
+    )
+
+
+@dataclass(frozen=True)
+class _BlockPieces:
+    """The blocks of ``M`` split by how they depend on the parameters.
+
+    For block group ``k`` (as in ``blocks``), the stack of ``M`` for tone
+    strengths ``s_t`` and port coupling ``gamma`` is
+
+        detuning[k] + gamma/2 * I + sum_t (s_t * amplitude[t][k]
+                                           + conj(s_t) * conjugate[t][k])
+
+    ``detuning`` holds ``+-i*detuning`` on the diagonal, ``amplitude[t]``
+    tone ``t``'s entries in amplitude rows per unit strength and
+    ``conjugate[t]`` its mirrored entries in conjugate-amplitude rows.
+    Every entry belongs to exactly one piece, so the sum reproduces the
+    assembled stack bit for bit.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    detuning: tuple[np.ndarray, ...]
+    amplitude: tuple[tuple[np.ndarray, ...], ...]
+    conjugate: tuple[tuple[np.ndarray, ...], ...]
+
+    def coupling(self, strengths) -> list[np.ndarray]:
+        """Pump part of every group's stack for the tone strengths ``s_t``."""
+        out = [np.zeros_like(d) for d in self.detuning]
+        for s, amplitude, conjugate in zip(strengths, self.amplitude, self.conjugate):
+            for k, part in enumerate(out):
+                part += s * amplitude[k] + np.conj(s) * conjugate[k]
+        return out
+
+    def stacks(self, gamma: float, coupling) -> list[np.ndarray]:
+        """Every group's stack of ``M`` for port coupling ``gamma``."""
+        return [
+            d + gamma / 2.0 * np.eye(d.shape[-1]) + c for d, c in zip(self.detuning, coupling)
+        ]
+
+
+def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _BlockPieces:
+    """Split one assembly at unit tone strengths into ``_BlockPieces``.
+
+    Only the resonance frequency of ``params`` enters the pieces; its port
+    coupling is used for the band check of the coupling resolution.  A
+    tone at offset ``m`` owns the off-diagonal entries whose row and column
+    modes sum to ``m``.
+    """
+    unit = PumpScheme.balanced(scheme.offsets, 2.0)  # strength 1 at phase 0
+    system = assemble_system(grid, params, resolve_couplings(grid, unit, params))
+    detuning, amplitude, conjugate = [], [], []
+    for block in system.blocks:
+        rows, cols = _block_index(block)
+        stack = system.matrix[rows, cols]
+        on_diagonal = rows == cols
+        detuning.append(np.where(on_diagonal, 1j * stack.imag, 0.0))
+        mode_sum = rows // 2 + cols // 2 - 2 * grid.half_span
+        amplitude_row = (rows % 2 == 0) & ~on_diagonal
+        conjugate_row = (rows % 2 == 1) & ~on_diagonal
+        tone = [mode_sum == m for m in unit.offsets]
+        amplitude.append([np.where(amplitude_row & mask, stack, 0.0) for mask in tone])
+        conjugate.append([np.where(conjugate_row & mask, stack, 0.0) for mask in tone])
+    return _BlockPieces(
+        blocks=system.blocks,
+        detuning=tuple(detuning),
+        amplitude=tuple(zip(*amplitude)),
+        conjugate=tuple(zip(*conjugate)),
     )
 
 
@@ -240,9 +345,27 @@ def simulate_scattering(
     return scattering_matrix(assemble_system(grid, params, couplings), condition_cap)
 
 
+def _pump_off_diagonal(grid: ModeGrid, params: DeviceParams) -> tuple[np.ndarray, float]:
+    """Pump-off reflection ``gamma / (gamma/2 +- i*detuning) - 1`` of every slot.
+
+    With no pump every slot is its own 1x1 block, so the diagonal is built
+    directly and inverted as such; values and condition number are those of
+    ``scattering_matrix`` on the assembled pump-off system, bit for bit.
+    """
+    diagonal = _diagonal(grid, params)
+    (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]], DEFAULT_CONDITION_CAP)
+    return _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0, cond
+
+
 def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatrix:
     """Scattering with all pumps off: diagonal all-pass reflection."""
-    return scattering_matrix(assemble_system(grid, params, CouplingSet()))
+    reflection, cond = _pump_off_diagonal(grid, params)
+    return ScatteringMatrix(
+        matrix=np.diag(reflection),
+        grid=grid,
+        normalization=Normalization.RAW,
+        condition_estimate=cond,
+    )
 
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:

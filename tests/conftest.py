@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from combscatter import DeviceParams, ModeGrid, PumpScheme, scale_for_ratio
+from combscatter import DeviceParams, ModeGrid, PumpScheme, PumpTone, scale_for_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,3 +66,24 @@ def brute_force_pairs(offsets, half_span):
                 if i + j == m:
                     pairs.add((min(i, j), max(i, j)))
     return pairs
+
+
+@st.composite
+def small_schemes(draw):
+    """A grid of 3-13 modes, detuned from resonance, and 1-4 random tones."""
+    half_span = draw(st.integers(1, 6))
+    offsets = draw(
+        st.lists(
+            st.integers(-2 * half_span - 1, 2 * half_span + 1), min_size=1, max_size=4, unique=True
+        )
+    )
+    tones = tuple(
+        PumpTone(
+            o,
+            2.0 * draw(st.floats(0.01, 0.1)) * COUPLING / RESONANCE,
+            draw(st.floats(0.0, TWO_PI)),
+        )
+        for o in offsets
+    )
+    detuning = draw(st.floats(-0.5, 0.5)) * COUPLING
+    return ModeGrid(RESONANCE + detuning, SPACING, half_span), PumpScheme(tones)

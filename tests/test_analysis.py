@@ -1,7 +1,11 @@
 """Phase sweeps, parameter fitting, phase search."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combscatter import (
     AboveThresholdError,
@@ -10,14 +14,41 @@ from combscatter import (
     InvalidArgumentError,
     ModeGrid,
     TopologyLabel,
+    assemble_system,
     fit_parameters,
+    magnitude_db,
     phase_sweep,
     predicted_intermod_indices,
     pump_off_normalized_db,
+    pump_off_scattering,
+    resolve_couplings,
     search_phases,
     simulate_scattering,
 )
-from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme
+from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
+
+
+def simulate_system(grid, device, scheme):
+    return assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+
+
+def aligned_distance(measured, model):
+    """Reference distance on full matrices, after one global phase alignment."""
+    inner = np.sum(np.diag(measured) * np.conj(np.diag(model)))
+    if abs(inner) > 0:
+        model = model * (inner / abs(inner))
+    return float(np.sqrt(np.sum(np.abs(measured - model) ** 2)))
+
+
+def dense_distance(measured, grid, shape, g, gamma, cap):
+    """Reference fit cell: full S over its full pump-off reference."""
+    params = DeviceParams(grid.center_frequency, gamma)
+    try:
+        s_on = simulate_scattering(grid, params, shape.with_amplitude(2.0 * g), cap)
+    except AboveThresholdError:
+        return math.inf
+    reference = np.abs(np.diag(pump_off_scattering(grid, params).matrix))
+    return aligned_distance(measured, s_on.matrix / reference[np.newaxis, :])
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +129,55 @@ class TestPhaseSweep:
             phase_sweep(scheme, 0, 8, 0, grid, device)
         assert excinfo.value.phase == 0.0
 
+    def test_non_driven_block_crossing_raises_with_its_phase(self, device):
+        # -4/0/4 on 11 modes: the modes 0 mod 4 form one block, the driven
+        # mode 1 another.  With the lowest tone at phase pi, the centre
+        # block is singular exactly when the swept centre tone is at pi/2.
+        grid = ModeGrid(RESONANCE, SPACING, 5)
+
+        def scheme(ratio, phase):
+            return balanced_scheme(device, [-4, 0, 4], ratio, [np.pi, phase, 0.0])
+
+        def block(ratio, slot):
+            # the centre tone's phase here equals the sweep's third step, 2*pi*2/8
+            system = simulate_system(grid, device, scheme(ratio, np.pi / 2))
+            row = next(row for b in system.blocks for row in b if slot in row)
+            return system.matrix[np.ix_(row, row)]
+
+        lo, hi = 0.2, 0.3
+        assert np.linalg.det(block(lo, grid.a_slot(0))).real > 0
+        assert np.linalg.det(block(hi, grid.a_slot(0))).real < 0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if np.linalg.det(block(mid, grid.a_slot(0))).real > 0:
+                lo = mid
+            else:
+                hi = mid
+        assert np.linalg.cond(block(lo, grid.a_slot(1))) < 1e6  # the driven block stays clear
+        with pytest.raises(AboveThresholdError) as excinfo:
+            phase_sweep(scheme(lo, 0.0), 1, 8, 1, grid, device)
+        assert excinfo.value.phase == np.pi / 2
+        assert excinfo.value.condition_estimate > 1e12
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_schemes(), st.data())
+    def test_tracks_equal_simulated_columns(self, case, data):
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        swept = data.draw(st.integers(0, len(scheme.tones) - 1))
+        signal = data.draw(st.integers(-grid.half_span, grid.half_span))
+        result = phase_sweep(scheme, swept, 8, signal, grid, device)
+        reference = np.abs(np.diag(pump_off_scattering(grid, device).matrix))
+        col = grid.a_slot(signal)
+        for step, phase in enumerate(result.phases):
+            s = simulate_scattering(grid, device, scheme.with_phase(swept, phase)).matrix
+            column = s[:, col] / reference[col]
+            for track in result.tracks:
+                mode = track.mode_index
+                row = grid.a_conj_slot(mode) if track.order == 2 else grid.a_slot(mode)
+                assert track.magnitudes_db[step] == pytest.approx(
+                    magnitude_db(column[row]), rel=1e-12, abs=1e-12
+                )
+
     def test_step_minimum_enforced(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)
         with pytest.raises(InvalidArgumentError):
@@ -173,6 +253,37 @@ class TestFit:
                 grid_points=4,
                 condition_cap=1.0,
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_schemes(), st.floats(20.0, 1e3), st.integers(0, 2**32 - 1))
+    def test_block_space_matches_full_matrix_distance(self, case, cap, seed):
+        grid, scheme = case
+        truth = DeviceParams(grid.center_frequency, COUPLING)
+        rng = np.random.default_rng(seed)
+        measured = simulate_scattering(grid, truth, scheme).matrix
+        measured = measured + 1e-3 * (
+            rng.normal(size=measured.shape) + 1j * rng.normal(size=measured.shape)
+        )
+        # strength ratios from 0.01 to 1 put cells on both sides of the cap
+        g_range = (0.01 * COUPLING / RESONANCE, 1.0 * COUPLING / RESONANCE)
+        gamma_range = (0.5 * COUPLING, 2.0 * COUPLING)
+        result = fit_parameters(
+            measured, grid, scheme, g_range, gamma_range, 5, refine_steps=0, condition_cap=cap
+        )
+        expected = np.array([
+            [dense_distance(measured, grid, scheme, g, gamma, cap) for gamma in result.gamma_values]
+            for g in result.g_values
+        ])
+        assert np.array_equal(np.isinf(result.surface), np.isinf(expected))
+        finite = np.isfinite(expected)
+        np.testing.assert_allclose(result.surface[finite], expected[finite], rtol=1e-12, atol=0)
+        refined = fit_parameters(
+            measured, grid, scheme, g_range, gamma_range, 5, condition_cap=cap
+        )
+        assert refined.distance == pytest.approx(
+            dense_distance(measured, grid, scheme, refined.best_g, refined.best_gamma, cap),
+            rel=1e-12,
+        )
 
     def test_validation(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)

@@ -1,11 +1,19 @@
 """End-to-end command-line runs: outputs, determinism, exit codes."""
 
 import json
+from importlib import resources
 
 import pytest
 
 from combscatter.cli import main
 from combscatter import bundled_config_path
+from combscatter.datafiles import load_scattering, save_scattering_csv, sidecar_path
+
+BUNDLED = sorted(
+    p.name.removesuffix(".yaml")
+    for p in (resources.files("combscatter") / "configs").iterdir()
+    if p.name.endswith(".yaml")
+)
 
 SMALL = """
 device:
@@ -101,6 +109,12 @@ class TestSweep:
         assert all(len(r.split(",")) == len(columns) for r in rows)
 
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_bundled_config_sweeps(self, name, tmp_path):
+        assert run(["sweep-phase", name, "--out-dir", tmp_path]) == 0
+        assert (tmp_path / "sweep.csv").exists()
+
+
 class TestCovariance:
     def test_analytic_and_sampled(self, small_config, tmp_path):
         out = tmp_path / "out"
@@ -181,6 +195,39 @@ class TestExitCodes:
 
     def test_missing_config_is_4(self, tmp_path):
         assert run(["simulate", tmp_path / "absent.yaml", "--out-dir", tmp_path]) == 4
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_yaml_number_is_2(self, tmp_path, capsys, value):
+        config = tmp_path / "nan.yaml"
+        config.write_text(SMALL.replace("0.004533333333333334", value, 1))
+        assert run(["simulate", config, "--out-dir", tmp_path / "o"]) == 2
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "validation"
+        assert any("scheme[0].amplitude (line" in issue for issue in doc["issues"])
+
+    def test_negative_seed_flag_is_2(self, small_config, tmp_path, capsys):
+        assert run(["sample-covariance", small_config, "--seed", "-1",
+                    "--out-dir", tmp_path]) == 2
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "validation"
+
+    def test_negative_seed_in_config_is_2(self, tmp_path, capsys):
+        config = tmp_path / "seed.yaml"
+        config.write_text(SMALL.replace("seed: 77", "seed: -1"))
+        assert run(["sample-covariance", config, "--out-dir", tmp_path / "o"]) == 2
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert any("run.seed (line" in issue for issue in doc["issues"])
+
+    def test_non_integer_csv_mode_count_is_4(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", small_config, "--out-dir", out]) == 0
+        data = out / "s.csv"
+        save_scattering_csv(data, load_scattering(out / "s_matrix.cmb"))
+        meta = json.loads(sidecar_path(data).read_text())
+        meta["n_modes"] = 25.5  # int() would truncate it to the true 25
+        sidecar_path(data).write_text(json.dumps(meta))
+        assert run(["graph", small_config, "--data", data, "--format", "generic-csv",
+                    "--out-dir", out]) == 4
 
     def test_machine_readable_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

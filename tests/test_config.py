@@ -82,6 +82,34 @@ class TestParse:
             parse_config(bad)
         assert any("non-negative" in str(i) for i in excinfo.value.issues)
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("amplitude: 0.004", "amplitude: .nan", "scheme[0].amplitude"),
+            ("phase_deg: 180.0", "phase_deg: .inf", "scheme[2].phase_deg"),
+            ("threshold_db: -20.0", "threshold_db: -.inf", "run.threshold_db"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_line(self, old, new, field):
+        bad = GOOD.replace(old, new, 1)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        issue = next(i for i in excinfo.value.issues if i.field == field)
+        assert "finite" in issue.message
+        assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if new in text)
+
+    def test_negative_seed_rejected_with_line(self):
+        bad = GOOD.replace("  signal_index: 28", "  signal_index: 28\n  seed: -1")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        issue = next(i for i in excinfo.value.issues if i.field == "run.seed")
+        assert "non-negative" in issue.message
+        assert issue.line == bad.splitlines().index("  seed: -1") + 1
+
+    def test_yaml_integer_forms_accepted(self):
+        config = parse_config(GOOD.replace("half_span: 47", "half_span: 0x2F"))
+        assert config.half_span == 47
+
     def test_all_errors_collected(self):
         bad = (
             GOOD.replace("offset: -4", "offset: -3.5")

@@ -146,3 +146,14 @@ class TestCsv:
         with pytest.raises(DataFormatError) as excinfo:
             load_scattering_csv(path)
         assert "line 3" in str(excinfo.value)
+
+    @pytest.mark.parametrize("n_modes", [4, 0, -3, 2.5, "5", True, None])
+    def test_sidecar_mode_count_must_be_odd_and_positive(self, tmp_path, sample, n_modes):
+        path = tmp_path / "s.csv"
+        save_scattering_csv(path, sample)
+        meta = json.loads(sidecar_path(path).read_text())
+        meta["n_modes"] = n_modes
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError) as excinfo:
+            load_scattering_csv(path)
+        assert "odd and positive" in str(excinfo.value)

@@ -219,6 +219,11 @@ class TestSampleCovariance:
         with pytest.raises(InvalidArgumentError):
             sample_covariance(sx, 1, seed=0)
 
+    def test_negative_seed_rejected(self, grid):
+        sx = QuadratureScattering(np.eye(2 * grid.n_modes), grid, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            sample_covariance(sx, 100, seed=-1)
+
 
 class TestConnectivityMirror:
     def test_three_pump_patterns_match_scattering(self, grid, device):

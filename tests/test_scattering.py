@@ -23,7 +23,7 @@ from combscatter import (
     scattering_matrix,
     simulate_scattering,
 )
-from combscatter.scattering import Normalization, ScatteringMatrix
+from combscatter.scattering import Normalization, ScatteringMatrix, _block_pieces
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -31,6 +31,7 @@ from conftest import (
     TWO_PI,
     analytic_two_mode_block,
     balanced_scheme,
+    small_schemes,
 )
 
 
@@ -256,26 +257,6 @@ def block_labels(system):
     return labels
 
 
-@st.composite
-def small_schemes(draw):
-    half_span = draw(st.integers(1, 6))
-    offsets = draw(
-        st.lists(
-            st.integers(-2 * half_span - 1, 2 * half_span + 1), min_size=1, max_size=4, unique=True
-        )
-    )
-    tones = tuple(
-        PumpTone(
-            o,
-            2.0 * draw(st.floats(0.01, 0.1)) * COUPLING / RESONANCE,
-            draw(st.floats(0.0, TWO_PI)),
-        )
-        for o in offsets
-    )
-    detuning = draw(st.floats(-0.5, 0.5)) * COUPLING
-    return ModeGrid(RESONANCE + detuning, SPACING, half_span), PumpScheme(tones)
-
-
 class TestBlockSolver:
     @settings(max_examples=80, deadline=None)
     @given(small_schemes())
@@ -330,6 +311,31 @@ class TestBlockSolver:
         expected[1::2] = gamma / (gamma / 2 - 1j * detuning) - 1
         np.testing.assert_allclose(np.diag(s), expected, rtol=1e-14, atol=0)
         assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_schemes())
+    def test_pump_off_is_the_assembled_path_bit_for_bit(self, case):
+        grid, _ = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        closed = pump_off_scattering(grid, device)
+        assembled = scattering_matrix(assemble_system(grid, device, CouplingSet()))
+        assert np.array_equal(closed.matrix, assembled.matrix)
+        assert closed.condition_estimate == assembled.condition_estimate
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_schemes(), st.floats(0.3, 3.0))
+    def test_pieces_rebuild_the_assembled_blocks_bit_for_bit(self, case, scale):
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, scale * COUPLING)
+        pieces = _block_pieces(grid, device, scheme)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        assert all(np.array_equal(a, b) for a, b in zip(pieces.blocks, system.blocks))
+        stacks = pieces.stacks(
+            device.port_coupling, pieces.coupling([t.strength for t in scheme.tones])
+        )
+        for block, stack in zip(system.blocks, stacks):
+            rows, cols = block[:, :, np.newaxis], block[:, np.newaxis, :]
+            assert np.array_equal(stack, system.matrix[rows, cols])
 
     def test_one_singular_block_among_healthy_ones_raises(self, device):
         grid = ModeGrid(RESONANCE, SPACING, 2)
