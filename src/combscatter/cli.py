@@ -114,21 +114,27 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def _apply_overrides(config: ExperimentConfig, args):
+def _scheme(config: ExperimentConfig, args):
+    """The config's scheme with the phase flags applied."""
     scheme = config.to_scheme()
     for flag, label in _PHASE_FLAGS.items():
-        raw = getattr(args, flag, None)
+        raw = getattr(args, flag)
         if raw is not None:
             scheme = scheme.with_phase(_tone_position(scheme, label), _parse_phase(raw))
-    run = config.run
-    threshold = args.threshold_db if args.threshold_db is not None else run.threshold_db
-    seed = args.seed if args.seed is not None else run.seed
+    return scheme
+
+
+def _setting(config: ExperimentConfig, args, name: str):
+    """A flag's value, or the config's ``run`` value when the flag is absent."""
+    value = getattr(args, name)
+    return getattr(config.run, name) if value is None else value
+
+
+def _seed(config: ExperimentConfig, args) -> int:
+    seed = _setting(config, args, "seed")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-    steps = args.steps if args.steps is not None else run.steps
-    samples = args.samples if args.samples is not None else run.samples
-    signal = args.signal_index if getattr(args, "signal_index", None) is not None else run.signal_index
-    return scheme, threshold, seed, steps, samples, signal
+    return seed
 
 
 def _meta(config: ExperimentConfig, seed=None) -> dict:
@@ -147,7 +153,8 @@ def _out(args, name: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    scheme, threshold, seed, *_ = _apply_overrides(config, args)
+    scheme = _scheme(config, args)
+    threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
     s_on = simulate_scattering(grid, params, scheme)
     s_off = pump_off_scattering(grid, params)
@@ -169,7 +176,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_graph(args) -> int:
     config = _load_config(args)
-    scheme, threshold, seed, *_ = _apply_overrides(config, args)
+    scheme = _scheme(config, args)
+    threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
     if args.data:
         smat = load_scattering_data(args.data, args.format)
@@ -196,7 +204,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_sweep_phase(args) -> int:
     config = _load_config(args)
-    scheme, _, seed, steps, _, signal = _apply_overrides(config, args)
+    scheme, seed = _scheme(config, args), _seed(config, args)
+    steps, signal = _setting(config, args, "steps"), _setting(config, args, "signal_index")
     grid, params = config.to_mode_grid(), config.to_device_params()
     tone_label = args.tone if args.tone is not None else config.run.swept_tone
     position = _tone_position(scheme, tone_label)
@@ -208,7 +217,7 @@ def _cmd_sweep_phase(args) -> int:
 
 def _cmd_covariance(args) -> int:
     config = _load_config(args)
-    scheme, _, seed, *_ = _apply_overrides(config, args)
+    scheme, seed = _scheme(config, args), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
     sx = to_quadrature(simulate_scattering(grid, params, scheme))
     v_out = propagate_covariance(sx, vacuum_covariance(grid))
@@ -221,7 +230,8 @@ def _cmd_covariance(args) -> int:
 
 def _cmd_sample_covariance(args) -> int:
     config = _load_config(args)
-    scheme, _, seed, _, samples, _ = _apply_overrides(config, args)
+    scheme, seed = _scheme(config, args), _seed(config, args)
+    samples = _setting(config, args, "samples")
     grid, params = config.to_mode_grid(), config.to_device_params()
     sx = to_quadrature(simulate_scattering(grid, params, scheme))
     v = sample_covariance(sx, samples, seed)
@@ -237,7 +247,7 @@ def _cmd_fit(args) -> int:
     if not args.data:
         raise InvalidArgumentError("fit requires --data")
     grid = config.to_mode_grid()
-    scheme_shape, *_ = _apply_overrides(config, args)
+    scheme_shape = _scheme(config, args)
     measured = load_scattering_data(args.data, args.format)
     run = config.run
     result = fit_parameters(
@@ -269,7 +279,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_search_phases(args) -> int:
     config = _load_config(args)
-    scheme, threshold, seed, *_ = _apply_overrides(config, args)
+    scheme = _scheme(config, args)
+    threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
     if not args.target:
         raise InvalidArgumentError("search-phases requires --target")
@@ -281,7 +292,7 @@ def _cmd_search_phases(args) -> int:
     if not isinstance(edges, list):
         raise DataFormatError("target must be a JSON list of edges or have an 'edges' key")
     target = [(int(e[0]), int(e[1])) for e in edges]
-    points = args.phase_grid_points if args.phase_grid_points else config.run.phase_grid_points
+    points = _setting(config, args, "phase_grid_points")
     result = search_phases(scheme, target, points, threshold, grid, params)
     payload = {
         "best_phases_rad": list(result.best_phases),
@@ -298,9 +309,9 @@ def _cmd_search_phases(args) -> int:
 
 def _cmd_predict_idlers(args) -> int:
     config = _load_config(args)
-    scheme, _, _, _, _, signal = _apply_overrides(config, args)
+    signal = _setting(config, args, "signal_index")
     grid = config.to_mode_grid()
-    prediction = predicted_intermod_indices(signal, scheme, grid)
+    prediction = predicted_intermod_indices(signal, config.to_scheme(), grid)
     payload = {
         "signal_index": signal,
         "second_order": list(prediction.second_order),
@@ -315,42 +326,63 @@ def _cmd_predict_idlers(args) -> int:
     return EXIT_OK
 
 
+_PHASES = ("--phase1", "--phase0", "--phase-1")
+_FLAGS = {
+    "--seed": {"type": int},
+    "--threshold-db": {"type": float},
+    "--phase1": {},
+    "--phase0": {},
+    "--phase-1": {"dest": "phase_minus1"},
+    "--steps": {"type": int},
+    "--samples": {"type": int},
+    "--signal-index": {"type": int},
+    "--tone": {"type": int},
+    "--data": {},
+    "--format": {"default": NATIVE_FORMAT, "choices": [NATIVE_FORMAT, CSV_FORMAT]},
+    "--target": {},
+    "--phase-grid-points": {"type": int},
+}
+
+# Each subcommand registers only the flags it reads, besides the config and
+# --out-dir, so a flag another subcommand reads is rejected, not ignored.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "graph": _cmd_graph,
-    "sweep-phase": _cmd_sweep_phase,
-    "covariance": _cmd_covariance,
-    "sample-covariance": _cmd_sample_covariance,
-    "fit": _cmd_fit,
-    "search-phases": _cmd_search_phases,
-    "predict-idlers": _cmd_predict_idlers,
+    "simulate": (_cmd_simulate, ("--seed", "--threshold-db", *_PHASES)),
+    "graph": (_cmd_graph, ("--seed", "--threshold-db", *_PHASES, "--data", "--format")),
+    "sweep-phase": (
+        _cmd_sweep_phase, ("--seed", *_PHASES, "--steps", "--signal-index", "--tone")
+    ),
+    "covariance": (_cmd_covariance, ("--seed", *_PHASES)),
+    "sample-covariance": (_cmd_sample_covariance, ("--seed", *_PHASES, "--samples")),
+    "fit": (_cmd_fit, (*_PHASES, "--data", "--format")),
+    "search-phases": (
+        _cmd_search_phases,
+        ("--seed", "--threshold-db", *_PHASES, "--target", "--phase-grid-points"),
+    ),
+    "predict-idlers": (_cmd_predict_idlers, ("--signal-index",)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a validation error, not usage text."""
+
+    def error(self, message):
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="combscatter",
         description="Multi-pump parametric mode scattering simulator and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("config_positional", nargs="?", default=None, metavar="CONFIG")
         p.add_argument("--config", default=None)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threshold-db", type=float, default=None)
-        p.add_argument("--phase1", dest="phase1", default=None)
-        p.add_argument("--phase0", dest="phase0", default=None)
-        p.add_argument("--phase-1", dest="phase_minus1", default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--signal-index", type=int, default=None)
-        p.add_argument("--tone", type=int, default=None)
-        p.add_argument("--data", default=None)
-        p.add_argument("--format", default=NATIVE_FORMAT, choices=[NATIVE_FORMAT, CSV_FORMAT])
-        p.add_argument("--target", default=None)
-        p.add_argument("--phase-grid-points", type=int, default=None)
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(flag, **spec)
     return parser
 
 
@@ -365,13 +397,11 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.config is None:
-        args.config = args.config_positional
-    if args.config is None:
-        return _fail("validation", InvalidArgumentError("no config given"), EXIT_VALIDATION)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        if args.config is None:
+            args.config = args.config_positional
+        return _COMMANDS[args.command][0](args)
     except AboveThresholdError as exc:
         return _fail("above-threshold", exc, EXIT_ABOVE_THRESHOLD)
     except (ConfigError, InvalidArgumentError) as exc:

@@ -188,7 +188,18 @@ class _Validator:
         if not match:
             self.problem(path, f"cannot parse quantity {node.value!r}", node.line)
             return None
-        return Quantity(float(match.group(1)), match.group(2))
+        got = Quantity(float(match.group(1)), match.group(2))
+        if not math.isfinite(got.angular):
+            self.problem(path, "must be finite", node.line)
+            return None
+        return got
+
+    def positive_quantity(self, node: _Node, path: str) -> Quantity | None:
+        got = self.quantity(node, path)
+        if got is not None and got.hz <= 0:
+            self.problem(path, "must be positive", node.line)
+            return None
+        return got
 
     def number(self, node: _Node, path: str, kind=float):
         if kind is int:
@@ -231,11 +242,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if "device" in top:
         device = v.mapping(top["device"], "device", {"resonance_frequency", "port_coupling"})
         if "resonance_frequency" in device:
-            resonance = v.quantity(device["resonance_frequency"], "device.resonance_frequency")
+            resonance = v.positive_quantity(
+                device["resonance_frequency"], "device.resonance_frequency"
+            )
         else:
             v.problem("device.resonance_frequency", "missing", top["device"].line)
         if "port_coupling" in device:
-            coupling = v.quantity(device["port_coupling"], "device.port_coupling")
+            coupling = v.positive_quantity(device["port_coupling"], "device.port_coupling")
         else:
             v.problem("device.port_coupling", "missing", top["device"].line)
     else:
@@ -248,10 +261,7 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             v.problem("grid.center", "missing", top["grid"].line)
         if "spacing" in grid:
-            spacing = v.quantity(grid["spacing"], "grid.spacing")
-            if spacing is not None and spacing.hz <= 0:
-                v.problem("grid.spacing", "must be positive", grid["spacing"].line)
-                spacing = None
+            spacing = v.positive_quantity(grid["spacing"], "grid.spacing")
         else:
             v.problem("grid.spacing", "missing", top["grid"].line)
         if "half_span" in grid:

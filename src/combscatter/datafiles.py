@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, InvalidArgumentError
 from .graphs import CorrelationGraph, TopologyReport
 from .model import ModeGrid
 from .scattering import Normalization, ScatteringMatrix
@@ -88,7 +88,10 @@ def load_scattering(path) -> ScatteringMatrix:
     matrix = np.frombuffer(blob, dtype=complex, offset=_HEADER.size).reshape(2 * n, 2 * n)
     if not np.all(np.isfinite(matrix.view(np.float64))):
         raise DataFormatError("matrix contains non-finite entries")
-    grid = ModeGrid(center_frequency=center, spacing=spacing, half_span=(n - 1) // 2)
+    try:
+        grid = ModeGrid(center_frequency=center, spacing=spacing, half_span=(n - 1) // 2)
+    except InvalidArgumentError as exc:
+        raise DataFormatError(f"header grid: {exc}") from exc
     return ScatteringMatrix(matrix=matrix.copy(), grid=grid, normalization=normalization)
 
 
@@ -141,6 +144,17 @@ def load_scattering_csv(path, sidecar=None) -> ScatteringMatrix:
     n = meta["n_modes"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise DataFormatError(f"mode count {n!r} must be odd and positive")
+    for key in ("center_hz", "spacing_hz"):
+        if isinstance(meta[key], bool) or not isinstance(meta[key], (int, float)):
+            raise DataFormatError(f"sidecar {key} {meta[key]!r} must be a number")
+    try:
+        grid = ModeGrid(
+            center_frequency=2.0 * np.pi * meta["center_hz"],
+            spacing=2.0 * np.pi * meta["spacing_hz"],
+            half_span=(n - 1) // 2,
+        )
+    except (InvalidArgumentError, OverflowError) as exc:
+        raise DataFormatError(f"sidecar grid: {exc}") from exc
     dim = 2 * n
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -160,11 +174,6 @@ def load_scattering_csv(path, sidecar=None) -> ScatteringMatrix:
     matrix = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(matrix.view(np.float64))):
         raise DataFormatError("matrix contains non-finite entries")
-    grid = ModeGrid(
-        center_frequency=2.0 * np.pi * float(meta["center_hz"]),
-        spacing=2.0 * np.pi * float(meta["spacing_hz"]),
-        half_span=(n - 1) // 2,
-    )
     return ScatteringMatrix(matrix=matrix, grid=grid, normalization=normalization)
 
 

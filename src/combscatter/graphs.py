@@ -2,15 +2,17 @@
 
 A dB scattering matrix reduces to a mode-level weight matrix (max over each
 mode pair's four amplitude/conjugate entries); edges are the off-diagonal
-weights above threshold.  Degenerate squeezing shows up on the diagonal
-block's cross entries and is kept as self-loops, which never participate in
-topology classification.
+weights at or above threshold, found by one array comparison.  Degenerate
+squeezing shows up on the diagonal block's cross entries and is kept as
+self-loops, which never participate in topology classification.
 
 Classification is purely structural (node labels never matter): a component
 is a square ladder when it is isomorphic to the two-rails-plus-rungs
 template after peeling at most two boundary defects, and a ladder with
 diagonals when every cell additionally carries both diagonal chords, which
-turns the component into a chain of 4-cliques glued along rungs.
+turns the component into a chain of 4-cliques glued along rungs.  Each
+component runs one peel-and-match pass, and the match that sets its label
+also gives its rung pairs.
 """
 
 from __future__ import annotations
@@ -112,21 +114,17 @@ def extract_graph(
     ordered by ascending mode index.
     """
     reduced = mode_level_db(db_matrix, grid)
-    n = grid.n_modes
     half = grid.half_span
     weights = np.maximum(reduced, reduced.T)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if weights[a, b] >= threshold_db:
-                edges.append(GraphEdge(a - half, b - half, float(weights[a, b])))
-    loops = [
-        (a - half, float(reduced[a, a])) for a in range(n) if reduced[a, a] >= threshold_db
-    ]
+    rows, cols = np.nonzero(np.triu(weights >= threshold_db, 1))
+    diagonal = reduced.diagonal()
+    (loops,) = np.nonzero(diagonal >= threshold_db)
+    # tolist() yields Python int and float, so the reports stay JSON-serializable
+    i, j, w = (rows - half).tolist(), (cols - half).tolist(), weights[rows, cols].tolist()
     return CorrelationGraph(
         nodes=tuple(grid.indices),
-        edges=tuple(edges),
-        self_loops=tuple(loops),
+        edges=tuple(map(GraphEdge, i, j, w)),
+        self_loops=tuple(zip((loops - half).tolist(), diagonal[loops].tolist())),
         threshold_db=float(threshold_db),
     )
 
@@ -146,29 +144,31 @@ def connected_components(graph: CorrelationGraph) -> TopologyReport:
 
 
 def _peel_variants(g: nx.Graph, budget: int):
-    """Yield (subgraph, removed_count) after peeling up to ``budget`` defects.
+    """Yield ``g`` and its variants after peeling up to ``budget`` defects.
 
     Defect candidates are structural boundary artifacts of a truncated
     ladder: pendant nodes (degree 1) and triangle caps (degree-2 nodes whose
     two neighbors are adjacent).  Peeling is breadth-first over removal
-    counts so the least-modified variant is tried first.
+    counts so the least-modified variant is tried first.  A variant copies
+    its parent minus one node, keeping the node order the rung match reads.
     """
-    seen = {frozenset(g.nodes)}
+    seen = {frozenset(g)}
     frontier = [g]
-    yield g, 0
-    for removed in range(1, budget + 1):
+    yield g
+    for _ in range(budget):
         next_frontier = []
         for h in frontier:
-            for v in sorted(h.nodes):
+            for v in sorted(h):
                 deg = h.degree(v)
-                if deg == 1 or (deg == 2 and h.has_edge(*tuple(h.neighbors(v)))):
-                    rest = frozenset(h.nodes) - {v}
+                if deg == 1 or (deg == 2 and h.has_edge(*h.neighbors(v))):
+                    rest = frozenset(h) - {v}
                     if rest in seen or not rest:
                         continue
                     seen.add(rest)
-                    sub = nx.Graph(h.subgraph(rest))
+                    sub = h.copy()
+                    sub.remove_node(v)
                     next_frontier.append(sub)
-                    yield sub, removed
+                    yield sub
         frontier = next_frontier
 
 
@@ -233,6 +233,30 @@ def _match_clique_chain(g: nx.Graph):
     return tuple(sorted(shared_pairs))
 
 
+def _classify(g: nx.Graph):
+    """Label and rung pairs of one component, from a single peel-and-match.
+
+    Ladder matches take priority over clique chains; within each, the
+    least-peeled variant that matches gives both the label and the rungs.
+    """
+    size = g.number_of_nodes()
+    if size == 1:
+        return TopologyLabel.ISOLATED, ()
+    if size == 2 and g.number_of_edges() == 1:
+        return TopologyLabel.PAIR, ()
+    if max((d for _, d in g.degree()), default=0) <= 2 and nx.is_tree(g):
+        return TopologyLabel.CHAIN, ()
+    for label, match in (
+        (TopologyLabel.SQUARE_LADDER, _match_ladder),
+        (TopologyLabel.LADDER_WITH_DIAGONALS, _match_clique_chain),
+    ):
+        for variant in _peel_variants(g, BOUNDARY_DEFECT_BUDGET):
+            rungs = match(variant)
+            if rungs is not None:
+                return label, rungs
+    return TopologyLabel.OTHER, ()
+
+
 def classify_topology(component, edges) -> TopologyLabel:
     """Structurally classify one connected component.
 
@@ -241,47 +265,17 @@ def classify_topology(component, edges) -> TopologyLabel:
     pair, an acyclic path is a chain, and ladder recognition tolerates up
     to two peeled boundary defects from the finite comb truncation.
     """
-    nodes = sorted(set(component))
-    g = _as_nx(nodes, edges)
-    if len(nodes) == 1:
-        return TopologyLabel.ISOLATED
-    if len(nodes) == 2 and g.number_of_edges() == 1:
-        return TopologyLabel.PAIR
-    if max(dict(g.degree()).values(), default=0) <= 2 and nx.is_tree(g):
-        return TopologyLabel.CHAIN
-    for variant, _ in _peel_variants(g, BOUNDARY_DEFECT_BUDGET):
-        if _match_ladder(variant) is not None:
-            return TopologyLabel.SQUARE_LADDER
-    for variant, _ in _peel_variants(g, BOUNDARY_DEFECT_BUDGET):
-        if _match_clique_chain(variant) is not None:
-            return TopologyLabel.LADDER_WITH_DIAGONALS
-    return TopologyLabel.OTHER
-
-
-def _component_rungs(component, edges, label: TopologyLabel):
-    g = _as_nx(sorted(set(component)), edges)
-    matcher = _match_ladder if label is TopologyLabel.SQUARE_LADDER else _match_clique_chain
-    for variant, _ in _peel_variants(g, BOUNDARY_DEFECT_BUDGET):
-        rungs = matcher(variant)
-        if rungs is not None:
-            return rungs
-    return ()
+    return _classify(_as_nx(sorted(set(component)), edges))[0]
 
 
 def topology_report(graph: CorrelationGraph) -> TopologyReport:
     """Full report: components, labels, and rung pairs for ladder types."""
     components = connected_components(graph).components
-    labels = []
-    rungs = []
-    for comp in components:
-        label = classify_topology(comp, graph.edges)
-        labels.append(label)
-        if label in (TopologyLabel.SQUARE_LADDER, TopologyLabel.LADDER_WITH_DIAGONALS):
-            rungs.append(_component_rungs(comp, graph.edges, label))
-        else:
-            rungs.append(())
+    results = [_classify(_as_nx(comp, graph.edges)) for comp in components]
     return TopologyReport(
-        components=components, labels=tuple(labels), ladder_rungs=tuple(rungs)
+        components=components,
+        labels=tuple(label for label, _ in results),
+        ladder_rungs=tuple(rungs for _, rungs in results),
     )
 
 

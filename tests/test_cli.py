@@ -229,6 +229,59 @@ class TestExitCodes:
         assert run(["graph", small_config, "--data", data, "--format", "generic-csv",
                     "--out-dir", out]) == 4
 
+    @pytest.mark.parametrize(
+        "key, value", [("center_hz", "four GHz"), ("spacing_hz", -1e5)]
+    )
+    def test_bad_csv_sidecar_frequency_is_4(self, small_config, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        assert run(["simulate", small_config, "--out-dir", out]) == 0
+        data = out / "s.csv"
+        save_scattering_csv(data, load_scattering(out / "s_matrix.cmb"))
+        meta = json.loads(sidecar_path(data).read_text())
+        meta[key] = value
+        sidecar_path(data).write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run(["graph", small_config, "--data", data, "--format", "generic-csv",
+                    "--out-dir", out]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+    def test_negative_port_coupling_is_2_with_line(self, tmp_path, capsys):
+        config = tmp_path / "coupling.yaml"
+        config.write_text(SMALL.replace("port_coupling: 112 MHz", "port_coupling: -112 MHz"))
+        assert run(["simulate", config, "--out-dir", tmp_path / "o"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["issues"] == ["device.port_coupling (line 4): must be positive"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "{cfg}", "--seed", "abc"],
+            ["simulate", "{cfg}", "--bogus"],
+            ["predict-idlers", "{cfg}", "--samples", "5"],
+            ["predict-idlers", "{cfg}", "--phase1", "180deg"],
+            ["fit", "{cfg}", "--seed", "3", "--data", "{cfg}"],
+            ["covariance", "{cfg}", "--steps", "4"],
+            ["graph", "{cfg}", "--format", "xlsx"],
+            ["sweep-phase", "{cfg}", "--tone"],
+            ["no-such-command", "{cfg}"],
+            [],
+        ],
+    )
+    def test_rejected_command_line_is_one_json_line(self, small_config, tmp_path, capsys, argv):
+        argv = [a.format(cfg=small_config) for a in argv] + (["--out-dir", tmp_path] if argv else [])
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "validation"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_0_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: combscatter")
+
     def test_machine_readable_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("grid: []\n")

@@ -98,6 +98,25 @@ class TestParse:
         assert "finite" in issue.message
         assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if new in text)
 
+    @pytest.mark.parametrize(
+        "old, new, field, message",
+        [
+            ("port_coupling: 112 MHz", "port_coupling: -112 MHz", "device.port_coupling", "positive"),
+            ("port_coupling: 112 MHz", "port_coupling: 0 MHz", "device.port_coupling", "positive"),
+            ("resonance_frequency: 4.2 GHz", "resonance_frequency: -4.2 GHz",
+             "device.resonance_frequency", "positive"),
+            ("spacing: 0.1 MHz", "spacing: 0 MHz", "grid.spacing", "positive"),
+            ("center: 4.2 GHz", "center: 1e300 GHz", "grid.center", "finite"),
+        ],
+    )
+    def test_bad_frequency_rejected_with_line(self, old, new, field, message):
+        bad = GOOD.replace(old, new, 1)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        issue = next(i for i in excinfo.value.issues if i.field == field)
+        assert message in issue.message
+        assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if new in text)
+
     def test_negative_seed_rejected_with_line(self):
         bad = GOOD.replace("  signal_index: 28", "  signal_index: 28\n  seed: -1")
         with pytest.raises(ConfigError) as excinfo:

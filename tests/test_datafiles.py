@@ -1,6 +1,7 @@
 """Native container and CSV interchange round trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestNative:
         with pytest.raises(DataFormatError) as excinfo:
             load_scattering(path)
         assert "interleaved" in str(excinfo.value)
+
+    @pytest.mark.parametrize("spacing", [-1.0, 0.0, float("nan")])
+    def test_bad_header_spacing_rejected(self, tmp_path, sample, spacing):
+        path = tmp_path / "s.cmb"
+        save_scattering(path, sample)
+        blob = bytearray(path.read_bytes())
+        blob[16:24] = struct.pack("<d", spacing)  # after magic, version, n
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError):
+            load_scattering(path)
 
     def test_truncated_payload_rejected(self, tmp_path, sample):
         path = tmp_path / "s.cmb"
@@ -157,3 +168,38 @@ class TestCsv:
         with pytest.raises(DataFormatError) as excinfo:
             load_scattering_csv(path)
         assert "odd and positive" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("center_hz", "four GHz"),
+            ("center_hz", "4.2e9"),
+            ("center_hz", True),
+            ("center_hz", None),
+            ("center_hz", float("nan")),
+            ("center_hz", float("inf")),
+            pytest.param("center_hz", 10**400, id="center_hz-huge-int"),
+            ("spacing_hz", "0.1 MHz"),
+            ("spacing_hz", -1e5),
+            ("spacing_hz", 0),
+            ("spacing_hz", float("-inf")),
+        ],
+    )
+    def test_sidecar_frequencies_must_be_finite_numbers(self, tmp_path, sample, key, value):
+        path = tmp_path / "s.csv"
+        save_scattering_csv(path, sample)
+        meta = json.loads(sidecar_path(path).read_text())
+        meta[key] = value
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError):
+            load_scattering_csv(path)
+
+    def test_integer_sidecar_frequencies_accepted(self, tmp_path, sample):
+        path = tmp_path / "s.csv"
+        save_scattering_csv(path, sample)
+        meta = json.loads(sidecar_path(path).read_text())
+        meta["center_hz"], meta["spacing_hz"] = 4_200_000_000, 100_000
+        sidecar_path(path).write_text(json.dumps(meta))
+        grid = load_scattering_csv(path).grid
+        assert grid.center_frequency == 2.0 * np.pi * 4.2e9
+        assert grid.spacing == 2.0 * np.pi * 1e5

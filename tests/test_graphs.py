@@ -1,11 +1,19 @@
 """Graph extraction, components, topology classification, DOT export."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import graph_reference
 
 from combscatter import (
     CorrelationGraph,
     GraphEdge,
+    ModeGrid,
     TopologyLabel,
     classify_topology,
     connected_components,
@@ -15,7 +23,8 @@ from combscatter import (
     pump_off_normalized_db,
     topology_report,
 )
-from conftest import balanced_scheme
+from combscatter.datafiles import topology_report_dict
+from conftest import RESONANCE, SPACING, balanced_scheme
 
 
 def make_graph(nodes, pairs, loops=(), threshold=-20.0):
@@ -33,6 +42,37 @@ def ladder_pairs(rail_a, rail_b):
     pairs |= set(zip(rail_a, rail_a[1:]))
     pairs |= set(zip(rail_b, rail_b[1:]))
     return pairs
+
+
+@st.composite
+def defect_graphs(draw):
+    """1-3 disjoint parts on shuffled labels: random small graphs, or square
+    ladders and clique chains carrying 0-3 pendants or triangle caps."""
+    pairs, size = set(), 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["ladder", "clique_chain", "random"]))
+        if kind == "random":
+            n = draw(st.integers(1, 8))
+            local = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+            local = {(a, b) for a, b in local if a < b}
+        else:
+            k = draw(st.integers(2, 6))
+            rail_a, rail_b = list(range(k)), list(range(k, 2 * k))
+            local = ladder_pairs(rail_a, rail_b)
+            if kind == "clique_chain":
+                local |= set(zip(rail_a, rail_b[1:])) | set(zip(rail_b, rail_a[1:]))
+            n = 2 * k
+            for _ in range(draw(st.integers(0, 3))):
+                if draw(st.booleans()):
+                    local.add((draw(st.integers(0, n - 1)), n))
+                else:
+                    a, b = draw(st.sampled_from(sorted(local)))
+                    local |= {(a, n), (b, n)}
+                n += 1
+        pairs |= {(a + size, b + size) for a, b in local}
+        size += n
+    labels = draw(st.lists(st.integers(-60, 60), min_size=size, max_size=size, unique=True))
+    return make_graph(labels, [(labels[a], labels[b]) for a, b in pairs])
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +141,30 @@ class TestExtractGraph:
         assert (1, 9) in added
         assert (-7, 1) in added
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        half_span=st.integers(0, 6),
+        data=st.data(),
+        threshold=st.integers(-40, 5).map(float),
+    )
+    def test_equals_loop_reference(self, half_span, data, threshold):
+        small = ModeGrid(RESONANCE, SPACING, half_span)
+        dim = 2 * small.n_modes
+        # integer dB values make weights tie with the threshold
+        values = st.one_of(
+            st.integers(-45, 10).map(float), st.floats(-60.0, 10.0), st.just(np.nan)
+        )
+        db = data.draw(arrays(float, (dim, dim), elements=values))
+        graph = extract_graph(db, small, threshold)
+        edges, loops = graph_reference.extract_edges(db, small, threshold)
+        assert [(e.i, e.j) for e in graph.edges] == [(e.i, e.j) for e in edges]
+        assert [e.weight_db.hex() for e in graph.edges] == [e.weight_db.hex() for e in edges]
+        assert [(i, w.hex()) for i, w in graph.self_loops] == [(i, w.hex()) for i, w in loops]
+        assert all(type(e.i) is type(e.j) is int for e in graph.edges)
+        assert all(type(e.weight_db) is float for e in graph.edges)
+        assert all(type(i) is int and type(w) is float for i, w in graph.self_loops)
+        json.dumps(topology_report_dict(graph, topology_report(graph)))
+
     def test_edges_stored_sorted_with_max_weight(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)
         reduced = mode_level_db(three_pump_db[np.pi], grid)
@@ -129,9 +193,6 @@ class TestConnectedComponents:
         assert all(all(j % 2 for j in c) for c in odd_comps)
 
     def test_three_pump_component_count_for_any_span(self, device):
-        from combscatter import ModeGrid
-        from conftest import RESONANCE, SPACING
-
         for half_span in (6, 9, 13, 20, 33):
             small = ModeGrid(RESONANCE, SPACING, half_span)
             db = pump_off_normalized_db(
@@ -224,6 +285,14 @@ class TestClassifyTopology:
             pairs = graph.edge_pairs()
             for i, j in rungs:
                 assert (min(i, j), max(i, j)) in pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=defect_graphs())
+    def test_single_pass_equals_three_pass_reference(self, graph):
+        report = topology_report(graph)
+        assert report == graph_reference.topology_report(graph)
+        for comp, label in zip(report.components, report.labels):
+            assert classify_topology(comp[::-1], graph.edges) is label
 
     def test_self_loops_do_not_affect_labels(self):
         g = make_graph([1, -1], [(1, -1)], loops=[1, -1])
