@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AboveThresholdError, FitInfeasibleError, InvalidArgumentError
-from .graphs import CorrelationGraph, TopologyReport, extract_graph, topology_report
 from .model import (
     DeviceParams,
     ModeGrid,
@@ -35,6 +35,9 @@ from .scattering import (
     pump_off_scattering,
     simulate_scattering,
 )
+
+if TYPE_CHECKING:
+    from .graphs import CorrelationGraph, TopologyReport
 
 TWO_PI = 2.0 * math.pi
 
@@ -363,6 +366,9 @@ def search_phases(
     combinations that cross the oscillation threshold are skipped.  The
     least-bad phases are returned even when the target is unreachable.
     """
+    # graphs loads networkx, which only this function of the module needs
+    from .graphs import extract_graph, topology_report
+
     if phase_grid_points < 4:
         raise InvalidArgumentError("phase_grid_points must be at least 4")
     if swept_tones is None:

@@ -4,7 +4,9 @@ Every subcommand reads a config (a file path or the name of a bundled
 config), optionally a data file, and writes deterministic outputs into
 ``--out-dir``.  Exit codes are a stable contract: 0 success, 2 validation
 failure, 3 above the oscillation threshold, 4 I/O or data-format failure.
-Failures emit a machine-readable JSON line on stderr.
+Failures emit a machine-readable JSON line on stderr.  Each subcommand
+imports the modules it uses when it runs, so ``--help`` and a rejected
+command line load none of numpy, networkx or PyYAML.
 """
 
 from __future__ import annotations
@@ -15,26 +17,9 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .analysis import fit_parameters, phase_sweep, search_phases
-from .config import (
-    ExperimentConfig,
-    bundled_config_path,
-    parse_config,
-    serialize_config,
-)
-from .datafiles import (
-    CSV_FORMAT,
-    NATIVE_FORMAT,
-    load_scattering_data,
-    save_scattering,
-    topology_report_dict,
-    write_covariance_csv,
-    write_db_matrix_csv,
-    write_json,
-    write_sweep_csv,
-)
+from . import CSV_FORMAT, NATIVE_FORMAT, __version__
 from .errors import (
     AboveThresholdError,
     CombScatterError,
@@ -42,22 +27,9 @@ from .errors import (
     DataFormatError,
     InvalidArgumentError,
 )
-from .gaussian import (
-    propagate_covariance,
-    sample_covariance,
-    symplectic_defect,
-    to_quadrature,
-    vacuum_covariance,
-)
-from .graphs import export_dot, extract_graph, topology_report
-from .model import predicted_intermod_indices
-from .scattering import (
-    Normalization,
-    magnitude_db,
-    normalize_pump_off,
-    pump_off_scattering,
-    simulate_scattering,
-)
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,12 +41,15 @@ _PHASE_FLAGS = {"phase_minus1": -1, "phase0": 0, "phase1": 1}
 
 def _parse_phase(text: str) -> float:
     value = text.strip()
-    if value.endswith("deg"):
-        return math.radians(float(value[:-3]))
-    if value.endswith("rad"):
-        return float(value[:-3])
+    try:
+        if value.endswith("deg"):
+            return math.radians(float(value[:-3]))
+        if value.endswith("rad"):
+            return float(value[:-3])
+    except ValueError:
+        pass
     raise InvalidArgumentError(
-        f"phase {text!r} needs a 'deg' or 'rad' suffix (e.g. 180deg, 3.14rad)"
+        f"phase {text!r} needs a number and a 'deg' or 'rad' suffix (e.g. 180deg, 3.14rad)"
     )
 
 
@@ -102,6 +77,8 @@ def _tone_position(scheme, label: int) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
+    from .config import bundled_config_path, parse_config
+
     name = args.config
     if name is None:
         raise InvalidArgumentError("no config given")
@@ -138,6 +115,8 @@ def _seed(config: ExperimentConfig, args) -> int:
 
 
 def _meta(config: ExperimentConfig, seed=None) -> dict:
+    from .config import serialize_config
+
     digest = hashlib.sha256(serialize_config(config).encode()).hexdigest()
     meta = {"tool": "combscatter", "version": __version__, "config_sha256": digest}
     if seed is not None:
@@ -151,8 +130,11 @@ def _out(args, name: str) -> Path:
     return out_dir / name
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args)
+def _cmd_simulate(config: ExperimentConfig, args) -> int:
+    from .datafiles import save_scattering, topology_report_dict, write_db_matrix_csv, write_json
+    from .graphs import export_dot, extract_graph, topology_report
+    from .scattering import normalize_pump_off, pump_off_scattering, simulate_scattering
+
     scheme = _scheme(config, args)
     threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
@@ -174,8 +156,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_graph(args) -> int:
-    config = _load_config(args)
+def _cmd_graph(config: ExperimentConfig, args) -> int:
+    from .datafiles import load_scattering_data, topology_report_dict, write_json
+    from .graphs import export_dot, extract_graph, topology_report
+    from .scattering import (
+        Normalization,
+        magnitude_db,
+        normalize_pump_off,
+        pump_off_scattering,
+        simulate_scattering,
+    )
+
     scheme = _scheme(config, args)
     threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
@@ -202,8 +193,10 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_phase(args) -> int:
-    config = _load_config(args)
+def _cmd_sweep_phase(config: ExperimentConfig, args) -> int:
+    from .analysis import phase_sweep
+    from .datafiles import write_sweep_csv
+
     scheme, seed = _scheme(config, args), _seed(config, args)
     steps, signal = _setting(config, args, "steps"), _setting(config, args, "signal_index")
     grid, params = config.to_mode_grid(), config.to_device_params()
@@ -215,8 +208,11 @@ def _cmd_sweep_phase(args) -> int:
     return EXIT_OK
 
 
-def _cmd_covariance(args) -> int:
-    config = _load_config(args)
+def _cmd_covariance(config: ExperimentConfig, args) -> int:
+    from .datafiles import write_covariance_csv
+    from .gaussian import propagate_covariance, symplectic_defect, to_quadrature, vacuum_covariance
+    from .scattering import simulate_scattering
+
     scheme, seed = _scheme(config, args), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
     sx = to_quadrature(simulate_scattering(grid, params, scheme))
@@ -228,8 +224,11 @@ def _cmd_covariance(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sample_covariance(args) -> int:
-    config = _load_config(args)
+def _cmd_sample_covariance(config: ExperimentConfig, args) -> int:
+    from .datafiles import write_covariance_csv
+    from .gaussian import sample_covariance, to_quadrature
+    from .scattering import simulate_scattering
+
     scheme, seed = _scheme(config, args), _seed(config, args)
     samples = _setting(config, args, "samples")
     grid, params = config.to_mode_grid(), config.to_device_params()
@@ -242,8 +241,10 @@ def _cmd_sample_covariance(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args) -> int:
-    config = _load_config(args)
+def _cmd_fit(config: ExperimentConfig, args) -> int:
+    from .analysis import fit_parameters
+    from .datafiles import load_scattering_data, write_json
+
     if not args.data:
         raise InvalidArgumentError("fit requires --data")
     grid = config.to_mode_grid()
@@ -277,8 +278,10 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search_phases(args) -> int:
-    config = _load_config(args)
+def _cmd_search_phases(config: ExperimentConfig, args) -> int:
+    from .analysis import search_phases
+    from .datafiles import topology_report_dict, write_json
+
     scheme = _scheme(config, args)
     threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
@@ -291,7 +294,10 @@ def _cmd_search_phases(args) -> int:
     edges = target_doc.get("edges") if isinstance(target_doc, dict) else target_doc
     if not isinstance(edges, list):
         raise DataFormatError("target must be a JSON list of edges or have an 'edges' key")
-    target = [(int(e[0]), int(e[1])) for e in edges]
+    try:
+        target = [(int(e[0]), int(e[1])) for e in edges]
+    except (LookupError, TypeError, ValueError, OverflowError):
+        raise DataFormatError("each target edge must start with two mode indices") from None
     points = _setting(config, args, "phase_grid_points")
     result = search_phases(scheme, target, points, threshold, grid, params)
     payload = {
@@ -307,8 +313,10 @@ def _cmd_search_phases(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predict_idlers(args) -> int:
-    config = _load_config(args)
+def _cmd_predict_idlers(config: ExperimentConfig, args) -> int:
+    from .datafiles import write_json
+    from .model import predicted_intermod_indices
+
     signal = _setting(config, args, "signal_index")
     grid = config.to_mode_grid()
     prediction = predicted_intermod_indices(signal, config.to_scheme(), grid)
@@ -401,12 +409,14 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.config is None:
             args.config = args.config_positional
-        return _COMMANDS[args.command][0](args)
+        # the config loads before the command imports what it computes with
+        return _COMMANDS[args.command][0](_load_config(args), args)
     except AboveThresholdError as exc:
         return _fail("above-threshold", exc, EXIT_ABOVE_THRESHOLD)
     except (ConfigError, InvalidArgumentError) as exc:
         return _fail("validation", exc, EXIT_VALIDATION)
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: a config, target or CSV file that is not UTF-8 text
         return _fail("io", exc, EXIT_IO)
     except CombScatterError as exc:
         return _fail("internal", exc, EXIT_VALIDATION)

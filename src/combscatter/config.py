@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields
-from importlib import resources
 
 import yaml
 
 from .errors import ConfigError
-from .model import DeviceParams, ModeGrid, PumpScheme, PumpTone
+from .model import MAX_HALF_SPAN, DeviceParams, ModeGrid, PumpScheme, PumpTone
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,6 +218,18 @@ class _Validator:
 _RUN_KEYS = {f.name for f in fields(RunOptions)}
 
 
+def _check_fit_ranges(v: _Validator, run: dict, run_kwargs: dict) -> None:
+    """Each fit range's low end must lie below its high end, as the fit needs."""
+    defaults = RunOptions()
+    for low, high in (("fit_g_min", "fit_g_max"), ("fit_gamma_min", "fit_gamma_max")):
+        given = [name for name in (low, high) if name in run]
+        if not given or any(name not in run_kwargs for name in given):
+            continue
+        lo, hi = (run_kwargs.get(name, getattr(defaults, name)) for name in (low, high))
+        if getattr(lo, "angular", lo) >= getattr(hi, "angular", hi):
+            v.problem(f"run.{given[0]}", f"{low} must be below {high}", run[given[0]].line)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate configuration text.
 
@@ -266,8 +277,10 @@ def parse_config(text: str) -> ExperimentConfig:
             v.problem("grid.spacing", "missing", top["grid"].line)
         if "half_span" in grid:
             half_span = v.number(grid["half_span"], "grid.half_span", int)
-            if half_span is not None and half_span < 0:
-                v.problem("grid.half_span", "must be non-negative", grid["half_span"].line)
+            if half_span is not None and not 0 <= half_span <= MAX_HALF_SPAN:
+                v.problem(
+                    "grid.half_span", f"must be in 0..{MAX_HALF_SPAN}", grid["half_span"].line
+                )
                 half_span = None
         else:
             v.problem("grid.half_span", "missing", top["grid"].line)
@@ -339,11 +352,16 @@ def parse_config(text: str) -> ExperimentConfig:
                     run_kwargs[name] = got
         if run_kwargs.get("seed", 0) < 0:
             v.problem("run.seed", "must be non-negative", run["seed"].line)
+        for name in ("fit_g_min", "fit_g_max"):
+            if run_kwargs.get(name, 1.0) <= 0:
+                v.problem(f"run.{name}", "must be positive", run[name].line)
+                del run_kwargs[name]
         for name in ("fit_gamma_min", "fit_gamma_max"):
             if name in run:
-                got = v.quantity(run[name], f"run.{name}")
+                got = v.positive_quantity(run[name], f"run.{name}")
                 if got is not None:
                     run_kwargs[name] = got
+        _check_fit_ranges(v, run, run_kwargs)
 
     if v.issues:
         raise ConfigError(v.issues)
@@ -396,6 +414,8 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 def bundled_config_path(name: str):
     """Filesystem path of a config shipped with the package."""
+    from importlib import resources
+
     candidate = resources.files("combscatter") / "configs" / f"{name}.yaml"
     if not candidate.is_file():
         raise ConfigError([ConfigIssue("<config>", f"no bundled config named {name!r}")])

@@ -14,21 +14,22 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import CSV_FORMAT, NATIVE_FORMAT
 from .errors import DataFormatError, InvalidArgumentError
-from .graphs import CorrelationGraph, TopologyReport
 from .model import ModeGrid
 from .scattering import Normalization, ScatteringMatrix
+
+if TYPE_CHECKING:
+    from .graphs import CorrelationGraph, TopologyReport
 
 MAGIC = b"CMBSCAT1"
 FORMAT_VERSION = 1
 BASIS_TAG = "interleaved"
 _HEADER = struct.Struct("<8sII dd 16s16s")
-
-NATIVE_FORMAT = "artifact-native"
-CSV_FORMAT = "generic-csv"
 
 # wire names fit the fixed 16-byte header field
 _NORMALIZATION_TAGS = {

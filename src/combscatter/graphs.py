@@ -265,7 +265,10 @@ def classify_topology(component, edges) -> TopologyLabel:
     pair, an acyclic path is a chain, and ladder recognition tolerates up
     to two peeled boundary defects from the finite comb truncation.
     """
-    return _classify(_as_nx(sorted(set(component)), edges))[0]
+    nodes = sorted(set(component))
+    if not nodes:
+        raise InvalidArgumentError("a component needs at least one node")
+    return _classify(_as_nx(nodes, edges))[0]
 
 
 def topology_report(graph: CorrelationGraph) -> TopologyReport:

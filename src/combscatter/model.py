@@ -25,6 +25,10 @@ TWO_PI = 2.0 * math.pi
 # the frequency-independent coupling assumption degrades out there.
 BAND_LINEWIDTHS = 3.0
 
+# The largest comb: 1001 modes, whose dense 2n x 2n complex scattering
+# matrix takes 64 MB.  Larger grids are rejected before anything is allocated.
+MAX_HALF_SPAN = 500
+
 
 class BandMismatchWarning(UserWarning):
     """The mode comb extends beyond a few linewidths of the resonance."""
@@ -72,8 +76,10 @@ class ModeGrid:
             raise InvalidArgumentError("center_frequency must be finite")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise InvalidArgumentError("spacing must be positive and finite")
-        if self.half_span < 0 or self.half_span != int(self.half_span):
-            raise InvalidArgumentError("half_span must be a non-negative integer")
+        if not (0 <= self.half_span <= MAX_HALF_SPAN and self.half_span == int(self.half_span)):
+            raise InvalidArgumentError(
+                f"half_span must be an integer in 0..{MAX_HALF_SPAN}, got {self.half_span!r}"
+            )
         object.__setattr__(self, "half_span", int(self.half_span))
 
     @property

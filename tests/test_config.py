@@ -1,10 +1,13 @@
 """Config parsing, validation, canonical serialization."""
 
 import math
+import time
+import tracemalloc
 
 import pytest
 
 from combscatter import ConfigError, bundled_config_path, parse_config, serialize_config
+from combscatter.model import MAX_HALF_SPAN
 
 GOOD = """
 device:
@@ -124,6 +127,73 @@ class TestParse:
         issue = next(i for i in excinfo.value.issues if i.field == "run.seed")
         assert "non-negative" in issue.message
         assert issue.line == bad.splitlines().index("  seed: -1") + 1
+
+    @pytest.mark.parametrize(
+        "new, field",
+        [
+            ("fit_g_min: 0", "run.fit_g_min"),
+            ("fit_g_max: -0.01", "run.fit_g_max"),
+            ("fit_gamma_min: -56 MHz", "run.fit_gamma_min"),
+            ("fit_gamma_max: 0 MHz", "run.fit_gamma_max"),
+        ],
+    )
+    def test_non_positive_fit_bound_rejected_with_line(self, new, field):
+        bad = GOOD.replace("  signal_index: 28", f"  signal_index: 28\n  {new}")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert (issue.field, issue.message) == (field, "must be positive")
+        assert issue.line == bad.splitlines().index(f"  {new}") + 1
+
+    @pytest.mark.parametrize(
+        "lines, field, message",
+        [
+            (["fit_g_min: 0.02"], "run.fit_g_min", "fit_g_min must be below fit_g_max"),
+            (["fit_g_max: 0.0001"], "run.fit_g_max", "fit_g_min must be below fit_g_max"),
+            (["fit_g_min: 0.003", "fit_g_max: 0.003"], "run.fit_g_min",
+             "fit_g_min must be below fit_g_max"),
+            (["fit_gamma_min: 300 MHz"], "run.fit_gamma_min",
+             "fit_gamma_min must be below fit_gamma_max"),
+            (["fit_gamma_min: 0.2 GHz", "fit_gamma_max: 200 MHz"], "run.fit_gamma_min",
+             "fit_gamma_min must be below fit_gamma_max"),
+        ],
+    )
+    def test_empty_fit_range_rejected_with_line(self, lines, field, message):
+        extra = "".join(f"\n  {line}" for line in lines)
+        bad = GOOD.replace("  signal_index: 28", "  signal_index: 28" + extra)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert (issue.field, issue.message) == (field, message)
+        assert issue.line == bad.splitlines().index(f"  {lines[0]}") + 1
+
+    def test_fit_ranges_within_defaults_accepted(self):
+        config = parse_config(
+            GOOD.replace("  signal_index: 28", "  signal_index: 28\n  fit_g_min: 0.005")
+        )
+        assert (config.run.fit_g_min, config.run.fit_g_max) == (0.005, 0.01)
+
+    def test_half_span_above_cap_rejected_without_allocating(self):
+        bad = GOOD.replace("half_span: 47", f"half_span: {10**7}")
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(bad)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (issue,) = excinfo.value.issues
+        assert issue.field == "grid.half_span"
+        assert issue.message == f"must be in 0..{MAX_HALF_SPAN}"
+        assert issue.line == bad.splitlines().index(f"  half_span: {10**7}") + 1
+        assert peak < 1_000_000
+        assert elapsed < 0.5
+
+    def test_half_span_at_cap_accepted(self):
+        config = parse_config(GOOD.replace("half_span: 47", f"half_span: {MAX_HALF_SPAN}"))
+        assert config.to_mode_grid().n_modes == 2 * MAX_HALF_SPAN + 1
 
     def test_yaml_integer_forms_accepted(self):
         config = parse_config(GOOD.replace("half_span: 47", "half_span: 0x2F"))

@@ -13,6 +13,7 @@ import graph_reference
 from combscatter import (
     CorrelationGraph,
     GraphEdge,
+    InvalidArgumentError,
     ModeGrid,
     TopologyLabel,
     classify_topology,
@@ -222,6 +223,14 @@ class TestClassifyTopology:
         assert classify_topology((3,), g.edges) is TopologyLabel.ISOLATED
         g = make_graph([1, -1], [(1, -1)])
         assert classify_topology((1, -1), g.edges) is TopologyLabel.PAIR
+
+    def test_empty_component_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="at least one node"):
+            classify_topology((), ())
+
+    def test_node_less_graph_gives_empty_report(self):
+        report = topology_report(make_graph([], []))
+        assert (report.components, report.labels, report.ladder_rungs) == ((), (), ())
 
     def test_chain(self):
         nodes = list(range(6))

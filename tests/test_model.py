@@ -16,6 +16,7 @@ from combscatter import (
     predicted_intermod_indices,
     resolve_couplings,
 )
+from combscatter.model import MAX_HALF_SPAN
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -63,6 +64,14 @@ class TestModeGrid:
             build_mode_grid(bad, 1.0, 3)
         with pytest.raises(InvalidArgumentError):
             build_mode_grid(1.0, bad, 3)
+
+    @pytest.mark.parametrize("bad", [MAX_HALF_SPAN + 1, 10**7, -1, 2.5, math.nan, math.inf])
+    def test_rejects_half_span_outside_cap(self, bad):
+        with pytest.raises(InvalidArgumentError, match="half_span"):
+            build_mode_grid(1.0, 1.0, bad)
+
+    def test_largest_grid_accepted(self):
+        assert build_mode_grid(1.0, 1.0, MAX_HALF_SPAN).n_modes == 2 * MAX_HALF_SPAN + 1
 
     def test_out_of_range_index_rejected(self, grid):
         with pytest.raises(InvalidArgumentError):
