@@ -15,11 +15,14 @@ import numpy as np
 
 from .errors import AboveThresholdError, FitInfeasibleError, InvalidArgumentError
 from .model import (
+    MIN_GRID_POINTS,
+    MIN_SWEEP_STEPS,
     DeviceParams,
     ModeGrid,
     PumpScheme,
     PumpTone,
     check_band,
+    gauge_invariant_basis,
     predicted_intermod_indices,
 )
 from .scattering import (
@@ -111,8 +114,8 @@ def phase_sweep(
     Raises the above-threshold error annotated with the offending phase if
     any sweep point crosses the oscillation threshold.
     """
-    if steps < 8:
-        raise InvalidArgumentError("steps must be at least 8")
+    if steps < MIN_SWEEP_STEPS:
+        raise InvalidArgumentError(f"steps must be at least {MIN_SWEEP_STEPS}")
     if not 0 <= swept_tone < len(base_scheme.tones):
         raise InvalidArgumentError(f"swept tone index {swept_tone} out of range")
     prediction = predicted_intermod_indices(signal_index, base_scheme, grid)
@@ -248,8 +251,8 @@ def fit_parameters(
     measured = s_measured.matrix if isinstance(s_measured, ScatteringMatrix) else np.asarray(s_measured, dtype=complex)
     if measured.shape != (2 * grid.n_modes, 2 * grid.n_modes):
         raise InvalidArgumentError("measured matrix does not match the grid dimension")
-    if grid_points < 4:
-        raise InvalidArgumentError("grid_points must be at least 4")
+    if grid_points < MIN_GRID_POINTS:
+        raise InvalidArgumentError(f"grid_points must be at least {MIN_GRID_POINTS}")
     g_lo, g_hi = map(float, g_range)
     gamma_lo, gamma_hi = map(float, gamma_range)
     if not (0 < g_lo < g_hi and 0 < gamma_lo < gamma_hi):
@@ -341,10 +344,18 @@ def fit_parameters(
 
 @dataclass(frozen=True)
 class PhaseSearchResult:
+    """Best phases of a search, their graph and topology, and its counts.
+
+    ``evaluated`` is the number of gauge classes simulated and
+    ``skipped_above_threshold`` the number of those found above threshold.
+    """
+
     best_phases: tuple[float, ...]
     objective: int
     graph: CorrelationGraph
     report: TopologyReport
+    evaluated: int
+    skipped_above_threshold: int
 
 
 def search_phases(
@@ -356,21 +367,35 @@ def search_phases(
     params: DeviceParams,
     swept_tones=None,
 ) -> PhaseSearchResult:
-    """Exhaustive phase-grid search for a target correlation topology.
+    """Phase-grid search for a target correlation topology.
 
     Sweeps the phases of ``swept_tones`` (default: every tone) over a
     uniform grid of ``phase_grid_points`` values per tone and scores each
     combination by the symmetric-difference edge count between the achieved
-    thresholded graph and the target adjacency.  Ties break toward the
-    lexicographically smallest phase vector, so the search is deterministic;
-    combinations that cross the oscillation threshold are skipped.  The
-    least-bad phases are returned even when the target is unreachable.
+    thresholded graph and the target adjacency.
+
+    Only some phase combinations are physical.  Rephasing the modes shifts
+    the phase of the tone at offset ``m`` by ``2*alpha + beta*m`` for any
+    ``alpha`` and ``beta`` and changes no ``|S_ij|`` and no stability, so
+    the score depends only on the combinations ``sum(c_t*phi_t)`` with
+    ``sum(c_t) == 0`` and ``sum(c_t*m_t) == 0`` (for -4/0/4 the curvature
+    ``phi_-4 - 2*phi_0 + phi_4``; for one or two tones none at all).  Grid
+    combinations that agree on every such combination modulo a full turn
+    form a gauge class, and each class is simulated once: at most
+    ``phase_grid_points ** (T - 2)`` simulations for T >= 2 tones, and one
+    for one or two tones.
+
+    Combinations are enumerated lexicographically and ties break toward the
+    lexicographically smallest phase vector, which is the member of its
+    class that is simulated, so the search is deterministic.  Classes that
+    cross the oscillation threshold are skipped.  The least-bad phases are
+    returned even when the target is unreachable.
     """
     # graphs loads networkx, which only this function of the module needs
     from .graphs import extract_graph, topology_report
 
-    if phase_grid_points < 4:
-        raise InvalidArgumentError("phase_grid_points must be at least 4")
+    if phase_grid_points < MIN_GRID_POINTS:
+        raise InvalidArgumentError(f"phase_grid_points must be at least {MIN_GRID_POINTS}")
     if swept_tones is None:
         swept_tones = tuple(range(len(scheme.tones)))
     swept_tones = tuple(swept_tones)
@@ -388,8 +413,11 @@ def search_phases(
 
     s_off = pump_off_scattering(grid, params)
     grid_phases = [TWO_PI * k / phase_grid_points for k in range(phase_grid_points)]
+    basis = gauge_invariant_basis(scheme.offsets)
 
-    best = None  # (objective, phases)
+    best = None  # (objective, phases, graph)
+    seen = set()
+    skipped = 0
     combo = [0] * len(swept_tones)
     total = phase_grid_points ** len(swept_tones)
     for flat in range(total):
@@ -397,6 +425,17 @@ def search_phases(
         for pos in range(len(swept_tones) - 1, -1, -1):
             combo[pos] = rest % phase_grid_points
             rest //= phase_grid_points
+        # the grid index each tone ends up at (unswept tones count as 0)
+        index = [0] * len(scheme.tones)
+        for tone, k in zip(swept_tones, combo):
+            index[tone] = k
+        key = tuple(
+            sum(c * i for c, i in zip(vector, index)) % phase_grid_points for vector in basis
+        )
+        if key in seen:
+            # a later member of a class scores as its first and cannot win a tie
+            continue
+        seen.add(key)
         phases = tuple(grid_phases[c] for c in combo)
         trial = scheme
         for tone, phase in zip(swept_tones, phases):
@@ -404,26 +443,24 @@ def search_phases(
         try:
             s_on = simulate_scattering(grid, params, trial)
         except AboveThresholdError:
+            skipped += 1
             continue
-        db = normalize_pump_off(s_on, s_off)
-        achieved = extract_graph(db, grid, threshold_db).edge_pairs()
-        objective = len(achieved ^ target)
+        graph = extract_graph(normalize_pump_off(s_on, s_off), grid, threshold_db)
+        objective = len(graph.edge_pairs() ^ target)
         if best is None or objective < best[0]:
-            best = (objective, phases)
+            best = (objective, phases, graph)
         if best[0] == 0:
             # lexicographic enumeration: the first zero is the lex-smallest
             break
     if best is None:
         raise AboveThresholdError("every phase combination was above threshold")
 
-    final = scheme
-    for tone, phase in zip(swept_tones, best[1]):
-        final = final.with_phase(tone, phase)
-    db = normalize_pump_off(simulate_scattering(grid, params, final), s_off)
-    graph = extract_graph(db, grid, threshold_db)
+    objective, phases, graph = best
     return PhaseSearchResult(
-        best_phases=best[1],
-        objective=best[0],
+        best_phases=phases,
+        objective=objective,
         graph=graph,
         report=topology_report(graph),
+        evaluated=len(seen),
+        skipped_above_threshold=skipped,
     )

@@ -4,9 +4,10 @@ Every subcommand reads a config (a file path or the name of a bundled
 config), optionally a data file, and writes deterministic outputs into
 ``--out-dir``.  Exit codes are a stable contract: 0 success, 2 validation
 failure, 3 above the oscillation threshold, 4 I/O or data-format failure.
-Failures emit a machine-readable JSON line on stderr.  Each subcommand
-imports the modules it uses when it runs, so ``--help`` and a rejected
-command line load none of numpy, networkx or PyYAML.
+Failures emit one machine-readable JSON line on stderr, which carries the
+warnings the run raised before it failed.  Each subcommand imports the
+modules it uses when it runs, so ``--help`` and a rejected command line
+load none of numpy, networkx or PyYAML.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -305,7 +307,10 @@ def _cmd_search_phases(config: ExperimentConfig, args) -> int:
         "objective_edge_difference": result.objective,
         "achieved": topology_report_dict(result.graph, result.report),
     }
-    write_json(_out(args, "phase_search.json"), payload, _meta(config, seed))
+    meta = _meta(config, seed)
+    meta["evaluated"] = result.evaluated
+    meta["skipped_above_threshold"] = result.skipped_above_threshold
+    write_json(_out(args, "phase_search.json"), payload, meta)
     print(
         f"search-phases: objective {result.objective}, phases "
         + ",".join(f"{p:.4f}" for p in result.best_phases)
@@ -394,32 +399,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(kind: str, exc: Exception, code: int) -> int:
+def _fail(kind: str, exc: Exception, code: int, caught) -> int:
     detail = {"error": kind, "message": str(exc)}
     if isinstance(exc, ConfigError):
         detail["issues"] = [str(i) for i in exc.issues]
     if isinstance(exc, AboveThresholdError) and exc.condition_estimate is not None:
         detail["condition_estimate"] = exc.condition_estimate
+    if caught:
+        detail["warnings"] = [str(w.message) for w in caught]
     print(json.dumps(detail, sort_keys=True), file=sys.stderr)
     return code
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        if args.config is None:
-            args.config = args.config_positional
-        # the config loads before the command imports what it computes with
-        return _COMMANDS[args.command][0](_load_config(args), args)
-    except AboveThresholdError as exc:
-        return _fail("above-threshold", exc, EXIT_ABOVE_THRESHOLD)
-    except (ConfigError, InvalidArgumentError) as exc:
-        return _fail("validation", exc, EXIT_VALIDATION)
-    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
-        # UnicodeDecodeError: a config, target or CSV file that is not UTF-8 text
-        return _fail("io", exc, EXIT_IO)
-    except CombScatterError as exc:
-        return _fail("internal", exc, EXIT_VALIDATION)
+    # warnings are held back: a failure reports them inside its one JSON
+    # line, a success shows them as they would have been shown
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = _build_parser().parse_args(argv)
+            if args.config is None:
+                args.config = args.config_positional
+            # the config loads before the command imports what it computes with
+            code = _COMMANDS[args.command][0](_load_config(args), args)
+        except AboveThresholdError as exc:
+            return _fail("above-threshold", exc, EXIT_ABOVE_THRESHOLD, caught)
+        except (ConfigError, InvalidArgumentError) as exc:
+            return _fail("validation", exc, EXIT_VALIDATION, caught)
+        except (DataFormatError, OSError, UnicodeDecodeError) as exc:
+            # UnicodeDecodeError: a config, target or CSV file that is not UTF-8 text
+            return _fail("io", exc, EXIT_IO, caught)
+        except CombScatterError as exc:
+            return _fail("internal", exc, EXIT_VALIDATION, caught)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

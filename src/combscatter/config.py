@@ -18,7 +18,16 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .errors import ConfigError
-from .model import MAX_HALF_SPAN, DeviceParams, ModeGrid, PumpScheme, PumpTone
+from .model import (
+    MAX_HALF_SPAN,
+    MIN_GRID_POINTS,
+    MIN_SAMPLES,
+    MIN_SWEEP_STEPS,
+    DeviceParams,
+    ModeGrid,
+    PumpScheme,
+    PumpTone,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +226,14 @@ class _Validator:
 
 _RUN_KEYS = {f.name for f in fields(RunOptions)}
 
+# the smallest value of each run size that its subcommand accepts
+_RUN_MINIMUMS = {
+    "steps": MIN_SWEEP_STEPS,
+    "samples": MIN_SAMPLES,
+    "phase_grid_points": MIN_GRID_POINTS,
+    "fit_grid_points": MIN_GRID_POINTS,
+}
+
 
 def _check_fit_ranges(v: _Validator, run: dict, run_kwargs: dict) -> None:
     """Each fit range's low end must lie below its high end, as the fit needs."""
@@ -352,6 +369,9 @@ def parse_config(text: str) -> ExperimentConfig:
                     run_kwargs[name] = got
         if run_kwargs.get("seed", 0) < 0:
             v.problem("run.seed", "must be non-negative", run["seed"].line)
+        for name, least in _RUN_MINIMUMS.items():
+            if run_kwargs.get(name, least) < least:
+                v.problem(f"run.{name}", f"must be at least {least}", run[name].line)
         for name in ("fit_g_min", "fit_g_max"):
             if run_kwargs.get(name, 1.0) <= 0:
                 v.problem(f"run.{name}", "must be positive", run[name].line)

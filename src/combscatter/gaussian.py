@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisInconsistencyError, InvalidArgumentError
-from .model import ModeGrid
+from .model import MIN_SAMPLES, ModeGrid
 from .scattering import ScatteringMatrix
 
 # Variance of each vacuum quadrature in natural units: the quantum of
@@ -148,8 +148,8 @@ def sample_covariance(
     empirical (mean-subtracted, unbiased) covariance.  Bit-identical for a
     fixed seed.
     """
-    if sample_count < 2:
-        raise InvalidArgumentError("sample_count must be at least 2")
+    if sample_count < MIN_SAMPLES:
+        raise InvalidArgumentError(f"sample_count must be at least {MIN_SAMPLES}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

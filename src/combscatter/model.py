@@ -29,6 +29,12 @@ BAND_LINEWIDTHS = 3.0
 # matrix takes 64 MB.  Larger grids are rejected before anything is allocated.
 MAX_HALF_SPAN = 500
 
+# The smallest run sizes the analyses accept; the config validator, the
+# sweep, the Monte Carlo draw, the fit and the phase search all read these.
+MIN_SWEEP_STEPS = 8
+MIN_SAMPLES = 2
+MIN_GRID_POINTS = 4
+
 
 class BandMismatchWarning(UserWarning):
     """The mode comb extends beyond a few linewidths of the resonance."""
@@ -230,6 +236,40 @@ class PumpScheme:
     def with_amplitude(self, amplitude: float) -> "PumpScheme":
         """Copy of the scheme with every tone set to the same amplitude."""
         return PumpScheme(tuple(PumpTone(t.offset, amplitude, t.phase) for t in self.tones))
+
+
+def gauge_invariant_basis(offsets) -> tuple[tuple[int, ...], ...]:
+    """Integer basis of the tone-phase combinations that change ``|S|``.
+
+    Rephasing the modes by ``a_k -> exp(i(alpha + beta*k)) a_k`` is a
+    diagonal unitary similarity of the system: it shifts the phase of the
+    tone at offset ``m`` by ``2*alpha + beta*m`` and leaves every ``|S_ij|``
+    and the stability unchanged.  Only the combinations ``sum(c_t*phi_t)``
+    with ``sum(c_t) == 0`` and ``sum(c_t*m_t) == 0`` survive every such
+    shift.  The returned vectors span that whole lattice over the integers
+    (not a sublattice of it): they are the kernel columns of a unimodular
+    column reduction of the 2 x T matrix ``[1; m]``.  One or two distinct
+    offsets give an empty basis: no phase of theirs is physical.
+    """
+    size = len(offsets)
+    # each column: its image under [1; m], then its coefficient vector
+    columns = [[1, int(m)] + [int(i == j) for i in range(size)] for j, m in enumerate(offsets)]
+    pivot = 0
+    for row in (0, 1):
+        while True:
+            live = [c for c in columns[pivot:] if c[row]]
+            if not live:
+                break
+            head = min(live, key=lambda c: abs(c[row]))
+            rest = [c for c in columns[pivot:] if c is not head]
+            for c in rest:
+                q = c[row] // head[row]
+                c[:] = [x - q * y for x, y in zip(c, head)]
+            columns[pivot:] = [head, *rest]
+            if not any(c[row] for c in rest):
+                pivot += 1
+                break
+    return tuple(tuple(c[2:]) for c in columns[pivot:])
 
 
 @dataclass(frozen=True)

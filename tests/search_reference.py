@@ -1,0 +1,51 @@
+"""Exhaustive reference for the phase search.
+
+This is the earlier implementation of ``search_phases``: it simulates every
+combination of the phase grid, in lexicographic order, with no regard for
+which combinations are gauge-equivalent.  The tests require the package,
+which simulates one combination per gauge class, to reproduce it exactly.
+"""
+
+import math
+
+from combscatter import (
+    AboveThresholdError,
+    extract_graph,
+    normalize_pump_off,
+    pump_off_scattering,
+    simulate_scattering,
+    topology_report,
+)
+
+TWO_PI = 2.0 * math.pi
+
+
+def exhaustive_search(scheme, target_adjacency, points, threshold_db, grid, params, swept_tones):
+    """(objective, best phases, graph, report) of the full-grid search."""
+    target = {(min(i, j), max(i, j)) for i, j in target_adjacency if i != j}
+    s_off = pump_off_scattering(grid, params)
+    grid_phases = [TWO_PI * k / points for k in range(points)]
+    best = None
+    for flat in range(points ** len(swept_tones)):
+        combo, rest = [], flat
+        for _ in swept_tones:
+            combo.append(rest % points)
+            rest //= points
+        phases = tuple(grid_phases[c] for c in reversed(combo))
+        trial = scheme
+        for tone, phase in zip(swept_tones, phases):
+            trial = trial.with_phase(tone, phase)
+        try:
+            s_on = simulate_scattering(grid, params, trial)
+        except AboveThresholdError:
+            continue
+        achieved = extract_graph(normalize_pump_off(s_on, s_off), grid, threshold_db)
+        objective = len(achieved.edge_pairs() ^ target)
+        if best is None or objective < best[0]:
+            best = (objective, phases, achieved)
+        if best[0] == 0:
+            break
+    if best is None:
+        raise AboveThresholdError("every phase combination was above threshold")
+    objective, phases, graph = best
+    return objective, phases, graph, topology_report(graph)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from combscatter import (
@@ -13,10 +13,13 @@ from combscatter import (
     FitInfeasibleError,
     InvalidArgumentError,
     ModeGrid,
+    PumpScheme,
+    PumpTone,
     TopologyLabel,
     assemble_system,
     fit_parameters,
     magnitude_db,
+    mode_level_db,
     phase_sweep,
     predicted_intermod_indices,
     pump_off_normalized_db,
@@ -26,6 +29,7 @@ from combscatter import (
     simulate_scattering,
 )
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
+from search_reference import exhaustive_search
 
 
 def simulate_system(grid, device, scheme):
@@ -49,6 +53,87 @@ def dense_distance(measured, grid, shape, g, gamma, cap):
         return math.inf
     reference = np.abs(np.diag(pump_off_scattering(grid, params).matrix))
     return aligned_distance(measured, s_on.matrix / reference[np.newaxis, :])
+
+
+def ladder(device, ratio, phase):
+    """-4/0/4 with the lowest tone at pi and the centre tone at ``phase``."""
+    return balanced_scheme(device, [-4, 0, 4], ratio, [np.pi, phase, 0.0])
+
+
+def singular_centre_ratio(grid, device):
+    """The ratio at which the centre block of ``ladder(.., pi/2)`` is singular.
+
+    On 11 modes the modes 0 mod 4 form one block and mode 1 another.  With
+    the lowest tone at pi, the centre block's determinant changes sign
+    between ratios 0.2 and 0.3 when the centre tone is at pi/2; bisection
+    pins the crossing to the last bit.
+    """
+
+    def centre_det(ratio):
+        system = simulate_system(grid, device, ladder(device, ratio, np.pi / 2))
+        row = next(row for b in system.blocks for row in b if grid.a_slot(0) in row)
+        return np.linalg.det(system.matrix[np.ix_(row, row)]).real
+
+    lo, hi = 0.2, 0.3
+    assert centre_det(lo) > 0
+    assert centre_det(hi) < 0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if centre_det(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def mode_pair_db(grid, scheme, phases, swept):
+    """Symmetric mode-pair dB weights (what the graph thresholds) at given phases."""
+    device = DeviceParams(RESONANCE, COUPLING)
+    for tone, phase in zip(swept, phases):
+        scheme = scheme.with_phase(tone, phase)
+    db = pump_off_normalized_db(grid, device, scheme)
+    reduced = mode_level_db(db, grid)
+    return np.maximum(reduced, reduced.T)
+
+
+@st.composite
+def search_cases(draw):
+    """A small search: 1-4 tones, a swept subset in any order, a random target.
+
+    The threshold cuts through the mode pair whose weight moves most between
+    two random grid phase combinations, and the target is the graph at one
+    of them, so the objective depends on the phases whenever they matter.
+    """
+    half_span = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 4))
+    offsets = draw(
+        st.lists(
+            st.integers(-2 * half_span, 2 * half_span), min_size=count, max_size=count, unique=True
+        )
+    )
+    tones = tuple(
+        PumpTone(o, 2.0 * draw(st.floats(0.01, 0.3)) * COUPLING / RESONANCE,
+                 draw(st.floats(0.0, TWO_PI)))
+        for o in offsets
+    )
+    scheme = PumpScheme(tones)
+    order = draw(st.permutations(range(count)))
+    swept = tuple(order[: draw(st.integers(1, count))])
+    points = draw(st.integers(4, 6 if len(swept) < 4 else 4))
+    grid = ModeGrid(RESONANCE + draw(st.sampled_from((0.0, 0.3))) * COUPLING, SPACING, half_span)
+    combos = st.lists(st.integers(0, points - 1), min_size=len(swept), max_size=len(swept))
+    hidden, other = (
+        mode_pair_db(grid, scheme, [TWO_PI * k / points for k in draw(combos)], swept)
+        for _ in range(2)
+    )
+    moved = np.abs(hidden - other)
+    i, j = np.unravel_index(np.argmax(moved), moved.shape)
+    threshold = 0.5 * (hidden[i, j] + other[i, j]) if moved[i, j] > 1e-6 else -20.0
+    nodes = st.integers(-half_span, half_span)
+    target = [
+        (int(a) - half_span, int(b) - half_span) for a, b in zip(*np.nonzero(hidden >= threshold))
+    ]
+    target += draw(st.lists(st.tuples(nodes, nodes), min_size=1, max_size=2))
+    return scheme, target, points, threshold, grid, swept
 
 
 @pytest.fixture(scope="module")
@@ -130,31 +215,13 @@ class TestPhaseSweep:
         assert excinfo.value.phase == 0.0
 
     def test_non_driven_block_crossing_raises_with_its_phase(self, device):
-        # -4/0/4 on 11 modes: the modes 0 mod 4 form one block, the driven
-        # mode 1 another.  With the lowest tone at phase pi, the centre
-        # block is singular exactly when the swept centre tone is at pi/2.
         grid = ModeGrid(RESONANCE, SPACING, 5)
-
-        def scheme(ratio, phase):
-            return balanced_scheme(device, [-4, 0, 4], ratio, [np.pi, phase, 0.0])
-
-        def block(ratio, slot):
-            # the centre tone's phase here equals the sweep's third step, 2*pi*2/8
-            system = simulate_system(grid, device, scheme(ratio, np.pi / 2))
-            row = next(row for b in system.blocks for row in b if slot in row)
-            return system.matrix[np.ix_(row, row)]
-
-        lo, hi = 0.2, 0.3
-        assert np.linalg.det(block(lo, grid.a_slot(0))).real > 0
-        assert np.linalg.det(block(hi, grid.a_slot(0))).real < 0
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            if np.linalg.det(block(mid, grid.a_slot(0))).real > 0:
-                lo = mid
-            else:
-                hi = mid
-        assert np.linalg.cond(block(lo, grid.a_slot(1))) < 1e6  # the driven block stays clear
+        ratio = singular_centre_ratio(grid, device)
+        system = simulate_system(grid, device, ladder(device, ratio, np.pi / 2))
+        row = next(row for b in system.blocks for row in b if grid.a_slot(1) in row)
+        assert np.linalg.cond(system.matrix[np.ix_(row, row)]) < 1e6  # the driven block stays clear
         with pytest.raises(AboveThresholdError) as excinfo:
-            phase_sweep(scheme(lo, 0.0), 1, 8, 1, grid, device)
+            phase_sweep(ladder(device, ratio, 0.0), 1, 8, 1, grid, device)
         assert excinfo.value.phase == np.pi / 2
         assert excinfo.value.condition_estimate > 1e12
 
@@ -335,6 +402,62 @@ class TestSearchPhases:
         result = search_phases(scheme, target, 4, -20.0, grid, device)
         assert result.objective > 0
         assert (0, 1) not in result.graph.edge_pairs()
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_equals_exhaustive_search(self, case):
+        scheme, target, points, threshold, grid, swept = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        args = (scheme, target, points, threshold, grid, device, swept)
+        expected = exhaustive_search(*args)
+        result = search_phases(*args)
+        event(f"{len(swept)} of {len(scheme.tones)} tones swept, objective {result.objective}")
+        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+        assert 1 <= result.evaluated <= points ** len(swept)
+
+    def test_ladder_search_simulates_one_combination_per_curvature(self, device):
+        grid = ModeGrid(RESONANCE, SPACING, 12)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        # (-12, 0) crosses the residue classes: the full grid is scanned
+        args = (scheme, [(-12, 0)], 8, -20.0, grid, device)
+        result = search_phases(*args)
+        assert (result.evaluated, result.skipped_above_threshold) == (8, 0)
+        expected = exhaustive_search(*args, (0, 1, 2))
+        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+
+    def test_centre_tone_alone_repeats_every_half_turn(self, device):
+        # shifting every tone by pi and the outer ones back by -+4 * pi/4
+        # moves the centre tone alone by pi: phi_0 and phi_0 + pi are one class
+        grid = ModeGrid(RESONANCE, SPACING, 12)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.3, 0.0, 1.1])
+        args = (scheme, [(-12, 0)], 8, -20.0, grid, device, (1,))
+        result = search_phases(*args)
+        assert result.evaluated == 4
+        expected = exhaustive_search(*args)
+        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+
+    def test_two_tone_search_is_one_simulation(self, device):
+        grid = ModeGrid(RESONANCE, SPACING, 8)
+        scheme = balanced_scheme(device, [-3, 5], 0.085, [0.4, 2.0])
+        result = search_phases(scheme, [(-8, 0)], 8, -20.0, grid, device)
+        assert (result.evaluated, result.skipped_above_threshold) == (1, 0)
+        assert result.best_phases == (0.0, 0.0)
+
+    def test_above_threshold_class_is_skipped_once(self, device):
+        grid = ModeGrid(RESONANCE, SPACING, 5)
+        scheme = ladder(device, singular_centre_ratio(grid, device), 0.0)
+        # zero curvature is singular: (0, 0, 0) and its 63 gauge partners
+        args = (scheme, [(-5, 0)], 8, -20.0, grid, device)
+        result = search_phases(*args)
+        assert (result.evaluated, result.skipped_above_threshold) == (8, 1)
+        expected = exhaustive_search(*args, (0, 1, 2))
+        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+
+    def test_every_class_above_threshold_raises(self, device):
+        # the centre mode on resonance at ratio 0.5 is singular at every phase
+        grid = ModeGrid(RESONANCE, SPACING, 1)
+        with pytest.raises(AboveThresholdError, match="every phase combination"):
+            search_phases(balanced_scheme(device, [0], 0.5), [], 4, -20.0, grid, device)
 
     def test_validation(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -64,6 +67,31 @@ def small_config(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_fresh(args):
+    """One CLI run in a fresh interpreter, where warnings reach stderr unseen by pytest."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "combscatter.cli", *map(str, args)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+# 13 modes 100 MHz apart reach 5.4 linewidths from resonance, which warns
+WIDE = """
+device:
+  resonance_frequency: 4.2 GHz
+  port_coupling: 112 MHz
+grid:
+  center: 4.2 GHz
+  spacing: 100 MHz
+  half_span: 6
+scheme:
+  - offset: 0
+    amplitude: {amplitude}
+"""
 
 
 class TestSimulate:
@@ -172,6 +200,14 @@ class TestSearchPhases:
         result = json.loads((out / "phase_search.json").read_text())
         assert result["objective_edge_difference"] == 0
 
+    def test_full_scan_counts_one_simulation_per_curvature(self, small_config, tmp_path):
+        target = tmp_path / "far.json"
+        target.write_text("[[-12, 0]]")  # crosses the residue classes: never reached
+        assert run(["search-phases", small_config, "--target", target,
+                    "--phase-grid-points", "4", "--out-dir", tmp_path]) == 0
+        meta = json.loads((tmp_path / "phase_search.json").read_text())["meta"]
+        assert (meta["evaluated"], meta["skipped_above_threshold"]) == (4, 0)
+
 
 class TestPredictIdlers:
     def test_writes_indices(self, small_config, tmp_path):
@@ -195,6 +231,39 @@ class TestExitCodes:
         config = tmp_path / "hot.yaml"
         config.write_text(SMALL.replace("0.004533333333333334", "0.02666666666666667"))
         assert run(["simulate", config, "--out-dir", tmp_path / "o"]) == 3
+
+    def test_failure_after_a_warning_is_one_json_line(self, tmp_path):
+        # on resonance, the centre mode at ratio 0.5 is singular
+        config = tmp_path / "wide.yaml"
+        config.write_text(WIDE.format(amplitude=0.02666666666666667))
+        done = run_fresh(["covariance", config, "--out-dir", tmp_path / "o"])
+        assert done.returncode == 3
+        (line,) = done.stderr.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "above-threshold"
+        (warning,) = doc["warnings"]
+        assert "5.4 linewidths from resonance" in warning
+
+    def test_success_shows_its_warning_as_before(self, tmp_path):
+        config = tmp_path / "wide.yaml"
+        config.write_text(WIDE.format(amplitude=0.01))
+        done = run_fresh(["covariance", config, "--out-dir", tmp_path / "o"])
+        assert done.returncode == 0
+        assert done.stdout.startswith("covariance: analytic")
+        first, source = done.stderr.splitlines()
+        assert first.endswith(
+            "BandMismatchWarning: mode comb extends 5.4 linewidths from resonance; "
+            "the frequency-independent coupling model is doubtful there"
+        )
+        assert source.strip() == "check_band(grid, params)"
+
+    def test_run_size_below_minimum_is_2_with_line(self, tmp_path, capsys):
+        config = tmp_path / "steps.yaml"
+        config.write_text(SMALL.replace("steps: 16", "steps: 4"))
+        assert run(["sweep-phase", config, "--out-dir", tmp_path / "o"]) == 2
+        line = SMALL.splitlines().index("  steps: 16") + 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["issues"] == [f"run.steps (line {line}): must be at least 8"]
 
     def test_missing_data_file_is_4(self, small_config, tmp_path):
         assert run(["fit", small_config, "--data", tmp_path / "nope.cmb",

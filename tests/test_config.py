@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from combscatter import ConfigError, bundled_config_path, parse_config, serialize_config
-from combscatter.model import MAX_HALF_SPAN
+from combscatter.model import MAX_HALF_SPAN, MIN_GRID_POINTS, MIN_SAMPLES, MIN_SWEEP_STEPS
 
 GOOD = """
 device:
@@ -144,6 +144,26 @@ class TestParse:
         (issue,) = excinfo.value.issues
         assert (issue.field, issue.message) == (field, "must be positive")
         assert issue.line == bad.splitlines().index(f"  {new}") + 1
+
+    @pytest.mark.parametrize(
+        "name, least",
+        [
+            ("steps", MIN_SWEEP_STEPS),
+            ("samples", MIN_SAMPLES),
+            ("phase_grid_points", MIN_GRID_POINTS),
+            ("fit_grid_points", MIN_GRID_POINTS),
+        ],
+    )
+    def test_run_size_below_minimum_rejected_with_line(self, name, least):
+        new = f"{name}: {least - 1}"
+        bad = GOOD.replace("  signal_index: 28", f"  signal_index: 28\n  {new}")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert (issue.field, issue.message) == (f"run.{name}", f"must be at least {least}")
+        assert issue.line == bad.splitlines().index(f"  {new}") + 1
+        at_minimum = GOOD.replace("  signal_index: 28", f"  signal_index: 28\n  {name}: {least}")
+        assert getattr(parse_config(at_minimum).run, name) == least
 
     @pytest.mark.parametrize(
         "lines, field, message",

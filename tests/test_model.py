@@ -1,9 +1,12 @@
 """Mode grid, pump schemes, coupling resolution, intermod bookkeeping."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from combscatter import (
     BandMismatchWarning,
@@ -16,7 +19,7 @@ from combscatter import (
     predicted_intermod_indices,
     resolve_couplings,
 )
-from combscatter.model import MAX_HALF_SPAN
+from combscatter.model import MAX_HALF_SPAN, gauge_invariant_basis
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -126,6 +129,40 @@ class TestPumpScheme:
     def test_tone_frequency(self, grid):
         tone = PumpTone(offset=4, amplitude=0.01)
         assert tone.frequency(grid) == 2 * grid.center_frequency + 4 * grid.spacing
+
+
+def integer_det(rows):
+    """Exact determinant of a small integer matrix, by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** col * rows[0][col] * integer_det([row[:col] + row[col + 1 :] for row in rows[1:]])
+        for col in range(len(rows))
+    )
+
+
+class TestGaugeInvariantBasis:
+    def test_three_tone_ladder_is_the_curvature(self):
+        (vector,) = gauge_invariant_basis((-4, 0, 4))
+        assert vector in ((1, -2, 1), (-1, 2, -1))
+
+    @pytest.mark.parametrize("offsets", [(), (0,), (-4, 4), (3, -7), (0, 1)])
+    def test_one_or_two_tones_have_no_invariant(self, offsets):
+        assert gauge_invariant_basis(offsets) == ()
+
+    @given(st.lists(st.integers(-12, 12), min_size=3, max_size=5, unique=True))
+    def test_basis_spans_the_whole_invariant_lattice(self, offsets):
+        basis = gauge_invariant_basis(offsets)
+        assert len(basis) == len(offsets) - 2
+        for vector in basis:
+            assert sum(vector) == 0
+            assert sum(c * m for c, m in zip(vector, offsets)) == 0
+        # full rank with coprime maximal minors: no sublattice of the kernel
+        minors = [
+            integer_det([[vector[t] for t in chosen] for vector in basis])
+            for chosen in combinations(range(len(offsets)), len(basis))
+        ]
+        assert math.gcd(*minors) == 1
 
 
 class TestResolveCouplings:

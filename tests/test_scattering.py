@@ -350,6 +350,22 @@ class TestBlockSolver:
         assert info.value.condition_estimate == np.inf
 
 
+class TestGaugeInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(small_schemes(), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+    def test_rephasing_the_modes_leaves_magnitudes(self, case, alpha, beta):
+        # a_k -> exp(i(alpha + beta*k)) a_k shifts tone m by 2*alpha + beta*m
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        shifted = PumpScheme(
+            tuple(PumpTone(t.offset, t.amplitude, t.phase + 2 * alpha + beta * t.offset)
+                  for t in scheme.tones)
+        )
+        s = np.abs(simulate_scattering(grid, device, scheme).matrix)
+        s_shifted = np.abs(simulate_scattering(grid, device, shifted).matrix)
+        assert np.max(np.abs(s_shifted - s)) <= 1e-12 * np.max(s)
+
+
 class TestNormalizePumpOff:
     def test_pump_off_against_itself(self, grid, device):
         s_off = pump_off_scattering(grid, device)
