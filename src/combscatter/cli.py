@@ -104,9 +104,20 @@ def _scheme(config: ExperimentConfig, args):
 
 
 def _setting(config: ExperimentConfig, args, name: str):
-    """A flag's value, or the config's ``run`` value when the flag is absent."""
+    """A flag's value, or the config's ``run`` value when the flag is absent.
+
+    A flag for a run size must meet the minimum the config applies to it.
+    """
+    from .config import RUN_MINIMUMS
+
     value = getattr(args, name)
-    return getattr(config.run, name) if value is None else value
+    if value is None:
+        return getattr(config.run, name)
+    least = RUN_MINIMUMS.get(name)
+    if least is not None and value < least:
+        flag = "--" + name.replace("_", "-")
+        raise InvalidArgumentError(f"{flag} must be at least {least}")
+    return value
 
 
 def _seed(config: ExperimentConfig, args) -> int:

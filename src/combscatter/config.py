@@ -226,8 +226,9 @@ class _Validator:
 
 _RUN_KEYS = {f.name for f in fields(RunOptions)}
 
-# the smallest value of each run size that its subcommand accepts
-_RUN_MINIMUMS = {
+# the smallest value of each run size that its subcommand accepts; the CLI
+# holds the flags that override these sizes to the same minimums
+RUN_MINIMUMS = {
     "steps": MIN_SWEEP_STEPS,
     "samples": MIN_SAMPLES,
     "phase_grid_points": MIN_GRID_POINTS,
@@ -369,7 +370,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     run_kwargs[name] = got
         if run_kwargs.get("seed", 0) < 0:
             v.problem("run.seed", "must be non-negative", run["seed"].line)
-        for name, least in _RUN_MINIMUMS.items():
+        for name, least in RUN_MINIMUMS.items():
             if run_kwargs.get(name, least) < least:
                 v.problem(f"run.{name}", f"must be at least {least}", run[name].line)
         for name in ("fit_g_min", "fit_g_max"):

@@ -78,12 +78,18 @@ class CovarianceMatrix:
 
 
 def quadrature_transform(n_modes: int) -> np.ndarray:
-    """Block-diagonal unitary mapping the interleaved (a, a*) basis to (x, p)."""
+    """Block-diagonal unitary mapping the interleaved (a, a*) basis to (x, p).
+
+    ``to_quadrature`` applies it in closed form, without building it.
+    """
     return np.kron(np.eye(n_modes), _U2)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one 2x2 rotation generator per mode."""
+    """Block-diagonal symplectic form, one 2x2 rotation generator per mode.
+
+    ``symplectic_defect`` applies it by column swaps, without building it.
+    """
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
@@ -95,9 +101,22 @@ def to_quadrature(
     Computes ``U S U+`` with the per-mode canonical block and keeps the real
     part.  A residual imaginary part above ``tol`` means the input lacks
     particle-hole structure (malformed basis), which raises.
+
+    Per mode pair the product is a closed form in the 2x2 block
+    ``[[a, b], [c, d]]`` (amplitude/conjugate rows and columns):
+    ``[[a+b+c+d, i(a-b+c-d)], [i(c+d-a-b), a-b-c+d]] / 2``, evaluated for
+    all pairs at once on strided views.
     """
-    u = quadrature_transform(s.n_modes)
-    sx = u @ s.matrix @ u.conj().T
+    m = s.matrix
+    a, b = m[0::2, 0::2], m[0::2, 1::2]
+    c, d = m[1::2, 0::2], m[1::2, 1::2]
+    ac, bd, ca, db = a + c, b + d, c - a, d - b
+    sx = np.empty_like(m)
+    sx[0::2, 0::2] = ac + bd
+    sx[0::2, 1::2] = 1j * (ac - bd)
+    sx[1::2, 0::2] = 1j * (ca + db)
+    sx[1::2, 1::2] = db - ca
+    sx *= 0.5
     residual = float(np.max(np.abs(sx.imag)))
     if residual > tol:
         raise BasisInconsistencyError(
@@ -108,9 +127,20 @@ def to_quadrature(
 
 
 def symplectic_defect(sx: QuadratureScattering) -> float:
-    """Max-norm of ``Sx O Sx^T - O`` against the symplectic form ``O``."""
-    omega = symplectic_form(sx.grid.n_modes)
-    return float(np.max(np.abs(sx.matrix @ omega @ sx.matrix.T - omega)))
+    """Max-norm of ``Sx O Sx^T - O`` against the symplectic form ``O``.
+
+    ``Sx O`` swaps each mode's column pair and negates the new first column;
+    ``O`` is then subtracted on its 2n nonzero entries.
+    """
+    m = sx.matrix
+    m_omega = np.empty_like(m)
+    m_omega[:, 0::2] = -m[:, 1::2]
+    m_omega[:, 1::2] = m[:, 0::2]
+    product = m_omega @ m.T
+    modes = np.arange(0, m.shape[0], 2)
+    product[modes, modes + 1] -= 1.0
+    product[modes + 1, modes] += 1.0
+    return float(np.max(np.abs(product)))
 
 
 def vacuum_covariance(grid: ModeGrid, vacuum_scale: float = VACUUM_SCALE) -> CovarianceMatrix:

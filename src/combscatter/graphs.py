@@ -13,6 +13,14 @@ diagonals when every cell additionally carries both diagonal chords, which
 turns the component into a chain of 4-cliques glued along rungs.  Each
 component runs one peel-and-match pass, and the match that sets its label
 also gives its rung pairs.
+
+The pass works on plain adjacency: one insertion-ordered neighbor dict per
+node, built once per report, gives the components by breadth-first search.
+A component's peel variants are enumerated once, as sets of removed nodes,
+and both matchers share them.  Each variant's size, edge count and degrees
+come from the adjacency and the removed set, and a networkx graph is built
+only for a variant that meets a matcher's necessary conditions; networkx
+itself serves only the two matchers (VF2 isomorphism and maximal cliques).
 """
 
 from __future__ import annotations
@@ -129,47 +137,104 @@ def extract_graph(
     )
 
 
-def _as_nx(nodes, edges) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from((e.i, e.j) for e in edges if e.i in g and e.j in g and e.i != e.j)
-    return g
+def _adjacency(nodes, edges) -> dict[int, dict[int, None]]:
+    """Insertion-ordered neighbor dicts over ``nodes``.
+
+    Self-loops and edges with an endpoint outside ``nodes`` are dropped.
+    """
+    adj: dict[int, dict[int, None]] = {v: {} for v in nodes}
+    for e in edges:
+        if e.i != e.j and e.i in adj and e.j in adj:
+            adj[e.i][e.j] = None
+            adj[e.j][e.i] = None
+    return adj
+
+
+def _reach(adj, start) -> list[int]:
+    """Nodes connected to ``start``, in breadth-first order."""
+    found, order = {start}, [start]
+    for v in order:  # the loop also visits the nodes appended while it runs
+        for u in adj[v]:
+            if u not in found:
+                found.add(u)
+                order.append(u)
+    return order
+
+
+def _components(adj) -> tuple[tuple[int, ...], ...]:
+    """Components as sorted tuples, ordered by their smallest node."""
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(adj):
+        if start not in seen:
+            comp = _reach(adj, start)
+            seen.update(comp)
+            comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def connected_components(graph: CorrelationGraph) -> TopologyReport:
     """Connected components, ordered by smallest contained mode index."""
-    g = _as_nx(graph.nodes, graph.edges)
-    comps = sorted((tuple(sorted(c)) for c in nx.connected_components(g)), key=lambda c: c[0])
-    return TopologyReport(components=tuple(comps))
+    return TopologyReport(components=_components(_adjacency(graph.nodes, graph.edges)))
 
 
-def _peel_variants(g: nx.Graph, budget: int):
-    """Yield ``g`` and its variants after peeling up to ``budget`` defects.
+def _peel_variants(adj, nodes, budget: int):
+    """Yield the removed-node sets of ``nodes`` peeled by up to ``budget`` defects.
 
     Defect candidates are structural boundary artifacts of a truncated
     ladder: pendant nodes (degree 1) and triangle caps (degree-2 nodes whose
-    two neighbors are adjacent).  Peeling is breadth-first over removal
-    counts so the least-modified variant is tried first.  A variant copies
-    its parent minus one node, keeping the node order the rung match reads.
+    two neighbors are adjacent), with degrees counted among the nodes not
+    yet removed.  Peeling is breadth-first over removal counts, and nodes
+    are tried in ascending order, so the least-modified variant comes first;
+    each set of removed nodes is yielded once.
     """
-    seen = {frozenset(g)}
-    frontier = [g]
-    yield g
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    yield frozenset()
     for _ in range(budget):
         next_frontier = []
-        for h in frontier:
-            for v in sorted(h):
-                deg = h.degree(v)
-                if deg == 1 or (deg == 2 and h.has_edge(*h.neighbors(v))):
-                    rest = frozenset(h) - {v}
-                    if rest in seen or not rest:
-                        continue
-                    seen.add(rest)
-                    sub = h.copy()
-                    sub.remove_node(v)
-                    next_frontier.append(sub)
-                    yield sub
+        for removed in frontier:
+            for v in nodes:
+                if v in removed:
+                    continue
+                live = [u for u in adj[v] if u not in removed]
+                if len(live) == 1 or (len(live) == 2 and live[1] in adj[live[0]]):
+                    peeled = removed | {v}
+                    if peeled not in seen:
+                        seen.add(peeled)
+                        next_frontier.append(peeled)
+                        yield peeled
         frontier = next_frontier
+
+
+def _ladder_admits(adj, nodes, removed, size: int, edges: int) -> bool:
+    """The size, edge count and degree conditions that ``_match_ladder`` checks."""
+    if size < 4 or size % 2 or edges != 3 * (size // 2) - 2:
+        return False
+    degrees = sorted(
+        sum(u not in removed for u in adj[v]) for v in nodes if v not in removed
+    )
+    return degrees == [2] * 4 + [3] * (size - 4)
+
+
+def _clique_chain_admits(adj, nodes, removed, size: int, edges: int) -> bool:
+    """``_match_clique_chain``'s size and edge conditions: k cells have
+    2(k + 1) nodes and 5k + 1 edges."""
+    return size >= 4 and size % 2 == 0 and 2 * edges == 5 * size - 8
+
+
+def _materialize(adj, nodes, removed) -> nx.Graph:
+    """One variant as a networkx graph.
+
+    Nodes go in component order and edges in adjacency order, as copying
+    the component's graph and deleting the removed nodes would give them;
+    VF2 follows the node order, so the rungs it picks stay the same.
+    """
+    kept = [v for v in nodes if v not in removed]
+    g = nx.Graph()
+    g.add_nodes_from(kept)
+    g.add_edges_from((v, u) for v in kept for u in adj[v] if u not in removed)
+    return g
 
 
 def _match_ladder(g: nx.Graph):
@@ -233,27 +298,44 @@ def _match_clique_chain(g: nx.Graph):
     return tuple(sorted(shared_pairs))
 
 
-def _classify(g: nx.Graph):
+def _classify(adj, nodes):
     """Label and rung pairs of one component, from a single peel-and-match.
 
-    Ladder matches take priority over clique chains; within each, the
-    least-peeled variant that matches gives both the label and the rungs.
+    ``nodes`` is sorted and ``adj`` holds every edge among them.  The peel
+    variants are enumerated once, as removed-node sets, and each carries its
+    size and edge count.  Ladder matches take priority over clique chains;
+    within each, the least-peeled variant that matches gives both the label
+    and the rungs.  A networkx graph is built only for a variant that passes
+    the matcher's size, edge and degree conditions.
     """
-    size = g.number_of_nodes()
+    size = len(nodes)
+    edges = sum(len(adj[v]) for v in nodes) // 2
     if size == 1:
         return TopologyLabel.ISOLATED, ()
-    if size == 2 and g.number_of_edges() == 1:
+    if size == 2 and edges == 1:
         return TopologyLabel.PAIR, ()
-    if max((d for _, d in g.degree()), default=0) <= 2 and nx.is_tree(g):
-        return TopologyLabel.CHAIN, ()
-    for label, match in (
-        (TopologyLabel.SQUARE_LADDER, _match_ladder),
-        (TopologyLabel.LADDER_WITH_DIAGONALS, _match_clique_chain),
+    # classify_topology may pass nodes that are not all connected
+    if (
+        max(len(adj[v]) for v in nodes) <= 2
+        and edges == size - 1
+        and len(_reach(adj, nodes[0])) == size
     ):
-        for variant in _peel_variants(g, BOUNDARY_DEFECT_BUDGET):
-            rungs = match(variant)
-            if rungs is not None:
-                return label, rungs
+        return TopologyLabel.CHAIN, ()
+    variants = []
+    for removed in _peel_variants(adj, nodes, BOUNDARY_DEFECT_BUDGET):
+        # an edge between two removed nodes is counted in both their degrees
+        inner = sum(u in removed for r in removed for u in adj[r]) // 2
+        lost = sum(len(adj[r]) for r in removed) - inner
+        variants.append((removed, size - len(removed), edges - lost))
+    for label, admits, match in (
+        (TopologyLabel.SQUARE_LADDER, _ladder_admits, _match_ladder),
+        (TopologyLabel.LADDER_WITH_DIAGONALS, _clique_chain_admits, _match_clique_chain),
+    ):
+        for removed, variant_size, variant_edges in variants:
+            if admits(adj, nodes, removed, variant_size, variant_edges):
+                rungs = match(_materialize(adj, nodes, removed))
+                if rungs is not None:
+                    return label, rungs
     return TopologyLabel.OTHER, ()
 
 
@@ -268,13 +350,14 @@ def classify_topology(component, edges) -> TopologyLabel:
     nodes = sorted(set(component))
     if not nodes:
         raise InvalidArgumentError("a component needs at least one node")
-    return _classify(_as_nx(nodes, edges))[0]
+    return _classify(_adjacency(nodes, edges), nodes)[0]
 
 
 def topology_report(graph: CorrelationGraph) -> TopologyReport:
     """Full report: components, labels, and rung pairs for ladder types."""
-    components = connected_components(graph).components
-    results = [_classify(_as_nx(comp, graph.edges)) for comp in components]
+    adj = _adjacency(graph.nodes, graph.edges)
+    components = _components(adj)
+    results = [_classify(adj, comp) for comp in components]
     return TopologyReport(
         components=components,
         labels=tuple(label for label, _ in results),

@@ -13,6 +13,7 @@ the operations in this module are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -315,18 +316,36 @@ class CouplingSet:
         return tuple(sorted(out))
 
 
+_PACKAGE = __name__.rpartition(".")[0]
+
+
+def _in_library(frame) -> bool:
+    """Whether a frame runs one of the package's library modules; the CLI
+    calls into the package like any other script."""
+    name = frame.f_globals.get("__name__", "")
+    return name.startswith(_PACKAGE + ".") and name != _PACKAGE + ".cli"
+
+
 def check_band(grid: ModeGrid, params: DeviceParams) -> None:
-    """Warn when the comb extends beyond a few linewidths of resonance."""
+    """Warn when the comb extends beyond a few linewidths of resonance.
+
+    The warning is attributed to the code that called the public entry
+    point (the first frame outside the library modules), however deep in
+    the package the check runs.
+    """
     edge = max(
         abs(grid.frequency(-grid.half_span) - params.resonance_frequency),
         abs(grid.frequency(grid.half_span) - params.resonance_frequency),
     )
     if edge > BAND_LINEWIDTHS * params.port_coupling:
+        level, frame = 1, sys._getframe()
+        while frame is not None and _in_library(frame):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"mode comb extends {edge / params.port_coupling:.1f} linewidths from "
             "resonance; the frequency-independent coupling model is doubtful there",
             BandMismatchWarning,
-            stacklevel=2,
+            stacklevel=level,
         )
 
 

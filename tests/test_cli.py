@@ -255,7 +255,9 @@ class TestExitCodes:
             "BandMismatchWarning: mode comb extends 5.4 linewidths from resonance; "
             "the frequency-independent coupling model is doubtful there"
         )
-        assert source.strip() == "check_band(grid, params)"
+        # the warning points at the CLI line that called into the package
+        assert first.split(":")[0].endswith("cli.py")
+        assert source.strip() == "sx = to_quadrature(simulate_scattering(grid, params, scheme))"
 
     def test_run_size_below_minimum_is_2_with_line(self, tmp_path, capsys):
         config = tmp_path / "steps.yaml"
@@ -264,6 +266,45 @@ class TestExitCodes:
         line = SMALL.splitlines().index("  steps: 16") + 1
         doc = json.loads(capsys.readouterr().err)
         assert doc["issues"] == [f"run.steps (line {line}): must be at least 8"]
+
+    @pytest.mark.parametrize(
+        "command, flag, least",
+        [
+            ("sweep-phase", "--steps", 8),
+            ("sample-covariance", "--samples", 2),
+            ("search-phases", "--phase-grid-points", 4),
+        ],
+    )
+    def test_run_size_flag_below_minimum_names_the_flag(
+        self, small_config, tmp_path, capsys, command, flag, least
+    ):
+        target = tmp_path / "target.json"
+        target.write_text("[[0, 1]]")
+        extra = ["--target", target] if command == "search-phases" else []
+        argv = [command, small_config, flag, str(least - 1), *extra, "--out-dir", tmp_path]
+        assert run(argv) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "validation", "message": f"{flag} must be at least {least}"}
+        argv[3] = str(least)
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize(
+        "key, value", [("fit_g_min", "0"), ("fit_g_min", "-0.002"),
+                       ("fit_gamma_min", "0 MHz"), ("fit_gamma_min", "-56 MHz")],
+    )
+    def test_non_positive_fit_minimum_is_2_with_line(
+        self, small_config, tmp_path, capsys, key, value
+    ):
+        out = tmp_path / "out"
+        assert run(["simulate", small_config, "--out-dir", out]) == 0
+        old = next(line for line in SMALL.splitlines() if line.startswith(f"  {key}:"))
+        config = tmp_path / "bad_fit.yaml"
+        config.write_text(SMALL.replace(old, f"  {key}: {value}"))
+        capsys.readouterr()
+        assert run(["fit", config, "--data", out / "s_matrix.cmb", "--out-dir", out]) == 2
+        line = SMALL.splitlines().index(old) + 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["issues"] == [f"run.{key} (line {line}): must be positive"]
 
     def test_missing_data_file_is_4(self, small_config, tmp_path):
         assert run(["fit", small_config, "--data", tmp_path / "nope.cmb",

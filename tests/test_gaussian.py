@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from combscatter import (
     BasisInconsistencyError,
@@ -26,6 +29,20 @@ from combscatter.gaussian import connectivity_pattern, quadrature_transform
 from combscatter.scattering import Normalization, ScatteringMatrix
 from conftest import RESONANCE, TWO_PI, analytic_two_mode_block, balanced_scheme
 from test_scattering import random_scheme
+
+
+@st.composite
+def particle_hole_scattering(draw):
+    """A random particle-hole-symmetric matrix on 1-13 modes: each mode
+    pair's block is ``[[a, b], [conj(b), conj(a)]]``."""
+    grid = ModeGrid(RESONANCE, TWO_PI * 0.1e6, draw(st.integers(0, 6)))
+    n = grid.n_modes
+    parts = [draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0))) for _ in range(4)]
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    m = np.empty((2 * n, 2 * n), dtype=complex)
+    m[0::2, 0::2], m[0::2, 1::2] = a, b
+    m[1::2, 0::2], m[1::2, 1::2] = np.conj(b), np.conj(a)
+    return ScatteringMatrix(m, grid, Normalization.RAW)
 
 
 def identity_scattering(grid):
@@ -86,6 +103,29 @@ class TestToQuadrature:
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
         sx = to_quadrature(simulate_scattering(grid, device, scheme))
         assert sx.imag_residual < 1e-9
+
+
+class TestClosedFormsAgainstKron:
+    """The per-mode closed forms equal the dense products with the kron matrices."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=particle_hole_scattering())
+    def test_to_quadrature(self, s):
+        u = quadrature_transform(s.n_modes)
+        reference = u @ s.matrix @ u.conj().T
+        scale = max(float(np.max(np.abs(reference))), 1e-300)
+        sx = to_quadrature(s)
+        assert np.max(np.abs(sx.matrix - reference.real)) <= 1e-13 * scale
+        assert sx.imag_residual <= 1e-13 * scale
+        assert float(np.max(np.abs(reference.imag))) <= 1e-13 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=particle_hole_scattering())
+    def test_symplectic_defect(self, s):
+        sx = to_quadrature(s)
+        omega = symplectic_form(s.n_modes)
+        reference = float(np.max(np.abs(sx.matrix @ omega @ sx.matrix.T - omega)))
+        assert abs(symplectic_defect(sx) - reference) <= 1e-13 * max(reference, 1.0)
 
 
 class TestSymplectic:

@@ -47,8 +47,9 @@ def ladder_pairs(rail_a, rail_b):
 
 @st.composite
 def defect_graphs(draw):
-    """1-3 disjoint parts on shuffled labels: random small graphs, or square
-    ladders and clique chains carrying 0-3 pendants or triangle caps."""
+    """1-3 disjoint parts on shuffled labels: random small graphs, some with
+    a cluster of 3-6 pendants, or square ladders and clique chains of 2-12
+    cells carrying 0-3 pendants or triangle caps."""
     pairs, size = set(), 0
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["ladder", "clique_chain", "random"]))
@@ -56,8 +57,14 @@ def defect_graphs(draw):
             n = draw(st.integers(1, 8))
             local = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
             local = {(a, b) for a, b in local if a < b}
+            if draw(st.booleans()):
+                # pendant-heavy parts fan the peel out the most
+                hubs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+                for _ in range(draw(st.integers(3, 6))):
+                    local.add((draw(st.sampled_from(hubs)), n))
+                    n += 1
         else:
-            k = draw(st.integers(2, 6))
+            k = draw(st.integers(2, 12))
             rail_a, rail_b = list(range(k)), list(range(k, 2 * k))
             local = ladder_pairs(rail_a, rail_b)
             if kind == "clique_chain":

@@ -252,6 +252,30 @@ class TestResolveCouplings:
         with pytest.warns(BandMismatchWarning):
             resolve_couplings(grid, PumpScheme.balanced([0], 0.001), device)
 
+    @pytest.mark.parametrize(
+        "entry", ["resolve_couplings", "simulate_scattering", "phase_sweep", "fit_parameters",
+                  "search_phases"],
+    )
+    def test_band_warning_points_at_the_caller(self, entry):
+        import combscatter
+
+        device = DeviceParams(RESONANCE, COUPLING)
+        grid = ModeGrid(RESONANCE, TWO_PI * 100e6, 4)  # 3.6 linewidths from resonance
+        scheme = balanced_scheme(device, [-2, 2], 0.05)
+        calls = {
+            "resolve_couplings": lambda: resolve_couplings(grid, scheme, device),
+            "simulate_scattering": lambda: combscatter.simulate_scattering(grid, device, scheme),
+            "phase_sweep": lambda: combscatter.phase_sweep(scheme, 0, 8, 1, grid, device),
+            "fit_parameters": lambda: combscatter.fit_parameters(
+                combscatter.simulate_scattering(grid, device, scheme), grid, scheme,
+                (1e-4, 1e-2), (0.5 * COUPLING, 2 * COUPLING), 4, refine_steps=2),
+            "search_phases": lambda: combscatter.search_phases(
+                scheme, [(-4, 1)], 4, -20.0, grid, device),
+        }
+        with pytest.warns(BandMismatchWarning) as record:
+            calls[entry]()
+        assert {w.filename for w in record} == {__file__}
+
     def test_no_warning_inside_band(self, grid, device):
         import warnings
 
