@@ -7,6 +7,7 @@ regardless of how callers parallelize.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -43,6 +44,11 @@ if TYPE_CHECKING:
     from .graphs import CorrelationGraph, TopologyReport
 
 TWO_PI = 2.0 * math.pi
+
+# A sweep solves its driven block for this many bytes of stacked steps at a
+# time (7 steps of a 48-slot block), so its temporaries stay below what a
+# fit of the same system allocates, whatever the step count.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -105,14 +111,20 @@ def phase_sweep(
     """Sweep one tone's phase and record every intermodulation product.
 
     The swept phases are ``steps`` equally spaced values covering a full
-    turn, endpoint excluded.  At each phase the scattering matrix is
-    recomputed and the pump-off-normalized dB magnitude of every 2nd- and
-    3rd-order product of the driven mode is recorded.  The drive column is
-    the signal mode's amplitude column; idlers are read from conjugate
-    rows, two-pump products from amplitude rows.
+    turn, endpoint excluded.  At each phase the pump-off-normalized dB
+    magnitude of every 2nd- and 3rd-order product of the driven mode is
+    recorded.  The drive column is the signal mode's amplitude column;
+    idlers are read from conjugate rows, two-pump products from amplitude
+    rows.  Only that column is computed: it lies in one block of the
+    system, whose stacked steps are solved against the driven slot a few
+    steps at a time.
 
-    Raises the above-threshold error annotated with the offending phase if
-    any sweep point crosses the oscillation threshold.
+    The threshold gate is the one ``scattering_matrix`` applies.  When the
+    tone magnitudes alone bound every block's condition number below the
+    cap at any phase, the gate is cleared once for the whole sweep;
+    otherwise every step inverts all blocks and checks their exact
+    condition number.  Raises the above-threshold error annotated with the
+    offending phase if any sweep point crosses the oscillation threshold.
     """
     if steps < MIN_SWEEP_STEPS:
         raise InvalidArgumentError(f"steps must be at least {MIN_SWEEP_STEPS}")
@@ -156,29 +168,47 @@ def phase_sweep(
         if len(hits):
             member, position = hits[0]
             break
-    slots = pieces.blocks[group][member]
 
+    slots = pieces.blocks[group][member]
+    size = len(slots)
+    drive = np.zeros((size, 1))
+    drive[position] = 1.0
+
+    # the swept tone's magnitude is the same at every phase, so one bound
+    # can clear the threshold gate for the whole sweep
+    certified = pieces.certifies_cap(
+        pieces.coupling_norms([abs(tone.strength) for tone in base_scheme.tones]),
+        params.port_coupling,
+        DEFAULT_CONDITION_CAP,
+    )
+    amplitude, conjugate = pieces.amplitude[swept_tone], pieces.conjugate[swept_tone]
+    strengths = [PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases]
+    chunk = max(1, _CHUNK_BYTES // (16 * size * size))
     data = np.empty((len(rows), steps))
-    column = np.zeros(2 * grid.n_modes, dtype=complex)
-    for step, phase in enumerate(phases):
-        strength = PumpTone(swept.offset, swept.amplitude, float(phase)).strength
-        stacks = [
-            stack + strength * amplitude + np.conj(strength) * conjugate
-            for stack, amplitude, conjugate in zip(
-                fixed, pieces.amplitude[swept_tone], pieces.conjugate[swept_tone]
-            )
-        ]
-        try:
-            inverses, _ = _invert_blocks(stacks, DEFAULT_CONDITION_CAP)
-        except AboveThresholdError as exc:
-            raise AboveThresholdError(
-                f"above threshold at swept phase {phase:.6f} rad: {exc}",
-                condition_estimate=exc.condition_estimate,
-                phase=float(phase),
-            ) from exc
-        column[slots] = gain * inverses[group][member, :, position]
-        column[col] -= 1.0
-        data[:, step] = magnitude_db(column[rows] / reference)
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        if not certified:
+            for phase, strength in zip(phases[start:stop], strengths[start:stop]):
+                stacks = [
+                    stack + strength * a + np.conj(strength) * c
+                    for stack, a, c in zip(fixed, amplitude, conjugate)
+                ]
+                try:
+                    _invert_blocks(stacks, DEFAULT_CONDITION_CAP)
+                except AboveThresholdError as exc:
+                    raise AboveThresholdError(
+                        f"above threshold at swept phase {phase:.6f} rad: {exc}",
+                        condition_estimate=exc.condition_estimate,
+                        phase=float(phase),
+                    ) from exc
+        s = np.array(strengths[start:stop])[:, np.newaxis, np.newaxis]
+        driven = s * amplitude[group][member]
+        driven += fixed[group][member]
+        driven += np.conj(s) * conjugate[group][member]
+        columns = np.zeros((stop - start, 2 * grid.n_modes), dtype=complex)
+        columns[:, slots] = gain * np.linalg.solve(driven, drive)[:, :, 0]
+        columns[:, col] -= 1.0
+        data[:, start:stop] = magnitude_db(columns[:, rows] / reference).T
 
     second_data, third_data = data[: len(second_tracks)], data[len(second_tracks) :]
     tracks = [
@@ -244,6 +274,9 @@ def fit_parameters(
     so the blocks of the system are split once into their fixed and
     strength-scaled pieces; each cell recombines and inverts them, and the
     distance is summed block by block (the model is zero off the blocks).
+    A cell whose strength and coupling alone bound the condition number
+    below ``condition_cap`` skips the exact condition check, and a cell the
+    refinement revisits is evaluated once.
 
     Above-threshold cells score +inf rather than raising; if the whole
     surface is infinite the fit is infeasible and raises.
@@ -273,17 +306,24 @@ def fit_parameters(
     # the model vanishes off the blocks, where the distance is the data's own
     outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
 
+    # the pump part is g times a fixed matrix, so its norms are too
+    unit_norms = pieces.coupling_norms([1.0] * len(scheme_shape.tones))
+
+    # the refinement revisits cells; each (g, gamma) pair is evaluated once
+    @functools.cache
     def evaluate(g: float, gamma: float) -> float:
         if g <= 0 or gamma <= 0:
             return np.inf
         params = DeviceParams(resonance_frequency=omega0, port_coupling=gamma)
         check_band(grid, params)
-        try:
-            inverses, _ = _invert_blocks(
-                pieces.stacks(gamma, [g * c for c in coupling]), condition_cap
-            )
-        except AboveThresholdError:
-            return np.inf
+        stacks = pieces.stacks(gamma, [g * c for c in coupling])
+        if pieces.certifies_cap([g * n for n in unit_norms], gamma, condition_cap):
+            inverses = [np.linalg.inv(stack) for stack in stacks]
+        else:
+            try:
+                inverses, _ = _invert_blocks(stacks, condition_cap)
+            except AboveThresholdError:
+                return np.inf
         reference = np.abs(_pump_off_diagonal(grid, params)[0])
         gain = _gain(gamma)
         models = [

@@ -143,6 +143,18 @@ def _out(args, name: str) -> Path:
     return out_dir / name
 
 
+def _load_data(args, grid):
+    """The ``--data`` matrix, which must have the config grid's mode count."""
+    from .datafiles import load_scattering_data
+
+    smat = load_scattering_data(args.data, args.format)
+    if smat.grid.n_modes != grid.n_modes:
+        raise DataFormatError(
+            f"data has {smat.grid.n_modes} modes but config grid has {grid.n_modes}"
+        )
+    return smat
+
+
 def _cmd_simulate(config: ExperimentConfig, args) -> int:
     from .datafiles import save_scattering, topology_report_dict, write_db_matrix_csv, write_json
     from .graphs import export_dot, extract_graph, topology_report
@@ -170,7 +182,7 @@ def _cmd_simulate(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_graph(config: ExperimentConfig, args) -> int:
-    from .datafiles import load_scattering_data, topology_report_dict, write_json
+    from .datafiles import topology_report_dict, write_json
     from .graphs import export_dot, extract_graph, topology_report
     from .scattering import (
         Normalization,
@@ -184,11 +196,7 @@ def _cmd_graph(config: ExperimentConfig, args) -> int:
     threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
     grid, params = config.to_mode_grid(), config.to_device_params()
     if args.data:
-        smat = load_scattering_data(args.data, args.format)
-        if smat.grid.n_modes != grid.n_modes:
-            raise DataFormatError(
-                f"data has {smat.grid.n_modes} modes but config grid has {grid.n_modes}"
-            )
+        smat = _load_data(args, grid)
         if smat.normalization is Normalization.PUMP_OFF_RELATIVE:
             db = magnitude_db(smat.matrix)
         else:
@@ -256,13 +264,13 @@ def _cmd_sample_covariance(config: ExperimentConfig, args) -> int:
 
 def _cmd_fit(config: ExperimentConfig, args) -> int:
     from .analysis import fit_parameters
-    from .datafiles import load_scattering_data, write_json
+    from .datafiles import write_json
 
     if not args.data:
         raise InvalidArgumentError("fit requires --data")
     grid = config.to_mode_grid()
     scheme_shape = _scheme(config, args)
-    measured = load_scattering_data(args.data, args.format)
+    measured = _load_data(args, grid)
     run = config.run
     result = fit_parameters(
         measured,

@@ -398,6 +398,18 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
+def _yaml_float(value: float) -> str:
+    """Shortest round-trip decimal of ``value`` in a form YAML 1.1 reads as a float.
+
+    YAML 1.1 needs a dot in a float, so ``repr``'s ``1e-05`` becomes ``1.0e-05``.
+    """
+    text = repr(float(value))
+    if "e" in text and "." not in text:
+        mantissa, exponent = text.split("e")
+        text = f"{mantissa}.0e{exponent}"
+    return text
+
+
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form: fixed key order, shortest round-trip decimals."""
     lines = [
@@ -411,14 +423,14 @@ def serialize_config(config: ExperimentConfig) -> str:
         "scheme:",
     ]
     for tone in sorted(config.scheme, key=lambda t: t.offset):
-        lines.append(f"- amplitude: {tone.amplitude!r}")
+        lines.append(f"- amplitude: {_yaml_float(tone.amplitude)}")
         lines.append(f"  offset: {tone.offset}")
-        lines.append(f"  phase_{tone.phase_unit}: {tone.phase_value!r}")
+        lines.append(f"  phase_{tone.phase_unit}: {_yaml_float(tone.phase_value)}")
     run = config.run
     lines += [
         "run:",
-        f"  fit_g_max: {run.fit_g_max!r}",
-        f"  fit_g_min: {run.fit_g_min!r}",
+        f"  fit_g_max: {_yaml_float(run.fit_g_max)}",
+        f"  fit_g_min: {_yaml_float(run.fit_g_min)}",
         f"  fit_gamma_max: {run.fit_gamma_max.render()}",
         f"  fit_gamma_min: {run.fit_gamma_min.render()}",
         f"  fit_grid_points: {run.fit_grid_points}",
@@ -428,7 +440,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         f"  signal_index: {run.signal_index}",
         f"  steps: {run.steps}",
         f"  swept_tone: {run.swept_tone}",
-        f"  threshold_db: {run.threshold_db!r}",
+        f"  threshold_db: {_yaml_float(run.threshold_db)}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -3,9 +3,11 @@
 The native container is a small self-describing binary: a fixed header
 (magic, version, mode count, grid spacing and center, basis tag,
 normalization tag) followed by the matrix payload as row-major float64
-(re, im) pairs.  Generic CSV carries one complex entry per cell and always
-requires an explicit JSON sidecar for the grid metadata and normalization
-flag; the loader never guesses.  Text outputs embed the tool version and
+(re, im) pairs and a CRC-32 of everything before it, so a truncated or
+corrupted file is rejected rather than read as other numbers.  Generic CSV
+carries one complex entry per cell and always requires an explicit JSON
+sidecar for the grid metadata and normalization flag; the loader never
+guesses.  Text outputs embed the tool version and
 the config hash so every file is traceable to what produced it.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,9 +30,11 @@ if TYPE_CHECKING:
     from .graphs import CorrelationGraph, TopologyReport
 
 MAGIC = b"CMBSCAT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BASIS_TAG = "interleaved"
 _HEADER = struct.Struct("<8sII dd 16s16s")
+# trails version-2 files; version 1 had none and still loads
+_CHECKSUM = struct.Struct("<I")
 
 # wire names fit the fixed 16-byte header field
 _NORMALIZATION_TAGS = {
@@ -58,8 +63,8 @@ def save_scattering(path, smat: ScatteringMatrix) -> None:
         _pad_tag(BASIS_TAG),
         _pad_tag(_NORMALIZATION_TAGS[smat.normalization]),
     )
-    payload = np.ascontiguousarray(smat.matrix, dtype=complex).view(np.float64)
-    Path(path).write_bytes(header + payload.tobytes())
+    blob = header + np.ascontiguousarray(smat.matrix, dtype=complex).tobytes()
+    Path(path).write_bytes(blob + _CHECKSUM.pack(zlib.crc32(blob)))
 
 
 def load_scattering(path) -> ScatteringMatrix:
@@ -70,8 +75,9 @@ def load_scattering(path) -> ScatteringMatrix:
     magic, version, n, spacing, center, basis_raw, norm_raw = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise DataFormatError(f"bad magic {magic!r}; not a native container")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataFormatError(f"unsupported container version {version}")
+    trailer = _CHECKSUM.size if version == FORMAT_VERSION else 0
     basis = basis_raw.rstrip(b"\x00").decode("ascii", "replace")
     if basis != BASIS_TAG:
         raise DataFormatError(
@@ -83,16 +89,22 @@ def load_scattering(path) -> ScatteringMatrix:
     normalization = _TAGS_TO_NORMALIZATION[norm_tag]
     if n < 1 or n % 2 == 0:
         raise DataFormatError(f"mode count {n} must be odd and positive")
-    expected = _HEADER.size + 2 * (2 * n) * (2 * n) * 8
+    expected = _HEADER.size + 2 * (2 * n) * (2 * n) * 8 + trailer
     if len(blob) != expected:
         raise DataFormatError(f"payload size mismatch: {len(blob)} bytes, expected {expected}")
-    matrix = np.frombuffer(blob, dtype=complex, offset=_HEADER.size).reshape(2 * n, 2 * n)
+    matrix = np.frombuffer(
+        blob, dtype=complex, count=(2 * n) ** 2, offset=_HEADER.size
+    ).reshape(2 * n, 2 * n)
     if not np.all(np.isfinite(matrix.view(np.float64))):
         raise DataFormatError("matrix contains non-finite entries")
     try:
         grid = ModeGrid(center_frequency=center, spacing=spacing, half_span=(n - 1) // 2)
     except InvalidArgumentError as exc:
         raise DataFormatError(f"header grid: {exc}") from exc
+    if trailer:
+        (stored,) = _CHECKSUM.unpack_from(blob, expected - trailer)
+        if stored != zlib.crc32(memoryview(blob)[: expected - trailer]):
+            raise DataFormatError("checksum mismatch: the file is corrupted")
     return ScatteringMatrix(matrix=matrix.copy(), grid=grid, normalization=normalization)
 
 

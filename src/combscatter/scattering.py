@@ -20,6 +20,7 @@ state.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +303,46 @@ class _BlockPieces:
         return [
             d + gamma / 2.0 * np.eye(d.shape[-1]) + c for d, c in zip(self.detuning, coupling)
         ]
+
+    def coupling_norms(self, magnitudes) -> tuple[float, float]:
+        """Bounds on ``||K||_1`` and ``||K||_inf`` of the pump part ``K``, any phases.
+
+        For tones of magnitudes ``|s_t|`` the pump part lies entrywise below
+        ``sum_t |s_t| (|amplitude_t| + |conjugate_t|)`` whatever the phases;
+        the column and row sums of that bound, over all blocks, bound the two
+        norms.  Both scale linearly with the magnitudes.
+        """
+        norm_1 = norm_inf = 0.0
+        for k, d in enumerate(self.detuning):
+            bound = np.zeros(d.shape)
+            for m, amplitude, conjugate in zip(magnitudes, self.amplitude, self.conjugate):
+                bound += m * (np.abs(amplitude[k]) + np.abs(conjugate[k]))
+            norm_1 = max(norm_1, float(bound.sum(axis=1).max()))
+            norm_inf = max(norm_inf, float(bound.sum(axis=2).max()))
+        return norm_1, norm_inf
+
+    def certifies_cap(self, norms, gamma: float, condition_cap: float) -> bool:
+        """Whether ``_invert_blocks`` passes for any pump part within ``norms``.
+
+        Every block is ``B = D + gamma/2 * I + K`` with ``D`` the detuning
+        diagonal, which is anti-Hermitian, so the Hermitian part of ``B`` is
+        ``gamma/2 * I + Herm(K)`` and the numerical range bounds the smallest
+        singular value of ``B`` by ``mu = gamma/2 - ||K||_2``, with
+        ``||K||_2 <= sqrt(||K||_1 ||K||_inf)`` (``norms`` as from
+        ``coupling_norms``).  With ``mu > 0`` every block is nonsingular and
+        its eigenvalues have real part at least ``mu``, and its 1-norm
+        condition is at most ``(max|diag| + ||K||_1) * sqrt(size) / mu``.
+        The cap is certified when twice that bound, the factor 2 covering
+        rounding, stays within it.
+        """
+        norm_1, norm_inf = norms
+        mu = gamma / 2.0 - math.sqrt(norm_1 * norm_inf)
+        if mu <= 0:
+            return False
+        detuning = max(np.abs(d.diagonal(0, 1, 2)).max() for d in self.detuning)
+        diagonal = math.hypot(detuning, gamma / 2.0)
+        size = max(block.shape[1] for block in self.blocks)
+        return 2.0 * (diagonal + norm_1) * math.sqrt(size) / mu <= condition_cap
 
 
 def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _BlockPieces:

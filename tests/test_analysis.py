@@ -28,6 +28,7 @@ from combscatter import (
     search_phases,
     simulate_scattering,
 )
+from combscatter.scattering import DEFAULT_CONDITION_CAP, _block_pieces
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
 from search_reference import exhaustive_search
 
@@ -93,6 +94,22 @@ def mode_pair_db(grid, scheme, phases, swept):
     db = pump_off_normalized_db(grid, device, scheme)
     reduced = mode_level_db(db, grid)
     return np.maximum(reduced, reduced.T)
+
+
+def assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device):
+    """An 8-step sweep's tracks against the full scattering matrix at each phase."""
+    result = phase_sweep(scheme, swept, 8, signal, grid, device)
+    reference = np.abs(np.diag(pump_off_scattering(grid, device).matrix))
+    col = grid.a_slot(signal)
+    for step, phase in enumerate(result.phases):
+        s = simulate_scattering(grid, device, scheme.with_phase(swept, phase)).matrix
+        column = s[:, col] / reference[col]
+        for track in result.tracks:
+            mode = track.mode_index
+            row = grid.a_conj_slot(mode) if track.order == 2 else grid.a_slot(mode)
+            assert track.magnitudes_db[step] == pytest.approx(
+                magnitude_db(column[row]), rel=1e-12, abs=1e-12
+            )
 
 
 @st.composite
@@ -232,18 +249,17 @@ class TestPhaseSweep:
         device = DeviceParams(RESONANCE, COUPLING)
         swept = data.draw(st.integers(0, len(scheme.tones) - 1))
         signal = data.draw(st.integers(-grid.half_span, grid.half_span))
-        result = phase_sweep(scheme, swept, 8, signal, grid, device)
-        reference = np.abs(np.diag(pump_off_scattering(grid, device).matrix))
-        col = grid.a_slot(signal)
-        for step, phase in enumerate(result.phases):
-            s = simulate_scattering(grid, device, scheme.with_phase(swept, phase)).matrix
-            column = s[:, col] / reference[col]
-            for track in result.tracks:
-                mode = track.mode_index
-                row = grid.a_conj_slot(mode) if track.order == 2 else grid.a_slot(mode)
-                assert track.magnitudes_db[step] == pytest.approx(
-                    magnitude_db(column[row]), rel=1e-12, abs=1e-12
-                )
+        assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device)
+
+    @pytest.mark.parametrize("swept", [0, 1, 2])
+    def test_uncertified_scheme_tracks_equal_simulated_columns(self, grid, device, swept):
+        # the tone ratios sum to 0.6 > 1/2, so no phase-free bound clears the
+        # gate and every step takes the exact condition check; none crosses it
+        scheme = ladder(device, 0.2, 0.0)
+        pieces = _block_pieces(grid, device, scheme)
+        norms = pieces.coupling_norms([abs(t.strength) for t in scheme.tones])
+        assert not pieces.certifies_cap(norms, device.port_coupling, DEFAULT_CONDITION_CAP)
+        assert_tracks_equal_simulated_columns(scheme, swept, 5, grid, device)
 
     def test_step_minimum_enforced(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)

@@ -310,6 +310,18 @@ class TestExitCodes:
         assert run(["fit", small_config, "--data", tmp_path / "nope.cmb",
                     "--out-dir", tmp_path]) == 4
 
+    @pytest.mark.parametrize("command", ["graph", "fit"])
+    def test_data_of_another_mode_count_is_4(self, small_config, tmp_path, capsys, command):
+        other = tmp_path / "other.yaml"
+        other.write_text(SMALL.replace("half_span: 12", "half_span: 6"))
+        assert run(["simulate", other, "--out-dir", tmp_path]) == 0
+        capsys.readouterr()
+        assert run([command, small_config, "--data", tmp_path / "s_matrix.cmb",
+                    "--out-dir", tmp_path / "o"]) == 4
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "data has 13 modes but config grid has 25"
+        )
+
     def test_missing_config_is_4(self, tmp_path):
         assert run(["simulate", tmp_path / "absent.yaml", "--out-dir", tmp_path]) == 4
 
@@ -509,6 +521,41 @@ def _fuzzed_config(draw):
         lines += [f"  - offset: {offset}", f"    amplitude: {amplitude}", f"    phase_deg: {phase!r}"]
     lines += ["run:"] + [f"  {k}: {value[k]}" for k in fields if k in RunOptions.__dataclass_fields__]
     return "\n".join(lines) + "\n"
+
+
+class TestCorruptedData:
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corrupted")
+        (root / "small.yaml").write_text(SMALL)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["simulate", root / "small.yaml", "--out-dir", root]) == 0
+        return root / "small.yaml", (root / "s_matrix.cmb").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_file_is_4(self, simulated, data):
+        config, blob = simulated
+        if data.draw(st.booleans()):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+            event("truncated")
+        else:
+            flipped = bytearray(blob)
+            bits = st.sets(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)
+            for bit in data.draw(bits):
+                flipped[bit // 8] ^= 1 << bit % 8
+            blob = bytes(flipped)
+            event("flipped in the header" if blob[:64] != simulated[1][:64] else "flipped")
+        command = data.draw(st.sampled_from(["graph", "fit"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.cmb"
+            path.write_bytes(blob)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([command, config, "--data", path, "--out-dir", Path(tmp) / "out"])
+        assert code == 4
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line)["error"] == "io"
 
 
 # Per flag: values a valid run may take, and values that must be rejected cleanly.

@@ -5,6 +5,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from combscatter import ConfigError, bundled_config_path, parse_config, serialize_config
 from combscatter.model import MAX_HALF_SPAN, MIN_GRID_POINTS, MIN_SAMPLES, MIN_SWEEP_STEPS
@@ -266,6 +268,43 @@ class TestRoundTrip:
         for name in ("onepump", "twopump", "threepump"):
             config = parse_config(bundled_config_path(name).read_text())
             assert parse_config(serialize_config(config)) == config
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_parse_serialize_parse_is_a_fixed_point(self, data):
+        # floats written with a dot and a signed exponent, which YAML 1.1 reads as floats
+        def number(**bounds):
+            return f"{data.draw(st.floats(allow_nan=False, allow_infinity=False, **bounds)):.17e}"
+
+        def quantity():
+            value = data.draw(st.floats(1e-3, 1e3))
+            return f"{value:.17e} {data.draw(st.sampled_from(['Hz', 'kHz', 'MHz', 'GHz']))}"
+
+        g_low, g_high = sorted(data.draw(st.floats(1e-300, 1e300)) for _ in range(2))
+        gamma_low, gamma_high = sorted(data.draw(st.floats(1.0, 1e3)) for _ in range(2))
+        assume(g_low < g_high and gamma_low < gamma_high)
+        offsets = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True))
+        lines = ["device:", f"  resonance_frequency: {quantity()}",
+                 f"  port_coupling: {quantity()}", "grid:", f"  center: {quantity()}",
+                 f"  spacing: {quantity()}", f"  half_span: {data.draw(st.integers(0, 50))}",
+                 "scheme:"]
+        for offset in offsets:
+            unit = data.draw(st.sampled_from(["deg", "rad"]))
+            lines += [f"  - offset: {offset}", f"    amplitude: {number(min_value=0.0)}",
+                      f"    phase_{unit}: {number()}"]
+        lines += ["run:", f"  threshold_db: {number()}", f"  fit_g_min: {g_low:.17e}",
+                  f"  fit_g_max: {g_high:.17e}", f"  fit_gamma_min: {gamma_low:.17e} MHz",
+                  f"  fit_gamma_max: {gamma_high:.17e} MHz"]
+        first = parse_config("\n".join(lines) + "\n")
+        text = serialize_config(first)
+        assert parse_config(text) == first
+        assert serialize_config(parse_config(text)) == text
+
+    def test_float_without_a_dot_round_trips(self):
+        config = parse_config(GOOD + "  fit_g_min: 1.0e-05\n  fit_g_max: 1.0e+16\n")
+        text = serialize_config(config)
+        assert "  fit_g_min: 1.0e-05\n" in text
+        assert parse_config(text) == config
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):

@@ -72,6 +72,22 @@ class TestNative:
         with pytest.raises(DataFormatError):
             load_scattering(path)
 
+    def test_flipped_payload_bit_rejected(self, tmp_path, sample):
+        path = tmp_path / "s.cmb"
+        save_scattering(path, sample)
+        blob = bytearray(path.read_bytes())
+        blob[1000] ^= 0x01  # a low mantissa bit: still a finite number
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="checksum"):
+            load_scattering(path)
+
+    def test_version_1_file_without_checksum_loads(self, tmp_path, sample):
+        path = tmp_path / "s.cmb"
+        save_scattering(path, sample)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:-4])
+        assert np.array_equal(load_scattering(path).matrix, sample.matrix)
+
     def test_non_finite_rejected(self, tmp_path, grid, device):
         from combscatter.scattering import Normalization, ScatteringMatrix
 

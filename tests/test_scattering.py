@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from combscatter import (
@@ -23,7 +23,7 @@ from combscatter import (
     scattering_matrix,
     simulate_scattering,
 )
-from combscatter.scattering import Normalization, ScatteringMatrix, _block_pieces
+from combscatter.scattering import Normalization, ScatteringMatrix, _block_pieces, _invert_blocks
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -348,6 +348,56 @@ class TestBlockSolver:
         with pytest.raises(AboveThresholdError) as info:
             scattering_matrix(system)
         assert info.value.condition_estimate == np.inf
+
+
+def certified(pieces, scheme, gamma, cap):
+    norms = pieces.coupling_norms([abs(t.strength) for t in scheme.tones])
+    return pieces.certifies_cap(norms, gamma, cap)
+
+
+class TestThresholdCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(small_schemes(), st.floats(0.1, 15.0), st.floats(1.0, 12.0), st.floats(0.3, 3.0))
+    def test_certified_blocks_are_within_cap_and_stable(self, case, scale, log_cap, coupling):
+        grid, scheme = case
+        # tone ratios from 0.001 to 1.5: well below, at and past the threshold
+        scheme = PumpScheme(
+            tuple(PumpTone(t.offset, scale * t.amplitude, t.phase) for t in scheme.tones)
+        )
+        device = DeviceParams(RESONANCE, coupling * COUPLING)
+        gamma, cap = device.port_coupling, 10.0**log_cap
+        pieces = _block_pieces(grid, device, scheme)
+        clear = certified(pieces, scheme, gamma, cap)
+        event(f"certified: {clear}")
+        if not clear:
+            return
+        stacks = pieces.stacks(gamma, pieces.coupling([t.strength for t in scheme.tones]))
+        blocks = [block for stack in stacks for block in stack]
+        norm = max(np.linalg.norm(block, 1) for block in blocks)
+        inverse_norm = max(np.linalg.norm(np.linalg.inv(block), 1) for block in blocks)
+        assert norm * inverse_norm <= cap
+        assert _invert_blocks(stacks, cap)[1] <= cap
+        assert all(np.linalg.eigvals(block).real.min() > 0 for block in blocks)
+
+    @pytest.mark.parametrize("offsets", [[0], [-4, 0, 4]])
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.15])
+    def test_never_certifies_a_cap_below_the_exact_condition(self, device, offsets, ratio):
+        grid = ModeGrid(RESONANCE, SPACING, 6)
+        scheme = balanced_scheme(device, offsets, ratio, [1.0, 2.0, 3.0][: len(offsets)])
+        pieces = _block_pieces(grid, device, scheme)
+        gamma = device.port_coupling
+        stacks = pieces.stacks(gamma, pieces.coupling([t.strength for t in scheme.tones]))
+        condition = _invert_blocks(stacks, np.inf)[1]
+        assert certified(pieces, scheme, gamma, 1e12)
+        assert not certified(pieces, scheme, gamma, 0.999 * condition)
+
+    @pytest.mark.parametrize("ratio, expected", [(0.49, True), (0.5, False), (0.51, False)])
+    def test_single_pair_bound_is_its_exact_threshold(self, device, ratio, expected):
+        # a one-tone pair block is stable exactly while ratio < 1/2
+        grid = ModeGrid(RESONANCE, SPACING, 3)
+        scheme = balanced_scheme(device, [0], ratio, [1.0])
+        pieces = _block_pieces(grid, device, scheme)
+        assert certified(pieces, scheme, device.port_coupling, 1e12) is expected
 
 
 class TestGaugeInvariance:
