@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import AboveThresholdError, FitInfeasibleError, InvalidArgumentError
 from .model import (
+    MAX_FIT_GRID_POINTS,
+    MAX_SWEEP_STEPS,
     MIN_GRID_POINTS,
     MIN_SWEEP_STEPS,
     DeviceParams,
@@ -32,7 +34,6 @@ from .scattering import (
     _block_index,
     _block_pieces,
     _gain,
-    _invert_blocks,
     _pump_off_diagonal,
     magnitude_db,
     normalize_pump_off,
@@ -122,12 +123,13 @@ def phase_sweep(
     The threshold gate is the one ``scattering_matrix`` applies.  When the
     tone magnitudes alone bound every block's condition number below the
     cap at any phase, the gate is cleared once for the whole sweep;
-    otherwise every step inverts all blocks and checks their exact
-    condition number.  Raises the above-threshold error annotated with the
-    offending phase if any sweep point crosses the oscillation threshold.
+    otherwise every step goes through the block evaluator, which inverts
+    all blocks and checks their exact condition number.  Raises the
+    above-threshold error annotated with the offending phase if any sweep
+    point crosses the oscillation threshold.
     """
-    if steps < MIN_SWEEP_STEPS:
-        raise InvalidArgumentError(f"steps must be at least {MIN_SWEEP_STEPS}")
+    if not MIN_SWEEP_STEPS <= steps <= MAX_SWEEP_STEPS:
+        raise InvalidArgumentError(f"steps must be in {MIN_SWEEP_STEPS}..{MAX_SWEEP_STEPS}")
     if not 0 <= swept_tone < len(base_scheme.tones):
         raise InvalidArgumentError(f"swept tone index {swept_tone} out of range")
     prediction = predicted_intermod_indices(signal_index, base_scheme, grid)
@@ -151,62 +153,42 @@ def phase_sweep(
     third_modes = sorted(third_paths)
     rows = [grid.a_conj_slot(m) for _, m in second_tracks] + [grid.a_slot(m) for m in third_modes]
     reference = abs(_pump_off_diagonal(grid, params)[0][col])
-    gain = _gain(params.port_coupling)
+    gamma = params.port_coupling
+    gain = _gain(gamma)
 
-    # only the swept tone's pieces change from step to step
-    pieces = _block_pieces(grid, params, base_scheme)
+    # only the swept tone's strength changes from step to step
+    base = np.array([tone.strength for tone in base_scheme.tones])
     swept = base_scheme.tones[swept_tone]
-    fixed = pieces.stacks(
-        params.port_coupling,
-        pieces.coupling(
-            [0.0 if t == swept_tone else tone.strength for t, tone in enumerate(base_scheme.tones)]
-        ),
-    )
-    # the driven column lies in one block: its group, row in the group and position
-    for group, block in enumerate(pieces.blocks):
-        hits = np.argwhere(block == col)
-        if len(hits):
-            member, position = hits[0]
-            break
-
-    slots = pieces.blocks[group][member]
-    size = len(slots)
-    drive = np.zeros((size, 1))
+    strengths = [PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases]
+    pieces = _block_pieces(grid, params, base_scheme)
+    # the driven column lies in one block, whose stacked steps are solved
+    driven, position = pieces.block_of(col)
+    slots = driven.blocks[0][0]
+    drive = np.zeros((len(slots), 1))
     drive[position] = 1.0
 
-    # the swept tone's magnitude is the same at every phase, so one bound
-    # can clear the threshold gate for the whole sweep
-    certified = pieces.certifies_cap(
-        pieces.coupling_norms([abs(tone.strength) for tone in base_scheme.tones]),
-        params.port_coupling,
-        DEFAULT_CONDITION_CAP,
-    )
-    amplitude, conjugate = pieces.amplitude[swept_tone], pieces.conjugate[swept_tone]
-    strengths = [PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases]
-    chunk = max(1, _CHUNK_BYTES // (16 * size * size))
+    # the swept tone's magnitude is the same at every phase, so one
+    # certificate can clear the threshold gate for the whole sweep
+    certified = pieces.certifies(np.abs(base), gamma, DEFAULT_CONDITION_CAP)
+    chunk = max(1, _CHUNK_BYTES // (16 * len(slots) ** 2))
     data = np.empty((len(rows), steps))
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
+        step_strengths = np.repeat(base[np.newaxis], stop - start, axis=0)
+        step_strengths[:, swept_tone] = strengths[start:stop]
         if not certified:
-            for phase, strength in zip(phases[start:stop], strengths[start:stop]):
-                stacks = [
-                    stack + strength * a + np.conj(strength) * c
-                    for stack, a, c in zip(fixed, amplitude, conjugate)
-                ]
+            for phase, step in zip(phases[start:stop], step_strengths):
                 try:
-                    _invert_blocks(stacks, DEFAULT_CONDITION_CAP)
+                    pieces.invert(step, gamma, DEFAULT_CONDITION_CAP)
                 except AboveThresholdError as exc:
                     raise AboveThresholdError(
                         f"above threshold at swept phase {phase:.6f} rad: {exc}",
                         condition_estimate=exc.condition_estimate,
                         phase=float(phase),
                     ) from exc
-        s = np.array(strengths[start:stop])[:, np.newaxis, np.newaxis]
-        driven = s * amplitude[group][member]
-        driven += fixed[group][member]
-        driven += np.conj(s) * conjugate[group][member]
+        (stacks,) = driven.stacks(step_strengths, gamma)
         columns = np.zeros((stop - start, 2 * grid.n_modes), dtype=complex)
-        columns[:, slots] = gain * np.linalg.solve(driven, drive)[:, :, 0]
+        columns[:, slots] = gain * np.linalg.solve(stacks[:, 0], drive)[:, :, 0]
         columns[:, col] -= 1.0
         data[:, start:stop] = magnitude_db(columns[:, rows] / reference).T
 
@@ -271,12 +253,12 @@ def fit_parameters(
     a local coordinate-descent pass around the best cell.
 
     Only the pump strength and the port coupling change from cell to cell,
-    so the blocks of the system are split once into their fixed and
-    strength-scaled pieces; each cell recombines and inverts them, and the
-    distance is summed block by block (the model is zero off the blocks).
-    A cell whose strength and coupling alone bound the condition number
-    below ``condition_cap`` skips the exact condition check, and a cell the
-    refinement revisits is evaluated once.
+    so the blocks of the system are split once into pieces; each cell goes
+    through the block evaluator, and the distance is summed block by block
+    (the model is zero off the blocks).  A cell whose strength and coupling
+    alone bound the condition number below ``condition_cap`` skips the
+    exact condition check, and a cell the refinement revisits is evaluated
+    once.
 
     Above-threshold cells score +inf rather than raising; if the whole
     surface is infinite the fit is infeasible and raises.
@@ -284,18 +266,20 @@ def fit_parameters(
     measured = s_measured.matrix if isinstance(s_measured, ScatteringMatrix) else np.asarray(s_measured, dtype=complex)
     if measured.shape != (2 * grid.n_modes, 2 * grid.n_modes):
         raise InvalidArgumentError("measured matrix does not match the grid dimension")
-    if grid_points < MIN_GRID_POINTS:
-        raise InvalidArgumentError(f"grid_points must be at least {MIN_GRID_POINTS}")
+    if not MIN_GRID_POINTS <= grid_points <= MAX_FIT_GRID_POINTS:
+        raise InvalidArgumentError(
+            f"grid_points must be in {MIN_GRID_POINTS}..{MAX_FIT_GRID_POINTS}"
+        )
     g_lo, g_hi = map(float, g_range)
     gamma_lo, gamma_hi = map(float, gamma_range)
     if not (0 < g_lo < g_hi and 0 < gamma_lo < gamma_hi):
         raise InvalidArgumentError("fit ranges must be positive and increasing")
 
     omega0 = grid.center_frequency
-    # every cell's stack is detuning + gamma/2 * I + g * coupling, from
-    # pieces built once at the top of the coupling range
+    # every cell's tones have strength g at the shape's phases; the pieces
+    # are built once, at the top of the coupling range
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_hi), scheme_shape)
-    coupling = pieces.coupling(
+    unit_strengths = np.array(
         [complex(math.cos(t.phase), math.sin(t.phase)) for t in scheme_shape.tones]
     )
     indices = [_block_index(block) for block in pieces.blocks]
@@ -306,9 +290,6 @@ def fit_parameters(
     # the model vanishes off the blocks, where the distance is the data's own
     outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
 
-    # the pump part is g times a fixed matrix, so its norms are too
-    unit_norms = pieces.coupling_norms([1.0] * len(scheme_shape.tones))
-
     # the refinement revisits cells; each (g, gamma) pair is evaluated once
     @functools.cache
     def evaluate(g: float, gamma: float) -> float:
@@ -316,14 +297,10 @@ def fit_parameters(
             return np.inf
         params = DeviceParams(resonance_frequency=omega0, port_coupling=gamma)
         check_band(grid, params)
-        stacks = pieces.stacks(gamma, [g * c for c in coupling])
-        if pieces.certifies_cap([g * n for n in unit_norms], gamma, condition_cap):
-            inverses = [np.linalg.inv(stack) for stack in stacks]
-        else:
-            try:
-                inverses, _ = _invert_blocks(stacks, condition_cap)
-            except AboveThresholdError:
-                return np.inf
+        try:
+            inverses = pieces.invert(g * unit_strengths, gamma, condition_cap)
+        except AboveThresholdError:
+            return np.inf
         reference = np.abs(_pump_off_diagonal(grid, params)[0])
         gain = _gain(gamma)
         models = [

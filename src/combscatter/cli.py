@@ -106,17 +106,19 @@ def _scheme(config: ExperimentConfig, args):
 def _setting(config: ExperimentConfig, args, name: str):
     """A flag's value, or the config's ``run`` value when the flag is absent.
 
-    A flag for a run size must meet the minimum the config applies to it.
+    A flag for a run size must meet the bounds the config applies to it.
     """
-    from .config import RUN_MINIMUMS
+    from .config import RUN_MAXIMUMS, RUN_MINIMUMS
 
     value = getattr(args, name)
     if value is None:
         return getattr(config.run, name)
-    least = RUN_MINIMUMS.get(name)
+    flag = "--" + name.replace("_", "-")
+    least, most = RUN_MINIMUMS.get(name), RUN_MAXIMUMS.get(name)
     if least is not None and value < least:
-        flag = "--" + name.replace("_", "-")
         raise InvalidArgumentError(f"{flag} must be at least {least}")
+    if most is not None and value > most:
+        raise InvalidArgumentError(f"{flag} must be at most {most}")
     return value
 
 
@@ -239,9 +241,10 @@ def _cmd_covariance(config: ExperimentConfig, args) -> int:
     sx = to_quadrature(simulate_scattering(grid, params, scheme))
     v_out = propagate_covariance(sx, vacuum_covariance(grid))
     meta = _meta(config, seed)
-    meta["symplectic_defect"] = repr(symplectic_defect(sx))
+    defect = symplectic_defect(sx)
+    meta["symplectic_defect"] = repr(defect)
     write_covariance_csv(_out(args, "covariance.csv"), v_out.matrix, grid, meta)
-    print(f"covariance: analytic, defect {symplectic_defect(sx):.3e}")
+    print(f"covariance: analytic, defect {defect:.3e}")
     return EXIT_OK
 
 

@@ -19,7 +19,9 @@ import yaml
 
 from .errors import ConfigError
 from .model import (
+    MAX_FIT_GRID_POINTS,
     MAX_HALF_SPAN,
+    MAX_SWEEP_STEPS,
     MIN_GRID_POINTS,
     MIN_SAMPLES,
     MIN_SWEEP_STEPS,
@@ -235,6 +237,9 @@ RUN_MINIMUMS = {
     "fit_grid_points": MIN_GRID_POINTS,
 }
 
+# the largest value of each run size that allocates in proportion to it
+RUN_MAXIMUMS = {"steps": MAX_SWEEP_STEPS, "fit_grid_points": MAX_FIT_GRID_POINTS}
+
 
 def _check_fit_ranges(v: _Validator, run: dict, run_kwargs: dict) -> None:
     """Each fit range's low end must lie below its high end, as the fit needs."""
@@ -373,6 +378,9 @@ def parse_config(text: str) -> ExperimentConfig:
         for name, least in RUN_MINIMUMS.items():
             if run_kwargs.get(name, least) < least:
                 v.problem(f"run.{name}", f"must be at least {least}", run[name].line)
+        for name, most in RUN_MAXIMUMS.items():
+            if run_kwargs.get(name, most) > most:
+                v.problem(f"run.{name}", f"must be at most {most}", run[name].line)
         for name in ("fit_g_min", "fit_g_max"):
             if run_kwargs.get(name, 1.0) <= 0:
                 v.problem(f"run.{name}", "must be positive", run[name].line)

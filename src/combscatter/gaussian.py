@@ -29,6 +29,10 @@ VACUUM_SCALE = 0.5
 
 IMAG_RESIDUAL_TOL = 1e-9
 
+# Monte Carlo draws this many samples at a time, so memory stays bounded
+# whatever the sample count.
+_SAMPLE_CHUNK = 16384
+
 # Per-mode canonical map from (a, a*) to (x, p).
 _U2 = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
 
@@ -168,7 +172,6 @@ def sample_covariance(
     sample_count: int,
     seed: int,
     vacuum_scale: float = VACUUM_SCALE,
-    chunk_size: int = 16384,
 ) -> CovarianceMatrix:
     """Estimate the output covariance by Monte Carlo vacuum sampling.
 
@@ -189,7 +192,7 @@ def sample_covariance(
     products = np.zeros((dim, dim))
     drawn = 0
     while drawn < sample_count:
-        count = min(chunk_size, sample_count - drawn)
+        count = min(_SAMPLE_CHUNK, sample_count - drawn)
         out = rng.normal(0.0, std, size=(count, dim)) @ sx.matrix.T
         total += out.sum(axis=0)
         products += out.T @ out

@@ -208,7 +208,7 @@ def _peel_variants(adj, nodes, budget: int):
 
 
 def _ladder_admits(adj, nodes, removed, size: int, edges: int) -> bool:
-    """The size, edge count and degree conditions that ``_match_ladder`` checks."""
+    """The size, edge count and degree conditions ``_match_ladder`` relies on."""
     if size < 4 or size % 2 or edges != 3 * (size // 2) - 2:
         return False
     degrees = sorted(
@@ -218,8 +218,8 @@ def _ladder_admits(adj, nodes, removed, size: int, edges: int) -> bool:
 
 
 def _clique_chain_admits(adj, nodes, removed, size: int, edges: int) -> bool:
-    """``_match_clique_chain``'s size and edge conditions: k cells have
-    2(k + 1) nodes and 5k + 1 edges."""
+    """The size and edge conditions ``_match_clique_chain`` relies on: k
+    cells have 2(k + 1) nodes and 5k + 1 edges."""
     return size >= 4 and size % 2 == 0 and 2 * edges == 5 * size - 8
 
 
@@ -238,17 +238,12 @@ def _materialize(adj, nodes, removed) -> nx.Graph:
 
 
 def _match_ladder(g: nx.Graph):
-    """Return the rung pairs if ``g`` is exactly a square ladder, else None."""
-    size = g.number_of_nodes()
-    if size < 4 or size % 2:
-        return None
-    k = size // 2
-    if g.number_of_edges() != 3 * k - 2:
-        return None
-    degrees = sorted(d for _, d in g.degree())
-    expected = sorted([2] * 4 + [3] * (size - 4)) if k > 2 else [2] * 4
-    if degrees != expected:
-        return None
+    """Return the rung pairs if ``g`` is exactly a square ladder, else None.
+
+    ``g`` must pass ``_ladder_admits``: an even size of at least 4, the
+    ladder's edge count and its degree multiset.
+    """
+    k = g.number_of_nodes() // 2
     template = nx.ladder_graph(k)
     matcher = nx.isomorphism.GraphMatcher(template, g)
     if not matcher.is_isomorphic():
@@ -262,18 +257,16 @@ def _match_clique_chain(g: nx.Graph):
 
     This is a square ladder with both diagonals in every cell: each cell's
     four nodes form a clique and consecutive cliques share exactly one rung
-    edge.
+    edge.  ``g`` must pass ``_clique_chain_admits``: an even size of at
+    least 4 and the edge count of a chain of that many nodes.
     """
     size = g.number_of_nodes()
-    if size < 4 or size % 2:
-        return None
     cliques = [frozenset(c) for c in nx.find_cliques(g)]
     if any(len(c) != 4 for c in cliques):
         return None
     cells = len(cliques)
+    # with 2(cells + 1) nodes the admitted edge count is 5 * cells + 1
     if size != 2 * (cells + 1):
-        return None
-    if g.number_of_edges() != 6 * cells - (cells - 1):
         return None
     adjacency = {c: [] for c in cliques}
     shared_pairs = []

@@ -36,6 +36,13 @@ MIN_SWEEP_STEPS = 8
 MIN_SAMPLES = 2
 MIN_GRID_POINTS = 4
 
+# The largest run sizes of the two analyses that allocate in proportion to
+# them: a sweep's phases and tracks, and a fit's square surface with its
+# memo of evaluated cells.  Larger values are rejected before anything is
+# allocated.
+MAX_SWEEP_STEPS = 10_000
+MAX_FIT_GRID_POINTS = 500
+
 
 class BandMismatchWarning(UserWarning):
     """The mode comb extends beyond a few linewidths of the resonance."""

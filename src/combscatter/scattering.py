@@ -11,15 +11,17 @@ the scattering matrix; magnitudes are reported in dB relative to the
 pump-off reflection.
 
 Repeated evaluations that change only tone strengths or the port coupling
-(phase sweeps, fit grids) split the blocks once into parameter-independent
-pieces and recombine them per evaluation.  Pure functions on immutable
-inputs; independent scheme evaluations can run in parallel with no shared
-state.
+(phase sweeps, fit grids) split the blocks once into unit-strength pieces
+and invert them through one evaluator, whose single threshold gate is a
+bound from the tone magnitudes alone, else the exact condition check.
+Pure functions on immutable inputs; independent scheme evaluations can run
+in parallel with no shared state.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,77 +274,97 @@ def scattering_matrix(
 class _BlockPieces:
     """The blocks of ``M`` split by how they depend on the parameters.
 
-    For block group ``k`` (as in ``blocks``), the stack of ``M`` for tone
-    strengths ``s_t`` and port coupling ``gamma`` is
+    Every off-diagonal entry of ``M`` is one unit-strength coefficient times
+    ``s_t``, ``conj(s_t)`` or 0, for tone strengths ``s_t``, ``t < T``.  For
+    block group ``k`` (as in ``blocks``), ``detuning[k]`` holds every
+    block's ``+-i*detuning`` diagonal, ``unit[k]`` its off-diagonal entries
+    at unit strength and ``slot[k]`` the factor each entry takes: ``t`` in
+    tone ``t``'s amplitude rows, ``T + t`` in its conjugate rows and ``2T``
+    where no tone couples.  The stack of ``M`` for strengths ``s_t`` and
+    port coupling ``gamma`` is
 
-        detuning[k] + gamma/2 * I + sum_t (s_t * amplitude[t][k]
-                                           + conj(s_t) * conjugate[t][k])
+        unit[k] * (s_0, ..., s_T-1, conj(s_0), ..., conj(s_T-1), 0)[slot[k]]
+            + diag(detuning[k] + gamma/2)
 
-    ``detuning`` holds ``+-i*detuning`` on the diagonal, ``amplitude[t]``
-    tone ``t``'s entries in amplitude rows per unit strength and
-    ``conjugate[t]`` its mirrored entries in conjugate-amplitude rows.
-    Every entry belongs to exactly one piece, so the sum reproduces the
-    assembled stack bit for bit.
+    which reproduces the assembled stack bit for bit.
     """
 
     blocks: tuple[np.ndarray, ...]
     detuning: tuple[np.ndarray, ...]
-    amplitude: tuple[tuple[np.ndarray, ...], ...]
-    conjugate: tuple[tuple[np.ndarray, ...], ...]
+    unit: tuple[np.ndarray, ...]
+    slot: tuple[np.ndarray, ...]
 
-    def coupling(self, strengths) -> list[np.ndarray]:
-        """Pump part of every group's stack for the tone strengths ``s_t``."""
-        out = [np.zeros_like(d) for d in self.detuning]
-        for s, amplitude, conjugate in zip(strengths, self.amplitude, self.conjugate):
-            for k, part in enumerate(out):
-                part += s * amplitude[k] + np.conj(s) * conjugate[k]
+    def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
+        """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
+        s = np.asarray(strengths, dtype=complex)
+        factors = np.concatenate((s, s.conj(), np.zeros(s.shape[:-1] + (1,))), axis=-1)
+        out = []
+        for detuning, unit, slot in zip(self.detuning, self.unit, self.slot):
+            stack = unit * factors[..., slot]
+            diagonal = np.arange(unit.shape[-1])
+            stack[..., diagonal, diagonal] += detuning + gamma / 2.0
+            out.append(stack)
         return out
 
-    def stacks(self, gamma: float, coupling) -> list[np.ndarray]:
-        """Every group's stack of ``M`` for port coupling ``gamma``."""
-        return [
-            d + gamma / 2.0 * np.eye(d.shape[-1]) + c for d, c in zip(self.detuning, coupling)
-        ]
+    @functools.cached_property
+    def _tone_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column and row sums of ``|unit|`` per tone over every block, ``(T, lines)``."""
+        tones = int(self.slot[0].max()) // 2  # the diagonal takes 2T
+        columns, rows = [], []
+        for t in range(tones):
+            parts = [
+                np.where((slot == t) | (slot == tones + t), np.abs(unit), 0.0)
+                for unit, slot in zip(self.unit, self.slot)
+            ]
+            columns.append(np.concatenate([part.sum(axis=1).ravel() for part in parts]))
+            rows.append(np.concatenate([part.sum(axis=2).ravel() for part in parts]))
+        return np.array(columns), np.array(rows)
 
-    def coupling_norms(self, magnitudes) -> tuple[float, float]:
-        """Bounds on ``||K||_1`` and ``||K||_inf`` of the pump part ``K``, any phases.
+    def certifies(self, magnitudes, gamma: float, condition_cap: float) -> bool:
+        """Whether ``_invert_blocks`` passes for tones of these magnitudes, any phases.
 
-        For tones of magnitudes ``|s_t|`` the pump part lies entrywise below
-        ``sum_t |s_t| (|amplitude_t| + |conjugate_t|)`` whatever the phases;
-        the column and row sums of that bound, over all blocks, bound the two
-        norms.  Both scale linearly with the magnitudes.
-        """
-        norm_1 = norm_inf = 0.0
-        for k, d in enumerate(self.detuning):
-            bound = np.zeros(d.shape)
-            for m, amplitude, conjugate in zip(magnitudes, self.amplitude, self.conjugate):
-                bound += m * (np.abs(amplitude[k]) + np.abs(conjugate[k]))
-            norm_1 = max(norm_1, float(bound.sum(axis=1).max()))
-            norm_inf = max(norm_inf, float(bound.sum(axis=2).max()))
-        return norm_1, norm_inf
-
-    def certifies_cap(self, norms, gamma: float, condition_cap: float) -> bool:
-        """Whether ``_invert_blocks`` passes for any pump part within ``norms``.
-
-        Every block is ``B = D + gamma/2 * I + K`` with ``D`` the detuning
-        diagonal, which is anti-Hermitian, so the Hermitian part of ``B`` is
+        Whatever the phases, the pump part ``K`` lies entrywise below
+        ``|unit|`` times the tone magnitudes, so the per-tone column and row
+        sums bound ``||K||_1`` and ``||K||_inf``.  Every block is
+        ``B = D + gamma/2 * I + K`` with ``D`` the detuning diagonal, which is
+        anti-Hermitian, so the Hermitian part of ``B`` is
         ``gamma/2 * I + Herm(K)`` and the numerical range bounds the smallest
         singular value of ``B`` by ``mu = gamma/2 - ||K||_2``, with
-        ``||K||_2 <= sqrt(||K||_1 ||K||_inf)`` (``norms`` as from
-        ``coupling_norms``).  With ``mu > 0`` every block is nonsingular and
-        its eigenvalues have real part at least ``mu``, and its 1-norm
-        condition is at most ``(max|diag| + ||K||_1) * sqrt(size) / mu``.
-        The cap is certified when twice that bound, the factor 2 covering
-        rounding, stays within it.
+        ``||K||_2 <= sqrt(||K||_1 ||K||_inf)``.  With ``mu > 0`` every block
+        is nonsingular and its eigenvalues have real part at least ``mu``,
+        and its 1-norm condition is at most
+        ``(max|diag| + ||K||_1) * sqrt(size) / mu``.  The cap is certified
+        when twice that bound, the factor 2 covering rounding, stays within it.
         """
-        norm_1, norm_inf = norms
+        norm_1, norm_inf = (float((np.asarray(magnitudes) @ s).max()) for s in self._tone_sums)
         mu = gamma / 2.0 - math.sqrt(norm_1 * norm_inf)
         if mu <= 0:
             return False
-        detuning = max(np.abs(d.diagonal(0, 1, 2)).max() for d in self.detuning)
+        detuning = max(np.abs(d).max() for d in self.detuning)
         diagonal = math.hypot(detuning, gamma / 2.0)
         size = max(block.shape[1] for block in self.blocks)
         return 2.0 * (diagonal + norm_1) * math.sqrt(size) / mu <= condition_cap
+
+    def invert(self, strengths, gamma: float, condition_cap: float) -> list[np.ndarray]:
+        """Every group's inverse stack, behind the threshold gate.
+
+        Strengths whose magnitudes ``certifies`` clears are inverted
+        directly; any others go through ``_invert_blocks`` and its exact
+        condition check, which raises above the threshold.
+        """
+        stacks = self.stacks(strengths, gamma)
+        if self.certifies(np.abs(strengths), gamma, condition_cap):
+            return [np.linalg.inv(stack) for stack in stacks]
+        return _invert_blocks(stacks, condition_cap)[0]
+
+    def block_of(self, slot: int) -> tuple[_BlockPieces, int]:
+        """The pieces of the one block holding ``slot``, and its position there."""
+        k, member, position = next(
+            (k, *hit) for k, block in enumerate(self.blocks) for hit in np.argwhere(block == slot)
+        )
+        one = slice(member, member + 1)
+        parts = (self.blocks, self.detuning, self.unit, self.slot)
+        return _BlockPieces(*((part[k][one],) for part in parts)), int(position)
 
 
 def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _BlockPieces:
@@ -351,27 +373,26 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
     Only the resonance frequency of ``params`` enters the pieces; its port
     coupling is used for the band check of the coupling resolution.  A
     tone at offset ``m`` owns the off-diagonal entries whose row and column
-    modes sum to ``m``.
+    modes sum to ``m``, so one lookup by mode sum gives every entry's tone.
     """
     unit = PumpScheme.balanced(scheme.offsets, 2.0)  # strength 1 at phase 0
     system = assemble_system(grid, params, resolve_couplings(grid, unit, params))
-    detuning, amplitude, conjugate = [], [], []
+    tones, reach = len(unit.tones), 2 * grid.half_span
+    tone_of = np.full(2 * reach + 1, tones)  # by mode sum + reach; T for none
+    for t, m in enumerate(unit.offsets):
+        if abs(m) <= reach:
+            tone_of[m + reach] = t
+    detuning, units, slots = [], [], []
     for block in system.blocks:
         rows, cols = _block_index(block)
         stack = system.matrix[rows, cols]
-        on_diagonal = rows == cols
-        detuning.append(np.where(on_diagonal, 1j * stack.imag, 0.0))
-        mode_sum = rows // 2 + cols // 2 - 2 * grid.half_span
-        amplitude_row = (rows % 2 == 0) & ~on_diagonal
-        conjugate_row = (rows % 2 == 1) & ~on_diagonal
-        tone = [mode_sum == m for m in unit.offsets]
-        amplitude.append([np.where(amplitude_row & mask, stack, 0.0) for mask in tone])
-        conjugate.append([np.where(conjugate_row & mask, stack, 0.0) for mask in tone])
+        off = np.where(rows == cols, 0.0, stack)
+        detuning.append(1j * stack.diagonal(0, 1, 2).imag)
+        units.append(off)
+        tone = tone_of[rows // 2 + cols // 2]
+        slots.append(np.where(off == 0, 2 * tones, tone + tones * (rows % 2)))
     return _BlockPieces(
-        blocks=system.blocks,
-        detuning=tuple(detuning),
-        amplitude=tuple(zip(*amplitude)),
-        conjugate=tuple(zip(*conjugate)),
+        blocks=system.blocks, detuning=tuple(detuning), unit=tuple(units), slot=tuple(slots)
     )
 
 

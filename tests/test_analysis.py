@@ -257,9 +257,14 @@ class TestPhaseSweep:
         # gate and every step takes the exact condition check; none crosses it
         scheme = ladder(device, 0.2, 0.0)
         pieces = _block_pieces(grid, device, scheme)
-        norms = pieces.coupling_norms([abs(t.strength) for t in scheme.tones])
-        assert not pieces.certifies_cap(norms, device.port_coupling, DEFAULT_CONDITION_CAP)
+        magnitudes = [abs(t.strength) for t in scheme.tones]
+        assert not pieces.certifies(magnitudes, device.port_coupling, DEFAULT_CONDITION_CAP)
         assert_tracks_equal_simulated_columns(scheme, swept, 5, grid, device)
+
+    def test_step_maximum_enforced_before_allocating(self, grid, device):
+        scheme = balanced_scheme(device, [0], 0.05)
+        with pytest.raises(InvalidArgumentError, match="in 8..10000"):
+            phase_sweep(scheme, 0, 2_000_000_000, 0, grid, device)
 
     def test_step_minimum_enforced(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)
@@ -377,6 +382,8 @@ class TestFit:
             fit_parameters(measured, grid, scheme, (2e-3, 1e-3), (1.0, 2.0), 5)
         with pytest.raises(InvalidArgumentError):
             fit_parameters(np.eye(4), grid, scheme, (1e-3, 2e-3), (1.0, 2.0), 5)
+        with pytest.raises(InvalidArgumentError, match="in 4..500"):
+            fit_parameters(measured, grid, scheme, (1e-3, 2e-3), (1.0, 2.0), 200_000)
 
 
 class TestSearchPhases:

@@ -289,6 +289,36 @@ class TestExitCodes:
         assert run(argv) == 0
 
     @pytest.mark.parametrize(
+        "command, old, new",
+        [
+            ("sweep-phase", "  steps: 16", "  steps: 2000000000"),
+            ("fit", "  fit_grid_points: 6", "  fit_grid_points: 200000"),
+        ],
+    )
+    def test_oversized_run_is_2_with_one_json_line(
+        self, small_config, tmp_path, capsys, command, old, new
+    ):
+        # either size would allocate far beyond memory before the first step
+        out = tmp_path / "out"
+        assert run(["simulate", small_config, "--out-dir", out]) == 0
+        config = tmp_path / "big.yaml"
+        config.write_text(SMALL.replace(old, new))
+        capsys.readouterr()
+        extra = ["--data", out / "s_matrix.cmb"] if command == "fit" else []
+        assert run([command, config, *extra, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        key, most = (("steps", 10000) if command == "sweep-phase" else ("fit_grid_points", 500))
+        line = SMALL.splitlines().index(old) + 1
+        assert json.loads(err)["issues"] == [f"run.{key} (line {line}): must be at most {most}"]
+
+    def test_oversized_steps_flag_is_2(self, small_config, tmp_path, capsys):
+        argv = ["sweep-phase", small_config, "--steps", "2000000000", "--out-dir", tmp_path]
+        assert run(argv) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "validation", "message": "--steps must be at most 10000"}
+
+    @pytest.mark.parametrize(
         "key, value", [("fit_g_min", "0"), ("fit_g_min", "-0.002"),
                        ("fit_gamma_min", "0 MHz"), ("fit_gamma_min", "-56 MHz")],
     )

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from combscatter import ConfigError, bundled_config_path, parse_config, serialize_config
-from combscatter.model import MAX_HALF_SPAN, MIN_GRID_POINTS, MIN_SAMPLES, MIN_SWEEP_STEPS
+from combscatter.model import (
+    MAX_FIT_GRID_POINTS,
+    MAX_HALF_SPAN,
+    MAX_SWEEP_STEPS,
+    MIN_GRID_POINTS,
+    MIN_SAMPLES,
+    MIN_SWEEP_STEPS,
+)
 
 GOOD = """
 device:
@@ -166,6 +173,20 @@ class TestParse:
         assert issue.line == bad.splitlines().index(f"  {new}") + 1
         at_minimum = GOOD.replace("  signal_index: 28", f"  signal_index: 28\n  {name}: {least}")
         assert getattr(parse_config(at_minimum).run, name) == least
+
+    @pytest.mark.parametrize(
+        "name, most", [("steps", MAX_SWEEP_STEPS), ("fit_grid_points", MAX_FIT_GRID_POINTS)]
+    )
+    def test_run_size_above_maximum_rejected_with_line(self, name, most):
+        new = f"{name}: {most + 1}"
+        bad = GOOD.replace("  signal_index: 28", f"  signal_index: 28\n  {new}")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert (issue.field, issue.message) == (f"run.{name}", f"must be at most {most}")
+        assert issue.line == bad.splitlines().index(f"  {new}") + 1
+        at_maximum = GOOD.replace("  signal_index: 28", f"  signal_index: 28\n  {name}: {most}")
+        assert getattr(parse_config(at_maximum).run, name) == most
 
     @pytest.mark.parametrize(
         "lines, field, message",

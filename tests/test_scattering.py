@@ -330,12 +330,15 @@ class TestBlockSolver:
         pieces = _block_pieces(grid, device, scheme)
         system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
         assert all(np.array_equal(a, b) for a, b in zip(pieces.blocks, system.blocks))
-        stacks = pieces.stacks(
-            device.port_coupling, pieces.coupling([t.strength for t in scheme.tones])
-        )
+        strengths = [t.strength for t in scheme.tones]
+        stacks = pieces.stacks(strengths, device.port_coupling)
         for block, stack in zip(system.blocks, stacks):
             rows, cols = block[:, :, np.newaxis], block[:, np.newaxis, :]
             assert np.array_equal(stack, system.matrix[rows, cols])
+        # leading step axes broadcast: each step's stacks are the single ones
+        steps = pieces.stacks([strengths, np.conj(strengths)], device.port_coupling)
+        for single, stepped in zip(stacks, steps):
+            assert np.array_equal(stepped[0], single)
 
     def test_one_singular_block_among_healthy_ones_raises(self, device):
         grid = ModeGrid(RESONANCE, SPACING, 2)
@@ -351,19 +354,23 @@ class TestBlockSolver:
 
 
 def certified(pieces, scheme, gamma, cap):
-    norms = pieces.coupling_norms([abs(t.strength) for t in scheme.tones])
-    return pieces.certifies_cap(norms, gamma, cap)
+    return pieces.certifies([abs(t.strength) for t in scheme.tones], gamma, cap)
+
+
+def strengths_scaled(case, scale):
+    """A drawn case with every tone amplitude scaled by ``scale``."""
+    grid, scheme = case
+    return grid, PumpScheme(
+        tuple(PumpTone(t.offset, scale * t.amplitude, t.phase) for t in scheme.tones)
+    )
 
 
 class TestThresholdCertificate:
     @settings(max_examples=150, deadline=None)
     @given(small_schemes(), st.floats(0.1, 15.0), st.floats(1.0, 12.0), st.floats(0.3, 3.0))
     def test_certified_blocks_are_within_cap_and_stable(self, case, scale, log_cap, coupling):
-        grid, scheme = case
         # tone ratios from 0.001 to 1.5: well below, at and past the threshold
-        scheme = PumpScheme(
-            tuple(PumpTone(t.offset, scale * t.amplitude, t.phase) for t in scheme.tones)
-        )
+        grid, scheme = strengths_scaled(case, scale)
         device = DeviceParams(RESONANCE, coupling * COUPLING)
         gamma, cap = device.port_coupling, 10.0**log_cap
         pieces = _block_pieces(grid, device, scheme)
@@ -371,7 +378,7 @@ class TestThresholdCertificate:
         event(f"certified: {clear}")
         if not clear:
             return
-        stacks = pieces.stacks(gamma, pieces.coupling([t.strength for t in scheme.tones]))
+        stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
         blocks = [block for stack in stacks for block in stack]
         norm = max(np.linalg.norm(block, 1) for block in blocks)
         inverse_norm = max(np.linalg.norm(np.linalg.inv(block), 1) for block in blocks)
@@ -386,10 +393,34 @@ class TestThresholdCertificate:
         scheme = balanced_scheme(device, offsets, ratio, [1.0, 2.0, 3.0][: len(offsets)])
         pieces = _block_pieces(grid, device, scheme)
         gamma = device.port_coupling
-        stacks = pieces.stacks(gamma, pieces.coupling([t.strength for t in scheme.tones]))
+        stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
         condition = _invert_blocks(stacks, np.inf)[1]
         assert certified(pieces, scheme, gamma, 1e12)
         assert not certified(pieces, scheme, gamma, 0.999 * condition)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_schemes(), st.floats(0.1, 15.0), st.floats(1.0, 12.0), st.floats(0.3, 3.0))
+    def test_invert_is_the_exact_gate_on_the_assembled_blocks(
+        self, case, scale, log_cap, coupling
+    ):
+        grid, scheme = strengths_scaled(case, scale)
+        device = DeviceParams(RESONANCE, coupling * COUPLING)
+        gamma, cap = device.port_coupling, 10.0**log_cap
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        assembled = [system.matrix[b[:, :, np.newaxis], b[:, np.newaxis, :]] for b in system.blocks]
+        pieces = _block_pieces(grid, device, scheme)
+        strengths = [t.strength for t in scheme.tones]
+        try:
+            expected, _ = _invert_blocks(assembled, cap)
+        except AboveThresholdError:
+            event("above threshold")
+            with pytest.raises(AboveThresholdError):
+                pieces.invert(strengths, gamma, cap)
+            return
+        event(f"certified: {certified(pieces, scheme, gamma, cap)}")
+        inverses = pieces.invert(strengths, gamma, cap)
+        assert len(inverses) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(inverses, expected))
 
     @pytest.mark.parametrize("ratio, expected", [(0.49, True), (0.5, False), (0.51, False)])
     def test_single_pair_bound_is_its_exact_threshold(self, device, ratio, expected):
