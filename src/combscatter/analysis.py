@@ -375,6 +375,22 @@ class PhaseSearchResult:
     skipped_above_threshold: int
 
 
+def _subgroup_order(generators, rank: int, modulus: int) -> int:
+    """Number of elements of the subgroup of Z_modulus^rank the generators span.
+
+    A breadth-first closure from zero: each round adds every generator to the
+    elements found in the round before, so each element is reached once.
+    """
+    zero = (0,) * rank
+    elements, frontier = {zero}, {zero}
+    while frontier:
+        frontier = {
+            tuple((a + b) % modulus for a, b in zip(key, g)) for key in frontier for g in generators
+        } - elements
+        elements |= frontier
+    return len(elements)
+
+
 def search_phases(
     scheme: PumpScheme,
     target_adjacency,
@@ -404,7 +420,11 @@ def search_phases(
 
     Combinations are enumerated lexicographically and ties break toward the
     lexicographically smallest phase vector, which is the member of its
-    class that is simulated, so the search is deterministic.  Classes that
+    class that is simulated, so the search is deterministic.  A class is
+    keyed by its combinations modulo ``phase_grid_points``; the keys form
+    the subgroup generated by the swept tones' key columns, so the walk
+    stops as soon as it has seen as many classes as that subgroup has
+    elements, since every later combination repeats a class.  Classes that
     cross the oscillation threshold are skipped.  The least-bad phases are
     returned even when the target is unreachable.
     """
@@ -431,6 +451,8 @@ def search_phases(
     s_off = pump_off_scattering(grid, params)
     grid_phases = [TWO_PI * k / phase_grid_points for k in range(phase_grid_points)]
     basis = gauge_invariant_basis(scheme.offsets)
+    columns = [tuple(vector[t] % phase_grid_points for vector in basis) for t in swept_tones]
+    class_count = _subgroup_order(columns, len(basis), phase_grid_points)
 
     best = None  # (objective, phases, graph)
     seen = set()
@@ -438,6 +460,8 @@ def search_phases(
     combo = [0] * len(swept_tones)
     total = phase_grid_points ** len(swept_tones)
     for flat in range(total):
+        if len(seen) == class_count:
+            break
         rest = flat
         for pos in range(len(swept_tones) - 1, -1, -1):
             combo[pos] = rest % phase_grid_points

@@ -58,7 +58,15 @@ class QuadratureScattering:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric positive-semidefinite quadrature covariance matrix."""
+    """Symmetric positive-semidefinite quadrature covariance matrix.
+
+    Every construction checks finiteness, symmetry to ``1e-12`` and
+    positive semidefiniteness to ``tol = 1e-10``, both relative to
+    ``max(1, max|v|)``.  The PSD check first tries a Cholesky factorization
+    of ``v + (tol/2) I``: if it succeeds, ``v`` is PSD to within ``tol/2``
+    (up to the factorization's rounding) and is accepted.  Only when it fails does ``eigvalsh`` run and decide,
+    rejecting ``v`` when its smallest eigenvalue is below ``-tol``.
+    """
 
     matrix: np.ndarray
     vacuum_scale: float = VACUUM_SCALE
@@ -67,18 +75,34 @@ class CovarianceMatrix:
         v = np.asarray(self.matrix, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvalidArgumentError("covariance matrix must be square")
+        if not np.isfinite(v).all():
+            raise InvalidArgumentError("covariance has non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(v)))) if v.size else 1.0
         sym_defect = float(np.max(np.abs(v - v.T))) if v.size else 0.0
-        if sym_defect > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
+        if sym_defect > 1e-12 * scale:
             raise InvalidArgumentError(f"covariance not symmetric (defect {sym_defect:.2e})")
-        min_eig = float(np.min(np.linalg.eigvalsh(v))) if v.size else 0.0
-        if min_eig < -1e-10 * max(1.0, float(np.max(np.abs(v)))):
-            raise InvalidArgumentError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
+        tol = 1e-10 * scale
+        if v.size and not _cholesky_certifies(v, 0.5 * tol):
+            min_eig = float(np.min(np.linalg.eigvalsh(v)))
+            if min_eig < -tol:
+                raise InvalidArgumentError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
         v.flags.writeable = False
         object.__setattr__(self, "matrix", v)
 
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
+
+
+def _cholesky_certifies(v: np.ndarray, shift: float) -> bool:
+    """True when ``v + shift * I`` has a Cholesky factor, so ``v >= -shift``."""
+    shifted = v.copy()
+    shifted.flat[:: v.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def quadrature_transform(n_modes: int) -> np.ndarray:
@@ -157,14 +181,26 @@ def propagate_covariance(
 ) -> CovarianceMatrix:
     """Propagate a covariance through the scattering: ``Sx V Sx^T``.
 
-    Symmetry is enforced by averaging with the transpose after the product,
-    guarding against accumulation of rounding asymmetry.
+    A scalar-identity input ``c I`` (every vacuum input) propagates as
+    ``c (Sx Sx^T)``: one symmetric rank-k product, exactly symmetric as
+    computed.  Any other input takes the two products, and symmetry is
+    enforced by averaging with the transpose, guarding against accumulation
+    of rounding asymmetry.  The congruence preserves positive
+    semidefiniteness, and the result is checked again on construction.
     """
-    if v_in.matrix.shape != sx.matrix.shape:
+    # to_quadrature's real part is a strided view, which numpy's BLAS path
+    # (and its syrk detection) does not take
+    m, v = np.ascontiguousarray(sx.matrix), v_in.matrix
+    if v.shape != m.shape:
         raise InvalidArgumentError("covariance and scattering dimensions differ")
-    v = sx.matrix @ v_in.matrix @ sx.matrix.T
-    v = 0.5 * (v + v.T)
-    return CovarianceMatrix(v, v_in.vacuum_scale)
+    diagonal = v.diagonal()
+    if np.count_nonzero(v) == np.count_nonzero(diagonal) and np.all(diagonal == diagonal[:1]):
+        # numpy runs a @ a.T as one syrk call
+        v_out = diagonal[0] * (m @ m.T)
+    else:
+        v_out = m @ v @ m.T
+        v_out = 0.5 * (v_out + v_out.T)
+    return CovarianceMatrix(v_out, v_in.vacuum_scale)
 
 
 def sample_covariance(
@@ -175,11 +211,13 @@ def sample_covariance(
 ) -> CovarianceMatrix:
     """Estimate the output covariance by Monte Carlo vacuum sampling.
 
-    Draws ``sample_count`` i.i.d. quadrature vectors of independent
+    Draws ``sample_count`` i.i.d. quadrature vectors ``z`` of independent
     zero-mean Gaussians with standard deviation ``sqrt(vacuum_scale)``,
-    maps each through the quadrature scattering matrix, and returns the
-    empirical (mean-subtracted, unbiased) covariance.  Bit-identical for a
-    fixed seed.
+    in chunks, and returns the empirical (mean-subtracted, unbiased)
+    covariance of the outputs ``Sx z``.  The chunks accumulate only the raw
+    sums ``sum(z)`` and ``z^T z``; ``Sx`` is applied once at the end,
+    ``V = Sx C_z Sx^T``, which equals the covariance of the mapped samples
+    up to rounding.  Bit-identical for a fixed seed.
     """
     if sample_count < MIN_SAMPLES:
         raise InvalidArgumentError(f"sample_count must be at least {MIN_SAMPLES}")
@@ -193,21 +231,27 @@ def sample_covariance(
     drawn = 0
     while drawn < sample_count:
         count = min(_SAMPLE_CHUNK, sample_count - drawn)
-        out = rng.normal(0.0, std, size=(count, dim)) @ sx.matrix.T
-        total += out.sum(axis=0)
-        products += out.T @ out
+        z = rng.normal(0.0, std, size=(count, dim))
+        total += z.sum(axis=0)
+        products += z.T @ z
         drawn += count
     mean = total / sample_count
-    v = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
+    c_z = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
+    m = np.ascontiguousarray(sx.matrix)
+    v = m @ c_z @ m.T
     v = 0.5 * (v + v.T)
     return CovarianceMatrix(v, vacuum_scale)
 
 
 def block_magnitudes(matrix: np.ndarray) -> np.ndarray:
-    """Mode-level reduction: max absolute entry of each per-mode 2x2 block."""
-    m = np.asarray(matrix)
-    n = m.shape[0] // 2
-    return np.abs(m).reshape(n, 2, n, 2).max(axis=(1, 3))
+    """Mode-level reduction: max absolute entry of each per-mode 2x2 block.
+
+    The maximum of the four strided views, one per block position.
+    """
+    m = np.abs(np.asarray(matrix))
+    return np.maximum(
+        np.maximum(m[0::2, 0::2], m[0::2, 1::2]), np.maximum(m[1::2, 0::2], m[1::2, 1::2])
+    )
 
 
 def connectivity_pattern(matrix: np.ndarray, relative_threshold: float = 1e-2) -> np.ndarray:

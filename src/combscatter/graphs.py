@@ -101,12 +101,17 @@ def mode_level_db(db_matrix: np.ndarray, grid: ModeGrid) -> np.ndarray:
     cross entries (amplitude to conjugate), which carry degenerate
     squeezing; the reflection entries would otherwise put a trivial
     self-loop on every mode.
+
+    The block maximum is taken over the four strided views, one per block
+    position, instead of a reduction over a reshaped array.
     """
     m = np.asarray(db_matrix, dtype=float)
     n = grid.n_modes
     if m.shape != (2 * n, 2 * n):
         raise InvalidArgumentError(f"dB matrix must be {2 * n}x{2 * n} for this grid")
-    reduced = m.reshape(n, 2, n, 2).max(axis=(1, 3))
+    reduced = np.maximum(
+        np.maximum(m[0::2, 0::2], m[0::2, 1::2]), np.maximum(m[1::2, 0::2], m[1::2, 1::2])
+    )
     cross = np.maximum(m[::2, 1::2].diagonal(), m[1::2, ::2].diagonal())
     np.fill_diagonal(reduced, cross)
     return reduced

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from combscatter import DeviceParams, ModeGrid, PumpScheme, PumpTone, scale_for_ratio
 
@@ -87,3 +88,26 @@ def small_schemes(draw):
     )
     detuning = draw(st.floats(-0.5, 0.5)) * COUPLING
     return ModeGrid(RESONANCE + detuning, SPACING, half_span), PumpScheme(tones)
+
+
+# Entries that make a max reduction order-sensitive: NaN, both infinities
+# and both zeros.
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def special_float_matrices(draw):
+    """A 2n x 2n float matrix on n = 1-9 modes (odd, as a ModeGrid has),
+    mixing arbitrary floats with NaN, +-inf and +-0.0."""
+    n = 2 * draw(st.integers(0, 4)) + 1
+    elements = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True))
+    return draw(arrays(float, (2 * n, 2 * n), elements=elements))
+
+
+def same_bits_but_nan(a, b):
+    """True when two float arrays agree bit for bit, signed zeros included,
+    except that any two NaNs match: numpy's max reductions do not define
+    which NaN payload or sign they return."""
+    a, b = np.asarray(a), np.asarray(b)
+    canonical = [np.where(np.isnan(x), math.nan, x).tobytes() for x in (a, b)]
+    return a.shape == b.shape and canonical[0] == canonical[1]

@@ -448,6 +448,26 @@ class TestSearchPhases:
         expected = exhaustive_search(*args, (0, 1, 2))
         assert (result.objective, result.best_phases, result.graph, result.report) == expected
 
+    @pytest.mark.parametrize("points", [4, 5, 6])
+    def test_walk_stops_after_the_last_class(self, device, points):
+        # (-3, 0) is unreachable, so every curvature class is simulated; the
+        # first P combinations already cover all P of them
+        grid = ModeGrid(RESONANCE, SPACING, 3)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        args = (scheme, [(-3, 0)], points, -20.0, grid, device)
+        result = search_phases(*args)
+        assert result.evaluated == points
+        expected = exhaustive_search(*args, (0, 1, 2))
+        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+
+    def test_fine_three_tone_grid_simulates_only_its_classes(self, device):
+        # 128 ** 3 combinations and 128 classes: the walk ends after the first 128
+        grid = ModeGrid(RESONANCE, SPACING, 3)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        result = search_phases(scheme, [(-3, 0)], 128, -20.0, grid, device)
+        assert (result.evaluated, result.skipped_above_threshold) == (128, 0)
+        assert result.objective > 0
+
     def test_centre_tone_alone_repeats_every_half_turn(self, device):
         # shifting every tone by pi and the outer ones back by -+4 * pi/4
         # moves the centre tone alone by pi: phi_0 and phi_0 + pi are one class

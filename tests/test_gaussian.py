@@ -25,9 +25,16 @@ from combscatter import (
     to_quadrature,
     vacuum_covariance,
 )
-from combscatter.gaussian import connectivity_pattern, quadrature_transform
+from combscatter.gaussian import block_magnitudes, connectivity_pattern, quadrature_transform
 from combscatter.scattering import Normalization, ScatteringMatrix
-from conftest import RESONANCE, TWO_PI, analytic_two_mode_block, balanced_scheme
+from conftest import (
+    RESONANCE,
+    TWO_PI,
+    analytic_two_mode_block,
+    balanced_scheme,
+    same_bits_but_nan,
+    special_float_matrices,
+)
 from test_scattering import random_scheme
 
 
@@ -194,6 +201,30 @@ class TestPropagate:
         v = propagate_covariance(sx, vacuum_covariance(grid)).matrix
         assert np.array_equal(v, v.T)
 
+    def test_scalar_identity_input_matches_two_products(self, grid, device):
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            sx = to_quadrature(simulate_scattering(grid, device, random_scheme(rng)))
+            for scale in (0.5, 1.7):
+                v_in = CovarianceMatrix(scale * np.eye(2 * grid.n_modes), scale)
+                v = propagate_covariance(sx, v_in).matrix
+                assert np.array_equal(v, v.T)
+                general = sx.matrix @ v_in.matrix @ sx.matrix.T
+                general = 0.5 * (general + general.T)
+                assert np.max(np.abs(v - general)) <= 1e-14 * np.max(np.abs(general))
+
+    def test_other_inputs_take_two_products(self, grid, device):
+        sx = to_quadrature(
+            simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+        )
+        rng = np.random.default_rng(29)
+        mix = rng.normal(size=(2 * grid.n_modes, 2 * grid.n_modes))
+        for v_in in (np.diag(np.linspace(0.5, 1.5, 2 * grid.n_modes)), mix @ mix.T):
+            v = propagate_covariance(sx, CovarianceMatrix(v_in)).matrix
+            expected = sx.matrix @ v_in @ sx.matrix.T
+            assert np.array_equal(v, v.T)
+            assert np.max(np.abs(v - expected)) <= 1e-14 * np.max(np.abs(expected))
+
 
 class TestCovarianceMatrix:
     def test_rejects_asymmetric(self):
@@ -204,6 +235,35 @@ class TestCovarianceMatrix:
     def test_rejects_negative_definite(self):
         with pytest.raises(InvalidArgumentError):
             CovarianceMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full((4, 4), np.nan), np.diag([1.0, 1.0, np.inf, 1.0]), np.diag([-np.inf, 1.0])],
+    )
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            CovarianceMatrix(bad)
+
+    @pytest.mark.parametrize("multiple", [0.0, -0.4, -0.99, -1.01, -2.0])
+    def test_psd_decision_and_message_as_eigvalsh(self, multiple, monkeypatch):
+        # lambda_min(v) = multiple * tol, with tol = 1e-10 * max(1, max|v|)
+        q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(12, 12)))
+        base = q @ np.diag(np.arange(12.0)) @ q.T
+        base = 0.5 * (base + base.T)
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(base))))
+        v = base + multiple * tol * np.eye(12)
+        min_eig = float(np.min(np.linalg.eigvalsh(v)))
+        assert abs(min_eig - multiple * tol) < 1e-3 * tol
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        if min_eig < -tol:
+            with pytest.raises(InvalidArgumentError) as info:
+                CovarianceMatrix(v)
+            assert str(info.value) == f"covariance not PSD (min eigenvalue {min_eig:.2e})"
+        else:
+            assert np.array_equal(CovarianceMatrix(v).matrix, v)
+        # the Cholesky factor of v + tol/2 I settles it alone when it exists
+        assert bool(calls) == (multiple < -0.5)
 
     def test_vacuum_default_scale(self, grid):
         v = vacuum_covariance(grid)
@@ -254,6 +314,17 @@ class TestSampleCovariance:
         pooled = np.max(np.abs(acc / 8 - exact))
         assert pooled < single
 
+    def test_raw_draw_sums_match_mapped_samples(self, grid, device):
+        # the same stream, mapped sample by sample: two chunks, the last partial
+        sx = to_quadrature(
+            simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+        )
+        count = 20_000
+        v = sample_covariance(sx, count, seed=3).matrix
+        z = np.random.default_rng(3).normal(0.0, np.sqrt(0.5), size=(count, 2 * grid.n_modes))
+        expected = np.cov(z @ sx.matrix.T, rowvar=False)
+        assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_too_few_samples_rejected(self, grid):
         sx = QuadratureScattering(np.eye(2 * grid.n_modes), grid, 0.0)
         with pytest.raises(InvalidArgumentError):
@@ -284,6 +355,13 @@ class TestConnectivityMirror:
             assert np.array_equal(
                 connectivity_pattern(s.matrix), connectivity_pattern(v.matrix)
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(special_float_matrices())
+    def test_block_magnitudes_equal_reshape_reduction(self, m):
+        n = m.shape[0] // 2
+        expected = np.abs(m).reshape(n, 2, n, 2).max(axis=(1, 3))
+        assert same_bits_but_nan(block_magnitudes(m), expected)
 
     def test_quadrature_transform_is_unitary(self):
         u = quadrature_transform(5)

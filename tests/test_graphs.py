@@ -25,7 +25,13 @@ from combscatter import (
     topology_report,
 )
 from combscatter.datafiles import topology_report_dict
-from conftest import RESONANCE, SPACING, balanced_scheme
+from conftest import (
+    RESONANCE,
+    SPACING,
+    balanced_scheme,
+    same_bits_but_nan,
+    special_float_matrices,
+)
 
 
 def make_graph(nodes, pairs, loops=(), threshold=-20.0):
@@ -113,6 +119,15 @@ class TestModeLevelReduction:
     def test_dimension_checked(self, grid):
         with pytest.raises(Exception):
             mode_level_db(np.zeros((4, 4)), grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(special_float_matrices())
+    def test_equals_reshape_reduction_bit_for_bit(self, m):
+        n = m.shape[0] // 2
+        grid = ModeGrid(RESONANCE, SPACING, (n - 1) // 2)
+        expected = m.reshape(n, 2, n, 2).max(axis=(1, 3))
+        np.fill_diagonal(expected, np.maximum(m[::2, 1::2].diagonal(), m[1::2, ::2].diagonal()))
+        assert same_bits_but_nan(mode_level_db(m, grid), expected)
 
 
 class TestExtractGraph:
