@@ -7,8 +7,8 @@ reproduces pump-phase interference, and fits model parameters to measured
 scattering data.
 
 Importing the package loads no submodule: each exported name imports its
-module on first use (PEP 562), so numpy, networkx and PyYAML load only
-when a name that needs them is used.
+module on first use (PEP 562), so numpy and PyYAML load only when a name
+that needs them is used.
 """
 
 import importlib

@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AboveThresholdError, FitInfeasibleError, InvalidArgumentError
+from .graphs import CorrelationGraph, TopologyReport, extract_graph, topology_report
 from .model import (
     MAX_FIT_GRID_POINTS,
     MAX_SWEEP_STEPS,
@@ -33,6 +33,7 @@ from .scattering import (
     ScatteringMatrix,
     _block_index,
     _block_pieces,
+    _frozen,
     _gain,
     _pump_off_diagonal,
     magnitude_db,
@@ -40,9 +41,6 @@ from .scattering import (
     pump_off_scattering,
     simulate_scattering,
 )
-
-if TYPE_CHECKING:
-    from .graphs import CorrelationGraph, TopologyReport
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,9 +67,7 @@ class SweepTrack:
     magnitudes_db: np.ndarray
 
     def __post_init__(self):
-        mags = np.asarray(self.magnitudes_db, dtype=float)
-        mags.flags.writeable = False
-        object.__setattr__(self, "magnitudes_db", mags)
+        object.__setattr__(self, "magnitudes_db", _frozen(self.magnitudes_db, float))
 
     @property
     def label(self) -> str:
@@ -90,9 +86,7 @@ class PhaseSweepResult:
     tracks: tuple[SweepTrack, ...]
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        phases.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", _frozen(self.phases, float))
 
     def track(self, order: int, mode_index: int) -> SweepTrack:
         for t in self.tracks:
@@ -228,9 +222,7 @@ class FitResult:
 
     def __post_init__(self):
         for name in ("surface", "g_values", "gamma_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), float))
 
 
 def fit_parameters(
@@ -428,9 +420,6 @@ def search_phases(
     cross the oscillation threshold are skipped.  The least-bad phases are
     returned even when the target is unreachable.
     """
-    # graphs loads networkx, which only this function of the module needs
-    from .graphs import extract_graph, topology_report
-
     if phase_grid_points < MIN_GRID_POINTS:
         raise InvalidArgumentError(f"phase_grid_points must be at least {MIN_GRID_POINTS}")
     if swept_tones is None:

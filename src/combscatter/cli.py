@@ -7,7 +7,7 @@ failure, 3 above the oscillation threshold, 4 I/O or data-format failure.
 Failures emit one machine-readable JSON line on stderr, which carries the
 warnings the run raised before it failed.  Each subcommand imports the
 modules it uses when it runs, so ``--help`` and a rejected command line
-load none of numpy, networkx or PyYAML.
+load neither numpy nor PyYAML.
 """
 
 from __future__ import annotations

@@ -105,7 +105,8 @@ def load_scattering(path) -> ScatteringMatrix:
         (stored,) = _CHECKSUM.unpack_from(blob, expected - trailer)
         if stored != zlib.crc32(memoryview(blob)[: expected - trailer]):
             raise DataFormatError("checksum mismatch: the file is corrupted")
-    return ScatteringMatrix(matrix=matrix.copy(), grid=grid, normalization=normalization)
+    # the type copies the file buffer's read-only view into an array of its own
+    return ScatteringMatrix(matrix=matrix, grid=grid, normalization=normalization)
 
 
 def _complex_repr(z: complex) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BasisInconsistencyError, InvalidArgumentError
 from .model import MIN_SAMPLES, ModeGrid
-from .scattering import ScatteringMatrix
+from .scattering import ScatteringMatrix, _frozen, _sealed
 
 # Variance of each vacuum quadrature in natural units: the quantum of
 # fluctuation is absorbed here, so sampled processes have std 1/sqrt(2).
@@ -51,9 +51,7 @@ class QuadratureScattering:
     imag_residual: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(self.matrix, float))
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class CovarianceMatrix:
     vacuum_scale: float = VACUUM_SCALE
 
     def __post_init__(self):
-        v = np.asarray(self.matrix, dtype=float)
+        v = _frozen(self.matrix, float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvalidArgumentError("covariance matrix must be square")
         if not np.isfinite(v).all():
@@ -86,7 +84,6 @@ class CovarianceMatrix:
             min_eig = float(np.min(np.linalg.eigvalsh(v)))
             if min_eig < -tol:
                 raise InvalidArgumentError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
-        v.flags.writeable = False
         object.__setattr__(self, "matrix", v)
 
     @property
@@ -173,7 +170,7 @@ def symplectic_defect(sx: QuadratureScattering) -> float:
 
 def vacuum_covariance(grid: ModeGrid, vacuum_scale: float = VACUUM_SCALE) -> CovarianceMatrix:
     """Uncorrelated vacuum input: ``vacuum_scale`` times the identity."""
-    return CovarianceMatrix(vacuum_scale * np.eye(2 * grid.n_modes), vacuum_scale)
+    return CovarianceMatrix(_sealed(vacuum_scale * np.eye(2 * grid.n_modes)), vacuum_scale)
 
 
 def propagate_covariance(
@@ -188,9 +185,7 @@ def propagate_covariance(
     of rounding asymmetry.  The congruence preserves positive
     semidefiniteness, and the result is checked again on construction.
     """
-    # to_quadrature's real part is a strided view, which numpy's BLAS path
-    # (and its syrk detection) does not take
-    m, v = np.ascontiguousarray(sx.matrix), v_in.matrix
+    m, v = sx.matrix, v_in.matrix
     if v.shape != m.shape:
         raise InvalidArgumentError("covariance and scattering dimensions differ")
     diagonal = v.diagonal()
@@ -200,7 +195,7 @@ def propagate_covariance(
     else:
         v_out = m @ v @ m.T
         v_out = 0.5 * (v_out + v_out.T)
-    return CovarianceMatrix(v_out, v_in.vacuum_scale)
+    return CovarianceMatrix(_sealed(v_out), v_in.vacuum_scale)
 
 
 def sample_covariance(
@@ -237,10 +232,9 @@ def sample_covariance(
         drawn += count
     mean = total / sample_count
     c_z = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
-    m = np.ascontiguousarray(sx.matrix)
-    v = m @ c_z @ m.T
+    v = sx.matrix @ c_z @ sx.matrix.T
     v = 0.5 * (v + v.T)
-    return CovarianceMatrix(v, vacuum_scale)
+    return CovarianceMatrix(_sealed(v), vacuum_scale)
 
 
 def block_magnitudes(matrix: np.ndarray) -> np.ndarray:

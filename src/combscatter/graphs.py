@@ -18,18 +18,18 @@ The pass works on plain adjacency: one insertion-ordered neighbor dict per
 node, built once per report, gives the components by breadth-first search.
 A component's peel variants are enumerated once, as sets of removed nodes,
 and both matchers share them.  Each variant's size, edge count and degrees
-come from the adjacency and the removed set, and a networkx graph is built
-only for a variant that meets a matcher's necessary conditions; networkx
-itself serves only the two matchers (VF2 isomorphism and maximal cliques).
+come from the adjacency and the removed set.  A variant that meets a
+matcher's necessary conditions is then walked rung by rung from its
+smallest end: along the two rails for a square ladder, and from K4 cell to
+K4 cell for a ladder with diagonals.  A walk that visits every node has
+found the template's whole edge count, so it proves the match.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations
 
-import networkx as nx
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -228,72 +228,66 @@ def _clique_chain_admits(adj, nodes, removed, size: int, edges: int) -> bool:
     return size >= 4 and size % 2 == 0 and 2 * edges == 5 * size - 8
 
 
-def _materialize(adj, nodes, removed) -> nx.Graph:
-    """One variant as a networkx graph.
+def _walk_rungs(adj, nodes, removed, end_degree: int):
+    """The rungs met walking a variant from its smallest end, or None.
 
-    Nodes go in component order and edges in adjacency order, as copying
-    the component's graph and deleting the removed nodes would give them;
-    VF2 follows the node order, so the rungs it picks stay the same.
+    The first rung is the smallest node of degree ``end_degree`` and its
+    largest neighbor of that degree.  Each next rung is the current rung's
+    unvisited neighbors, ``end_degree - 1`` of them for each rung node and
+    two in all: one rail neighbor per rung node on a square ladder (ends of
+    degree 2), the same two nodes for both on a chain of K4s (ends of
+    degree 3).  The walk fails unless it visits every node.
+
+    Every edge then joins two nodes of one rung or a rung node to a node it
+    stepped to, so r rungs hold at most r rung edges and the steps: 3r - 2
+    edges for a ladder, 5r - 4 for a chain of K4s.  The matchers admit only
+    variants with exactly that edge count, so a walk that visits every node
+    has also found every rung's edge, and the variant is the template.
     """
-    kept = [v for v in nodes if v not in removed]
-    g = nx.Graph()
-    g.add_nodes_from(kept)
-    g.add_edges_from((v, u) for v in kept for u in adj[v] if u not in removed)
-    return g
-
-
-def _match_ladder(g: nx.Graph):
-    """Return the rung pairs if ``g`` is exactly a square ladder, else None.
-
-    ``g`` must pass ``_ladder_admits``: an even size of at least 4, the
-    ladder's edge count and its degree multiset.
-    """
-    k = g.number_of_nodes() // 2
-    template = nx.ladder_graph(k)
-    matcher = nx.isomorphism.GraphMatcher(template, g)
-    if not matcher.is_isomorphic():
+    live = {v: [u for u in adj[v] if u not in removed] for v in nodes if v not in removed}
+    ends = sorted(v for v in live if len(live[v]) == end_degree)
+    partners = [u for u in live[ends[0]] if len(live[u]) == end_degree] if ends else ()
+    if not partners:
         return None
-    mapping = matcher.mapping
-    return tuple(sorted(tuple(sorted((mapping[r], mapping[r + k]))) for r in range(k)))
+    rung, visited, rungs = (ends[0], max(partners)), set(), []
+    while True:
+        visited.update(rung)
+        rungs.append(tuple(sorted(rung)))
+        steps = [[u for u in live[v] if u not in visited] for v in rung]
+        if steps == [[], []]:
+            return rungs if len(visited) == len(live) else None
+        rung = tuple({*steps[0], *steps[1]})
+        if len(rung) != 2 or any(len(s) != end_degree - 1 for s in steps):
+            return None
 
 
-def _match_clique_chain(g: nx.Graph):
-    """Return shared rung pairs if ``g`` is a chain of K4s glued on rungs.
+def _match_ladder(adj, nodes, removed):
+    """Return the rung pairs if the variant is exactly a square ladder, else None.
+
+    The variant must pass ``_ladder_admits``: k = size / 2 rungs, 3k - 2
+    edges and four degree-2 corners.  For k >= 3 the rung set is unique,
+    since every automorphism of the ladder maps rungs to rungs, and a
+    corner's rung partner is its one degree-2 neighbor.  The 4-cycle (k = 2)
+    has two rung sets; there the smallest node's rung partner is its larger
+    neighbor.
+    """
+    rungs = _walk_rungs(adj, nodes, removed, 2)
+    return None if rungs is None else tuple(sorted(rungs))
+
+
+def _match_clique_chain(adj, nodes, removed):
+    """Return shared rung pairs if the variant is a chain of K4s glued on rungs.
 
     This is a square ladder with both diagonals in every cell: each cell's
     four nodes form a clique and consecutive cliques share exactly one rung
-    edge.  ``g`` must pass ``_clique_chain_admits``: an even size of at
-    least 4 and the edge count of a chain of that many nodes.
+    edge.  The variant must pass ``_clique_chain_admits``: 2(k + 1) nodes
+    and 5k + 1 edges.  The walk starts at an end rung, two adjacent
+    degree-3 nodes, and each two consecutive rungs of a walk that visits
+    every node span a K4.  The shared rungs are the inner ones, so a single
+    K4 has none.
     """
-    size = g.number_of_nodes()
-    cliques = [frozenset(c) for c in nx.find_cliques(g)]
-    if any(len(c) != 4 for c in cliques):
-        return None
-    cells = len(cliques)
-    # with 2(cells + 1) nodes the admitted edge count is 5 * cells + 1
-    if size != 2 * (cells + 1):
-        return None
-    adjacency = {c: [] for c in cliques}
-    shared_pairs = []
-    for c1, c2 in combinations(cliques, 2):
-        shared = c1 & c2
-        if len(shared) > 2:
-            return None
-        if len(shared) == 2:
-            pair = tuple(sorted(shared))
-            if not g.has_edge(*pair):
-                return None
-            adjacency[c1].append(c2)
-            adjacency[c2].append(c1)
-            shared_pairs.append(pair)
-    if cells > 1:
-        deg = sorted(len(v) for v in adjacency.values())
-        if deg != sorted([1, 1] + [2] * (cells - 2)):
-            return None
-        chain = nx.Graph((id(a), id(b)) for a, v in adjacency.items() for b in v)
-        if not nx.is_connected(chain):
-            return None
-    return tuple(sorted(shared_pairs))
+    rungs = _walk_rungs(adj, nodes, removed, 3)
+    return None if rungs is None else tuple(sorted(rungs[1:-1]))
 
 
 def _classify(adj, nodes):
@@ -303,8 +297,8 @@ def _classify(adj, nodes):
     variants are enumerated once, as removed-node sets, and each carries its
     size and edge count.  Ladder matches take priority over clique chains;
     within each, the least-peeled variant that matches gives both the label
-    and the rungs.  A networkx graph is built only for a variant that passes
-    the matcher's size, edge and degree conditions.
+    and the rungs.  A variant is walked only if it passes the matcher's
+    size, edge and degree conditions.
     """
     size = len(nodes)
     edges = sum(len(adj[v]) for v in nodes) // 2
@@ -331,7 +325,7 @@ def _classify(adj, nodes):
     ):
         for removed, variant_size, variant_edges in variants:
             if admits(adj, nodes, removed, variant_size, variant_edges):
-                rungs = match(_materialize(adj, nodes, removed))
+                rungs = match(adj, nodes, removed)
                 if rungs is not None:
                     return label, rungs
     return TopologyLabel.OTHER, ()

@@ -45,6 +45,27 @@ DB_FLOOR = -240.0
 _DB_FLOOR_AMPLITUDE = 10.0 ** (DB_FLOOR / 20.0)
 
 
+def _frozen(value, dtype) -> np.ndarray:
+    """``value`` as a read-only array that no other code can write.
+
+    A read-only array that owns its data, as ``_sealed`` leaves one, is kept
+    as it is.  Any other array the caller holds is copied, so the caller's
+    array stays writeable and its later writes do not reach the copy.
+    """
+    a = np.asarray(value, dtype=dtype)
+    if not a.flags.owndata or (a is value and a.flags.writeable):
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """Make an array the package has just built, and writes no more,
+    read-only, so that ``_frozen`` keeps it without a copy."""
+    a.flags.writeable = False
+    return a
+
+
 class Normalization(enum.Enum):
     RAW = "raw"
     PUMP_OFF_RELATIVE = "pump_off_relative"
@@ -76,12 +97,8 @@ class SystemMatrix:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        blocks = tuple(np.asarray(b, dtype=np.intp) for b in self.blocks)
-        for b in blocks:
-            b.flags.writeable = False
+        object.__setattr__(self, "matrix", _frozen(self.matrix, complex))
+        blocks = tuple(_frozen(b, np.intp) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -95,9 +112,7 @@ class ScatteringMatrix:
     condition_estimate: float = float("nan")
 
     def __post_init__(self):
-        s = np.asarray(self.matrix, dtype=complex)
-        s.flags.writeable = False
-        object.__setattr__(self, "matrix", s)
+        object.__setattr__(self, "matrix", _frozen(self.matrix, complex))
 
     @property
     def n_modes(self) -> int:
@@ -190,7 +205,7 @@ def assemble_system(
     np.add.at(m, (rows, cols), values)
 
     blocks = _block_partition(2 * n, np.concatenate((a_i, a_j)), np.concatenate((a_j, a_i)) + 1)
-    return SystemMatrix(matrix=m, k_coupling=float(np.sqrt(gamma)), grid=grid, blocks=blocks)
+    return SystemMatrix(_sealed(m), float(np.sqrt(gamma)), grid, blocks)
 
 
 def _gain(gamma: float) -> float:
@@ -265,9 +280,7 @@ def scattering_matrix(
     for index, inverse in zip(indices, inverses):
         s[index] = gamma * inverse
     s[np.diag_indices_from(s)] -= 1.0
-    return ScatteringMatrix(
-        matrix=s, grid=system.grid, normalization=Normalization.RAW, condition_estimate=cond
-    )
+    return ScatteringMatrix(_sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
 
 
 @dataclass(frozen=True)
@@ -423,7 +436,7 @@ def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatri
     """Scattering with all pumps off: diagonal all-pass reflection."""
     reflection, cond = _pump_off_diagonal(grid, params)
     return ScatteringMatrix(
-        matrix=np.diag(reflection),
+        matrix=_sealed(np.diag(reflection)),
         grid=grid,
         normalization=Normalization.RAW,
         condition_estimate=cond,

@@ -1,12 +1,12 @@
 """Graph extraction, components, topology classification, DOT export."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import graph_reference
 
@@ -87,6 +87,31 @@ def defect_graphs(draw):
         size += n
     labels = draw(st.lists(st.integers(-60, 60), min_size=size, max_size=size, unique=True))
     return make_graph(labels, [(labels[a], labels[b]) for a, b in pairs])
+
+
+# integer dB values make weights tie with the integer thresholds
+DB_VALUES = st.one_of(st.integers(-45, 10).map(float), st.floats(-60.0, 10.0), st.just(np.nan))
+
+
+@st.composite
+def db_matrices(draw, dim):
+    """A (dim, dim) dB matrix of the values in ``DB_VALUES``, drawn from a seed.
+
+    The seed fills the matrix with floats in [-60, 10], a drawn share of
+    them replaced by integers in [-45, 10] and another by NaN; up to eight
+    entries drawn from ``DB_VALUES`` itself then go at drawn positions.
+    Drawing a few numbers per matrix, not one per entry, keeps each example
+    cheap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    db = rng.uniform(-60.0, 10.0, (dim, dim))
+    ties = rng.random((dim, dim)) < draw(st.floats(0.0, 1.0))
+    db[ties] = rng.integers(-45, 11, int(ties.sum()))
+    db[rng.random((dim, dim)) < draw(st.floats(0.0, 0.3))] = np.nan
+    index = st.integers(0, dim - 1)
+    for i, j, value in draw(st.lists(st.tuples(index, index, DB_VALUES), max_size=8)):
+        db[i, j] = value
+    return db
 
 
 @pytest.fixture(scope="module")
@@ -172,12 +197,7 @@ class TestExtractGraph:
     )
     def test_equals_loop_reference(self, half_span, data, threshold):
         small = ModeGrid(RESONANCE, SPACING, half_span)
-        dim = 2 * small.n_modes
-        # integer dB values make weights tie with the threshold
-        values = st.one_of(
-            st.integers(-45, 10).map(float), st.floats(-60.0, 10.0), st.just(np.nan)
-        )
-        db = data.draw(arrays(float, (dim, dim), elements=values))
+        db = data.draw(db_matrices(2 * small.n_modes))
         graph = extract_graph(db, small, threshold)
         edges, loops = graph_reference.extract_edges(db, small, threshold)
         assert [(e.i, e.j) for e in graph.edges] == [(e.i, e.j) for e in edges]
@@ -282,6 +302,71 @@ class TestClassifyTopology:
         nodes = rail_a + rail_b
         g = make_graph(nodes, pairs)
         assert classify_topology(nodes, g.edges) is TopologyLabel.LADDER_WITH_DIAGONALS
+
+    def test_four_cycle_pairs_smallest_node_with_its_larger_neighbor(self):
+        for cycle in itertools.permutations((-3, 0, 2, 7)):
+            pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            at = cycle.index(-3)
+            partner = max(cycle[at - 1], cycle[(at + 1) % 4])
+            expected = ((-3, partner), tuple(sorted({0, 2, 7} - {partner})))
+            for order in itertools.permutations(pairs):
+                report = topology_report(make_graph(cycle, order))
+                assert report.labels == (TopologyLabel.SQUARE_LADDER,)
+                assert report.ladder_rungs == (expected,)
+
+    def test_ladders_of_three_or_more_rungs_give_their_unique_rungs(self):
+        rng = np.random.default_rng(11)
+        for k in range(3, 13):
+            labels = rng.permutation(np.arange(-50, 50))[: 2 * k].tolist()
+            rail_a, rail_b = labels[:k], labels[k:]
+            pairs = sorted(ladder_pairs(rail_a, rail_b))
+            order = rng.permutation(len(pairs))
+            report = topology_report(make_graph(labels, [pairs[i] for i in order]))
+            assert report.labels == (TopologyLabel.SQUARE_LADDER,)
+            rungs = tuple(sorted((min(a, b), max(a, b)) for a, b in zip(rail_a, rail_b)))
+            assert report.ladder_rungs == (rungs,)
+
+    def test_single_k4_is_a_ladder_with_diagonals_without_shared_rungs(self):
+        nodes = [-5, 1, 4, 9]
+        report = topology_report(make_graph(nodes, itertools.combinations(nodes, 2)))
+        assert report.labels == (TopologyLabel.LADDER_WITH_DIAGONALS,)
+        assert report.ladder_rungs == ((),)
+
+    def test_k4_chain_with_a_chord_is_not_a_ladder_with_diagonals(self):
+        rail_a, rail_b = [0, 1, 2, 3], [4, 5, 6, 7]
+        chain = ladder_pairs(rail_a, rail_b) | set(zip(rail_a, rail_b[1:]))
+        chain |= set(zip(rail_b, rail_a[1:]))
+        nodes = rail_a + rail_b
+        assert classify_topology(nodes, make_graph(nodes, chain).edges) is (
+            TopologyLabel.LADDER_WITH_DIAGONALS
+        )
+        # one chord more, and one chord in place of a diagonal (same edge count)
+        for pairs in (chain | {(0, 7)}, chain - {(0, 5)} | {(0, 7)}):
+            graph = make_graph(nodes, pairs)
+            report = topology_report(graph)
+            assert report.labels == (TopologyLabel.OTHER,)
+            assert report == graph_reference.topology_report(graph)
+
+    def test_walks_that_leave_the_template_are_rejected(self):
+        # a 3-rung ladder's counts and degrees, but node 2 steps to two nodes
+        ladder_like = [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (4, 5)]
+        # a 4-cell K4 chain's counts, but the walk fans out to three nodes twice
+        chain_like = [
+            (0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4), (2, 5), (2, 6), (3, 6),
+            (3, 7), (4, 5), (4, 7), (5, 6), (5, 8), (5, 9), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
+        ]
+        for pairs in (ladder_like, chain_like):
+            graph = make_graph(range(max(map(max, pairs)) + 1), pairs)
+            report = topology_report(graph)
+            assert report.labels == (TopologyLabel.OTHER,)
+            assert report == graph_reference.topology_report(graph)
+
+    def test_ladder_beside_a_k4_is_not_one_ladder(self):
+        # 10 nodes, 13 edges and four degree-2 corners, like a 5-rung ladder
+        rail_a, rail_b, clique = [0, 1, 2], [3, 4, 5], [6, 7, 8, 9]
+        pairs = ladder_pairs(rail_a, rail_b) | set(itertools.combinations(clique, 2))
+        nodes = rail_a + rail_b + clique
+        assert classify_topology(nodes, make_graph(nodes, pairs).edges) is TopologyLabel.OTHER
 
     def test_other_for_dense_junk(self):
         nodes = list(range(7))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import combscatter as cs
 from combscatter import (
     AboveThresholdError,
     Coupling,
@@ -477,3 +478,45 @@ class TestNormalizePumpOff:
             normalize_pump_off(
                 pump_off_scattering(grid, device), pump_off_scattering(other, device)
             )
+
+
+
+# Each public array-holding type, built around a caller's array, and the
+# array it stores.  Each caller's array already has the stored dtype, so no
+# conversion makes the copy.
+CALLER_ARRAYS = {
+    "SystemMatrix.matrix": (lambda a: cs.SystemMatrix(a, 1.0, GRID, ()).matrix, complex),
+    "SystemMatrix.blocks": (
+        lambda a: cs.SystemMatrix(np.eye(2), 1.0, GRID, (a,)).blocks[0], np.intp
+    ),
+    "ScatteringMatrix": (lambda a: ScatteringMatrix(a, GRID).matrix, complex),
+    "QuadratureScattering": (lambda a: cs.QuadratureScattering(a, GRID, 0.0).matrix, float),
+    "CovarianceMatrix": (lambda a: cs.CovarianceMatrix(a).matrix, float),
+    "SweepTrack": (lambda a: cs.SweepTrack(2, (0,), 1, a).magnitudes_db, float),
+    "PhaseSweepResult": (lambda a: cs.PhaseSweepResult(0, 1, a, ()).phases, float),
+    "FitResult": (lambda a: cs.FitResult(1.0, 1.0, 0.0, a, a, a, 1.0).surface, float),
+}
+GRID = ModeGrid(RESONANCE, SPACING, 0)
+
+
+class TestCallerArrays:
+    @pytest.mark.parametrize("name", sorted(CALLER_ARRAYS))
+    def test_caller_array_stays_writeable_and_apart(self, name):
+        build, dtype = CALLER_ARRAYS[name]
+        a = np.eye(2, dtype=dtype)
+        stored = build(a)
+        assert a.flags.writeable
+        a[0, 0] = 2
+        assert stored[0, 0] == 1
+        assert not stored.flags.writeable
+
+    def test_read_only_array_is_kept_and_a_read_only_view_copied(self):
+        owned = np.eye(2, dtype=complex)
+        owned.flags.writeable = False
+        assert ScatteringMatrix(owned, GRID).matrix is owned
+        base = np.eye(2, dtype=complex)
+        view = base[:, :]
+        view.flags.writeable = False
+        stored = ScatteringMatrix(view, GRID).matrix
+        base[0, 0] = 2
+        assert stored[0, 0] == 1
