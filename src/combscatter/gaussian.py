@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BasisInconsistencyError, InvalidArgumentError
 from .model import MIN_SAMPLES, ModeGrid
-from .scattering import ScatteringMatrix, _frozen, _sealed
+from .scattering import ScatteringMatrix, _frozen, _Sealed
 
 # Variance of each vacuum quadrature in natural units: the quantum of
 # fluctuation is absorbed here, so sampled processes have std 1/sqrt(2).
@@ -170,7 +170,7 @@ def symplectic_defect(sx: QuadratureScattering) -> float:
 
 def vacuum_covariance(grid: ModeGrid, vacuum_scale: float = VACUUM_SCALE) -> CovarianceMatrix:
     """Uncorrelated vacuum input: ``vacuum_scale`` times the identity."""
-    return CovarianceMatrix(_sealed(vacuum_scale * np.eye(2 * grid.n_modes)), vacuum_scale)
+    return CovarianceMatrix(_Sealed(vacuum_scale * np.eye(2 * grid.n_modes)), vacuum_scale)
 
 
 def propagate_covariance(
@@ -195,7 +195,7 @@ def propagate_covariance(
     else:
         v_out = m @ v @ m.T
         v_out = 0.5 * (v_out + v_out.T)
-    return CovarianceMatrix(_sealed(v_out), v_in.vacuum_scale)
+    return CovarianceMatrix(_Sealed(v_out), v_in.vacuum_scale)
 
 
 def sample_covariance(
@@ -234,7 +234,7 @@ def sample_covariance(
     c_z = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
     v = sx.matrix @ c_z @ sx.matrix.T
     v = 0.5 * (v + v.T)
-    return CovarianceMatrix(_sealed(v), vacuum_scale)
+    return CovarianceMatrix(_Sealed(v), vacuum_scale)
 
 
 def block_magnitudes(matrix: np.ndarray) -> np.ndarray:

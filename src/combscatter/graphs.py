@@ -19,10 +19,10 @@ node, built once per report, gives the components by breadth-first search.
 A component's peel variants are enumerated once, as sets of removed nodes,
 and both matchers share them.  Each variant's size, edge count and degrees
 come from the adjacency and the removed set.  A variant that meets a
-matcher's necessary conditions is then walked rung by rung from its
-smallest end: along the two rails for a square ladder, and from K4 cell to
-K4 cell for a ladder with diagonals.  A walk that visits every node has
-found the template's whole edge count, so it proves the match.
+matcher's necessary conditions is then walked from its smallest end: rung
+by rung along the two rails for a square ladder, and from K4 cell to K4
+cell for a ladder with diagonals.  A walk that visits every node has found
+the template's whole edge count, so it proves the match.
 """
 
 from __future__ import annotations
@@ -228,66 +228,75 @@ def _clique_chain_admits(adj, nodes, removed, size: int, edges: int) -> bool:
     return size >= 4 and size % 2 == 0 and 2 * edges == 5 * size - 8
 
 
-def _walk_rungs(adj, nodes, removed, end_degree: int):
-    """The rungs met walking a variant from its smallest end, or None.
+def _match_ladder(adj, nodes, removed):
+    """Return the rung pairs if the variant is exactly a square ladder, else None.
 
-    The first rung is the smallest node of degree ``end_degree`` and its
-    largest neighbor of that degree.  Each next rung is the current rung's
-    unvisited neighbors, ``end_degree - 1`` of them for each rung node and
-    two in all: one rail neighbor per rung node on a square ladder (ends of
-    degree 2), the same two nodes for both on a chain of K4s (ends of
-    degree 3).  The walk fails unless it visits every node.
+    The variant must pass ``_ladder_admits``: k = size / 2 rungs, 3k - 2
+    edges and four degree-2 corners.  The walk starts at the smallest corner
+    and its rung partner, and each next rung is the current rung nodes' one
+    unvisited rail neighbor each.  For k >= 3 the rung set is unique, since
+    every automorphism of the ladder maps rungs to rungs, and a corner's
+    partner is its one degree-2 neighbor.  The 4-cycle (k = 2) has two rung
+    sets; there the smallest node's rung partner is its larger neighbor.
 
-    Every edge then joins two nodes of one rung or a rung node to a node it
-    stepped to, so r rungs hold at most r rung edges and the steps: 3r - 2
-    edges for a ladder, 5r - 4 for a chain of K4s.  The matchers admit only
-    variants with exactly that edge count, so a walk that visits every node
-    has also found every rung's edge, and the variant is the template.
+    Every edge then joins the two nodes of a rung or a rung node to its
+    step, so k rungs hold at most k + 2(k - 1) = 3k - 2 edges: a walk that
+    visits every node has found every rung's edge, and the variant is the
+    template.
     """
     live = {v: [u for u in adj[v] if u not in removed] for v in nodes if v not in removed}
-    ends = sorted(v for v in live if len(live[v]) == end_degree)
-    partners = [u for u in live[ends[0]] if len(live[u]) == end_degree] if ends else ()
-    if not partners:
+    corner = min(v for v in live if len(live[v]) == 2)
+    partner = max((u for u in live[corner] if len(live[u]) == 2), default=None)
+    if partner is None:
         return None
-    rung, visited, rungs = (ends[0], max(partners)), set(), []
+    rung, visited, rungs = (corner, partner), set(), []
     while True:
         visited.update(rung)
         rungs.append(tuple(sorted(rung)))
         steps = [[u for u in live[v] if u not in visited] for v in rung]
         if steps == [[], []]:
-            return rungs if len(visited) == len(live) else None
-        rung = tuple({*steps[0], *steps[1]})
-        if len(rung) != 2 or any(len(s) != end_degree - 1 for s in steps):
+            return tuple(sorted(rungs)) if len(visited) == len(live) else None
+        if [len(s) for s in steps] != [1, 1]:
             return None
-
-
-def _match_ladder(adj, nodes, removed):
-    """Return the rung pairs if the variant is exactly a square ladder, else None.
-
-    The variant must pass ``_ladder_admits``: k = size / 2 rungs, 3k - 2
-    edges and four degree-2 corners.  For k >= 3 the rung set is unique,
-    since every automorphism of the ladder maps rungs to rungs, and a
-    corner's rung partner is its one degree-2 neighbor.  The 4-cycle (k = 2)
-    has two rung sets; there the smallest node's rung partner is its larger
-    neighbor.
-    """
-    rungs = _walk_rungs(adj, nodes, removed, 2)
-    return None if rungs is None else tuple(sorted(rungs))
+        rung = (steps[0][0], steps[1][0])
 
 
 def _match_clique_chain(adj, nodes, removed):
     """Return shared rung pairs if the variant is a chain of K4s glued on rungs.
 
-    This is a square ladder with both diagonals in every cell: each cell's
-    four nodes form a clique and consecutive cliques share exactly one rung
-    edge.  The variant must pass ``_clique_chain_admits``: 2(k + 1) nodes
-    and 5k + 1 edges.  The walk starts at an end rung, two adjacent
-    degree-3 nodes, and each two consecutive rungs of a walk that visits
-    every node span a K4.  The shared rungs are the inner ones, so a single
-    K4 has none.
+    Every maximal clique is a K4 cell, and the cells form a path in which
+    consecutive ones share one rung edge.  A square ladder with both
+    diagonals in every cell is such a chain; so is one where a node lies in
+    three or more consecutive cells, as at the hub of a fan of K4s.  The
+    variant must pass ``_clique_chain_admits``: 2(k + 1) nodes and 5k + 1
+    edges.
+
+    The walk starts at the end cell of the smallest node of degree 3 with a
+    neighbor of degree 3: the two nodes that only that cell holds.  The next
+    cell is the current one's rung with the unvisited nodes that have two or
+    more neighbors in the current cell; these must be two adjacent nodes
+    with two common neighbors there, the rung.  Each cell is then a K4 that
+    adds two nodes and shares no edge but its rung with earlier cells, so a
+    walk that visits every node has found k cells with 5k + 1 edges, and
+    leaves no room for another edge.  A single K4 shares no rung.
     """
-    rungs = _walk_rungs(adj, nodes, removed, 3)
-    return None if rungs is None else tuple(sorted(rungs[1:-1]))
+    live = {v: {u for u in adj[v] if u not in removed} for v in nodes if v not in removed}
+    ends = [v for v in live if len(live[v]) == 3 and any(len(live[u]) == 3 for u in live[v])]
+    cell = {min(ends), *live[min(ends)]} if ends else set()
+    if not ends or any(len(live[v] & cell) != 3 for v in cell):
+        return None
+    visited, shared = set(cell), []
+    while True:
+        reached = set().union(*(live[v] for v in cell)) - visited
+        fresh = sorted(u for u in reached if len(live[u] & cell) >= 2)
+        if not fresh:
+            return tuple(sorted(shared)) if len(visited) == len(live) else None
+        rung = cell & live[fresh[0]] & live[fresh[-1]]
+        if len(fresh) != 2 or fresh[1] not in live[fresh[0]] or len(rung) != 2:
+            return None
+        shared.append(tuple(sorted(rung)))
+        cell = rung | set(fresh)
+        visited |= cell
 
 
 def _classify(adj, nodes):

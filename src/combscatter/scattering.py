@@ -45,23 +45,30 @@ DB_FLOOR = -240.0
 _DB_FLOOR_AMPLITUDE = 10.0 ** (DB_FLOOR / 20.0)
 
 
-def _frozen(value, dtype) -> np.ndarray:
-    """``value`` as a read-only array that no other code can write.
+class _Sealed:
+    """An array the package has just built and writes no more.
 
-    A read-only array that owns its data, as ``_sealed`` leaves one, is kept
-    as it is.  Any other array the caller holds is copied, so the caller's
-    array stays writeable and its later writes do not reach the copy.
+    Passed to a type in place of the array, it lets ``_frozen`` keep the
+    array without a copy; no public call makes one.
     """
-    a = np.asarray(value, dtype=dtype)
-    if not a.flags.owndata or (a is value and a.flags.writeable):
-        a = a.copy()
-    a.flags.writeable = False
-    return a
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
-def _sealed(a: np.ndarray) -> np.ndarray:
-    """Make an array the package has just built, and writes no more,
-    read-only, so that ``_frozen`` keeps it without a copy."""
+def _frozen(value, dtype) -> np.ndarray:
+    """``value`` as a read-only array that no other code holds.
+
+    A ``_Sealed`` array is kept as it is.  Anything else is copied, so an
+    array the caller holds, read-only or not, stays the caller's: writing
+    it, or making it writeable again first, does not reach the copy.
+    """
+    if isinstance(value, _Sealed):
+        a = np.asarray(value.array, dtype=dtype)
+    else:
+        a = np.array(value, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -205,7 +212,7 @@ def assemble_system(
     np.add.at(m, (rows, cols), values)
 
     blocks = _block_partition(2 * n, np.concatenate((a_i, a_j)), np.concatenate((a_j, a_i)) + 1)
-    return SystemMatrix(_sealed(m), float(np.sqrt(gamma)), grid, blocks)
+    return SystemMatrix(_Sealed(m), float(np.sqrt(gamma)), grid, blocks)
 
 
 def _gain(gamma: float) -> float:
@@ -280,7 +287,7 @@ def scattering_matrix(
     for index, inverse in zip(indices, inverses):
         s[index] = gamma * inverse
     s[np.diag_indices_from(s)] -= 1.0
-    return ScatteringMatrix(_sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
+    return ScatteringMatrix(_Sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
 
 
 @dataclass(frozen=True)
@@ -436,7 +443,7 @@ def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatri
     """Scattering with all pumps off: diagonal all-pass reflection."""
     reflection, cond = _pump_off_diagonal(grid, params)
     return ScatteringMatrix(
-        matrix=_sealed(np.diag(reflection)),
+        matrix=_Sealed(np.diag(reflection)),
         grid=grid,
         normalization=Normalization.RAW,
         condition_estimate=cond,

@@ -89,6 +89,31 @@ def defect_graphs(draw):
     return make_graph(labels, [(labels[a], labels[b]) for a, b in pairs])
 
 
+@st.composite
+def k4_chains(draw):
+    """A chain of 1-7 K4 cells on shuffled labels, then at most one edge
+    added or removed or one pendant.  Each next cell keeps a drawn pair of
+    the current one other than the pair that cell shares with the one
+    before, so a node may lie in three or more cells, as in a fan of K4s."""
+    cell, kept, n = (0, 1, 2, 3), None, 4
+    pairs = set(itertools.combinations(cell, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        keep = draw(st.sampled_from([p for p in itertools.combinations(cell, 2) if p != kept]))
+        cell, kept, n = (*keep, n, n + 1), keep, n + 2
+        pairs |= set(itertools.combinations(cell, 2))
+    change = draw(st.sampled_from(["none", "add", "remove", "pendant"]))
+    if change == "add":
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pairs.add((min(a, b), max(a, b)))
+    elif change == "remove":
+        pairs.discard(draw(st.sampled_from(sorted(pairs))))
+    elif change == "pendant":
+        pairs.add((draw(st.integers(0, n - 1)), n))
+        n += 1
+    labels = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n, unique=True))
+    return make_graph(labels, [(labels[a], labels[b]) for a, b in pairs])
+
+
 # integer dB values make weights tie with the integer thresholds
 DB_VALUES = st.one_of(st.integers(-45, 10).map(float), st.floats(-60.0, 10.0), st.just(np.nan))
 
@@ -332,6 +357,25 @@ class TestClassifyTopology:
         assert report.labels == (TopologyLabel.LADDER_WITH_DIAGONALS,)
         assert report.ladder_rungs == ((),)
 
+    def test_k4_chain_whose_cells_share_a_hub_node(self):
+        # cells abpq, abcd and bcrs: b lies in all three
+        cells = ("abpq", "abcd", "bcrs")
+        pairs = {p for cell in cells for p in itertools.combinations(cell, 2)}
+        # the first labelling starts at p and q; in the second d, with no
+        # degree-3 neighbor, is the smallest node
+        for labels in (dict(zip("pqabcdrs", range(8))), dict(zip("dpqabcrs", range(8)))):
+            graph = make_graph(labels.values(), [(labels[u], labels[v]) for u, v in pairs])
+            report = topology_report(graph)
+            assert report.labels == (TopologyLabel.LADDER_WITH_DIAGONALS,)
+            rungs = tuple(sorted(tuple(sorted((labels[u], labels[v]))) for u, v in ("ab", "bc")))
+            assert report.ladder_rungs == (rungs,)
+            assert report == graph_reference.topology_report(graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=k4_chains())
+    def test_k4_chains_equal_the_reference(self, graph):
+        assert topology_report(graph) == graph_reference.topology_report(graph)
+
     def test_k4_chain_with_a_chord_is_not_a_ladder_with_diagonals(self):
         rail_a, rail_b = [0, 1, 2, 3], [4, 5, 6, 7]
         chain = ladder_pairs(rail_a, rail_b) | set(zip(rail_a, rail_b[1:]))
@@ -350,12 +394,28 @@ class TestClassifyTopology:
     def test_walks_that_leave_the_template_are_rejected(self):
         # a 3-rung ladder's counts and degrees, but node 2 steps to two nodes
         ladder_like = [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (4, 5)]
+        # the same counts and degrees, but corner 0 has no degree-2 neighbor
+        capped_cycle = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
         # a 4-cell K4 chain's counts, but the walk fans out to three nodes twice
         chain_like = [
             (0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4), (2, 5), (2, 6), (3, 6),
             (3, 7), (4, 5), (4, 7), (5, 6), (5, 8), (5, 9), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
         ]
-        for pairs in (ladder_like, chain_like):
+        # K4 chains' counts, with p and q (nodes 0 and 1) of degree 3 as at an
+        # end; cells pqab and abcd, then one break each
+        chain = "pq pa pb qa qb ab ac ad bc bd cd"
+        broken = (
+            chain.replace("qa", "qc"),  # the first cell misses qa
+            chain.replace(" cd", "") + " ce cf de df ef ae",  # the pair c, d is not adjacent
+            chain + " ec ed fc fb ef",  # the new pair e, f shares only c as a rung
+            # three new nodes c, d, e reach rung ab, and then f, g, h rung cd
+            "pq pa pb qa qb ab ac ad ae bc bd be cd de fc fd gc gd hc hd fg",
+            # g and h each touch one node of a cell, so the walk never reaches them
+            chain + " ce cf de df ef gh ga ge hb hf",
+        )
+        labels = {node: i for i, node in enumerate("pqabcdefgh")}
+        lettered = [[(labels[u], labels[v]) for u, v in edges.split()] for edges in broken]
+        for pairs in (ladder_like, capped_cycle, chain_like, *lettered):
             graph = make_graph(range(max(map(max, pairs)) + 1), pairs)
             report = topology_report(graph)
             assert report.labels == (TopologyLabel.OTHER,)

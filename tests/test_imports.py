@@ -85,6 +85,14 @@ PUBLIC_NAMES = {
 }
 
 
+# the subcommands that build correlation graphs
+GRAPH_COMMANDS = [
+    ["simulate"],
+    ["graph", "--data", "{root}/s.cmb"],
+    ["search-phases", "--target", "{root}/target.json"],
+]
+
+
 def probe(argv, block_networkx=False):
     """Exit code and heavy modules loaded by one fresh-interpreter run."""
     src = str(Path(combscatter.__file__).resolve().parents[1])
@@ -136,13 +144,18 @@ class TestFreshInterpreter:
             ["sample-covariance"],
             ["sweep-phase"],
             ["fit", "--data", "{root}/s.cmb"],
-            ["simulate"],
-            ["graph", "--data", "{root}/s.cmb"],
-            ["search-phases", "--target", "{root}/target.json"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_subcommand_without_graphs_loads_no_networkx(self, small, argv):
+        self.check_loads_no_networkx(small, argv)
+
+    @pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=lambda argv: argv[0])
+    def test_graph_subcommand_loads_no_networkx(self, small, argv):
+        self.check_loads_no_networkx(small, argv)
+
+    @staticmethod
+    def check_loads_no_networkx(small, argv):
         command, *flags = [a.format(root=small) for a in argv]
         out = small / command
         code, loaded = probe([command, str(small / "small.yaml"), *flags, "--out-dir", str(out)])
@@ -158,11 +171,7 @@ class TestFreshInterpreter:
         names = {p.name for p in out.iterdir()}
         assert names == {"s_matrix.cmb", "db_matrix.csv", "graph.gv", "topology.json"}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["graph", "--data", "{root}/s.cmb"], ["search-phases", "--target", "{root}/target.json"]],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=lambda argv: argv[0])
     def test_graph_commands_run_where_networkx_cannot_import(self, small, argv):
         command, *flags = [a.format(root=small) for a in argv]
         out = small / f"{command}-blocked"
