@@ -29,7 +29,7 @@ from .model import (
     predicted_intermod_indices,
 )
 from .scattering import (
-    DEFAULT_CONDITION_CAP,
+    CONDITION_CAP,
     ScatteringMatrix,
     _block_index,
     _block_pieces,
@@ -115,12 +115,11 @@ def phase_sweep(
     steps at a time.
 
     The threshold gate is the one ``scattering_matrix`` applies.  When the
-    tone magnitudes alone bound every block's condition number below the
-    cap at any phase, the gate is cleared once for the whole sweep;
-    otherwise every step goes through the block evaluator, which inverts
-    all blocks and checks their exact condition number.  Raises the
+    tone magnitudes alone prove every block stable and well conditioned at
+    any phase, the gate is cleared once for the whole sweep; otherwise
+    every step goes through the block evaluator and its gate.  Raises the
     above-threshold error annotated with the offending phase if any sweep
-    point crosses the oscillation threshold.
+    point is dynamically unstable, at or past the oscillation threshold.
     """
     if not MIN_SWEEP_STEPS <= steps <= MAX_SWEEP_STEPS:
         raise InvalidArgumentError(f"steps must be in {MIN_SWEEP_STEPS}..{MAX_SWEEP_STEPS}")
@@ -163,7 +162,7 @@ def phase_sweep(
 
     # the swept tone's magnitude is the same at every phase, so one
     # certificate can clear the threshold gate for the whole sweep
-    certified = pieces.certifies(np.abs(base), gamma, DEFAULT_CONDITION_CAP)
+    certified = pieces.condition_bound(np.abs(base), gamma) <= CONDITION_CAP
     chunk = max(1, _CHUNK_BYTES // (16 * len(slots) ** 2))
     data = np.empty((len(rows), steps))
     for start in range(0, steps, chunk):
@@ -173,7 +172,7 @@ def phase_sweep(
         if not certified:
             for phase, step in zip(phases[start:stop], step_strengths):
                 try:
-                    pieces.invert(step, gamma, DEFAULT_CONDITION_CAP)
+                    pieces.invert(step, gamma)
                 except AboveThresholdError as exc:
                     raise AboveThresholdError(
                         f"above threshold at swept phase {phase:.6f} rad: {exc}",
@@ -233,7 +232,6 @@ def fit_parameters(
     gamma_range: tuple[float, float],
     grid_points: int,
     refine_steps: int = 60,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> FitResult:
     """Least-squares fit of the balanced pump strength and port coupling.
 
@@ -248,12 +246,12 @@ def fit_parameters(
     so the blocks of the system are split once into pieces; each cell goes
     through the block evaluator, and the distance is summed block by block
     (the model is zero off the blocks).  A cell whose strength and coupling
-    alone bound the condition number below ``condition_cap`` skips the
-    exact condition check, and a cell the refinement revisits is evaluated
-    once.
+    alone prove it stable skips the threshold gate, and a cell the
+    refinement revisits is evaluated once.
 
-    Above-threshold cells score +inf rather than raising; if the whole
-    surface is infinite the fit is infeasible and raises.
+    Dynamically unstable cells, at or past the oscillation threshold,
+    score +inf rather than raising; if the whole surface is infinite the
+    fit is infeasible and raises.
     """
     measured = s_measured.matrix if isinstance(s_measured, ScatteringMatrix) else np.asarray(s_measured, dtype=complex)
     if measured.shape != (2 * grid.n_modes, 2 * grid.n_modes):
@@ -290,7 +288,7 @@ def fit_parameters(
         params = DeviceParams(resonance_frequency=omega0, port_coupling=gamma)
         check_band(grid, params)
         try:
-            inverses = pieces.invert(g * unit_strengths, gamma, condition_cap)
+            inverses = pieces.invert(g * unit_strengths, gamma)
         except AboveThresholdError:
             return np.inf
         reference = np.abs(_pump_off_diagonal(grid, params)[0])

@@ -426,7 +426,9 @@ def _fail(kind: str, exc: Exception, code: int, caught) -> int:
     if isinstance(exc, ConfigError):
         detail["issues"] = [str(i) for i in exc.issues]
     if isinstance(exc, AboveThresholdError) and exc.condition_estimate is not None:
-        detail["condition_estimate"] = exc.condition_estimate
+        # strict JSON has no Infinity or NaN; a singular block's estimate is inf
+        estimate = exc.condition_estimate
+        detail["condition_estimate"] = estimate if math.isfinite(estimate) else None
     if caught:
         detail["warnings"] = [str(w.message) for w in caught]
     print(json.dumps(detail, sort_keys=True), file=sys.stderr)

@@ -16,8 +16,9 @@ class InternalConsistencyError(CombScatterError):
 class AboveThresholdError(CombScatterError):
     """The linear model diverged: pump strength at or past parametric oscillation.
 
-    Carries the solver's condition estimate and, when raised inside a phase
-    sweep, the offending phase value.
+    Carries the condition estimate when the condition cap raised it (None
+    for a dynamically unstable system, found before any inversion) and,
+    when raised inside a phase sweep, the offending phase value.
     """
 
     def __init__(self, message, condition_estimate=None, phase=None):

@@ -378,20 +378,22 @@ def export_dot(graph: CorrelationGraph, report: TopologyReport) -> str:
     ]
     edge_lookup: dict[tuple[int, int], float] = {(e.i, e.j): e.weight_db for e in graph.edges}
     loop_lookup = dict(graph.self_loops)
+    component_of = {node: idx for idx, comp in enumerate(report.components) for node in comp}
+    edge_lines: list[list[str]] = [[] for _ in report.components]
+    for (i, j), w in sorted(edge_lookup.items()):
+        if i in component_of:
+            edge_lines[component_of[i]].append(f'    "{i}" -- "{j}" [label="{w:.1f}"];')
     for idx, comp in enumerate(report.components):
         label = report.labels[idx].value if idx < len(report.labels) else ""
         lines.append(f"  subgraph cluster_{idx} {{")
         if label:
             lines.append(f'    label="{label}";')
-        comp_set = set(comp)
         for node in comp:
             lines.append(f'    "{node}";')
         for node in comp:
             if node in loop_lookup:
                 lines.append(f'    "{node}" -- "{node}" [label="{loop_lookup[node]:.1f}"];')
-        for (i, j), w in sorted(edge_lookup.items()):
-            if i in comp_set:
-                lines.append(f'    "{i}" -- "{j}" [label="{w:.1f}"];')
+        lines.extend(edge_lines[idx])
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

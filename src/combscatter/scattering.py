@@ -10,12 +10,14 @@ own and the input-output matching condition turns the block inverses into
 the scattering matrix; magnitudes are reported in dB relative to the
 pump-off reflection.
 
-Repeated evaluations that change only tone strengths or the port coupling
-(phase sweeps, fit grids) split the blocks once into unit-strength pieces
-and invert them through one evaluator, whose single threshold gate is a
-bound from the tone magnitudes alone, else the exact condition check.
-Pure functions on immutable inputs; independent scheme evaluations can run
-in parallel with no shared state.
+The model holds only below the parametric oscillation threshold, where
+every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
+Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
+gate that decides it.  Repeated evaluations that change only tone
+strengths or the port coupling (phase sweeps, fit grids) split the blocks
+once into unit-strength pieces, which a bound from the tone magnitudes
+alone lets skip the gate.  Pure functions on immutable inputs;
+independent scheme evaluations can run in parallel with no shared state.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +37,10 @@ from .errors import (
 )
 from .model import CouplingSet, DeviceParams, ModeGrid, PumpScheme, resolve_couplings
 
-# Condition numbers beyond this default mark the system as effectively
-# singular: the pump has reached the parametric oscillation threshold and
-# the linearized model no longer applies.
-DEFAULT_CONDITION_CAP = 1e12
+# A numerical guard, not the threshold: a stable system whose condition
+# number exceeds this sits so close to the threshold that its inverse is
+# dominated by rounding, and is reported as above threshold.
+CONDITION_CAP = 1e12
 
 # Magnitudes below 1e-12 clamp to -240 dB so text outputs stay finite.
 DB_FLOOR = -240.0
@@ -230,49 +232,71 @@ def _block_index(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block[:, :, np.newaxis], block[:, np.newaxis, :]
 
 
-def _invert_blocks(stacks, condition_cap: float) -> tuple[list[np.ndarray], float]:
-    """Invert ``(count, size, size)`` block stacks, guarding the threshold.
+def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
+    """Invert ``(count, size, size)`` block stacks behind the threshold gate.
+
+    First the gate: every block must be stable, every eigenvalue with a
+    positive real part, or this raises naming the smallest real part.  A
+    group passes when each of its blocks lies inside its column Gershgorin
+    discs (``Re B_jj > sum_{i != j} |B_ij|``), or else when the Hermitian
+    parts of the blocks the discs leave open all have a Cholesky factor,
+    which puts their numerical ranges in the right half-plane.  One failed
+    factor sends the group to the eigenvalues: ``eigvals`` of those open
+    blocks, or ``lowest(k)``, the caller's floor over all of group ``k``.
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
     they form (every column of it, or of its inverse, lies inside one
-    block).  A singular block, a non-finite condition number or one above
-    ``condition_cap`` means the pump has reached the parametric oscillation
-    threshold, where the weak-pump linearization is invalid; that raises
-    rather than returning garbage.
+    block).  A condition number that is not finite or exceeds
+    ``CONDITION_CAP`` raises too.
     """
+    norm = 0.0
+    for k, stack in enumerate(stacks):
+        columns = np.abs(stack).sum(axis=1)
+        norm = np.maximum(norm, columns.max())
+        diagonal = stack.diagonal(0, 1, 2)
+        open_blocks = stack[(diagonal.real <= columns - np.abs(diagonal)).any(axis=1)]
+        if len(open_blocks) == 0:
+            continue
+        try:
+            np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
+        except np.linalg.LinAlgError:
+            floor = np.linalg.eigvals(open_blocks).real.min() if lowest is None else lowest(k)
+            if not floor > 0:
+                raise AboveThresholdError(
+                    "parametric oscillation threshold reached: the system is dynamically "
+                    f"unstable, with an eigenvalue of real part {floor:.6e} <= 0"
+                ) from None
     inverses = []
-    norm = inverse_norm = 0.0
+    inverse_norm = 0.0
     try:
         for stack in stacks:
             inverse = np.linalg.inv(stack)
             inverses.append(inverse)
-            norm = np.maximum(norm, np.abs(stack).sum(axis=1).max())
             inverse_norm = np.maximum(inverse_norm, np.abs(inverse).sum(axis=1).max())
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
         cond = float(norm * inverse_norm)
-    if not np.isfinite(cond) or cond > condition_cap:
+    if not cond <= CONDITION_CAP:
         raise AboveThresholdError(
             "parametric oscillation threshold reached: system condition number "
-            f"{cond:.3e} exceeds cap {condition_cap:.1e}",
+            f"{cond:.3e} exceeds cap {CONDITION_CAP:.1e}",
             condition_estimate=cond,
         )
     return inverses, cond
 
 
-def scattering_matrix(
-    system: SystemMatrix, condition_cap: float = DEFAULT_CONDITION_CAP
-) -> ScatteringMatrix:
+def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     """Invert the harmonic-balance system into a scattering matrix.
 
     The blocks of each size are gathered into one stack and inverted in a
     single batched call; the inverse of the whole system is block-diagonal
-    with exact zeros between blocks.  The reported condition estimate is
-    the exact 1-norm condition number ``||M||_1 * max_b ||B_b^-1||_1``,
-    read off the block inverses.  A condition number that is infinite or
-    above ``condition_cap`` raises ``AboveThresholdError``.
+    with exact zeros between blocks.  A dynamically unstable system, at or
+    past the parametric oscillation threshold, raises ``AboveThresholdError``
+    before anything is inverted.  The reported condition estimate is the
+    exact 1-norm condition number ``||M||_1 * max_b ||B_b^-1||_1``, read off
+    the block inverses; one above ``CONDITION_CAP`` raises too.
 
     With the coupling matrix a constant ``sqrt(gamma)`` on the diagonal,
     the input-output relation reduces to ``S = gamma * M^-1 - I`` for the
@@ -281,7 +305,7 @@ def scattering_matrix(
     """
     m = system.matrix
     indices = [_block_index(block) for block in system.blocks]
-    inverses, cond = _invert_blocks([m[index] for index in indices], condition_cap)
+    inverses, cond = _invert_blocks([m[index] for index in indices])
     gamma = system.k_coupling**2
     s = np.zeros(m.shape, dtype=complex)
     for index, inverse in zip(indices, inverses):
@@ -306,13 +330,15 @@ class _BlockPieces:
         unit[k] * (s_0, ..., s_T-1, conj(s_0), ..., conj(s_T-1), 0)[slot[k]]
             + diag(detuning[k] + gamma/2)
 
-    which reproduces the assembled stack bit for bit.
+    which reproduces the assembled stack bit for bit.  ``memo`` keeps a
+    group's smallest eigenvalue real part of ``M - gamma/2`` by strengths.
     """
 
     blocks: tuple[np.ndarray, ...]
     detuning: tuple[np.ndarray, ...]
     unit: tuple[np.ndarray, ...]
     slot: tuple[np.ndarray, ...]
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
@@ -340,8 +366,8 @@ class _BlockPieces:
             rows.append(np.concatenate([part.sum(axis=2).ravel() for part in parts]))
         return np.array(columns), np.array(rows)
 
-    def certifies(self, magnitudes, gamma: float, condition_cap: float) -> bool:
-        """Whether ``_invert_blocks`` passes for tones of these magnitudes, any phases.
+    def condition_bound(self, magnitudes, gamma: float) -> float:
+        """A bound on the condition of every block for tones of these magnitudes, any phases.
 
         Whatever the phases, the pump part ``K`` lies entrywise below
         ``|unit|`` times the tone magnitudes, so the per-tone column and row
@@ -353,29 +379,41 @@ class _BlockPieces:
         ``||K||_2 <= sqrt(||K||_1 ||K||_inf)``.  With ``mu > 0`` every block
         is nonsingular and its eigenvalues have real part at least ``mu``,
         and its 1-norm condition is at most
-        ``(max|diag| + ||K||_1) * sqrt(size) / mu``.  The cap is certified
-        when twice that bound, the factor 2 covering rounding, stays within it.
+        ``(max|diag| + ||K||_1) * sqrt(size) / mu``.  Returns twice that
+        bound, the factor 2 covering rounding, or +inf when ``mu <= 0``; a
+        bound within ``CONDITION_CAP`` certifies that ``_invert_blocks``
+        would pass.
         """
         norm_1, norm_inf = (float((np.asarray(magnitudes) @ s).max()) for s in self._tone_sums)
         mu = gamma / 2.0 - math.sqrt(norm_1 * norm_inf)
         if mu <= 0:
-            return False
+            return math.inf
         detuning = max(np.abs(d).max() for d in self.detuning)
         diagonal = math.hypot(detuning, gamma / 2.0)
         size = max(block.shape[1] for block in self.blocks)
-        return 2.0 * (diagonal + norm_1) * math.sqrt(size) / mu <= condition_cap
+        return 2.0 * (diagonal + norm_1) * math.sqrt(size) / mu
 
-    def invert(self, strengths, gamma: float, condition_cap: float) -> list[np.ndarray]:
+    def invert(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's inverse stack, behind the threshold gate.
 
-        Strengths whose magnitudes ``certifies`` clears are inverted
-        directly; any others go through ``_invert_blocks`` and its exact
-        condition check, which raises above the threshold.
+        Strengths whose magnitudes ``condition_bound`` certifies are
+        inverted directly; any others go through ``_invert_blocks``.
         """
         stacks = self.stacks(strengths, gamma)
-        if self.certifies(np.abs(strengths), gamma, condition_cap):
+        if self.condition_bound(np.abs(strengths), gamma) <= CONDITION_CAP:
             return [np.linalg.inv(stack) for stack in stacks]
-        return _invert_blocks(stacks, condition_cap)[0]
+        key = np.asarray(strengths, dtype=complex).tobytes()
+
+        def lowest(k: int) -> float:
+            # M - gamma/2 does not depend on gamma, and a block's mirror (of
+            # its conjugate slots) has the conjugate spectrum: one block of
+            # each pair, the one starting at an amplitude slot, suffices
+            if (key, k) not in self.memo:
+                representatives = stacks[k][self.blocks[k][:, 0] % 2 == 0]
+                self.memo[key, k] = np.linalg.eigvals(representatives).real.min() - gamma / 2.0
+            return gamma / 2.0 + self.memo[key, k]
+
+        return _invert_blocks(stacks, lowest)[0]
 
     def block_of(self, slot: int) -> tuple[_BlockPieces, int]:
         """The pieces of the one block holding ``slot``, and its position there."""
@@ -417,14 +455,11 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
 
 
 def simulate_scattering(
-    grid: ModeGrid,
-    params: DeviceParams,
-    scheme: PumpScheme,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
+    grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
 ) -> ScatteringMatrix:
     """Resolve couplings, assemble, and invert in one step."""
     couplings = resolve_couplings(grid, scheme, params)
-    return scattering_matrix(assemble_system(grid, params, couplings), condition_cap)
+    return scattering_matrix(assemble_system(grid, params, couplings))
 
 
 def _pump_off_diagonal(grid: ModeGrid, params: DeviceParams) -> tuple[np.ndarray, float]:
@@ -435,7 +470,7 @@ def _pump_off_diagonal(grid: ModeGrid, params: DeviceParams) -> tuple[np.ndarray
     ``scattering_matrix`` on the assembled pump-off system, bit for bit.
     """
     diagonal = _diagonal(grid, params)
-    (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]], DEFAULT_CONDITION_CAP)
+    (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]])
     return _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0, cond
 
 
@@ -474,13 +509,10 @@ def normalize_pump_off(s_on: ScatteringMatrix, s_off: ScatteringMatrix) -> np.nd
 
 
 def pump_off_normalized_db(
-    grid: ModeGrid,
-    params: DeviceParams,
-    scheme: PumpScheme,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
+    grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
 ) -> np.ndarray:
     """Simulate a scheme and normalize it to its own pump-off reference."""
-    s_on = simulate_scattering(grid, params, scheme, condition_cap)
+    s_on = simulate_scattering(grid, params, scheme)
     s_off = pump_off_scattering(grid, params)
     return normalize_pump_off(s_on, s_off)
 

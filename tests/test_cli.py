@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from combscatter import cli
 from combscatter.cli import main
-from combscatter import RunOptions, bundled_config_path
+from combscatter import AboveThresholdError, RunOptions, bundled_config_path
 from combscatter.datafiles import load_scattering, save_scattering_csv, sidecar_path
 
 BUNDLED = sorted(
@@ -67,6 +68,15 @@ def small_config(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(line):
+    """Parse one line as RFC 8259 JSON: no Infinity, -Infinity or NaN."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
 
 
 def run_fresh(args):
@@ -227,15 +237,40 @@ class TestExitCodes:
         assert run(["simulate", bad, "--out-dir", tmp_path]) == 2
 
     def test_above_threshold_is_3(self, tmp_path):
-        # the degenerate center-mode block goes singular at this amplitude
+        # every tone at ratio 1/2, far past the threshold of the three together
         config = tmp_path / "hot.yaml"
         config.write_text(SMALL.replace("0.004533333333333334", "0.02666666666666667"))
         assert run(["simulate", config, "--out-dir", tmp_path / "o"]) == 3
 
+    @pytest.mark.parametrize("config_text", [
+        # one pump at ratio 0.75, 1.5 times its threshold
+        bundled_config_path("onepump").read_text(),
+        # -4/0/4 on 13 modes, every tone at ratio 0.75
+        SMALL.replace("half_span: 12", "half_span: 6"),
+    ], ids=["onepump", "three-tones-13-modes"])
+    def test_unstable_pump_is_3_with_one_strict_line(self, tmp_path, capsys, config_text):
+        config = tmp_path / "hot.yaml"
+        config.write_text(config_text.replace("0.004533333333333334", "0.04"))
+        assert run(["simulate", config, "--out-dir", tmp_path / "o"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        doc = strict_json(line)
+        assert doc["error"] == "above-threshold"
+        assert "dynamically unstable" in doc["message"]
+
+    def test_infinite_condition_estimate_is_null(self, capsys):
+        error = AboveThresholdError("singular", condition_estimate=math.inf)
+        assert cli._fail("above-threshold", error, cli.EXIT_ABOVE_THRESHOLD, []) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert strict_json(line) == {
+            "condition_estimate": None, "error": "above-threshold", "message": "singular"
+        }
+
     def test_failure_after_a_warning_is_one_json_line(self, tmp_path):
-        # on resonance, the centre mode at ratio 0.5 is singular
+        # on resonance, the centre mode at ratio 0.6 is unstable
         config = tmp_path / "wide.yaml"
-        config.write_text(WIDE.format(amplitude=0.02666666666666667))
+        config.write_text(WIDE.format(amplitude=0.032))
         done = run_fresh(["covariance", config, "--out-dir", tmp_path / "o"])
         assert done.returncode == 3
         (line,) = done.stderr.splitlines()
@@ -675,6 +710,6 @@ class TestExitCodeContract:
         assert code in (0, 2, 3, 4), argv
         if code:
             (line,) = err.getvalue().splitlines()
-            assert json.loads(line)["error"] in ("validation", "above-threshold", "io", "internal")
+            assert strict_json(line)["error"] in ("validation", "above-threshold", "io", "internal")
         else:
             assert err.getvalue() == ""

@@ -498,6 +498,17 @@ class TestExportDot:
         text = export_dot(g, topology_report(g))
         assert '"-1" -- "1" [label="-3.2"];' in text
 
+    def test_each_cluster_lists_its_own_edges_in_order(self):
+        # two interleaved components, edges given out of order
+        g = make_graph(range(-3, 4), [(2, 0), (-3, 3), (-2, 0), (-1, 1), (-3, 1)])
+        report = topology_report(g)
+        clusters = export_dot(g, report).split("subgraph")[1:]
+        assert len(clusters) == len(report.components)
+        for comp, cluster in zip(report.components, clusters):
+            edges = [line.split(" [")[0].strip() for line in cluster.splitlines() if "--" in line]
+            expected = sorted((e.i, e.j) for e in g.edges if e.i in comp)
+            assert edges == [f'"{i}" -- "{j}"' for i, j in expected]
+
     def test_self_loops_rendered(self):
         g = make_graph([0, 1, -1], [(1, -1)], loops=[0])
         text = export_dot(g, topology_report(g))

@@ -1,5 +1,7 @@
 """System assembly, inversion, pump-off normalization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -24,7 +26,13 @@ from combscatter import (
     scattering_matrix,
     simulate_scattering,
 )
-from combscatter.scattering import Normalization, ScatteringMatrix, _block_pieces, _invert_blocks
+from combscatter.scattering import (
+    CONDITION_CAP,
+    Normalization,
+    ScatteringMatrix,
+    _block_pieces,
+    _invert_blocks,
+)
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -34,6 +42,11 @@ from conftest import (
     balanced_scheme,
     small_schemes,
 )
+
+
+def reported_margin(error):
+    """The smallest eigenvalue real part an above-threshold message names."""
+    return float(re.search(r"real part (\S+) <= 0", str(error)).group(1))
 
 
 def random_scheme(rng, max_ratio=0.1):
@@ -202,17 +215,63 @@ class TestScatteringMatrix:
         assert all(a < b for a, b in zip(conds, conds[1:]))
 
     def test_above_threshold_raises(self, device):
-        # the degenerate center-mode block goes singular at ratio 1/2
+        # the degenerate center-mode block is singular at ratio 1/2; just below
+        # it the system is stable but its condition number passes the cap
         grid = ModeGrid(RESONANCE, TWO_PI * 0.1e6, 1)
-        with pytest.raises(AboveThresholdError):
-            simulate_scattering(grid, device, balanced_scheme(device, [0], 0.5))
+        scheme = balanced_scheme(device, [0], 0.5 - 1e-13)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        assert np.linalg.eigvals(system.matrix).real.min() > 5e-14 * device.port_coupling
+        with pytest.raises(AboveThresholdError, match="exceeds cap") as info:
+            simulate_scattering(grid, device, scheme)
+        assert info.value.condition_estimate > 5 * CONDITION_CAP
 
-    def test_condition_cap_is_configurable(self, grid, device):
-        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
-        couplings = resolve_couplings(grid, scheme, device)
-        system = assemble_system(grid, device, couplings)
-        with pytest.raises(AboveThresholdError):
-            scattering_matrix(system, condition_cap=1.0)
+    @pytest.mark.parametrize("ratio", [0.51, 0.8])
+    def test_one_pump_past_half_raises(self, device, ratio):
+        # past ratio 1/2 the centre pair is unstable, though far from singular
+        grid = ModeGrid(RESONANCE, SPACING, 1)
+        with pytest.raises(AboveThresholdError, match="dynamically unstable"):
+            simulate_scattering(grid, device, balanced_scheme(device, [0], ratio))
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.34])
+    def test_ladder_at_destructive_phase_past_threshold_raises(self, grid, device, ratio):
+        # -4/0/4 at phases pi/0/0 on 95 modes: margins -0.042 and -0.242 gamma
+        scheme = balanced_scheme(device, [-4, 0, 4], ratio, [np.pi, 0.0, 0.0])
+        with pytest.raises(AboveThresholdError, match="dynamically unstable"):
+            simulate_scattering(grid, device, scheme)
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.3, 0.49, 0.51, 0.8])
+    def test_pair_margin_is_half_gamma_minus_coupling(self, device, ratio):
+        # on resonance the pair block is (gamma/2) I plus a Hermitian part with
+        # eigenvalues +-|c|, so its smallest real part is gamma/2 - |c|
+        grid = ModeGrid(RESONANCE, SPACING, 1)
+        scheme = balanced_scheme(device, [0], ratio)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        block = next(b for group in system.blocks for b in group if grid.a_slot(0) in b)
+        gamma = device.port_coupling
+        margin = gamma / 2.0 - abs(resolve_couplings(grid, scheme, device).entries[0].strength)
+        assert margin == pytest.approx((0.5 - ratio) * gamma, rel=1e-12)
+        lowest = np.linalg.eigvals(system.matrix[np.ix_(block, block)]).real.min()
+        assert lowest == pytest.approx(margin, abs=1e-12 * gamma)
+        if margin < 0:
+            with pytest.raises(AboveThresholdError) as info:
+                scattering_matrix(system)
+            assert reported_margin(info.value) == pytest.approx(margin, rel=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_schemes(), st.floats(0.1, 15.0))
+    def test_raises_exactly_when_an_eigenvalue_leaves_the_right_half_plane(self, case, scale):
+        # tone ratios from 0.001 to 1.5: well below, at and past the threshold
+        grid, scheme = strengths_scaled(case, scale)
+        device = DeviceParams(RESONANCE, COUPLING)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        margin = np.linalg.eigvals(system.matrix).real.min()
+        try:
+            simulate_scattering(grid, device, scheme)
+        except AboveThresholdError:
+            event("above threshold")
+            assert margin <= 1e-9 * COUPLING
+        else:
+            assert margin > -1e-9 * COUPLING
 
     def test_matrices_are_read_only(self, grid, device):
         s = pump_off_scattering(grid, device)
@@ -344,18 +403,28 @@ class TestBlockSolver:
     def test_one_singular_block_among_healthy_ones_raises(self, device):
         grid = ModeGrid(RESONANCE, SPACING, 2)
         gamma = device.port_coupling
-        # on resonance, the centre mode's 2x2 block has determinant
-        # (gamma/2)^2 - |c|^2, which vanishes at c = gamma/2
-        couplings = CouplingSet((Coupling(-2, 1, 0.1 * gamma), Coupling(0, 0, gamma / 2)))
-        system = assemble_system(grid, device, couplings)
-        assert len(system.blocks) == 2  # singletons and 2x2 blocks
-        with pytest.raises(AboveThresholdError) as info:
-            scattering_matrix(system)
-        assert info.value.condition_estimate == np.inf
+        # on resonance, the centre mode's 2x2 block has eigenvalues
+        # gamma/2 +- |c|: singular at c = gamma/2, unstable past it
+        def system(c):
+            couplings = CouplingSet((Coupling(-2, 1, 0.1 * gamma), Coupling(0, 0, c)))
+            system = assemble_system(grid, device, couplings)
+            assert len(system.blocks) == 2  # singletons and 2x2 blocks
+            return system
+
+        # stable by 1e-13 gamma, so only the condition cap catches it
+        near = system(gamma / 2 * (1 - 2e-13))
+        assert np.linalg.eigvals(near.matrix).real.min() > 5e-14 * gamma
+        with pytest.raises(AboveThresholdError, match="exceeds cap") as info:
+            scattering_matrix(near)
+        assert info.value.condition_estimate > 5 * CONDITION_CAP
+        with pytest.raises(AboveThresholdError, match="dynamically unstable") as info:
+            scattering_matrix(system(0.6 * gamma))
+        assert info.value.condition_estimate is None
+        assert reported_margin(info.value) == pytest.approx(-0.1 * gamma, rel=1e-6)
 
 
 def certified(pieces, scheme, gamma, cap):
-    return pieces.certifies([abs(t.strength) for t in scheme.tones], gamma, cap)
+    return pieces.condition_bound([abs(t.strength) for t in scheme.tones], gamma) <= cap
 
 
 def strengths_scaled(case, scale):
@@ -384,7 +453,7 @@ class TestThresholdCertificate:
         norm = max(np.linalg.norm(block, 1) for block in blocks)
         inverse_norm = max(np.linalg.norm(np.linalg.inv(block), 1) for block in blocks)
         assert norm * inverse_norm <= cap
-        assert _invert_blocks(stacks, cap)[1] <= cap
+        assert _invert_blocks(stacks)[1] <= cap
         assert all(np.linalg.eigvals(block).real.min() > 0 for block in blocks)
 
     @pytest.mark.parametrize("offsets", [[0], [-4, 0, 4]])
@@ -395,31 +464,29 @@ class TestThresholdCertificate:
         pieces = _block_pieces(grid, device, scheme)
         gamma = device.port_coupling
         stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
-        condition = _invert_blocks(stacks, np.inf)[1]
+        condition = _invert_blocks(stacks)[1]
         assert certified(pieces, scheme, gamma, 1e12)
         assert not certified(pieces, scheme, gamma, 0.999 * condition)
 
     @settings(max_examples=150, deadline=None)
-    @given(small_schemes(), st.floats(0.1, 15.0), st.floats(1.0, 12.0), st.floats(0.3, 3.0))
-    def test_invert_is_the_exact_gate_on_the_assembled_blocks(
-        self, case, scale, log_cap, coupling
-    ):
+    @given(small_schemes(), st.floats(0.1, 15.0), st.floats(0.3, 3.0))
+    def test_invert_is_the_exact_gate_on_the_assembled_blocks(self, case, scale, coupling):
         grid, scheme = strengths_scaled(case, scale)
         device = DeviceParams(RESONANCE, coupling * COUPLING)
-        gamma, cap = device.port_coupling, 10.0**log_cap
+        gamma = device.port_coupling
         system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
         assembled = [system.matrix[b[:, :, np.newaxis], b[:, np.newaxis, :]] for b in system.blocks]
         pieces = _block_pieces(grid, device, scheme)
         strengths = [t.strength for t in scheme.tones]
         try:
-            expected, _ = _invert_blocks(assembled, cap)
+            expected, _ = _invert_blocks(assembled)
         except AboveThresholdError:
             event("above threshold")
             with pytest.raises(AboveThresholdError):
-                pieces.invert(strengths, gamma, cap)
+                pieces.invert(strengths, gamma)
             return
-        event(f"certified: {certified(pieces, scheme, gamma, cap)}")
-        inverses = pieces.invert(strengths, gamma, cap)
+        event(f"certified: {certified(pieces, scheme, gamma, 1e12)}")
+        inverses = pieces.invert(strengths, gamma)
         assert len(inverses) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(inverses, expected))
 
