@@ -17,6 +17,7 @@ from .errors import AboveThresholdError, FitInfeasibleError, InvalidArgumentErro
 from .graphs import CorrelationGraph, TopologyReport, extract_graph, topology_report
 from .model import (
     MAX_FIT_GRID_POINTS,
+    MAX_PHASE_CLASSES,
     MAX_SWEEP_STEPS,
     MIN_GRID_POINTS,
     MIN_SWEEP_STEPS,
@@ -33,6 +34,7 @@ from .scattering import (
     ScatteringMatrix,
     _block_index,
     _block_pieces,
+    _dominance_bound,
     _frozen,
     _gain,
     _pump_off_diagonal,
@@ -115,11 +117,13 @@ def phase_sweep(
     steps at a time.
 
     The threshold gate is the one ``scattering_matrix`` applies.  When the
-    tone magnitudes alone prove every block stable and well conditioned at
-    any phase, the gate is cleared once for the whole sweep; otherwise
-    every step goes through the block evaluator and its gate.  Raises the
-    above-threshold error annotated with the offending phase if any sweep
-    point is dynamically unstable, at or past the oscillation threshold.
+    base scheme's column discs certify it (``_dominance_bound``), the gate
+    is cleared once for the whole sweep: the disc margins depend only on
+    the diagonal and the magnitudes ``|s_t|``, which the phase moves by a
+    few ulps, while a bound within the cap demands a margin of at least
+    ``2e-12 * ||B||_1``.  Otherwise every step goes through the gate.
+    Raises the above-threshold error annotated with the offending phase if
+    any sweep point is dynamically unstable, at or past the threshold.
     """
     if not MIN_SWEEP_STEPS <= steps <= MAX_SWEEP_STEPS:
         raise InvalidArgumentError(f"steps must be in {MIN_SWEEP_STEPS}..{MAX_SWEEP_STEPS}")
@@ -162,7 +166,7 @@ def phase_sweep(
 
     # the swept tone's magnitude is the same at every phase, so one
     # certificate can clear the threshold gate for the whole sweep
-    certified = pieces.condition_bound(np.abs(base), gamma) <= CONDITION_CAP
+    certified = _dominance_bound(pieces.stacks(base, gamma)) <= CONDITION_CAP
     chunk = max(1, _CHUNK_BYTES // (16 * len(slots) ** 2))
     data = np.empty((len(rows), steps))
     for start in range(0, steps, chunk):
@@ -245,9 +249,9 @@ def fit_parameters(
     Only the pump strength and the port coupling change from cell to cell,
     so the blocks of the system are split once into pieces; each cell goes
     through the block evaluator, and the distance is summed block by block
-    (the model is zero off the blocks).  A cell whose strength and coupling
-    alone prove it stable skips the threshold gate, and a cell the
-    refinement revisits is evaluated once.
+    (the model is zero off the blocks).  A cell its column discs certify
+    skips the rest of the threshold gate, a revisited cell is evaluated
+    once, and so is the pump-off reference of each coupling.
 
     Dynamically unstable cells, at or past the oscillation threshold,
     score +inf rather than raising; if the whole surface is infinite the
@@ -280,6 +284,11 @@ def fit_parameters(
     # the model vanishes off the blocks, where the distance is the data's own
     outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
 
+    # the pump-off reference depends on the coupling alone
+    @functools.cache
+    def pump_off_magnitudes(gamma: float) -> np.ndarray:
+        return np.abs(_pump_off_diagonal(grid, DeviceParams(omega0, gamma))[0])
+
     # the refinement revisits cells; each (g, gamma) pair is evaluated once
     @functools.cache
     def evaluate(g: float, gamma: float) -> float:
@@ -291,7 +300,7 @@ def fit_parameters(
             inverses = pieces.invert(g * unit_strengths, gamma)
         except AboveThresholdError:
             return np.inf
-        reference = np.abs(_pump_off_diagonal(grid, params)[0])
+        reference = pump_off_magnitudes(gamma)
         gain = _gain(gamma)
         models = [
             (gain * inverse - np.eye(block.shape[1])) / reference[block][:, np.newaxis, :]
@@ -406,7 +415,8 @@ def search_phases(
     combinations that agree on every such combination modulo a full turn
     form a gauge class, and each class is simulated once: at most
     ``phase_grid_points ** (T - 2)`` simulations for T >= 2 tones, and one
-    for one or two tones.
+    for one or two tones.  A grid that would key more than
+    ``MAX_PHASE_CLASSES`` classes is rejected before any is enumerated.
 
     Combinations are enumerated lexicographically and ties break toward the
     lexicographically smallest phase vector, which is the member of its
@@ -435,9 +445,13 @@ def search_phases(
             raise InvalidArgumentError(f"target edge ({i}, {j}) leaves the grid")
         target.add((min(i, j), max(i, j)))
 
-    s_off = pump_off_scattering(grid, params)
-    grid_phases = [TWO_PI * k / phase_grid_points for k in range(phase_grid_points)]
     basis = gauge_invariant_basis(scheme.offsets)
+    if int(phase_grid_points) ** len(basis) > MAX_PHASE_CLASSES:
+        raise InvalidArgumentError(
+            f"phase_grid_points: {phase_grid_points}**{len(basis)} gauge classes exceed "
+            f"{MAX_PHASE_CLASSES}"
+        )
+    s_off = pump_off_scattering(grid, params)
     columns = [tuple(vector[t] % phase_grid_points for vector in basis) for t in swept_tones]
     class_count = _subgroup_order(columns, len(basis), phase_grid_points)
 
@@ -464,7 +478,7 @@ def search_phases(
             # a later member of a class scores as its first and cannot win a tie
             continue
         seen.add(key)
-        phases = tuple(grid_phases[c] for c in combo)
+        phases = tuple(TWO_PI * c / phase_grid_points for c in combo)
         trial = scheme
         for tone, phase in zip(swept_tones, phases):
             trial = trial.with_phase(tone, phase)

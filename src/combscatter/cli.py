@@ -267,7 +267,7 @@ def _cmd_sample_covariance(config: ExperimentConfig, args) -> int:
 
 def _cmd_fit(config: ExperimentConfig, args) -> int:
     from .analysis import fit_parameters
-    from .datafiles import write_json
+    from .datafiles import _meta_lines, write_json
 
     if not args.data:
         raise InvalidArgumentError("fit requires --data")
@@ -293,7 +293,7 @@ def _cmd_fit(config: ExperimentConfig, args) -> int:
         "grid_points": int(result.surface.shape[0]),
     }
     write_json(_out(args, "fit.json"), payload, meta)
-    lines = [f"# {k}: {v}" for k, v in sorted(meta.items())]
+    lines = _meta_lines(meta)
     lines.append("g\\gamma," + ",".join(repr(float(g)) for g in result.gamma_values))
     for g, row in zip(result.g_values, result.surface):
         lines.append(repr(float(g)) + "," + ",".join(repr(float(d)) for d in row))

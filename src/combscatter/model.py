@@ -36,12 +36,14 @@ MIN_SWEEP_STEPS = 8
 MIN_SAMPLES = 2
 MIN_GRID_POINTS = 4
 
-# The largest run sizes of the two analyses that allocate in proportion to
-# them: a sweep's phases and tracks, and a fit's square surface with its
-# memo of evaluated cells.  Larger values are rejected before anything is
-# allocated.
+# The largest run sizes of the analyses that allocate in proportion to
+# them: a sweep's phases and tracks, a fit's square surface with its memo of
+# evaluated cells, and the gauge-class keys (about 170 B each) a phase search
+# stores before its first simulation.  Larger values are rejected before
+# anything is allocated.
 MAX_SWEEP_STEPS = 10_000
 MAX_FIT_GRID_POINTS = 500
+MAX_PHASE_CLASSES = 1 << 16
 
 
 class BandMismatchWarning(UserWarning):

@@ -13,17 +13,16 @@ pump-off reflection.
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
 Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
-gate that decides it.  Repeated evaluations that change only tone
-strengths or the port coupling (phase sweeps, fit grids) split the blocks
-once into unit-strength pieces, which a bound from the tone magnitudes
-alone lets skip the gate.  Pure functions on immutable inputs;
+gate that decides it.  Its first stage, the column Gershgorin discs, also
+bounds the condition (Varah, Linear Algebra Appl. 11, 3, 1975), which lets
+phase sweeps and fit grids, split once into unit-strength block pieces,
+skip the rest of the gate.  Pure functions on immutable inputs;
 independent scheme evaluations can run in parallel with no shared state.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -232,6 +231,30 @@ def _block_index(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block[:, :, np.newaxis], block[:, np.newaxis, :]
 
 
+def _column_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the last two axes: ``sum_i |B_ij|`` and ``Re B_jj - sum_{i != j} |B_ij|``."""
+    columns = np.abs(stack).sum(axis=-2)
+    diagonal = stack.diagonal(0, -2, -1)
+    return columns, diagonal.real - (columns - np.abs(diagonal))
+
+
+def _dominance_bound(stacks) -> float:
+    """Twice ``max ||B||_1 / min margin`` over every block, or +inf if a margin is <= 0.
+
+    Positive column margins put every eigenvalue in the right half-plane
+    (column Gershgorin discs), and Varah's bound applied to ``B^T`` gives
+    ``||B^-1||_1 <= 1 / min margin``, so this bounds the 1-norm condition;
+    the factor 2 covers rounding.  A bound within ``CONDITION_CAP``
+    certifies that ``_invert_blocks`` would pass.
+    """
+    norm, margin = 0.0, math.inf
+    for stack in stacks:
+        columns, margins = _column_margins(stack)
+        norm = max(norm, float(columns.max()))
+        margin = float(np.minimum(margin, margins.min()))
+    return 2.0 * norm / margin if margin > 0 else math.inf
+
+
 def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
     """Invert ``(count, size, size)`` block stacks behind the threshold gate.
 
@@ -252,10 +275,9 @@ def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
     """
     norm = 0.0
     for k, stack in enumerate(stacks):
-        columns = np.abs(stack).sum(axis=1)
+        columns, margins = _column_margins(stack)
         norm = np.maximum(norm, columns.max())
-        diagonal = stack.diagonal(0, 1, 2)
-        open_blocks = stack[(diagonal.real <= columns - np.abs(diagonal)).any(axis=1)]
+        open_blocks = stack[(margins <= 0).any(axis=1)]
         if len(open_blocks) == 0:
             continue
         try:
@@ -352,55 +374,15 @@ class _BlockPieces:
             out.append(stack)
         return out
 
-    @functools.cached_property
-    def _tone_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column and row sums of ``|unit|`` per tone over every block, ``(T, lines)``."""
-        tones = int(self.slot[0].max()) // 2  # the diagonal takes 2T
-        columns, rows = [], []
-        for t in range(tones):
-            parts = [
-                np.where((slot == t) | (slot == tones + t), np.abs(unit), 0.0)
-                for unit, slot in zip(self.unit, self.slot)
-            ]
-            columns.append(np.concatenate([part.sum(axis=1).ravel() for part in parts]))
-            rows.append(np.concatenate([part.sum(axis=2).ravel() for part in parts]))
-        return np.array(columns), np.array(rows)
-
-    def condition_bound(self, magnitudes, gamma: float) -> float:
-        """A bound on the condition of every block for tones of these magnitudes, any phases.
-
-        Whatever the phases, the pump part ``K`` lies entrywise below
-        ``|unit|`` times the tone magnitudes, so the per-tone column and row
-        sums bound ``||K||_1`` and ``||K||_inf``.  Every block is
-        ``B = D + gamma/2 * I + K`` with ``D`` the detuning diagonal, which is
-        anti-Hermitian, so the Hermitian part of ``B`` is
-        ``gamma/2 * I + Herm(K)`` and the numerical range bounds the smallest
-        singular value of ``B`` by ``mu = gamma/2 - ||K||_2``, with
-        ``||K||_2 <= sqrt(||K||_1 ||K||_inf)``.  With ``mu > 0`` every block
-        is nonsingular and its eigenvalues have real part at least ``mu``,
-        and its 1-norm condition is at most
-        ``(max|diag| + ||K||_1) * sqrt(size) / mu``.  Returns twice that
-        bound, the factor 2 covering rounding, or +inf when ``mu <= 0``; a
-        bound within ``CONDITION_CAP`` certifies that ``_invert_blocks``
-        would pass.
-        """
-        norm_1, norm_inf = (float((np.asarray(magnitudes) @ s).max()) for s in self._tone_sums)
-        mu = gamma / 2.0 - math.sqrt(norm_1 * norm_inf)
-        if mu <= 0:
-            return math.inf
-        detuning = max(np.abs(d).max() for d in self.detuning)
-        diagonal = math.hypot(detuning, gamma / 2.0)
-        size = max(block.shape[1] for block in self.blocks)
-        return 2.0 * (diagonal + norm_1) * math.sqrt(size) / mu
-
     def invert(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's inverse stack, behind the threshold gate.
 
-        Strengths whose magnitudes ``condition_bound`` certifies are
-        inverted directly; any others go through ``_invert_blocks``.
+        Stacks whose column discs certify the gate (``_dominance_bound``
+        within ``CONDITION_CAP``) are inverted directly, as the gate would
+        invert them; any others go through ``_invert_blocks``.
         """
         stacks = self.stacks(strengths, gamma)
-        if self.condition_bound(np.abs(strengths), gamma) <= CONDITION_CAP:
+        if _dominance_bound(stacks) <= CONDITION_CAP:
             return [np.linalg.inv(stack) for stack in stacks]
         key = np.asarray(strengths, dtype=complex).tobytes()
 

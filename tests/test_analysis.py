@@ -28,7 +28,7 @@ from combscatter import (
     search_phases,
     simulate_scattering,
 )
-from combscatter.scattering import CONDITION_CAP, _block_pieces
+from combscatter.scattering import CONDITION_CAP, _block_pieces, _dominance_bound
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
 from search_reference import exhaustive_search
 
@@ -250,12 +250,12 @@ class TestPhaseSweep:
 
     @pytest.mark.parametrize("swept", [0, 1, 2])
     def test_uncertified_scheme_tracks_equal_simulated_columns(self, grid, device, swept):
-        # the tone ratios sum to 0.51 > 1/2, so no phase-free bound clears the
-        # gate and every step takes the exact one; every step is stable
+        # the tone ratios sum to 0.51 > 1/2, so the column discs do not clear
+        # the gate and every step takes the exact one; every step is stable
         scheme = ladder(device, 0.17, 0.0)
         pieces = _block_pieces(grid, device, scheme)
-        magnitudes = [abs(t.strength) for t in scheme.tones]
-        assert pieces.condition_bound(magnitudes, device.port_coupling) > CONDITION_CAP
+        stacks = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
+        assert _dominance_bound(stacks) > CONDITION_CAP
         assert_tracks_equal_simulated_columns(scheme, swept, 5, grid, device)
 
     @pytest.mark.parametrize("swept", [0, 1, 2])

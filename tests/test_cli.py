@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -346,6 +347,50 @@ class TestExitCodes:
         key, most = (("steps", 10000) if command == "sweep-phase" else ("fit_grid_points", 500))
         line = SMALL.splitlines().index(old) + 1
         assert json.loads(err)["issues"] == [f"run.{key} (line {line}): must be at most {most}"]
+
+    def test_oversized_phase_search_is_2_before_it_enumerates(self, tmp_path, capsys):
+        # four tones leave two gauge-invariant phase combinations, so a grid of
+        # 10 000 points would key 1e8 classes before its first simulation
+        tone = "  - offset: 8\n    amplitude: 0.004533333333333334\n    phase_deg: 0.0\n"
+        config = tmp_path / "four.yaml"
+        config.write_text(SMALL.replace("run:\n", tone + "run:\n"))
+        target = tmp_path / "target.json"
+        target.write_text("[[0, 1]]")
+        argv = ["search-phases", config, "--target", target, "--phase-grid-points", "10000",
+                "--out-dir", tmp_path / "o"]
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert strict_json(line) == {
+            "error": "validation",
+            "message": "phase_grid_points: 10000**2 gauge classes exceed 65536",
+        }
+        assert peak < 8 << 20
+
+    def test_two_tone_search_on_a_huge_grid_simulates_once(self, tmp_path):
+        # two tones have one gauge class, so no grid size costs more than it
+        tone = "  - offset: 4\n    amplitude: 0.004533333333333334\n    phase_deg: 0.0\n"
+        config = tmp_path / "two.yaml"
+        config.write_text(SMALL.replace(tone, ""))
+        target = tmp_path / "target.json"
+        target.write_text("[[0, 1]]")
+        argv = ["search-phases", config, "--target", target, "--phase-grid-points",
+                str(10**9), "--out-dir", tmp_path / "o"]
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        meta = json.loads((tmp_path / "o" / "phase_search.json").read_text())["meta"]
+        assert meta["evaluated"] == 1
+        assert peak < 8 << 20
 
     def test_oversized_steps_flag_is_2(self, small_config, tmp_path, capsys):
         argv = ["sweep-phase", small_config, "--steps", "2000000000", "--out-dir", tmp_path]

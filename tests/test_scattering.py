@@ -31,6 +31,7 @@ from combscatter.scattering import (
     Normalization,
     ScatteringMatrix,
     _block_pieces,
+    _dominance_bound,
     _invert_blocks,
 )
 from conftest import (
@@ -424,7 +425,7 @@ class TestBlockSolver:
 
 
 def certified(pieces, scheme, gamma, cap):
-    return pieces.condition_bound([abs(t.strength) for t in scheme.tones], gamma) <= cap
+    return _dominance_bound(pieces.stacks([t.strength for t in scheme.tones], gamma)) <= cap
 
 
 def strengths_scaled(case, scale):
@@ -455,6 +456,26 @@ class TestThresholdCertificate:
         assert norm * inverse_norm <= cap
         assert _invert_blocks(stacks)[1] <= cap
         assert all(np.linalg.eigvals(block).real.min() > 0 for block in blocks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_schemes(), st.floats(0.1, 15.0), st.floats(0.3, 3.0))
+    def test_certificate_holds_at_every_phase(self, case, scale, coupling):
+        # the disc margins see only the tone magnitudes, so one certificate
+        # at the scheme's own phases covers a sweep of any tone
+        grid, scheme = strengths_scaled(case, scale)
+        device = DeviceParams(RESONANCE, coupling * COUPLING)
+        gamma = device.port_coupling
+        pieces = _block_pieces(grid, device, scheme)
+        clear = certified(pieces, scheme, gamma, CONDITION_CAP)
+        event(f"certified: {clear}")
+        if not clear:
+            return
+        for tone in range(len(scheme.tones)):
+            for phase in TWO_PI * np.arange(8) / 8:
+                rephased = scheme.with_phase(tone, float(phase))
+                assert certified(pieces, rephased, gamma, CONDITION_CAP)
+                stacks = pieces.stacks([t.strength for t in rephased.tones], gamma)
+                assert _invert_blocks(stacks)[1] <= CONDITION_CAP
 
     @pytest.mark.parametrize("offsets", [[0], [-4, 0, 4]])
     @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.15])
