@@ -71,6 +71,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_traced(args):
+    """``run`` under tracemalloc: the exit code and the peak of traced bytes."""
+    tracemalloc.start()
+    try:
+        return run(args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def strict_json(line):
     """Parse one line as RFC 8259 JSON: no Infinity, -Infinity or NaN."""
 
@@ -358,12 +367,7 @@ class TestExitCodes:
         target.write_text("[[0, 1]]")
         argv = ["search-phases", config, "--target", target, "--phase-grid-points", "10000",
                 "--out-dir", tmp_path / "o"]
-        tracemalloc.start()
-        try:
-            code = run(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = run_traced(argv)
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert strict_json(line) == {
@@ -381,12 +385,7 @@ class TestExitCodes:
         target.write_text("[[0, 1]]")
         argv = ["search-phases", config, "--target", target, "--phase-grid-points",
                 str(10**9), "--out-dir", tmp_path / "o"]
-        tracemalloc.start()
-        try:
-            code = run(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = run_traced(argv)
         assert code == 0
         meta = json.loads((tmp_path / "o" / "phase_search.json").read_text())["meta"]
         assert meta["evaluated"] == 1
