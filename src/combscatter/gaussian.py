@@ -7,10 +7,11 @@ symplectic there.  Gaussian states then propagate by congruence of their
 covariance matrix, which this module computes both analytically and by
 seeded Monte Carlo sampling.
 
-Monte Carlo draws use numpy's PCG64 generator (``default_rng``), so results
-are reproducible across platforms for a fixed seed.  Sampling may be
-partitioned across threads by deriving per-thread seeds from the base seed
-and combining the results sample-weighted.
+Monte Carlo draws come from one numpy PCG64 stream (``default_rng``) per
+call, in fixed chunks of ``_SAMPLE_CHUNK`` samples drawn into one chunk
+buffer.  A fixed seed gives the same draws on every platform; the chunk
+products go through BLAS, so the covariance is bit-identical from run to
+run on one machine and BLAS.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ VACUUM_SCALE = 0.5
 IMAG_RESIDUAL_TOL = 1e-9
 
 # Monte Carlo draws this many samples at a time, so memory stays bounded
-# whatever the sample count.
+# whatever the sample count.  The chunking fixes the summation grouping,
+# so changing it changes the covariance in its last bits.
 _SAMPLE_CHUNK = 16384
 
 # Per-mode canonical map from (a, a*) to (x, p).
@@ -212,7 +214,11 @@ def sample_covariance(
     covariance of the outputs ``Sx z``.  The chunks accumulate only the raw
     sums ``sum(z)`` and ``z^T z``; ``Sx`` is applied once at the end,
     ``V = Sx C_z Sx^T``, which equals the covariance of the mapped samples
-    up to rounding.  Bit-identical for a fixed seed.
+    up to rounding.  Bit-identical for a fixed seed on one machine and BLAS.
+
+    Each chunk is drawn in place into one buffer of
+    ``min(_SAMPLE_CHUNK, sample_count) x 2n`` doubles, so sampling holds one
+    chunk in memory besides the ``2n x 2n`` sums.
     """
     if sample_count < MIN_SAMPLES:
         raise InvalidArgumentError(f"sample_count must be at least {MIN_SAMPLES}")
@@ -223,13 +229,17 @@ def sample_covariance(
     std = np.sqrt(vacuum_scale)
     total = np.zeros(dim)
     products = np.zeros((dim, dim))
+    buffer = np.empty((min(_SAMPLE_CHUNK, sample_count), dim))
     drawn = 0
     while drawn < sample_count:
-        count = min(_SAMPLE_CHUNK, sample_count - drawn)
-        z = rng.normal(0.0, std, size=(count, dim))
+        z = buffer[: min(_SAMPLE_CHUNK, sample_count - drawn)]
+        # numpy draws normal(0, std) as 0 + std * standard_normal: the same
+        # values and generator state, without a second chunk alive
+        rng.standard_normal(out=z)
+        z *= std
         total += z.sum(axis=0)
         products += z.T @ z
-        drawn += count
+        drawn += len(z)
     mean = total / sample_count
     c_z = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
     v = sx.matrix @ c_z @ sx.matrix.T

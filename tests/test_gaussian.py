@@ -1,5 +1,7 @@
 """Quadrature transform, covariance propagation, Monte Carlo sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,16 @@ from combscatter import (
     to_quadrature,
     vacuum_covariance,
 )
-from combscatter.gaussian import block_magnitudes, connectivity_pattern, quadrature_transform
+from combscatter.gaussian import (
+    _SAMPLE_CHUNK,
+    block_magnitudes,
+    connectivity_pattern,
+    quadrature_transform,
+)
 from combscatter.scattering import Normalization, ScatteringMatrix
 from conftest import (
     RESONANCE,
+    SPACING,
     TWO_PI,
     analytic_two_mode_block,
     balanced_scheme,
@@ -271,6 +279,26 @@ class TestCovarianceMatrix:
         assert np.array_equal(v.matrix, 0.5 * np.eye(2 * grid.n_modes))
 
 
+def looped_sample_covariance(sx, sample_count, seed, vacuum_scale=0.5):
+    """Reference Monte Carlo covariance: a fresh ``rng.normal`` array per chunk."""
+    rng = np.random.default_rng(seed)
+    dim = sx.matrix.shape[0]
+    std = np.sqrt(vacuum_scale)
+    total = np.zeros(dim)
+    products = np.zeros((dim, dim))
+    drawn = 0
+    while drawn < sample_count:
+        count = min(_SAMPLE_CHUNK, sample_count - drawn)
+        z = rng.normal(0.0, std, size=(count, dim))
+        total += z.sum(axis=0)
+        products += z.T @ z
+        drawn += count
+    mean = total / sample_count
+    c_z = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
+    v = sx.matrix @ c_z @ sx.matrix.T
+    return 0.5 * (v + v.T)
+
+
 class TestSampleCovariance:
     def test_identity_diagonal_within_two_percent(self, grid):
         sx = QuadratureScattering(np.eye(2 * grid.n_modes), grid, 0.0)
@@ -324,6 +352,32 @@ class TestSampleCovariance:
         z = np.random.default_rng(3).normal(0.0, np.sqrt(0.5), size=(count, 2 * grid.n_modes))
         expected = np.cov(z @ sx.matrix.T, rowvar=False)
         assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("count", [2, _SAMPLE_CHUNK, 40_000])
+    def test_in_place_draws_match_the_looped_reference(self, grid, device, count):
+        # the fewest samples, exactly one chunk, and a partial last chunk
+        sx = to_quadrature(
+            simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+        )
+        v = sample_covariance(sx, count, seed=21).matrix
+        assert np.array_equal(v, looped_sample_covariance(sx, count, seed=21))
+
+    def test_holds_one_chunk_in_memory(self, device):
+        grid = ModeGrid(center_frequency=RESONANCE, spacing=SPACING, half_span=6)
+        dim = 2 * grid.n_modes
+        sx = to_quadrature(
+            simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.05))
+        )
+        chunk_bytes = _SAMPLE_CHUNK * dim * 8
+        sample_covariance(sx, 2, seed=4)  # first-call set-up is not per chunk
+        tracemalloc.start()
+        try:
+            sample_covariance(sx, 3 * _SAMPLE_CHUNK, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk buffer, and a few dim x dim sums and products beside it
+        assert peak < 1.25 * chunk_bytes + 16 * dim * dim * 8
 
     def test_too_few_samples_rejected(self, grid):
         sx = QuadratureScattering(np.eye(2 * grid.n_modes), grid, 0.0)

@@ -86,6 +86,27 @@ class TestAssemble:
             system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
             assert particle_hole_defect(system.matrix) == 0.0
 
+    def test_particle_hole_defect_matches_the_gather_formula(self):
+        # the defect as first written: the whole matrix against the conjugate
+        # of its slot-swapped copy
+        def gathered(m):
+            swap = np.arange(m.shape[0]) ^ 1
+            return float(np.max(np.abs(m - np.conj(m[np.ix_(swap, swap)]))))
+
+        rng = np.random.default_rng(11)
+        for size in (2, 4, 10, 38, 190):
+            shape = (size, size)
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            swap = np.arange(size) ^ 1
+            symmetric = 0.5 * (m + np.conj(m[np.ix_(swap, swap)]))
+            perturbed = symmetric + 1e-13 * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            )
+            assert particle_hole_defect(symmetric) == gathered(symmetric) == 0.0
+            for matrix in (m, perturbed):
+                assert particle_hole_defect(matrix) == gathered(matrix)
+            assert 0.0 < particle_hole_defect(perturbed) < 1e-12
+
     def test_coupling_outside_grid_rejected(self, grid, device):
         bad = CouplingSet((Coupling(0, 48, 1.0 + 0j),))
         with pytest.raises(InternalConsistencyError):
