@@ -8,6 +8,7 @@ regardless of how callers parallelize.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -458,15 +459,13 @@ def search_phases(
     best = None  # (objective, phases, graph)
     seen = set()
     skipped = 0
-    combo = [0] * len(swept_tones)
-    total = phase_grid_points ** len(swept_tones)
-    for flat in range(total):
+    # product copies its range into a tuple, so keep it small: with no
+    # invariant combination every phase vector is in the first one's class,
+    # and otherwise the check above holds the grid to MAX_PHASE_CLASSES points
+    points = range(phase_grid_points if basis else 1)
+    for combo in itertools.product(points, repeat=len(swept_tones)):
         if len(seen) == class_count:
             break
-        rest = flat
-        for pos in range(len(swept_tones) - 1, -1, -1):
-            combo[pos] = rest % phase_grid_points
-            rest //= phase_grid_points
         # the grid index each tone ends up at (unswept tones count as 0)
         index = [0] * len(scheme.tones)
         for tone, k in zip(swept_tones, combo):

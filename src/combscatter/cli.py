@@ -106,27 +106,17 @@ def _scheme(config: ExperimentConfig, args):
 def _setting(config: ExperimentConfig, args, name: str):
     """A flag's value, or the config's ``run`` value when the flag is absent.
 
-    A flag for a run size must meet the bounds the config applies to it.
+    A flag obeys the rules of the run setting it overrides.
     """
-    from .config import RUN_MAXIMUMS, RUN_MINIMUMS
+    from .config import run_problem
 
     value = getattr(args, name)
     if value is None:
         return getattr(config.run, name)
-    flag = "--" + name.replace("_", "-")
-    least, most = RUN_MINIMUMS.get(name), RUN_MAXIMUMS.get(name)
-    if least is not None and value < least:
-        raise InvalidArgumentError(f"{flag} must be at least {least}")
-    if most is not None and value > most:
-        raise InvalidArgumentError(f"{flag} must be at most {most}")
+    problem = run_problem(name, value)
+    if problem is not None:
+        raise InvalidArgumentError(f"--{name.replace('_', '-')} {problem}")
     return value
-
-
-def _seed(config: ExperimentConfig, args) -> int:
-    seed = _setting(config, args, "seed")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-    return seed
 
 
 def _meta(config: ExperimentConfig, seed=None) -> dict:
@@ -137,6 +127,11 @@ def _meta(config: ExperimentConfig, seed=None) -> dict:
     if seed is not None:
         meta["seed"] = seed
     return meta
+
+
+def _mode_labels(grid, parts: tuple[str, str]) -> list[str]:
+    """Labels of the interleaved slots of a matrix table, two per mode."""
+    return [f"{part}[{j}]" for j in grid.indices for part in parts]
 
 
 def _out(args, name: str) -> Path:
@@ -158,12 +153,12 @@ def _load_data(args, grid):
 
 
 def _cmd_simulate(config: ExperimentConfig, args) -> int:
-    from .datafiles import save_scattering, topology_report_dict, write_db_matrix_csv, write_json
+    from .datafiles import save_scattering, topology_report_dict, write_json, write_table
     from .graphs import export_dot, extract_graph, topology_report
     from .scattering import normalize_pump_off, pump_off_scattering, simulate_scattering
 
     scheme = _scheme(config, args)
-    threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
+    threshold, seed = _setting(config, args, "threshold_db"), _setting(config, args, "seed")
     grid, params = config.to_mode_grid(), config.to_device_params()
     s_on = simulate_scattering(grid, params, scheme)
     s_off = pump_off_scattering(grid, params)
@@ -172,7 +167,8 @@ def _cmd_simulate(config: ExperimentConfig, args) -> int:
     report = topology_report(graph)
     meta = _meta(config, seed)
     save_scattering(_out(args, "s_matrix.cmb"), s_on)
-    write_db_matrix_csv(_out(args, "db_matrix.csv"), db, grid, meta)
+    slots = _mode_labels(grid, ("a", "a*"))
+    write_table(_out(args, "db_matrix.csv"), "row\\col", slots, slots, db, meta)
     _out(args, "graph.gv").write_text(export_dot(graph, report))
     write_json(_out(args, "topology.json"), topology_report_dict(graph, report), meta)
     labels = ",".join(label.value for label in report.labels)
@@ -195,7 +191,7 @@ def _cmd_graph(config: ExperimentConfig, args) -> int:
     )
 
     scheme = _scheme(config, args)
-    threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
+    threshold, seed = _setting(config, args, "threshold_db"), _setting(config, args, "seed")
     grid, params = config.to_mode_grid(), config.to_device_params()
     if args.data:
         smat = _load_data(args, grid)
@@ -218,56 +214,61 @@ def _cmd_graph(config: ExperimentConfig, args) -> int:
 
 def _cmd_sweep_phase(config: ExperimentConfig, args) -> int:
     from .analysis import phase_sweep
-    from .datafiles import write_sweep_csv
+    from .datafiles import write_table
 
-    scheme, seed = _scheme(config, args), _seed(config, args)
+    scheme, seed = _scheme(config, args), _setting(config, args, "seed")
     steps, signal = _setting(config, args, "steps"), _setting(config, args, "signal_index")
     grid, params = config.to_mode_grid(), config.to_device_params()
     tone_label = args.tone if args.tone is not None else config.run.swept_tone
     position = _tone_position(scheme, tone_label)
     result = phase_sweep(scheme, position, steps, signal, grid, params)
-    write_sweep_csv(_out(args, "sweep.csv"), result, _meta(config, seed))
+    tracks = result.tracks
+    values = [[t.magnitudes_db[step] for t in tracks] for step in range(steps)]
+    write_table(_out(args, "sweep.csv"), "phase_rad", [t.label for t in tracks], result.phases,
+                values, _meta(config, seed))
     print(f"sweep-phase: tone {tone_label} over {steps} phases, {len(result.tracks)} tracks")
     return EXIT_OK
 
 
 def _cmd_covariance(config: ExperimentConfig, args) -> int:
-    from .datafiles import write_covariance_csv
+    from .datafiles import write_table
     from .gaussian import propagate_covariance, symplectic_defect, to_quadrature, vacuum_covariance
     from .scattering import simulate_scattering
 
-    scheme, seed = _scheme(config, args), _seed(config, args)
+    scheme, seed = _scheme(config, args), _setting(config, args, "seed")
     grid, params = config.to_mode_grid(), config.to_device_params()
     sx = to_quadrature(simulate_scattering(grid, params, scheme))
     v_out = propagate_covariance(sx, vacuum_covariance(grid))
     meta = _meta(config, seed)
     defect = symplectic_defect(sx)
     meta["symplectic_defect"] = repr(defect)
-    write_covariance_csv(_out(args, "covariance.csv"), v_out.matrix, grid, meta)
+    labels = _mode_labels(grid, ("x", "p"))
+    write_table(_out(args, "covariance.csv"), "row\\col", labels, labels, v_out.matrix, meta)
     print(f"covariance: analytic, defect {defect:.3e}")
     return EXIT_OK
 
 
 def _cmd_sample_covariance(config: ExperimentConfig, args) -> int:
-    from .datafiles import write_covariance_csv
+    from .datafiles import write_table
     from .gaussian import sample_covariance, to_quadrature
     from .scattering import simulate_scattering
 
-    scheme, seed = _scheme(config, args), _seed(config, args)
+    scheme, seed = _scheme(config, args), _setting(config, args, "seed")
     samples = _setting(config, args, "samples")
     grid, params = config.to_mode_grid(), config.to_device_params()
     sx = to_quadrature(simulate_scattering(grid, params, scheme))
     v = sample_covariance(sx, samples, seed)
     meta = _meta(config, seed)
     meta["samples"] = samples
-    write_covariance_csv(_out(args, "covariance_mc.csv"), v.matrix, grid, meta)
+    labels = _mode_labels(grid, ("x", "p"))
+    write_table(_out(args, "covariance_mc.csv"), "row\\col", labels, labels, v.matrix, meta)
     print(f"sample-covariance: {samples} samples, seed {seed}")
     return EXIT_OK
 
 
 def _cmd_fit(config: ExperimentConfig, args) -> int:
     from .analysis import fit_parameters
-    from .datafiles import _meta_lines, write_json
+    from .datafiles import write_json, write_table
 
     if not args.data:
         raise InvalidArgumentError("fit requires --data")
@@ -293,11 +294,8 @@ def _cmd_fit(config: ExperimentConfig, args) -> int:
         "grid_points": int(result.surface.shape[0]),
     }
     write_json(_out(args, "fit.json"), payload, meta)
-    lines = _meta_lines(meta)
-    lines.append("g\\gamma," + ",".join(repr(float(g)) for g in result.gamma_values))
-    for g, row in zip(result.g_values, result.surface):
-        lines.append(repr(float(g)) + "," + ",".join(repr(float(d)) for d in row))
-    _out(args, "fit_surface.csv").write_text("\n".join(lines) + "\n")
+    write_table(_out(args, "fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,
+                result.surface, meta)
     print(f"fit: ridge ratio {result.ridge_ratio:.5f}, distance {result.distance:.3e}")
     return EXIT_OK
 
@@ -307,7 +305,7 @@ def _cmd_search_phases(config: ExperimentConfig, args) -> int:
     from .datafiles import topology_report_dict, write_json
 
     scheme = _scheme(config, args)
-    threshold, seed = _setting(config, args, "threshold_db"), _seed(config, args)
+    threshold, seed = _setting(config, args, "threshold_db"), _setting(config, args, "seed")
     grid, params = config.to_mode_grid(), config.to_device_params()
     if not args.target:
         raise InvalidArgumentError("search-phases requires --target")

@@ -220,16 +220,19 @@ class _Validator:
         if not isinstance(node.value, (int, float)):
             self.problem(path, "expected a number", node.line)
             return None
-        if not math.isfinite(node.value):
+        try:
+            value = float(node.value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
             self.problem(path, "must be finite", node.line)
             return None
-        return float(node.value)
+        return value
 
 
 _RUN_KEYS = {f.name for f in fields(RunOptions)}
 
-# the smallest value of each run size that its subcommand accepts; the CLI
-# holds the flags that override these sizes to the same minimums
+# the smallest value of each run size that its subcommand accepts
 RUN_MINIMUMS = {
     "steps": MIN_SWEEP_STEPS,
     "samples": MIN_SAMPLES,
@@ -239,6 +242,28 @@ RUN_MINIMUMS = {
 
 # the largest value of each run size that allocates in proportion to it
 RUN_MAXIMUMS = {"steps": MAX_SWEEP_STEPS, "fit_grid_points": MAX_FIT_GRID_POINTS}
+
+_POSITIVE = {"fit_g_min", "fit_g_max", "fit_gamma_min", "fit_gamma_max"}
+
+
+def run_problem(name: str, value) -> str | None:
+    """What is wrong with ``value`` as the run setting ``name``, or None.
+
+    The one rule set for run settings: the config's ``run`` section and the
+    CLI flags that override its keys are both held to it.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    if name == "seed" and value < 0:
+        return "must be non-negative"
+    if name in _POSITIVE and getattr(value, "hz", value) <= 0:
+        return "must be positive"
+    least, most = RUN_MINIMUMS.get(name), RUN_MAXIMUMS.get(name)
+    if least is not None and value < least:
+        return f"must be at least {least}"
+    if most is not None and value > most:
+        return f"must be at most {most}"
+    return None
 
 
 def _check_fit_ranges(v: _Validator, run: dict, run_kwargs: dict) -> None:
@@ -362,34 +387,21 @@ def parse_config(text: str) -> ExperimentConfig:
     run_kwargs = {}
     if "run" in top:
         run = v.mapping(top["run"], "run", _RUN_KEYS)
-        for name in ("threshold_db", "fit_g_min", "fit_g_max"):
-            if name in run:
-                got = v.number(run[name], f"run.{name}")
-                if got is not None:
-                    run_kwargs[name] = got
-        for name in ("steps", "seed", "samples", "signal_index", "swept_tone",
-                     "phase_grid_points", "fit_grid_points"):
-            if name in run:
-                got = v.number(run[name], f"run.{name}", int)
-                if got is not None:
-                    run_kwargs[name] = got
-        if run_kwargs.get("seed", 0) < 0:
-            v.problem("run.seed", "must be non-negative", run["seed"].line)
-        for name, least in RUN_MINIMUMS.items():
-            if run_kwargs.get(name, least) < least:
-                v.problem(f"run.{name}", f"must be at least {least}", run[name].line)
-        for name, most in RUN_MAXIMUMS.items():
-            if run_kwargs.get(name, most) > most:
-                v.problem(f"run.{name}", f"must be at most {most}", run[name].line)
-        for name in ("fit_g_min", "fit_g_max"):
-            if run_kwargs.get(name, 1.0) <= 0:
-                v.problem(f"run.{name}", "must be positive", run[name].line)
-                del run_kwargs[name]
-        for name in ("fit_gamma_min", "fit_gamma_max"):
-            if name in run:
-                got = v.positive_quantity(run[name], f"run.{name}")
-                if got is not None:
-                    run_kwargs[name] = got
+        for name, default in vars(RunOptions()).items():
+            if name not in run:
+                continue
+            node, path = run[name], f"run.{name}"
+            if isinstance(default, Quantity):
+                got = v.quantity(node, path)
+            else:
+                got = v.number(node, path, type(default))
+            if got is None:
+                continue
+            problem = run_problem(name, got)
+            if problem is None:
+                run_kwargs[name] = got
+            else:
+                v.problem(path, problem, node.line)
         _check_fit_ranges(v, run, run_kwargs)
 
     if v.issues:

@@ -134,9 +134,9 @@ def save_scattering_csv(path, smat: ScatteringMatrix) -> None:
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def load_scattering_csv(path, sidecar=None) -> ScatteringMatrix:
-    """Read a generic CSV matrix; the sidecar metadata file is mandatory."""
-    meta_path = Path(sidecar) if sidecar is not None else sidecar_path(path)
+def load_scattering_csv(path) -> ScatteringMatrix:
+    """Read a generic CSV matrix; its sidecar metadata file is mandatory."""
+    meta_path = sidecar_path(path)
     if not meta_path.exists():
         raise DataFormatError(
             f"generic CSV requires a metadata sidecar; {meta_path} not found"
@@ -202,49 +202,23 @@ def load_scattering_data(path, format: str) -> ScatteringMatrix:
     )
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {key}: {meta[key]}" for key in sorted(meta)]
+def _cell(x) -> str:
+    """A label as given, a number as its shortest round-trip decimal."""
+    return x if isinstance(x, str) else repr(float(x))
 
 
-def _slot_labels(grid: ModeGrid) -> list[str]:
-    labels = []
-    for j in grid.indices:
-        labels.append(f"a[{j}]")
-        labels.append(f"a*[{j}]")
-    return labels
+def write_table(path, corner: str, columns, rows, values, meta: dict) -> None:
+    """Write a CSV table in the one layout every CSV output shares.
 
-
-def write_db_matrix_csv(path, db_matrix: np.ndarray, grid: ModeGrid, meta: dict) -> None:
-    """dB matrix as CSV with slot labels on both axes and a comment header."""
-    labels = _slot_labels(grid)
-    lines = _meta_lines(meta)
-    lines.append("row\\col," + ",".join(labels))
-    for label, row in zip(labels, np.asarray(db_matrix)):
-        lines.append(label + "," + ",".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_covariance_csv(path, v: np.ndarray, grid: ModeGrid, meta: dict) -> None:
-    """Quadrature covariance as CSV with x/p labels."""
-    labels = []
-    for j in grid.indices:
-        labels.append(f"x[{j}]")
-        labels.append(f"p[{j}]")
-    lines = _meta_lines(meta)
-    lines.append("row\\col," + ",".join(labels))
-    for label, row in zip(labels, np.asarray(v)):
-        lines.append(label + "," + ",".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_sweep_csv(path, result, meta: dict) -> None:
-    """Phase sweep as CSV: one row per phase, one column per track."""
-    lines = _meta_lines(meta)
-    lines.append("phase_rad," + ",".join(t.label for t in result.tracks))
-    for step, phase in enumerate(result.phases):
-        cells = [repr(float(phase))]
-        cells += [repr(float(t.magnitudes_db[step])) for t in result.tracks]
-        lines.append(",".join(cells))
+    ``# key: value`` lines for the sorted ``meta``, a header of ``corner``
+    and the column labels, then one line per row: its label and its values.
+    ``values`` holds one sequence per row; a table without columns still
+    writes every row label.
+    """
+    lines = [f"# {key}: {meta[key]}" for key in sorted(meta)]
+    lines.append(",".join([corner, *map(_cell, columns)]))
+    for label, row in zip(rows, values, strict=True):
+        lines.append(",".join([_cell(label), *map(_cell, row)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

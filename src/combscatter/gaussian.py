@@ -120,14 +120,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def to_quadrature(
-    s: ScatteringMatrix, tol: float = IMAG_RESIDUAL_TOL
-) -> QuadratureScattering:
+def to_quadrature(s: ScatteringMatrix) -> QuadratureScattering:
     """Express a scattering matrix in the quadrature basis.
 
     Computes ``U S U+`` with the per-mode canonical block and keeps the real
-    part.  A residual imaginary part above ``tol`` means the input lacks
-    particle-hole structure (malformed basis), which raises.
+    part.  A residual imaginary part above ``IMAG_RESIDUAL_TOL`` means the
+    input lacks particle-hole structure (malformed basis), which raises.
 
     Per mode pair the product is a closed form in the 2x2 block
     ``[[a, b], [c, d]]`` (amplitude/conjugate rows and columns):
@@ -145,9 +143,9 @@ def to_quadrature(
     sx[1::2, 1::2] = db - ca
     sx *= 0.5
     residual = float(np.max(np.abs(sx.imag)))
-    if residual > tol:
+    if residual > IMAG_RESIDUAL_TOL:
         raise BasisInconsistencyError(
-            f"imaginary residual {residual:.3e} exceeds {tol:.1e}: "
+            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_TOL:.1e}: "
             "input is not a particle-hole symmetric scattering matrix"
         )
     return QuadratureScattering(matrix=sx.real, grid=s.grid, imag_residual=residual)
@@ -258,17 +256,17 @@ def block_magnitudes(matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def connectivity_pattern(matrix: np.ndarray, relative_threshold: float = 1e-2) -> np.ndarray:
+def connectivity_pattern(matrix: np.ndarray) -> np.ndarray:
     """Boolean mode-connectivity pattern of a matrix in an interleaved basis.
 
     Reduces to per-mode-pair block magnitudes, zeroes the diagonal, and
-    thresholds at ``relative_threshold`` times the largest off-diagonal
-    block.  Used to compare the connectivity of scattering and covariance
-    matrices on an equal footing.
+    thresholds at 1e-2 times the largest off-diagonal block.  Used to compare
+    the connectivity of scattering and covariance matrices on an equal
+    footing.
     """
     blocks = block_magnitudes(matrix)
     np.fill_diagonal(blocks, 0.0)
     peak = float(blocks.max())
     if peak == 0.0:
         return np.zeros_like(blocks, dtype=bool)
-    return blocks >= relative_threshold * peak
+    return blocks >= 1e-2 * peak

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from combscatter import cli
+from combscatter import __version__, cli
 from combscatter.cli import main
 from combscatter import AboveThresholdError, RunOptions, bundled_config_path
 from combscatter.datafiles import load_scattering, save_scattering_csv, sidecar_path
@@ -569,6 +570,152 @@ class TestExitCodes:
         assert doc["issues"]
 
 
+class TestRunSettingFlags:
+    """A flag obeys the rules of the ``run`` key it overrides."""
+
+    @pytest.mark.parametrize("command", ["simulate", "graph", "search-phases"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_flag_is_2_before_any_output(
+        self, small_config, tmp_path, capsys, command, value
+    ):
+        target = tmp_path / "target.json"
+        target.write_text("[[0, 1]]")
+        extra = ["--target", target] if command == "search-phases" else []
+        out = tmp_path / "o"
+        assert run([command, small_config, f"--threshold-db={value}", *extra,
+                    "--out-dir", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert strict_json(line) == {
+            "error": "validation", "message": "--threshold-db must be finite"
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--threshold-db", ".nan"),
+            ("sample-covariance", "--seed", "-1"),
+            ("sweep-phase", "--steps", "7"),
+            ("sweep-phase", "--steps", "10001"),
+            ("sample-covariance", "--samples", "1"),
+            ("search-phases", "--phase-grid-points", "3"),
+        ],
+    )
+    def test_flag_and_run_key_report_the_same_problem(
+        self, small_config, tmp_path, capsys, command, flag, value
+    ):
+        target = tmp_path / "target.json"
+        target.write_text("[[0, 1]]")
+        extra = ["--target", target] if command == "search-phases" else []
+        flag_value = "nan" if value == ".nan" else value
+        assert run([command, small_config, f"{flag}={flag_value}", *extra,
+                    "--out-dir", tmp_path / "a"]) == 2
+        from_flag = json.loads(capsys.readouterr().err)["message"]
+        key = flag[2:].replace("-", "_")
+        line = f"  {key}: {value}"
+        config = tmp_path / "bad.yaml"
+        config.write_text(re.sub(rf"  {key}: .*", line, SMALL) if key in SMALL else SMALL + line)
+        assert run([command, config, *extra, "--out-dir", tmp_path / "b"]) == 2
+        (issue,) = json.loads(capsys.readouterr().err)["issues"]
+        assert from_flag.removeprefix(flag) == issue.partition("):")[2]
+
+
+# 3 modes and one tone that couples none of them: a pump-off run whose
+# sweep has no intermodulation product to track
+THREE = """
+device:
+  resonance_frequency: 4.2 GHz
+  port_coupling: 112 MHz
+grid:
+  center: 4.2 GHz
+  spacing: 0.1 MHz
+  half_span: 1
+scheme:
+  - offset: 10
+    amplitude: 0.0045
+run:
+  steps: 8
+  seed: 5
+  fit_grid_points: 4
+"""
+
+_THREE_SHA = "83df247ea287bf8b6a44b4eed7ce6b6ab4301f9c097dcb3a41a456bb388b8a96"
+
+
+def _same_cell(got, want):
+    """Equal text, or numbers that differ only in the last bits, which BLAS
+    and the summation order decide."""
+    try:
+        return got == want or float(got) == pytest.approx(float(want), rel=1e-9, abs=1e-15)
+    except ValueError:
+        return False
+
+
+def assert_starts_with(path, want):
+    """``path`` begins with the lines of ``want``, cell for cell."""
+    got = path.read_text().splitlines()[: len(want)]
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_cells, want_cells = re.split(r",|: ", got_line), re.split(r",|: ", want_line)
+        assert len(got_cells) == len(want_cells), got_line
+        assert all(map(_same_cell, got_cells, want_cells)), (got_line, want_line)
+
+
+class TestTableLayout:
+    """Every CSV table: sorted meta lines, a header, one labelled line per row."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("three")
+        config = root / "three.yaml"
+        config.write_text(THREE)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("simulate", "covariance", "sweep-phase"):
+                assert run([command, config, "--out-dir", root]) == 0
+            assert run(["fit", config, "--data", root / "s_matrix.cmb", "--out-dir", root]) == 0
+        return root
+
+    def meta(self, *lines):
+        return [f"# config_sha256: {_THREE_SHA}", *lines, "# tool: combscatter",
+                f"# version: {__version__}"]
+
+    def test_db_matrix(self, out):
+        assert_starts_with(out / "db_matrix.csv", [
+            *self.meta("# seed: 5"),
+            "row\\col,a[-1],a*[-1],a[0],a*[0],a[1],a*[1]",
+            "a[-1],0.0,-240.0,-240.0,-240.0,-240.0,-240.0",
+        ])
+
+    def test_covariance(self, out):
+        assert_starts_with(out / "covariance.csv", [
+            *self.meta("# seed: 5", "# symplectic_defect: 1.1102230246251565e-16"),
+            "row\\col,x[-1],p[-1],x[0],p[0],x[1],p[1]",
+            "x[-1],0.49999999999999994,-9.894330692639654e-20,0.0,0.0,0.0,0.0",
+        ])
+
+    def test_fit_surface(self, out):
+        assert_starts_with(out / "fit_surface.csv", [
+            *self.meta(),
+            "g\\gamma,351858377.2020568,703716754.4041137,1055575131.6061704,1407433508.8082273",
+            "0.0001,0.007142800200993408,4.44092597968927e-16,0.002380946897628626,"
+            "0.0035714214536530535",
+        ])
+
+    def test_sweep_without_tracks_keeps_one_row_per_phase(self, out):
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            *self.meta("# seed: 5"),
+            "phase_rad",
+            "0.0",
+            "0.7853981633974483",
+            "1.5707963267948966",
+            "2.356194490192345",
+            "3.141592653589793",
+            "3.9269908169872414",
+            "4.71238898038469",
+            "5.497787143782138",
+        ]
+
+
 # -- exit-code contract under fuzzed configs and flags ------------------------
 
 _BAD_NUMBERS = [".nan", ".inf", "-.inf", "nan", "-1", "0", "abc", "10000000", "[1]"]
@@ -750,6 +897,9 @@ class TestExitCodeContract:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
+            if code == 0:
+                for report in (root / "out").rglob("*.json"):
+                    strict_json(report.read_text())
         event(f"exit {code}{' with --data' * ('--data' in values)}")
         assert code in (0, 2, 3, 4), argv
         if code:

@@ -110,6 +110,18 @@ class TestParse:
         assert "finite" in issue.message
         assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if new in text)
 
+    @pytest.mark.parametrize("old", ["amplitude: 0.004", "threshold_db: -20.0"])
+    def test_integer_past_the_float_range_rejected_as_non_finite(self, old):
+        key = old.partition(":")[0]
+        new = f"{key}: -{10**400}"
+        bad = GOOD.replace(old, new, 1)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert issue.message == "must be finite"
+        assert issue.field.endswith(key)
+        assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if new in text)
+
     @pytest.mark.parametrize(
         "old, new, field, message",
         [
@@ -209,6 +221,19 @@ class TestParse:
         (issue,) = excinfo.value.issues
         assert (issue.field, issue.message) == (field, message)
         assert issue.line == bad.splitlines().index(f"  {lines[0]}") + 1
+
+    def test_run_issues_come_in_field_order(self):
+        lines = ["fit_g_min: 0", "samples: 1", "seed: -1", "steps: 4", "threshold_db: .nan"]
+        bad = GOOD.replace("  signal_index: 28", "".join(f"  {line}\n" for line in lines))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        assert [(i.field, i.message) for i in excinfo.value.issues] == [
+            ("run.threshold_db", "must be finite"),
+            ("run.steps", f"must be at least {MIN_SWEEP_STEPS}"),
+            ("run.seed", "must be non-negative"),
+            ("run.samples", f"must be at least {MIN_SAMPLES}"),
+            ("run.fit_g_min", "must be positive"),
+        ]
 
     def test_fit_ranges_within_defaults_accepted(self):
         config = parse_config(

@@ -16,6 +16,7 @@ from combscatter.datafiles import (
     save_scattering,
     save_scattering_csv,
     sidecar_path,
+    write_table,
 )
 from conftest import balanced_scheme
 
@@ -219,3 +220,22 @@ class TestCsv:
         grid = load_scattering_csv(path).grid
         assert grid.center_frequency == 2.0 * np.pi * 4.2e9
         assert grid.spacing == 2.0 * np.pi * 1e5
+
+
+class TestTable:
+    def test_layout(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "row\\col", ["a", 0.5], ["r0", 1], np.array([[1.0, -np.inf], [0.1, 2]]),
+                    {"version": "0.1.0", "seed": 3})
+        assert path.read_text() == (
+            "# seed: 3\n# version: 0.1.0\nrow\\col,a,0.5\nr0,1.0,-inf\n1.0,0.1,2.0\n"
+        )
+
+    def test_table_without_columns_keeps_its_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "phase_rad", [], [0.0, 3.14], [[], []], {})
+        assert path.read_text() == "phase_rad\n0.0\n3.14\n"
+
+    def test_row_count_must_match(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", "x", ["a"], ["r0", "r1"], [[1.0]], {})
