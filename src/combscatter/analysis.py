@@ -38,6 +38,7 @@ from .scattering import (
     _dominance_bound,
     _frozen,
     _gain,
+    _invert_blocks,
     _pump_off_diagonal,
     magnitude_db,
     normalize_pump_off,
@@ -177,7 +178,7 @@ def phase_sweep(
         if not certified:
             for phase, step in zip(phases[start:stop], step_strengths):
                 try:
-                    pieces.invert(step, gamma)
+                    _invert_blocks(pieces.stacks(step, gamma))
                 except AboveThresholdError as exc:
                     raise AboveThresholdError(
                         f"above threshold at swept phase {phase:.6f} rad: {exc}",
@@ -248,27 +249,32 @@ def fit_parameters(
     a local coordinate-descent pass around the best cell.
 
     Only the pump strength and the port coupling change from cell to cell,
-    so the blocks of the system are split once into pieces; each cell goes
-    through the block evaluator, and the distance is summed block by block
-    (the model is zero off the blocks).  A cell its column discs certify
-    skips the rest of the threshold gate, a revisited cell is evaluated
-    once, and so is the pump-off reference of each coupling.
+    so the blocks of the system are split once into pieces; each cell's
+    stacks go through the threshold gate ``_invert_blocks``, and the
+    distance is summed block by block (the model is zero off the blocks).
+    A block group the gate sends to its eigenvalues reads them from one
+    spectrum per strength, shared by every coupling; a revisited cell is
+    evaluated once, and so is the pump-off reference of each coupling.
 
-    Dynamically unstable cells, at or past the oscillation threshold,
-    score +inf rather than raising; if the whole surface is infinite the
-    fit is infeasible and raises.
+    A measured matrix with a non-finite entry, or a range that is not
+    positive, finite and increasing, is rejected before any cell is
+    evaluated.  Dynamically unstable cells, at or past the oscillation
+    threshold, score +inf rather than raising; if the whole surface is
+    infinite the fit is infeasible and raises.
     """
     measured = s_measured.matrix if isinstance(s_measured, ScatteringMatrix) else np.asarray(s_measured, dtype=complex)
     if measured.shape != (2 * grid.n_modes, 2 * grid.n_modes):
         raise InvalidArgumentError("measured matrix does not match the grid dimension")
+    if not np.isfinite(measured).all():
+        raise InvalidArgumentError("measured matrix must be finite")
     if not MIN_GRID_POINTS <= grid_points <= MAX_FIT_GRID_POINTS:
         raise InvalidArgumentError(
             f"grid_points must be in {MIN_GRID_POINTS}..{MAX_FIT_GRID_POINTS}"
         )
     g_lo, g_hi = map(float, g_range)
     gamma_lo, gamma_hi = map(float, gamma_range)
-    if not (0 < g_lo < g_hi and 0 < gamma_lo < gamma_hi):
-        raise InvalidArgumentError("fit ranges must be positive and increasing")
+    if not (0 < g_lo < g_hi < math.inf and 0 < gamma_lo < gamma_hi < math.inf):
+        raise InvalidArgumentError("fit ranges must be positive, finite and increasing")
 
     omega0 = grid.center_frequency
     # every cell's tones have strength g at the shape's phases; the pieces
@@ -290,6 +296,15 @@ def fit_parameters(
     def pump_off_magnitudes(gamma: float) -> np.ndarray:
         return np.abs(_pump_off_diagonal(grid, DeviceParams(omega0, gamma))[0])
 
+    # M - gamma/2 does not depend on gamma, so one spectrum per strength
+    # serves every coupling; a block's mirror (of its conjugate slots) has
+    # the conjugate spectrum, so the block of each pair that starts at an
+    # amplitude slot suffices
+    @functools.cache
+    def floor(g: float, k: int) -> float:
+        stack = pieces.stacks(g * unit_strengths, 0.0)[k]
+        return np.linalg.eigvals(stack[pieces.blocks[k][:, 0] % 2 == 0]).real.min()
+
     # the refinement revisits cells; each (g, gamma) pair is evaluated once
     @functools.cache
     def evaluate(g: float, gamma: float) -> float:
@@ -298,7 +313,9 @@ def fit_parameters(
         params = DeviceParams(resonance_frequency=omega0, port_coupling=gamma)
         check_band(grid, params)
         try:
-            inverses = pieces.invert(g * unit_strengths, gamma)
+            inverses, _ = _invert_blocks(
+                pieces.stacks(g * unit_strengths, gamma), lambda k: gamma / 2.0 + floor(g, k)
+            )
         except AboveThresholdError:
             return np.inf
         reference = pump_off_magnitudes(gamma)

@@ -135,7 +135,9 @@ class ExperimentConfig:
 
 
 # YAML 1.1 scalar rules (".nan", ".inf", "0x1F", "1_000", ...) for int and
-# float nodes; the validator decides which values a field accepts.
+# float nodes; the validator decides which values a field accepts.  No
+# field takes a boolean, so "yes" or "true" stays text, which no number,
+# integer or quantity field accepts.
 _SCALARS = yaml.constructor.SafeConstructor()
 
 
@@ -164,8 +166,6 @@ def _convert(node) -> _Node:
         return _Node(_SCALARS.construct_yaml_int(node), line)
     if tag.endswith(":float"):
         return _Node(_SCALARS.construct_yaml_float(node), line)
-    if tag.endswith(":bool"):
-        return _Node(raw.lower() in ("true", "yes", "on"), line)
     if tag.endswith(":null"):
         return _Node(None, line)
     return _Node(str(raw), line)

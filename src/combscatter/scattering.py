@@ -13,18 +13,20 @@ pump-off reflection.
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
 Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
-gate that decides it.  Its first stage, the column Gershgorin discs, also
-bounds the condition (Varah, Linear Algebra Appl. 11, 3, 1975), which lets
-phase sweeps and fit grids, split once into unit-strength block pieces,
-skip the rest of the gate.  Pure functions on immutable inputs;
-independent scheme evaluations can run in parallel with no shared state.
+gate that decides it, and the only code that inverts block stacks.  Its
+first stage, the column Gershgorin discs, also bounds the condition
+(Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
+the gate once for all its steps.  Sweeps and fit grids build their stacks
+from unit-strength block pieces, split once.  Pure functions on immutable
+inputs; independent scheme evaluations can run in parallel with no shared
+state.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,7 +254,8 @@ def _dominance_bound(stacks) -> float:
     (column Gershgorin discs), and Varah's bound applied to ``B^T`` gives
     ``||B^-1||_1 <= 1 / min margin``, so this bounds the 1-norm condition;
     the factor 2 covers rounding.  A bound within ``CONDITION_CAP``
-    certifies that ``_invert_blocks`` would pass.
+    certifies that ``_invert_blocks`` would pass; ``phase_sweep`` takes it
+    once, at its base phases, to clear the gate for every step.
     """
     norm, margin = 0.0, math.inf
     for stack in stacks:
@@ -359,15 +362,13 @@ class _BlockPieces:
         unit[k] * (s_0, ..., s_T-1, conj(s_0), ..., conj(s_T-1), 0)[slot[k]]
             + diag(detuning[k] + gamma/2)
 
-    which reproduces the assembled stack bit for bit.  ``memo`` keeps a
-    group's smallest eigenvalue real part of ``M - gamma/2`` by strengths.
+    which reproduces the assembled stack bit for bit.
     """
 
     blocks: tuple[np.ndarray, ...]
     detuning: tuple[np.ndarray, ...]
     unit: tuple[np.ndarray, ...]
     slot: tuple[np.ndarray, ...]
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
@@ -380,29 +381,6 @@ class _BlockPieces:
             stack[..., diagonal, diagonal] += detuning + gamma / 2.0
             out.append(stack)
         return out
-
-    def invert(self, strengths, gamma: float) -> list[np.ndarray]:
-        """Every group's inverse stack, behind the threshold gate.
-
-        Stacks whose column discs certify the gate (``_dominance_bound``
-        within ``CONDITION_CAP``) are inverted directly, as the gate would
-        invert them; any others go through ``_invert_blocks``.
-        """
-        stacks = self.stacks(strengths, gamma)
-        if _dominance_bound(stacks) <= CONDITION_CAP:
-            return [np.linalg.inv(stack) for stack in stacks]
-        key = np.asarray(strengths, dtype=complex).tobytes()
-
-        def lowest(k: int) -> float:
-            # M - gamma/2 does not depend on gamma, and a block's mirror (of
-            # its conjugate slots) has the conjugate spectrum: one block of
-            # each pair, the one starting at an amplitude slot, suffices
-            if (key, k) not in self.memo:
-                representatives = stacks[k][self.blocks[k][:, 0] % 2 == 0]
-                self.memo[key, k] = np.linalg.eigvals(representatives).real.min() - gamma / 2.0
-            return gamma / 2.0 + self.memo[key, k]
-
-        return _invert_blocks(stacks, lowest)[0]
 
     def block_of(self, slot: int) -> tuple[_BlockPieces, int]:
         """The pieces of the one block holding ``slot``, and its position there."""

@@ -35,8 +35,8 @@ from combscatter import (
     topology_report,
     vacuum_covariance,
 )
-from combscatter.gaussian import connectivity_pattern
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, analytic_two_mode_block, balanced_scheme
+from connectivity_reference import connectivity_pattern
 
 # Operating strength for the topology criteria.  It must land in the window
 # where the -20 dB graph keeps only directly pumped pairs while the

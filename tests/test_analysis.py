@@ -386,6 +386,51 @@ class TestFit:
             rel=1e-12,
         )
 
+    def test_one_spectrum_per_strength_and_block_group(self, device, monkeypatch):
+        # ratios 0.05 to 0.6 cross the threshold, so cells of every g row
+        # reach the eigenvalue stage at several couplings
+        grid = ModeGrid(RESONANCE, SPACING, 6)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        measured = simulate_scattering(grid, device, scheme)
+        spectra = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: spectra.append(a) or eigvals(a))
+        points = 6
+        result = fit_parameters(
+            measured, grid, scheme,
+            g_range=(0.05 * COUPLING / RESONANCE, 0.6 * COUPLING / RESONANCE),
+            gamma_range=(0.5 * COUPLING, 2.0 * COUPLING),
+            grid_points=points,
+            refine_steps=0,
+        )
+        assert np.isinf(result.surface).any() and np.isfinite(result.surface).any()
+        groups = len(_block_pieces(grid, device, scheme).blocks)
+        assert 0 < len(spectra) <= points * groups
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_measured_entry_rejected(self, device, bad):
+        grid = ModeGrid(RESONANCE, SPACING, 3)
+        scheme = balanced_scheme(device, [0], 0.05)
+        measured = simulate_scattering(grid, device, scheme).matrix.copy()
+        measured[2, 5] = bad
+        with pytest.raises(InvalidArgumentError, match="measured matrix must be finite"):
+            fit_parameters(measured, grid, scheme, (1e-3, 2e-3), (1.0, 2.0), 4)
+
+    @pytest.mark.parametrize(
+        "g_range, gamma_range",
+        [
+            ((1e-4, np.inf), (0.5 * COUPLING, 2.0 * COUPLING)),
+            ((1e-4, 1e-2), (0.5 * COUPLING, np.inf)),
+            ((1e-4, np.nan), (0.5 * COUPLING, 2.0 * COUPLING)),
+        ],
+    )
+    def test_non_finite_range_end_rejected(self, device, g_range, gamma_range):
+        grid = ModeGrid(RESONANCE, SPACING, 3)
+        scheme = balanced_scheme(device, [0], 0.05)
+        measured = simulate_scattering(grid, device, scheme)
+        with pytest.raises(InvalidArgumentError, match="fit ranges must be positive, finite"):
+            fit_parameters(measured, grid, scheme, g_range, gamma_range, 4)
+
     def test_validation(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)
         measured = simulate_scattering(grid, device, scheme)

@@ -263,6 +263,27 @@ class TestParse:
         config = parse_config(GOOD.replace("half_span: 47", f"half_span: {MAX_HALF_SPAN}"))
         assert config.to_mode_grid().n_modes == 2 * MAX_HALF_SPAN + 1
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("offset: -4", "offset: yes", "scheme[0].offset"),
+            ("amplitude: 0.004", "amplitude: true", "scheme[0].amplitude"),
+            ("phase_deg: 180.0", "phase_deg: on", "scheme[2].phase_deg"),
+            ("half_span: 47", "half_span: True", "grid.half_span"),
+            ("signal_index: 28", "signal_index: no", "run.signal_index"),
+            ("signal_index: 28", "signal_index: 28\n  seed: yes", "run.seed"),
+            ("threshold_db: -20.0", "threshold_db: false", "run.threshold_db"),
+        ],
+    )
+    def test_boolean_rejected_where_a_number_is_expected(self, old, new, field):
+        bad = GOOD.replace(old, new, 1)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert issue.field == field
+        last = new.splitlines()[-1]
+        assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if last in text)
+
     def test_yaml_integer_forms_accepted(self):
         config = parse_config(GOOD.replace("half_span: 47", "half_span: 0x2F"))
         assert config.half_span == 47

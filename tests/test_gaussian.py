@@ -27,12 +27,7 @@ from combscatter import (
     to_quadrature,
     vacuum_covariance,
 )
-from combscatter.gaussian import (
-    _SAMPLE_CHUNK,
-    block_magnitudes,
-    connectivity_pattern,
-    quadrature_transform,
-)
+from combscatter.gaussian import _SAMPLE_CHUNK, quadrature_transform
 from combscatter.scattering import Normalization, ScatteringMatrix
 from conftest import (
     RESONANCE,
@@ -43,6 +38,7 @@ from conftest import (
     same_bits_but_nan,
     special_float_matrices,
 )
+from connectivity_reference import block_magnitudes, connectivity_pattern
 from test_scattering import random_scheme
 
 

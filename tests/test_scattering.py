@@ -519,18 +519,19 @@ class TestThresholdCertificate:
         system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
         assembled = [system.matrix[b[:, :, np.newaxis], b[:, np.newaxis, :]] for b in system.blocks]
         pieces = _block_pieces(grid, device, scheme)
-        strengths = [t.strength for t in scheme.tones]
+        stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
         try:
-            expected, _ = _invert_blocks(assembled)
+            expected, cond = _invert_blocks(assembled)
         except AboveThresholdError:
             event("above threshold")
             with pytest.raises(AboveThresholdError):
-                pieces.invert(strengths, gamma)
+                _invert_blocks(stacks)
             return
         event(f"certified: {certified(pieces, scheme, gamma, 1e12)}")
-        inverses = pieces.invert(strengths, gamma)
+        inverses, pieces_cond = _invert_blocks(stacks)
         assert len(inverses) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(inverses, expected))
+        assert pieces_cond == cond
 
     @pytest.mark.parametrize("ratio, expected", [(0.49, True), (0.5, False), (0.51, False)])
     def test_single_pair_bound_is_its_exact_threshold(self, device, ratio, expected):
