@@ -40,6 +40,7 @@ from .scattering import (
     _gain,
     _invert_blocks,
     _pump_off_diagonal,
+    _spectral_floor,
     magnitude_db,
     normalize_pump_off,
     pump_off_scattering,
@@ -123,7 +124,9 @@ def phase_sweep(
     is cleared once for the whole sweep: the disc margins depend only on
     the diagonal and the magnitudes ``|s_t|``, which the phase moves by a
     few ulps, while a bound within the cap demands a margin of at least
-    ``2e-12 * ||B||_1``.  Otherwise every step goes through the gate.
+    ``2e-12 * ||B||_1``.  Otherwise every step goes through the gate, and
+    a step that needs the eigenvalues decomposes one block of each open
+    mirror pair.
     Raises the above-threshold error annotated with the offending phase if
     any sweep point is dynamically unstable, at or past the threshold.
     """
@@ -177,8 +180,16 @@ def phase_sweep(
         step_strengths[:, swept_tone] = strengths[start:stop]
         if not certified:
             for phase, step in zip(phases[start:stop], step_strengths):
+                stacks = pieces.stacks(step, gamma)
                 try:
-                    _invert_blocks(pieces.stacks(step, gamma))
+                    # a block is open exactly when its mirror is (equal column
+                    # magnitudes and real diagonal), so one of each pair suffices
+                    _invert_blocks(
+                        stacks,
+                        lambda k, is_open: _spectral_floor(
+                            stacks[k][is_open], pieces.blocks[k][is_open]
+                        ),
+                    )
                 except AboveThresholdError as exc:
                     raise AboveThresholdError(
                         f"above threshold at swept phase {phase:.6f} rad: {exc}",
@@ -212,9 +223,14 @@ class FitResult:
     """Grid-plus-refinement fit of pump strength and port coupling.
 
     ``surface`` samples the distance on the (strength, coupling) grid given
-    by ``g_values`` x ``gamma_values``; above-threshold cells hold +inf.
-    ``ridge_ratio`` is the identifiable dimensionless combination
-    (resonance frequency times strength over coupling) at the optimum.
+    by ``g_values`` x ``gamma_values``; above-threshold cells hold +inf, and
+    ``cells_above_threshold`` counts them.  ``ridge_ratio`` is the
+    dimensionless combination (resonance frequency times strength over
+    coupling) at the optimum, the direction the distance is most sensitive
+    to.  ``evaluations`` is the number of distinct cells evaluated, grid
+    and refinement together, and ``converged`` tells whether the
+    refinement's steps fell below their stop size before its step budget
+    ran out.
     """
 
     best_g: float
@@ -224,6 +240,9 @@ class FitResult:
     g_values: np.ndarray
     gamma_values: np.ndarray
     ridge_ratio: float
+    evaluations: int
+    converged: bool
+    cells_above_threshold: int
 
     def __post_init__(self):
         for name in ("surface", "g_values", "gamma_values"):
@@ -245,8 +264,20 @@ def fit_parameters(
     symmetrically around twice the comb center), sets every tone of
     ``scheme_shape`` to the common strength ``g`` under test, and compares
     complex scattering matrices normalized to their own pump-off reference,
-    summing squared entry differences.  The coarse grid scan is followed by
-    a local coordinate-descent pass around the best cell.
+    summing squared entry differences.
+
+    The coarse grid scan is followed by a descent from the best cell along
+    the valley of the distance, along which ``g / gamma`` stays nearly
+    constant.  It works in the coordinates ``r = g / gamma`` and
+    ``gamma``: each round tries, in turn, the four neighbours one step away
+    in ``r`` at fixed ``gamma`` and in ``gamma`` at fixed ``r``, and moves
+    to each one that lowers the distance.  A round that finds none halves
+    both steps, which start at one grid step in ``g`` (over the best
+    cell's ``gamma``) and in ``gamma``; the fit has converged once the
+    ``gamma`` step falls below ``1e-6`` of its range, and stops after
+    ``refine_steps`` rounds otherwise.  The best cell is kept as the pair
+    that was evaluated, so a refinement that never moves returns the grid
+    cell as it is.
 
     Only the pump strength and the port coupling change from cell to cell,
     so the blocks of the system are split once into pieces; each cell's
@@ -297,13 +328,10 @@ def fit_parameters(
         return np.abs(_pump_off_diagonal(grid, DeviceParams(omega0, gamma))[0])
 
     # M - gamma/2 does not depend on gamma, so one spectrum per strength
-    # serves every coupling; a block's mirror (of its conjugate slots) has
-    # the conjugate spectrum, so the block of each pair that starts at an
-    # amplitude slot suffices
+    # serves every coupling
     @functools.cache
     def floor(g: float, k: int) -> float:
-        stack = pieces.stacks(g * unit_strengths, 0.0)[k]
-        return np.linalg.eigvals(stack[pieces.blocks[k][:, 0] % 2 == 0]).real.min()
+        return _spectral_floor(pieces.stacks(g * unit_strengths, 0.0)[k], pieces.blocks[k])
 
     # the refinement revisits cells; each (g, gamma) pair is evaluated once
     @functools.cache
@@ -314,7 +342,7 @@ def fit_parameters(
         check_band(grid, params)
         try:
             inverses, _ = _invert_blocks(
-                pieces.stacks(g * unit_strengths, gamma), lambda k: gamma / 2.0 + floor(g, k)
+                pieces.stacks(g * unit_strengths, gamma), lambda k, _: gamma / 2.0 + floor(g, k)
             )
         except AboveThresholdError:
             return np.inf
@@ -350,19 +378,27 @@ def fit_parameters(
     best_g, best_gamma = float(g_values[a0]), float(gamma_values[b0])
     best_d = float(surface[a0, b0])
 
-    step_g = (g_hi - g_lo) / (grid_points - 1)
+    # axis-aligned steps in (g, gamma) zig-zag across the valley and stall
+    ratio = best_g / best_gamma
+    step_ratio = (g_hi - g_lo) / (grid_points - 1) / best_gamma
     step_gamma = (gamma_hi - gamma_lo) / (grid_points - 1)
+    converged = False
     for _ in range(refine_steps):
         improved = False
-        for dg, dgamma in ((step_g, 0.0), (-step_g, 0.0), (0.0, step_gamma), (0.0, -step_gamma)):
-            d = evaluate(best_g + dg, best_gamma + dgamma)
+        for dr, dgamma in (
+            (step_ratio, 0.0), (-step_ratio, 0.0), (0.0, step_gamma), (0.0, -step_gamma)
+        ):
+            r, gamma = ratio + dr, best_gamma + dgamma
+            g = r * gamma
+            d = evaluate(g, gamma)
             if d < best_d:
-                best_g, best_gamma, best_d = best_g + dg, best_gamma + dgamma, d
+                ratio, best_g, best_gamma, best_d = r, g, gamma, d
                 improved = True
         if not improved:
-            step_g *= 0.5
+            step_ratio *= 0.5
             step_gamma *= 0.5
-            if step_g < 1e-6 * (g_hi - g_lo):
+            if step_gamma < 1e-6 * (gamma_hi - gamma_lo):
+                converged = True
                 break
 
     return FitResult(
@@ -373,6 +409,9 @@ def fit_parameters(
         g_values=g_values,
         gamma_values=gamma_values,
         ridge_ratio=omega0 * best_g / best_gamma,
+        evaluations=evaluate.cache_info().currsize,
+        converged=converged,
+        cells_above_threshold=int(np.isinf(surface).sum()),
     )
 
 

@@ -293,7 +293,12 @@ def _cmd_fit(config: ExperimentConfig, args) -> int:
         "ridge_ratio": result.ridge_ratio,
         "grid_points": int(result.surface.shape[0]),
     }
-    write_json(_out(args, "fit.json"), payload, meta)
+    diagnostics = {
+        "evaluations": result.evaluations,
+        "converged": result.converged,
+        "cells_above_threshold": result.cells_above_threshold,
+    }
+    write_json(_out(args, "fit.json"), payload, {**meta, **diagnostics})
     write_table(_out(args, "fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,
                 result.surface, meta)
     print(f"fit: ridge ratio {result.ridge_ratio:.5f}, distance {result.distance:.3e}")

@@ -265,6 +265,17 @@ def _dominance_bound(stacks) -> float:
     return 2.0 * norm / margin if margin > 0 else math.inf
 
 
+def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
+    """Least real part of the spectrum of the ``stack`` blocks on the slots ``block``.
+
+    A block's mirror, on the swapped slots of its modes, is its conjugate
+    and has the conjugate spectrum, so of each pair only the block that
+    starts at an amplitude slot is decomposed; a block holding both slots
+    of a mode is its own mirror, and starts at its amplitude slot.
+    """
+    return np.linalg.eigvals(stack[block[:, 0] % 2 == 0]).real.min()
+
+
 def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
     """Invert ``(count, size, size)`` block stacks behind the threshold gate.
 
@@ -275,7 +286,8 @@ def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
     parts of the blocks the discs leave open all have a Cholesky factor,
     which puts their numerical ranges in the right half-plane.  One failed
     factor sends the group to the eigenvalues: ``eigvals`` of those open
-    blocks, or ``lowest(k)``, the caller's floor over all of group ``k``.
+    blocks, or ``lowest(k, is_open)``, the caller's floor over at least the
+    blocks of group ``k`` that the boolean mask ``is_open`` marks.
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
@@ -287,13 +299,16 @@ def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
     for k, stack in enumerate(stacks):
         columns, margins = _column_margins(stack)
         norm = np.maximum(norm, columns.max())
-        open_blocks = stack[(margins <= 0).any(axis=1)]
+        is_open = (margins <= 0).any(axis=1)
+        open_blocks = stack[is_open]
         if len(open_blocks) == 0:
             continue
         try:
             np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
         except np.linalg.LinAlgError:
-            floor = np.linalg.eigvals(open_blocks).real.min() if lowest is None else lowest(k)
+            floor = (
+                np.linalg.eigvals(open_blocks).real.min() if lowest is None else lowest(k, is_open)
+            )
             if not floor > 0:
                 raise AboveThresholdError(
                     "parametric oscillation threshold reached: the system is dynamically "

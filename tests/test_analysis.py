@@ -258,6 +258,22 @@ class TestPhaseSweep:
         assert _dominance_bound(stacks) > CONDITION_CAP
         assert_tracks_equal_simulated_columns(scheme, swept, 5, grid, device)
 
+    def test_uncertified_step_decomposes_one_block_of_each_mirror_pair(
+        self, grid, device, monkeypatch
+    ):
+        # the 48-slot group holds a block that is its own mirror and a mirror
+        # pair; a step that needs its eigenvalues decomposes two of the three
+        scheme = ladder(device, 0.17, 0.0)
+        pieces = _block_pieces(grid, device, scheme)
+        halves = {block.shape[1]: int(np.sum(block[:, 0] % 2 == 0)) for block in pieces.blocks}
+        assert (halves[48], len(pieces.blocks[-1])) == (2, 3)
+        spectra = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: spectra.append(a.shape) or eigvals(a))
+        phase_sweep(scheme, 1, 8, 5, grid, device)
+        assert any(size == 48 for _, size, _ in spectra)
+        assert all(count <= halves[size] for count, size, _ in spectra)
+
     @pytest.mark.parametrize("swept", [0, 1, 2])
     def test_unstable_step_of_an_uncertified_sweep_raises_with_its_phase(
         self, grid, device, swept
@@ -289,6 +305,18 @@ class TestPhaseSweep:
             phase_sweep(scheme, 0, 7, 0, grid, device)
 
 
+@st.composite
+def self_fit_cases(draw):
+    """A 9-19 mode grid centred on the resonance, 1-3 equal tones at random
+    phases and ratio, and a coupling: the truth of a self-fit."""
+    half_span = draw(st.integers(4, 9))
+    offsets = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3, unique=True))
+    phases = [draw(st.floats(0.0, TWO_PI)) for _ in offsets]
+    device = DeviceParams(RESONANCE, TWO_PI * draw(st.floats(60e6, 200e6)))
+    scheme = balanced_scheme(device, sorted(offsets), draw(st.floats(0.03, 0.12)), phases)
+    return ModeGrid(RESONANCE, SPACING, half_span), device, scheme
+
+
 class TestFit:
     def test_self_fit_recovers_ratio(self, grid, device):
         g_true = 0.085 * COUPLING / RESONANCE
@@ -304,6 +332,70 @@ class TestFit:
         )
         true_ratio = RESONANCE * g_true / COUPLING
         assert abs(result.ridge_ratio - true_ratio) / true_ratio < 0.01
+
+    def test_scheme_scan_self_fit_converges_on_its_own_data(self, grid, device):
+        # a 6 x 6 grid misses the true cell, so the refinement runs its course
+        g_true = 0.085 * COUPLING / RESONANCE
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        measured = simulate_scattering(grid, device, scheme)
+        result = fit_parameters(
+            measured,
+            grid,
+            scheme,
+            g_range=(0.5 * g_true, 2.0 * g_true),
+            gamma_range=(0.5 * COUPLING, 2.0 * COUPLING),
+            grid_points=6,
+        )
+        assert abs(result.best_gamma - COUPLING) / COUPLING < 1e-4
+        assert result.distance < 1e-4
+        assert result.converged
+
+    @settings(max_examples=20, deadline=None)
+    @given(self_fit_cases())
+    def test_self_fit_recovers_coupling(self, case):
+        grid, device, scheme = case
+        g_true = scheme.tones[0].amplitude / 2.0
+        coupling = device.port_coupling
+        measured = simulate_scattering(grid, device, scheme)
+        result = fit_parameters(
+            measured, grid, scheme, (0.5 * g_true, 2.0 * g_true), (0.5 * coupling, 2.0 * coupling), 6
+        )
+        assert abs(result.best_gamma - coupling) / coupling < 1e-4
+
+    def test_true_cell_on_the_grid_is_kept_bit_for_bit(self, grid, device):
+        # the second g and the second coupling of the 4 x 4 grid are the
+        # truth, where no step of the refinement lowers the distance
+        g_true = 0.085 * COUPLING / RESONANCE
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        measured = simulate_scattering(grid, device, scheme)
+        result = fit_parameters(
+            measured, grid, scheme, (0.5 * g_true, 2.0 * g_true), (0.5 * COUPLING, 2.0 * COUPLING), 4
+        )
+        assert result.g_values[1] == pytest.approx(g_true, rel=1e-15)
+        assert result.gamma_values[1] == pytest.approx(COUPLING, rel=1e-15)
+        assert (result.best_g, result.best_gamma, result.distance) == (
+            result.g_values[1], result.gamma_values[1], result.surface[1, 1]
+        )
+
+    def test_diagnostics_count_cells_and_report_convergence(self, device):
+        # ratios 0.05 to 0.6 put cells past the threshold
+        grid = ModeGrid(RESONANCE, SPACING, 6)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        measured = simulate_scattering(grid, device, scheme)
+        args = (
+            measured, grid, scheme,
+            (0.05 * COUPLING / RESONANCE, 0.6 * COUPLING / RESONANCE),
+            (0.5 * COUPLING, 2.0 * COUPLING),
+            6,
+        )
+        scan = fit_parameters(*args, refine_steps=0)
+        above = int(np.isinf(scan.surface).sum())
+        assert 0 < above < 36
+        assert (scan.evaluations, scan.converged, scan.cells_above_threshold) == (36, False, above)
+        assert not fit_parameters(*args, refine_steps=3).converged
+        refined = fit_parameters(*args)
+        assert refined.converged and refined.evaluations > 36
+        assert refined.cells_above_threshold == above
 
     def test_valley_floor_is_flat(self, grid, device):
         g_true = 0.085 * COUPLING / RESONANCE

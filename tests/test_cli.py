@@ -208,6 +208,23 @@ class TestFit:
         fit = json.loads((out / "fit.json").read_text())
         assert abs(fit["ridge_ratio"] - 0.085) / 0.085 < 0.01
 
+    @pytest.mark.parametrize("name", ["onepump", "twopump", "threepump"])
+    def test_bundled_self_fit_recovers_coupling(self, name, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", name, "--out-dir", out]) == 0
+        assert run(["fit", name, "--data", out / "s_matrix.cmb", "--out-dir", out]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert abs(fit["best_gamma_hz"] - 112e6) / 112e6 < 1e-4
+        meta = fit["meta"]
+        assert meta["converged"] is True
+        assert meta["evaluations"] >= 40 * 40
+        surface = [
+            line.split(",")[1:]
+            for line in (out / "fit_surface.csv").read_text().splitlines()
+            if not line.startswith(("#", "g\\gamma"))
+        ]
+        assert meta["cells_above_threshold"] == sum(cell == "inf" for row in surface for cell in row)
+
     def test_fit_requires_data(self, small_config, tmp_path):
         assert run(["fit", small_config, "--out-dir", tmp_path]) == 2
 
