@@ -29,9 +29,9 @@ _EXPORTS = {
     "DataFormatError DegenerateNormalizationError FitInfeasibleError "
     "InternalConsistencyError InvalidArgumentError",
     "gaussian": "CovarianceMatrix QuadratureScattering propagate_covariance "
-    "sample_covariance symplectic_defect symplectic_form to_quadrature vacuum_covariance",
+    "sample_covariance symplectic_defect to_quadrature vacuum_covariance",
     "graphs": "CorrelationGraph GraphEdge TopologyLabel TopologyReport classify_topology "
-    "connected_components export_dot extract_graph mode_level_db topology_report",
+    "export_dot extract_graph mode_level_db topology_report",
     "model": "BandMismatchWarning Coupling CouplingSet DeviceParams IntermodPrediction "
     "ModeGrid PumpScheme PumpTone build_mode_grid predicted_intermod_indices "
     "resolve_couplings",

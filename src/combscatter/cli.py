@@ -56,20 +56,17 @@ def _parse_phase(text: str) -> float:
 
 
 def _tone_position(scheme, label: int) -> int:
-    """Map a pump label (-1/0/1 style) to its position in the scheme."""
+    """Map a pump label to its position in the scheme.
+
+    Labels count outward from the middle tone in offset order, so an odd
+    count runs ``-h..h`` and an even count skips 0 (four tones: -2, -1, 1, 2).
+    """
     order = sorted(range(len(scheme.tones)), key=lambda i: scheme.tones[i].offset)
     count = len(order)
     if count == 0:
         raise InvalidArgumentError("scheme has no tones")
-    labels: dict[int, int]
-    if count == 1:
-        labels = {0: order[0]}
-    elif count == 2:
-        labels = {-1: order[0], 1: order[1]}
-    elif count == 3:
-        labels = {-1: order[0], 0: order[1], 1: order[2]}
-    else:
-        labels = {i: pos for i, pos in enumerate(order)}
+    half = count // 2
+    labels = dict(zip([k for k in range(-half, half + 1) if k or count % 2], order))
     if label not in labels:
         raise InvalidArgumentError(
             f"tone label {label} not valid for a {count}-tone scheme "
@@ -140,14 +137,21 @@ def _out(args, name: str) -> Path:
     return out_dir / name
 
 
+def _describe_grid(grid) -> str:
+    """Mode count, center and spacing of a grid, in Hz."""
+    center, spacing = (f / (2.0 * math.pi) for f in (grid.center_frequency, grid.spacing))
+    return f"{grid.n_modes} modes, center {center!r} Hz, spacing {spacing!r} Hz"
+
+
 def _load_data(args, grid):
-    """The ``--data`` matrix, which must have the config grid's mode count."""
+    """The ``--data`` matrix, which must lie on exactly the config's grid."""
     from .datafiles import load_scattering_data
 
     smat = load_scattering_data(args.data, args.format)
-    if smat.grid.n_modes != grid.n_modes:
+    if smat.grid != grid:
         raise DataFormatError(
-            f"data has {smat.grid.n_modes} modes but config grid has {grid.n_modes}"
+            f"data grid ({_describe_grid(smat.grid)}) differs from "
+            f"config grid ({_describe_grid(grid)})"
         )
     return smat
 
@@ -186,8 +190,8 @@ def _cmd_graph(config: ExperimentConfig, args) -> int:
         Normalization,
         magnitude_db,
         normalize_pump_off,
+        pump_off_normalized_db,
         pump_off_scattering,
-        simulate_scattering,
     )
 
     scheme = _scheme(config, args)
@@ -200,9 +204,7 @@ def _cmd_graph(config: ExperimentConfig, args) -> int:
         else:
             db = normalize_pump_off(smat, pump_off_scattering(grid, params))
     else:
-        db = normalize_pump_off(
-            simulate_scattering(grid, params, scheme), pump_off_scattering(grid, params)
-        )
+        db = pump_off_normalized_db(grid, params, scheme)
     graph = extract_graph(db, grid, threshold)
     report = topology_report(graph)
     meta = _meta(config, seed)

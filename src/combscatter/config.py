@@ -446,22 +446,16 @@ def serialize_config(config: ExperimentConfig) -> str:
         lines.append(f"- amplitude: {_yaml_float(tone.amplitude)}")
         lines.append(f"  offset: {tone.offset}")
         lines.append(f"  phase_{tone.phase_unit}: {_yaml_float(tone.phase_value)}")
-    run = config.run
-    lines += [
-        "run:",
-        f"  fit_g_max: {_yaml_float(run.fit_g_max)}",
-        f"  fit_g_min: {_yaml_float(run.fit_g_min)}",
-        f"  fit_gamma_max: {run.fit_gamma_max.render()}",
-        f"  fit_gamma_min: {run.fit_gamma_min.render()}",
-        f"  fit_grid_points: {run.fit_grid_points}",
-        f"  phase_grid_points: {run.phase_grid_points}",
-        f"  samples: {run.samples}",
-        f"  seed: {run.seed}",
-        f"  signal_index: {run.signal_index}",
-        f"  steps: {run.steps}",
-        f"  swept_tone: {run.swept_tone}",
-        f"  threshold_db: {_yaml_float(run.threshold_db)}",
-    ]
+    lines.append("run:")
+    for name in sorted(_RUN_KEYS):
+        value = getattr(config.run, name)
+        if isinstance(value, Quantity):
+            text = value.render()
+        elif isinstance(value, float):
+            text = _yaml_float(value)
+        else:
+            text = str(value)
+        lines.append(f"  {name}: {text}")
     return "\n".join(lines) + "\n"
 
 

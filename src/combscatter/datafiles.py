@@ -227,14 +227,10 @@ def topology_report_dict(graph: CorrelationGraph, report: TopologyReport) -> dic
         "threshold_db": graph.threshold_db,
         "edge_count": len(graph.edges),
         "components": [
-            {
-                "nodes": list(comp),
-                "label": report.labels[idx].value if idx < len(report.labels) else None,
-                "rungs": [list(r) for r in report.ladder_rungs[idx]]
-                if idx < len(report.ladder_rungs)
-                else [],
-            }
-            for idx, comp in enumerate(report.components)
+            {"nodes": list(comp), "label": label.value, "rungs": [list(r) for r in rungs]}
+            for comp, label, rungs in zip(
+                report.components, report.labels, report.ladder_rungs, strict=True
+            )
         ],
         "edges": [[e.i, e.j, e.weight_db] for e in graph.edges],
         "self_loops": [[i, w] for i, w in graph.self_loops],

@@ -35,9 +35,6 @@ IMAG_RESIDUAL_TOL = 1e-9
 # so changing it changes the covariance in its last bits.
 _SAMPLE_CHUNK = 16384
 
-# Per-mode canonical map from (a, a*) to (x, p).
-_U2 = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class QuadratureScattering:
@@ -104,28 +101,13 @@ def _cholesky_certifies(v: np.ndarray, shift: float) -> bool:
     return True
 
 
-def quadrature_transform(n_modes: int) -> np.ndarray:
-    """Block-diagonal unitary mapping the interleaved (a, a*) basis to (x, p).
-
-    ``to_quadrature`` applies it in closed form, without building it.
-    """
-    return np.kron(np.eye(n_modes), _U2)
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one 2x2 rotation generator per mode.
-
-    ``symplectic_defect`` applies it by column swaps, without building it.
-    """
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 def to_quadrature(s: ScatteringMatrix) -> QuadratureScattering:
     """Express a scattering matrix in the quadrature basis.
 
-    Computes ``U S U+`` with the per-mode canonical block and keeps the real
-    part.  A residual imaginary part above ``IMAG_RESIDUAL_TOL`` means the
-    input lacks particle-hole structure (malformed basis), which raises.
+    Computes ``U S U+`` with the per-mode canonical block
+    ``[[1, 1], [-i, i]] / sqrt(2)`` of ``U`` and keeps the real part.  A
+    residual imaginary part above ``IMAG_RESIDUAL_TOL`` means the input
+    lacks particle-hole structure (malformed basis), which raises.
 
     Per mode pair the product is a closed form in the 2x2 block
     ``[[a, b], [c, d]]`` (amplitude/conjugate rows and columns):

@@ -28,7 +28,7 @@ the template's whole edge count, so it proves the match.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,27 +70,19 @@ class CorrelationGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {(e.i, e.j) for e in self.edges}
 
-    def neighbors(self, index: int) -> tuple[int, ...]:
-        out = set()
-        for e in self.edges:
-            if e.i == index:
-                out.add(e.j)
-            elif e.j == index:
-                out.add(e.i)
-        return tuple(sorted(out))
-
 
 @dataclass(frozen=True)
 class TopologyReport:
     """Connected components with structural labels.
 
+    ``labels`` and ``ladder_rungs`` hold one entry per component.
     ``ladder_rungs`` lists, for each ladder-type component, its rung pairs;
     other components get an empty tuple.
     """
 
     components: tuple[tuple[int, ...], ...]
-    labels: tuple[TopologyLabel, ...] = field(default_factory=tuple)
-    ladder_rungs: tuple[tuple[tuple[int, int], ...], ...] = field(default_factory=tuple)
+    labels: tuple[TopologyLabel, ...]
+    ladder_rungs: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def mode_level_db(db_matrix: np.ndarray, grid: ModeGrid) -> np.ndarray:
@@ -176,11 +168,6 @@ def _components(adj) -> tuple[tuple[int, ...], ...]:
             seen.update(comp)
             comps.append(tuple(sorted(comp)))
     return tuple(comps)
-
-
-def connected_components(graph: CorrelationGraph) -> TopologyReport:
-    """Connected components, ordered by smallest contained mode index."""
-    return TopologyReport(components=_components(_adjacency(graph.nodes, graph.edges)))
 
 
 def _peel_variants(adj, nodes, budget: int):
@@ -383,11 +370,8 @@ def export_dot(graph: CorrelationGraph, report: TopologyReport) -> str:
     for (i, j), w in sorted(edge_lookup.items()):
         if i in component_of:
             edge_lines[component_of[i]].append(f'    "{i}" -- "{j}" [label="{w:.1f}"];')
-    for idx, comp in enumerate(report.components):
-        label = report.labels[idx].value if idx < len(report.labels) else ""
-        lines.append(f"  subgraph cluster_{idx} {{")
-        if label:
-            lines.append(f'    label="{label}";')
+    for idx, (comp, label) in enumerate(zip(report.components, report.labels, strict=True)):
+        lines += [f"  subgraph cluster_{idx} {{", f'    label="{label.value}";']
         for node in comp:
             lines.append(f'    "{node}";')
         for node in comp:

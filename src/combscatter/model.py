@@ -243,10 +243,6 @@ class PumpScheme:
         tones[tone_index] = PumpTone(old.offset, old.amplitude, phase)
         return PumpScheme(tuple(tones))
 
-    def with_amplitude(self, amplitude: float) -> "PumpScheme":
-        """Copy of the scheme with every tone set to the same amplitude."""
-        return PumpScheme(tuple(PumpTone(t.offset, amplitude, t.phase) for t in self.tones))
-
 
 def gauge_invariant_basis(offsets) -> tuple[tuple[int, ...], ...]:
     """Integer basis of the tone-phase combinations that change ``|S|``.
@@ -313,16 +309,6 @@ class CouplingSet:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def partners(self, index: int) -> tuple[int, ...]:
-        """Modes coupled to ``index``, in ascending order (may include itself)."""
-        out = set()
-        for e in self.entries:
-            if e.i == index:
-                out.add(e.j)
-            if e.j == index:
-                out.add(e.i)
-        return tuple(sorted(out))
 
 
 _PACKAGE = __name__.rpartition(".")[0]

@@ -3,8 +3,9 @@
 These are the earlier implementations of ``extract_graph`` (a Python loop
 over mode pairs) and of topology classification (one peel-and-match pass
 for the label of each component, over ladders and then clique chains, and
-another for its rungs, each variant rebuilt from a subgraph view).  The
-tests require the package to reproduce them exactly.
+another for its rungs, each variant rebuilt from a subgraph view), with
+the components taken from networkx.  The tests require the package to
+reproduce them exactly.
 """
 
 from itertools import combinations
@@ -12,7 +13,7 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from combscatter import GraphEdge, TopologyLabel, TopologyReport, connected_components
+from combscatter import GraphEdge, TopologyLabel, TopologyReport
 from combscatter.graphs import BOUNDARY_DEFECT_BUDGET, mode_level_db
 
 
@@ -136,14 +137,20 @@ def _component_rungs(component, edges, label):
     return ()
 
 
+def components(graph):
+    """Connected components as sorted tuples, ordered by smallest node."""
+    g = _as_nx(graph.nodes, graph.edges)
+    return tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(g)))
+
+
 def topology_report(graph):
-    components = connected_components(graph).components
+    comps = components(graph)
     labels, rungs = [], []
-    for comp in components:
+    for comp in comps:
         label = classify_topology(comp, graph.edges)
         labels.append(label)
         if label in (TopologyLabel.SQUARE_LADDER, TopologyLabel.LADDER_WITH_DIAGONALS):
             rungs.append(_component_rungs(comp, graph.edges, label))
         else:
             rungs.append(())
-    return TopologyReport(components=components, labels=tuple(labels), ladder_rungs=tuple(rungs))
+    return TopologyReport(components=comps, labels=tuple(labels), ladder_rungs=tuple(rungs))

@@ -48,8 +48,9 @@ def aligned_distance(measured, model):
 def dense_distance(measured, grid, shape, g, gamma):
     """Reference fit cell: full S over its full pump-off reference."""
     params = DeviceParams(grid.center_frequency, gamma)
+    scheme = PumpScheme(tuple(PumpTone(t.offset, 2.0 * g, t.phase) for t in shape.tones))
     try:
-        s_on = simulate_scattering(grid, params, shape.with_amplitude(2.0 * g))
+        s_on = simulate_scattering(grid, params, scheme)
     except AboveThresholdError:
         return math.inf
     reference = np.abs(np.diag(pump_off_scattering(grid, params).matrix))

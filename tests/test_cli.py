@@ -19,8 +19,23 @@ from hypothesis import strategies as st
 
 from combscatter import __version__, cli
 from combscatter.cli import main
-from combscatter import AboveThresholdError, RunOptions, bundled_config_path
-from combscatter.datafiles import load_scattering, save_scattering_csv, sidecar_path
+from combscatter import (
+    AboveThresholdError,
+    InvalidArgumentError,
+    PumpScheme,
+    RunOptions,
+    ScatteringMatrix,
+    bundled_config_path,
+    parse_config,
+    phase_sweep,
+)
+from combscatter.datafiles import (
+    load_scattering,
+    save_scattering,
+    save_scattering_csv,
+    sidecar_path,
+)
+from combscatter.scattering import Normalization
 
 BUNDLED = sorted(
     p.name.removesuffix(".yaml")
@@ -100,6 +115,21 @@ def run_fresh(args):
     )
 
 
+# four tones, so the labels run -2, -1, 1, 2 and the default swept_tone 0 is none
+FOUR = SMALL.split("scheme:")[0] + """scheme:
+  - offset: -6
+    amplitude: 0.003
+  - offset: -2
+    amplitude: 0.003
+  - offset: 2
+    amplitude: 0.003
+  - offset: 6
+    amplitude: 0.003
+run:
+  steps: 16
+  signal_index: 5
+"""
+
 # 13 modes 100 MHz apart reach 5.4 linewidths from resonance, which warns
 WIDE = """
 device:
@@ -169,6 +199,55 @@ class TestSweep:
     def test_every_bundled_config_sweeps(self, name, tmp_path):
         assert run(["sweep-phase", name, "--out-dir", tmp_path]) == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_four_tone_label_2_sweeps_the_highest_tone(self, tmp_path, capsys):
+        config = tmp_path / "four.yaml"
+        config.write_text(FOUR)
+        assert run(["sweep-phase", config, "--tone", "2", "--out-dir", tmp_path]) == 0
+        parsed = parse_config(FOUR)
+        scheme = parsed.to_scheme()
+        highest = max(range(4), key=lambda i: scheme.tones[i].offset)
+        expected = phase_sweep(scheme, highest, 16, 5, parsed.to_mode_grid(),
+                               parsed.to_device_params())
+        _, *rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()
+                    if not line.startswith("#")]
+        assert [float(row[0]) for row in rows] == list(expected.phases)
+        assert [[float(cell) for cell in row[1:]] for row in rows] == [
+            [track.magnitudes_db[step] for track in expected.tracks] for step in range(16)
+        ]
+        # the config's default swept_tone 0 names no tone of an even count
+        capsys.readouterr()
+        assert run(["sweep-phase", config, "--out-dir", tmp_path]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "tone label 0 not valid for a 4-tone scheme (valid: [-2, -1, 1, 2])"
+        )
+
+
+@pytest.mark.parametrize(
+    "count, labels",
+    [(1, [0]), (2, [-1, 1]), (3, [-1, 0, 1]), (4, [-2, -1, 1, 2]), (5, [-2, -1, 0, 1, 2])],
+)
+def test_tone_labels_count_outward_from_the_middle(count, labels):
+    offsets = [3, -5, 9, 0, -1][:count]
+    scheme = PumpScheme.balanced(offsets, 0.001)
+    by_offset = sorted(range(count), key=lambda i: offsets[i])
+    assert [cli._tone_position(scheme, label) for label in labels] == by_offset
+    for label in sorted(set(range(-3, 4)) - set(labels)):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"(valid: {labels})")):
+            cli._tone_position(scheme, label)
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("onepump", "f9837833eb7738b78a012aeee9bff6808a45b978f8e5acf9344914b8de42aae8"),
+        ("twopump", "096e303bb728c38e8246fa11541048a87aec4029a8cbd26be9c679f00ba6a58d"),
+        ("threepump", "baaeddc3a4b31e8b3d0c7215fe890db1b61324c60d51b43cf8ac0da29ae76a50"),
+    ],
+)
+def test_bundled_config_hash_is_pinned(name, digest, tmp_path):
+    assert run(["predict-idlers", name, "--out-dir", tmp_path]) == 0
+    assert json.loads((tmp_path / "idlers.json").read_text())["meta"]["config_sha256"] == digest
 
 
 class TestCovariance:
@@ -437,17 +516,41 @@ class TestExitCodes:
         assert run(["fit", small_config, "--data", tmp_path / "nope.cmb",
                     "--out-dir", tmp_path]) == 4
 
-    @pytest.mark.parametrize("command", ["graph", "fit"])
-    def test_data_of_another_mode_count_is_4(self, small_config, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, tag", [("graph", "raw"), ("graph", "pump_off_rel"), ("fit", "raw")]
+    )
+    @pytest.mark.parametrize(
+        "old, new, grid",
+        [
+            ("half_span: 12", "half_span: 6",
+             "13 modes, center 4200000000.0 Hz, spacing 100000.0 Hz"),
+            ("spacing: 0.1 MHz", "spacing: 0.2 MHz",
+             "25 modes, center 4200000000.0 Hz, spacing 200000.0 Hz"),
+            ("center: 4.2 GHz", "center: 4.3 GHz",
+             "25 modes, center 4300000000.0 Hz, spacing 100000.0 Hz"),
+        ],
+        ids=["half_span", "spacing", "center"],
+    )
+    def test_data_on_another_grid_is_4(
+        self, small_config, tmp_path, capsys, command, tag, old, new, grid
+    ):
+        data = tmp_path / "s_matrix.cmb"
+        assert run(["simulate", small_config, "--out-dir", tmp_path]) == 0
+        if tag == "pump_off_rel":
+            smat = load_scattering(data)
+            save_scattering(data, ScatteringMatrix(smat.matrix, smat.grid,
+                                                   Normalization.PUMP_OFF_RELATIVE))
         other = tmp_path / "other.yaml"
-        other.write_text(SMALL.replace("half_span: 12", "half_span: 6"))
-        assert run(["simulate", other, "--out-dir", tmp_path]) == 0
+        other.write_text(SMALL.replace(old, new))
         capsys.readouterr()
-        assert run([command, small_config, "--data", tmp_path / "s_matrix.cmb",
-                    "--out-dir", tmp_path / "o"]) == 4
-        assert json.loads(capsys.readouterr().err)["message"] == (
-            "data has 13 modes but config grid has 25"
+        assert run([command, other, "--data", data, "--out-dir", tmp_path / "o"]) == 4
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "io"
+        assert doc["message"] == (
+            "data grid (25 modes, center 4200000000.0 Hz, spacing 100000.0 Hz) differs from "
+            f"config grid ({grid})"
         )
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_4(self, tmp_path):
         assert run(["simulate", tmp_path / "absent.yaml", "--out-dir", tmp_path]) == 4

@@ -23,11 +23,10 @@ from combscatter import (
     scattering_matrix,
     simulate_scattering,
     symplectic_defect,
-    symplectic_form,
     to_quadrature,
     vacuum_covariance,
 )
-from combscatter.gaussian import _SAMPLE_CHUNK, quadrature_transform
+from combscatter.gaussian import _SAMPLE_CHUNK
 from combscatter.scattering import Normalization, ScatteringMatrix
 from conftest import (
     RESONANCE,
@@ -39,6 +38,7 @@ from conftest import (
     special_float_matrices,
 )
 from connectivity_reference import block_magnitudes, connectivity_pattern
+from quadrature_reference import quadrature_transform, symplectic_form
 from test_scattering import random_scheme
 
 

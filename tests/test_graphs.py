@@ -17,7 +17,6 @@ from combscatter import (
     ModeGrid,
     TopologyLabel,
     classify_topology,
-    connected_components,
     export_dot,
     extract_graph,
     mode_level_db,
@@ -114,6 +113,15 @@ def k4_chains(draw):
     return make_graph(labels, [(labels[a], labels[b]) for a, b in pairs])
 
 
+@st.composite
+def random_graphs(draw):
+    """Up to 25 nodes on labels -30..30 and a random edge set among them."""
+    nodes = draw(st.lists(st.integers(-30, 30), unique=True, max_size=25))
+    index = st.integers(0, max(len(nodes) - 1, 0))
+    pairs = draw(st.sets(st.tuples(index, index), max_size=40))
+    return make_graph(nodes, {(nodes[a], nodes[b]) for a, b in pairs if a < b})
+
+
 # integer dB values make weights tie with the integer thresholds
 DB_VALUES = st.one_of(st.integers(-45, 10).map(float), st.floats(-60.0, 10.0), st.just(np.nan))
 
@@ -184,11 +192,8 @@ class TestExtractGraph:
     def test_single_pump_perfect_matching(self, grid, device):
         db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, -20.0)
-        for j in grid.indices:
-            if j == 0:
-                assert graph.neighbors(j) == ()
-            else:
-                assert graph.neighbors(j) == (-j,)
+        # every mode j != 0 pairs with -j alone; mode 0 only with itself
+        assert graph.edge_pairs() == {(-j, j) for j in grid.indices if j > 0}
         assert [i for i, _ in graph.self_loops] == [0]
 
     def test_threshold_above_everything_gives_edgeless(self, grid, device):
@@ -198,9 +203,13 @@ class TestExtractGraph:
 
     def test_three_pump_destructive_neighbor_sets(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)
-        for j in grid.indices:
-            expected = {k for k in (-4 - j, -j, 4 - j) if grid.contains(k) and k != j}
-            assert set(graph.neighbors(j)) == expected
+        expected = {
+            (min(j, k), max(j, k))
+            for j in grid.indices
+            for k in (-4 - j, -j, 4 - j)
+            if grid.contains(k) and k != j
+        }
+        assert graph.edge_pairs() == expected
 
     def test_monotone_in_threshold(self, grid, device, three_pump_db):
         tighter = extract_graph(three_pump_db[np.pi], grid, -20.0).edge_pairs()
@@ -245,7 +254,7 @@ class TestExtractGraph:
 class TestConnectedComponents:
     def test_three_pump_components(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)
-        report = connected_components(graph)
+        report = topology_report(graph)
         sizes = sorted(len(c) for c in report.components)
         assert sizes == [23, 24, 48]
 
@@ -266,19 +275,24 @@ class TestConnectedComponents:
             db = pump_off_normalized_db(
                 small, device, balanced_scheme(device, [-4, 0, 4], 0.085)
             )
-            report = connected_components(extract_graph(db, small, -20.0))
+            report = topology_report(extract_graph(db, small, -20.0))
             assert len(report.components) == 3
 
     def test_edgeless_graph_gives_singletons(self, grid, device):
         db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, +50.0)
-        report = connected_components(graph)
+        report = topology_report(graph)
         assert len(report.components) == grid.n_modes
         assert all(len(c) == 1 for c in report.components)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graph=random_graphs())
+    def test_equal_networkx_components(self, graph):
+        assert topology_report(graph).components == graph_reference.components(graph)
+
     def test_ordering_by_smallest_node(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)
-        comps = connected_components(graph).components
+        comps = topology_report(graph).components
         firsts = [c[0] for c in comps]
         assert firsts == sorted(firsts)
         assert all(list(c) == sorted(c) for c in comps)

@@ -169,7 +169,8 @@ class TestResolveCouplings:
     def test_three_pump_partners_of_mode_28(self, grid, device):
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
         couplings = resolve_couplings(grid, scheme, device)
-        assert couplings.partners(28) == (-32, -28, -24)
+        partners = {c.i + c.j - 28 for c in couplings.entries if 28 in (c.i, c.j)}
+        assert sorted(partners) == [-32, -28, -24]
 
     def test_single_pump_is_antidiagonal(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.085)
