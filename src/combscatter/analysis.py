@@ -26,7 +26,6 @@ from .model import (
     ModeGrid,
     PumpScheme,
     PumpTone,
-    check_band,
     gauge_invariant_basis,
     predicted_intermod_indices,
 )
@@ -292,6 +291,12 @@ def fit_parameters(
     evaluated.  Dynamically unstable cells, at or past the oscillation
     threshold, score +inf rather than raising; if the whole surface is
     infinite the fit is infeasible and raises.
+
+    The band check runs once, when the pieces are built at the bottom of
+    the coupling range: there the comb spans the most linewidths, so one
+    ``BandMismatchWarning`` (naming the count at ``gamma_lo``) stands for
+    every grid cell.  Refinement cells below ``gamma_lo`` no longer warn on
+    their own.
     """
     measured = s_measured.matrix if isinstance(s_measured, ScatteringMatrix) else np.asarray(s_measured, dtype=complex)
     if measured.shape != (2 * grid.n_modes, 2 * grid.n_modes):
@@ -309,8 +314,8 @@ def fit_parameters(
 
     omega0 = grid.center_frequency
     # every cell's tones have strength g at the shape's phases; the pieces
-    # are built once, at the top of the coupling range
-    pieces = _block_pieces(grid, DeviceParams(omega0, gamma_hi), scheme_shape)
+    # depend on omega0 alone, and gamma_lo makes their band check the strictest
+    pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)
     unit_strengths = np.array(
         [complex(math.cos(t.phase), math.sin(t.phase)) for t in scheme_shape.tones]
     )
@@ -338,8 +343,6 @@ def fit_parameters(
     def evaluate(g: float, gamma: float) -> float:
         if g <= 0 or gamma <= 0:
             return np.inf
-        params = DeviceParams(resonance_frequency=omega0, port_coupling=gamma)
-        check_band(grid, params)
         try:
             inverses, _ = _invert_blocks(
                 pieces.stacks(g * unit_strengths, gamma), lambda k, _: gamma / 2.0 + floor(g, k)
@@ -431,22 +434,6 @@ class PhaseSearchResult:
     skipped_above_threshold: int
 
 
-def _subgroup_order(generators, rank: int, modulus: int) -> int:
-    """Number of elements of the subgroup of Z_modulus^rank the generators span.
-
-    A breadth-first closure from zero: each round adds every generator to the
-    elements found in the round before, so each element is reached once.
-    """
-    zero = (0,) * rank
-    elements, frontier = {zero}, {zero}
-    while frontier:
-        frontier = {
-            tuple((a + b) % modulus for a, b in zip(key, g)) for key in frontier for g in generators
-        } - elements
-        elements |= frontier
-    return len(elements)
-
-
 def search_phases(
     scheme: PumpScheme,
     target_adjacency,
@@ -454,14 +441,13 @@ def search_phases(
     threshold_db: float,
     grid: ModeGrid,
     params: DeviceParams,
-    swept_tones=None,
 ) -> PhaseSearchResult:
     """Phase-grid search for a target correlation topology.
 
-    Sweeps the phases of ``swept_tones`` (default: every tone) over a
-    uniform grid of ``phase_grid_points`` values per tone and scores each
-    combination by the symmetric-difference edge count between the achieved
-    thresholded graph and the target adjacency.
+    Sweeps the phase of every tone over a uniform grid of
+    ``phase_grid_points`` values and scores each combination by the
+    symmetric-difference edge count between the achieved thresholded graph
+    and the target adjacency.
 
     Only some phase combinations are physical.  Rephasing the modes shifts
     the phase of the tone at offset ``m`` by ``2*alpha + beta*m`` for any
@@ -478,21 +464,16 @@ def search_phases(
     Combinations are enumerated lexicographically and ties break toward the
     lexicographically smallest phase vector, which is the member of its
     class that is simulated, so the search is deterministic.  A class is
-    keyed by its combinations modulo ``phase_grid_points``; the keys form
-    the subgroup generated by the swept tones' key columns, so the walk
-    stops as soon as it has seen as many classes as that subgroup has
-    elements, since every later combination repeats a class.  Classes that
-    cross the oscillation threshold are skipped.  The least-bad phases are
-    returned even when the target is unreachable.
+    keyed by its combinations modulo ``phase_grid_points``.  The basis
+    spans the whole lattice of invariant combinations, so the grid reaches
+    every key, and the walk stops as soon as it has seen
+    ``phase_grid_points ** len(basis)`` classes, since every later
+    combination repeats a class.  Classes that cross the oscillation
+    threshold are skipped.  The least-bad phases are returned even when the
+    target is unreachable.
     """
     if phase_grid_points < MIN_GRID_POINTS:
         raise InvalidArgumentError(f"phase_grid_points must be at least {MIN_GRID_POINTS}")
-    if swept_tones is None:
-        swept_tones = tuple(range(len(scheme.tones)))
-    swept_tones = tuple(swept_tones)
-    for t in swept_tones:
-        if not 0 <= t < len(scheme.tones):
-            raise InvalidArgumentError(f"swept tone index {t} out of range")
 
     target = set()
     for i, j in target_adjacency:
@@ -503,14 +484,13 @@ def search_phases(
         target.add((min(i, j), max(i, j)))
 
     basis = gauge_invariant_basis(scheme.offsets)
-    if int(phase_grid_points) ** len(basis) > MAX_PHASE_CLASSES:
+    class_count = int(phase_grid_points) ** len(basis)
+    if class_count > MAX_PHASE_CLASSES:
         raise InvalidArgumentError(
             f"phase_grid_points: {phase_grid_points}**{len(basis)} gauge classes exceed "
             f"{MAX_PHASE_CLASSES}"
         )
     s_off = pump_off_scattering(grid, params)
-    columns = [tuple(vector[t] % phase_grid_points for vector in basis) for t in swept_tones]
-    class_count = _subgroup_order(columns, len(basis), phase_grid_points)
 
     best = None  # (objective, phases, graph)
     seen = set()
@@ -519,15 +499,11 @@ def search_phases(
     # invariant combination every phase vector is in the first one's class,
     # and otherwise the check above holds the grid to MAX_PHASE_CLASSES points
     points = range(phase_grid_points if basis else 1)
-    for combo in itertools.product(points, repeat=len(swept_tones)):
+    for combo in itertools.product(points, repeat=len(scheme.tones)):
         if len(seen) == class_count:
             break
-        # the grid index each tone ends up at (unswept tones count as 0)
-        index = [0] * len(scheme.tones)
-        for tone, k in zip(swept_tones, combo):
-            index[tone] = k
         key = tuple(
-            sum(c * i for c, i in zip(vector, index)) % phase_grid_points for vector in basis
+            sum(c * i for c, i in zip(vector, combo)) % phase_grid_points for vector in basis
         )
         if key in seen:
             # a later member of a class scores as its first and cannot win a tie
@@ -535,7 +511,7 @@ def search_phases(
         seen.add(key)
         phases = tuple(TWO_PI * c / phase_grid_points for c in combo)
         trial = scheme
-        for tone, phase in zip(swept_tones, phases):
+        for tone, phase in enumerate(phases):
             trial = trial.with_phase(tone, phase)
         try:
             s_on = simulate_scattering(grid, params, trial)

@@ -19,7 +19,6 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import CSV_FORMAT, NATIVE_FORMAT, __version__
 from .errors import (
@@ -29,9 +28,6 @@ from .errors import (
     DataFormatError,
     InvalidArgumentError,
 )
-
-if TYPE_CHECKING:
-    from .config import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,66 +71,73 @@ def _tone_position(scheme, label: int) -> int:
     return labels[label]
 
 
-def _load_config(args) -> ExperimentConfig:
-    from .config import bundled_config_path, parse_config
+class _Run:
+    """One subcommand's inputs, read once from its parsed command line.
 
-    name = args.config
-    if name is None:
-        raise InvalidArgumentError("no config given")
-    path = Path(name)
-    if not path.exists():
-        try:
-            path = bundled_config_path(name)
-        except ConfigError:
-            raise DataFormatError(f"config file {name!r} not found") from None
-    return parse_config(Path(path).read_text())
-
-
-def _scheme(config: ExperimentConfig, args):
-    """The config's scheme with the phase flags applied."""
-    scheme = config.to_scheme()
-    for flag, label in _PHASE_FLAGS.items():
-        raw = getattr(args, flag)
-        if raw is not None:
-            scheme = scheme.with_phase(_tone_position(scheme, label), _parse_phase(raw))
-    return scheme
-
-
-def _setting(config: ExperimentConfig, args, name: str):
-    """A flag's value, or the config's ``run`` value when the flag is absent.
-
-    A flag obeys the rules of the run setting it overrides.
+    The config, its scheme with the phase flags applied, its ``run``
+    settings with every run flag folded in, the grid and the device.  Each
+    run flag obeys the rule of the run setting it overrides, and all are
+    checked in ``RunOptions`` field order before any ``--data`` or
+    ``--target`` file is read.
     """
-    from .config import run_problem
 
-    value = getattr(args, name)
-    if value is None:
-        return getattr(config.run, name)
-    problem = run_problem(name, value)
-    if problem is not None:
-        raise InvalidArgumentError(f"--{name.replace('_', '-')} {problem}")
-    return value
+    def __init__(self, args):
+        from dataclasses import fields, replace
 
+        from .config import RunOptions, bundled_config_path, parse_config, run_problem
 
-def _meta(config: ExperimentConfig, seed=None) -> dict:
-    from .config import serialize_config
+        self.args = args
+        name = args.config if args.config is not None else args.config_positional
+        if name is None:
+            raise InvalidArgumentError("no config given")
+        path = Path(name)
+        if not path.exists():
+            try:
+                path = bundled_config_path(name)
+            except ConfigError:
+                raise DataFormatError(f"config file {name!r} not found") from None
+        self.config = parse_config(Path(path).read_text())
+        self.scheme = self.config.to_scheme()
+        for flag, label in _PHASE_FLAGS.items():
+            raw = getattr(args, flag, None)
+            if raw is not None:
+                position = _tone_position(self.scheme, label)
+                self.scheme = self.scheme.with_phase(position, _parse_phase(raw))
+        flags = {}
+        for setting in fields(RunOptions):
+            value = getattr(args, setting.name, None)
+            if value is not None:
+                problem = run_problem(setting.name, value)
+                if problem is not None:
+                    raise InvalidArgumentError(f"{_FLAG_OF[setting.name]} {problem}")
+                flags[setting.name] = value
+        self.settings = replace(self.config.run, **flags)
+        self.grid = self.config.to_mode_grid()
+        self.params = self.config.to_device_params()
 
-    digest = hashlib.sha256(serialize_config(config).encode()).hexdigest()
-    meta = {"tool": "combscatter", "version": __version__, "config_sha256": digest}
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
+    def meta(self, **extra) -> dict:
+        """The provenance every output embeds, with ``extra`` added."""
+        from .config import serialize_config
 
+        digest = hashlib.sha256(serialize_config(self.config).encode()).hexdigest()
+        return {"tool": "combscatter", "version": __version__, "config_sha256": digest, **extra}
 
-def _mode_labels(grid, parts: tuple[str, str]) -> list[str]:
-    """Labels of the interleaved slots of a matrix table, two per mode."""
-    return [f"{part}[{j}]" for j in grid.indices for part in parts]
+    def out(self, name: str) -> Path:
+        out_dir = Path(self.args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir / name
 
+    def data(self):
+        """The ``--data`` matrix, which must lie on exactly the config's grid."""
+        from .datafiles import load_scattering_data
 
-def _out(args, name: str) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+        smat = load_scattering_data(self.args.data, self.args.format)
+        if smat.grid != self.grid:
+            raise DataFormatError(
+                f"data grid ({_describe_grid(smat.grid)}) differs from "
+                f"config grid ({_describe_grid(self.grid)})"
+            )
+        return smat
 
 
 def _describe_grid(grid) -> str:
@@ -143,49 +146,52 @@ def _describe_grid(grid) -> str:
     return f"{grid.n_modes} modes, center {center!r} Hz, spacing {spacing!r} Hz"
 
 
-def _load_data(args, grid):
-    """The ``--data`` matrix, which must lie on exactly the config's grid."""
-    from .datafiles import load_scattering_data
+def _write_mode_table(run: _Run, name: str, parts: tuple[str, str], matrix, meta: dict) -> None:
+    """A 2n x 2n table whose rows and columns are the interleaved slots, two per mode."""
+    from .datafiles import write_table
 
-    smat = load_scattering_data(args.data, args.format)
-    if smat.grid != grid:
-        raise DataFormatError(
-            f"data grid ({_describe_grid(smat.grid)}) differs from "
-            f"config grid ({_describe_grid(grid)})"
-        )
-    return smat
+    slots = [f"{part}[{j}]" for j in run.grid.indices for part in parts]
+    write_table(run.out(name), "row\\col", slots, slots, matrix, meta)
 
 
-def _cmd_simulate(config: ExperimentConfig, args) -> int:
-    from .datafiles import save_scattering, topology_report_dict, write_json, write_table
-    from .graphs import export_dot, extract_graph, topology_report
-    from .scattering import normalize_pump_off, pump_off_scattering, simulate_scattering
-
-    scheme = _scheme(config, args)
-    threshold, seed = _setting(config, args, "threshold_db"), _setting(config, args, "seed")
-    grid, params = config.to_mode_grid(), config.to_device_params()
-    s_on = simulate_scattering(grid, params, scheme)
-    s_off = pump_off_scattering(grid, params)
-    db = normalize_pump_off(s_on, s_off)
-    graph = extract_graph(db, grid, threshold)
-    report = topology_report(graph)
-    meta = _meta(config, seed)
-    save_scattering(_out(args, "s_matrix.cmb"), s_on)
-    slots = _mode_labels(grid, ("a", "a*"))
-    write_table(_out(args, "db_matrix.csv"), "row\\col", slots, slots, db, meta)
-    _out(args, "graph.gv").write_text(export_dot(graph, report))
-    write_json(_out(args, "topology.json"), topology_report_dict(graph, report), meta)
-    labels = ",".join(label.value for label in report.labels)
-    print(
-        f"simulate: {grid.n_modes} modes, condition {s_on.condition_estimate:.3e}, "
-        f"{len(report.components)} components [{labels}]"
-    )
-    return EXIT_OK
-
-
-def _cmd_graph(config: ExperimentConfig, args) -> int:
+def _write_graph(run: _Run, db):
+    """Threshold ``db`` into a graph; write ``graph.gv`` and ``topology.json``."""
     from .datafiles import topology_report_dict, write_json
     from .graphs import export_dot, extract_graph, topology_report
+
+    graph = extract_graph(db, run.grid, run.settings.threshold_db)
+    report = topology_report(graph)
+    run.out("graph.gv").write_text(export_dot(graph, report))
+    meta = run.meta(seed=run.settings.seed)
+    write_json(run.out("topology.json"), topology_report_dict(graph, report), meta)
+    return graph, report
+
+
+def _quadrature(run: _Run):
+    """The run's scattering matrix in the quadrature basis."""
+    from .gaussian import to_quadrature
+    from .scattering import simulate_scattering
+
+    return to_quadrature(simulate_scattering(run.grid, run.params, run.scheme))
+
+
+def _cmd_simulate(run: _Run) -> None:
+    from .datafiles import save_scattering
+    from .scattering import normalize_pump_off, pump_off_scattering, simulate_scattering
+
+    s_on = simulate_scattering(run.grid, run.params, run.scheme)
+    db = normalize_pump_off(s_on, pump_off_scattering(run.grid, run.params))
+    _, report = _write_graph(run, db)
+    save_scattering(run.out("s_matrix.cmb"), s_on)
+    _write_mode_table(run, "db_matrix.csv", ("a", "a*"), db, run.meta(seed=run.settings.seed))
+    labels = ",".join(label.value for label in report.labels)
+    print(
+        f"simulate: {run.grid.n_modes} modes, condition {s_on.condition_estimate:.3e}, "
+        f"{len(report.components)} components [{labels}]"
+    )
+
+
+def _cmd_graph(run: _Run) -> None:
     from .scattering import (
         Normalization,
         magnitude_db,
@@ -194,99 +200,69 @@ def _cmd_graph(config: ExperimentConfig, args) -> int:
         pump_off_scattering,
     )
 
-    scheme = _scheme(config, args)
-    threshold, seed = _setting(config, args, "threshold_db"), _setting(config, args, "seed")
-    grid, params = config.to_mode_grid(), config.to_device_params()
-    if args.data:
-        smat = _load_data(args, grid)
+    if run.args.data:
+        smat = run.data()
         if smat.normalization is Normalization.PUMP_OFF_RELATIVE:
             db = magnitude_db(smat.matrix)
         else:
-            db = normalize_pump_off(smat, pump_off_scattering(grid, params))
+            db = normalize_pump_off(smat, pump_off_scattering(run.grid, run.params))
     else:
-        db = pump_off_normalized_db(grid, params, scheme)
-    graph = extract_graph(db, grid, threshold)
-    report = topology_report(graph)
-    meta = _meta(config, seed)
-    _out(args, "graph.gv").write_text(export_dot(graph, report))
-    write_json(_out(args, "topology.json"), topology_report_dict(graph, report), meta)
+        db = pump_off_normalized_db(run.grid, run.params, run.scheme)
+    graph, report = _write_graph(run, db)
     print(f"graph: {len(graph.edges)} edges, {len(report.components)} components")
-    return EXIT_OK
 
 
-def _cmd_sweep_phase(config: ExperimentConfig, args) -> int:
+def _cmd_sweep_phase(run: _Run) -> None:
     from .analysis import phase_sweep
     from .datafiles import write_table
 
-    scheme, seed = _scheme(config, args), _setting(config, args, "seed")
-    steps, signal = _setting(config, args, "steps"), _setting(config, args, "signal_index")
-    grid, params = config.to_mode_grid(), config.to_device_params()
-    tone_label = args.tone if args.tone is not None else config.run.swept_tone
-    position = _tone_position(scheme, tone_label)
-    result = phase_sweep(scheme, position, steps, signal, grid, params)
+    s = run.settings
+    position = _tone_position(run.scheme, s.swept_tone)
+    result = phase_sweep(run.scheme, position, s.steps, s.signal_index, run.grid, run.params)
     tracks = result.tracks
-    values = [[t.magnitudes_db[step] for t in tracks] for step in range(steps)]
-    write_table(_out(args, "sweep.csv"), "phase_rad", [t.label for t in tracks], result.phases,
-                values, _meta(config, seed))
-    print(f"sweep-phase: tone {tone_label} over {steps} phases, {len(result.tracks)} tracks")
-    return EXIT_OK
+    values = [[t.magnitudes_db[step] for t in tracks] for step in range(s.steps)]
+    write_table(run.out("sweep.csv"), "phase_rad", [t.label for t in tracks], result.phases,
+                values, run.meta(seed=s.seed))
+    print(f"sweep-phase: tone {s.swept_tone} over {s.steps} phases, {len(tracks)} tracks")
 
 
-def _cmd_covariance(config: ExperimentConfig, args) -> int:
-    from .datafiles import write_table
-    from .gaussian import propagate_covariance, symplectic_defect, to_quadrature, vacuum_covariance
-    from .scattering import simulate_scattering
+def _cmd_covariance(run: _Run) -> None:
+    from .gaussian import propagate_covariance, symplectic_defect, vacuum_covariance
 
-    scheme, seed = _scheme(config, args), _setting(config, args, "seed")
-    grid, params = config.to_mode_grid(), config.to_device_params()
-    sx = to_quadrature(simulate_scattering(grid, params, scheme))
-    v_out = propagate_covariance(sx, vacuum_covariance(grid))
-    meta = _meta(config, seed)
+    sx = _quadrature(run)
+    v_out = propagate_covariance(sx, vacuum_covariance(run.grid))
     defect = symplectic_defect(sx)
-    meta["symplectic_defect"] = repr(defect)
-    labels = _mode_labels(grid, ("x", "p"))
-    write_table(_out(args, "covariance.csv"), "row\\col", labels, labels, v_out.matrix, meta)
+    meta = run.meta(seed=run.settings.seed, symplectic_defect=repr(defect))
+    _write_mode_table(run, "covariance.csv", ("x", "p"), v_out.matrix, meta)
     print(f"covariance: analytic, defect {defect:.3e}")
-    return EXIT_OK
 
 
-def _cmd_sample_covariance(config: ExperimentConfig, args) -> int:
-    from .datafiles import write_table
-    from .gaussian import sample_covariance, to_quadrature
-    from .scattering import simulate_scattering
+def _cmd_sample_covariance(run: _Run) -> None:
+    from .gaussian import sample_covariance
 
-    scheme, seed = _scheme(config, args), _setting(config, args, "seed")
-    samples = _setting(config, args, "samples")
-    grid, params = config.to_mode_grid(), config.to_device_params()
-    sx = to_quadrature(simulate_scattering(grid, params, scheme))
-    v = sample_covariance(sx, samples, seed)
-    meta = _meta(config, seed)
-    meta["samples"] = samples
-    labels = _mode_labels(grid, ("x", "p"))
-    write_table(_out(args, "covariance_mc.csv"), "row\\col", labels, labels, v.matrix, meta)
+    samples, seed = run.settings.samples, run.settings.seed
+    v = sample_covariance(_quadrature(run), samples, seed)
+    meta = run.meta(seed=seed, samples=samples)
+    _write_mode_table(run, "covariance_mc.csv", ("x", "p"), v.matrix, meta)
     print(f"sample-covariance: {samples} samples, seed {seed}")
-    return EXIT_OK
 
 
-def _cmd_fit(config: ExperimentConfig, args) -> int:
+def _cmd_fit(run: _Run) -> None:
     from .analysis import fit_parameters
     from .datafiles import write_json, write_table
 
-    if not args.data:
+    if not run.args.data:
         raise InvalidArgumentError("fit requires --data")
-    grid = config.to_mode_grid()
-    scheme_shape = _scheme(config, args)
-    measured = _load_data(args, grid)
-    run = config.run
+    measured = run.data()
+    s = run.settings
     result = fit_parameters(
         measured,
-        grid,
-        scheme_shape,
-        (run.fit_g_min, run.fit_g_max),
-        (run.fit_gamma_min.angular, run.fit_gamma_max.angular),
-        run.fit_grid_points,
+        run.grid,
+        run.scheme,
+        (s.fit_g_min, s.fit_g_max),
+        (s.fit_gamma_min.angular, s.fit_gamma_max.angular),
+        s.fit_grid_points,
     )
-    meta = _meta(config)
     payload = {
         "best_g": result.best_g,
         "best_gamma_rad_per_s": result.best_gamma,
@@ -295,29 +271,25 @@ def _cmd_fit(config: ExperimentConfig, args) -> int:
         "ridge_ratio": result.ridge_ratio,
         "grid_points": int(result.surface.shape[0]),
     }
-    diagnostics = {
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-        "cells_above_threshold": result.cells_above_threshold,
-    }
-    write_json(_out(args, "fit.json"), payload, {**meta, **diagnostics})
-    write_table(_out(args, "fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,
-                result.surface, meta)
+    meta = run.meta(
+        evaluations=result.evaluations,
+        converged=result.converged,
+        cells_above_threshold=result.cells_above_threshold,
+    )
+    write_json(run.out("fit.json"), payload, meta)
+    write_table(run.out("fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,
+                result.surface, run.meta())
     print(f"fit: ridge ratio {result.ridge_ratio:.5f}, distance {result.distance:.3e}")
-    return EXIT_OK
 
 
-def _cmd_search_phases(config: ExperimentConfig, args) -> int:
+def _cmd_search_phases(run: _Run) -> None:
     from .analysis import search_phases
     from .datafiles import topology_report_dict, write_json
 
-    scheme = _scheme(config, args)
-    threshold, seed = _setting(config, args, "threshold_db"), _setting(config, args, "seed")
-    grid, params = config.to_mode_grid(), config.to_device_params()
-    if not args.target:
+    if not run.args.target:
         raise InvalidArgumentError("search-phases requires --target")
     try:
-        target_doc = json.loads(Path(args.target).read_text())
+        target_doc = json.loads(Path(run.args.target).read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"target file is not valid JSON: {exc}") from exc
     edges = target_doc.get("edges") if isinstance(target_doc, dict) else target_doc
@@ -327,43 +299,41 @@ def _cmd_search_phases(config: ExperimentConfig, args) -> int:
         target = [(int(e[0]), int(e[1])) for e in edges]
     except (LookupError, TypeError, ValueError, OverflowError):
         raise DataFormatError("each target edge must start with two mode indices") from None
-    points = _setting(config, args, "phase_grid_points")
-    result = search_phases(scheme, target, points, threshold, grid, params)
+    s = run.settings
+    result = search_phases(
+        run.scheme, target, s.phase_grid_points, s.threshold_db, run.grid, run.params
+    )
     payload = {
         "best_phases_rad": list(result.best_phases),
         "objective_edge_difference": result.objective,
         "achieved": topology_report_dict(result.graph, result.report),
     }
-    meta = _meta(config, seed)
-    meta["evaluated"] = result.evaluated
-    meta["skipped_above_threshold"] = result.skipped_above_threshold
-    write_json(_out(args, "phase_search.json"), payload, meta)
+    skipped = result.skipped_above_threshold
+    meta = run.meta(seed=s.seed, evaluated=result.evaluated, skipped_above_threshold=skipped)
+    write_json(run.out("phase_search.json"), payload, meta)
     print(
         f"search-phases: objective {result.objective}, phases "
         + ",".join(f"{p:.4f}" for p in result.best_phases)
     )
-    return EXIT_OK
 
 
-def _cmd_predict_idlers(config: ExperimentConfig, args) -> int:
+def _cmd_predict_idlers(run: _Run) -> None:
     from .datafiles import write_json
     from .model import predicted_intermod_indices
 
-    signal = _setting(config, args, "signal_index")
-    grid = config.to_mode_grid()
-    prediction = predicted_intermod_indices(signal, config.to_scheme(), grid)
+    signal = run.settings.signal_index
+    prediction = predicted_intermod_indices(signal, run.scheme, run.grid)
     payload = {
         "signal_index": signal,
         "second_order": list(prediction.second_order),
         "third_order": [[idx, count] for idx, count in prediction.third_order],
         "dropped_out_of_grid": prediction.dropped_out_of_grid,
     }
-    write_json(_out(args, "idlers.json"), payload, _meta(config))
+    write_json(run.out("idlers.json"), payload, run.meta())
     print(
         f"predict-idlers: signal {signal} -> 2nd order {list(prediction.second_order)}, "
         f"3rd order {[idx for idx, _ in prediction.third_order]}"
     )
-    return EXIT_OK
 
 
 _PHASES = ("--phase1", "--phase0", "--phase-1")
@@ -376,12 +346,14 @@ _FLAGS = {
     "--steps": {"type": int},
     "--samples": {"type": int},
     "--signal-index": {"type": int},
-    "--tone": {"type": int},
+    "--tone": {"type": int, "dest": "swept_tone"},
     "--data": {},
     "--format": {"default": NATIVE_FORMAT, "choices": [NATIVE_FORMAT, CSV_FORMAT]},
     "--target": {},
     "--phase-grid-points": {"type": int},
 }
+# the flag that sets each destination, for messages about its value
+_FLAG_OF = {spec.get("dest", flag[2:].replace("-", "_")): flag for flag, spec in _FLAGS.items()}
 
 # Each subcommand registers only the flags it reads, besides the config and
 # --out-dir, so a flag another subcommand reads is rejected, not ignored.
@@ -446,10 +418,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = _build_parser().parse_args(argv)
-            if args.config is None:
-                args.config = args.config_positional
             # the config loads before the command imports what it computes with
-            code = _COMMANDS[args.command][0](_load_config(args), args)
+            _COMMANDS[args.command][0](_Run(args))
         except AboveThresholdError as exc:
             return _fail("above-threshold", exc, EXIT_ABOVE_THRESHOLD, caught)
         except (ConfigError, InvalidArgumentError) as exc:
@@ -461,7 +431,7 @@ def main(argv=None) -> int:
             return _fail("internal", exc, EXIT_VALIDATION, caught)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -151,6 +151,11 @@ class _Node:
         self.line = line
 
 
+def _keys(node: _Node) -> dict:
+    """A mapping node's entries; nothing for any other node."""
+    return node.value if isinstance(node.value, dict) else {}
+
+
 def _convert(node) -> _Node:
     line = node.start_mark.line + 1
     if isinstance(node, yaml.MappingNode):
@@ -178,7 +183,7 @@ class _Validator:
     def problem(self, path: str, message: str, line=None):
         self.issues.append(ConfigIssue(path, message, line))
 
-    def mapping(self, node: _Node, path: str, known: set[str]) -> dict:
+    def mapping(self, node: _Node, path: str, known) -> dict:
         if not isinstance(node.value, dict):
             self.problem(path, "expected a mapping", node.line)
             return {}
@@ -186,6 +191,25 @@ class _Validator:
             if key not in known:
                 self.problem(f"{path}.{key}", "unknown key", child.line)
         return node.value
+
+    def section(self, node: _Node, path: str, readers: dict, optional=()) -> dict:
+        """Read a mapping through a table of key -> reader.
+
+        Unknown keys are reported first; then each key in table order is
+        read, or reported missing at the mapping's line unless it is
+        optional.  A reader reports its own problems and returns None for
+        a value it rejects; the result holds every value read.
+        """
+        given = self.mapping(node, path, readers)
+        values = {}
+        for key, reader in readers.items():
+            if key in given:
+                got = reader(given[key], f"{path}.{key}")
+                if got is not None:
+                    values[key] = got
+            elif key not in optional:
+                self.problem(f"{path}.{key}", "missing", node.line)
+        return values
 
     def quantity(self, node: _Node, path: str) -> Quantity | None:
         if isinstance(node.value, (int, float)):
@@ -229,8 +253,43 @@ class _Validator:
             return None
         return value
 
+    def half_span(self, node: _Node, path: str) -> int | None:
+        got = self.number(node, path, int)
+        if got is not None and not 0 <= got <= MAX_HALF_SPAN:
+            self.problem(path, f"must be in 0..{MAX_HALF_SPAN}", node.line)
+            return None
+        return got
 
-_RUN_KEYS = {f.name for f in fields(RunOptions)}
+    def offset(self, node: _Node, path: str) -> int | None:
+        if not isinstance(node.value, int):
+            self.problem(path, "offset must be integer", node.line)
+            return None
+        return node.value
+
+    def amplitude(self, node: _Node, path: str) -> float | None:
+        got = self.number(node, path)
+        if got is not None and got < 0:
+            self.problem(path, "must be non-negative", node.line)
+            return None
+        return got
+
+    def setting(self, node: _Node, path: str):
+        """A ``run`` value, of its default's type and held to ``run_problem``."""
+        name = path.removeprefix("run.")
+        default = getattr(_RUN_DEFAULTS, name)
+        if isinstance(default, Quantity):
+            got = self.quantity(node, path)
+        else:
+            got = self.number(node, path, type(default))
+        problem = None if got is None else run_problem(name, got)
+        if problem is not None:
+            self.problem(path, problem, node.line)
+            return None
+        return got
+
+
+_RUN_DEFAULTS = RunOptions()
+_RUN_KEYS = tuple(f.name for f in fields(RunOptions))
 
 # the smallest value of each run size that its subcommand accepts
 RUN_MINIMUMS = {
@@ -266,14 +325,14 @@ def run_problem(name: str, value) -> str | None:
     return None
 
 
-def _check_fit_ranges(v: _Validator, run: dict, run_kwargs: dict) -> None:
+def _check_fit_ranges(v: _Validator, node: _Node, run_kwargs: dict) -> None:
     """Each fit range's low end must lie below its high end, as the fit needs."""
-    defaults = RunOptions()
+    run = _keys(node)
     for low, high in (("fit_g_min", "fit_g_max"), ("fit_gamma_min", "fit_gamma_max")):
         given = [name for name in (low, high) if name in run]
         if not given or any(name not in run_kwargs for name in given):
             continue
-        lo, hi = (run_kwargs.get(name, getattr(defaults, name)) for name in (low, high))
+        lo, hi = (run_kwargs.get(name, getattr(_RUN_DEFAULTS, name)) for name in (low, high))
         if getattr(lo, "angular", lo) >= getattr(hi, "angular", hi):
             v.problem(f"run.{given[0]}", f"{low} must be below {high}", run[given[0]].line)
 
@@ -296,46 +355,23 @@ def parse_config(text: str) -> ExperimentConfig:
     v = _Validator()
     top = v.mapping(_convert(root), "<top>", {"device", "grid", "scheme", "run"})
 
-    resonance = coupling = center = spacing = None
-    half_span = None
-    if "device" in top:
-        device = v.mapping(top["device"], "device", {"resonance_frequency", "port_coupling"})
-        if "resonance_frequency" in device:
-            resonance = v.positive_quantity(
-                device["resonance_frequency"], "device.resonance_frequency"
-            )
-        else:
-            v.problem("device.resonance_frequency", "missing", top["device"].line)
-        if "port_coupling" in device:
-            coupling = v.positive_quantity(device["port_coupling"], "device.port_coupling")
-        else:
-            v.problem("device.port_coupling", "missing", top["device"].line)
-    else:
-        v.problem("device", "missing section")
+    def section(name: str, readers: dict) -> dict:
+        if name in top:
+            return v.section(top[name], name, readers)
+        v.problem(name, "missing section")
+        return {}
 
-    if "grid" in top:
-        grid = v.mapping(top["grid"], "grid", {"center", "spacing", "half_span"})
-        if "center" in grid:
-            center = v.quantity(grid["center"], "grid.center")
-        else:
-            v.problem("grid.center", "missing", top["grid"].line)
-        if "spacing" in grid:
-            spacing = v.positive_quantity(grid["spacing"], "grid.spacing")
-        else:
-            v.problem("grid.spacing", "missing", top["grid"].line)
-        if "half_span" in grid:
-            half_span = v.number(grid["half_span"], "grid.half_span", int)
-            if half_span is not None and not 0 <= half_span <= MAX_HALF_SPAN:
-                v.problem(
-                    "grid.half_span", f"must be in 0..{MAX_HALF_SPAN}", grid["half_span"].line
-                )
-                half_span = None
-        else:
-            v.problem("grid.half_span", "missing", top["grid"].line)
-    else:
-        v.problem("grid", "missing section")
+    device = section(
+        "device", {"resonance_frequency": v.positive_quantity, "port_coupling": v.positive_quantity}
+    )
+    grid = section(
+        "grid", {"center": v.quantity, "spacing": v.positive_quantity, "half_span": v.half_span}
+    )
 
     tones: list[ToneSpec] = []
+    tone_readers = {
+        "offset": v.offset, "amplitude": v.amplitude, "phase_deg": v.number, "phase_rad": v.number
+    }
     if "scheme" in top:
         scheme_node = top["scheme"]
         if not isinstance(scheme_node.value, list):
@@ -344,75 +380,35 @@ def parse_config(text: str) -> ExperimentConfig:
             seen_offsets = set()
             for idx, tone_node in enumerate(scheme_node.value):
                 path = f"scheme[{idx}]"
-                tone = v.mapping(
-                    tone_node, path, {"offset", "amplitude", "phase_deg", "phase_rad"}
-                )
-                offset = amplitude = None
-                if "offset" in tone:
-                    if isinstance(tone["offset"].value, int):
-                        offset = tone["offset"].value
-                    else:
-                        v.problem(f"{path}.offset", "offset must be integer", tone["offset"].line)
-                else:
-                    v.problem(f"{path}.offset", "missing", tone_node.line)
-                if "amplitude" in tone:
-                    amplitude = v.number(tone["amplitude"], f"{path}.amplitude")
-                    if amplitude is not None and amplitude < 0:
-                        v.problem(
-                            f"{path}.amplitude", "must be non-negative", tone["amplitude"].line
-                        )
-                        amplitude = None
-                else:
-                    v.problem(f"{path}.amplitude", "missing", tone_node.line)
-                if "phase_deg" in tone and "phase_rad" in tone:
+                tone = v.section(tone_node, path, tone_readers, optional={"phase_deg", "phase_rad"})
+                if {"phase_deg", "phase_rad"} <= _keys(tone_node).keys():
                     v.problem(path, "give phase_deg or phase_rad, not both", tone_node.line)
-                phase_value, phase_unit = 0.0, "deg"
-                if "phase_deg" in tone:
-                    got = v.number(tone["phase_deg"], f"{path}.phase_deg")
-                    if got is not None:
-                        phase_value, phase_unit = got, "deg"
-                elif "phase_rad" in tone:
-                    got = v.number(tone["phase_rad"], f"{path}.phase_rad")
-                    if got is not None:
-                        phase_value, phase_unit = got, "rad"
-                if offset is not None and amplitude is not None:
+                unit = "rad" if "phase_rad" in tone else "deg"
+                phase = tone.get(f"phase_{unit}", 0.0)
+                if "offset" in tone and "amplitude" in tone:
+                    offset = tone["offset"]
                     if offset in seen_offsets:
                         v.problem(f"{path}.offset", f"duplicate offset {offset}", tone_node.line)
                     else:
                         seen_offsets.add(offset)
-                        tones.append(ToneSpec(offset, amplitude, phase_value, phase_unit))
+                        tones.append(ToneSpec(offset, tone["amplitude"], phase, unit))
     else:
         v.problem("scheme", "missing section")
 
     run_kwargs = {}
     if "run" in top:
-        run = v.mapping(top["run"], "run", _RUN_KEYS)
-        for name, default in vars(RunOptions()).items():
-            if name not in run:
-                continue
-            node, path = run[name], f"run.{name}"
-            if isinstance(default, Quantity):
-                got = v.quantity(node, path)
-            else:
-                got = v.number(node, path, type(default))
-            if got is None:
-                continue
-            problem = run_problem(name, got)
-            if problem is None:
-                run_kwargs[name] = got
-            else:
-                v.problem(path, problem, node.line)
-        _check_fit_ranges(v, run, run_kwargs)
+        run_kwargs = v.section(top["run"], "run", dict.fromkeys(_RUN_KEYS, v.setting), _RUN_KEYS)
+        _check_fit_ranges(v, top["run"], run_kwargs)
 
     if v.issues:
         raise ConfigError(v.issues)
 
     return ExperimentConfig(
-        resonance_frequency=resonance,
-        port_coupling=coupling,
-        center=center,
-        spacing=spacing,
-        half_span=half_span,
+        resonance_frequency=device["resonance_frequency"],
+        port_coupling=device["port_coupling"],
+        center=grid["center"],
+        spacing=grid["spacing"],
+        half_span=grid["half_span"],
         scheme=tuple(sorted(tones, key=lambda t: t.offset)),
         run=RunOptions(**run_kwargs),
     )

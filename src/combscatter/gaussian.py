@@ -66,7 +66,6 @@ class CovarianceMatrix:
     """
 
     matrix: np.ndarray
-    vacuum_scale: float = VACUUM_SCALE
 
     def __post_init__(self):
         v = _frozen(self.matrix, float)
@@ -150,9 +149,9 @@ def symplectic_defect(sx: QuadratureScattering) -> float:
     return float(np.max(np.abs(product)))
 
 
-def vacuum_covariance(grid: ModeGrid, vacuum_scale: float = VACUUM_SCALE) -> CovarianceMatrix:
-    """Uncorrelated vacuum input: ``vacuum_scale`` times the identity."""
-    return CovarianceMatrix(_Sealed(vacuum_scale * np.eye(2 * grid.n_modes)), vacuum_scale)
+def vacuum_covariance(grid: ModeGrid) -> CovarianceMatrix:
+    """Uncorrelated vacuum input: ``VACUUM_SCALE`` times the identity."""
+    return CovarianceMatrix(_Sealed(VACUUM_SCALE * np.eye(2 * grid.n_modes)))
 
 
 def propagate_covariance(
@@ -177,19 +176,14 @@ def propagate_covariance(
     else:
         v_out = m @ v @ m.T
         v_out = 0.5 * (v_out + v_out.T)
-    return CovarianceMatrix(_Sealed(v_out), v_in.vacuum_scale)
+    return CovarianceMatrix(_Sealed(v_out))
 
 
-def sample_covariance(
-    sx: QuadratureScattering,
-    sample_count: int,
-    seed: int,
-    vacuum_scale: float = VACUUM_SCALE,
-) -> CovarianceMatrix:
+def sample_covariance(sx: QuadratureScattering, sample_count: int, seed: int) -> CovarianceMatrix:
     """Estimate the output covariance by Monte Carlo vacuum sampling.
 
     Draws ``sample_count`` i.i.d. quadrature vectors ``z`` of independent
-    zero-mean Gaussians with standard deviation ``sqrt(vacuum_scale)``,
+    zero-mean Gaussians with standard deviation ``sqrt(VACUUM_SCALE)``,
     in chunks, and returns the empirical (mean-subtracted, unbiased)
     covariance of the outputs ``Sx z``.  The chunks accumulate only the raw
     sums ``sum(z)`` and ``z^T z``; ``Sx`` is applied once at the end,
@@ -206,7 +200,7 @@ def sample_covariance(
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     dim = sx.matrix.shape[0]
-    std = np.sqrt(vacuum_scale)
+    std = np.sqrt(VACUUM_SCALE)
     total = np.zeros(dim)
     products = np.zeros((dim, dim))
     buffer = np.empty((min(_SAMPLE_CHUNK, sample_count), dim))
@@ -224,5 +218,5 @@ def sample_covariance(
     c_z = (products - sample_count * np.outer(mean, mean)) / (sample_count - 1)
     v = sx.matrix @ c_z @ sx.matrix.T
     v = 0.5 * (v + v.T)
-    return CovarianceMatrix(_Sealed(v), vacuum_scale)
+    return CovarianceMatrix(_Sealed(v))
 

@@ -20,20 +20,20 @@ from combscatter import (
 TWO_PI = 2.0 * math.pi
 
 
-def exhaustive_search(scheme, target_adjacency, points, threshold_db, grid, params, swept_tones):
-    """(objective, best phases, graph, report) of the full-grid search."""
+def exhaustive_search(scheme, target_adjacency, points, threshold_db, grid, params):
+    """(objective, best phases, graph, report) of the full-grid search over every tone."""
     target = {(min(i, j), max(i, j)) for i, j in target_adjacency if i != j}
     s_off = pump_off_scattering(grid, params)
     grid_phases = [TWO_PI * k / points for k in range(points)]
     best = None
-    for flat in range(points ** len(swept_tones)):
+    for flat in range(points ** len(scheme.tones)):
         combo, rest = [], flat
-        for _ in swept_tones:
+        for _ in scheme.tones:
             combo.append(rest % points)
             rest //= points
         phases = tuple(grid_phases[c] for c in reversed(combo))
         trial = scheme
-        for tone, phase in zip(swept_tones, phases):
+        for tone, phase in enumerate(phases):
             trial = trial.with_phase(tone, phase)
         try:
             s_on = simulate_scattering(grid, params, trial)

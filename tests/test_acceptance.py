@@ -35,6 +35,7 @@ from combscatter import (
     topology_report,
     vacuum_covariance,
 )
+from combscatter.gaussian import VACUUM_SCALE
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, analytic_two_mode_block, balanced_scheme
 from connectivity_reference import connectivity_pattern
 
@@ -245,7 +246,7 @@ def test_criterion_09_covariance_mirror_and_monte_carlo(grid, device, warmed_up)
         exact = propagate_covariance(sx, vacuum_covariance(grid))
         samples = 100_000
         sampled = sample_covariance(sx, samples, seed=MC_SEED)
-        tolerance = 5.0 * exact.vacuum_scale / np.sqrt(samples)
+        tolerance = 5.0 * VACUUM_SCALE / np.sqrt(samples)
         assert np.max(np.abs(sampled.matrix - exact.matrix)) < tolerance
 
 

@@ -399,7 +399,9 @@ class TestExitCodes:
         )
         # the warning points at the CLI line that called into the package
         assert first.split(":")[0].endswith("cli.py")
-        assert source.strip() == "sx = to_quadrature(simulate_scattering(grid, params, scheme))"
+        assert source.strip() == (
+            "return to_quadrature(simulate_scattering(run.grid, run.params, run.scheme))"
+        )
 
     def test_run_size_below_minimum_is_2_with_line(self, tmp_path, capsys):
         config = tmp_path / "steps.yaml"
@@ -708,6 +710,31 @@ class TestRunSettingFlags:
         assert strict_json(line) == {
             "error": "validation", "message": "--threshold-db must be finite"
         }
+        assert not out.exists()
+
+    # one case per subcommand with a run flag; "missing" names a file that is not there
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--seed", "-1"], "--seed"),
+            (["graph", "--threshold-db", "nan", "--data", "missing"], "--threshold-db"),
+            # both flags are bad; the checks follow RunOptions field order
+            (["sweep-phase", "--seed", "-1", "--steps", "2"], "--steps"),
+            (["covariance", "--seed", "-1"], "--seed"),
+            (["sample-covariance", "--samples", "1"], "--samples"),
+            (["search-phases", "--phase-grid-points", "2", "--target", "missing"],
+             "--phase-grid-points"),
+        ],
+    )
+    def test_flags_are_checked_before_any_file_is_read(
+        self, small_config, tmp_path, capsys, argv, flag
+    ):
+        out = tmp_path / "o"
+        args = [tmp_path / "missing.json" if a == "missing" else a for a in argv[1:]]
+        assert run([argv[0], small_config, *args, "--out-dir", out]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "validation"
+        assert doc["message"].startswith(f"{flag} must be")
         assert not out.exists()
 
     @pytest.mark.parametrize(

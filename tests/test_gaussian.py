@@ -26,7 +26,7 @@ from combscatter import (
     to_quadrature,
     vacuum_covariance,
 )
-from combscatter.gaussian import _SAMPLE_CHUNK
+from combscatter.gaussian import _SAMPLE_CHUNK, VACUUM_SCALE
 from combscatter.scattering import Normalization, ScatteringMatrix
 from conftest import (
     RESONANCE,
@@ -210,7 +210,7 @@ class TestPropagate:
         for _ in range(6):
             sx = to_quadrature(simulate_scattering(grid, device, random_scheme(rng)))
             for scale in (0.5, 1.7):
-                v_in = CovarianceMatrix(scale * np.eye(2 * grid.n_modes), scale)
+                v_in = CovarianceMatrix(scale * np.eye(2 * grid.n_modes))
                 v = propagate_covariance(sx, v_in).matrix
                 assert np.array_equal(v, v.T)
                 general = sx.matrix @ v_in.matrix @ sx.matrix.T
@@ -271,15 +271,15 @@ class TestCovarianceMatrix:
 
     def test_vacuum_default_scale(self, grid):
         v = vacuum_covariance(grid)
-        assert v.vacuum_scale == 0.5
-        assert np.array_equal(v.matrix, 0.5 * np.eye(2 * grid.n_modes))
+        assert VACUUM_SCALE == 0.5
+        assert np.array_equal(v.matrix, VACUUM_SCALE * np.eye(2 * grid.n_modes))
 
 
-def looped_sample_covariance(sx, sample_count, seed, vacuum_scale=0.5):
+def looped_sample_covariance(sx, sample_count, seed):
     """Reference Monte Carlo covariance: a fresh ``rng.normal`` array per chunk."""
     rng = np.random.default_rng(seed)
     dim = sx.matrix.shape[0]
-    std = np.sqrt(vacuum_scale)
+    std = np.sqrt(VACUUM_SCALE)
     total = np.zeros(dim)
     products = np.zeros((dim, dim))
     drawn = 0
