@@ -26,8 +26,8 @@ from .model import (
     ModeGrid,
     PumpScheme,
     PumpTone,
+    _intermod_paths,
     gauge_invariant_basis,
-    predicted_intermod_indices,
 )
 from .scattering import (
     CONDITION_CAP,
@@ -112,9 +112,11 @@ def phase_sweep(
     The swept phases are ``steps`` equally spaced values covering a full
     turn, endpoint excluded.  At each phase the pump-off-normalized dB
     magnitude of every 2nd- and 3rd-order product of the driven mode is
-    recorded.  The drive column is the signal mode's amplitude column;
-    idlers are read from conjugate rows, two-pump products from amplitude
-    rows.  Only that column is computed: it lies in one block of the
+    recorded: one track per on-grid product of ``_intermod_paths``, the
+    indices and order the idler prediction reports, labelled with the tone
+    or ordered tone pairs that reach it.  The drive column is the signal
+    mode's amplitude column; idlers are read from conjugate rows, two-pump
+    products from amplitude rows.  Only that column is computed: it lies in one block of the
     system, whose stacked steps are solved against the driven slot a few
     steps at a time.
 
@@ -123,9 +125,7 @@ def phase_sweep(
     is cleared once for the whole sweep: the disc margins depend only on
     the diagonal and the magnitudes ``|s_t|``, which the phase moves by a
     few ulps, while a bound within the cap demands a margin of at least
-    ``2e-12 * ||B||_1``.  Otherwise every step goes through the gate, and
-    a step that needs the eigenvalues decomposes one block of each open
-    mirror pair.
+    ``2e-12 * ||B||_1``.  Otherwise every step goes through the gate.
     Raises the above-threshold error annotated with the offending phase if
     any sweep point is dynamically unstable, at or past the threshold.
     """
@@ -133,26 +133,14 @@ def phase_sweep(
         raise InvalidArgumentError(f"steps must be in {MIN_SWEEP_STEPS}..{MAX_SWEEP_STEPS}")
     if not 0 <= swept_tone < len(base_scheme.tones):
         raise InvalidArgumentError(f"swept tone index {swept_tone} out of range")
-    prediction = predicted_intermod_indices(signal_index, base_scheme, grid)
-    offsets = base_scheme.offsets
-    second_tracks = [
-        (k, off - signal_index)
-        for k, off in enumerate(offsets)
-        if grid.contains(off - signal_index)
-    ]
-    third_paths: dict[int, list[tuple[int, int]]] = {idx: [] for idx, _ in prediction.third_order}
-    for ka, a in enumerate(offsets):
-        for kb, b in enumerate(offsets):
-            if ka == kb:
-                continue
-            idx = a - b + signal_index
-            if idx in third_paths:
-                third_paths[idx].append((ka, kb))
+    second, third, _ = _intermod_paths(signal_index, base_scheme, grid)
+    # (order, tones, mode, row) of every track
+    products = [(2, (k,), mode, grid.a_conj_slot(mode)) for k, mode in second]
+    products += [(3, tuple(paths), mode, grid.a_slot(mode)) for mode, paths in third.items()]
 
     phases = np.array([TWO_PI * k / steps for k in range(steps)])
     col = grid.a_slot(signal_index)
-    third_modes = sorted(third_paths)
-    rows = [grid.a_conj_slot(m) for _, m in second_tracks] + [grid.a_slot(m) for m in third_modes]
+    rows = [row for *_, row in products]
     reference = abs(_pump_off_diagonal(grid, params)[0][col])
     gamma = params.port_coupling
     gain = _gain(gamma)
@@ -179,16 +167,8 @@ def phase_sweep(
         step_strengths[:, swept_tone] = strengths[start:stop]
         if not certified:
             for phase, step in zip(phases[start:stop], step_strengths):
-                stacks = pieces.stacks(step, gamma)
                 try:
-                    # a block is open exactly when its mirror is (equal column
-                    # magnitudes and real diagonal), so one of each pair suffices
-                    _invert_blocks(
-                        stacks,
-                        lambda k, is_open: _spectral_floor(
-                            stacks[k][is_open], pieces.blocks[k][is_open]
-                        ),
-                    )
+                    _invert_blocks(pieces.stacks(step, gamma), pieces.blocks)
                 except AboveThresholdError as exc:
                     raise AboveThresholdError(
                         f"above threshold at swept phase {phase:.6f} rad: {exc}",
@@ -201,19 +181,15 @@ def phase_sweep(
         columns[:, col] -= 1.0
         data[:, start:stop] = magnitude_db(columns[:, rows] / reference).T
 
-    second_data, third_data = data[: len(second_tracks)], data[len(second_tracks) :]
-    tracks = [
-        SweepTrack(2, (k,), mode, second_data[t]) for t, (k, mode) in enumerate(second_tracks)
-    ]
-    tracks += [
-        SweepTrack(3, tuple(third_paths[mode]), mode, third_data[t])
-        for t, mode in enumerate(third_modes)
-    ]
+    tracks = tuple(
+        SweepTrack(order, tones, mode, magnitudes)
+        for (order, tones, mode, _), magnitudes in zip(products, data)
+    )
     return PhaseSweepResult(
         swept_tone=swept_tone,
         signal_index=signal_index,
         phases=phases,
-        tracks=tuple(tracks),
+        tracks=tracks,
     )
 
 
@@ -345,7 +321,9 @@ def fit_parameters(
             return np.inf
         try:
             inverses, _ = _invert_blocks(
-                pieces.stacks(g * unit_strengths, gamma), lambda k, _: gamma / 2.0 + floor(g, k)
+                pieces.stacks(g * unit_strengths, gamma),
+                pieces.blocks,
+                lambda k: gamma / 2.0 + floor(g, k),
             )
         except AboveThresholdError:
             return np.inf

@@ -290,7 +290,7 @@ def _cmd_search_phases(run: _Run) -> None:
         raise InvalidArgumentError("search-phases requires --target")
     try:
         target_doc = json.loads(Path(run.args.target).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataFormatError(f"target file is not valid JSON: {exc}") from exc
     edges = target_doc.get("edges") if isinstance(target_doc, dict) else target_doc
     if not isinstance(edges, list):

@@ -156,24 +156,32 @@ def _keys(node: _Node) -> dict:
     return node.value if isinstance(node.value, dict) else {}
 
 
-def _convert(node) -> _Node:
-    line = node.start_mark.line + 1
+def _convert(node, converted: dict) -> _Node:
+    """The ``_Node`` tree of a composed YAML node, each node converted once.
+
+    ``yaml.compose`` shares an aliased node among all its references, and
+    ``converted`` (``id`` of each composed node converted so far in this
+    parse -> its ``_Node``) shares the converted one: a chain of anchors
+    each aliasing the one before many times costs one conversion per node,
+    not one per path to it.
+    """
+    done = converted[id(node)] = _Node(None, node.start_mark.line + 1)
+    # loops, not comprehensions: one stack frame per level of nesting
     if isinstance(node, yaml.MappingNode):
-        mapping = {}
-        for key_node, value_node in node.value:
-            mapping[str(key_node.value)] = _convert(value_node)
-        return _Node(mapping, line)
-    if isinstance(node, yaml.SequenceNode):
-        return _Node([_convert(v) for v in node.value], line)
-    tag = node.tag
-    raw = node.value
-    if tag.endswith(":int"):
-        return _Node(_SCALARS.construct_yaml_int(node), line)
-    if tag.endswith(":float"):
-        return _Node(_SCALARS.construct_yaml_float(node), line)
-    if tag.endswith(":null"):
-        return _Node(None, line)
-    return _Node(str(raw), line)
+        done.value = {}
+        for key_node, child in node.value:
+            done.value[str(key_node.value)] = converted.get(id(child)) or _convert(child, converted)
+    elif isinstance(node, yaml.SequenceNode):
+        done.value = []
+        for child in node.value:
+            done.value.append(converted.get(id(child)) or _convert(child, converted))
+    elif node.tag.endswith(":int"):
+        done.value = _SCALARS.construct_yaml_int(node)
+    elif node.tag.endswith(":float"):
+        done.value = _SCALARS.construct_yaml_float(node)
+    elif not node.tag.endswith(":null"):
+        done.value = str(node.value)
+    return done
 
 
 class _Validator:
@@ -345,15 +353,18 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     try:
         root = yaml.compose(text)
+        tree = None if root is None else _convert(root, {})
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         raise ConfigError([ConfigIssue("<document>", f"not valid YAML: {exc}", line)]) from exc
-    if root is None:
+    except RecursionError:
+        raise ConfigError([ConfigIssue("<document>", "nested too deep")]) from None
+    if tree is None:
         raise ConfigError([ConfigIssue("<document>", "empty configuration")])
 
     v = _Validator()
-    top = v.mapping(_convert(root), "<top>", {"device", "grid", "scheme", "run"})
+    top = v.mapping(tree, "<top>", {"device", "grid", "scheme", "run"})
 
     def section(name: str, readers: dict) -> dict:
         if name in top:

@@ -143,8 +143,10 @@ def load_scattering_csv(path) -> ScatteringMatrix:
         )
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataFormatError(f"sidecar is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataFormatError("sidecar must be a JSON object")
     for key in ("basis", "center_hz", "n_modes", "normalization", "spacing_hz"):
         if key not in meta:
             raise DataFormatError(f"sidecar missing required key {key!r}")
@@ -152,9 +154,10 @@ def load_scattering_csv(path) -> ScatteringMatrix:
         raise DataFormatError(
             f"basis tag {meta['basis']!r} not supported; convert to {BASIS_TAG!r} first"
         )
-    if meta["normalization"] not in _TAGS_TO_NORMALIZATION:
-        raise DataFormatError(f"unknown normalization tag {meta['normalization']!r}")
-    normalization = _TAGS_TO_NORMALIZATION[meta["normalization"]]
+    tag = meta["normalization"]
+    if not isinstance(tag, str) or tag not in _TAGS_TO_NORMALIZATION:
+        raise DataFormatError(f"unknown normalization tag {tag!r}")
+    normalization = _TAGS_TO_NORMALIZATION[tag]
     n = meta["n_modes"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise DataFormatError(f"mode count {n!r} must be odd and positive")

@@ -12,10 +12,10 @@ the operations in this module are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError
@@ -393,6 +393,27 @@ class IntermodPrediction:
     dropped_out_of_grid: bool
 
 
+def _intermod_paths(signal_index: int, scheme: PumpScheme, grid: ModeGrid):
+    """The on-grid intermodulation products of a signal, with the tones that make them.
+
+    Returns ``(second, third, dropped)``: ``second`` holds ``(tone, index)``
+    for each one-pump idler on the grid, in tone order; ``third`` maps each
+    on-grid two-pump index, in ascending order, to the ordered tone pairs
+    ``(ka, kb)`` landing there; ``dropped`` tells whether any product left
+    the grid.
+    """
+    if not grid.contains(signal_index):
+        raise InvalidArgumentError(f"signal index {signal_index} outside grid")
+    offsets = scheme.offsets
+    idlers = [(k, m - signal_index) for k, m in enumerate(offsets)]
+    paths: dict[int, list[tuple[int, int]]] = {}
+    for ka, kb in itertools.permutations(range(len(offsets)), 2):
+        paths.setdefault(offsets[ka] - offsets[kb] + signal_index, []).append((ka, kb))
+    second = [(k, idx) for k, idx in idlers if grid.contains(idx)]
+    third = {idx: paths[idx] for idx in sorted(paths) if grid.contains(idx)}
+    return second, third, len(second) < len(idlers) or len(third) < len(paths)
+
+
 def predicted_intermod_indices(
     signal_index: int, scheme: PumpScheme, grid: ModeGrid
 ) -> IntermodPrediction:
@@ -401,30 +422,12 @@ def predicted_intermod_indices(
     A pump at offset ``m`` scatters the signal ``s`` to the idler index
     ``m - s``; two distinct pumps at offsets ``m`` and ``l`` scatter it to
     ``m - l + s``.  Indices are exact integers because pumps are locked to
-    the comb.
+    the comb.  The indices and path counts are those of the tracks
+    ``phase_sweep`` records: both read them from ``_intermod_paths``.
     """
-    if not grid.contains(signal_index):
-        raise InvalidArgumentError(f"signal index {signal_index} outside grid")
-    dropped = False
-    second = []
-    for tone in scheme.tones:
-        idx = tone.offset - signal_index
-        if grid.contains(idx):
-            second.append(idx)
-        else:
-            dropped = True
-    third: Counter[int] = Counter()
-    for a in scheme.tones:
-        for b in scheme.tones:
-            if a.offset == b.offset:
-                continue
-            idx = a.offset - b.offset + signal_index
-            if grid.contains(idx):
-                third[idx] += 1
-            else:
-                dropped = True
+    second, third, dropped = _intermod_paths(signal_index, scheme, grid)
     return IntermodPrediction(
-        second_order=tuple(second),
-        third_order=tuple(sorted(third.items())),
+        second_order=tuple(idx for _, idx in second),
+        third_order=tuple((idx, len(pairs)) for idx, pairs in third.items()),
         dropped_out_of_grid=dropped,
     )

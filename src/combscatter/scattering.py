@@ -276,18 +276,20 @@ def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
     return np.linalg.eigvals(stack[block[:, 0] % 2 == 0]).real.min()
 
 
-def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
+def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float]:
     """Invert ``(count, size, size)`` block stacks behind the threshold gate.
 
-    First the gate: every block must be stable, every eigenvalue with a
-    positive real part, or this raises naming the smallest real part.  A
-    group passes when each of its blocks lies inside its column Gershgorin
-    discs (``Re B_jj > sum_{i != j} |B_ij|``), or else when the Hermitian
-    parts of the blocks the discs leave open all have a Cholesky factor,
-    which puts their numerical ranges in the right half-plane.  One failed
-    factor sends the group to the eigenvalues: ``eigvals`` of those open
-    blocks, or ``lowest(k, is_open)``, the caller's floor over at least the
-    blocks of group ``k`` that the boolean mask ``is_open`` marks.
+    ``stacks[k]`` holds the blocks on the slots ``blocks[k]``, a group as in
+    ``SystemMatrix.blocks``.  First the gate: every block must be stable,
+    every eigenvalue with a positive real part, or this raises naming the
+    smallest real part.  A group passes when each of its blocks lies inside
+    its column Gershgorin discs (``Re B_jj > sum_{i != j} |B_ij|``), or
+    else when the Hermitian parts of the blocks the discs leave open all
+    have a Cholesky factor, which puts their numerical ranges in the right
+    half-plane.  One failed factor sends the group to the eigenvalues of
+    one block of each open mirror pair (``_spectral_floor``; a block is open
+    exactly when its mirror is), or to ``lowest(k)``, the caller's floor
+    over at least the blocks of group ``k``.
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
@@ -307,7 +309,7 @@ def _invert_blocks(stacks, lowest=None) -> tuple[list[np.ndarray], float]:
             np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
         except np.linalg.LinAlgError:
             floor = (
-                np.linalg.eigvals(open_blocks).real.min() if lowest is None else lowest(k, is_open)
+                _spectral_floor(open_blocks, blocks[k][is_open]) if lowest is None else lowest(k)
             )
             if not floor > 0:
                 raise AboveThresholdError(
@@ -352,7 +354,7 @@ def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     """
     m = system.matrix
     indices = [_block_index(block) for block in system.blocks]
-    inverses, cond = _invert_blocks([m[index] for index in indices])
+    inverses, cond = _invert_blocks([m[index] for index in indices], system.blocks)
     gamma = system.k_coupling**2
     s = np.zeros(m.shape, dtype=complex)
     for index, inverse in zip(indices, inverses):
@@ -452,7 +454,8 @@ def _pump_off_diagonal(grid: ModeGrid, params: DeviceParams) -> tuple[np.ndarray
     ``scattering_matrix`` on the assembled pump-off system, bit for bit.
     """
     diagonal = _diagonal(grid, params)
-    (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]])
+    slots = np.arange(len(diagonal))[:, np.newaxis]
+    (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]], (slots,))
     return _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0, cond
 
 

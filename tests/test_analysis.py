@@ -157,13 +157,32 @@ class TestPhaseSweep:
         assert np.all(np.diff(sweep_phi1.phases) > 0)
         assert sweep_phi1.phases[-1] < TWO_PI
 
-    def test_tracks_match_predictions(self, grid, device, sweep_phi1):
-        scheme = balanced_scheme(device, [-4, 0, 4], 0.06)
-        predicted = predicted_intermod_indices(28, scheme, grid)
-        second = {t.mode_index for t in sweep_phi1.tracks if t.order == 2}
-        third = {t.mode_index for t in sweep_phi1.tracks if t.order == 3}
-        assert second == set(predicted.second_order)
-        assert third == {idx for idx, _ in predicted.third_order}
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.none(), small_schemes()), st.data())
+    def test_tracks_match_predictions(self, grid, device, sweep_phi1, case, data):
+        # None stands for the bundled sweep; a drawn case sweeps a random
+        # tone of a random scheme, its signal often at the grid's edge
+        if case is None:
+            scheme, result = balanced_scheme(device, [-4, 0, 4], 0.06), sweep_phi1
+        else:
+            grid, scheme = case
+            half = grid.half_span
+            signal = data.draw(st.sampled_from([-half, half]) | st.integers(-half, half))
+            swept = data.draw(st.integers(0, len(scheme.tones) - 1))
+            result = phase_sweep(scheme, swept, 8, signal, grid, device)
+        signal = result.signal_index
+        predicted = predicted_intermod_indices(signal, scheme, grid)
+        second = [t for t in result.tracks if t.order == 2]
+        third = [t for t in result.tracks if t.order == 3]
+        assert tuple(t.mode_index for t in second) == predicted.second_order
+        for track in second:
+            (k,) = track.pump_indices
+            assert scheme.offsets[k] - signal == track.mode_index
+        assert tuple((t.mode_index, len(t.pump_indices)) for t in third) == predicted.third_order
+        for track in third:
+            for ka, kb in track.pump_indices:
+                assert ka != kb
+                assert scheme.offsets[ka] - scheme.offsets[kb] + signal == track.mode_index
 
     def test_second_order_tracks_vary_weakly(self, sweep_phi1):
         for mode in (-32, -28, -24):

@@ -639,6 +639,7 @@ class TestExitCodes:
             (["simulate", "{cfg}", "--phase1=-abcrad"], "validation"),
             (["search-phases", "{cfg}", "--target", "{dir}/ragged.json"], "io"),
             (["search-phases", "{cfg}", "--target", "{dir}/binary.json"], "io"),
+            (["search-phases", "{cfg}", "--target", "{dir}/deep.json"], "io"),
             (["simulate", "{dir}/binary.json"], "io"),
         ],
     )
@@ -647,6 +648,7 @@ class TestExitCodes:
     ):
         (tmp_path / "ragged.json").write_text('[[0, 1], [2]]')
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe[")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
         argv = [a.format(cfg=small_config, dir=tmp_path) for a in argv]
         assert run(argv + ["--out-dir", tmp_path / "o"]) == (2 if error == "validation" else 4)
         (line,) = capsys.readouterr().err.splitlines()
@@ -972,7 +974,8 @@ _FLAG_VALUES = {
     "--samples": (["2", "50"], ["0", "1", "-5"]),
     "--signal-index": (["0", "3", "-2"], ["40", "-7"]),
     "--tone": (["-1", "0", "1"], ["2", "9"]),
-    "--data": (["simulated"], ["missing.cmb", "garbage.bin"]),  # suffix follows --format
+    # the good value's suffix follows --format; badmeta.csv's sidecar is a JSON list
+    "--data": (["simulated"], ["missing.cmb", "garbage.bin", "badmeta.csv"]),
     "--format": (["artifact-native", "generic-csv"], ["xlsx"]),
     "--target": (["edges.json"], ["far.json", "ragged.json", "bad.json", "scalar.json",
                                   "binary.json", "missing.json"]),
@@ -1000,6 +1003,10 @@ def _write_inputs(root, config_text, with_data):
         (root / name).write_text(text)
     (root / "binary.json").write_bytes(b"\xff\xfe\x00[")
     (root / "garbage.bin").write_bytes(b"\xff\x00CMBSCAT1" + bytes(range(256)))
+    (root / "badmeta.csv").write_text("0j,0j\n0j,0j\n")
+    sidecar_path(root / "badmeta.csv").write_text(
+        json.dumps(["basis", "center_hz", "n_modes", "normalization", "spacing_hz"])
+    )
     if with_data:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             main(["simulate", str(config), "--out-dir", str(root / "sim")])

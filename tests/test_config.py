@@ -5,10 +5,11 @@ import time
 import tracemalloc
 
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from combscatter import ConfigError, bundled_config_path, parse_config, serialize_config
+from combscatter import ConfigError, bundled_config_path, config, parse_config, serialize_config
 from combscatter.model import (
     MAX_FIT_GRID_POINTS,
     MAX_HALF_SPAN,
@@ -318,6 +319,48 @@ class TestParse:
             parse_config("device:\n  resonance_frequency: 1 GHz\n")
         fields = {i.field for i in excinfo.value.issues}
         assert "grid" in fields and "scheme" in fields
+
+    def test_aliased_nodes_are_converted_once(self, monkeypatch):
+        # each anchor lists ten aliases of the one before: 10**8 paths reach
+        # the innermost list, which a conversion per path would take hours on
+        chain = ["a0: &a0 [1]"] + [
+            f"a{k}: &a{k} [{', '.join([f'*a{k - 1}'] * 10)}]" for k in range(1, 9)
+        ]
+        text = GOOD + "\n".join(chain) + "\n"
+        distinct, pending = set(), [yaml.compose(text)]
+        while pending:
+            node = pending.pop()
+            if id(node) not in distinct:
+                distinct.add(id(node))
+                if isinstance(node, yaml.MappingNode):
+                    pending += [value for _, value in node.value]
+                elif isinstance(node, yaml.SequenceNode):
+                    pending += node.value
+        calls = 0
+        convert = config._convert
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > len(distinct):
+                raise AssertionError(f"more than {len(distinct)} conversions")
+            return convert(*args)
+
+        monkeypatch.setattr(config, "_convert", counted)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert [i.field for i in excinfo.value.issues] == [f"<top>.a{k}" for k in range(9)]
+
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ("{a: ", "}")])
+    def test_nesting_past_the_stack_is_one_issue(self, opening, closing):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("a: " + opening * 5000 + closing * 5000)
+        assert [i.message for i in excinfo.value.issues] == ["nested too deep"]
+
+    def test_recursive_alias_is_an_unknown_key(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(GOOD + "loop: &loop [1, *loop]\n")
+        assert [i.field for i in excinfo.value.issues] == ["<top>.loop"]
 
 
 class TestRoundTrip:

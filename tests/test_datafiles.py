@@ -163,6 +163,26 @@ class TestCsv:
         with pytest.raises(DataFormatError):
             load_scattering_csv(path)
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda meta: json.dumps(sorted(meta)),
+            lambda meta: "5",
+            lambda meta: json.dumps(" ".join(sorted(meta))),
+            lambda meta: "null",
+            lambda meta: json.dumps({**meta, "normalization": ["raw"]}),
+            lambda meta: "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["key-list", "number", "key-string", "null", "normalization-list", "deep"],
+    )
+    def test_malformed_sidecar_rejected(self, tmp_path, sample, malformed):
+        path = tmp_path / "s.csv"
+        save_scattering_csv(path, sample)
+        meta = json.loads(sidecar_path(path).read_text())
+        sidecar_path(path).write_text(malformed(meta))
+        with pytest.raises(DataFormatError):
+            load_scattering_csv(path)
+
     def test_bad_complex_entry_reports_line(self, tmp_path, sample):
         path = tmp_path / "s.csv"
         save_scattering_csv(path, sample)

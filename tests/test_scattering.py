@@ -254,6 +254,23 @@ class TestScatteringMatrix:
         with pytest.raises(AboveThresholdError, match="dynamically unstable"):
             simulate_scattering(grid, device, balanced_scheme(device, [0], ratio))
 
+    def test_unstable_system_decomposes_one_block_of_each_mirror_pair(
+        self, grid, device, monkeypatch
+    ):
+        # one pump at offset 0 pairs a_i with a*_-i: 95 two-slot blocks, the
+        # centre one its own mirror, the other 94 in 47 mirror pairs; past
+        # ratio 1/2 the Cholesky stage fails and the group needs its spectrum
+        scheme = balanced_scheme(device, [0], 0.6)
+        (pairs,) = assemble_system(grid, device, resolve_couplings(grid, scheme, device)).blocks
+        assert pairs.shape == (95, 2) and np.sum(pairs[:, 0] % 2 == 0) == 48
+        decomposed = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: decomposed.append(len(a)) or eigvals(a))
+        with pytest.raises(AboveThresholdError, match="dynamically unstable") as info:
+            simulate_scattering(grid, device, scheme)
+        assert decomposed == [48]
+        assert reported_margin(info.value) == pytest.approx(-0.1 * device.port_coupling, rel=1e-6)
+
     @pytest.mark.parametrize("ratio", [0.25, 0.34])
     def test_ladder_at_destructive_phase_past_threshold_raises(self, grid, device, ratio):
         # -4/0/4 at phases pi/0/0 on 95 modes: margins -0.042 and -0.242 gamma
@@ -475,7 +492,7 @@ class TestThresholdCertificate:
         norm = max(np.linalg.norm(block, 1) for block in blocks)
         inverse_norm = max(np.linalg.norm(np.linalg.inv(block), 1) for block in blocks)
         assert norm * inverse_norm <= cap
-        assert _invert_blocks(stacks)[1] <= cap
+        assert _invert_blocks(stacks, pieces.blocks)[1] <= cap
         assert all(np.linalg.eigvals(block).real.min() > 0 for block in blocks)
 
     @settings(max_examples=100, deadline=None)
@@ -496,7 +513,7 @@ class TestThresholdCertificate:
                 rephased = scheme.with_phase(tone, float(phase))
                 assert certified(pieces, rephased, gamma, CONDITION_CAP)
                 stacks = pieces.stacks([t.strength for t in rephased.tones], gamma)
-                assert _invert_blocks(stacks)[1] <= CONDITION_CAP
+                assert _invert_blocks(stacks, pieces.blocks)[1] <= CONDITION_CAP
 
     @pytest.mark.parametrize("offsets", [[0], [-4, 0, 4]])
     @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.15])
@@ -506,7 +523,7 @@ class TestThresholdCertificate:
         pieces = _block_pieces(grid, device, scheme)
         gamma = device.port_coupling
         stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
-        condition = _invert_blocks(stacks)[1]
+        condition = _invert_blocks(stacks, pieces.blocks)[1]
         assert certified(pieces, scheme, gamma, 1e12)
         assert not certified(pieces, scheme, gamma, 0.999 * condition)
 
@@ -521,14 +538,14 @@ class TestThresholdCertificate:
         pieces = _block_pieces(grid, device, scheme)
         stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
         try:
-            expected, cond = _invert_blocks(assembled)
+            expected, cond = _invert_blocks(assembled, system.blocks)
         except AboveThresholdError:
             event("above threshold")
             with pytest.raises(AboveThresholdError):
-                _invert_blocks(stacks)
+                _invert_blocks(stacks, pieces.blocks)
             return
         event(f"certified: {certified(pieces, scheme, gamma, 1e12)}")
-        inverses, pieces_cond = _invert_blocks(stacks)
+        inverses, pieces_cond = _invert_blocks(stacks, pieces.blocks)
         assert len(inverses) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(inverses, expected))
         assert pieces_cond == cond
