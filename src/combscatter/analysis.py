@@ -38,12 +38,10 @@ from .scattering import (
     _frozen,
     _gain,
     _invert_blocks,
+    _place_inverses,
     _pump_off_diagonal,
     _spectral_floor,
     magnitude_db,
-    normalize_pump_off,
-    pump_off_scattering,
-    simulate_scattering,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -400,7 +398,7 @@ def fit_parameters(
 class PhaseSearchResult:
     """Best phases of a search, their graph and topology, and its counts.
 
-    ``evaluated`` is the number of gauge classes simulated and
+    ``evaluated`` is the number of gauge classes evaluated and
     ``skipped_above_threshold`` the number of those found above threshold.
     """
 
@@ -434,14 +432,21 @@ def search_phases(
     ``sum(c_t) == 0`` and ``sum(c_t*m_t) == 0`` (for -4/0/4 the curvature
     ``phi_-4 - 2*phi_0 + phi_4``; for one or two tones none at all).  Grid
     combinations that agree on every such combination modulo a full turn
-    form a gauge class, and each class is simulated once: at most
-    ``phase_grid_points ** (T - 2)`` simulations for T >= 2 tones, and one
+    form a gauge class, and each class is evaluated once: at most
+    ``phase_grid_points ** (T - 2)`` evaluations for T >= 2 tones, and one
     for one or two tones.  A grid that would key more than
     ``MAX_PHASE_CLASSES`` classes is rejected before any is enumerated.
 
+    Only the tone phases change from class to class, so the blocks of the
+    system are split once into pieces and the pump-off reference is taken
+    once.  A class restacks the pieces at its tone strengths, passes the
+    threshold gate ``_invert_blocks`` and places the block inverses into the
+    dense scattering matrix, whose pump-off-normalized dB magnitudes
+    ``extract_graph`` thresholds; the band check runs once, with the pieces.
+
     Combinations are enumerated lexicographically and ties break toward the
     lexicographically smallest phase vector, which is the member of its
-    class that is simulated, so the search is deterministic.  A class is
+    class that is evaluated, so the search is deterministic.  A class is
     keyed by its combinations modulo ``phase_grid_points``.  The basis
     spans the whole lattice of invariant combinations, so the grid reaches
     every key, and the walk stops as soon as it has seen
@@ -468,7 +473,10 @@ def search_phases(
             f"phase_grid_points: {phase_grid_points}**{len(basis)} gauge classes exceed "
             f"{MAX_PHASE_CLASSES}"
         )
-    s_off = pump_off_scattering(grid, params)
+    pieces = _block_pieces(grid, params, scheme)
+    reference = np.abs(_pump_off_diagonal(grid, params)[0])
+    gamma = params.port_coupling
+    gain = _gain(gamma)
 
     best = None  # (objective, phases, graph)
     seen = set()
@@ -488,15 +496,18 @@ def search_phases(
             continue
         seen.add(key)
         phases = tuple(TWO_PI * c / phase_grid_points for c in combo)
-        trial = scheme
-        for tone, phase in enumerate(phases):
-            trial = trial.with_phase(tone, phase)
+        strengths = [
+            PumpTone(tone.offset, tone.amplitude, phase).strength
+            for tone, phase in zip(scheme.tones, phases)
+        ]
         try:
-            s_on = simulate_scattering(grid, params, trial)
+            inverses, _ = _invert_blocks(pieces.stacks(strengths, gamma), pieces.blocks)
         except AboveThresholdError:
             skipped += 1
             continue
-        graph = extract_graph(normalize_pump_off(s_on, s_off), grid, threshold_db)
+        s = _place_inverses(inverses, pieces.blocks, gain)
+        s /= reference  # in place: a fresh temporary of S costs more than the division
+        graph = extract_graph(magnitude_db(s), grid, threshold_db)
         objective = len(graph.edge_pairs() ^ target)
         if best is None or objective < best[0]:
             best = (objective, phases, graph)

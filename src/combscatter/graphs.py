@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .model import ModeGrid
+from .scattering import DB_FLOOR
 
 # A finite comb truncates an infinite ladder mid-pattern; tolerate this many
 # peeled boundary nodes (pendants or triangle caps) before template matching.
@@ -115,15 +116,18 @@ def extract_graph(
     """Threshold a dB matrix into a correlation graph.
 
     Edges are exactly the off-diagonal mode pairs whose weight (max of the
-    two directions) reaches the threshold; the result is deterministic,
+    two directions) reaches the threshold and lies above ``DB_FLOOR``, and
+    self-loops the modes whose cross weight does: a weight at the floor is
+    a clamped magnitude, such as the exact zero between two blocks, and
+    never counts, whatever the threshold.  The result is deterministic,
     ordered by ascending mode index.
     """
     reduced = mode_level_db(db_matrix, grid)
     half = grid.half_span
     weights = np.maximum(reduced, reduced.T)
-    rows, cols = np.nonzero(np.triu(weights >= threshold_db, 1))
+    rows, cols = np.nonzero(np.triu((weights >= threshold_db) & (weights > DB_FLOOR), 1))
     diagonal = reduced.diagonal()
-    (loops,) = np.nonzero(diagonal >= threshold_db)
+    (loops,) = np.nonzero((diagonal >= threshold_db) & (diagonal > DB_FLOOR))
     # tolist() yields Python int and float, so the reports stay JSON-serializable
     i, j, w = (rows - half).tolist(), (cols - half).tolist(), weights[rows, cols].tolist()
     return CorrelationGraph(

@@ -39,8 +39,8 @@ MIN_GRID_POINTS = 4
 # The largest run sizes of the analyses that allocate in proportion to
 # them: a sweep's phases and tracks, a fit's square surface with its memo of
 # evaluated cells, and the gauge-class keys (about 170 B each) a phase search
-# stores before its first simulation.  Larger values are rejected before
-# anything is allocated.
+# keeps, one per class it evaluates on the block pieces.  Larger values are
+# rejected before anything is allocated.
 MAX_SWEEP_STEPS = 10_000
 MAX_FIT_GRID_POINTS = 500
 MAX_PHASE_CLASSES = 1 << 16

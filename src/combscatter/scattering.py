@@ -16,10 +16,10 @@ Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
 gate that decides it, and the only code that inverts block stacks.  Its
 first stage, the column Gershgorin discs, also bounds the condition
 (Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
-the gate once for all its steps.  Sweeps and fit grids build their stacks
-from unit-strength block pieces, split once.  Pure functions on immutable
-inputs; independent scheme evaluations can run in parallel with no shared
-state.
+the gate once for all its steps.  Sweeps, fits and searches build their
+stacks from unit-strength block pieces, split once.  Pure functions on
+immutable inputs; independent scheme evaluations can run in parallel with
+no shared state.
 """
 
 from __future__ import annotations
@@ -353,14 +353,23 @@ def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     the stored rows).
     """
     m = system.matrix
-    indices = [_block_index(block) for block in system.blocks]
-    inverses, cond = _invert_blocks([m[index] for index in indices], system.blocks)
-    gamma = system.k_coupling**2
-    s = np.zeros(m.shape, dtype=complex)
-    for index, inverse in zip(indices, inverses):
-        s[index] = gamma * inverse
-    s[np.diag_indices_from(s)] -= 1.0
+    stacks = [m[_block_index(block)] for block in system.blocks]
+    inverses, cond = _invert_blocks(stacks, system.blocks)
+    s = _place_inverses(inverses, system.blocks, system.k_coupling**2)
     return ScatteringMatrix(_Sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
+
+
+def _place_inverses(inverses, blocks, gain: float) -> np.ndarray:
+    """The dense ``S = gain * M^-1 - I`` from the inverses of the block groups ``blocks``.
+
+    Entries off the blocks are exact zeros before the identity is taken off.
+    """
+    size = sum(block.size for block in blocks)
+    s = np.zeros((size, size), dtype=complex)
+    for block, inverse in zip(blocks, inverses):
+        s[_block_index(block)] = gain * inverse
+    s[np.diag_indices_from(s)] -= 1.0
+    return s
 
 
 @dataclass(frozen=True)

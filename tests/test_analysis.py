@@ -30,6 +30,7 @@ from combscatter import (
     search_phases,
     simulate_scattering,
 )
+from combscatter import scattering
 from combscatter.scattering import CONDITION_CAP, _block_pieces, _dominance_bound
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
 from search_reference import exhaustive_search
@@ -632,8 +633,10 @@ class TestSearchPhases:
         assert (result.objective, result.best_phases, result.graph, result.report) == expected
         assert 1 <= result.evaluated <= points ** len(scheme.tones)
 
-    def test_ladder_search_simulates_one_combination_per_curvature(self, device):
-        grid = ModeGrid(RESONANCE, SPACING, 12)
+    @pytest.mark.parametrize("half_span", [12, 47])
+    def test_ladder_search_simulates_one_combination_per_curvature(self, device, half_span):
+        # half_span 47 is the bundled size, whose blocks hold 48 slots
+        grid = ModeGrid(RESONANCE, SPACING, half_span)
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
         # (-12, 0) crosses the residue classes: the full grid is scanned
         args = (scheme, [(-12, 0)], 8, -20.0, grid, device)
@@ -683,6 +686,35 @@ class TestSearchPhases:
         assert (result.evaluated, result.skipped_above_threshold) == (8, 1)
         expected = exhaustive_search(*args)
         assert (result.objective, result.best_phases, result.graph, result.report) == expected
+
+    def test_one_assembly_serves_every_class(self, device, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return assemble_system(*args)
+
+        monkeypatch.setattr(scattering, "assemble_system", counting)
+        grid = ModeGrid(RESONANCE, SPACING, 12)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        result = search_phases(scheme, [(-12, 0)], 8, -20.0, grid, device)
+        assert (result.evaluated, len(calls)) == (8, 1)
+
+    def test_band_warns_once_at_the_callers_line(self):
+        # 21 modes 20 MHz apart reach 200 MHz from resonance: 40 linewidths at 5 MHz
+        narrow = DeviceParams(RESONANCE, TWO_PI * 5e6)
+        grid = ModeGrid(RESONANCE, TWO_PI * 20e6, 10)
+        scheme = balanced_scheme(narrow, [-4, 0, 4], 0.085)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = search_phases(scheme, [(0, 1)], 8, -20.0, grid, narrow)
+        assert result.evaluated == 8
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [(
+            BandMismatchWarning,
+            "mode comb extends 40.0 linewidths from resonance; "
+            "the frequency-independent coupling model is doubtful there",
+            __file__,
+        )]
 
     def test_every_class_above_threshold_raises(self, device):
         # the centre mode on resonance at ratio 0.6 is unstable at every phase

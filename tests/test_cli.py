@@ -308,6 +308,24 @@ class TestFit:
         assert run(["fit", small_config, "--out-dir", tmp_path]) == 2
 
 
+class TestGraph:
+    def test_threshold_below_the_floor_keeps_the_floors_edges(self, small_config, tmp_path):
+        # the pairs off the blocks clamp to the -240 dB floor and never count,
+        # so a threshold under the floor draws the graph a threshold at it draws
+        reports = []
+        for threshold in (-300, -240):
+            out = tmp_path / str(threshold)
+            assert run(["graph", small_config, f"--threshold-db={threshold}",
+                        "--out-dir", out]) == 0
+            reports.append(json.loads((out / "topology.json").read_text()))
+        below, at = reports
+        keys = ("edge_count", "edges", "self_loops", "components")
+        assert [below[k] for k in keys] == [at[k] for k in keys]
+        assert all(weight > -240 for *_, weight in below["edges"])
+        # -4/0/4 joins modes 0 mod 4, modes 2 mod 4 and the odd modes, never across
+        assert [len(c["nodes"]) for c in below["components"]] == [7, 12, 6]
+
+
 class TestSearchPhases:
     def test_reaches_target_from_simulated_topology(self, small_config, tmp_path):
         out = tmp_path / "out"

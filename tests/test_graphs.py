@@ -24,6 +24,7 @@ from combscatter import (
     topology_report,
 )
 from combscatter.datafiles import topology_report_dict
+from combscatter.scattering import DB_FLOOR
 from conftest import (
     RESONANCE,
     SPACING,
@@ -200,6 +201,18 @@ class TestExtractGraph:
         db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, +50.0)
         assert graph.edges == ()
+
+    @pytest.mark.parametrize("threshold", [DB_FLOOR, -300.0])
+    def test_weights_at_the_floor_never_count(self, grid, device, threshold):
+        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        graph = extract_graph(db, grid, threshold)
+        # the pairs off the 2 x 2 blocks clamp to the floor and stay out
+        assert graph.edge_pairs() == {(-j, j) for j in grid.indices if j > 0}
+        assert [i for i, _ in graph.self_loops] == [0]
+        floor = np.full((2 * grid.n_modes, 2 * grid.n_modes), DB_FLOOR)
+        floor[0, 3] = np.nextafter(DB_FLOOR, 0.0)
+        graph = extract_graph(floor, grid, threshold)
+        assert (graph.edge_pairs(), graph.self_loops) == ({(grid.indices[0], grid.indices[1])}, ())
 
     def test_three_pump_destructive_neighbor_sets(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)
