@@ -38,8 +38,8 @@ from .scattering import (
     _frozen,
     _gain,
     _invert_blocks,
-    _place_inverses,
     _pump_off_diagonal,
+    _scattering,
     _spectral_floor,
     magnitude_db,
 )
@@ -501,11 +501,10 @@ def search_phases(
             for tone, phase in zip(scheme.tones, phases)
         ]
         try:
-            inverses, _ = _invert_blocks(pieces.stacks(strengths, gamma), pieces.blocks)
+            s, _ = _scattering(pieces.stacks(strengths, gamma), pieces.blocks, gain)
         except AboveThresholdError:
             skipped += 1
             continue
-        s = _place_inverses(inverses, pieces.blocks, gain)
         s /= reference  # in place: a fresh temporary of S costs more than the division
         graph = extract_graph(magnitude_db(s), grid, threshold_db)
         objective = len(graph.edge_pairs() ^ target)

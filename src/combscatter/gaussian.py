@@ -84,10 +84,6 @@ class CovarianceMatrix:
                 raise InvalidArgumentError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
         object.__setattr__(self, "matrix", v)
 
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
 
 def _cholesky_certifies(v: np.ndarray, shift: float) -> bool:
     """True when ``v + shift * I`` has a Cholesky factor, so ``v >= -shift``."""

@@ -16,10 +16,10 @@ Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
 gate that decides it, and the only code that inverts block stacks.  Its
 first stage, the column Gershgorin discs, also bounds the condition
 (Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
-the gate once for all its steps.  Sweeps, fits and searches build their
-stacks from unit-strength block pieces, split once.  Pure functions on
-immutable inputs; independent scheme evaluations can run in parallel with
-no shared state.
+the gate once for all its steps.  Sweeps, fits and searches split the
+system once, by mode sum, into an index map onto the tone strengths, and
+restack it at every point.  Pure functions on immutable inputs;
+independent scheme evaluations can run in parallel with no shared state.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .model import CouplingSet, DeviceParams, ModeGrid, PumpScheme, resolve_couplings
+from .model import CouplingSet, DeviceParams, ModeGrid, PumpScheme, check_band, resolve_couplings
 
 # A numerical guard, not the threshold: a stable system whose condition
 # number exceeds this sits so close to the threshold that its inverse is
@@ -354,56 +354,56 @@ def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     """
     m = system.matrix
     stacks = [m[_block_index(block)] for block in system.blocks]
-    inverses, cond = _invert_blocks(stacks, system.blocks)
-    s = _place_inverses(inverses, system.blocks, system.k_coupling**2)
+    s, cond = _scattering(stacks, system.blocks, system.k_coupling**2)
     return ScatteringMatrix(_Sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
 
 
-def _place_inverses(inverses, blocks, gain: float) -> np.ndarray:
-    """The dense ``S = gain * M^-1 - I`` from the inverses of the block groups ``blocks``.
+def _scattering(stacks, blocks, gain: float) -> tuple[np.ndarray, float]:
+    """The dense ``S = gain * M^-1 - I`` of the block groups ``blocks``, and its condition.
 
-    Entries off the blocks are exact zeros before the identity is taken off.
+    ``stacks`` go through the threshold gate ``_invert_blocks``; entries
+    off the blocks are exact zeros before the identity is taken off.
     """
+    inverses, cond = _invert_blocks(stacks, blocks)
     size = sum(block.size for block in blocks)
     s = np.zeros((size, size), dtype=complex)
     for block, inverse in zip(blocks, inverses):
         s[_block_index(block)] = gain * inverse
     s[np.diag_indices_from(s)] -= 1.0
-    return s
+    return s, cond
 
 
 @dataclass(frozen=True)
 class _BlockPieces:
-    """The blocks of ``M`` split by how they depend on the parameters.
+    """The blocks of ``M`` as an index map onto the tone strengths.
 
-    Every off-diagonal entry of ``M`` is one unit-strength coefficient times
-    ``s_t``, ``conj(s_t)`` or 0, for tone strengths ``s_t``, ``t < T``.  For
+    The tone at offset ``m`` owns the entries joining ``a_p`` and ``a*_q``
+    with ``p + q = m``: ``c_t = u * s_t`` in amplitude rows and
+    ``conj(u) * conj(s_t)`` in conjugate rows, for tone strengths ``s_t``,
+    ``t < T``, and ``u = -i * resonance``, the entry at strength 1.  For
     block group ``k`` (as in ``blocks``), ``detuning[k]`` holds every
-    block's ``+-i*detuning`` diagonal, ``unit[k]`` its off-diagonal entries
-    at unit strength and ``slot[k]`` the factor each entry takes: ``t`` in
-    tone ``t``'s amplitude rows, ``T + t`` in its conjugate rows and ``2T``
-    where no tone couples.  The stack of ``M`` for strengths ``s_t`` and
-    port coupling ``gamma`` is
-
-        unit[k] * (s_0, ..., s_T-1, conj(s_0), ..., conj(s_T-1), 0)[slot[k]]
-            + diag(detuning[k] + gamma/2)
-
-    which reproduces the assembled stack bit for bit.
+    block's ``+-i*detuning`` diagonal and ``slot[k]`` indexes each entry
+    into ``(c_0, ..., c_T-1, conj(c_0), ..., conj(c_T-1), 0)``, the last
+    where no tone couples.  That gather plus ``diag(detuning[k] + gamma/2)``
+    is the assembled stack for port coupling ``gamma``, bit for bit but for
+    the sign of a zero.
     """
 
     blocks: tuple[np.ndarray, ...]
     detuning: tuple[np.ndarray, ...]
-    unit: tuple[np.ndarray, ...]
     slot: tuple[np.ndarray, ...]
+    resonance: float
 
     def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
         s = np.asarray(strengths, dtype=complex)
-        factors = np.concatenate((s, s.conj(), np.zeros(s.shape[:-1] + (1,))), axis=-1)
+        u = complex(0.0, -self.resonance)
+        zero = np.zeros(s.shape[:-1] + (1,))
+        entries = np.concatenate((u * s, u.conjugate() * s.conj(), zero), axis=-1)
         out = []
-        for detuning, unit, slot in zip(self.detuning, self.unit, self.slot):
-            stack = unit * factors[..., slot]
-            diagonal = np.arange(unit.shape[-1])
+        for detuning, slot in zip(self.detuning, self.slot):
+            stack = entries[..., slot]
+            diagonal = np.arange(slot.shape[-1])
             stack[..., diagonal, diagonal] += detuning + gamma / 2.0
             out.append(stack)
         return out
@@ -414,37 +414,38 @@ class _BlockPieces:
             (k, *hit) for k, block in enumerate(self.blocks) for hit in np.argwhere(block == slot)
         )
         one = slice(member, member + 1)
-        parts = (self.blocks, self.detuning, self.unit, self.slot)
-        return _BlockPieces(*((part[k][one],) for part in parts)), int(position)
+        parts = (self.blocks, self.detuning, self.slot)
+        return _BlockPieces(*((part[k][one],) for part in parts), self.resonance), int(position)
 
 
 def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _BlockPieces:
-    """Split one assembly at unit tone strengths into ``_BlockPieces``.
+    """Split the system of ``scheme`` into ``_BlockPieces`` by mode sum alone.
 
     Only the resonance frequency of ``params`` enters the pieces; its port
-    coupling is used for the band check of the coupling resolution.  A
-    tone at offset ``m`` owns the off-diagonal entries whose row and column
-    modes sum to ``m``, so one lookup by mode sum gives every entry's tone.
+    coupling is used for the band check.  One lookup by mode sum names the
+    tone of every mode pair: its pairs ``a_p -- a*_q`` are the edges of the
+    block partition, and an entry takes its tone's slot where its row and
+    column parities differ.  A tone is in the partition whatever its
+    amplitude, so pieces built once serve every strength.
     """
-    unit = PumpScheme.balanced(scheme.offsets, 2.0)  # strength 1 at phase 0
-    system = assemble_system(grid, params, resolve_couplings(grid, unit, params))
-    tones, reach = len(unit.tones), 2 * grid.half_span
+    check_band(grid, params)
+    tones, reach = len(scheme.tones), 2 * grid.half_span
     tone_of = np.full(2 * reach + 1, tones)  # by mode sum + reach; T for none
-    for t, m in enumerate(unit.offsets):
+    for t, m in enumerate(scheme.offsets):
         if abs(m) <= reach:
             tone_of[m + reach] = t
-    detuning, units, slots = [], [], []
-    for block in system.blocks:
+    position = np.arange(grid.n_modes)
+    p, q = np.nonzero(tone_of[position[:, np.newaxis] + position] < tones)
+    blocks = _block_partition(2 * grid.n_modes, 2 * p, 2 * q + 1)
+    diagonal = 1j * _diagonal(grid, params).imag
+    slots = []
+    for block in blocks:
         rows, cols = _block_index(block)
-        stack = system.matrix[rows, cols]
-        off = np.where(rows == cols, 0.0, stack)
-        detuning.append(1j * stack.diagonal(0, 1, 2).imag)
-        units.append(off)
         tone = tone_of[rows // 2 + cols // 2]
-        slots.append(np.where(off == 0, 2 * tones, tone + tones * (rows % 2)))
-    return _BlockPieces(
-        blocks=system.blocks, detuning=tuple(detuning), unit=tuple(units), slot=tuple(slots)
-    )
+        coupled = (rows % 2 != cols % 2) & (tone < tones)
+        slots.append(np.where(coupled, tone + tones * (rows % 2), 2 * tones))
+    detuning = tuple(diagonal[block] for block in blocks)
+    return _BlockPieces(blocks, detuning, tuple(slots), params.resonance_frequency)
 
 
 def simulate_scattering(
@@ -480,8 +481,12 @@ def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatri
 
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:
-    """20*log10 magnitude with the clamp floor applied."""
-    return 20.0 * np.log10(np.maximum(np.abs(values), _DB_FLOOR_AMPLITUDE))
+    """20*log10 magnitude with the clamp floor applied, in one float buffer."""
+    db = np.asarray(np.abs(values), dtype=float)
+    np.maximum(db, _DB_FLOOR_AMPLITUDE, out=db)
+    np.log10(db, out=db)
+    db *= 20.0
+    return db[()]
 
 
 def normalize_pump_off(s_on: ScatteringMatrix, s_off: ScatteringMatrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Phase sweeps, parameter fitting, phase search."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,8 @@ from combscatter import (
     search_phases,
     simulate_scattering,
 )
-from combscatter import scattering
+from combscatter import analysis, scattering
+from combscatter.model import MAX_HALF_SPAN
 from combscatter.scattering import CONDITION_CAP, _block_pieces, _dominance_bound
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
 from search_reference import exhaustive_search
@@ -314,6 +316,18 @@ class TestPhaseSweep:
             phase_sweep(scheme, swept, 8, 5, grid, device)
         assert excinfo.value.phase == phases[np.argmax(np.array(margins) <= 0)]
         assert "dynamically unstable" in str(excinfo.value)
+
+    def test_largest_comb_sweeps_without_its_dense_system(self, device):
+        # the dense 2002 x 2002 system of 1,001 modes alone takes 64 MB
+        grid = ModeGrid(RESONANCE, SPACING, MAX_HALF_SPAN)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        tracemalloc.start()
+        try:
+            phase_sweep(scheme, 1, 8, 0, grid, device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_step_maximum_enforced_before_allocating(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)
@@ -687,19 +701,6 @@ class TestSearchPhases:
         expected = exhaustive_search(*args)
         assert (result.objective, result.best_phases, result.graph, result.report) == expected
 
-    def test_one_assembly_serves_every_class(self, device, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return assemble_system(*args)
-
-        monkeypatch.setattr(scattering, "assemble_system", counting)
-        grid = ModeGrid(RESONANCE, SPACING, 12)
-        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
-        result = search_phases(scheme, [(-12, 0)], 8, -20.0, grid, device)
-        assert (result.evaluated, len(calls)) == (8, 1)
-
     def test_band_warns_once_at_the_callers_line(self):
         # 21 modes 20 MHz apart reach 200 MHz from resonance: 40 linewidths at 5 MHz
         narrow = DeviceParams(RESONANCE, TWO_PI * 5e6)
@@ -728,3 +729,34 @@ class TestSearchPhases:
             search_phases(scheme, [], 3, -20.0, grid, device)
         with pytest.raises(InvalidArgumentError):
             search_phases(scheme, [(0, 99)], 4, -20.0, grid, device)
+
+
+@pytest.mark.parametrize("kind", ["search", "sweep", "fit"])
+def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
+    # however many points an analysis evaluates, it splits the system into
+    # block pieces once and never assembles the dense system
+    grid = ModeGrid(RESONANCE, SPACING, 12)
+    scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+    g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING
+    measured = simulate_scattering(grid, device, scheme)
+    runs = {
+        "search": lambda: search_phases(scheme, [(-12, 0)], 8, -20.0, grid, device).evaluated,
+        "sweep": lambda: len(phase_sweep(scheme, 1, 8, 0, grid, device).phases),
+        "fit": lambda: fit_parameters(
+            measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4, refine_steps=2
+        ).evaluations,
+    }
+    calls = {"split": 0, "assemble": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(analysis, "_block_pieces", counting("split", _block_pieces))
+    monkeypatch.setattr(
+        scattering, "assemble_system", counting("assemble", scattering.assemble_system)
+    )
+    assert runs[kind]() >= 8
+    assert calls == {"split": 1, "assemble": 0}

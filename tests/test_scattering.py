@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import combscatter as cs
@@ -43,6 +43,10 @@ from conftest import (
     balanced_scheme,
     small_schemes,
 )
+
+
+# a tone amplitude at strength ratio 0.05
+EDGE_AMPLITUDE = 0.1 * COUPLING / RESONANCE
 
 
 def reported_margin(error):
@@ -423,14 +427,26 @@ class TestBlockSolver:
 
     @settings(max_examples=60, deadline=None)
     @given(small_schemes(), st.floats(0.3, 3.0))
+    # a zero-amplitude tone; a tone beyond +-2J, which couples no pairs; a
+    # lone tone at offset 0 on one mode, its degenerate pair only; no tones
+    @example((ModeGrid(RESONANCE, SPACING, 3), PumpScheme((
+        PumpTone(-2, 0.0, 1.0), PumpTone(2, EDGE_AMPLITUDE, 2.0)))), 1.0)
+    @example((ModeGrid(RESONANCE, SPACING, 2), PumpScheme((
+        PumpTone(9, EDGE_AMPLITUDE), PumpTone(-1, EDGE_AMPLITUDE, 4.0)))), 1.0)
+    @example((ModeGrid(RESONANCE, SPACING, 0), PumpScheme((PumpTone(0, EDGE_AMPLITUDE, 0.5),))), 1.0)
+    @example((ModeGrid(RESONANCE, SPACING, 3), PumpScheme(())), 1.0)
     def test_pieces_rebuild_the_assembled_blocks_bit_for_bit(self, case, scale):
+        # np.array_equal, since for a zero-amplitude tone the two paths
+        # differ in the sign of zero
         grid, scheme = case
         device = DeviceParams(RESONANCE, scale * COUPLING)
         pieces = _block_pieces(grid, device, scheme)
         system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        assert len(pieces.blocks) == len(system.blocks)
         assert all(np.array_equal(a, b) for a, b in zip(pieces.blocks, system.blocks))
         strengths = [t.strength for t in scheme.tones]
         stacks = pieces.stacks(strengths, device.port_coupling)
+        assert len(stacks) == len(system.blocks)
         for block, stack in zip(system.blocks, stacks):
             rows, cols = block[:, :, np.newaxis], block[:, np.newaxis, :]
             assert np.array_equal(stack, system.matrix[rows, cols])
