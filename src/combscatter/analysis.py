@@ -82,10 +82,13 @@ class SweepTrack:
 
 @dataclass(frozen=True)
 class PhaseSweepResult:
+    """The tracks of a phase sweep; ``evaluated`` counts the gauge classes solved."""
+
     swept_tone: int
     signal_index: int
     phases: np.ndarray
     tracks: tuple[SweepTrack, ...]
+    evaluated: int
 
     def __post_init__(self):
         object.__setattr__(self, "phases", _frozen(self.phases, float))
@@ -118,14 +121,29 @@ def phase_sweep(
     system, whose stacked steps are solved against the driven slot a few
     steps at a time.
 
+    Only a step's gauge class is solved.  Rephasing the modes shifts the
+    tone at offset ``m`` by ``2*alpha + beta*m`` and changes no ``|S_ij|``
+    and no stability (``gauge_invariant_basis``), so two steps whose
+    phases agree on every invariant combination modulo a full turn give
+    the same tracks.  One step moves the combination of basis vector ``v``
+    by ``v[swept_tone] / steps`` of a turn, so steps ``k`` and
+    ``k + period`` are one class, with ``period = steps // gcd(steps, c)``
+    over the swept tone's coefficients ``c``: one step for one or two
+    tones, 36 for the centre tone of a 72-step -4/0/4 sweep, ``steps`` for
+    an outer tone.  Steps ``0 .. period - 1`` are solved in step order and
+    the later members of each class copy their first member's column.
+
     The threshold gate is the one ``scattering_matrix`` applies.  When the
     base scheme's column discs certify it (``_dominance_bound``), the gate
     is cleared once for the whole sweep: the disc margins depend only on
     the diagonal and the magnitudes ``|s_t|``, which the phase moves by a
     few ulps, while a bound within the cap demands a margin of at least
-    ``2e-12 * ||B||_1``.  Otherwise every step goes through the gate.
-    Raises the above-threshold error annotated with the offending phase if
-    any sweep point is dynamically unstable, at or past the threshold.
+    ``2e-12 * ||B||_1``.  Otherwise the first step of each class goes
+    through the gate.  Raises the above-threshold error annotated with the
+    offending phase if any sweep point is dynamically unstable, at or past
+    the threshold; a class's first member precedes every other, so the
+    phase named is the first unstable one.  ``evaluated`` on the result is
+    the number of classes solved, ``period``.
     """
     if not MIN_SWEEP_STEPS <= steps <= MAX_SWEEP_STEPS:
         raise InvalidArgumentError(f"steps must be in {MIN_SWEEP_STEPS}..{MAX_SWEEP_STEPS}")
@@ -137,6 +155,8 @@ def phase_sweep(
     products += [(3, tuple(paths), mode, grid.a_slot(mode)) for mode, paths in third.items()]
 
     phases = np.array([TWO_PI * k / steps for k in range(steps)])
+    coefficients = (vector[swept_tone] for vector in gauge_invariant_basis(base_scheme.offsets))
+    period = steps // math.gcd(steps, *coefficients)
     col = grid.a_slot(signal_index)
     rows = [row for *_, row in products]
     reference = abs(_pump_off_diagonal(grid, params)[0][col])
@@ -146,7 +166,9 @@ def phase_sweep(
     # only the swept tone's strength changes from step to step
     base = np.array([tone.strength for tone in base_scheme.tones])
     swept = base_scheme.tones[swept_tone]
-    strengths = [PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases]
+    strengths = [
+        PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases[:period]
+    ]
     pieces = _block_pieces(grid, params, base_scheme)
     # the driven column lies in one block, whose stacked steps are solved
     driven, position = pieces.block_of(col)
@@ -156,11 +178,11 @@ def phase_sweep(
 
     # the swept tone's magnitude is the same at every phase, so one
     # certificate can clear the threshold gate for the whole sweep
-    certified = _dominance_bound(pieces.stacks(base, gamma)) <= CONDITION_CAP
+    certified = _dominance_bound(pieces.each_block(base, gamma)) <= CONDITION_CAP
     chunk = max(1, _CHUNK_BYTES // (16 * len(slots) ** 2))
-    data = np.empty((len(rows), steps))
-    for start in range(0, steps, chunk):
-        stop = min(start + chunk, steps)
+    data = np.empty((len(rows), period))
+    for start in range(0, period, chunk):
+        stop = min(start + chunk, period)
         step_strengths = np.repeat(base[np.newaxis], stop - start, axis=0)
         step_strengths[:, swept_tone] = strengths[start:stop]
         if not certified:
@@ -181,13 +203,14 @@ def phase_sweep(
 
     tracks = tuple(
         SweepTrack(order, tones, mode, magnitudes)
-        for (order, tones, mode, _), magnitudes in zip(products, data)
+        for (order, tones, mode, _), magnitudes in zip(products, np.tile(data, steps // period))
     )
     return PhaseSweepResult(
         swept_tone=swept_tone,
         signal_index=signal_index,
         phases=phases,
         tracks=tracks,
+        evaluated=period,
     )
 
 

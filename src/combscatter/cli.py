@@ -222,7 +222,7 @@ def _cmd_sweep_phase(run: _Run) -> None:
     tracks = result.tracks
     values = [[t.magnitudes_db[step] for t in tracks] for step in range(s.steps)]
     write_table(run.out("sweep.csv"), "phase_rad", [t.label for t in tracks], result.phases,
-                values, run.meta(seed=s.seed))
+                values, run.meta(seed=s.seed, evaluated=result.evaluated))
     print(f"sweep-phase: tone {s.swept_tone} over {s.steps} phases, {len(tracks)} tracks")
 
 

@@ -25,6 +25,7 @@ independent scheme evaluations can run in parallel with no shared state.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -255,7 +256,8 @@ def _dominance_bound(stacks) -> float:
     ``||B^-1||_1 <= 1 / min margin``, so this bounds the 1-norm condition;
     the factor 2 covers rounding.  A bound within ``CONDITION_CAP``
     certifies that ``_invert_blocks`` would pass; ``phase_sweep`` takes it
-    once, at its base phases, to clear the gate for every step.
+    once, at its base phases, to clear the gate for every step.  The stacks
+    are read one at a time, so an iterator need hold only one of them.
     """
     norm, margin = 0.0, math.inf
     for stack in stacks:
@@ -396,17 +398,24 @@ class _BlockPieces:
 
     def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
+        return list(self._gather(strengths, gamma, zip(self.detuning, self.slot)))
+
+    def each_block(self, strengths, gamma: float):
+        """Every block of ``stacks``, in its order, built only when it is asked for."""
+        pieces = zip(itertools.chain(*self.detuning), itertools.chain(*self.slot))
+        return self._gather(strengths, gamma, pieces)
+
+    def _gather(self, strengths, gamma: float, pieces):
+        """The stack of each ``(detuning, slot)`` of ``pieces``, one at a time."""
         s = np.asarray(strengths, dtype=complex)
         u = complex(0.0, -self.resonance)
         zero = np.zeros(s.shape[:-1] + (1,))
         entries = np.concatenate((u * s, u.conjugate() * s.conj(), zero), axis=-1)
-        out = []
-        for detuning, slot in zip(self.detuning, self.slot):
+        for detuning, slot in pieces:
             stack = entries[..., slot]
             diagonal = np.arange(slot.shape[-1])
             stack[..., diagonal, diagonal] += detuning + gamma / 2.0
-            out.append(stack)
-        return out
+            yield stack
 
     def block_of(self, slot: int) -> tuple[_BlockPieces, int]:
         """The pieces of the one block holding ``slot``, and its position there."""

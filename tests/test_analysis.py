@@ -222,6 +222,29 @@ class TestPhaseSweep:
         minima = set(np.flatnonzero(mags <= mags.min() + 1e-9))
         assert minima == {18, 54}  # pi/2 and 3*pi/2 on the 72-point grid
 
+    @pytest.mark.parametrize("swept, period", [(0, 72), (1, 36), (2, 72)])
+    def test_steps_of_one_gauge_class_share_their_tracks(self, grid, device, swept, period):
+        # the curvature phi_-4 - 2*phi_0 + phi_4 is the one invariant, so a
+        # half-turn of the centre tone, 36 of 72 steps, is a gauge shift
+        sweep = phase_sweep(balanced_scheme(device, [-4, 0, 4], 0.085), swept, 72, 28, grid, device)
+        assert sweep.evaluated == period
+        data = np.array([t.magnitudes_db for t in sweep.tracks])
+        assert np.array_equal(data, np.tile(data[:, :period], 72 // period))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_schemes().filter(lambda case: len(case[1].tones) <= 2), st.data())
+    def test_one_or_two_tone_tracks_are_constant(self, case, data):
+        # no phase of one or two tones is physical: the whole sweep is one class
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        swept = data.draw(st.integers(0, len(scheme.tones) - 1))
+        signal = data.draw(st.integers(-grid.half_span, grid.half_span))
+        sweep = phase_sweep(scheme, swept, data.draw(st.integers(8, 20)), signal, grid, device)
+        assert sweep.evaluated == 1
+        for track in sweep.tracks:
+            first = np.full_like(track.magnitudes_db, track.magnitudes_db[0])
+            assert track.magnitudes_db.tobytes() == first.tobytes()
+
     def test_interference_zero_tracks_fixed_tone_phases(self, grid, device):
         # the two-path amplitude cancels where the swept phase equals
         # 2*phi_central - phi_other_edge - pi; weak pumping keeps higher
@@ -297,6 +320,18 @@ class TestPhaseSweep:
         assert any(size == 48 for _, size, _ in spectra)
         assert all(count <= halves[size] for count, size, _ in spectra)
 
+    @pytest.mark.parametrize("swept, gated", [(0, 8), (1, 4), (2, 8)])
+    def test_uncertified_sweep_gates_the_first_step_of_each_class(
+        self, grid, device, monkeypatch, swept, gated
+    ):
+        calls = []
+        invert = analysis._invert_blocks
+        monkeypatch.setattr(
+            analysis, "_invert_blocks", lambda *args: calls.append(1) or invert(*args)
+        )
+        phase_sweep(ladder(device, 0.17, 0.0), swept, 8, 5, grid, device)
+        assert len(calls) == gated
+
     @pytest.mark.parametrize("swept", [0, 1, 2])
     def test_unstable_step_of_an_uncertified_sweep_raises_with_its_phase(
         self, grid, device, swept
@@ -328,6 +363,19 @@ class TestPhaseSweep:
         finally:
             tracemalloc.stop()
         assert peak < 48e6
+
+    def test_sweep_certificate_holds_one_block_at_a_time(self, device):
+        # the pieces of 1,001 modes peak at 18.9 MB; bounding every group's
+        # stack at once took the sweep to 30.1 MB
+        grid = ModeGrid(RESONANCE, SPACING, MAX_HALF_SPAN)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
+        tracemalloc.start()
+        try:
+            phase_sweep(scheme, 0, 8, 0, grid, device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_step_maximum_enforced_before_allocating(self, grid, device):
         scheme = balanced_scheme(device, [0], 0.05)

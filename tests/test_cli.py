@@ -870,7 +870,7 @@ class TestTableLayout:
 
     def test_sweep_without_tracks_keeps_one_row_per_phase(self, out):
         assert (out / "sweep.csv").read_text().splitlines() == [
-            *self.meta("# seed: 5"),
+            *self.meta("# evaluated: 1", "# seed: 5"),
             "phase_rad",
             "0.0",
             "0.7853981633974483",

@@ -636,7 +636,7 @@ CALLER_ARRAYS = {
     "QuadratureScattering": (lambda a: cs.QuadratureScattering(a, GRID, 0.0).matrix, float),
     "CovarianceMatrix": (lambda a: cs.CovarianceMatrix(a).matrix, float),
     "SweepTrack": (lambda a: cs.SweepTrack(2, (0,), 1, a).magnitudes_db, float),
-    "PhaseSweepResult": (lambda a: cs.PhaseSweepResult(0, 1, a, ()).phases, float),
+    "PhaseSweepResult": (lambda a: cs.PhaseSweepResult(0, 1, a, (), 1).phases, float),
     "FitResult": (
         lambda a: cs.FitResult(1.0, 1.0, 0.0, a, a, a, 1.0, 16, True, 0).surface, float
     ),
