@@ -133,7 +133,7 @@ def phase_sweep(
     an outer tone.  Steps ``0 .. period - 1`` are solved in step order and
     the later members of each class copy their first member's column.
 
-    The threshold gate is the one ``scattering_matrix`` applies.  When the
+    The threshold gate is the one every simulation applies.  When the
     base scheme's column discs certify it (``_dominance_bound``), the gate
     is cleared once for the whole sweep: the disc margins depend only on
     the diagonal and the magnitudes ``|s_t|``, which the phase moves by a
@@ -480,6 +480,8 @@ def search_phases(
     """
     if phase_grid_points < MIN_GRID_POINTS:
         raise InvalidArgumentError(f"phase_grid_points must be at least {MIN_GRID_POINTS}")
+    if math.isnan(threshold_db):
+        raise InvalidArgumentError("threshold_db must not be NaN")
 
     target = set()
     for i, j in target_adjacency:

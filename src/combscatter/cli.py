@@ -288,17 +288,23 @@ def _cmd_search_phases(run: _Run) -> None:
 
     if not run.args.target:
         raise InvalidArgumentError("search-phases requires --target")
+    text = Path(run.args.target).read_text()
+    # ValueError: not JSON, or an integer past Python's digit limit (text that
+    # is not UTF-8 fails in read_text, for main to report); RecursionError: nested too deep
     try:
-        target_doc = json.loads(Path(run.args.target).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        target_doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"target file is not valid JSON: {exc}") from exc
     edges = target_doc.get("edges") if isinstance(target_doc, dict) else target_doc
     if not isinstance(edges, list):
         raise DataFormatError("target must be a JSON list of edges or have an 'edges' key")
-    try:
-        target = [(int(e[0]), int(e[1])) for e in edges]
-    except (LookupError, TypeError, ValueError, OverflowError):
-        raise DataFormatError("each target edge must start with two mode indices") from None
+    # type(...) is int: JSON true, 1.5 and "3" are no mode index
+    if not all(
+        isinstance(e, list) and len(e) >= 2 and type(e[0]) is int and type(e[1]) is int
+        for e in edges
+    ):
+        raise DataFormatError("each target edge must start with two JSON integers")
+    target = [(e[0], e[1]) for e in edges]
     s = run.settings
     result = search_phases(
         run.scheme, target, s.phase_grid_points, s.threshold_db, run.grid, run.params

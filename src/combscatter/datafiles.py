@@ -141,9 +141,12 @@ def load_scattering_csv(path) -> ScatteringMatrix:
         raise DataFormatError(
             f"generic CSV requires a metadata sidecar; {meta_path} not found"
         )
+    text = meta_path.read_text()
+    # ValueError: not JSON, or an integer past Python's digit limit (text that
+    # is not UTF-8 raises in read_text); RecursionError: nested too deep
     try:
-        meta = json.loads(meta_path.read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        meta = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"sidecar is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise DataFormatError("sidecar must be a JSON object")

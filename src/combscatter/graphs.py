@@ -28,6 +28,7 @@ the template's whole edge count, so it proves the match.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +120,13 @@ def extract_graph(
     two directions) reaches the threshold and lies above ``DB_FLOOR``, and
     self-loops the modes whose cross weight does: a weight at the floor is
     a clamped magnitude, such as the exact zero between two blocks, and
-    never counts, whatever the threshold.  The result is deterministic,
-    ordered by ascending mode index.
+    never counts, whatever the threshold.  A threshold of ``+inf`` keeps
+    nothing and ``-inf`` every weight above the floor; a NaN one raises, as
+    no weight could reach it.  The result is deterministic, ordered by
+    ascending mode index.
     """
+    if math.isnan(threshold_db):
+        raise InvalidArgumentError("threshold_db must not be NaN")
     reduced = mode_level_db(db_matrix, grid)
     half = grid.half_span
     weights = np.maximum(reduced, reduced.T)

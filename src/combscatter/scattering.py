@@ -16,9 +16,12 @@ Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
 gate that decides it, and the only code that inverts block stacks.  Its
 first stage, the column Gershgorin discs, also bounds the condition
 (Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
-the gate once for all its steps.  Sweeps, fits and searches split the
-system once, by mode sum, into an index map onto the tone strengths, and
-restack it at every point.  Pure functions on immutable inputs;
+the gate once for all its steps.  Every simulation, sweep, fit and
+search splits the system once, by mode sum, into an index map onto the
+tone strengths, and restacks it at every point.  The dense chain
+``resolve_couplings`` -> ``assemble_system`` -> ``scattering_matrix``
+serves hand-made coupling sets and the tests as an independent
+reference; no run path calls it.  Pure functions on immutable inputs;
 independent scheme evaluations can run in parallel with no shared state.
 """
 
@@ -37,7 +40,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .model import CouplingSet, DeviceParams, ModeGrid, PumpScheme, check_band, resolve_couplings
+from .model import CouplingSet, DeviceParams, ModeGrid, PumpScheme, check_band
 
 # A numerical guard, not the threshold: a stable system whose condition
 # number exceeds this sits so close to the threshold that its inverse is
@@ -460,9 +463,19 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
 def simulate_scattering(
     grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
 ) -> ScatteringMatrix:
-    """Resolve couplings, assemble, and invert in one step."""
-    couplings = resolve_couplings(grid, scheme, params)
-    return scattering_matrix(assemble_system(grid, params, couplings))
+    """Split the system into block pieces, stack them at the tone strengths, and invert.
+
+    These are the calls a phase search makes for one gauge class: the
+    dense ``M`` is never built, and the one threshold gate
+    ``_invert_blocks`` decides stability.  Values and condition number are
+    those of ``scattering_matrix`` on the assembled system, bit for bit but
+    for the sign of a zero where a tone has amplitude 0.
+    """
+    pieces = _block_pieces(grid, params, scheme)
+    gamma = params.port_coupling
+    stacks = pieces.stacks([tone.strength for tone in scheme.tones], gamma)
+    s, cond = _scattering(stacks, pieces.blocks, _gain(gamma))
+    return ScatteringMatrix(_Sealed(s), grid, Normalization.RAW, condition_estimate=cond)
 
 
 def _pump_off_diagonal(grid: ModeGrid, params: DeviceParams) -> tuple[np.ndarray, float]:

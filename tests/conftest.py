@@ -70,20 +70,20 @@ def brute_force_pairs(offsets, half_span):
 
 
 @st.composite
-def small_schemes(draw):
-    """A grid of 3-13 modes, detuned from resonance, and 1-4 random tones."""
+def small_schemes(draw, min_tones=1, ratios=st.floats(0.01, 0.1)):
+    """A grid of 3-13 modes, detuned from resonance, and ``min_tones``-4
+    random tones, each at a strength ratio drawn from ``ratios``."""
     half_span = draw(st.integers(1, 6))
     offsets = draw(
         st.lists(
-            st.integers(-2 * half_span - 1, 2 * half_span + 1), min_size=1, max_size=4, unique=True
+            st.integers(-2 * half_span - 1, 2 * half_span + 1),
+            min_size=min_tones,
+            max_size=4,
+            unique=True,
         )
     )
     tones = tuple(
-        PumpTone(
-            o,
-            2.0 * draw(st.floats(0.01, 0.1)) * COUPLING / RESONANCE,
-            draw(st.floats(0.0, TWO_PI)),
-        )
+        PumpTone(o, 2.0 * draw(ratios) * COUPLING / RESONANCE, draw(st.floats(0.0, TWO_PI)))
         for o in offsets
     )
     detuning = draw(st.floats(-0.5, 0.5)) * COUPLING

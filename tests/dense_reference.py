@@ -1,0 +1,21 @@
+"""Dense reference for every simulation.
+
+The package splits each system into block pieces by mode sum and restacks
+them (``scattering._block_pieces``), whether it simulates one scheme,
+sweeps a phase, fits or searches.  The tests check those paths against
+the other builder: the public dense chain, which resolves a list of
+coupled pairs tone by tone, assembles the ``2n x 2n`` system and gathers
+its blocks back out of it.
+"""
+
+from combscatter import assemble_system, resolve_couplings, scattering_matrix
+
+
+def dense_system(grid, params, scheme):
+    """The assembled ``SystemMatrix`` of ``scheme``."""
+    return assemble_system(grid, params, resolve_couplings(grid, scheme, params))
+
+
+def simulate_dense(grid, params, scheme):
+    """``simulate_scattering`` by the dense chain."""
+    return scattering_matrix(dense_system(grid, params, scheme))

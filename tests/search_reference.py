@@ -2,7 +2,8 @@
 
 This is the earlier implementation of ``search_phases``: it simulates every
 combination of the phase grid, in lexicographic order, with no regard for
-which combinations are gauge-equivalent.  The tests require the package,
+which combinations are gauge-equivalent, each by the dense chain rather
+than the block pieces the package restacks.  The tests require the package,
 which simulates one combination per gauge class, to reproduce it exactly.
 """
 
@@ -13,9 +14,9 @@ from combscatter import (
     extract_graph,
     normalize_pump_off,
     pump_off_scattering,
-    simulate_scattering,
     topology_report,
 )
+from dense_reference import simulate_dense
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,7 +37,7 @@ def exhaustive_search(scheme, target_adjacency, points, threshold_db, grid, para
         for tone, phase in enumerate(phases):
             trial = trial.with_phase(tone, phase)
         try:
-            s_on = simulate_scattering(grid, params, trial)
+            s_on = simulate_dense(grid, params, trial)
         except AboveThresholdError:
             continue
         achieved = extract_graph(normalize_pump_off(s_on, s_off), grid, threshold_db)

@@ -19,15 +19,14 @@ from combscatter import (
     PumpScheme,
     PumpTone,
     TopologyLabel,
-    assemble_system,
     fit_parameters,
     magnitude_db,
     mode_level_db,
+    normalize_pump_off,
     phase_sweep,
     predicted_intermod_indices,
     pump_off_normalized_db,
     pump_off_scattering,
-    resolve_couplings,
     search_phases,
     simulate_scattering,
 )
@@ -35,11 +34,8 @@ from combscatter import analysis, scattering
 from combscatter.model import MAX_HALF_SPAN
 from combscatter.scattering import CONDITION_CAP, _block_pieces, _dominance_bound
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
+from dense_reference import dense_system, simulate_dense
 from search_reference import exhaustive_search
-
-
-def simulate_system(grid, device, scheme):
-    return assemble_system(grid, device, resolve_couplings(grid, scheme, device))
 
 
 def aligned_distance(measured, model):
@@ -55,7 +51,7 @@ def dense_distance(measured, grid, shape, g, gamma):
     params = DeviceParams(grid.center_frequency, gamma)
     scheme = PumpScheme(tuple(PumpTone(t.offset, 2.0 * g, t.phase) for t in shape.tones))
     try:
-        s_on = simulate_scattering(grid, params, scheme)
+        s_on = simulate_dense(grid, params, scheme)
     except AboveThresholdError:
         return math.inf
     reference = np.abs(np.diag(pump_off_scattering(grid, params).matrix))
@@ -76,7 +72,9 @@ def mode_pair_db(grid, scheme, phases):
     for tone, phase in enumerate(phases):
         scheme = scheme.with_phase(tone, phase)
     try:
-        db = pump_off_normalized_db(grid, device, scheme)
+        db = normalize_pump_off(
+            simulate_dense(grid, device, scheme), pump_off_scattering(grid, device)
+        )
     except AboveThresholdError:
         return None
     reduced = mode_level_db(db, grid)
@@ -89,7 +87,7 @@ def assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device):
     reference = np.abs(np.diag(pump_off_scattering(grid, device).matrix))
     col = grid.a_slot(signal)
     for step, phase in enumerate(result.phases):
-        s = simulate_scattering(grid, device, scheme.with_phase(swept, phase)).matrix
+        s = simulate_dense(grid, device, scheme.with_phase(swept, phase)).matrix
         column = s[:, col] / reference[col]
         for track in result.tracks:
             mode = track.mode_index
@@ -274,7 +272,7 @@ class TestPhaseSweep:
         gamma = device.port_coupling
         margins = []
         for phase in (0.0, np.pi / 4, np.pi / 2):
-            system = simulate_system(grid, device, ladder(device, 0.22, phase))
+            system = dense_system(grid, device, ladder(device, 0.22, phase))
             margins.append(np.linalg.eigvals(system.matrix).real.min())
         assert margins[0] > 0.1 * gamma and margins[1] > 0.005 * gamma
         assert margins[2] < -0.03 * gamma
@@ -342,7 +340,7 @@ class TestPhaseSweep:
         phases = TWO_PI * np.arange(8) / 8
         margins = [
             np.linalg.eigvals(
-                simulate_system(grid, device, scheme.with_phase(swept, phase)).matrix
+                dense_system(grid, device, scheme.with_phase(swept, phase)).matrix
             ).real.min()
             for phase in phases
         ]
@@ -740,7 +738,7 @@ class TestSearchPhases:
         # at ratio 0.21 zero curvature is unstable, (0, 0, 0) and its 63
         # gauge partners, and the curvatures +-pi/4 next to it are stable
         for phase, sign in ((np.pi / 2, -1), (3 * np.pi / 8, 1), (5 * np.pi / 8, 1)):
-            system = simulate_system(grid, device, ladder(device, 0.21, phase))
+            system = dense_system(grid, device, ladder(device, 0.21, phase))
             assert sign * np.linalg.eigvals(system.matrix).real.min() > 0.002 * gamma
         scheme = ladder(device, 0.21, 0.0)
         args = (scheme, [(-5, 0)], 8, -20.0, grid, device)
@@ -777,17 +775,21 @@ class TestSearchPhases:
             search_phases(scheme, [], 3, -20.0, grid, device)
         with pytest.raises(InvalidArgumentError):
             search_phases(scheme, [(0, 99)], 4, -20.0, grid, device)
+        # checked with the arguments, before the system is split
+        with pytest.raises(InvalidArgumentError, match="threshold_db must not be NaN"):
+            search_phases(scheme, [], 4, math.nan, grid, None)
 
 
-@pytest.mark.parametrize("kind", ["search", "sweep", "fit"])
+@pytest.mark.parametrize("kind", ["simulate", "search", "sweep", "fit"])
 def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
-    # however many points an analysis evaluates, it splits the system into
-    # block pieces once and never assembles the dense system
+    # a simulation, and an analysis however many points it evaluates, splits
+    # the system into block pieces once and never assembles the dense system
     grid = ModeGrid(RESONANCE, SPACING, 12)
     scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
     g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING
     measured = simulate_scattering(grid, device, scheme)
     runs = {
+        "simulate": lambda: simulate_scattering(grid, device, scheme).n_modes,
         "search": lambda: search_phases(scheme, [(-12, 0)], 8, -20.0, grid, device).evaluated,
         "sweep": lambda: len(phase_sweep(scheme, 1, 8, 0, grid, device).phases),
         "fit": lambda: fit_parameters(
@@ -802,7 +804,9 @@ def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
             return function(*args)
         return counted
 
-    monkeypatch.setattr(analysis, "_block_pieces", counting("split", _block_pieces))
+    split = counting("split", _block_pieces)
+    monkeypatch.setattr(analysis, "_block_pieces", split)
+    monkeypatch.setattr(scattering, "_block_pieces", split)
     monkeypatch.setattr(
         scattering, "assemble_system", counting("assemble", scattering.assemble_system)
     )

@@ -658,6 +658,11 @@ class TestExitCodes:
             (["search-phases", "{cfg}", "--target", "{dir}/ragged.json"], "io"),
             (["search-phases", "{cfg}", "--target", "{dir}/binary.json"], "io"),
             (["search-phases", "{cfg}", "--target", "{dir}/deep.json"], "io"),
+            (["search-phases", "{cfg}", "--target", "{dir}/fraction.json"], "io"),
+            (["search-phases", "{cfg}", "--target", "{dir}/boolean.json"], "io"),
+            (["search-phases", "{cfg}", "--target", "{dir}/string.json"], "io"),
+            (["search-phases", "{cfg}", "--target", "{dir}/huge.json"], "io"),
+            (["search-phases", "{cfg}", "--target", "{dir}/long.json"], "io"),
             (["simulate", "{dir}/binary.json"], "io"),
         ],
     )
@@ -667,6 +672,13 @@ class TestExitCodes:
         (tmp_path / "ragged.json").write_text('[[0, 1], [2]]')
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe[")
         (tmp_path / "deep.json").write_text("[" * 100_000)
+        # an edge index must be a JSON integer, not a number or value int() accepts
+        (tmp_path / "fraction.json").write_text("[[1.5, 2.7]]")
+        (tmp_path / "boolean.json").write_text("[[true, 2]]")
+        (tmp_path / "string.json").write_text('[["3", "4"]]')
+        (tmp_path / "huge.json").write_text("[[1e300, 2]]")
+        # past Python's 4,300-digit limit, json.loads raises a plain ValueError
+        (tmp_path / "long.json").write_text("[[1" + "0" * 5000 + ", 2]]")
         argv = [a.format(cfg=small_config, dir=tmp_path) for a in argv]
         assert run(argv + ["--out-dir", tmp_path / "o"]) == (2 if error == "validation" else 4)
         (line,) = capsys.readouterr().err.splitlines()

@@ -172,8 +172,11 @@ class TestCsv:
             lambda meta: "null",
             lambda meta: json.dumps({**meta, "normalization": ["raw"]}),
             lambda meta: "[" * 100_000 + "]" * 100_000,
+            lambda meta: json.dumps(meta)[:-1] + ', "long": 1' + "0" * 5000 + "}",
         ],
-        ids=["key-list", "number", "key-string", "null", "normalization-list", "deep"],
+        ids=[
+            "key-list", "number", "key-string", "null", "normalization-list", "deep", "long-int"
+        ],
     )
     def test_malformed_sidecar_rejected(self, tmp_path, sample, malformed):
         path = tmp_path / "s.csv"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ class TestExtractGraph:
         floor[0, 3] = np.nextafter(DB_FLOOR, 0.0)
         graph = extract_graph(floor, grid, threshold)
         assert (graph.edge_pairs(), graph.self_loops) == ({(grid.indices[0], grid.indices[1])}, ())
+
+    @pytest.mark.parametrize("threshold, edges", [(math.inf, 0), (-math.inf, 47)])
+    def test_nan_threshold_rejected_and_infinities_keep_their_meaning(
+        self, grid, device, threshold, edges
+    ):
+        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        with pytest.raises(InvalidArgumentError, match="threshold_db must not be NaN"):
+            extract_graph(db, grid, math.nan)
+        assert len(extract_graph(db, grid, threshold).edges) == edges
 
     def test_three_pump_destructive_neighbor_sets(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)

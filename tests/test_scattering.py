@@ -1,6 +1,7 @@
 """System assembly, inversion, pump-off normalization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from combscatter import (
     scattering_matrix,
     simulate_scattering,
 )
+from combscatter.model import MAX_HALF_SPAN
 from combscatter.scattering import (
     CONDITION_CAP,
     Normalization,
@@ -43,6 +45,7 @@ from conftest import (
     balanced_scheme,
     small_schemes,
 )
+from dense_reference import simulate_dense
 
 
 # a tone amplitude at strength ratio 0.05
@@ -454,6 +457,40 @@ class TestBlockSolver:
         steps = pieces.stacks([strengths, np.conj(strengths)], device.port_coupling)
         for single, stepped in zip(stacks, steps):
             assert np.array_equal(stepped[0], single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_schemes(min_tones=0, ratios=st.one_of(st.just(0.0), st.floats(0.01, 0.6))))
+    def test_simulation_is_the_dense_chain(self, case):
+        # np.array_equal, since for a zero-amplitude tone the two paths
+        # differ in the sign of zero; ratios up to 0.6 cross the threshold
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        outcomes = []
+        for simulate in (simulate_scattering, simulate_dense):
+            try:
+                outcomes.append(simulate(grid, device, scheme))
+            except AboveThresholdError as error:
+                outcomes.append(str(error))
+        pieces, dense = outcomes
+        if isinstance(pieces, str) or isinstance(dense, str):
+            event("above threshold")
+            assert pieces == dense
+        else:
+            assert np.array_equal(pieces.matrix, dense.matrix)
+            assert pieces.condition_estimate == dense.condition_estimate
+
+    def test_largest_comb_simulates_without_its_dense_system(self, device):
+        # S of 1,001 modes takes 64 MB; the dense system beside it took a
+        # one-tone simulation to 128.7 MB
+        grid = ModeGrid(RESONANCE, SPACING, MAX_HALF_SPAN)
+        scheme = balanced_scheme(device, [0], 0.085)
+        tracemalloc.start()
+        try:
+            simulate_scattering(grid, device, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96e6
 
     def test_one_singular_block_among_healthy_ones_raises(self, device):
         grid = ModeGrid(RESONANCE, SPACING, 2)
