@@ -226,7 +226,8 @@ class FitResult:
     to.  ``evaluations`` is the number of distinct cells evaluated, grid
     and refinement together, and ``converged`` tells whether the
     refinement's steps fell below their stop size before its step budget
-    ran out.
+    ran out.  ``worst_condition`` is the largest exact 1-norm condition
+    number among the evaluated cells below threshold.
     """
 
     best_g: float
@@ -239,6 +240,7 @@ class FitResult:
     evaluations: int
     converged: bool
     cells_above_threshold: int
+    worst_condition: float
 
     def __post_init__(self):
         for name in ("surface", "g_values", "gamma_values"):
@@ -335,19 +337,23 @@ def fit_parameters(
     def floor(g: float, k: int) -> float:
         return _spectral_floor(pieces.stacks(g * unit_strengths, 0.0)[k], pieces.blocks[k])
 
+    worst_condition = 0.0
+
     # the refinement revisits cells; each (g, gamma) pair is evaluated once
     @functools.cache
     def evaluate(g: float, gamma: float) -> float:
+        nonlocal worst_condition
         if g <= 0 or gamma <= 0:
             return np.inf
         try:
-            inverses, _ = _invert_blocks(
+            inverses, condition = _invert_blocks(
                 pieces.stacks(g * unit_strengths, gamma),
                 pieces.blocks,
                 lambda k: gamma / 2.0 + floor(g, k),
             )
         except AboveThresholdError:
             return np.inf
+        worst_condition = max(worst_condition, condition)
         reference = pump_off_magnitudes(gamma)
         gain = _gain(gamma)
         models = [
@@ -414,6 +420,7 @@ def fit_parameters(
         evaluations=evaluate.cache_info().currsize,
         converged=converged,
         cells_above_threshold=int(np.isinf(surface).sum()),
+        worst_condition=worst_condition,
     )
 
 

@@ -275,6 +275,7 @@ def _cmd_fit(run: _Run) -> None:
         evaluations=result.evaluations,
         converged=result.converged,
         cells_above_threshold=result.cells_above_threshold,
+        worst_condition=repr(result.worst_condition),
     )
     write_json(run.out("fit.json"), payload, meta)
     write_table(run.out("fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,

@@ -8,7 +8,11 @@ partner, so the system splits into independent blocks: the connected
 components of the comb's coupling graph.  Each block is inverted on its
 own and the input-output matching condition turns the block inverses into
 the scattering matrix; magnitudes are reported in dB relative to the
-pump-off reflection.
+pump-off reflection.  A self-mirror block, one holding both slots of every
+mode it touches, is its own particle-hole mirror: it is inverted through
+its half-size Schur complement, and the symmetry supplies two of the four
+quarters of its inverse.  Groups holding mirror pairs go to
+``np.linalg.inv``.
 
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
@@ -281,6 +285,37 @@ def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
     return np.linalg.eigvals(stack[block[:, 0] % 2 == 0]).real.min()
 
 
+def _schur_complement(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``conj D - conj K D^-1 K`` and ``Y = -conj K D^-1`` of a stack of self-mirror blocks.
+
+    On its interleaved slots ``(a_p, a*_p)`` a self-mirror block, one
+    holding both slots of each of its modes, is ``[[D, K], [conj K, conj D]]``
+    with ``D`` diagonal; the first is the Schur complement of ``D``.
+    """
+    amplitude, conjugate = slice(0, None, 2), slice(1, None, 2)
+    d = stack[:, amplitude, amplitude].diagonal(0, 1, 2)
+    k = np.ascontiguousarray(stack[:, amplitude, conjugate])
+    y = stack[:, conjugate, amplitude] / -d[:, np.newaxis, :]
+    return stack[:, conjugate, conjugate] + y @ k, y
+
+
+def _self_mirror_inverse(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The inverses of self-mirror blocks from ``W``, the inverse of their Schur complement.
+
+    With ``Z = W Y`` the inverse of ``[[D, K], [conj K, conj D]]`` is
+    ``[[conj W, conj Z], [Z, W]]``: particle-hole symmetry, which the
+    inverse inherits, gives the two quarters on amplitude rows.
+    """
+    amplitude, conjugate = slice(0, None, 2), slice(1, None, 2)
+    z = w @ y
+    inverse = np.empty((len(w), 2 * w.shape[1], 2 * w.shape[1]), dtype=w.dtype)
+    inverse[:, conjugate, conjugate] = w
+    inverse[:, conjugate, amplitude] = z
+    inverse[:, amplitude, amplitude] = w.conj()
+    inverse[:, amplitude, conjugate] = z.conj()
+    return inverse
+
+
 def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float]:
     """Invert ``(count, size, size)`` block stacks behind the threshold gate.
 
@@ -295,6 +330,17 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float
     one block of each open mirror pair (``_spectral_floor``; a block is open
     exactly when its mirror is), or to ``lowest(k)``, the caller's floor
     over at least the blocks of group ``k``.
+
+    Then the inverses.  A group of self-mirror blocks, each holding both
+    slots of every one of its modes, goes through the half-size Schur
+    complement of its blocks (``_schur_complement``,
+    ``_self_mirror_inverse``); any other group, one holding a mirror pair,
+    goes whole through ``np.linalg.inv``, since splitting a mixed group
+    saves little on large blocks and loses on small ones.  The Schur path
+    reads only the amplitude rows and relies on two facts of every stack,
+    which ``_block_pieces`` and ``assemble_system`` give by construction:
+    the entries joining two amplitude slots are zero off the diagonal, and
+    the stack is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
@@ -324,8 +370,14 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float
     inverses = []
     inverse_norm = 0.0
     try:
-        for stack in stacks:
-            inverse = np.linalg.inv(stack)
+        for stack, block in zip(stacks, blocks):
+            # self-mirror exactly when the first two slots are 2p and 2p + 1:
+            # the block's mirror then shares a slot with it, so is the block
+            if block.shape[1] > 1 and (block[:, 1] == (block[:, 0] | 1)).all():
+                schur, y = _schur_complement(stack)
+                inverse = _self_mirror_inverse(np.linalg.inv(schur), y)
+            else:
+                inverse = np.linalg.inv(stack)
             inverses.append(inverse)
             inverse_norm = np.maximum(inverse_norm, np.abs(inverse).sum(axis=1).max())
     except np.linalg.LinAlgError:

@@ -1,12 +1,16 @@
-"""Dense reference for every simulation.
+"""Dense references for every simulation.
 
 The package splits each system into block pieces by mode sum and restacks
 them (``scattering._block_pieces``), whether it simulates one scheme,
 sweeps a phase, fits or searches.  The tests check those paths against
 the other builder: the public dense chain, which resolves a list of
 coupled pairs tone by tone, assembles the ``2n x 2n`` system and gathers
-its blocks back out of it.
+its blocks back out of it.  That chain still inverts through the package's
+block inverter, so ``dense_scattering`` also checks the inverter: it
+inverts the whole assembled system with one plain ``np.linalg.inv``.
 """
+
+import numpy as np
 
 from combscatter import assemble_system, resolve_couplings, scattering_matrix
 
@@ -19,3 +23,11 @@ def dense_system(grid, params, scheme):
 def simulate_dense(grid, params, scheme):
     """``simulate_scattering`` by the dense chain."""
     return scattering_matrix(dense_system(grid, params, scheme))
+
+
+def dense_scattering(system):
+    """``S = gamma * M^-1 - I`` and the 1-norm condition, ``M`` inverted whole."""
+    m = system.matrix
+    inverse = np.linalg.inv(m)
+    s = system.k_coupling**2 * inverse - np.eye(len(m))
+    return s, np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1)

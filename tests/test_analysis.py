@@ -496,6 +496,31 @@ class TestFit:
         assert refined.converged and refined.evaluations > 36
         assert refined.cells_above_threshold == above
 
+    def test_worst_condition_is_the_largest_below_threshold_cell(self, device):
+        # ratios 0.05 to 0.6: the scan has cells on both sides of the threshold
+        grid = ModeGrid(RESONANCE, SPACING, 6)
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        measured = simulate_scattering(grid, device, scheme)
+        scan = fit_parameters(
+            measured, grid, scheme,
+            (0.05 * COUPLING / RESONANCE, 0.6 * COUPLING / RESONANCE),
+            (0.5 * COUPLING, 2.0 * COUPLING),
+            6,
+            refine_steps=0,
+        )
+        conditions = [
+            simulate_dense(
+                grid,
+                DeviceParams(RESONANCE, gamma),
+                PumpScheme(tuple(PumpTone(t.offset, 2.0 * g, t.phase) for t in scheme.tones)),
+            ).condition_estimate
+            for a, g in enumerate(scan.g_values)
+            for b, gamma in enumerate(scan.gamma_values)
+            if np.isfinite(scan.surface[a, b])
+        ]
+        assert 0 < len(conditions) < 36
+        assert scan.worst_condition == pytest.approx(max(conditions), rel=1e-12)
+
     def test_valley_floor_is_flat(self, grid, device):
         g_true = 0.085 * COUPLING / RESONANCE
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])

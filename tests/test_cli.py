@@ -303,6 +303,9 @@ class TestFit:
             if not line.startswith(("#", "g\\gamma"))
         ]
         assert meta["cells_above_threshold"] == sum(cell == "inf" for row in surface for cell in row)
+        # a repr'd float, as the other float diagnostics in meta
+        worst = float(meta["worst_condition"])
+        assert meta["worst_condition"] == repr(worst) and 1.0 <= worst <= 1e12
 
     def test_fit_requires_data(self, small_config, tmp_path):
         assert run(["fit", small_config, "--out-dir", tmp_path]) == 2

@@ -20,7 +20,9 @@ from combscatter import (
     PumpScheme,
     PumpTone,
     assemble_system,
+    bundled_config_path,
     normalize_pump_off,
+    parse_config,
     particle_hole_defect,
     pump_off_scattering,
     resolve_couplings,
@@ -45,7 +47,7 @@ from conftest import (
     balanced_scheme,
     small_schemes,
 )
-from dense_reference import simulate_dense
+from dense_reference import dense_scattering, dense_system, simulate_dense
 
 
 # a tone amplitude at strength ratio 0.05
@@ -343,14 +345,6 @@ def loop_assembly(grid, device, couplings):
     return m
 
 
-def dense_scattering(system):
-    """Reference solve: the whole system inverted at once."""
-    m = system.matrix
-    inverse = np.linalg.inv(m)
-    s = system.k_coupling**2 * inverse - np.eye(len(m))
-    return s, np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1)
-
-
 def block_labels(system):
     """Block number of every slot; each slot must appear in exactly one block."""
     slots = np.concatenate([b.ravel() for b in system.blocks])
@@ -515,6 +509,119 @@ class TestBlockSolver:
         assert reported_margin(info.value) == pytest.approx(-0.1 * gamma, rel=1e-6)
 
 
+def gathered(system):
+    """The stacks of ``system.matrix`` on its block groups."""
+    return [system.matrix[b[:, :, np.newaxis], b[:, np.newaxis, :]] for b in system.blocks]
+
+
+def placed(stacks, blocks, size):
+    """Block stacks put back on their slots of a ``size x size`` matrix, zero elsewhere."""
+    m = np.zeros((size, size), dtype=complex)
+    for block, stack in zip(blocks, stacks):
+        m[block[:, :, np.newaxis], block[:, np.newaxis, :]] = stack
+    return m
+
+
+def group_kind(block):
+    """How the blocks of a group relate to their mirrors, the blocks on the swapped slots."""
+    if block.shape[1] == 1:
+        return "1x1"
+    own_mirror = [np.array_equal(np.sort(row ^ 1), row) for row in block]
+    if all(own_mirror):
+        return "self-mirror"
+    return "mixed" if any(own_mirror) else "mirror pairs"
+
+
+def assert_inverses_are_plain_inverses(stacks, blocks):
+    """``_invert_blocks`` against ``np.linalg.inv`` of each block on its own;
+    returns the kinds of the groups it saw."""
+    inverses, cond = _invert_blocks(stacks, blocks)
+    norm = inverse_norm = 0.0
+    for stack, inverse in zip(stacks, inverses):
+        for b, b_inverse in zip(stack, inverse):
+            reference = np.linalg.inv(b)
+            assert np.linalg.norm(b_inverse - reference) <= 1e-12 * np.linalg.norm(reference)
+            norm = max(norm, np.linalg.norm(b, 1))
+            inverse_norm = max(inverse_norm, np.linalg.norm(reference, 1))
+    assert cond == pytest.approx(norm * inverse_norm, rel=1e-12)
+    return [group_kind(block) for block in blocks]
+
+
+class TestSelfMirrorInverse:
+    """The half-size Schur inverse of self-mirror blocks and what it relies on."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_schemes(min_tones=0), st.floats(0.3, 3.0))
+    @example((ModeGrid(RESONANCE, SPACING, 0), PumpScheme((PumpTone(0, EDGE_AMPLITUDE, 0.5),))), 1.0)
+    def test_stacks_are_diagonal_between_amplitudes_and_particle_hole_exact(self, case, scale):
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, scale * COUPLING)
+        size = 2 * grid.n_modes
+        pieces = _block_pieces(grid, device, scheme)
+        stacks = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
+        system = dense_system(grid, device, scheme)
+        for blocks, group in ((pieces.blocks, stacks), (system.blocks, gathered(system))):
+            m = placed(group, blocks, size)
+            amplitudes = m[0::2, 0::2]
+            assert np.array_equal(amplitudes, np.diag(np.diag(amplitudes)))
+            assert particle_hole_defect(m) == 0.0
+            # the quarters the Schur path reads off a self-mirror group
+            for block, stack in zip(blocks, group):
+                if group_kind(block) == "self-mirror":
+                    assert np.array_equal(stack[:, 1::2, 1::2], stack[:, 0::2, 0::2].conj())
+                    assert np.array_equal(stack[:, 1::2, 0::2], stack[:, 0::2, 1::2].conj())
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_schemes(min_tones=0))
+    @example((ModeGrid(RESONANCE, SPACING, 0), PumpScheme((PumpTone(0, EDGE_AMPLITUDE, 0.5),))))
+    def test_drawn_inverses_are_plain_inverses(self, case):
+        grid, scheme = case
+        device = DeviceParams(RESONANCE, COUPLING)
+        pieces = _block_pieces(grid, device, scheme)
+        stacks = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
+        for kind in assert_inverses_are_plain_inverses(stacks, pieces.blocks):
+            event(kind)
+
+    @pytest.mark.parametrize(
+        "half_span, offsets, ratio, kinds",
+        [
+            (47, [-4, 0, 4], 0.085, ["self-mirror", "mixed"]),
+            (47, [-3, 1, 5, 8], 0.05, ["self-mirror"]),
+            (47, [1], 0.085, ["1x1", "mirror pairs"]),
+            (47, [0], 0.085, ["mixed"]),
+            (47, [-4, 4], 0.085, ["mirror pairs", "mixed"]),
+            (47, [], 0.0, ["1x1"]),
+            (0, [0], 0.085, ["self-mirror"]),
+        ],
+    )
+    def test_every_group_kind_inverts_as_plain_inverses(
+        self, device, half_span, offsets, ratio, kinds
+    ):
+        grid = ModeGrid(RESONANCE, SPACING, half_span)
+        scheme = balanced_scheme(device, offsets, ratio)
+        pieces = _block_pieces(grid, device, scheme)
+        stacks = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
+        assert assert_inverses_are_plain_inverses(stacks, pieces.blocks) == kinds
+
+    def test_one_self_mirror_block_makes_s_exactly_particle_hole_symmetric(self, grid, device):
+        # four tones join all 95 modes into one block, its own mirror; S is
+        # read off W and Z and their conjugates
+        scheme = balanced_scheme(device, [-3, 1, 5, 8], 0.05, [0.3, 1.1, 2.0, 4.4])
+        assert [b.shape for b in _block_pieces(grid, device, scheme).blocks] == [(1, 190)]
+        s = simulate_scattering(grid, device, scheme)
+        assert particle_hole_defect(s.matrix) == 0.0
+
+    @pytest.mark.parametrize("name", ["onepump", "twopump", "threepump"])
+    def test_bundled_configs_match_one_plain_inverse_of_the_whole_system(self, name):
+        config = parse_config(bundled_config_path(name).read_text())
+        grid, params = config.to_mode_grid(), config.to_device_params()
+        scheme = config.to_scheme()
+        s = simulate_scattering(grid, params, scheme)
+        reference, cond = dense_scattering(dense_system(grid, params, scheme))
+        assert np.linalg.norm(s.matrix - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert s.condition_estimate == pytest.approx(cond, rel=1e-12)
+
+
 def certified(pieces, scheme, gamma, cap):
     return _dominance_bound(pieces.stacks([t.strength for t in scheme.tones], gamma)) <= cap
 
@@ -675,7 +782,7 @@ CALLER_ARRAYS = {
     "SweepTrack": (lambda a: cs.SweepTrack(2, (0,), 1, a).magnitudes_db, float),
     "PhaseSweepResult": (lambda a: cs.PhaseSweepResult(0, 1, a, (), 1).phases, float),
     "FitResult": (
-        lambda a: cs.FitResult(1.0, 1.0, 0.0, a, a, a, 1.0, 16, True, 0).surface, float
+        lambda a: cs.FitResult(1.0, 1.0, 0.0, a, a, a, 1.0, 16, True, 0, 1.0).surface, float
     ),
 }
 GRID = ModeGrid(RESONANCE, SPACING, 0)
