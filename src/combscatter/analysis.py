@@ -33,6 +33,7 @@ from .scattering import (
     CONDITION_CAP,
     ScatteringMatrix,
     _block_index,
+    _BlockPieces,
     _block_pieces,
     _dominance_bound,
     _frozen,
@@ -40,15 +41,17 @@ from .scattering import (
     _invert_blocks,
     _pump_off_diagonal,
     _scattering,
+    _schur_complement,
     _spectral_floor,
     magnitude_db,
 )
 
 TWO_PI = 2.0 * math.pi
 
-# A sweep solves its driven block for this many bytes of stacked steps at a
-# time (7 steps of a 48-slot block), so its temporaries stay below what a
-# fit of the same system allocates, whatever the step count.
+# A sweep solves the half-size system of its driven block for this many
+# bytes of stacked steps at a time (28 steps of 24 conjugate slots), so its
+# temporaries stay below what a fit of the same system allocates, whatever
+# the step count.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -117,9 +120,19 @@ def phase_sweep(
     indices and order the idler prediction reports, labelled with the tone
     or ordered tone pairs that reach it.  The drive column is the signal
     mode's amplitude column; idlers are read from conjugate rows, two-pump
-    products from amplitude rows.  Only that column is computed: it lies in one block of the
-    system, whose stacked steps are solved against the driven slot a few
-    steps at a time.
+    products from amplitude rows.
+
+    Only that column is computed.  It lies in one block of the system,
+    ``[[D, K], [L, D_c]]`` with its amplitude slots first and ``D``
+    diagonal, so it is solved on the conjugate slots alone, through the
+    Schur complement ``D_c + Y K`` with ``Y = -L D^-1``
+    (``_schur_complement``).  The swept tone's entries of ``K`` move
+    with its strength ``s``, those of ``Y`` with ``conj(s)``, and ``|s|``
+    is the same at every phase, so the complement is one fixed matrix plus
+    ``s`` and ``conj(s)`` times two more, all three formed once per sweep:
+    a step costs two scaled additions and one half-size solve, a few steps
+    at a time.  A driven slot alone in its block leaves the half-size
+    system empty.
 
     Only a step's gauge class is solved.  Rephasing the modes shifts the
     tone at offset ``m`` by ``2*alpha + beta*m`` and changes no ``|S_ij|``
@@ -166,38 +179,67 @@ def phase_sweep(
     # only the swept tone's strength changes from step to step
     base = np.array([tone.strength for tone in base_scheme.tones])
     swept = base_scheme.tones[swept_tone]
-    strengths = [
-        PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases[:period]
-    ]
+    strengths = np.array(
+        [PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases[:period]]
+    )
     pieces = _block_pieces(grid, params, base_scheme)
-    # the driven column lies in one block, whose stacked steps are solved
-    driven, position = pieces.block_of(col)
-    slots = driven.blocks[0][0]
-    drive = np.zeros((len(slots), 1))
-    drive[position] = 1.0
 
     # the swept tone's magnitude is the same at every phase, so one
     # certificate can clear the threshold gate for the whole sweep
-    certified = _dominance_bound(pieces.each_block(base, gamma)) <= CONDITION_CAP
-    chunk = max(1, _CHUNK_BYTES // (16 * len(slots) ** 2))
+    if _dominance_bound(pieces.each_block(base, gamma)) > CONDITION_CAP:
+        for phase, strength in zip(phases[:period], strengths):
+            step = base.copy()
+            step[swept_tone] = strength
+            try:
+                _invert_blocks(pieces.stacks(step, gamma), pieces.blocks)
+            except AboveThresholdError as exc:
+                raise AboveThresholdError(
+                    f"above threshold at swept phase {phase:.6f} rad: {exc}",
+                    condition_estimate=exc.condition_estimate,
+                    phase=float(phase),
+                ) from exc
+
+    # the driven block with its amplitude slots first, [[D, K], [L, D_c]]
+    driven, _ = pieces.block_of(col)
+    del pieces  # hold the index map of one block, not of every group
+    parity = np.argsort(driven.blocks[0][0] % 2, kind="stable")
+    driven = _BlockPieces(
+        (driven.blocks[0][:, parity],),
+        (driven.detuning[0][:, parity],),
+        (driven.slot[0][:, parity[:, np.newaxis], parity],),
+        driven.resonance,
+    )
+    slots = driven.blocks[0][0]
+    e = int(np.flatnonzero(slots == col)[0])
+    half = int(np.count_nonzero(slots % 2 == 0))
+    amplitude, conjugate = slice(None, half), slice(half, None)
+    # K = K_0 + s K_1 and Y = Y_0 + conj(s) Y_1, read off the stacks without
+    # the swept tone and with it alone at strength 1, which share D; so
+    # D_c + Y K = S_0 + s Y_0 K_1 + conj(s) Y_1 K_0 + |s|^2 Y_1 K_1
+    alone = np.arange(len(base)) == swept_tone
+    (pair,) = driven.stacks([np.where(alone, 0.0, base), alone], gamma)
+    schur, y = _schur_complement(pair[:, 0], amplitude, conjugate)
+    k = pair[:, 0, amplitude, conjugate]
+    d = pair[0, 0, amplitude, amplitude].diagonal()
+    fixed = schur[0] + abs(base[swept_tone]) ** 2 * (y[1] @ k[1])
+    terms = np.stack((fixed, y[0] @ k[1], y[1] @ k[0])).reshape(3, -1)
+    weights = np.stack((np.ones(period), strengths, strengths.conj()), axis=1)
+
+    h = len(slots) - half
+    chunk = max(1, _CHUNK_BYTES // (16 * max(1, h) ** 2))
     data = np.empty((len(rows), period))
     for start in range(0, period, chunk):
         stop = min(start + chunk, period)
-        step_strengths = np.repeat(base[np.newaxis], stop - start, axis=0)
-        step_strengths[:, swept_tone] = strengths[start:stop]
-        if not certified:
-            for phase, step in zip(phases[start:stop], step_strengths):
-                try:
-                    _invert_blocks(pieces.stacks(step, gamma), pieces.blocks)
-                except AboveThresholdError as exc:
-                    raise AboveThresholdError(
-                        f"above threshold at swept phase {phase:.6f} rad: {exc}",
-                        condition_estimate=exc.condition_estimate,
-                        phase=float(phase),
-                    ) from exc
-        (stacks,) = driven.stacks(step_strengths, gamma)
+        _, s, conj_s = weights[start:stop].T
+        complement = (weights[start:stop] @ terms).reshape(stop - start, h, h)
+        # x_c = S^-1 Y e on the conjugate slots, x_a = D^-1 (e - K x_c)
+        drive = y[0][:, e] + conj_s[:, np.newaxis] * y[1][:, e]
+        x_c = np.linalg.solve(complement, drive[:, :, np.newaxis])[:, :, 0]
+        x_a = -(x_c @ k[0].T) - s[:, np.newaxis] * (x_c @ k[1].T)
+        x_a[:, e] += 1.0
         columns = np.zeros((stop - start, 2 * grid.n_modes), dtype=complex)
-        columns[:, slots] = gain * np.linalg.solve(stacks[:, 0], drive)[:, :, 0]
+        columns[:, slots[amplitude]] = gain * (x_a / d)
+        columns[:, slots[conjugate]] = gain * x_c
         columns[:, col] -= 1.0
         data[:, start:stop] = magnitude_db(columns[:, rows] / reference).T
 

@@ -285,14 +285,20 @@ def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
     return np.linalg.eigvals(stack[block[:, 0] % 2 == 0]).real.min()
 
 
-def _schur_complement(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``conj D - conj K D^-1 K`` and ``Y = -conj K D^-1`` of a stack of self-mirror blocks.
+# the amplitude and conjugate slots of a block on interleaved slots (a_p, a*_p)
+_INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))
 
-    On its interleaved slots ``(a_p, a*_p)`` a self-mirror block, one
-    holding both slots of each of its modes, is ``[[D, K], [conj K, conj D]]``
-    with ``D`` diagonal; the first is the Schur complement of ``D``.
+
+def _schur_complement(stack: np.ndarray, amplitude, conjugate) -> tuple[np.ndarray, np.ndarray]:
+    """``D_c + Y K`` and ``Y = -L D^-1`` of a stack read as ``[[D, K], [L, D_c]]``.
+
+    ``amplitude`` and ``conjugate`` are the slices of the last two axes
+    that hold a block's amplitude and conjugate slots.  ``D``, on the
+    amplitude slots, is diagonal, since a tone joins an amplitude only to a
+    conjugate; the first result is the Schur complement of ``D``.  A
+    self-mirror block on ``_INTERLEAVED`` slots, one holding both slots of
+    each of its modes, is ``[[D, K], [conj K, conj D]]``.
     """
-    amplitude, conjugate = slice(0, None, 2), slice(1, None, 2)
     d = stack[:, amplitude, amplitude].diagonal(0, 1, 2)
     k = np.ascontiguousarray(stack[:, amplitude, conjugate])
     y = stack[:, conjugate, amplitude] / -d[:, np.newaxis, :]
@@ -306,7 +312,7 @@ def _self_mirror_inverse(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``[[conj W, conj Z], [Z, W]]``: particle-hole symmetry, which the
     inverse inherits, gives the two quarters on amplitude rows.
     """
-    amplitude, conjugate = slice(0, None, 2), slice(1, None, 2)
+    amplitude, conjugate = _INTERLEAVED
     z = w @ y
     inverse = np.empty((len(w), 2 * w.shape[1], 2 * w.shape[1]), dtype=w.dtype)
     inverse[:, conjugate, conjugate] = w
@@ -341,6 +347,9 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float
     which ``_block_pieces`` and ``assemble_system`` give by construction:
     the entries joining two amplitude slots are zero off the diagonal, and
     the stack is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).
+    ``phase_sweep`` relies on the first fact too: it solves its driven
+    column through the same Schur complement, on a block of either kind,
+    with the amplitude slots of the block read as one diagonal quarter.
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
@@ -374,7 +383,7 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float
             # self-mirror exactly when the first two slots are 2p and 2p + 1:
             # the block's mirror then shares a slot with it, so is the block
             if block.shape[1] > 1 and (block[:, 1] == (block[:, 0] | 1)).all():
-                schur, y = _schur_complement(stack)
+                schur, y = _schur_complement(stack, *_INTERLEAVED)
                 inverse = _self_mirror_inverse(np.linalg.inv(schur), y)
             else:
                 inverse = np.linalg.inv(stack)

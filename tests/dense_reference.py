@@ -7,7 +7,9 @@ the other builder: the public dense chain, which resolves a list of
 coupled pairs tone by tone, assembles the ``2n x 2n`` system and gathers
 its blocks back out of it.  That chain still inverts through the package's
 block inverter, so ``dense_scattering`` also checks the inverter: it
-inverts the whole assembled system with one plain ``np.linalg.inv``.
+inverts the whole assembled system with one plain ``np.linalg.inv``, and
+``dense_column``, which checks the phase sweep's half-size solve, solves
+it for one column with one plain ``np.linalg.solve``.
 """
 
 import numpy as np
@@ -31,3 +33,13 @@ def dense_scattering(system):
     inverse = np.linalg.inv(m)
     s = system.k_coupling**2 * inverse - np.eye(len(m))
     return s, np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1)
+
+
+def dense_column(grid, params, scheme, slot):
+    """Column ``slot`` of ``S = gamma * M^-1 - I``, ``M`` solved whole."""
+    system = dense_system(grid, params, scheme)
+    drive = np.zeros(len(system.matrix))
+    drive[slot] = 1.0
+    column = system.k_coupling**2 * np.linalg.solve(system.matrix, drive)
+    column[slot] -= 1.0
+    return column

@@ -32,9 +32,9 @@ from combscatter import (
 )
 from combscatter import analysis, scattering
 from combscatter.model import MAX_HALF_SPAN
-from combscatter.scattering import CONDITION_CAP, _block_pieces, _dominance_bound
+from combscatter.scattering import CONDITION_CAP, DB_FLOOR, _block_pieces, _dominance_bound
 from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
-from dense_reference import dense_system, simulate_dense
+from dense_reference import dense_column, dense_system, simulate_dense
 from search_reference import exhaustive_search
 
 
@@ -81,14 +81,13 @@ def mode_pair_db(grid, scheme, phases):
     return np.maximum(reduced, reduced.T)
 
 
-def assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device):
-    """An 8-step sweep's tracks against the full scattering matrix at each phase."""
-    result = phase_sweep(scheme, swept, 8, signal, grid, device)
+def assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device, steps=8):
+    """A sweep's tracks against the driven column of the whole system at each phase."""
+    result = phase_sweep(scheme, swept, steps, signal, grid, device)
     reference = np.abs(np.diag(pump_off_scattering(grid, device).matrix))
     col = grid.a_slot(signal)
     for step, phase in enumerate(result.phases):
-        s = simulate_dense(grid, device, scheme.with_phase(swept, phase)).matrix
-        column = s[:, col] / reference[col]
+        column = dense_column(grid, device, scheme.with_phase(swept, phase), col) / reference[col]
         for track in result.tracks:
             mode = track.mode_index
             row = grid.a_conj_slot(mode) if track.order == 2 else grid.a_slot(mode)
@@ -291,6 +290,36 @@ class TestPhaseSweep:
         swept = data.draw(st.integers(0, len(scheme.tones) - 1))
         signal = data.draw(st.integers(-grid.half_span, grid.half_span))
         assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device)
+
+    @pytest.mark.parametrize("signal, size, slots_per_mode", [(28, 46, 2), (5, 48, 1)])
+    def test_72_step_sweeps_of_every_tone_equal_dense_columns(
+        self, grid, device, signal, size, slots_per_mode
+    ):
+        # an even signal drives a self-mirror block, both slots of each of
+        # its modes; an odd one drives one block of a mirror pair
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        driven, _ = _block_pieces(grid, device, scheme).block_of(grid.a_slot(signal))
+        modes = driven.blocks[0][0] // 2
+        assert len(modes) == size
+        assert np.all(np.bincount(modes)[modes] == slots_per_mode)
+        for swept in range(3):
+            assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device, steps=72)
+
+    @pytest.mark.parametrize("swept", [0, 1])
+    def test_driven_slot_alone_in_its_block(self, device, swept):
+        # neither tone reaches mode -3 from the grid, so its amplitude slot
+        # is a 1 x 1 block and the half-size system on its conjugate slots
+        # is empty; its one product, at -3 + 6 - 5 through an idler off the
+        # grid, lies outside the block and stays at the floor
+        grid = ModeGrid(RESONANCE, SPACING, 3)
+        scheme = balanced_scheme(device, [5, 6], 0.1, [0.3, 1.1])
+        driven, _ = _block_pieces(grid, device, scheme).block_of(grid.a_slot(-3))
+        assert driven.blocks[0].shape == (1, 1)
+        result = phase_sweep(scheme, swept, 8, -3, grid, device)
+        assert result.evaluated == 1
+        assert [track.label for track in result.tracks] == ["o3[(1;0)]@-2"]
+        assert np.all(result.tracks[0].magnitudes_db == DB_FLOOR)
+        assert_tracks_equal_simulated_columns(scheme, swept, -3, grid, device)
 
     @pytest.mark.parametrize("swept", [0, 1, 2])
     def test_uncertified_scheme_tracks_equal_simulated_columns(self, grid, device, swept):

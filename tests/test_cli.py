@@ -174,6 +174,9 @@ class TestSimulate:
         run(["simulate", small_config, "--out-dir", out_b])
         for name in ("db_matrix.csv", "topology.json", "graph.gv", "s_matrix.cmb"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for out in (out_a, out_b):
+            assert run(["sweep-phase", small_config, "--tone", "1", "--out-dir", out]) == 0
+        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
     def test_phase_flag_with_radians(self, small_config, tmp_path):
         code = run(["simulate", small_config, "--phase1", "3.14159rad",
