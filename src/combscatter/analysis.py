@@ -25,8 +25,8 @@ from .model import (
     DeviceParams,
     ModeGrid,
     PumpScheme,
-    PumpTone,
     _intermod_paths,
+    _tone_strength,
     gauge_invariant_basis,
 )
 from .scattering import (
@@ -39,7 +39,6 @@ from .scattering import (
     _frozen,
     _gain,
     _invert_blocks,
-    _pump_off_diagonal,
     _scattering,
     _schur_complement,
     _spectral_floor,
@@ -114,13 +113,13 @@ def phase_sweep(
     """Sweep one tone's phase and record every intermodulation product.
 
     The swept phases are ``steps`` equally spaced values covering a full
-    turn, endpoint excluded.  At each phase the pump-off-normalized dB
-    magnitude of every 2nd- and 3rd-order product of the driven mode is
-    recorded: one track per on-grid product of ``_intermod_paths``, the
-    indices and order the idler prediction reports, labelled with the tone
-    or ordered tone pairs that reach it.  The drive column is the signal
-    mode's amplitude column; idlers are read from conjugate rows, two-pump
-    products from amplitude rows.
+    turn, endpoint excluded.  At each phase the dB magnitude of every 2nd-
+    and 3rd-order product of the driven mode is recorded, relative to the
+    all-pass pump-off reflection, which is 1: one track per on-grid product
+    of ``_intermod_paths``, the indices and order the idler prediction
+    reports, labelled with the tone or ordered tone pairs that reach it.
+    The drive column is the signal mode's amplitude column; idlers are read
+    from conjugate rows, two-pump products from amplitude rows.
 
     Only that column is computed.  It lies in one block of the system,
     ``[[D, K], [L, D_c]]`` with its amplitude slots first and ``D``
@@ -172,16 +171,13 @@ def phase_sweep(
     period = steps // math.gcd(steps, *coefficients)
     col = grid.a_slot(signal_index)
     rows = [row for *_, row in products]
-    reference = abs(_pump_off_diagonal(grid, params)[0][col])
     gamma = params.port_coupling
     gain = _gain(gamma)
 
     # only the swept tone's strength changes from step to step
     base = np.array([tone.strength for tone in base_scheme.tones])
     swept = base_scheme.tones[swept_tone]
-    strengths = np.array(
-        [PumpTone(swept.offset, swept.amplitude, float(phase)).strength for phase in phases[:period]]
-    )
+    strengths = np.array([_tone_strength(swept.amplitude, phase) for phase in phases[:period]])
     pieces = _block_pieces(grid, params, base_scheme)
 
     # the swept tone's magnitude is the same at every phase, so one
@@ -241,7 +237,7 @@ def phase_sweep(
         columns[:, slots[amplitude]] = gain * (x_a / d)
         columns[:, slots[conjugate]] = gain * x_c
         columns[:, col] -= 1.0
-        data[:, start:stop] = magnitude_db(columns[:, rows] / reference).T
+        data[:, start:stop] = magnitude_db(columns[:, rows]).T
 
     tracks = tuple(
         SweepTrack(order, tones, mode, magnitudes)
@@ -303,8 +299,9 @@ def fit_parameters(
     The model pins the resonance at the grid center (pumps are placed
     symmetrically around twice the comb center), sets every tone of
     ``scheme_shape`` to the common strength ``g`` under test, and compares
-    complex scattering matrices normalized to their own pump-off reference,
-    summing squared entry differences.
+    complex scattering matrices, summing squared entry differences.  The
+    model of a cell is ``gain * M^-1 - I`` itself: its pump-off reference is
+    the all-pass reflection, of modulus 1, and it is not divided by.
 
     The coarse grid scan is followed by a descent from the best cell along
     the valley of the distance, along which ``g / gamma`` stays nearly
@@ -324,8 +321,8 @@ def fit_parameters(
     stacks go through the threshold gate ``_invert_blocks``, and the
     distance is summed block by block (the model is zero off the blocks).
     A block group the gate sends to its eigenvalues reads them from one
-    spectrum per strength, shared by every coupling; a revisited cell is
-    evaluated once, and so is the pump-off reference of each coupling.
+    spectrum per strength, shared by every coupling, and a revisited cell
+    is evaluated once.
 
     A measured matrix with a non-finite entry, or a range that is not
     positive, finite and increasing, is rejected before any cell is
@@ -357,9 +354,7 @@ def fit_parameters(
     # every cell's tones have strength g at the shape's phases; the pieces
     # depend on omega0 alone, and gamma_lo makes their band check the strictest
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)
-    unit_strengths = np.array(
-        [complex(math.cos(t.phase), math.sin(t.phase)) for t in scheme_shape.tones]
-    )
+    unit_strengths = np.array([_tone_strength(2.0, t.phase) for t in scheme_shape.tones])
     indices = [_block_index(block) for block in pieces.blocks]
     measured_blocks = [measured[index] for index in indices]
     outside = np.ones(measured.shape, dtype=bool)
@@ -367,11 +362,6 @@ def fit_parameters(
         outside[index] = False
     # the model vanishes off the blocks, where the distance is the data's own
     outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
-
-    # the pump-off reference depends on the coupling alone
-    @functools.cache
-    def pump_off_magnitudes(gamma: float) -> np.ndarray:
-        return np.abs(_pump_off_diagonal(grid, DeviceParams(omega0, gamma))[0])
 
     # M - gamma/2 does not depend on gamma, so one spectrum per strength
     # serves every coupling
@@ -396,12 +386,8 @@ def fit_parameters(
         except AboveThresholdError:
             return np.inf
         worst_condition = max(worst_condition, condition)
-        reference = pump_off_magnitudes(gamma)
         gain = _gain(gamma)
-        models = [
-            (gain * inverse - np.eye(block.shape[1])) / reference[block][:, np.newaxis, :]
-            for block, inverse in zip(pieces.blocks, inverses)
-        ]
+        models = [gain * inverse - np.eye(inverse.shape[-1]) for inverse in inverses]
         # one-time global phase alignment: instruments carry an arbitrary
         # electrical delay, so the mean diagonal phase is referenced out
         inner = sum(
@@ -510,11 +496,12 @@ def search_phases(
     ``MAX_PHASE_CLASSES`` classes is rejected before any is enumerated.
 
     Only the tone phases change from class to class, so the blocks of the
-    system are split once into pieces and the pump-off reference is taken
-    once.  A class restacks the pieces at its tone strengths, passes the
-    threshold gate ``_invert_blocks`` and places the block inverses into the
-    dense scattering matrix, whose pump-off-normalized dB magnitudes
-    ``extract_graph`` thresholds; the band check runs once, with the pieces.
+    system are split once into pieces.  A class restacks the pieces at its
+    tone strengths, passes the threshold gate ``_invert_blocks`` and places
+    the block inverses into the dense scattering matrix, whose dB
+    magnitudes ``extract_graph`` thresholds: the all-pass pump-off
+    reference is 1, so nothing is divided.  The band check runs once, with
+    the pieces.
 
     Combinations are enumerated lexicographically and ties break toward the
     lexicographically smallest phase vector, which is the member of its
@@ -548,7 +535,6 @@ def search_phases(
             f"{MAX_PHASE_CLASSES}"
         )
     pieces = _block_pieces(grid, params, scheme)
-    reference = np.abs(_pump_off_diagonal(grid, params)[0])
     gamma = params.port_coupling
     gain = _gain(gamma)
 
@@ -570,16 +556,12 @@ def search_phases(
             continue
         seen.add(key)
         phases = tuple(TWO_PI * c / phase_grid_points for c in combo)
-        strengths = [
-            PumpTone(tone.offset, tone.amplitude, phase).strength
-            for tone, phase in zip(scheme.tones, phases)
-        ]
+        strengths = [_tone_strength(t.amplitude, p) for t, p in zip(scheme.tones, phases)]
         try:
             s, _ = _scattering(pieces.stacks(strengths, gamma), pieces.blocks, gain)
         except AboveThresholdError:
             skipped += 1
             continue
-        s /= reference  # in place: a fresh temporary of S costs more than the division
         graph = extract_graph(magnitude_db(s), grid, threshold_db)
         objective = len(graph.edge_pairs() ^ target)
         if best is None or objective < best[0]:

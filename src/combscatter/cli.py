@@ -177,10 +177,10 @@ def _quadrature(run: _Run):
 
 def _cmd_simulate(run: _Run) -> None:
     from .datafiles import save_scattering
-    from .scattering import normalize_pump_off, pump_off_scattering, simulate_scattering
+    from .scattering import magnitude_db, simulate_scattering
 
     s_on = simulate_scattering(run.grid, run.params, run.scheme)
-    db = normalize_pump_off(s_on, pump_off_scattering(run.grid, run.params))
+    db = magnitude_db(s_on.matrix)
     _, report = _write_graph(run, db)
     save_scattering(run.out("s_matrix.cmb"), s_on)
     _write_mode_table(run, "db_matrix.csv", ("a", "a*"), db, run.meta(seed=run.settings.seed))
@@ -192,23 +192,12 @@ def _cmd_simulate(run: _Run) -> None:
 
 
 def _cmd_graph(run: _Run) -> None:
-    from .scattering import (
-        Normalization,
-        magnitude_db,
-        normalize_pump_off,
-        pump_off_normalized_db,
-        pump_off_scattering,
-    )
+    from .scattering import magnitude_db, simulate_scattering
 
-    if run.args.data:
-        smat = run.data()
-        if smat.normalization is Normalization.PUMP_OFF_RELATIVE:
-            db = magnitude_db(smat.matrix)
-        else:
-            db = normalize_pump_off(smat, pump_off_scattering(run.grid, run.params))
-    else:
-        db = pump_off_normalized_db(run.grid, run.params, run.scheme)
-    graph, report = _write_graph(run, db)
+    # the model's pump-off reference is the all-pass 1, so data of either
+    # normalization tag and the simulated matrix read alike
+    smat = run.data() if run.args.data else simulate_scattering(run.grid, run.params, run.scheme)
+    graph, report = _write_graph(run, magnitude_db(smat.matrix))
     print(f"graph: {len(graph.edges)} edges, {len(report.components)} components")
 
 

@@ -149,6 +149,16 @@ def _wrap_phase(phase: float) -> float:
     return wrapped
 
 
+def _tone_strength(amplitude: float, phase: float) -> complex:
+    """Complex strength of a tone: half the amplitude at the phase wrapped to [0, 2pi).
+
+    The one home of the rule: ``PumpTone.strength`` and every analysis that
+    varies a phase without building a tone call it, so all agree bit for bit.
+    """
+    phase = _wrap_phase(phase)
+    return 0.5 * amplitude * complex(math.cos(phase), math.sin(phase))
+
+
 @dataclass(frozen=True)
 class PumpTone:
     """One pump tone, placed at ``2*center + offset*spacing``.
@@ -177,7 +187,7 @@ class PumpTone:
     @property
     def strength(self) -> complex:
         """Complex pump strength, half the amplitude at the stored phase."""
-        return 0.5 * self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
+        return _tone_strength(self.amplitude, self.phase)
 
     def frequency(self, grid: ModeGrid) -> float:
         """Angular frequency of the tone on the given grid."""

@@ -8,11 +8,15 @@ partner, so the system splits into independent blocks: the connected
 components of the comb's coupling graph.  Each block is inverted on its
 own and the input-output matching condition turns the block inverses into
 the scattering matrix; magnitudes are reported in dB relative to the
-pump-off reflection.  A self-mirror block, one holding both slots of every
-mode it touches, is its own particle-hole mirror: it is inverted through
-its half-size Schur complement, and the symmetry supplies two of the four
-quarters of its inverse.  Groups holding mirror pairs go to
-``np.linalg.inv``.
+pump-off reflection.  With one over-coupled port and no internal loss that
+reflection, ``(gamma/2 -+ i*detuning) / (gamma/2 +- i*detuning)``, is
+all-pass, of modulus 1 in closed form, so no run path computes it or
+divides by it; ``pump_off_scattering`` and ``normalize_pump_off`` keep
+the explicit reference for callers who want it.  A self-mirror block,
+one holding both slots of every mode it touches, is its own particle-hole
+mirror: it is inverted through its half-size Schur complement, and the
+symmetry supplies two of the four quarters of its inverse.  Groups
+holding mirror pairs go to ``np.linalg.inv``.
 
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
@@ -539,22 +543,19 @@ def simulate_scattering(
     return ScatteringMatrix(_Sealed(s), grid, Normalization.RAW, condition_estimate=cond)
 
 
-def _pump_off_diagonal(grid: ModeGrid, params: DeviceParams) -> tuple[np.ndarray, float]:
-    """Pump-off reflection ``gamma / (gamma/2 +- i*detuning) - 1`` of every slot.
+def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatrix:
+    """Scattering with all pumps off: diagonal all-pass reflection.
 
+    Each slot reflects ``gamma / (gamma/2 +- i*detuning) - 1``, of modulus 1.
     With no pump every slot is its own 1x1 block, so the diagonal is built
     directly and inverted as such; values and condition number are those of
-    ``scattering_matrix`` on the assembled pump-off system, bit for bit.
+    ``scattering_matrix`` on the assembled pump-off system, bit for bit.  No
+    run path calls this: every one takes the reference as 1.
     """
     diagonal = _diagonal(grid, params)
     slots = np.arange(len(diagonal))[:, np.newaxis]
     (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]], (slots,))
-    return _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0, cond
-
-
-def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatrix:
-    """Scattering with all pumps off: diagonal all-pass reflection."""
-    reflection, cond = _pump_off_diagonal(grid, params)
+    reflection = _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0
     return ScatteringMatrix(
         matrix=_Sealed(np.diag(reflection)),
         grid=grid,
@@ -593,10 +594,12 @@ def normalize_pump_off(s_on: ScatteringMatrix, s_off: ScatteringMatrix) -> np.nd
 def pump_off_normalized_db(
     grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
 ) -> np.ndarray:
-    """Simulate a scheme and normalize it to its own pump-off reference."""
-    s_on = simulate_scattering(grid, params, scheme)
-    s_off = pump_off_scattering(grid, params)
-    return normalize_pump_off(s_on, s_off)
+    """Simulate a scheme and give its magnitudes in dB relative to the pump-off reflection.
+
+    The reference is the all-pass reflection, of modulus 1 in closed form, so
+    this is the dB magnitude of the simulated matrix; nothing is divided.
+    """
+    return magnitude_db(simulate_scattering(grid, params, scheme).matrix)
 
 
 def scale_for_ratio(ratio: float, params: DeviceParams) -> float:

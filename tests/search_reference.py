@@ -12,8 +12,7 @@ import math
 from combscatter import (
     AboveThresholdError,
     extract_graph,
-    normalize_pump_off,
-    pump_off_scattering,
+    magnitude_db,
     topology_report,
 )
 from dense_reference import simulate_dense
@@ -24,7 +23,6 @@ TWO_PI = 2.0 * math.pi
 def exhaustive_search(scheme, target_adjacency, points, threshold_db, grid, params):
     """(objective, best phases, graph, report) of the full-grid search over every tone."""
     target = {(min(i, j), max(i, j)) for i, j in target_adjacency if i != j}
-    s_off = pump_off_scattering(grid, params)
     grid_phases = [TWO_PI * k / points for k in range(points)]
     best = None
     for flat in range(points ** len(scheme.tones)):
@@ -40,7 +38,7 @@ def exhaustive_search(scheme, target_adjacency, points, threshold_db, grid, para
             s_on = simulate_dense(grid, params, trial)
         except AboveThresholdError:
             continue
-        achieved = extract_graph(normalize_pump_off(s_on, s_off), grid, threshold_db)
+        achieved = extract_graph(magnitude_db(s_on.matrix), grid, threshold_db)
         objective = len(achieved.edge_pairs() ^ target)
         if best is None or objective < best[0]:
             best = (objective, phases, achieved)

@@ -837,7 +837,9 @@ class TestSearchPhases:
 @pytest.mark.parametrize("kind", ["simulate", "search", "sweep", "fit"])
 def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
     # a simulation, and an analysis however many points it evaluates, splits
-    # the system into block pieces once and never assembles the dense system
+    # the system into block pieces once and never assembles the dense system;
+    # the split builds the diagonal of M once, and a pump-off reference (the
+    # diagonal alone, inverted) would build it again
     grid = ModeGrid(RESONANCE, SPACING, 12)
     scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
     g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING
@@ -850,7 +852,7 @@ def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
             measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4, refine_steps=2
         ).evaluations,
     }
-    calls = {"split": 0, "assemble": 0}
+    calls = {"split": 0, "assemble": 0, "diagonal": 0}
 
     def counting(name, function):
         def counted(*args):
@@ -864,5 +866,6 @@ def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
     monkeypatch.setattr(
         scattering, "assemble_system", counting("assemble", scattering.assemble_system)
     )
+    monkeypatch.setattr(scattering, "_diagonal", counting("diagonal", scattering._diagonal))
     assert runs[kind]() >= 8
-    assert calls == {"split": 1, "assemble": 0}
+    assert calls == {"split": 1, "assemble": 0, "diagonal": 1}

@@ -367,11 +367,34 @@ class TestExitCodes:
         bad.write_text("device:\n  resonance_frequency: 4.2\n")
         assert run(["simulate", bad, "--out-dir", tmp_path]) == 2
 
-    def test_above_threshold_is_3(self, tmp_path):
+    def test_above_threshold_is_3(self, tmp_path, capsys):
         # every tone at ratio 1/2, far past the threshold of the three together
         config = tmp_path / "hot.yaml"
         config.write_text(SMALL.replace("0.004533333333333334", "0.02666666666666667"))
         assert run(["simulate", config, "--out-dir", tmp_path / "o"]) == 3
+        # a 0.001 Hz linewidth: the pumps are far past threshold, and the comb
+        # reaches 4.7e14 linewidths, which warns; the all-pass pump-off
+        # diagonal alone exceeds the condition cap, and no run path inverts it
+        narrow = tmp_path / "narrow.yaml"
+        narrow.write_text(
+            bundled_config_path("threepump").read_text()
+            .replace("port_coupling: 112 MHz", "port_coupling: 0.001 Hz")
+            .replace("spacing: 0.1 MHz", "spacing: 10.0 GHz")
+        )
+        target = tmp_path / "target.json"
+        target.write_text("[[0, 1]]")
+        capsys.readouterr()
+        for argv, message in [
+            (["sweep-phase"], "above threshold at swept phase 0.000000 rad: parametric "
+             "oscillation threshold reached: the system is dynamically unstable"),
+            (["search-phases", "--target", target], "every phase combination was above threshold"),
+        ]:
+            assert run([argv[0], narrow, *argv[1:], "--out-dir", tmp_path / "n"]) == 3
+            (line,) = capsys.readouterr().err.splitlines()
+            doc = strict_json(line)
+            assert doc["message"].startswith(message)
+            (warning,) = doc["warnings"]
+            assert warning.startswith("mode comb extends 469999999999999.9 linewidths")
 
     @pytest.mark.parametrize("config_text", [
         # one pump at ratio 0.75, 1.5 times its threshold
