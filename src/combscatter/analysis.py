@@ -197,7 +197,6 @@ def phase_sweep(
 
     # the driven block with its amplitude slots first, [[D, K], [L, D_c]]
     driven, _ = pieces.block_of(col)
-    del pieces  # hold the index map of one block, not of every group
     parity = np.argsort(driven.blocks[0][0] % 2, kind="stable")
     driven = _BlockPieces(
         (driven.blocks[0][:, parity],),
@@ -330,7 +329,7 @@ def fit_parameters(
     threshold, score +inf rather than raising; if the whole surface is
     infinite the fit is infeasible and raises.
 
-    The band check runs once, when the pieces are built at the bottom of
+    The band check runs once, when the pieces are taken at the bottom of
     the coupling range: there the comb spans the most linewidths, so one
     ``BandMismatchWarning`` (naming the count at ``gamma_lo``) stands for
     every grid cell.  Refinement cells below ``gamma_lo`` no longer warn on

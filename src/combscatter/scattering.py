@@ -25,17 +25,20 @@ gate that decides it, and the only code that inverts block stacks.  Its
 first stage, the column Gershgorin discs, also bounds the condition
 (Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
 the gate once for all its steps.  Every simulation, sweep, fit and
-search splits the system once, by mode sum, into an index map onto the
-tone strengths, and restacks it at every point.  The dense chain
-``resolve_couplings`` -> ``assemble_system`` -> ``scattering_matrix``
-serves hand-made coupling sets and the tests as an independent
-reference; no run path calls it.  Pure functions on immutable inputs;
-independent scheme evaluations can run in parallel with no shared state.
+search splits the system, by mode sum, into an index map onto the tone
+strengths, and restacks it at every point.  The split depends only on the
+grid, the resonance and the tone offsets, so it is made once per comb and
+offsets: the package keeps a read-only split of the last comb, and
+concurrent calls may share it.  The dense chain ``resolve_couplings`` ->
+``assemble_system`` -> ``scattering_matrix`` serves hand-made coupling
+sets and the tests as an independent reference; no run path calls it.
+Otherwise pure functions on immutable inputs.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -184,16 +187,13 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     return tuple(order[starts[sizes == s][:, np.newaxis] + np.arange(s)] for s in distinct)
 
 
-def _diagonal(grid: ModeGrid, params: DeviceParams) -> np.ndarray:
-    """Detuning and damping of every slot: the diagonal of ``M``."""
+def _diagonal(grid: ModeGrid, resonance: float) -> np.ndarray:
+    """The ``+-i*detuning`` of every slot: the diagonal of ``M`` less ``gamma/2``."""
     half = grid.half_span
-    gamma = params.port_coupling
-    detuning = params.resonance_frequency - (
-        grid.center_frequency + np.arange(-half, half + 1) * grid.spacing
-    )
+    detuning = resonance - (grid.center_frequency + np.arange(-half, half + 1) * grid.spacing)
     diagonal = np.empty(2 * grid.n_modes, dtype=complex)
-    diagonal[0::2] = 1j * detuning + gamma / 2.0
-    diagonal[1::2] = -1j * detuning + gamma / 2.0
+    diagonal[0::2] = 1j * detuning
+    diagonal[1::2] = -1j * detuning
     return diagonal
 
 
@@ -213,7 +213,7 @@ def assemble_system(
     n = grid.n_modes
     half = grid.half_span
     gamma = params.port_coupling
-    m = np.diag(_diagonal(grid, params))
+    m = np.diag(_diagonal(grid, params.resonance_frequency) + gamma / 2.0)
 
     entries = couplings.entries
     count = len(entries)
@@ -457,6 +457,12 @@ class _BlockPieces:
     where no tone couples.  That gather plus ``diag(detuning[k] + gamma/2)``
     is the assembled stack for port coupling ``gamma``, bit for bit but for
     the sign of a zero.
+
+    The pieces ``_block_pieces`` returns are shared by every call on the
+    same comb and offsets, so every array of them is read-only, and each
+    ``slot`` map is stored in ``np.min_scalar_type(2 * T)``, one byte per
+    entry below 128 tones: the map of every group of a 1,001-mode comb
+    stays small beside the stacks a call gathers from it.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -496,33 +502,48 @@ class _BlockPieces:
 
 
 def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _BlockPieces:
-    """Split the system of ``scheme`` into ``_BlockPieces`` by mode sum alone.
+    """The ``_BlockPieces`` of the system of ``scheme``, split once per comb and offsets.
 
     Only the resonance frequency of ``params`` enters the pieces; its port
-    coupling is used for the band check.  One lookup by mode sum names the
-    tone of every mode pair: its pairs ``a_p -- a*_q`` are the edges of the
-    block partition, and an entry takes its tone's slot where its row and
-    column parities differ.  A tone is in the partition whatever its
-    amplitude, so pieces built once serve every strength.
+    coupling is used for the band check, which runs on every call, so a
+    warning names each caller.  The split is memoized on the grid, the
+    resonance and the offsets (``_split``); the pieces are read-only.
     """
     check_band(grid, params)
-    tones, reach = len(scheme.tones), 2 * grid.half_span
-    tone_of = np.full(2 * reach + 1, tones)  # by mode sum + reach; T for none
-    for t, m in enumerate(scheme.offsets):
+    return _split(grid, params.resonance_frequency, scheme.offsets)
+
+
+@functools.lru_cache(maxsize=1)
+def _split(grid: ModeGrid, resonance: float, offsets: tuple[int, ...]) -> _BlockPieces:
+    """Split the system into ``_BlockPieces`` by mode sum alone.
+
+    One lookup by mode sum names the tone of every mode pair: its pairs
+    ``a_p -- a*_q`` are the edges of the block partition, and an entry
+    takes its tone's slot where its row and column parities differ.  A
+    tone is in the partition whatever its amplitude, so pieces built once
+    serve every strength, phase and port coupling.
+    """
+    tones, reach = len(offsets), 2 * grid.half_span
+    index = np.min_scalar_type(2 * tones)
+    tone_of = np.full(2 * reach + 1, tones, dtype=index)  # by mode sum + reach; T for none
+    for t, m in enumerate(offsets):
         if abs(m) <= reach:
             tone_of[m + reach] = t
     position = np.arange(grid.n_modes)
     p, q = np.nonzero(tone_of[position[:, np.newaxis] + position] < tones)
     blocks = _block_partition(2 * grid.n_modes, 2 * p, 2 * q + 1)
-    diagonal = 1j * _diagonal(grid, params).imag
+    diagonal = _diagonal(grid, resonance)
     slots = []
     for block in blocks:
         rows, cols = _block_index(block)
         tone = tone_of[rows // 2 + cols // 2]
         coupled = (rows % 2 != cols % 2) & (tone < tones)
-        slots.append(np.where(coupled, tone + tones * (rows % 2), 2 * tones))
-    detuning = tuple(diagonal[block] for block in blocks)
-    return _BlockPieces(blocks, detuning, tuple(slots), params.resonance_frequency)
+        tone += (tones * (rows % 2)).astype(index)
+        slots.append(np.where(coupled, tone, index.type(2 * tones)))
+    detuning = [diagonal[block] for block in blocks]
+    for array in (*blocks, *detuning, *slots):
+        array.flags.writeable = False
+    return _BlockPieces(blocks, tuple(detuning), tuple(slots), resonance)
 
 
 def simulate_scattering(
@@ -552,7 +573,7 @@ def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatri
     ``scattering_matrix`` on the assembled pump-off system, bit for bit.  No
     run path calls this: every one takes the reference as 1.
     """
-    diagonal = _diagonal(grid, params)
+    diagonal = _diagonal(grid, params.resonance_frequency) + params.port_coupling / 2.0
     slots = np.arange(len(diagonal))[:, np.newaxis]
     (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]], (slots,))
     reflection = _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0

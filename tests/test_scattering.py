@@ -1,7 +1,9 @@
 """System assembly, inversion, pump-off normalization."""
 
+import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import combscatter as cs
 from combscatter import (
     AboveThresholdError,
+    BandMismatchWarning,
     Coupling,
     CouplingSet,
     DegenerateNormalizationError,
@@ -21,12 +24,15 @@ from combscatter import (
     PumpTone,
     assemble_system,
     bundled_config_path,
+    fit_parameters,
     normalize_pump_off,
     parse_config,
     particle_hole_defect,
+    phase_sweep,
     pump_off_scattering,
     resolve_couplings,
     scattering_matrix,
+    search_phases,
     simulate_scattering,
 )
 from combscatter.model import MAX_HALF_SPAN
@@ -37,6 +43,7 @@ from combscatter.scattering import (
     _block_pieces,
     _dominance_bound,
     _invert_blocks,
+    _split,
 )
 from conftest import (
     COUPLING,
@@ -754,6 +761,113 @@ class TestGaugeInvariance:
         s = np.abs(simulate_scattering(grid, device, scheme).matrix)
         s_shifted = np.abs(simulate_scattering(grid, device, shifted).matrix)
         assert np.max(np.abs(s_shifted - s)) <= 1e-12 * np.max(s)
+
+
+@st.composite
+def comb_sequences(draw):
+    """1-8 (grid, device, scheme) draws on one half span, where grids differ
+    only in centre or spacing and devices only in resonance; the values come
+    from small pools, so a draw often repeats the one before it."""
+    half_span = draw(st.integers(1, 6))
+    offsets = st.lists(st.integers(-2 * half_span - 1, 2 * half_span + 1), max_size=4, unique=True)
+    pool = draw(st.lists(offsets, min_size=1, max_size=3))
+    draws = st.tuples(
+        st.sampled_from([RESONANCE, RESONANCE + 0.3 * COUPLING]),
+        st.sampled_from([SPACING, 1.5 * SPACING]),
+        st.sampled_from([RESONANCE, RESONANCE - 0.2 * COUPLING]),
+        st.sampled_from(pool),
+    )
+    return [
+        (ModeGrid(center, spacing, half_span), DeviceParams(resonance, COUPLING),
+         PumpScheme.balanced(offs, EDGE_AMPLITUDE))
+        for center, spacing, resonance, offs in draw(st.lists(draws, min_size=1, max_size=8))
+    ]
+
+
+def piece_arrays(pieces):
+    return [*pieces.blocks, *pieces.detuning, *pieces.slot]
+
+
+def identical(a, b):
+    """Results equal field by field, arrays byte for byte."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            identical(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(identical(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return a == b
+
+
+class TestSplitCache:
+    """The split of the last comb, kept read-only and shared by the calls on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(comb_sequences())
+    def test_served_pieces_are_a_fresh_split(self, sequence):
+        _split.cache_clear()
+        for grid, device, scheme in sequence:
+            hits = _split.cache_info().hits
+            served = _block_pieces(grid, device, scheme)
+            event("hit" if _split.cache_info().hits > hits else "miss")
+            _split.cache_clear()
+            fresh = _block_pieces(grid, device, scheme)
+            assert served is not fresh
+            assert served.resonance == fresh.resonance
+            assert len(piece_arrays(served)) == len(piece_arrays(fresh))
+            for a, b in zip(piece_arrays(served), piece_arrays(fresh)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_cached_arrays_are_read_only(self, grid, device):
+        pieces = _block_pieces(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+        assert _block_pieces(grid, device, balanced_scheme(device, [-4, 0, 4], 0.05)) is pieces
+        for array in piece_arrays(pieces):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+    def test_slot_maps_take_one_byte_per_entry(self, grid, device):
+        pieces = _block_pieces(grid, device, balanced_scheme(device, [-3, 1, 5, 8], 0.05))
+        assert all(slot.dtype == np.uint8 for slot in pieces.slot)
+
+    @pytest.mark.parametrize("kind", ["simulate", "sweep", "fit", "search"])
+    def test_cold_and_warm_runs_are_identical(self, grid, device, kind):
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING
+        measured = simulate_scattering(grid, device, scheme)
+        runs = {
+            "simulate": lambda: simulate_scattering(grid, device, scheme),
+            "sweep": lambda: phase_sweep(scheme, 1, 72, 3, grid, device),
+            "fit": lambda: fit_parameters(
+                measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4
+            ),
+            "search": lambda: search_phases(scheme, [(-12, 0)], 8, -20.0, grid, device),
+        }
+        _split.cache_clear()
+        cold = runs[kind]()
+        assert _split.cache_info().misses == 1
+        warm = runs[kind]()
+        assert _split.cache_info().hits == 1
+        assert identical(cold, warm)
+
+    @pytest.mark.parametrize("kind", ["simulate", "sweep"])
+    def test_band_warns_on_every_call(self, kind):
+        # 21 modes 20 MHz apart reach 200 MHz from resonance: 40 linewidths at 5 MHz
+        narrow = DeviceParams(RESONANCE, TWO_PI * 5e6)
+        grid = ModeGrid(RESONANCE, TWO_PI * 20e6, 10)
+        scheme = balanced_scheme(narrow, [-4, 0, 4], 0.085)
+        runs = {
+            "simulate": lambda: simulate_scattering(grid, narrow, scheme),
+            "sweep": lambda: phase_sweep(scheme, 1, 8, 0, grid, narrow),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs[kind]()
+            hits = _split.cache_info().hits
+            runs[kind]()
+        assert _split.cache_info().hits == hits + 1
+        assert [(w.category, w.filename) for w in caught] == [(BandMismatchWarning, __file__)] * 2
 
 
 class TestNormalizePumpOff:
