@@ -33,7 +33,6 @@ from .scattering import (
     CONDITION_CAP,
     ScatteringMatrix,
     _block_index,
-    _BlockPieces,
     _block_pieces,
     _dominance_bound,
     _frozen,
@@ -196,14 +195,7 @@ def phase_sweep(
                 ) from exc
 
     # the driven block with its amplitude slots first, [[D, K], [L, D_c]]
-    driven, _ = pieces.block_of(col)
-    parity = np.argsort(driven.blocks[0][0] % 2, kind="stable")
-    driven = _BlockPieces(
-        (driven.blocks[0][:, parity],),
-        (driven.detuning[0][:, parity],),
-        (driven.slot[0][:, parity[:, np.newaxis], parity],),
-        driven.resonance,
-    )
+    driven = pieces.block_of(col)
     slots = driven.blocks[0][0]
     e = int(np.flatnonzero(slots == col)[0])
     half = int(np.count_nonzero(slots % 2 == 0))
@@ -350,8 +342,8 @@ def fit_parameters(
         raise InvalidArgumentError("fit ranges must be positive, finite and increasing")
 
     omega0 = grid.center_frequency
-    # every cell's tones have strength g at the shape's phases; the pieces
-    # depend on omega0 alone, and gamma_lo makes their band check the strictest
+    # every cell's tones have strength g at the shape's phases, on a device
+    # resonant at omega0; gamma_lo makes the band check the strictest
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)
     unit_strengths = np.array([_tone_strength(2.0, t.phase) for t in scheme_shape.tones])
     indices = [_block_index(block) for block in pieces.blocks]

@@ -27,12 +27,13 @@ first stage, the column Gershgorin discs, also bounds the condition
 the gate once for all its steps.  Every simulation, sweep, fit and
 search splits the system, by mode sum, into an index map onto the tone
 strengths, and restacks it at every point.  The split depends only on the
-grid, the resonance and the tone offsets, so it is made once per comb and
-offsets: the package keeps a read-only split of the last comb, and
-concurrent calls may share it.  The dense chain ``resolve_couplings`` ->
-``assemble_system`` -> ``scattering_matrix`` serves hand-made coupling
-sets and the tests as an independent reference; no run path calls it.
-Otherwise pure functions on immutable inputs.
+mode count and the tone offsets, so it is made once per comb and offsets:
+the package keeps a read-only split of the last comb, and concurrent calls
+may share it; each call gathers its own device's detuning onto it.  The
+dense chain ``resolve_couplings`` -> ``assemble_system`` ->
+``scattering_matrix`` serves hand-made coupling sets and the tests as an
+independent reference; no run path calls it.  Otherwise pure functions on
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -458,11 +459,12 @@ class _BlockPieces:
     is the assembled stack for port coupling ``gamma``, bit for bit but for
     the sign of a zero.
 
-    The pieces ``_block_pieces`` returns are shared by every call on the
-    same comb and offsets, so every array of them is read-only, and each
-    ``slot`` map is stored in ``np.min_scalar_type(2 * T)``, one byte per
-    entry below 128 tones: the map of every group of a 1,001-mode comb
-    stays small beside the stacks a call gathers from it.
+    The ``blocks`` and ``slot`` maps are shared by every call on the same
+    mode count and offsets, whatever its grid or resonance, so they are
+    read-only, as is each call's ``detuning``.  Each ``slot`` map is stored
+    in ``np.min_scalar_type(2 * T)``, one byte per entry below 128 tones:
+    the map of every group of a 1,001-mode comb stays small beside the
+    stacks a call gathers from it.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -491,48 +493,58 @@ class _BlockPieces:
             stack[..., diagonal, diagonal] += detuning + gamma / 2.0
             yield stack
 
-    def block_of(self, slot: int) -> tuple[_BlockPieces, int]:
-        """The pieces of the one block holding ``slot``, and its position there."""
-        k, member, position = next(
-            (k, *hit) for k, block in enumerate(self.blocks) for hit in np.argwhere(block == slot)
+    def block_of(self, slot: int) -> _BlockPieces:
+        """The pieces of the one block holding ``slot``, its amplitude slots first."""
+        k, member = next(
+            (k, at[0]) for k, block in enumerate(self.blocks) for at in np.argwhere(block == slot)
         )
-        one = slice(member, member + 1)
-        parts = (self.blocks, self.detuning, self.slot)
-        return _BlockPieces(*((part[k][one],) for part in parts), self.resonance), int(position)
+        parity = np.argsort(self.blocks[k][member] % 2, kind="stable")
+        return _BlockPieces(
+            (self.blocks[k][member, parity][np.newaxis],),
+            (self.detuning[k][member, parity][np.newaxis],),
+            (self.slot[k][member][parity[:, np.newaxis], parity][np.newaxis],),
+            self.resonance,
+        )
 
 
 def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _BlockPieces:
-    """The ``_BlockPieces`` of the system of ``scheme``, split once per comb and offsets.
+    """The ``_BlockPieces`` of the system of ``scheme`` on ``grid`` and ``params``.
 
-    Only the resonance frequency of ``params`` enters the pieces; its port
-    coupling is used for the band check, which runs on every call, so a
-    warning names each caller.  The split is memoized on the grid, the
-    resonance and the offsets (``_split``); the pieces are read-only.
+    The band check runs on every call, so a warning names each caller.
+    The block partition and slot maps come from ``_split``, memoized on the
+    mode count and the offsets; the ``+-i*detuning`` diagonal of the grid
+    and the resonance of ``params`` is built once per call and gathered
+    onto the blocks.  Every array of the pieces is read-only.
     """
     check_band(grid, params)
-    return _split(grid, params.resonance_frequency, scheme.offsets)
+    blocks, slot = _split(grid.half_span, scheme.offsets)
+    diagonal = _diagonal(grid, params.resonance_frequency)
+    detuning = tuple(diagonal[block] for block in blocks)
+    for array in detuning:
+        array.flags.writeable = False
+    return _BlockPieces(blocks, detuning, slot, params.resonance_frequency)
 
 
 @functools.lru_cache(maxsize=1)
-def _split(grid: ModeGrid, resonance: float, offsets: tuple[int, ...]) -> _BlockPieces:
-    """Split the system into ``_BlockPieces`` by mode sum alone.
+def _split(half_span: int, offsets: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The read-only ``blocks`` and ``slot`` maps of ``_BlockPieces``, by mode sum alone.
 
     One lookup by mode sum names the tone of every mode pair: its pairs
     ``a_p -- a*_q`` are the edges of the block partition, and an entry
     takes its tone's slot where its row and column parities differ.  A
-    tone is in the partition whatever its amplitude, so pieces built once
-    serve every strength, phase and port coupling.
+    tone is in the partition whatever its amplitude, and no map holds a
+    frequency, so a split made once serves every strength, phase, port
+    coupling, resonance and comb of ``2 * half_span + 1`` modes.
     """
-    tones, reach = len(offsets), 2 * grid.half_span
+    tones, reach, n_modes = len(offsets), 2 * half_span, 2 * half_span + 1
     index = np.min_scalar_type(2 * tones)
     tone_of = np.full(2 * reach + 1, tones, dtype=index)  # by mode sum + reach; T for none
     for t, m in enumerate(offsets):
         if abs(m) <= reach:
             tone_of[m + reach] = t
-    position = np.arange(grid.n_modes)
+    position = np.arange(n_modes)
     p, q = np.nonzero(tone_of[position[:, np.newaxis] + position] < tones)
-    blocks = _block_partition(2 * grid.n_modes, 2 * p, 2 * q + 1)
-    diagonal = _diagonal(grid, resonance)
+    blocks = _block_partition(2 * n_modes, 2 * p, 2 * q + 1)
     slots = []
     for block in blocks:
         rows, cols = _block_index(block)
@@ -540,10 +552,9 @@ def _split(grid: ModeGrid, resonance: float, offsets: tuple[int, ...]) -> _Block
         coupled = (rows % 2 != cols % 2) & (tone < tones)
         tone += (tones * (rows % 2)).astype(index)
         slots.append(np.where(coupled, tone, index.type(2 * tones)))
-    detuning = [diagonal[block] for block in blocks]
-    for array in (*blocks, *detuning, *slots):
+    for array in (*blocks, *slots):
         array.flags.writeable = False
-    return _BlockPieces(blocks, tuple(detuning), tuple(slots), resonance)
+    return blocks, tuple(slots)
 
 
 def simulate_scattering(
@@ -568,21 +579,16 @@ def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatri
     """Scattering with all pumps off: diagonal all-pass reflection.
 
     Each slot reflects ``gamma / (gamma/2 +- i*detuning) - 1``, of modulus 1.
-    With no pump every slot is its own 1x1 block, so the diagonal is built
-    directly and inverted as such; values and condition number are those of
-    ``scattering_matrix`` on the assembled pump-off system, bit for bit.  No
-    run path calls this: every one takes the reference as 1.
+    With no pump every slot is its own 1x1 block, so the diagonal goes
+    through ``_scattering`` as one group of them; values and condition
+    number are those of ``scattering_matrix`` on the assembled pump-off
+    system, bit for bit.  No run path calls this: every one takes it as 1.
     """
     diagonal = _diagonal(grid, params.resonance_frequency) + params.port_coupling / 2.0
     slots = np.arange(len(diagonal))[:, np.newaxis]
-    (inverse,), cond = _invert_blocks([diagonal[:, np.newaxis, np.newaxis]], (slots,))
-    reflection = _gain(params.port_coupling) * inverse[:, 0, 0] - 1.0
-    return ScatteringMatrix(
-        matrix=_Sealed(np.diag(reflection)),
-        grid=grid,
-        normalization=Normalization.RAW,
-        condition_estimate=cond,
-    )
+    stacks = [diagonal[:, np.newaxis, np.newaxis]]
+    s, cond = _scattering(stacks, (slots,), _gain(params.port_coupling))
+    return ScatteringMatrix(_Sealed(s), grid, Normalization.RAW, condition_estimate=cond)
 
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:

@@ -298,7 +298,11 @@ class TestPhaseSweep:
         # an even signal drives a self-mirror block, both slots of each of
         # its modes; an odd one drives one block of a mirror pair
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
-        driven, _ = _block_pieces(grid, device, scheme).block_of(grid.a_slot(signal))
+        driven = _block_pieces(grid, device, scheme).block_of(grid.a_slot(signal))
+        # amplitude slots first, each part in ascending order
+        parity = driven.blocks[0][0] % 2
+        assert np.all(np.diff(parity) >= 0)
+        assert all(np.all(np.diff(driven.blocks[0][0][parity == p]) > 0) for p in (0, 1))
         modes = driven.blocks[0][0] // 2
         assert len(modes) == size
         assert np.all(np.bincount(modes)[modes] == slots_per_mode)
@@ -313,7 +317,7 @@ class TestPhaseSweep:
         # grid, lies outside the block and stays at the floor
         grid = ModeGrid(RESONANCE, SPACING, 3)
         scheme = balanced_scheme(device, [5, 6], 0.1, [0.3, 1.1])
-        driven, _ = _block_pieces(grid, device, scheme).block_of(grid.a_slot(-3))
+        driven = _block_pieces(grid, device, scheme).block_of(grid.a_slot(-3))
         assert driven.blocks[0].shape == (1, 1)
         result = phase_sweep(scheme, swept, 8, -3, grid, device)
         assert result.evaluated == 1
@@ -838,8 +842,8 @@ class TestSearchPhases:
 def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
     # a simulation, and an analysis however many points it evaluates, splits
     # the system into block pieces once and never assembles the dense system;
-    # the split builds the diagonal of M once, and a pump-off reference (the
-    # diagonal alone, inverted) would build it again
+    # taking the pieces builds the diagonal of M once, and a pump-off
+    # reference (the diagonal alone, inverted) would build it again
     grid = ModeGrid(RESONANCE, SPACING, 12)
     scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
     g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING

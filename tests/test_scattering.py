@@ -808,10 +808,16 @@ class TestSplitCache:
     @given(comb_sequences())
     def test_served_pieces_are_a_fresh_split(self, sequence):
         _split.cache_clear()
+        previous = None
         for grid, device, scheme in sequence:
             hits = _split.cache_info().hits
             served = _block_pieces(grid, device, scheme)
-            event("hit" if _split.cache_info().hits > hits else "miss")
+            hit = _split.cache_info().hits > hits
+            event("hit" if hit else "miss")
+            # the split is keyed on the mode count and offsets alone: a new
+            # centre, spacing or resonance on the same comb still hits
+            assert hit == ((grid.half_span, scheme.offsets) == previous)
+            previous = (grid.half_span, scheme.offsets)
             _split.cache_clear()
             fresh = _block_pieces(grid, device, scheme)
             assert served is not fresh
@@ -822,7 +828,9 @@ class TestSplitCache:
 
     def test_cached_arrays_are_read_only(self, grid, device):
         pieces = _block_pieces(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
-        assert _block_pieces(grid, device, balanced_scheme(device, [-4, 0, 4], 0.05)) is pieces
+        again = _block_pieces(grid, device, balanced_scheme(device, [-4, 0, 4], 0.05))
+        cached = [*pieces.blocks, *pieces.slot]
+        assert all(a is b for a, b in zip([*again.blocks, *again.slot], cached, strict=True))
         for array in piece_arrays(pieces):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = array[(0,) * array.ndim]
@@ -850,6 +858,22 @@ class TestSplitCache:
         warm = runs[kind]()
         assert _split.cache_info().hits == 1
         assert identical(cold, warm)
+
+    def test_detuned_device_shares_the_split_with_its_fit(self, device):
+        # the fit models a device resonant at the comb centre; a device 3 MHz
+        # off it has another detuning diagonal but the same split
+        grid = ModeGrid(RESONANCE, SPACING, 10)
+        detuned = DeviceParams(RESONANCE + TWO_PI * 3e6, COUPLING)
+        scheme = balanced_scheme(detuned, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING
+        _split.cache_clear()
+        measured = simulate_scattering(grid, detuned, scheme)
+        fit_parameters(
+            measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4, refine_steps=2
+        )
+        phase_sweep(scheme, 1, 8, 3, grid, detuned)
+        search_phases(scheme, [(-10, 0)], 4, -20.0, grid, detuned)
+        assert _split.cache_info().misses == 1
 
     @pytest.mark.parametrize("kind", ["simulate", "sweep"])
     def test_band_warns_on_every_call(self, kind):
