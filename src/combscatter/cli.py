@@ -242,6 +242,12 @@ def _cmd_fit(run: _Run) -> None:
 
     if not run.args.data:
         raise InvalidArgumentError("fit requires --data")
+    if run.params.resonance_frequency != run.grid.center_frequency:
+        warnings.warn(
+            "fit pins the model's resonance at the comb centre "
+            f"({run.config.center.render()}); the config's device.resonance_frequency "
+            f"({run.config.resonance_frequency.render()}) is not used"
+        )
     measured = run.data()
     s = run.settings
     result = fit_parameters(

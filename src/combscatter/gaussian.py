@@ -30,6 +30,9 @@ VACUUM_SCALE = 0.5
 
 IMAG_RESIDUAL_TOL = 1e-9
 
+# Unit roundoff of IEEE double precision, 2**-53.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 # Monte Carlo draws this many samples at a time, so memory stays bounded
 # whatever the sample count.  The chunking fixes the summation grouping,
 # so changing it changes the covariance in its last bits.
@@ -59,15 +62,24 @@ class CovarianceMatrix:
 
     Every construction checks finiteness, symmetry to ``1e-12`` and
     positive semidefiniteness to ``tol = 1e-10``, both relative to
-    ``max(1, max|v|)``.  The PSD check first tries a Cholesky factorization
-    of ``v + (tol/2) I``: if it succeeds, ``v`` is PSD to within ``tol/2``
-    (up to the factorization's rounding) and is accepted.  Only when it fails does ``eigvalsh`` run and decide,
-    rejecting ``v`` when its smallest eigenvalue is below ``-tol``.
+    ``max(1, max|v|)``.  The PSD check is staged, and the first stage that
+    proves ``v >= -tol/2`` accepts ``v``:
+
+    1. the producer's certificate: ``propagate_covariance`` hands over a
+       rigorous lower bound on the smallest eigenvalue of a propagated
+       vacuum (see there), and a bound at or above ``-tol/2`` settles it;
+    2. a Cholesky factorization of ``v + (tol/2) I``: if it succeeds, ``v``
+       is PSD to within ``tol/2`` (up to the factorization's rounding);
+    3. only when both fail does ``eigvalsh`` run and decide, rejecting ``v``
+       when its smallest eigenvalue is below ``-tol``.
+
+    A matrix from any caller has no certificate and starts at stage 2.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
+        floor = self.matrix.eig_floor if isinstance(self.matrix, _Sealed) else None
         v = _frozen(self.matrix, float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvalidArgumentError("covariance matrix must be square")
@@ -78,7 +90,8 @@ class CovarianceMatrix:
         if sym_defect > 1e-12 * scale:
             raise InvalidArgumentError(f"covariance not symmetric (defect {sym_defect:.2e})")
         tol = 1e-10 * scale
-        if v.size and not _cholesky_certifies(v, 0.5 * tol):
+        certified = floor is not None and floor >= -0.5 * tol
+        if v.size and not certified and not _cholesky_certifies(v, 0.5 * tol):
             min_eig = float(np.min(np.linalg.eigvalsh(v)))
             if min_eig < -tol:
                 raise InvalidArgumentError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
@@ -106,43 +119,54 @@ def to_quadrature(s: ScatteringMatrix) -> QuadratureScattering:
 
     Per mode pair the product is a closed form in the 2x2 block
     ``[[a, b], [c, d]]`` (amplitude/conjugate rows and columns):
-    ``[[a+b+c+d, i(a-b+c-d)], [i(c+d-a-b), a-b-c+d]] / 2``, evaluated for
-    all pairs at once on strided views.
+    ``[[a+b+c+d, i(a-b+c-d)], [i(c+d-a-b), a-b-c+d]] / 2``.  It is
+    evaluated for all pairs at once on strided views: the sums ``a + c``,
+    ``b + d`` and differences ``a - c``, ``b - d`` are taken once, each
+    quarter's real part is written straight into the real result, and each
+    quarter's imaginary part only feeds the residual.  Both are the bits
+    that filling the complex product would give.
     """
     m = s.matrix
-    a, b = m[0::2, 0::2], m[0::2, 1::2]
-    c, d = m[1::2, 0::2], m[1::2, 1::2]
-    ac, bd, ca, db = a + c, b + d, c - a, d - b
-    sx = np.empty_like(m)
-    sx[0::2, 0::2] = ac + bd
-    sx[0::2, 1::2] = 1j * (ac - bd)
-    sx[1::2, 0::2] = 1j * (ca + db)
-    sx[1::2, 1::2] = db - ca
+    plus, minus = m[0::2] + m[1::2], m[0::2] - m[1::2]
+    apc, bpd = plus[:, 0::2], plus[:, 1::2]  # a + c, b + d
+    amc, bmd = minus[:, 0::2], minus[:, 1::2]  # a - c, b - d
+    sx = np.empty(m.shape)
+    np.add(apc.real, bpd.real, out=sx[0::2, 0::2])
+    np.subtract(bpd.imag, apc.imag, out=sx[0::2, 1::2])
+    np.add(amc.imag, bmd.imag, out=sx[1::2, 0::2])
+    np.subtract(amc.real, bmd.real, out=sx[1::2, 1::2])
     sx *= 0.5
-    residual = float(np.max(np.abs(sx.imag)))
+    imag = np.empty((4,) + apc.shape)
+    np.add(apc.imag, bpd.imag, out=imag[0])
+    np.subtract(apc.real, bpd.real, out=imag[1])
+    np.add(amc.real, bmd.real, out=imag[2])
+    np.subtract(amc.imag, bmd.imag, out=imag[3])
+    residual = 0.5 * float(np.maximum(imag.max(), -imag.min()))
     if residual > IMAG_RESIDUAL_TOL:
         raise BasisInconsistencyError(
             f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_TOL:.1e}: "
             "input is not a particle-hole symmetric scattering matrix"
         )
-    return QuadratureScattering(matrix=sx.real, grid=s.grid, imag_residual=residual)
+    return QuadratureScattering(_Sealed(sx), s.grid, residual)
 
 
 def symplectic_defect(sx: QuadratureScattering) -> float:
     """Max-norm of ``Sx O Sx^T - O`` against the symplectic form ``O``.
 
-    ``Sx O`` swaps each mode's column pair and negates the new first column;
-    ``O`` is then subtracted on its 2n nonzero entries.
+    With ``X = Sx[:, 0::2]`` and ``P = Sx[:, 1::2]`` (the x and p columns),
+    ``Sx O Sx^T = X P^T - P X^T = A - A^T`` for ``A = X P^T``: one product
+    of inner dimension n, half the work of the full ``2n x 2n`` product.
+    ``O`` is then subtracted on its 2n nonzero entries.  Rounding is
+    symmetric, so the result is exactly antisymmetric and its largest entry
+    is its max-norm.
     """
     m = sx.matrix
-    m_omega = np.empty_like(m)
-    m_omega[:, 0::2] = -m[:, 1::2]
-    m_omega[:, 1::2] = m[:, 0::2]
-    product = m_omega @ m.T
+    a = m[:, 0::2] @ m[:, 1::2].T
+    product = a - a.T
     modes = np.arange(0, m.shape[0], 2)
     product[modes, modes + 1] -= 1.0
     product[modes + 1, modes] += 1.0
-    return float(np.max(np.abs(product)))
+    return float(product.max())
 
 
 def vacuum_covariance(grid: ModeGrid) -> CovarianceMatrix:
@@ -161,18 +185,52 @@ def propagate_covariance(
     enforced by averaging with the transpose, guarding against accumulation
     of rounding asymmetry.  The congruence preserves positive
     semidefiniteness, and the result is checked again on construction.
+
+    For ``c >= 0`` the product comes with a certificate of that check, a
+    rigorous lower bound on its smallest eigenvalue (``_gram_floor``).  The
+    computed ``G = fl(Sx Sx^T)``, with inner dimension ``k = 2n``, differs
+    from the exact PSD product by at most ``gamma_k/(1 - gamma_k) tr G`` in
+    the 2-norm, ``gamma_k = k u/(1 - k u)`` with ``u`` the unit roundoff
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §3.5), and scaling by ``c`` adds at most ``u c ||G||_F``, so
+    ``lambda_min(c G) >= -c (gamma_k/(1 - gamma_k) tr G + u ||G||_F)``.
+    Twice that bound covers the rounding of the bound itself (underflow
+    adds at most about ``k 2^-1022`` per entry, far below ``tol/2``).  When
+    it is within ``tol/2`` (see ``CovarianceMatrix``), the construction
+    takes it in place of the Cholesky factorization.  As ``tr G`` and
+    ``||G||_F`` are each at most ``2n max|G|``, it always is up to 237
+    modes, whatever ``Sx``; the vacuum of a 1,001-mode identity exceeds it,
+    and the Cholesky runs.  ``c < 0``, any other input and
+    ``sample_covariance`` carry no certificate.
     """
     m, v = sx.matrix, v_in.matrix
     if v.shape != m.shape:
         raise InvalidArgumentError("covariance and scattering dimensions differ")
     diagonal = v.diagonal()
+    floor = None
     if np.count_nonzero(v) == np.count_nonzero(diagonal) and np.all(diagonal == diagonal[:1]):
         # numpy runs a @ a.T as one syrk call
-        v_out = diagonal[0] * (m @ m.T)
+        c = diagonal[0]
+        v_out = m @ m.T
+        if c >= 0:
+            floor = _gram_floor(v_out, m.shape[1], c)
+        v_out *= c
     else:
         v_out = m @ v @ m.T
         v_out = 0.5 * (v_out + v_out.T)
-    return CovarianceMatrix(_Sealed(v_out))
+    return CovarianceMatrix(_Sealed(v_out, floor))
+
+
+def _gram_floor(gram: np.ndarray, k: int, c: float) -> float:
+    """Lower bound on ``lambda_min(fl(c * gram))`` for ``gram = fl(A A^T)``.
+
+    ``A`` has inner dimension ``k`` and ``c >= 0``; the bound is doubled for
+    the rounding of its own evaluation (``propagate_covariance`` derives it).
+    """
+    u = _UNIT_ROUNDOFF
+    gamma = k * u / (1.0 - k * u)
+    error = gamma / (1.0 - gamma) * float(np.trace(gram)) + u * float(np.linalg.norm(gram))
+    return -2.0 * float(c) * error
 
 
 def sample_covariance(sx: QuadratureScattering, sample_count: int, seed: int) -> CovarianceMatrix:

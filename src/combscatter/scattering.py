@@ -68,13 +68,17 @@ class _Sealed:
     """An array the package has just built and writes no more.
 
     Passed to a type in place of the array, it lets ``_frozen`` keep the
-    array without a copy; no public call makes one.
+    array without a copy; no public call makes one.  ``eig_floor``, when
+    given, is a lower bound that the producer proved for the smallest
+    eigenvalue of the (symmetric) array; ``CovarianceMatrix`` accepts it in
+    place of a factorization.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "eig_floor")
 
-    def __init__(self, array: np.ndarray):
+    def __init__(self, array: np.ndarray, eig_floor: float | None = None):
         self.array = array
+        self.eig_floor = eig_floor
 
 
 def _frozen(value, dtype) -> np.ndarray:
@@ -593,7 +597,11 @@ def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatri
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:
     """20*log10 magnitude with the clamp floor applied, in one float buffer."""
-    db = np.asarray(np.abs(values), dtype=float)
+    return _decibels(np.asarray(np.abs(values), dtype=float))
+
+
+def _decibels(db: np.ndarray) -> np.ndarray:
+    """Turn a buffer of magnitudes into clamped dB in place, and return it."""
     np.maximum(db, _DB_FLOOR_AMPLITUDE, out=db)
     np.log10(db, out=db)
     db *= 20.0
@@ -615,7 +623,9 @@ def normalize_pump_off(s_on: ScatteringMatrix, s_off: ScatteringMatrix) -> np.nd
         raise DegenerateNormalizationError(
             "pump-off reflection vanishes on some mode; cannot normalize"
         )
-    return magnitude_db(s_on.matrix / ref[np.newaxis, :])
+    magnitudes = np.abs(s_on.matrix)
+    magnitudes /= ref
+    return _decibels(magnitudes)
 
 
 def pump_off_normalized_db(

@@ -291,10 +291,12 @@ class TestFit:
         assert abs(fit["ridge_ratio"] - 0.085) / 0.085 < 0.01
 
     @pytest.mark.parametrize("name", ["onepump", "twopump", "threepump"])
-    def test_bundled_self_fit_recovers_coupling(self, name, tmp_path):
+    def test_bundled_self_fit_recovers_coupling(self, name, tmp_path, recwarn):
         out = tmp_path / "out"
         assert run(["simulate", name, "--out-dir", out]) == 0
         assert run(["fit", name, "--data", out / "s_matrix.cmb", "--out-dir", out]) == 0
+        # the bundled resonances sit at the comb centre, where the fit pins it
+        assert not [w for w in recwarn if "fit pins" in str(w.message)]
         fit = json.loads((out / "fit.json").read_text())
         assert abs(fit["best_gamma_hz"] - 112e6) / 112e6 < 1e-4
         meta = fit["meta"]
@@ -312,6 +314,22 @@ class TestFit:
 
     def test_fit_requires_data(self, small_config, tmp_path):
         assert run(["fit", small_config, "--out-dir", tmp_path]) == 2
+
+    def test_detuned_resonance_warns_that_the_fit_ignores_it(self, tmp_path, recwarn):
+        # the threepump copy with its resonance 3 MHz (30 spacings) off centre
+        config = tmp_path / "detuned.yaml"
+        config.write_text(bundled_config_path("threepump").read_text().replace(
+            "resonance_frequency: 4.2 GHz", "resonance_frequency: 4.203 GHz"))
+        out = tmp_path / "out"
+        assert run(["simulate", config, "--out-dir", out]) == 0
+        assert not recwarn
+        assert run(["fit", config, "--data", out / "s_matrix.cmb", "--out-dir", out]) == 0
+        (warning,) = recwarn
+        assert str(warning.message) == (
+            "fit pins the model's resonance at the comb centre (4.2 GHz); "
+            "the config's device.resonance_frequency (4.203 GHz) is not used"
+        )
+        assert json.loads((out / "fit.json").read_text())["meta"]["converged"] is True
 
 
 class TestGraph:

@@ -1,6 +1,7 @@
 """Quadrature transform, covariance propagation, Monte Carlo sampling."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from combscatter import (
     Coupling,
     CouplingSet,
     CovarianceMatrix,
+    DeviceParams,
     InvalidArgumentError,
     ModeGrid,
     QuadratureScattering,
@@ -26,9 +28,10 @@ from combscatter import (
     to_quadrature,
     vacuum_covariance,
 )
-from combscatter.gaussian import _SAMPLE_CHUNK, VACUUM_SCALE
+from combscatter.gaussian import _SAMPLE_CHUNK, IMAG_RESIDUAL_TOL, VACUUM_SCALE
 from combscatter.scattering import Normalization, ScatteringMatrix
 from conftest import (
+    COUPLING,
     RESONANCE,
     SPACING,
     TWO_PI,
@@ -38,7 +41,7 @@ from conftest import (
     special_float_matrices,
 )
 from connectivity_reference import block_magnitudes, connectivity_pattern
-from quadrature_reference import quadrature_transform, symplectic_form
+from quadrature_reference import complex_closed_form, quadrature_transform, symplectic_form
 from test_scattering import random_scheme
 
 
@@ -54,6 +57,42 @@ def particle_hole_scattering(draw):
     m[0::2, 0::2], m[0::2, 1::2] = a, b
     m[1::2, 0::2], m[1::2, 1::2] = np.conj(b), np.conj(a)
     return ScatteringMatrix(m, grid, Normalization.RAW)
+
+
+@st.composite
+def near_particle_hole_scattering(draw):
+    """A particle-hole-symmetric matrix plus an arbitrary complex one at a
+    scale from none to far past ``IMAG_RESIDUAL_TOL``."""
+    s = draw(particle_hole_scattering())
+    dim = 2 * s.n_modes
+    parts = [draw(arrays(float, (dim, dim), elements=st.floats(-2.0, 2.0))) for _ in range(2)]
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-9, 3e-9, 1e-6, 1.0]))
+    m = s.matrix + scale * (parts[0] + 1j * parts[1])
+    return ScatteringMatrix(m, s.grid, Normalization.RAW)
+
+
+@st.composite
+def real_square_matrices(draw, max_half_span=4, bound=1e3):
+    """An arbitrary real matrix on the slots of a 1-9 mode grid."""
+    grid = ModeGrid(RESONANCE, SPACING, draw(st.integers(0, max_half_span)))
+    dim = 2 * grid.n_modes
+    return QuadratureScattering(
+        draw(arrays(float, (dim, dim), elements=st.floats(-bound, bound))), grid, 0.0
+    )
+
+
+@st.composite
+def simulated_quadratures(draw):
+    """``to_quadrature`` of a random 1-4 tone scheme on 13 modes."""
+    grid = ModeGrid(RESONANCE, SPACING, 6)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheme = random_scheme(rng)
+    return to_quadrature(simulate_scattering(grid, DeviceParams(RESONANCE, COUPLING), scheme))
+
+
+def counted_cholesky():
+    """``np.linalg.cholesky`` patched to count its calls, as a context manager."""
+    return mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky)
 
 
 def identity_scattering(grid):
@@ -137,6 +176,36 @@ class TestClosedFormsAgainstKron:
         omega = symplectic_form(s.n_modes)
         reference = float(np.max(np.abs(sx.matrix @ omega @ sx.matrix.T - omega)))
         assert abs(symplectic_defect(sx) - reference) <= 1e-13 * max(reference, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=near_particle_hole_scattering())
+    def test_to_quadrature_equals_the_complex_closed_form(self, s):
+        # the real quarters and the residual are the bits of the filled
+        # complex product, and a rejection carries its residual
+        expected, residual = complex_closed_form(s.matrix)
+        if residual > IMAG_RESIDUAL_TOL:
+            with pytest.raises(BasisInconsistencyError) as info:
+                to_quadrature(s)
+            assert str(info.value) == (
+                f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_TOL:.1e}: "
+                "input is not a particle-hole symmetric scattering matrix"
+            )
+        else:
+            sx = to_quadrature(s)
+            assert np.array_equal(sx.matrix, expected)
+            assert sx.imag_residual == residual
+
+    @settings(max_examples=150, deadline=None)
+    @given(sx=real_square_matrices())
+    def test_symplectic_defect_of_any_real_matrix(self, sx):
+        # the half-size product sums in another order than the dense one:
+        # both lie within about k u max(|Sx| |Sx|^T) of the exact one, k = 2n
+        m = sx.matrix
+        omega = symplectic_form(sx.grid.n_modes)
+        reference = float(np.max(np.abs(m @ omega @ m.T - omega)))
+        eps = np.finfo(float).eps
+        slack = 2 * m.shape[0] * eps * float(np.max(np.abs(m) @ np.abs(m).T)) + eps
+        assert abs(symplectic_defect(sx) - reference) <= slack
 
 
 class TestSymplectic:
@@ -228,6 +297,63 @@ class TestPropagate:
             expected = sx.matrix @ v_in @ sx.matrix.T
             assert np.array_equal(v, v.T)
             assert np.max(np.abs(v - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+class TestPsdCertificate:
+    """``propagate_covariance`` proves a vacuum output PSD by a rounding bound."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sx=st.one_of(simulated_quadratures(), real_square_matrices(),
+                     real_square_matrices(max_half_span=1, bound=1e6)),
+        scale=st.one_of(st.just(VACUUM_SCALE), st.floats(0.0, 1e3)),
+    )
+    def test_cleared_covariances_are_psd_to_half_tolerance(self, sx, scale):
+        v_in = CovarianceMatrix(scale * np.eye(sx.matrix.shape[0]))
+        with counted_cholesky() as cholesky:
+            v = propagate_covariance(sx, v_in).matrix
+        # tr G and ||G||_F are at most 2n max|G|, so the bound clears every
+        # scalar input c >= 0 up to 237 modes
+        assert cholesky.call_count == 0
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(v))))
+        assert float(np.min(np.linalg.eigvalsh(v))) >= -0.5 * tol
+
+    def test_census_vacuum_needs_no_cholesky(self, grid, device):
+        rng = np.random.default_rng(31)
+        vacuum = vacuum_covariance(grid)
+        sxs = [to_quadrature(simulate_scattering(grid, device, random_scheme(rng)))
+               for _ in range(4)]
+        with counted_cholesky() as cholesky:
+            for sx in sxs:
+                propagate_covariance(sx, vacuum)
+        assert cholesky.call_count == 0
+
+    @pytest.mark.parametrize("v_in", [
+        pytest.param(lambda dim: -1e-12 * np.eye(dim), id="tiny-negative-scalar"),
+        pytest.param(lambda dim: np.diag(np.linspace(0.5, 1.5, dim)), id="non-scalar"),
+    ])
+    def test_uncertified_inputs_take_one_cholesky(self, grid, device, v_in):
+        sx = to_quadrature(
+            simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+        )
+        v_in = CovarianceMatrix(v_in(sx.matrix.shape[0]))
+        with counted_cholesky() as cholesky:
+            propagate_covariance(sx, v_in)
+        assert cholesky.call_count == 1
+
+    def test_bound_past_half_tolerance_at_1001_modes_takes_one_cholesky(self):
+        grid = ModeGrid(RESONANCE, SPACING, 500)
+        sx = QuadratureScattering(np.eye(2 * grid.n_modes), grid, 0.0)
+        vacuum = vacuum_covariance(grid)
+        with counted_cholesky() as cholesky:
+            v = propagate_covariance(sx, vacuum)
+        assert cholesky.call_count == 1
+        assert np.array_equal(v.matrix, vacuum.matrix)
+
+    def test_caller_matrix_has_no_certificate(self, grid):
+        with counted_cholesky() as cholesky:
+            CovarianceMatrix(VACUUM_SCALE * np.eye(2 * grid.n_modes))
+        assert cholesky.call_count == 1
 
 
 class TestCovarianceMatrix:

@@ -25,6 +25,7 @@ from combscatter import (
     assemble_system,
     bundled_config_path,
     fit_parameters,
+    magnitude_db,
     normalize_pump_off,
     parse_config,
     particle_hole_defect,
@@ -909,6 +910,19 @@ class TestNormalizePumpOff:
         db = normalize_pump_off(s_on, s_off)
         raw = 20 * np.log10(np.maximum(np.abs(s_on.matrix), 1e-12))
         assert np.allclose(db, raw, atol=1e-9)
+
+    def test_each_column_is_divided_by_its_reference(self, grid, device):
+        # a reference of moduli 0.3-3, so a row-wise division would show;
+        # the real quotient |S_on| / ref rounds apart from |S_on / ref| by
+        # a few ulps of the magnitude
+        s_on = simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+        rng = np.random.default_rng(43)
+        dim = 2 * grid.n_modes
+        ref = rng.uniform(0.3, 3.0, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+        s_off = ScatteringMatrix(np.diag(ref), grid, Normalization.RAW)
+        expected = magnitude_db(s_on.matrix / np.abs(ref)[np.newaxis, :])
+        db = normalize_pump_off(s_on, s_off)
+        assert np.max(np.abs(db - expected)) <= 1e-12
 
     def test_degenerate_reference_rejected(self, grid, device):
         s_off = pump_off_scattering(grid, device)
