@@ -36,8 +36,8 @@ _EXPORTS = {
     "ModeGrid PumpScheme PumpTone build_mode_grid predicted_intermod_indices "
     "resolve_couplings",
     "scattering": "Normalization ScatteringMatrix SystemMatrix assemble_system magnitude_db "
-    "normalize_pump_off particle_hole_defect pump_off_normalized_db pump_off_scattering "
-    "scale_for_ratio scattering_matrix simulate_scattering",
+    "normalize_pump_off particle_hole_defect pump_off_scattering scale_for_ratio "
+    "scattering_matrix simulate_scattering",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -315,11 +315,11 @@ def fit_parameters(
     spectrum per strength, shared by every coupling, and a revisited cell
     is evaluated once.
 
-    A measured matrix with a non-finite entry, or a range that is not
-    positive, finite and increasing, is rejected before any cell is
-    evaluated.  Dynamically unstable cells, at or past the oscillation
-    threshold, score +inf rather than raising; if the whole surface is
-    infinite the fit is infeasible and raises.
+    A measured array that ``ScatteringMatrix`` refuses on ``grid``, a matrix
+    on another mode count, or a range that is not positive, finite and
+    increasing, raises before any cell is evaluated.  Dynamically unstable
+    cells, at or past the oscillation threshold, score +inf rather than
+    raising; if the whole surface is infinite the fit is infeasible and raises.
 
     The band check runs once, when the pieces are taken at the bottom of
     the coupling range: there the comb spans the most linewidths, so one
@@ -327,11 +327,11 @@ def fit_parameters(
     every grid cell.  Refinement cells below ``gamma_lo`` no longer warn on
     their own.
     """
-    measured = s_measured.matrix if isinstance(s_measured, ScatteringMatrix) else np.asarray(s_measured, dtype=complex)
-    if measured.shape != (2 * grid.n_modes, 2 * grid.n_modes):
+    if not isinstance(s_measured, ScatteringMatrix):
+        s_measured = ScatteringMatrix(s_measured, grid)
+    if s_measured.n_modes != grid.n_modes:
         raise InvalidArgumentError("measured matrix does not match the grid dimension")
-    if not np.isfinite(measured).all():
-        raise InvalidArgumentError("measured matrix must be finite")
+    measured = s_measured.matrix
     if not MIN_GRID_POINTS <= grid_points <= MAX_FIT_GRID_POINTS:
         raise InvalidArgumentError(
             f"grid_points must be in {MIN_GRID_POINTS}..{MAX_FIT_GRID_POINTS}"

@@ -95,8 +95,6 @@ def load_scattering(path) -> ScatteringMatrix:
     matrix = np.frombuffer(
         blob, dtype=complex, count=(2 * n) ** 2, offset=_HEADER.size
     ).reshape(2 * n, 2 * n)
-    if not np.all(np.isfinite(matrix.view(np.float64))):
-        raise DataFormatError("matrix contains non-finite entries")
     try:
         grid = ModeGrid(center_frequency=center, spacing=spacing, half_span=(n - 1) // 2)
     except InvalidArgumentError as exc:
@@ -106,7 +104,7 @@ def load_scattering(path) -> ScatteringMatrix:
         if stored != zlib.crc32(memoryview(blob)[: expected - trailer]):
             raise DataFormatError("checksum mismatch: the file is corrupted")
     # the type copies the file buffer's read-only view into an array of its own
-    return ScatteringMatrix(matrix=matrix, grid=grid, normalization=normalization)
+    return _admitted(matrix, grid, normalization)
 
 
 def _complex_repr(z: complex) -> str:
@@ -175,26 +173,25 @@ def load_scattering_csv(path) -> ScatteringMatrix:
         )
     except (InvalidArgumentError, OverflowError) as exc:
         raise DataFormatError(f"sidecar grid: {exc}") from exc
-    dim = 2 * n
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != dim:
-            raise DataFormatError(
-                f"line {lineno}: expected {dim} columns, found {len(cells)}"
-            )
+        if len(cells) != 2 * n:
+            raise DataFormatError(f"line {lineno}: expected {2 * n} columns, found {len(cells)}")
         try:
             rows.append([complex(c.strip()) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad complex entry ({exc})") from exc
-    if len(rows) != dim:
-        raise DataFormatError(f"expected {dim} rows, found {len(rows)}")
-    matrix = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(matrix.view(np.float64))):
-        raise DataFormatError("matrix contains non-finite entries")
-    return ScatteringMatrix(matrix=matrix, grid=grid, normalization=normalization)
+    return _admitted(rows, grid, normalization)
+
+
+def _admitted(matrix, grid: ModeGrid, normalization: Normalization) -> ScatteringMatrix:
+    try:
+        return ScatteringMatrix(matrix=matrix, grid=grid, normalization=normalization)
+    except InvalidArgumentError as exc:
+        raise DataFormatError(f"matrix: {exc}") from exc
 
 
 def load_scattering_data(path, format: str) -> ScatteringMatrix:

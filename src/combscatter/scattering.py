@@ -11,12 +11,12 @@ the scattering matrix; magnitudes are reported in dB relative to the
 pump-off reflection.  With one over-coupled port and no internal loss that
 reflection, ``(gamma/2 -+ i*detuning) / (gamma/2 +- i*detuning)``, is
 all-pass, of modulus 1 in closed form, so no run path computes it or
-divides by it; ``pump_off_scattering`` and ``normalize_pump_off`` keep
-the explicit reference for callers who want it.  A self-mirror block,
-one holding both slots of every mode it touches, is its own particle-hole
-mirror: it is inverted through its half-size Schur complement, and the
-symmetry supplies two of the four quarters of its inverse.  Groups
-holding mirror pairs go to ``np.linalg.inv``.
+divides by it; ``pump_off_scattering`` writes it down, inverting nothing,
+for callers who want it.  A self-mirror block, one holding both slots of
+every mode it touches, is its own particle-hole mirror: it is inverted
+through its half-size Schur complement, and the symmetry supplies two of
+the four quarters of its inverse.  Groups holding mirror pairs go to
+``np.linalg.inv``.
 
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
@@ -32,8 +32,8 @@ the package keeps a read-only split of the last comb, and concurrent calls
 may share it; each call gathers its own device's detuning onto it.  The
 dense chain ``resolve_couplings`` -> ``assemble_system`` ->
 ``scattering_matrix`` serves hand-made coupling sets and the tests as an
-independent reference; no run path calls it.  Otherwise pure functions on
-immutable inputs.
+independent reference; no run path calls it.  A caller's matrix is checked
+once, by ``ScatteringMatrix``.  Otherwise pure functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ class _Sealed:
     """An array the package has just built and writes no more.
 
     Passed to a type in place of the array, it lets ``_frozen`` keep the
-    array without a copy; no public call makes one.  ``eig_floor``, when
-    given, is a lower bound that the producer proved for the smallest
-    eigenvalue of the (symmetric) array; ``CovarianceMatrix`` accepts it in
-    place of a factorization.
+    array without a copy, and ``ScatteringMatrix`` skip its admission scan;
+    no public call makes one.  ``eig_floor``, when given, is a lower bound
+    that the producer proved for the smallest eigenvalue of the (symmetric)
+    array; ``CovarianceMatrix`` accepts it in place of a factorization.
     """
 
     __slots__ = ("array", "eig_floor")
@@ -134,7 +134,8 @@ class SystemMatrix:
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Input-output scattering matrix in the interleaved (a, a*) basis."""
+    """Input-output scattering matrix in the interleaved (a, a*) basis; a caller's
+    ``matrix`` that is not finite and ``2n x 2n`` raises ``InvalidArgumentError``."""
 
     matrix: np.ndarray
     grid: ModeGrid
@@ -142,11 +143,23 @@ class ScatteringMatrix:
     condition_estimate: float = float("nan")
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix, complex))
+        matrix = _frozen(self.matrix, complex)
+        if not isinstance(self.matrix, _Sealed):
+            _admit(matrix, self.grid)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def n_modes(self) -> int:
         return self.grid.n_modes
+
+
+def _admit(matrix: np.ndarray, grid: ModeGrid) -> None:
+    """Raise unless ``matrix`` is a finite ``2n x 2n`` array on ``grid``."""
+    shape = (2 * grid.n_modes,) * 2
+    if matrix.shape != shape:
+        raise InvalidArgumentError(f"scattering matrix is {matrix.shape}, not {shape}")
+    if not np.isfinite(matrix).all():
+        raise InvalidArgumentError("scattering matrix must be finite")
 
 
 def particle_hole_defect(matrix: np.ndarray) -> float:
@@ -155,9 +168,11 @@ def particle_hole_defect(matrix: np.ndarray) -> float:
     ``Sx`` exchanges slots 2k and 2k+1, so each entry is compared with the
     conjugate of its mirror in the opposite strided quarter.  Since
     ``|a - conj(b)| = |b - conj(a)|``, two of the four quarters hold every
-    value.
+    value.  A matrix that is not square of even side raises.
     """
     m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
+        raise InvalidArgumentError(f"not a square matrix of even side: {m.shape}")
     diagonal = np.abs(m[0::2, 0::2] - np.conj(m[1::2, 1::2]))
     off_diagonal = np.abs(m[0::2, 1::2] - np.conj(m[1::2, 0::2]))
     return float(np.maximum(diagonal.max(), off_diagonal.max()))
@@ -580,19 +595,15 @@ def simulate_scattering(
 
 
 def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatrix:
-    """Scattering with all pumps off: diagonal all-pass reflection.
+    """Scattering with all pumps off: diagonal all-pass reflection, in closed form.
 
-    Each slot reflects ``gamma / (gamma/2 +- i*detuning) - 1``, of modulus 1.
-    With no pump every slot is its own 1x1 block, so the diagonal goes
-    through ``_scattering`` as one group of them; values and condition
-    number are those of ``scattering_matrix`` on the assembled pump-off
-    system, bit for bit.  No run path calls this: every one takes it as 1.
+    Each slot reflects ``gamma / z - 1 = conj(z) / z`` for its diagonal
+    ``z = gamma/2 +- i*detuning``.  A system with no pump is stable by
+    construction, so nothing is inverted; the condition is ``max|z| / min|z|``.
     """
-    diagonal = _diagonal(grid, params.resonance_frequency) + params.port_coupling / 2.0
-    slots = np.arange(len(diagonal))[:, np.newaxis]
-    stacks = [diagonal[:, np.newaxis, np.newaxis]]
-    s, cond = _scattering(stacks, (slots,), _gain(params.port_coupling))
-    return ScatteringMatrix(_Sealed(s), grid, Normalization.RAW, condition_estimate=cond)
+    z = _diagonal(grid, params.resonance_frequency) + params.port_coupling / 2.0
+    cond = float(np.abs(z).max() / np.abs(z).min())
+    return ScatteringMatrix(_Sealed(np.diag(z.conj() / z)), grid, condition_estimate=cond)
 
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:
@@ -626,17 +637,6 @@ def normalize_pump_off(s_on: ScatteringMatrix, s_off: ScatteringMatrix) -> np.nd
     magnitudes = np.abs(s_on.matrix)
     magnitudes /= ref
     return _decibels(magnitudes)
-
-
-def pump_off_normalized_db(
-    grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
-) -> np.ndarray:
-    """Simulate a scheme and give its magnitudes in dB relative to the pump-off reflection.
-
-    The reference is the all-pass reflection, of modulus 1 in closed form, so
-    this is the dB magnitude of the simulated matrix; nothing is divided.
-    """
-    return magnitude_db(simulate_scattering(grid, params, scheme).matrix)
 
 
 def scale_for_ratio(ratio: float, params: DeviceParams) -> float:

@@ -1,13 +1,23 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from combscatter import DeviceParams, ModeGrid, PumpScheme, PumpTone, scale_for_ratio
+from combscatter import (
+    DeviceParams,
+    ModeGrid,
+    PumpScheme,
+    PumpTone,
+    magnitude_db,
+    scale_for_ratio,
+    simulate_scattering,
+)
+from combscatter import datafiles
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,6 +42,29 @@ def grid():
 def balanced_scheme(device, offsets, ratio, phases=None) -> PumpScheme:
     """Equal-strength scheme at a given dimensionless strength ratio."""
     return PumpScheme.balanced(offsets, scale_for_ratio(ratio, device), phases)
+
+
+def simulated_db(grid, device, scheme):
+    """dB magnitudes of a simulated scheme, which are relative to the
+    all-pass pump-off reflection as they stand."""
+    return magnitude_db(simulate_scattering(grid, device, scheme).matrix)
+
+
+def write_native_payload(path, matrix, grid):
+    """Write ``matrix`` as it stands, NaN or mis-shaped, into a current native
+    container on ``grid`` under a valid checksum; ``save_scattering`` takes
+    only a matrix ``ScatteringMatrix`` admitted."""
+    header = datafiles._HEADER.pack(
+        datafiles.MAGIC,
+        datafiles.FORMAT_VERSION,
+        grid.n_modes,
+        grid.spacing,
+        grid.center_frequency,
+        datafiles._pad_tag(datafiles.BASIS_TAG),
+        datafiles._pad_tag("raw"),
+    )
+    blob = header + np.ascontiguousarray(matrix, dtype=complex).tobytes()
+    path.write_bytes(blob + datafiles._CHECKSUM.pack(zlib.crc32(blob)))
 
 
 def analytic_two_mode_block(detuning_i, detuning_j, gamma, strength):

@@ -25,7 +25,6 @@ from combscatter import (
     normalize_pump_off,
     phase_sweep,
     predicted_intermod_indices,
-    pump_off_normalized_db,
     pump_off_scattering,
     search_phases,
     simulate_scattering,
@@ -33,7 +32,15 @@ from combscatter import (
 from combscatter import analysis, scattering
 from combscatter.model import MAX_HALF_SPAN
 from combscatter.scattering import CONDITION_CAP, DB_FLOOR, _block_pieces, _dominance_bound
-from conftest import COUPLING, RESONANCE, SPACING, TWO_PI, balanced_scheme, small_schemes
+from conftest import (
+    COUPLING,
+    RESONANCE,
+    SPACING,
+    TWO_PI,
+    balanced_scheme,
+    simulated_db,
+    small_schemes,
+)
 from dense_reference import dense_column, dense_system, simulate_dense
 from search_reference import exhaustive_search
 
@@ -662,7 +669,7 @@ class TestFit:
         scheme = balanced_scheme(device, [0], 0.05)
         measured = simulate_scattering(grid, device, scheme).matrix.copy()
         measured[2, 5] = bad
-        with pytest.raises(InvalidArgumentError, match="measured matrix must be finite"):
+        with pytest.raises(InvalidArgumentError, match="scattering matrix must be finite"):
             fit_parameters(measured, grid, scheme, (1e-3, 2e-3), (1.0, 2.0), 4)
 
     @pytest.mark.parametrize(
@@ -697,9 +704,7 @@ class TestSearchPhases:
     def test_recovers_destructive_phase_for_ladder_target(self, device):
         grid = ModeGrid(RESONANCE, SPACING, 12)
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085)
-        target_db = pump_off_normalized_db(
-            grid, device, scheme.with_phase(2, np.pi)
-        )
+        target_db = simulated_db(grid, device, scheme.with_phase(2, np.pi))
         from combscatter import extract_graph
 
         target = extract_graph(target_db, grid, -20.0).edge_pairs()
@@ -716,7 +721,7 @@ class TestSearchPhases:
     def test_start_point_target_is_zero_objective(self, device):
         grid = ModeGrid(RESONANCE, SPACING, 8)
         scheme = balanced_scheme(device, [-2, 2], 0.085)
-        db = pump_off_normalized_db(grid, device, scheme)
+        db = simulated_db(grid, device, scheme)
         from combscatter import extract_graph
 
         target = extract_graph(db, grid, -20.0).edge_pairs()

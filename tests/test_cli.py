@@ -36,6 +36,7 @@ from combscatter.datafiles import (
     sidecar_path,
 )
 from combscatter.scattering import Normalization
+from conftest import write_native_payload
 
 BUNDLED = sorted(
     p.name.removesuffix(".yaml")
@@ -617,6 +618,35 @@ class TestExitCodes:
             "data grid (25 modes, center 4200000000.0 Hz, spacing 100000.0 Hz) differs from "
             f"config grid ({grid})"
         )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["graph", "fit"])
+    @pytest.mark.parametrize("form", ["artifact-native", "generic-csv"])
+    def test_non_finite_data_is_4_with_one_json_line(
+        self, small_config, tmp_path, capsys, command, form
+    ):
+        # a NaN in a file that is otherwise whole: the matrix type refuses it
+        out = tmp_path / "out"
+        assert run(["simulate", small_config, "--out-dir", out]) == 0
+        data = out / "s_matrix.cmb"
+        if form == "generic-csv":
+            save_scattering_csv(out / "s.csv", load_scattering(data))
+            data = out / "s.csv"
+            rows = [line.split(",") for line in data.read_text().splitlines()]
+            rows[3][5] = "nan"
+            data.write_text("".join(",".join(row) + "\n" for row in rows))
+        else:
+            saved = load_scattering(data)
+            matrix = saved.matrix.copy()
+            matrix[0, 7] = math.nan
+            write_native_payload(data, matrix, saved.grid)
+        capsys.readouterr()
+        assert run([command, small_config, "--data", data, "--format", form,
+                    "--out-dir", tmp_path / "o"]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        doc = strict_json(line)
+        assert doc["error"] == "io"
+        assert doc["message"] == "matrix: scattering matrix must be finite"
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_4(self, tmp_path):

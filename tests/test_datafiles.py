@@ -18,7 +18,7 @@ from combscatter.datafiles import (
     sidecar_path,
     write_table,
 )
-from conftest import balanced_scheme
+from conftest import balanced_scheme, write_native_payload
 
 
 @pytest.fixture()
@@ -90,13 +90,13 @@ class TestNative:
         assert np.array_equal(load_scattering(path).matrix, sample.matrix)
 
     def test_non_finite_rejected(self, tmp_path, grid, device):
-        from combscatter.scattering import Normalization, ScatteringMatrix
-
-        broken = np.array(pump_off_scattering(grid, device).matrix)
-        broken[0, 0] = complex(np.nan, 0.0)
+        # a NaN payload under a valid checksum, written as bytes, since no
+        # ScatteringMatrix holds one: the type's admission refuses it
         path = tmp_path / "s.cmb"
-        save_scattering(path, ScatteringMatrix(broken, grid, Normalization.RAW))
-        with pytest.raises(DataFormatError):
+        matrix = pump_off_scattering(grid, device).matrix.copy()
+        matrix[0, 0] = complex(np.nan, matrix[0, 0].imag)
+        write_native_payload(path, matrix, grid)
+        with pytest.raises(DataFormatError, match="must be finite"):
             load_scattering(path)
 
     def test_pump_off_relative_tag_round_trips(self, tmp_path, grid, device):

@@ -21,7 +21,6 @@ from combscatter import (
     export_dot,
     extract_graph,
     mode_level_db,
-    pump_off_normalized_db,
     topology_report,
 )
 from combscatter.datafiles import topology_report_dict
@@ -31,6 +30,7 @@ from conftest import (
     SPACING,
     balanced_scheme,
     same_bits_but_nan,
+    simulated_db,
     special_float_matrices,
 )
 
@@ -152,7 +152,7 @@ def db_matrices(draw, dim):
 @pytest.fixture(scope="module")
 def three_pump_db(grid, device):
     return {
-        phase: pump_off_normalized_db(
+        phase: simulated_db(
             grid, device, balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, phase])
         )
         for phase in (0.0, np.pi)
@@ -161,7 +161,7 @@ def three_pump_db(grid, device):
 
 class TestModeLevelReduction:
     def test_uses_cross_entries_on_diagonal(self, grid, device):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         reduced = mode_level_db(db, grid)
         # reflection is ~0 dB but the diagonal keeps only degenerate squeezing
         center = grid.position(0)
@@ -170,7 +170,7 @@ class TestModeLevelReduction:
         assert reduced[other, other] < -100.0
 
     def test_offdiagonal_takes_block_max(self, grid, device):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         reduced = mode_level_db(db, grid)
         i, j = grid.position(7), grid.position(-7)
         block = db[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
@@ -192,20 +192,20 @@ class TestModeLevelReduction:
 
 class TestExtractGraph:
     def test_single_pump_perfect_matching(self, grid, device):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, -20.0)
         # every mode j != 0 pairs with -j alone; mode 0 only with itself
         assert graph.edge_pairs() == {(-j, j) for j in grid.indices if j > 0}
         assert [i for i, _ in graph.self_loops] == [0]
 
     def test_threshold_above_everything_gives_edgeless(self, grid, device):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, +50.0)
         assert graph.edges == ()
 
     @pytest.mark.parametrize("threshold", [DB_FLOOR, -300.0])
     def test_weights_at_the_floor_never_count(self, grid, device, threshold):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, threshold)
         # the pairs off the 2 x 2 blocks clamp to the floor and stay out
         assert graph.edge_pairs() == {(-j, j) for j in grid.indices if j > 0}
@@ -219,7 +219,7 @@ class TestExtractGraph:
     def test_nan_threshold_rejected_and_infinities_keep_their_meaning(
         self, grid, device, threshold, edges
     ):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         with pytest.raises(InvalidArgumentError, match="threshold_db must not be NaN"):
             extract_graph(db, grid, math.nan)
         assert len(extract_graph(db, grid, threshold).edges) == edges
@@ -282,7 +282,7 @@ class TestConnectedComponents:
         assert sizes == [23, 24, 48]
 
     def test_two_pump_three_chains(self, grid, device):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [-2, 2], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [-2, 2], 0.085))
         graph = extract_graph(db, grid, -20.0)
         report = topology_report(graph)
         assert len(report.components) == 3
@@ -295,14 +295,12 @@ class TestConnectedComponents:
     def test_three_pump_component_count_for_any_span(self, device):
         for half_span in (6, 9, 13, 20, 33):
             small = ModeGrid(RESONANCE, SPACING, half_span)
-            db = pump_off_normalized_db(
-                small, device, balanced_scheme(device, [-4, 0, 4], 0.085)
-            )
+            db = simulated_db(small, device, balanced_scheme(device, [-4, 0, 4], 0.085))
             report = topology_report(extract_graph(db, small, -20.0))
             assert len(report.components) == 3
 
     def test_edgeless_graph_gives_singletons(self, grid, device):
-        db = pump_off_normalized_db(grid, device, balanced_scheme(device, [0], 0.085))
+        db = simulated_db(grid, device, balanced_scheme(device, [0], 0.085))
         graph = extract_graph(db, grid, +50.0)
         report = topology_report(graph)
         assert len(report.components) == grid.n_modes

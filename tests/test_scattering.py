@@ -1,9 +1,13 @@
 """System assembly, inversion, pump-off normalization."""
 
 import dataclasses
+import json
 import re
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +40,8 @@ from combscatter import (
     search_phases,
     simulate_scattering,
 )
+from combscatter.datafiles import load_scattering, load_scattering_csv, sidecar_path
+from combscatter import scattering
 from combscatter.model import MAX_HALF_SPAN
 from combscatter.scattering import (
     CONDITION_CAP,
@@ -54,6 +60,7 @@ from conftest import (
     analytic_two_mode_block,
     balanced_scheme,
     small_schemes,
+    write_native_payload,
 )
 from dense_reference import dense_scattering, dense_system, simulate_dense
 
@@ -124,6 +131,11 @@ class TestAssemble:
                 assert particle_hole_defect(matrix) == gathered(matrix)
             assert 0.0 < particle_hole_defect(perturbed) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3)])
+    def test_particle_hole_defect_rejects_a_malformed_array(self, shape):
+        with pytest.raises(cs.InvalidArgumentError, match="square matrix of even side"):
+            particle_hole_defect(np.eye(*shape))
+
     def test_coupling_outside_grid_rejected(self, grid, device):
         bad = CouplingSet((Coupling(0, 48, 1.0 + 0j),))
         with pytest.raises(InternalConsistencyError):
@@ -146,12 +158,13 @@ class TestAssemble:
 def pump_off_cases(draw):
     """A grid of 1-81 modes, off resonance, and a port coupling for it.
 
-    The farthest mode lies up to 2e11 half-linewidths from resonance, as
-    wide as the condition cap lets the pump-off system be inverted.
+    The farthest mode lies up to 2e16 half-linewidths from resonance, far
+    past the condition cap: a system with no pump is stable whatever its
+    condition, and its reflection is written down, not inverted.
     """
     half_span = draw(st.integers(0, 40))
     reach = RESONANCE * draw(st.floats(1e-6, 0.5))  # the comb's half-width
-    width = 10.0 ** draw(st.floats(-2.0, 11.0))  # reach in half-linewidths
+    width = 10.0 ** draw(st.floats(-2.0, 16.0))  # reach in half-linewidths
     centre = RESONANCE + draw(st.floats(-1.0, 1.0)) * reach
     grid = ModeGrid(centre, reach / max(half_span, 1), half_span)
     return grid, DeviceParams(RESONANCE, 2.0 * reach / width)
@@ -163,6 +176,8 @@ class TestScatteringMatrix:
     @example((ModeGrid(RESONANCE, SPACING, 47), DeviceParams(RESONANCE, COUPLING)))
     # mode 0 on resonance and mode 40 1e11 half-linewidths from it
     @example((ModeGrid(RESONANCE, RESONANCE / 80, 40), DeviceParams(RESONANCE, RESONANCE / 1e11)))
+    # condition 9.4e14, past the cap, with no pump to make it unstable
+    @example((ModeGrid(RESONANCE, TWO_PI * 10e9, 47), DeviceParams(RESONANCE, TWO_PI * 0.001)))
     def test_pump_off_all_pass(self, case):
         # the closed form every run path relies on: |S_off| = 1 to rounding
         grid, device = case
@@ -225,10 +240,14 @@ class TestScatteringMatrix:
             assert particle_hole_defect(s.matrix) < 1e-10
 
     def test_zero_amplitude_recovers_pump_off_exactly(self, grid, device):
+        # bit for bit the inverted pump-off diagonal of the assembled path,
+        # and the closed form conj(z) / z to rounding
         scheme = balanced_scheme(device, [-4, 0, 4], 0.0)
-        s_zero = simulate_scattering(grid, device, scheme)
-        s_off = pump_off_scattering(grid, device)
-        assert np.array_equal(s_zero.matrix, s_off.matrix)
+        s_zero = simulate_scattering(grid, device, scheme).matrix
+        assembled = scattering_matrix(assemble_system(grid, device, CouplingSet())).matrix
+        assert np.array_equal(s_zero, assembled)
+        s_off = pump_off_scattering(grid, device).matrix
+        assert np.max(np.abs(s_zero - s_off)) <= 8 * np.finfo(float).eps
 
     def test_construction_is_order_independent(self, grid, device):
         scheme = balanced_scheme(device, [-4, 0, 4], 0.07)
@@ -443,13 +462,18 @@ class TestBlockSolver:
 
     @settings(max_examples=40, deadline=None)
     @given(small_schemes())
-    def test_pump_off_is_the_assembled_path_bit_for_bit(self, case):
+    def test_pump_off_is_the_assembled_path_to_rounding(self, case):
+        # conj(z) / z against gamma * z^-1 - 1 behind the gate: entries of
+        # modulus 1 and the two condition numbers agree to a few ulps
         grid, _ = case
         device = DeviceParams(RESONANCE, COUPLING)
         closed = pump_off_scattering(grid, device)
         assembled = scattering_matrix(assemble_system(grid, device, CouplingSet()))
-        assert np.array_equal(closed.matrix, assembled.matrix)
-        assert closed.condition_estimate == assembled.condition_estimate
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(closed.matrix - assembled.matrix)) <= 8 * eps
+        assert closed.condition_estimate == pytest.approx(
+            assembled.condition_estimate, rel=4 * eps, abs=0
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(small_schemes(), st.floats(0.3, 3.0))
@@ -982,3 +1006,68 @@ class TestCallerArrays:
         a.flags.writeable = True
         a[0, 0] = 2
         assert stored[0, 0] == 1
+
+
+def write_csv(path, matrix, grid):
+    """A generic CSV of ``matrix`` as it stands, and the sidecar of ``grid``."""
+    path.write_text("".join(",".join(repr(complex(z)).strip("()") for z in row) + "\n"
+                            for row in matrix))
+    meta = {"basis": "interleaved", "center_hz": grid.center_frequency / TWO_PI,
+            "n_modes": grid.n_modes, "normalization": "raw", "spacing_hz": grid.spacing / TWO_PI}
+    sidecar_path(path).write_text(json.dumps(meta))
+
+
+@st.composite
+def inadmissible_matrices(draw):
+    """A grid of 1-9 modes and a matrix no ``ScatteringMatrix`` on it admits:
+    its ``2n x 2n`` shape with one NaN or infinite part, or another count of
+    entries (a native payload has no shape of its own, so ``4n^2`` entries
+    in any shape read back as ``2n x 2n``)."""
+    grid = ModeGrid(RESONANCE, SPACING, draw(st.integers(0, 4)))
+    dim = 2 * grid.n_modes
+    if draw(st.booleans()):
+        matrix = np.eye(dim, dtype=complex)
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        row, col = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        matrix[row, col] = complex(bad, 0.0) if draw(st.booleans()) else complex(0.0, bad)
+        event("non-finite")
+    else:
+        sides = st.integers(1, dim + 4)
+        shape = draw(st.tuples(sides, sides).filter(lambda s: s[0] * s[1] != dim * dim))
+        matrix = np.eye(*shape, dtype=complex)
+        event("mis-shaped")
+    return grid, matrix
+
+
+class TestAdmission:
+    """``ScatteringMatrix`` is the one rule for what a scattering matrix is."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(inadmissible_matrices())
+    @example((ModeGrid(RESONANCE, SPACING, 1), np.eye(4, dtype=complex)))
+    @example((ModeGrid(RESONANCE, SPACING, 1), np.diag([np.nan, 1, 1, 1, 1, 1]).astype(complex)))
+    def test_inadmissible_matrix_is_refused_everywhere(self, case):
+        grid, matrix = case
+        with pytest.raises(cs.InvalidArgumentError, match="^scattering matrix"):
+            ScatteringMatrix(matrix, grid)
+        scheme = PumpScheme((PumpTone(0, EDGE_AMPLITUDE),))
+        with pytest.raises(cs.InvalidArgumentError, match="^scattering matrix"):
+            fit_parameters(matrix, grid, scheme, (1e-3, 2e-3), (1.0, 2.0), 4)
+        with tempfile.TemporaryDirectory() as tmp:
+            native, csv = Path(tmp) / "s.cmb", Path(tmp) / "s.csv"
+            write_native_payload(native, matrix, grid)
+            write_csv(csv, matrix, grid)
+            with pytest.raises(cs.DataFormatError):
+                load_scattering(native)
+            with pytest.raises(cs.DataFormatError):
+                load_scattering_csv(csv)
+
+    def test_sealed_matrix_skips_the_scan(self, grid, device):
+        # the package's own matrices are admitted without a second look;
+        # a caller's matrix is scanned once
+        with mock.patch.object(scattering, "_admit", wraps=scattering._admit) as admit:
+            s = simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.085))
+            pump_off_scattering(grid, device)
+            assert admit.call_count == 0
+            ScatteringMatrix(s.matrix, grid)
+            assert admit.call_count == 1
