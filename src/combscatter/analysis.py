@@ -34,7 +34,7 @@ from .scattering import (
     ScatteringMatrix,
     _block_index,
     _block_pieces,
-    _dominance_bound,
+    _disc_bound,
     _frozen,
     _gain,
     _invert_blocks,
@@ -130,7 +130,9 @@ def phase_sweep(
     ``s`` and ``conj(s)`` times two more, all three formed once per sweep:
     a step costs two scaled additions and one half-size solve, a few steps
     at a time.  A driven slot alone in its block leaves the half-size
-    system empty.
+    system empty.  The track rows are read straight off the solved block
+    column, through a row-to-slot map made once per sweep; a row outside
+    the block is an exact zero.
 
     Only a step's gauge class is solved.  Rephasing the modes shifts the
     tone at offset ``m`` by ``2*alpha + beta*m`` and changes no ``|S_ij|``
@@ -145,10 +147,15 @@ def phase_sweep(
     the later members of each class copy their first member's column.
 
     The threshold gate is the one every simulation applies.  When the
-    base scheme's column discs certify it (``_dominance_bound``), the gate
-    is cleared once for the whole sweep: the disc margins depend only on
-    the diagonal and the magnitudes ``|s_t|``, which the phase moves by a
-    few ulps, while a bound within the cap demands a margin of at least
+    base scheme's column discs certify it (``_disc_bound``), the gate is
+    cleared once for the whole sweep.  The discs are read in closed form:
+    both columns of mode ``p`` hold one entry of modulus
+    ``resonance * |s_t|`` for each tone ``t`` whose partner ``m_t - p`` is
+    on the grid, so they have margin ``gamma/2 - c_p`` and 1-norm
+    ``|gamma/2 + i*detuning_p| + c_p``, with ``c_p`` the sum of those
+    entries; no stack is gathered.  They depend only on the diagonal and
+    the magnitudes ``|s_t|``, which the phase moves by a few ulps, while a
+    bound within the cap demands a margin of at least
     ``2e-12 * ||B||_1``.  Otherwise the first step of each class goes
     through the gate.  Raises the above-threshold error annotated with the
     offending phase if any sweep point is dynamically unstable, at or past
@@ -181,7 +188,7 @@ def phase_sweep(
 
     # the swept tone's magnitude is the same at every phase, so one
     # certificate can clear the threshold gate for the whole sweep
-    if _dominance_bound(pieces.each_block(base, gamma)) > CONDITION_CAP:
+    if _disc_bound(grid, params, base_scheme) > CONDITION_CAP:
         for phase, strength in zip(phases[:period], strengths):
             step = base.copy()
             step[swept_tone] = strength
@@ -214,6 +221,12 @@ def phase_sweep(
 
     h = len(slots) - half
     chunk = max(1, _CHUNK_BYTES // (16 * max(1, h) ** 2))
+    # each track row's place in (x_a / d, x_c, 0): the block's slots, then
+    # a zero for a row outside the block
+    place = np.full(2 * grid.n_modes, len(slots))
+    place[slots] = np.arange(len(slots))
+    position = place[rows]
+    driven_row = np.array(rows) == col
     data = np.empty((len(rows), period))
     for start in range(0, period, chunk):
         stop = min(start + chunk, period)
@@ -224,11 +237,11 @@ def phase_sweep(
         x_c = np.linalg.solve(complement, drive[:, :, np.newaxis])[:, :, 0]
         x_a = -(x_c @ k[0].T) - s[:, np.newaxis] * (x_c @ k[1].T)
         x_a[:, e] += 1.0
-        columns = np.zeros((stop - start, 2 * grid.n_modes), dtype=complex)
-        columns[:, slots[amplitude]] = gain * (x_a / d)
-        columns[:, slots[conjugate]] = gain * x_c
-        columns[:, col] -= 1.0
-        data[:, start:stop] = magnitude_db(columns[:, rows]).T
+        zero = np.zeros((stop - start, 1))
+        column = np.concatenate((x_a / d, x_c, zero), axis=1)[:, position]
+        column *= gain
+        column[:, driven_row] -= 1.0
+        data[:, start:stop] = magnitude_db(column).T
 
     tracks = tuple(
         SweepTrack(order, tones, mode, magnitudes)
@@ -284,11 +297,15 @@ def fit_parameters(
     gamma_range: tuple[float, float],
     grid_points: int,
     refine_steps: int = 60,
+    *,
+    resonance: float | None = None,
 ) -> FitResult:
     """Least-squares fit of the balanced pump strength and port coupling.
 
-    The model pins the resonance at the grid center (pumps are placed
-    symmetrically around twice the comb center), sets every tone of
+    The model is the device resonant at ``resonance``, the comb centre
+    unless given; it enters both the detuning of every mode and the
+    coupling scale of every tone, as in ``simulate_scattering``, and it
+    scales ``ridge_ratio``.  The model sets every tone of
     ``scheme_shape`` to the common strength ``g`` under test, and compares
     complex scattering matrices, summing squared entry differences.  The
     model of a cell is ``gain * M^-1 - I`` itself: its pump-off reference is
@@ -316,8 +333,9 @@ def fit_parameters(
     is evaluated once.
 
     A measured array that ``ScatteringMatrix`` refuses on ``grid``, a matrix
-    on another mode count, or a range that is not positive, finite and
-    increasing, raises before any cell is evaluated.  Dynamically unstable
+    on another mode count, a range that is not positive, finite and
+    increasing, or a resonance that is not positive and finite, raises
+    before any cell is evaluated.  Dynamically unstable
     cells, at or past the oscillation threshold, score +inf rather than
     raising; if the whole surface is infinite the fit is infeasible and raises.
 
@@ -341,7 +359,7 @@ def fit_parameters(
     if not (0 < g_lo < g_hi < math.inf and 0 < gamma_lo < gamma_hi < math.inf):
         raise InvalidArgumentError("fit ranges must be positive, finite and increasing")
 
-    omega0 = grid.center_frequency
+    omega0 = grid.center_frequency if resonance is None else float(resonance)
     # every cell's tones have strength g at the shape's phases, on a device
     # resonant at omega0; gamma_lo makes the band check the strictest
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)

@@ -242,12 +242,6 @@ def _cmd_fit(run: _Run) -> None:
 
     if not run.args.data:
         raise InvalidArgumentError("fit requires --data")
-    if run.params.resonance_frequency != run.grid.center_frequency:
-        warnings.warn(
-            "fit pins the model's resonance at the comb centre "
-            f"({run.config.center.render()}); the config's device.resonance_frequency "
-            f"({run.config.resonance_frequency.render()}) is not used"
-        )
     measured = run.data()
     s = run.settings
     result = fit_parameters(
@@ -257,6 +251,7 @@ def _cmd_fit(run: _Run) -> None:
         (s.fit_g_min, s.fit_g_max),
         (s.fit_gamma_min.angular, s.fit_gamma_max.angular),
         s.fit_grid_points,
+        resonance=run.params.resonance_frequency,
     )
     payload = {
         "best_g": result.best_g,

@@ -216,12 +216,13 @@ def write_table(path, corner: str, columns, rows, values, meta: dict) -> None:
     ``# key: value`` lines for the sorted ``meta``, a header of ``corner``
     and the column labels, then one line per row: its label and its values.
     ``values`` holds one sequence per row; a table without columns still
-    writes every row label.
+    writes every row label.  The values go to Python floats in one
+    ``tolist`` and are written by ``repr``, as ``_cell`` would write them.
     """
     lines = [f"# {key}: {meta[key]}" for key in sorted(meta)]
     lines.append(",".join([corner, *map(_cell, columns)]))
-    for label, row in zip(rows, values, strict=True):
-        lines.append(",".join([_cell(label), *map(_cell, row)]))
+    for label, row in zip(rows, np.asarray(values, dtype=float).tolist(), strict=True):
+        lines.append(",".join([_cell(label), *map(repr, row)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -16,10 +16,13 @@ also gives its rung pairs.
 
 The pass works on plain adjacency: one insertion-ordered neighbor dict per
 node, built once per report, gives the components by breadth-first search.
-A component's peel variants are enumerated once, as sets of removed nodes,
-and both matchers share them.  Each variant's size, edge count and degrees
-come from the adjacency and the removed set.  A variant that meets a
-matcher's necessary conditions is then walked from its smallest end: rung
+Counting comes first: each peeled node takes one or two edges with it, so
+a component none of whose peelable node and edge counts fits either
+template is OTHER without a variant enumerated.  Otherwise a component's
+peel variants are enumerated once, as sets of removed nodes, and both
+matchers share them.  Each variant's size, edge count and degrees come
+from the adjacency and the removed set.  A variant that meets a matcher's
+necessary conditions is then walked from its smallest end: rung
 by rung along the two rails for a square ladder, and from K4 cell to K4
 cell for a ladder with diagonals.  A walk that visits every node has found
 the template's whole edge count, so it proves the match.
@@ -97,7 +100,11 @@ def mode_level_db(db_matrix: np.ndarray, grid: ModeGrid) -> np.ndarray:
     self-loop on every mode.
 
     The block maximum is taken over the four strided views, one per block
-    position, instead of a reduction over a reshaped array.
+    position, instead of a reduction over a reshaped array.  ``np.maximum``
+    propagates NaN, so a NaN anywhere in ``db_matrix`` reaches the block
+    maxima, and one check of them raises ``InvalidArgumentError`` for it:
+    a NaN weight would otherwise compare false with every threshold and
+    drop its mode pair without a word.
     """
     m = np.asarray(db_matrix, dtype=float)
     n = grid.n_modes
@@ -106,6 +113,8 @@ def mode_level_db(db_matrix: np.ndarray, grid: ModeGrid) -> np.ndarray:
     reduced = np.maximum(
         np.maximum(m[0::2, 0::2], m[0::2, 1::2]), np.maximum(m[1::2, 0::2], m[1::2, 1::2])
     )
+    if np.isnan(reduced).any():
+        raise InvalidArgumentError("dB matrix must not hold NaN")
     cross = np.maximum(m[::2, 1::2].diagonal(), m[1::2, ::2].diagonal())
     np.fill_diagonal(reduced, cross)
     return reduced
@@ -122,8 +131,8 @@ def extract_graph(
     a clamped magnitude, such as the exact zero between two blocks, and
     never counts, whatever the threshold.  A threshold of ``+inf`` keeps
     nothing and ``-inf`` every weight above the floor; a NaN one raises, as
-    no weight could reach it.  The result is deterministic, ordered by
-    ascending mode index.
+    no weight could reach it, and so does a NaN entry (``mode_level_db``).
+    The result is deterministic, ordered by ascending mode index.
     """
     if math.isnan(threshold_db):
         raise InvalidArgumentError("threshold_db must not be NaN")
@@ -208,27 +217,39 @@ def _peel_variants(adj, nodes, budget: int):
         frontier = next_frontier
 
 
-def _ladder_admits(adj, nodes, removed, size: int, edges: int) -> bool:
-    """The size, edge count and degree conditions ``_match_ladder`` relies on."""
-    if size < 4 or size % 2 or edges != 3 * (size // 2) - 2:
-        return False
-    degrees = sorted(
-        sum(u not in removed for u in adj[v]) for v in nodes if v not in removed
-    )
-    return degrees == [2] * 4 + [3] * (size - 4)
+def _ladder_counts(size: int, edges: int) -> bool:
+    """The size and edge conditions ``_match_ladder`` relies on: k = size / 2
+    rungs and 3k - 2 edges."""
+    return size >= 4 and size % 2 == 0 and edges == 3 * (size // 2) - 2
 
 
-def _clique_chain_admits(adj, nodes, removed, size: int, edges: int) -> bool:
+def _clique_chain_counts(size: int, edges: int) -> bool:
     """The size and edge conditions ``_match_clique_chain`` relies on: k
     cells have 2(k + 1) nodes and 5k + 1 edges."""
     return size >= 4 and size % 2 == 0 and 2 * edges == 5 * size - 8
 
 
+def _some_variant_counts(size: int, edges: int) -> bool:
+    """Whether any peel variant of a component could meet a template's counts.
+
+    Peeling ``r <= BOUNDARY_DEFECT_BUDGET`` nodes leaves ``size - r`` nodes,
+    and each peeled node, a pendant or a triangle cap, takes 1 or 2 edges
+    with it, so ``edges - lost`` edges with ``r <= lost <= 2r``.
+    """
+    return any(
+        counts(size - r, edges - lost)
+        for r in range(BOUNDARY_DEFECT_BUDGET + 1)
+        for lost in range(r, 2 * r + 1)
+        for counts in (_ladder_counts, _clique_chain_counts)
+    )
+
+
 def _match_ladder(adj, nodes, removed):
     """Return the rung pairs if the variant is exactly a square ladder, else None.
 
-    The variant must pass ``_ladder_admits``: k = size / 2 rungs, 3k - 2
-    edges and four degree-2 corners.  The walk starts at the smallest corner
+    The variant must pass ``_ladder_counts``: k = size / 2 rungs and 3k - 2
+    edges; it is then walked only if it has four degree-2 corners and every
+    other node has degree 3.  The walk starts at the smallest corner
     and its rung partner, and each next rung is the current rung nodes' one
     unvisited rail neighbor each.  For k >= 3 the rung set is unique, since
     every automorphism of the ladder maps rungs to rungs, and a corner's
@@ -241,6 +262,8 @@ def _match_ladder(adj, nodes, removed):
     template.
     """
     live = {v: [u for u in adj[v] if u not in removed] for v in nodes if v not in removed}
+    if sorted(map(len, live.values())) != [2] * 4 + [3] * (len(live) - 4):
+        return None
     corner = min(v for v in live if len(live[v]) == 2)
     partner = max((u for u in live[corner] if len(live[u]) == 2), default=None)
     if partner is None:
@@ -264,7 +287,7 @@ def _match_clique_chain(adj, nodes, removed):
     consecutive ones share one rung edge.  A square ladder with both
     diagonals in every cell is such a chain; so is one where a node lies in
     three or more consecutive cells, as at the hub of a fan of K4s.  The
-    variant must pass ``_clique_chain_admits``: 2(k + 1) nodes and 5k + 1
+    variant must pass ``_clique_chain_counts``: 2(k + 1) nodes and 5k + 1
     edges.
 
     The walk starts at the end cell of the smallest node of degree 3 with a
@@ -303,7 +326,9 @@ def _classify(adj, nodes):
     size and edge count.  Ladder matches take priority over clique chains;
     within each, the least-peeled variant that matches gives both the label
     and the rungs.  A variant is walked only if it passes the matcher's
-    size, edge and degree conditions.
+    size and edge conditions.  When no count that peeling can leave meets
+    either template's (``_some_variant_counts``), the component is OTHER
+    before any variant is enumerated.
     """
     size = len(nodes)
     edges = sum(len(adj[v]) for v in nodes) // 2
@@ -318,18 +343,20 @@ def _classify(adj, nodes):
         and len(_reach(adj, nodes[0])) == size
     ):
         return TopologyLabel.CHAIN, ()
+    if not _some_variant_counts(size, edges):
+        return TopologyLabel.OTHER, ()
     variants = []
     for removed in _peel_variants(adj, nodes, BOUNDARY_DEFECT_BUDGET):
         # an edge between two removed nodes is counted in both their degrees
         inner = sum(u in removed for r in removed for u in adj[r]) // 2
         lost = sum(len(adj[r]) for r in removed) - inner
         variants.append((removed, size - len(removed), edges - lost))
-    for label, admits, match in (
-        (TopologyLabel.SQUARE_LADDER, _ladder_admits, _match_ladder),
-        (TopologyLabel.LADDER_WITH_DIAGONALS, _clique_chain_admits, _match_clique_chain),
+    for label, counts, match in (
+        (TopologyLabel.SQUARE_LADDER, _ladder_counts, _match_ladder),
+        (TopologyLabel.LADDER_WITH_DIAGONALS, _clique_chain_counts, _match_clique_chain),
     ):
         for removed, variant_size, variant_edges in variants:
-            if admits(adj, nodes, removed, variant_size, variant_edges):
+            if counts(variant_size, variant_edges):
                 rungs = match(adj, nodes, removed)
                 if rungs is not None:
                     return label, rungs

@@ -24,7 +24,13 @@ Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
 gate that decides it, and the only code that inverts block stacks.  Its
 first stage, the column Gershgorin discs, also bounds the condition
 (Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
-the gate once for all its steps.  Every simulation, sweep, fit and
+the gate once for all its steps.  The sweep reads the discs in closed
+form (``_disc_bound``): both columns of mode ``p`` hold one entry of
+modulus ``resonance * |s_t|`` per tone ``t`` whose partner ``m_t - p`` is
+on the grid, so with ``c_p`` their sum the margin is ``gamma/2 - c_p`` and
+the 1-norm ``|gamma/2 + i*detuning_p| + c_p``, at ``O(n * T)`` cost with
+no stack gathered; the gate itself keeps scanning the stacks it is given.
+Every simulation, sweep, fit and
 search splits the system, by mode sum, into an index map onto the tone
 strengths, and restacks it at every point.  The split depends only on the
 mode count and the tone offsets, so it is made once per comb and offsets:
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,10 +212,15 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     return tuple(order[starts[sizes == s][:, np.newaxis] + np.arange(s)] for s in distinct)
 
 
+def _detuning(grid: ModeGrid, resonance: float) -> np.ndarray:
+    """The detuning ``resonance - w_p`` of every mode, in ascending mode order."""
+    half = grid.half_span
+    return resonance - (grid.center_frequency + np.arange(-half, half + 1) * grid.spacing)
+
+
 def _diagonal(grid: ModeGrid, resonance: float) -> np.ndarray:
     """The ``+-i*detuning`` of every slot: the diagonal of ``M`` less ``gamma/2``."""
-    half = grid.half_span
-    detuning = resonance - (grid.center_frequency + np.arange(-half, half + 1) * grid.spacing)
+    detuning = _detuning(grid, resonance)
     diagonal = np.empty(2 * grid.n_modes, dtype=complex)
     diagonal[0::2] = 1j * detuning
     diagonal[1::2] = -1j * detuning
@@ -279,23 +289,38 @@ def _column_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return columns, diagonal.real - (columns - np.abs(diagonal))
 
 
-def _dominance_bound(stacks) -> float:
-    """Twice ``max ||B||_1 / min margin`` over every block, or +inf if a margin is <= 0.
+def _column_discs(
+    grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per mode, the 1-norm and disc margin of both its columns of ``M`` (``_disc_bound``)."""
+    half = grid.half_span
+    gamma = params.port_coupling
+    partner = np.subtract.outer(scheme.offsets, np.arange(-half, half + 1))
+    magnitudes = np.array([abs(tone.strength) for tone in scheme.tones], dtype=float)
+    off_diagonal = params.resonance_frequency * (magnitudes @ (np.abs(partner) <= half))
+    diagonal = np.hypot(gamma / 2.0, _detuning(grid, params.resonance_frequency))
+    return diagonal + off_diagonal, gamma / 2.0 - off_diagonal
 
-    Positive column margins put every eigenvalue in the right half-plane
-    (column Gershgorin discs), and Varah's bound applied to ``B^T`` gives
+
+def _disc_bound(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> float:
+    """Twice ``max ||B||_1 / min margin`` over every block of ``M``, or +inf if a margin is <= 0.
+
+    The column discs in closed form.  In the amplitude column of mode
+    ``p``, and in its conjugate column alike, each tone ``t`` whose partner
+    ``m_t - p`` is on the grid puts one entry of modulus
+    ``resonance * |s_t|``; with ``c_p`` their sum, both columns have the
+    1-norm ``|gamma/2 + i*detuning_p| + c_p`` and the margin
+    ``gamma/2 - c_p``.  That is ``O(n * T)``, with no stack gathered.
+    Positive margins put every eigenvalue in the right half-plane (column
+    Gershgorin discs), and Varah's bound applied to ``B^T`` gives
     ``||B^-1||_1 <= 1 / min margin``, so this bounds the 1-norm condition;
     the factor 2 covers rounding.  A bound within ``CONDITION_CAP``
     certifies that ``_invert_blocks`` would pass; ``phase_sweep`` takes it
-    once, at its base phases, to clear the gate for every step.  The stacks
-    are read one at a time, so an iterator need hold only one of them.
+    once, at its base phases, to clear the gate for every step.
     """
-    norm, margin = 0.0, math.inf
-    for stack in stacks:
-        columns, margins = _column_margins(stack)
-        norm = max(norm, float(columns.max()))
-        margin = float(np.minimum(margin, margins.min()))
-    return 2.0 * norm / margin if margin > 0 else math.inf
+    norms, margins = _column_discs(grid, params, scheme)
+    margin = float(margins.min())
+    return 2.0 * float(norms.max()) / margin if margin > 0 else math.inf
 
 
 def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
@@ -493,24 +518,17 @@ class _BlockPieces:
 
     def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
         """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
-        return list(self._gather(strengths, gamma, zip(self.detuning, self.slot)))
-
-    def each_block(self, strengths, gamma: float):
-        """Every block of ``stacks``, in its order, built only when it is asked for."""
-        pieces = zip(itertools.chain(*self.detuning), itertools.chain(*self.slot))
-        return self._gather(strengths, gamma, pieces)
-
-    def _gather(self, strengths, gamma: float, pieces):
-        """The stack of each ``(detuning, slot)`` of ``pieces``, one at a time."""
         s = np.asarray(strengths, dtype=complex)
         u = complex(0.0, -self.resonance)
         zero = np.zeros(s.shape[:-1] + (1,))
         entries = np.concatenate((u * s, u.conjugate() * s.conj(), zero), axis=-1)
-        for detuning, slot in pieces:
+        stacks = []
+        for detuning, slot in zip(self.detuning, self.slot):
             stack = entries[..., slot]
             diagonal = np.arange(slot.shape[-1])
             stack[..., diagonal, diagonal] += detuning + gamma / 2.0
-            yield stack
+            stacks.append(stack)
+        return stacks
 
     def block_of(self, slot: int) -> _BlockPieces:
         """The pieces of the one block holding ``slot``, its amplitude slots first."""

@@ -31,7 +31,7 @@ from combscatter import (
 )
 from combscatter import analysis, scattering
 from combscatter.model import MAX_HALF_SPAN
-from combscatter.scattering import CONDITION_CAP, DB_FLOOR, _block_pieces, _dominance_bound
+from combscatter.scattering import CONDITION_CAP, DB_FLOOR, _block_pieces, _disc_bound
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -337,9 +337,7 @@ class TestPhaseSweep:
         # the tone ratios sum to 0.51 > 1/2, so the column discs do not clear
         # the gate and every step takes the exact one; every step is stable
         scheme = ladder(device, 0.17, 0.0)
-        pieces = _block_pieces(grid, device, scheme)
-        stacks = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
-        assert _dominance_bound(stacks) > CONDITION_CAP
+        assert _disc_bound(grid, device, scheme) > CONDITION_CAP
         assert_tracks_equal_simulated_columns(scheme, swept, 5, grid, device)
 
     def test_uncertified_step_decomposes_one_block_of_each_mirror_pair(
@@ -470,6 +468,30 @@ class TestFit:
         assert abs(result.best_gamma - COUPLING) / COUPLING < 1e-4
         assert result.distance < 1e-4
         assert result.converged
+
+    def test_fit_models_the_resonance_it_is_given(self, grid, device):
+        # a device resonant 30 spacings above the comb centre; the default,
+        # the centre itself, is the same fit bit for bit when passed
+        g_true = 0.085 * COUPLING / RESONANCE
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        ranges = ((0.5 * g_true, 2.0 * g_true), (0.5 * COUPLING, 2.0 * COUPLING), 6)
+        centred = fit_parameters(simulate_scattering(grid, device, scheme), grid, scheme, *ranges)
+        explicit = fit_parameters(
+            simulate_scattering(grid, device, scheme), grid, scheme, *ranges,
+            resonance=grid.center_frequency,
+        )
+        assert (explicit.distance, explicit.ridge_ratio) == (centred.distance, centred.ridge_ratio)
+        detuned = DeviceParams(RESONANCE + 30 * SPACING, COUPLING)
+        measured = simulate_scattering(grid, detuned, scheme)
+        result = fit_parameters(
+            measured, grid, scheme, *ranges, resonance=detuned.resonance_frequency
+        )
+        true_ratio = detuned.resonance_frequency * g_true / COUPLING
+        assert abs(result.ridge_ratio - true_ratio) / true_ratio < 1e-4
+        assert abs(result.best_gamma - COUPLING) / COUPLING < 1e-4
+        assert result.distance <= 10 * centred.distance
+        with pytest.raises(InvalidArgumentError, match="resonance_frequency must be positive"):
+            fit_parameters(measured, grid, scheme, *ranges, resonance=math.nan)
 
     @settings(max_examples=20, deadline=None)
     @given(self_fit_cases())

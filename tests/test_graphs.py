@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import graph_reference
@@ -23,6 +23,7 @@ from combscatter import (
     mode_level_db,
     topology_report,
 )
+from combscatter import graphs
 from combscatter.datafiles import topology_report_dict
 from combscatter.scattering import DB_FLOOR
 from conftest import (
@@ -53,10 +54,10 @@ def ladder_pairs(rail_a, rail_b):
 
 
 @st.composite
-def defect_graphs(draw):
+def defect_graphs(draw, max_defects=3):
     """1-3 disjoint parts on shuffled labels: random small graphs, some with
     a cluster of 3-6 pendants, or square ladders and clique chains of 2-12
-    cells carrying 0-3 pendants or triangle caps."""
+    cells carrying 0 to ``max_defects`` pendants or triangle caps."""
     pairs, size = set(), 0
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["ladder", "clique_chain", "random"]))
@@ -77,7 +78,7 @@ def defect_graphs(draw):
             if kind == "clique_chain":
                 local |= set(zip(rail_a, rail_b[1:])) | set(zip(rail_b, rail_a[1:]))
             n = 2 * k
-            for _ in range(draw(st.integers(0, 3))):
+            for _ in range(draw(st.integers(0, max_defects))):
                 if draw(st.booleans()):
                     local.add((draw(st.integers(0, n - 1)), n))
                 else:
@@ -125,7 +126,7 @@ def random_graphs(draw):
 
 
 # integer dB values make weights tie with the integer thresholds
-DB_VALUES = st.one_of(st.integers(-45, 10).map(float), st.floats(-60.0, 10.0), st.just(np.nan))
+DB_VALUES = st.one_of(st.integers(-45, 10).map(float), st.floats(-60.0, 10.0))
 
 
 @st.composite
@@ -133,16 +134,14 @@ def db_matrices(draw, dim):
     """A (dim, dim) dB matrix of the values in ``DB_VALUES``, drawn from a seed.
 
     The seed fills the matrix with floats in [-60, 10], a drawn share of
-    them replaced by integers in [-45, 10] and another by NaN; up to eight
-    entries drawn from ``DB_VALUES`` itself then go at drawn positions.
-    Drawing a few numbers per matrix, not one per entry, keeps each example
-    cheap.
+    them replaced by integers in [-45, 10]; up to eight entries drawn from
+    ``DB_VALUES`` itself then go at drawn positions.  Drawing a few numbers
+    per matrix, not one per entry, keeps each example cheap.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     db = rng.uniform(-60.0, 10.0, (dim, dim))
     ties = rng.random((dim, dim)) < draw(st.floats(0.0, 1.0))
     db[ties] = rng.integers(-45, 11, int(ties.sum()))
-    db[rng.random((dim, dim)) < draw(st.floats(0.0, 0.3))] = np.nan
     index = st.integers(0, dim - 1)
     for i, j, value in draw(st.lists(st.tuples(index, index, DB_VALUES), max_size=8)):
         db[i, j] = value
@@ -185,6 +184,10 @@ class TestModeLevelReduction:
     def test_equals_reshape_reduction_bit_for_bit(self, m):
         n = m.shape[0] // 2
         grid = ModeGrid(RESONANCE, SPACING, (n - 1) // 2)
+        if np.isnan(m).any():
+            with pytest.raises(InvalidArgumentError, match="must not hold NaN"):
+                mode_level_db(m, grid)
+            return
         expected = m.reshape(n, 2, n, 2).max(axis=(1, 3))
         np.fill_diagonal(expected, np.maximum(m[::2, 1::2].diagonal(), m[1::2, ::2].diagonal()))
         assert same_bits_but_nan(mode_level_db(m, grid), expected)
@@ -264,6 +267,31 @@ class TestExtractGraph:
         assert all(type(e.weight_db) is float for e in graph.edges)
         assert all(type(i) is int and type(w) is float for i, w in graph.self_loops)
         json.dumps(topology_report_dict(graph, topology_report(graph)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(half_span=st.integers(0, 6), data=st.data())
+    def test_a_nan_entry_raises(self, half_span, data):
+        # a NaN weight compares false with every threshold, so it would
+        # drop its mode pair; any entry, reflection or cross, raises
+        small = ModeGrid(RESONANCE, SPACING, half_span)
+        db = data.draw(db_matrices(2 * small.n_modes))
+        index = st.integers(0, 2 * small.n_modes - 1)
+        db[data.draw(index), data.draw(index)] = np.nan
+        with pytest.raises(InvalidArgumentError, match="dB matrix must not hold NaN"):
+            mode_level_db(db, small)
+        with pytest.raises(InvalidArgumentError, match="dB matrix must not hold NaN"):
+            extract_graph(db, small, -20.0)
+
+    def test_nan_pair_of_an_all_floor_comb_raises(self):
+        # every entry -100 dB and the (0, 3) entry NaN: the pair of modes
+        # -1 and 0 used to drop out of the graph, which had no edge
+        small = ModeGrid(RESONANCE, SPACING, 1)
+        db = np.full((6, 6), -100.0)
+        db[0, 3] = np.nan
+        with pytest.raises(InvalidArgumentError, match="dB matrix must not hold NaN"):
+            mode_level_db(db, small)
+        with pytest.raises(InvalidArgumentError, match="dB matrix must not hold NaN"):
+            extract_graph(db, small, -20.0)
 
     def test_edges_stored_sorted_with_max_weight(self, grid, device, three_pump_db):
         graph = extract_graph(three_pump_db[np.pi], grid, -20.0)
@@ -504,6 +532,23 @@ class TestClassifyTopology:
         assert report == graph_reference.topology_report(graph)
         for comp, label in zip(report.components, report.labels):
             assert classify_topology(comp[::-1], graph.edges) is label
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=st.one_of(random_graphs(), defect_graphs(max_defects=2)))
+    def test_counting_rules_out_only_what_no_variant_matches(self, graph):
+        # a component whose peelable counts fit neither template is OTHER
+        # before any peel variant is enumerated; the reference enumerates
+        # and matches every variant
+        report = topology_report(graph)
+        expected = graph_reference.topology_report(graph)
+        assert report == expected
+        pairs = graph.edge_pairs()
+        for comp, label in zip(expected.components, expected.labels):
+            members = set(comp)
+            edges = sum(i in members and j in members for i, j in pairs)
+            if len(comp) > 2 and not graphs._some_variant_counts(len(comp), edges):
+                event("ruled out by counting")
+                assert label in (TopologyLabel.CHAIN, TopologyLabel.OTHER)
 
     def test_self_loops_do_not_affect_labels(self):
         g = make_graph([1, -1], [(1, -1)], loops=[1, -1])

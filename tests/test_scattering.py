@@ -48,7 +48,9 @@ from combscatter.scattering import (
     Normalization,
     ScatteringMatrix,
     _block_pieces,
-    _dominance_bound,
+    _column_discs,
+    _column_margins,
+    _disc_bound,
     _invert_blocks,
     _split,
 )
@@ -675,8 +677,8 @@ class TestSelfMirrorInverse:
         assert s.condition_estimate == pytest.approx(cond, rel=1e-12)
 
 
-def certified(pieces, scheme, gamma, cap):
-    return _dominance_bound(pieces.stacks([t.strength for t in scheme.tones], gamma)) <= cap
+def certified(grid, device, scheme, cap):
+    return _disc_bound(grid, device, scheme) <= cap
 
 
 def strengths_scaled(case, scale):
@@ -696,7 +698,7 @@ class TestThresholdCertificate:
         device = DeviceParams(RESONANCE, coupling * COUPLING)
         gamma, cap = device.port_coupling, 10.0**log_cap
         pieces = _block_pieces(grid, device, scheme)
-        clear = certified(pieces, scheme, gamma, cap)
+        clear = certified(grid, device, scheme, cap)
         event(f"certified: {clear}")
         if not clear:
             return
@@ -717,14 +719,14 @@ class TestThresholdCertificate:
         device = DeviceParams(RESONANCE, coupling * COUPLING)
         gamma = device.port_coupling
         pieces = _block_pieces(grid, device, scheme)
-        clear = certified(pieces, scheme, gamma, CONDITION_CAP)
+        clear = certified(grid, device, scheme, CONDITION_CAP)
         event(f"certified: {clear}")
         if not clear:
             return
         for tone in range(len(scheme.tones)):
             for phase in TWO_PI * np.arange(8) / 8:
                 rephased = scheme.with_phase(tone, float(phase))
-                assert certified(pieces, rephased, gamma, CONDITION_CAP)
+                assert certified(grid, device, rephased, CONDITION_CAP)
                 stacks = pieces.stacks([t.strength for t in rephased.tones], gamma)
                 assert _invert_blocks(stacks, pieces.blocks)[1] <= CONDITION_CAP
 
@@ -737,8 +739,8 @@ class TestThresholdCertificate:
         gamma = device.port_coupling
         stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
         condition = _invert_blocks(stacks, pieces.blocks)[1]
-        assert certified(pieces, scheme, gamma, 1e12)
-        assert not certified(pieces, scheme, gamma, 0.999 * condition)
+        assert certified(grid, device, scheme, 1e12)
+        assert not certified(grid, device, scheme, 0.999 * condition)
 
     @settings(max_examples=150, deadline=None)
     @given(small_schemes(), st.floats(0.1, 15.0), st.floats(0.3, 3.0))
@@ -757,7 +759,7 @@ class TestThresholdCertificate:
             with pytest.raises(AboveThresholdError):
                 _invert_blocks(stacks, pieces.blocks)
             return
-        event(f"certified: {certified(pieces, scheme, gamma, 1e12)}")
+        event(f"certified: {certified(grid, device, scheme, 1e12)}")
         inverses, pieces_cond = _invert_blocks(stacks, pieces.blocks)
         assert len(inverses) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(inverses, expected))
@@ -768,8 +770,20 @@ class TestThresholdCertificate:
         # a one-tone pair block is stable exactly while ratio < 1/2
         grid = ModeGrid(RESONANCE, SPACING, 3)
         scheme = balanced_scheme(device, [0], ratio, [1.0])
-        pieces = _block_pieces(grid, device, scheme)
-        assert certified(pieces, scheme, device.port_coupling, 1e12) is expected
+        assert certified(grid, device, scheme, 1e12) is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_schemes(min_tones=0), st.floats(0.1, 15.0), st.floats(0.3, 3.0))
+    def test_closed_form_discs_are_the_assembled_column_sums(self, case, scale, coupling):
+        # each column of M lies in one block, so the column sums of the
+        # whole assembled matrix are those of its blocks; a mode's two
+        # columns, at slots 2p and 2p + 1, share one norm and one margin
+        grid, scheme = strengths_scaled(case, scale)
+        device = DeviceParams(RESONANCE, coupling * COUPLING)
+        norms, margins = _column_discs(grid, device, scheme)
+        columns, expected = _column_margins(dense_system(grid, device, scheme).matrix)
+        assert np.all(np.abs(np.repeat(norms, 2) - columns) <= 1e-14 * columns)
+        assert np.all(np.abs(np.repeat(margins, 2) - expected) <= 1e-14 * columns)
 
 
 class TestGaugeInvariance:
