@@ -33,8 +33,7 @@ _EXPORTS = {
     "graphs": "CorrelationGraph GraphEdge TopologyLabel TopologyReport classify_topology "
     "export_dot extract_graph mode_level_db topology_report",
     "model": "BandMismatchWarning Coupling CouplingSet DeviceParams IntermodPrediction "
-    "ModeGrid PumpScheme PumpTone build_mode_grid predicted_intermod_indices "
-    "resolve_couplings",
+    "ModeGrid PumpScheme PumpTone predicted_intermod_indices resolve_couplings",
     "scattering": "Normalization ScatteringMatrix SystemMatrix assemble_system magnitude_db "
     "normalize_pump_off particle_hole_defect pump_off_scattering scale_for_ratio "
     "scattering_matrix simulate_scattering",

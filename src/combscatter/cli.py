@@ -87,15 +87,12 @@ class _Run:
         from .config import RunOptions, bundled_config_path, parse_config, run_problem
 
         self.args = args
-        name = args.config if args.config is not None else args.config_positional
-        if name is None:
-            raise InvalidArgumentError("no config given")
-        path = Path(name)
+        path = Path(args.config)
         if not path.exists():
             try:
-                path = bundled_config_path(name)
+                path = bundled_config_path(args.config)
             except ConfigError:
-                raise DataFormatError(f"config file {name!r} not found") from None
+                raise DataFormatError(f"config file {args.config!r} not found") from None
         self.config = parse_config(Path(path).read_text())
         self.scheme = self.config.to_scheme()
         for flag, label in _PHASE_FLAGS.items():
@@ -162,8 +159,7 @@ def _write_graph(run: _Run, db):
     graph = extract_graph(db, run.grid, run.settings.threshold_db)
     report = topology_report(graph)
     run.out("graph.gv").write_text(export_dot(graph, report))
-    meta = run.meta(seed=run.settings.seed)
-    write_json(run.out("topology.json"), topology_report_dict(graph, report), meta)
+    write_json(run.out("topology.json"), topology_report_dict(graph, report), run.meta())
     return graph, report
 
 
@@ -183,7 +179,7 @@ def _cmd_simulate(run: _Run) -> None:
     db = magnitude_db(s_on.matrix)
     _, report = _write_graph(run, db)
     save_scattering(run.out("s_matrix.cmb"), s_on)
-    _write_mode_table(run, "db_matrix.csv", ("a", "a*"), db, run.meta(seed=run.settings.seed))
+    _write_mode_table(run, "db_matrix.csv", ("a", "a*"), db, run.meta())
     labels = ",".join(label.value for label in report.labels)
     print(
         f"simulate: {run.grid.n_modes} modes, condition {s_on.condition_estimate:.3e}, "
@@ -202,6 +198,8 @@ def _cmd_graph(run: _Run) -> None:
 
 
 def _cmd_sweep_phase(run: _Run) -> None:
+    import numpy as np
+
     from .analysis import phase_sweep
     from .datafiles import write_table
 
@@ -209,9 +207,9 @@ def _cmd_sweep_phase(run: _Run) -> None:
     position = _tone_position(run.scheme, s.swept_tone)
     result = phase_sweep(run.scheme, position, s.steps, s.signal_index, run.grid, run.params)
     tracks = result.tracks
-    values = [[t.magnitudes_db[step] for t in tracks] for step in range(s.steps)]
+    values = np.array([t.magnitudes_db for t in tracks]).reshape(len(tracks), s.steps).T
     write_table(run.out("sweep.csv"), "phase_rad", [t.label for t in tracks], result.phases,
-                values, run.meta(seed=s.seed, evaluated=result.evaluated))
+                values, run.meta(evaluated=result.evaluated))
     print(f"sweep-phase: tone {s.swept_tone} over {s.steps} phases, {len(tracks)} tracks")
 
 
@@ -221,7 +219,7 @@ def _cmd_covariance(run: _Run) -> None:
     sx = _quadrature(run)
     v_out = propagate_covariance(sx, vacuum_covariance(run.grid))
     defect = symplectic_defect(sx)
-    meta = run.meta(seed=run.settings.seed, symplectic_defect=repr(defect))
+    meta = run.meta(symplectic_defect=repr(defect))
     _write_mode_table(run, "covariance.csv", ("x", "p"), v_out.matrix, meta)
     print(f"covariance: analytic, defect {defect:.3e}")
 
@@ -306,7 +304,7 @@ def _cmd_search_phases(run: _Run) -> None:
         "achieved": topology_report_dict(result.graph, result.report),
     }
     skipped = result.skipped_above_threshold
-    meta = run.meta(seed=s.seed, evaluated=result.evaluated, skipped_above_threshold=skipped)
+    meta = run.meta(evaluated=result.evaluated, skipped_above_threshold=skipped)
     write_json(run.out("phase_search.json"), payload, meta)
     print(
         f"search-phases: objective {result.objective}, phases "
@@ -355,17 +353,14 @@ _FLAG_OF = {spec.get("dest", flag[2:].replace("-", "_")): flag for flag, spec in
 # Each subcommand registers only the flags it reads, besides the config and
 # --out-dir, so a flag another subcommand reads is rejected, not ignored.
 _COMMANDS = {
-    "simulate": (_cmd_simulate, ("--seed", "--threshold-db", *_PHASES)),
-    "graph": (_cmd_graph, ("--seed", "--threshold-db", *_PHASES, "--data", "--format")),
-    "sweep-phase": (
-        _cmd_sweep_phase, ("--seed", *_PHASES, "--steps", "--signal-index", "--tone")
-    ),
-    "covariance": (_cmd_covariance, ("--seed", *_PHASES)),
+    "simulate": (_cmd_simulate, ("--threshold-db", *_PHASES)),
+    "graph": (_cmd_graph, ("--threshold-db", *_PHASES, "--data", "--format")),
+    "sweep-phase": (_cmd_sweep_phase, (*_PHASES, "--steps", "--signal-index", "--tone")),
+    "covariance": (_cmd_covariance, _PHASES),
     "sample-covariance": (_cmd_sample_covariance, ("--seed", *_PHASES, "--samples")),
     "fit": (_cmd_fit, (*_PHASES, "--data", "--format")),
     "search-phases": (
-        _cmd_search_phases,
-        ("--seed", "--threshold-db", *_PHASES, "--target", "--phase-grid-points"),
+        _cmd_search_phases, ("--threshold-db", *_PHASES, "--target", "--phase-grid-points")
     ),
     "predict-idlers": (_cmd_predict_idlers, ("--signal-index",)),
 }
@@ -386,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("config_positional", nargs="?", default=None, metavar="CONFIG")
-        p.add_argument("--config", default=None)
+        p.add_argument("config", metavar="CONFIG")
         p.add_argument("--out-dir", default=".")
         for flag, spec in _FLAGS.items():
             if flag in flags:

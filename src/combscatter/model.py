@@ -80,7 +80,9 @@ class ModeGrid:
 
     Mode index ``j`` runs over ``-half_span .. +half_span``; index 0 sits at
     ``center_frequency`` and the frequency of mode ``j`` is always computed
-    as ``center_frequency + j*spacing`` (never accumulated).
+    as ``center_frequency + j*spacing`` (never accumulated).  The spacing
+    is the inverse of the measurement window, which makes the comb modes
+    mutually orthogonal over that window.
     """
 
     center_frequency: float
@@ -128,15 +130,6 @@ class ModeGrid:
     def a_conj_slot(self, index: int) -> int:
         """Row/column of the conjugate amplitude in the interleaved basis."""
         return 2 * self.position(index) + 1
-
-
-def build_mode_grid(center_frequency: float, spacing: float, half_span: int) -> ModeGrid:
-    """Construct the measurement comb.
-
-    The spacing is the inverse of the measurement window, which makes the
-    comb modes mutually orthogonal over that window.
-    """
-    return ModeGrid(center_frequency=center_frequency, spacing=spacing, half_span=half_span)
 
 
 def _wrap_phase(phase: float) -> float:

@@ -35,11 +35,12 @@ search splits the system, by mode sum, into an index map onto the tone
 strengths, and restacks it at every point.  The split depends only on the
 mode count and the tone offsets, so it is made once per comb and offsets:
 the package keeps a read-only split of the last comb, and concurrent calls
-may share it; each call gathers its own device's detuning onto it.  The
-dense chain ``resolve_couplings`` -> ``assemble_system`` ->
-``scattering_matrix`` serves hand-made coupling sets and the tests as an
-independent reference; no run path calls it.  A caller's matrix is checked
-once, by ``ScatteringMatrix``.  Otherwise pure functions on immutable inputs.
+may share it; each call brings its own device's detuning diagonal, which
+every stack reads by slot.  The dense chain ``resolve_couplings`` ->
+``assemble_system`` -> ``scattering_matrix`` serves hand-made coupling
+sets and the tests as an independent reference; no run path calls it.  A
+caller's matrix is checked once, by ``ScatteringMatrix``.  Otherwise pure
+functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -495,24 +496,24 @@ class _BlockPieces:
     The tone at offset ``m`` owns the entries joining ``a_p`` and ``a*_q``
     with ``p + q = m``: ``c_t = u * s_t`` in amplitude rows and
     ``conj(u) * conj(s_t)`` in conjugate rows, for tone strengths ``s_t``,
-    ``t < T``, and ``u = -i * resonance``, the entry at strength 1.  For
-    block group ``k`` (as in ``blocks``), ``detuning[k]`` holds every
-    block's ``+-i*detuning`` diagonal and ``slot[k]`` indexes each entry
+    ``t < T``, and ``u = -i * resonance``, the entry at strength 1.
+    ``diagonal`` holds the comb's ``+-i*detuning`` once, by slot.  For
+    block group ``k`` (as in ``blocks``), ``slot[k]`` indexes each entry
     into ``(c_0, ..., c_T-1, conj(c_0), ..., conj(c_T-1), 0)``, the last
-    where no tone couples.  That gather plus ``diag(detuning[k] + gamma/2)``
-    is the assembled stack for port coupling ``gamma``, bit for bit but for
-    the sign of a zero.
+    where no tone couples.  That gather plus
+    ``diag(diagonal[blocks[k]] + gamma/2)`` is the assembled stack for port
+    coupling ``gamma``, bit for bit but for the sign of a zero.
 
     The ``blocks`` and ``slot`` maps are shared by every call on the same
     mode count and offsets, whatever its grid or resonance, so they are
-    read-only, as is each call's ``detuning``.  Each ``slot`` map is stored
+    read-only, as is each call's ``diagonal``.  Each ``slot`` map is stored
     in ``np.min_scalar_type(2 * T)``, one byte per entry below 128 tones:
     the map of every group of a 1,001-mode comb stays small beside the
     stacks a call gathers from it.
     """
 
     blocks: tuple[np.ndarray, ...]
-    detuning: tuple[np.ndarray, ...]
+    diagonal: np.ndarray
     slot: tuple[np.ndarray, ...]
     resonance: float
 
@@ -523,10 +524,10 @@ class _BlockPieces:
         zero = np.zeros(s.shape[:-1] + (1,))
         entries = np.concatenate((u * s, u.conjugate() * s.conj(), zero), axis=-1)
         stacks = []
-        for detuning, slot in zip(self.detuning, self.slot):
+        for block, slot in zip(self.blocks, self.slot):
             stack = entries[..., slot]
-            diagonal = np.arange(slot.shape[-1])
-            stack[..., diagonal, diagonal] += detuning + gamma / 2.0
+            d = np.arange(slot.shape[-1])
+            stack[..., d, d] += self.diagonal[block] + gamma / 2.0
             stacks.append(stack)
         return stacks
 
@@ -538,7 +539,7 @@ class _BlockPieces:
         parity = np.argsort(self.blocks[k][member] % 2, kind="stable")
         return _BlockPieces(
             (self.blocks[k][member, parity][np.newaxis],),
-            (self.detuning[k][member, parity][np.newaxis],),
+            self.diagonal,
             (self.slot[k][member][parity[:, np.newaxis], parity][np.newaxis],),
             self.resonance,
         )
@@ -550,28 +551,29 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
     The band check runs on every call, so a warning names each caller.
     The block partition and slot maps come from ``_split``, memoized on the
     mode count and the offsets; the ``+-i*detuning`` diagonal of the grid
-    and the resonance of ``params`` is built once per call and gathered
-    onto the blocks.  Every array of the pieces is read-only.
+    and the resonance of ``params`` is built once per call, and each stack
+    reads its blocks' entries from it.  Every array of the pieces is
+    read-only.
     """
     check_band(grid, params)
     blocks, slot = _split(grid.half_span, scheme.offsets)
     diagonal = _diagonal(grid, params.resonance_frequency)
-    detuning = tuple(diagonal[block] for block in blocks)
-    for array in detuning:
-        array.flags.writeable = False
-    return _BlockPieces(blocks, detuning, slot, params.resonance_frequency)
+    diagonal.flags.writeable = False
+    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency)
 
 
 @functools.lru_cache(maxsize=1)
 def _split(half_span: int, offsets: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
     """The read-only ``blocks`` and ``slot`` maps of ``_BlockPieces``, by mode sum alone.
 
-    One lookup by mode sum names the tone of every mode pair: its pairs
-    ``a_p -- a*_q`` are the edges of the block partition, and an entry
-    takes its tone's slot where its row and column parities differ.  A
-    tone is in the partition whatever its amplitude, and no map holds a
-    frequency, so a split made once serves every strength, phase, port
-    coupling, resonance and comb of ``2 * half_span + 1`` modes.
+    The tone at offset ``m`` joins ``a_p`` and ``a*_q`` at the reflection
+    ``q = m + 2J - p`` of each position ``p`` where ``q`` is on the grid:
+    those ``O(n * T)`` pairs are the edges of the block partition.  A
+    lookup by mode sum names the tone of each block entry, which takes its
+    tone's slot where its row and column parities differ.  A tone is in
+    the partition whatever its amplitude, and no map holds a frequency, so
+    a split made once serves every strength, phase, port coupling,
+    resonance and comb of ``2 * half_span + 1`` modes.
     """
     tones, reach, n_modes = len(offsets), 2 * half_span, 2 * half_span + 1
     index = np.min_scalar_type(2 * tones)
@@ -579,9 +581,10 @@ def _split(half_span: int, offsets: tuple[int, ...]) -> tuple[tuple[np.ndarray, 
     for t, m in enumerate(offsets):
         if abs(m) <= reach:
             tone_of[m + reach] = t
-    position = np.arange(n_modes)
-    p, q = np.nonzero(tone_of[position[:, np.newaxis] + position] < tones)
-    blocks = _block_partition(2 * n_modes, 2 * p, 2 * q + 1)
+    # each tone's reflection q = m + 2J - p of every position p
+    partner = np.flatnonzero(tone_of < tones)[:, np.newaxis] - np.arange(n_modes)
+    on = (partner >= 0) & (partner < n_modes)
+    blocks = _block_partition(2 * n_modes, 2 * np.nonzero(on)[1], 2 * partner[on] + 1)
     slots = []
     for block in blocks:
         rows, cols = _block_index(block)

@@ -765,7 +765,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", "{cfg}", "--seed", "abc"],
+            ["sample-covariance", "{cfg}", "--seed", "abc"],
             ["simulate", "{cfg}", "--bogus"],
             ["predict-idlers", "{cfg}", "--samples", "5"],
             ["predict-idlers", "{cfg}", "--phase1", "180deg"],
@@ -826,12 +826,12 @@ class TestRunSettingFlags:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["simulate", "--seed", "-1"], "--seed"),
+            (["simulate", "--threshold-db", "inf"], "--threshold-db"),
             (["graph", "--threshold-db", "nan", "--data", "missing"], "--threshold-db"),
-            # both flags are bad; the checks follow RunOptions field order
-            (["sweep-phase", "--seed", "-1", "--steps", "2"], "--steps"),
-            (["covariance", "--seed", "-1"], "--seed"),
+            (["sweep-phase", "--steps", "2"], "--steps"),
             (["sample-covariance", "--samples", "1"], "--samples"),
+            # both flags are bad; the checks follow RunOptions field order
+            (["sample-covariance", "--samples", "1", "--seed", "-1"], "--seed"),
             (["search-phases", "--phase-grid-points", "2", "--target", "missing"],
              "--phase-grid-points"),
         ],
@@ -875,6 +875,62 @@ class TestRunSettingFlags:
         assert run([command, config, *extra, "--out-dir", tmp_path / "b"]) == 2
         (issue,) = json.loads(capsys.readouterr().err)["issues"]
         assert from_flag.removeprefix(flag) == issue.partition("):")[2]
+
+
+class TestEachInputOnce:
+    """The config is named once, as CONFIG, and only ``sample-covariance`` takes ``--seed``."""
+
+    # the input file each subcommand needs to run at all
+    EXTRA = {"graph": ["--data", "s_matrix.cmb"], "fit": ["--data", "s_matrix.cmb"],
+             "search-phases": ["--target", "target.json"]}
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        (root / "small.yaml").write_text(SMALL)
+        (root / "target.json").write_text("[[0, 1]]")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["simulate", root / "small.yaml", "--out-dir", root]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [(c, "--config") for c in sorted(cli._COMMANDS)]
+        + [(c, "--seed") for c in sorted(cli._COMMANDS) if c != "sample-covariance"]
+        + [(c, "no CONFIG") for c in sorted(cli._COMMANDS)],
+    )
+    def test_second_spelling_or_missing_config_is_2_before_any_output(
+        self, root, tmp_path, capsys, command, case
+    ):
+        config = root / "small.yaml"
+        extra = [root / name if name.endswith((".cmb", ".json")) else name
+                 for name in self.EXTRA.get(command, [])]
+        argv, message = {
+            "--config": ([config, "--config", config], "unrecognized arguments: --config"),
+            "--seed": ([config, "--seed", "1"], "unrecognized arguments: --seed 1"),
+            "no CONFIG": ([], "the following arguments are required: CONFIG"),
+        }[case]
+        out = tmp_path / "o"
+        assert run([command, *argv, *extra, "--out-dir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        doc = strict_json(line)
+        assert doc["error"] == "validation"
+        assert message in doc["message"]
+        assert not out.exists()
+
+    def test_only_the_draw_records_a_seed(self, root, tmp_path):
+        config = root / "small.yaml"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["sample-covariance", config, "--samples", "2", "--seed", "3",
+                        "--out-dir", tmp_path]) == 0
+            assert run(["search-phases", config, "--target", root / "target.json",
+                        "--out-dir", tmp_path]) == 0
+        meta = (tmp_path / "covariance_mc.csv").read_text().splitlines()[:6]
+        assert "# samples: 2" in meta and "# seed: 3" in meta
+        for report in (root / "topology.json", tmp_path / "phase_search.json"):
+            assert "seed" not in json.loads(report.read_text())["meta"]
 
 
 # 3 modes and one tone that couples none of them: a pump-off run whose
@@ -938,14 +994,14 @@ class TestTableLayout:
 
     def test_db_matrix(self, out):
         assert_starts_with(out / "db_matrix.csv", [
-            *self.meta("# seed: 5"),
+            *self.meta(),
             "row\\col,a[-1],a*[-1],a[0],a*[0],a[1],a*[1]",
             "a[-1],0.0,-240.0,-240.0,-240.0,-240.0,-240.0",
         ])
 
     def test_covariance(self, out):
         assert_starts_with(out / "covariance.csv", [
-            *self.meta("# seed: 5", "# symplectic_defect: 1.1102230246251565e-16"),
+            *self.meta("# symplectic_defect: 1.1102230246251565e-16"),
             "row\\col,x[-1],p[-1],x[0],p[0],x[1],p[1]",
             "x[-1],0.49999999999999994,-9.894330692639654e-20,0.0,0.0,0.0,0.0",
         ])
@@ -960,7 +1016,7 @@ class TestTableLayout:
 
     def test_sweep_without_tracks_keeps_one_row_per_phase(self, out):
         assert (out / "sweep.csv").read_text().splitlines() == [
-            *self.meta("# evaluated: 1", "# seed: 5"),
+            *self.meta("# evaluated: 1"),
             "phase_rad",
             "0.0",
             "0.7853981633974483",

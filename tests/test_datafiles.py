@@ -87,7 +87,19 @@ class TestNative:
         save_scattering(path, sample)
         blob = path.read_bytes()
         path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:-4])
-        assert np.array_equal(load_scattering(path).matrix, sample.matrix)
+        loaded = load_scattering(path)
+        assert np.array_equal(loaded.matrix, sample.matrix)
+        assert loaded.grid == sample.grid
+
+    def test_version_1_file_with_a_trailer_is_rejected(self, tmp_path, sample):
+        # version 1 has no checksum, so a trailer is 4 bytes more than its payload
+        path = tmp_path / "s.cmb"
+        save_scattering(path, sample)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:])
+        mismatch = f"payload size mismatch: {len(blob)} bytes, expected {len(blob) - 4}"
+        with pytest.raises(DataFormatError, match=mismatch):
+            load_scattering(path)
 
     def test_non_finite_rejected(self, tmp_path, grid, device):
         # a NaN payload under a valid checksum, written as bytes, since no

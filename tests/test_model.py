@@ -15,7 +15,6 @@ from combscatter import (
     ModeGrid,
     PumpScheme,
     PumpTone,
-    build_mode_grid,
     predicted_intermod_indices,
     resolve_couplings,
 )
@@ -41,12 +40,12 @@ class TestDeviceParams:
 
 class TestModeGrid:
     def test_experiment_grid_has_95_modes(self):
-        grid = build_mode_grid(TWO_PI * 4.2e9, TWO_PI * 0.1e6, 47)
+        grid = ModeGrid(TWO_PI * 4.2e9, TWO_PI * 0.1e6, 47)
         assert grid.n_modes == 95
         assert list(grid.indices) == list(range(-47, 48))
 
     def test_degenerate_grid_single_mode(self):
-        grid = build_mode_grid(1.0e9, 1.0, 0)
+        grid = ModeGrid(1.0e9, 1.0, 0)
         assert grid.n_modes == 1
         assert grid.frequency(0) == 1.0e9
 
@@ -57,24 +56,24 @@ class TestModeGrid:
 
     def test_rejects_non_positive_spacing(self):
         with pytest.raises(InvalidArgumentError):
-            build_mode_grid(1.0, 0.0, 3)
+            ModeGrid(1.0, 0.0, 3)
         with pytest.raises(InvalidArgumentError):
-            build_mode_grid(1.0, -2.0, 3)
+            ModeGrid(1.0, -2.0, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_center_and_spacing(self, bad):
         with pytest.raises(InvalidArgumentError):
-            build_mode_grid(bad, 1.0, 3)
+            ModeGrid(bad, 1.0, 3)
         with pytest.raises(InvalidArgumentError):
-            build_mode_grid(1.0, bad, 3)
+            ModeGrid(1.0, bad, 3)
 
     @pytest.mark.parametrize("bad", [MAX_HALF_SPAN + 1, 10**7, -1, 2.5, math.nan, math.inf])
     def test_rejects_half_span_outside_cap(self, bad):
         with pytest.raises(InvalidArgumentError, match="half_span"):
-            build_mode_grid(1.0, 1.0, bad)
+            ModeGrid(1.0, 1.0, bad)
 
     def test_largest_grid_accepted(self):
-        assert build_mode_grid(1.0, 1.0, MAX_HALF_SPAN).n_modes == 2 * MAX_HALF_SPAN + 1
+        assert ModeGrid(1.0, 1.0, MAX_HALF_SPAN).n_modes == 2 * MAX_HALF_SPAN + 1
 
     def test_out_of_range_index_rejected(self, grid):
         with pytest.raises(InvalidArgumentError):

@@ -824,7 +824,7 @@ def comb_sequences(draw):
 
 
 def piece_arrays(pieces):
-    return [*pieces.blocks, *pieces.detuning, *pieces.slot]
+    return [*pieces.blocks, pieces.diagonal, *pieces.slot]
 
 
 def identical(a, b):
