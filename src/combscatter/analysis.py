@@ -41,6 +41,8 @@ from .scattering import (
     _scattering,
     _schur_complement,
     _spectral_floor,
+    _whole,
+    _whole_inverse,
     magnitude_db,
 )
 
@@ -212,9 +214,10 @@ def phase_sweep(
     # D_c + Y K = S_0 + s Y_0 K_1 + conj(s) Y_1 K_0 + |s|^2 Y_1 K_1
     alone = np.arange(len(base)) == swept_tone
     (pair,) = driven.stacks([np.where(alone, 0.0, base), alone], gamma)
-    schur, y = _schur_complement(pair[:, 0], amplitude, conjugate)
-    k = pair[:, 0, amplitude, conjugate]
-    d = pair[0, 0, amplitude, amplitude].diagonal()
+    stack = pair[:, 0]
+    k = stack[:, amplitude, conjugate]
+    d, d_c = np.split(stack[0].diagonal(), [half])
+    schur, y = _schur_complement(d, np.ascontiguousarray(k), stack[:, conjugate, amplitude], d_c)
     fixed = schur[0] + abs(base[swept_tone]) ** 2 * (y[1] @ k[1])
     terms = np.stack((fixed, y[0] @ k[1], y[1] @ k[0])).reshape(3, -1)
     weights = np.stack((np.ones(period), strengths, strengths.conj()), axis=1)
@@ -376,7 +379,8 @@ def fit_parameters(
     # serves every coupling
     @functools.cache
     def floor(g: float, k: int) -> float:
-        return _spectral_floor(pieces.stacks(g * unit_strengths, 0.0)[k], pieces.blocks[k])
+        stack = pieces.stacks(g * unit_strengths, 0.0)[k]
+        return _spectral_floor(_whole(stack), pieces.blocks[k])
 
     worst_condition = 0.0
 
@@ -396,7 +400,9 @@ def fit_parameters(
             return np.inf
         worst_condition = max(worst_condition, condition)
         gain = _gain(gamma)
-        models = [gain * inverse - np.eye(inverse.shape[-1]) for inverse in inverses]
+        models = [
+            gain * inverse - np.eye(inverse.shape[-1]) for inverse in map(_whole_inverse, inverses)
+        ]
         # one-time global phase alignment: instruments carry an arbitrary
         # electrical delay, so the mean diagonal phase is referenced out
         inner = sum(

@@ -13,10 +13,14 @@ reflection, ``(gamma/2 -+ i*detuning) / (gamma/2 +- i*detuning)``, is
 all-pass, of modulus 1 in closed form, so no run path computes it or
 divides by it; ``pump_off_scattering`` writes it down, inverting nothing,
 for callers who want it.  A self-mirror block, one holding both slots of
-every mode it touches, is its own particle-hole mirror: it is inverted
-through its half-size Schur complement, and the symmetry supplies two of
-the four quarters of its inverse.  Groups holding mirror pairs go to
-``np.linalg.inv``.
+every mode it touches, is its own particle-hole mirror, so it lives as
+its quarters from gather to ``S``: the stack holds only its
+amplitude-row, conjugate-column quarter ``K`` and its diagonal
+(``_Quarters``), it is inverted through its half-size Schur complement
+into the conjugate rows ``W`` and ``Z`` of its inverse, and those go
+straight into the four quarters of ``S``, the symmetry supplying the
+other two; the whole block is formed only when the gate must look past
+its discs.  Groups holding mirror pairs go whole to ``np.linalg.inv``.
 
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
@@ -30,17 +34,17 @@ modulus ``resonance * |s_t|`` per tone ``t`` whose partner ``m_t - p`` is
 on the grid, so with ``c_p`` their sum the margin is ``gamma/2 - c_p`` and
 the 1-norm ``|gamma/2 + i*detuning_p| + c_p``, at ``O(n * T)`` cost with
 no stack gathered; the gate itself keeps scanning the stacks it is given.
-Every simulation, sweep, fit and
-search splits the system, by mode sum, into an index map onto the tone
-strengths, and restacks it at every point.  The split depends only on the
-mode count and the tone offsets, so it is made once per comb and offsets:
-the package keeps a read-only split of the last comb, and concurrent calls
-may share it; each call brings its own device's detuning diagonal, which
-every stack reads by slot.  The dense chain ``resolve_couplings`` ->
-``assemble_system`` -> ``scattering_matrix`` serves hand-made coupling
-sets and the tests as an independent reference; no run path calls it.  A
-caller's matrix is checked once, by ``ScatteringMatrix``.  Otherwise pure
-functions on immutable inputs.
+Every simulation, sweep, fit and search splits the system into an index
+map onto the tone strengths, scattered from the offsets' reflections
+(``_split``), and restacks it at every point.  The split depends only on
+the mode count and the tone offsets, so it is made once per comb and
+offsets: the package keeps a read-only split of the last comb, and
+concurrent calls may share it; each call brings its own device's detuning
+diagonal, which every stack reads by slot.  The dense chain
+``resolve_couplings`` -> ``assemble_system`` -> ``scattering_matrix``
+serves hand-made coupling sets and the tests as an independent reference;
+no run path calls it.  A caller's matrix is checked once, by
+``ScatteringMatrix``.  Otherwise pure functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -283,6 +287,139 @@ def _block_index(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block[:, :, np.newaxis], block[:, np.newaxis, :]
 
 
+def _self_mirror(block: np.ndarray) -> bool:
+    """Whether every block of a group holds both slots of each of its modes.
+
+    It does exactly when its first two slots are ``2p`` and ``2p + 1``: the
+    block's mirror then shares a slot with it, so is the block.
+    """
+    return block.shape[1] > 1 and bool((block[:, 1] == (block[:, 0] | 1)).all())
+
+
+# the amplitude and conjugate slots of a block on interleaved slots (a_p, a*_p)
+_INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))
+
+
+def _schur_complement(d, k, l, d_c) -> tuple[np.ndarray, np.ndarray]:
+    """``D_c + Y K`` and ``Y = -L D^-1`` of blocks ``[[D, K], [L, D_c]]``.
+
+    ``D``, on a block's amplitude slots, and ``D_c``, on its conjugate
+    slots, are diagonal, since a tone joins an amplitude only to a
+    conjugate: ``d`` and ``d_c`` are their diagonals, ``k`` and ``l`` the
+    other two quarters, with any leading axes.  The first result is the
+    Schur complement of ``D``.  ``_Quarters.inverse`` inverts self-mirror
+    blocks through it, and ``phase_sweep`` solves its driven column through
+    it, on a block of either kind, with the block's amplitude slots read as
+    one quarter.
+    """
+    y = l / -d[..., np.newaxis, :]
+    schur = y @ k
+    i = np.arange(schur.shape[-1])
+    schur[..., i, i] += d_c
+    return schur, y
+
+
+def _inverse_quarters(amplitude, conjugate, w, z) -> tuple:
+    """``((rows, columns), quarter)`` of each quarter of ``[[conj W, conj Z], [Z, W]]``.
+
+    That is the inverse of a self-mirror block on its slots ``amplitude``
+    and ``conjugate``, from ``W`` and ``Z``, its conjugate rows
+    (``_Quarters.inverse``).
+    """
+    return (
+        ((amplitude, amplitude), w.conj()),
+        ((amplitude, conjugate), z.conj()),
+        ((conjugate, amplitude), z),
+        ((conjugate, conjugate), w),
+    )
+
+
+class _Quarters:
+    """A stack of self-mirror blocks held by its quarters.
+
+    A block that holds both slots of each of its modes reads, on its
+    interleaved slots ``(a_p, a*_p, ...)``, ``[[D, K], [conj K, conj D]]``:
+    ``D``, on the amplitude slots, is diagonal, since a tone joins an
+    amplitude only to a conjugate, and particle-hole symmetry makes the
+    conjugate-row quarters the conjugates of the amplitude-row ones.  ``k``
+    is ``K`` of every block, ``(..., count, h, h)``, amplitude rows by
+    conjugate columns; ``diagonal`` is the whole diagonal of every block,
+    ``(count, 2h)`` in slot order, so ``D`` is ``diagonal[:, 0::2]`` and
+    ``conj D`` ``diagonal[:, 1::2]``.
+    """
+
+    __slots__ = ("k", "diagonal")
+
+    def __init__(self, k: np.ndarray, diagonal: np.ndarray):
+        self.k = k
+        self.diagonal = diagonal
+
+    def discs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_column_margins`` per mode: both columns of a mode share them.
+
+        The amplitude column of mode ``j`` holds ``d_j`` and the column
+        ``conj K[:, j]``, its conjugate column ``K[:, j]`` and ``conj d_j``.
+        """
+        off = np.abs(self.k).sum(axis=-2)
+        d = self.diagonal[..., 0::2]
+        return np.abs(d) + off, d.real - off
+
+    def whole(self) -> np.ndarray:
+        """The blocks themselves, on their interleaved slots."""
+        h = self.k.shape[-1]
+        blocks = np.zeros(self.k.shape[:-2] + (2 * h, 2 * h), dtype=complex)
+        amplitude, conjugate = _INTERLEAVED
+        blocks[..., amplitude, conjugate] = self.k
+        blocks[..., conjugate, amplitude] = self.k.conj()
+        d = np.arange(2 * h)
+        blocks[..., d, d] = self.diagonal
+        return blocks
+
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """``W`` and ``Z``, the conjugate rows of every inverse: ``[[conj W, conj Z], [Z, W]]``.
+
+        ``W`` inverts the Schur complement ``conj D + Y K`` of ``D``, with
+        ``Y = -conj K D^-1``, and ``Z = W Y``; particle-hole symmetry, which
+        the inverse inherits, gives the amplitude rows.
+        """
+        d, k = self.diagonal, self.k
+        schur, y = _schur_complement(d[..., 0::2], k, k.conj(), d[..., 1::2])
+        w = np.linalg.inv(schur)
+        return w, w @ y
+
+
+def _whole(stack) -> np.ndarray:
+    """A group's stack as whole blocks, a ``_Quarters`` one assembled."""
+    return stack.whole() if isinstance(stack, _Quarters) else stack
+
+
+def _whole_inverse(inverse) -> np.ndarray:
+    """A group's inverses as whole blocks, the ``(W, Z)`` of a ``_Quarters`` one assembled."""
+    if not isinstance(inverse, tuple):
+        return inverse
+    w, z = inverse
+    blocks = np.empty(w.shape[:-2] + (2 * w.shape[-1],) * 2, dtype=complex)
+    for (rows, cols), quarter in _inverse_quarters(*_INTERLEAVED, w, z):
+        blocks[..., rows, cols] = quarter
+    return blocks
+
+
+def _stacks(matrix: np.ndarray, blocks) -> list:
+    """The stacks of ``matrix`` on the block groups, as ``_BlockPieces.stacks`` gives them.
+
+    A self-mirror group is read by its ``_Quarters``, any other whole.
+    """
+    stacks = []
+    for block in blocks:
+        if _self_mirror(block):
+            amplitude, conjugate = block[:, 0::2], block[:, 1::2]
+            k = matrix[amplitude[:, :, np.newaxis], conjugate[:, np.newaxis, :]]
+            stacks.append(_Quarters(k, matrix[block, block]))
+        else:
+            stacks.append(matrix[_block_index(block)])
+    return stacks
+
+
 def _column_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column of the last two axes: ``sum_i |B_ij|`` and ``Re B_jj - sum_{i != j} |B_ij|``."""
     columns = np.abs(stack).sum(axis=-2)
@@ -327,94 +464,65 @@ def _disc_bound(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> flo
 def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
     """Least real part of the spectrum of the ``stack`` blocks on the slots ``block``.
 
-    A block's mirror, on the swapped slots of its modes, is its conjugate
-    and has the conjugate spectrum, so of each pair only the block that
-    starts at an amplitude slot is decomposed; a block holding both slots
-    of a mode is its own mirror, and starts at its amplitude slot.
+    ``stack`` holds whole blocks (``_whole``).  A block's mirror, on the
+    swapped slots of its modes, is its conjugate and has the conjugate
+    spectrum, so of each pair only the block that starts at an amplitude
+    slot is decomposed; a block holding both slots of a mode is its own
+    mirror, and starts at its amplitude slot.
     """
     return np.linalg.eigvals(stack[block[:, 0] % 2 == 0]).real.min()
 
 
-# the amplitude and conjugate slots of a block on interleaved slots (a_p, a*_p)
-_INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))
-
-
-def _schur_complement(stack: np.ndarray, amplitude, conjugate) -> tuple[np.ndarray, np.ndarray]:
-    """``D_c + Y K`` and ``Y = -L D^-1`` of a stack read as ``[[D, K], [L, D_c]]``.
-
-    ``amplitude`` and ``conjugate`` are the slices of the last two axes
-    that hold a block's amplitude and conjugate slots.  ``D``, on the
-    amplitude slots, is diagonal, since a tone joins an amplitude only to a
-    conjugate; the first result is the Schur complement of ``D``.  A
-    self-mirror block on ``_INTERLEAVED`` slots, one holding both slots of
-    each of its modes, is ``[[D, K], [conj K, conj D]]``.
-    """
-    d = stack[:, amplitude, amplitude].diagonal(0, 1, 2)
-    k = np.ascontiguousarray(stack[:, amplitude, conjugate])
-    y = stack[:, conjugate, amplitude] / -d[:, np.newaxis, :]
-    return stack[:, conjugate, conjugate] + y @ k, y
-
-
-def _self_mirror_inverse(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The inverses of self-mirror blocks from ``W``, the inverse of their Schur complement.
-
-    With ``Z = W Y`` the inverse of ``[[D, K], [conj K, conj D]]`` is
-    ``[[conj W, conj Z], [Z, W]]``: particle-hole symmetry, which the
-    inverse inherits, gives the two quarters on amplitude rows.
-    """
-    amplitude, conjugate = _INTERLEAVED
-    z = w @ y
-    inverse = np.empty((len(w), 2 * w.shape[1], 2 * w.shape[1]), dtype=w.dtype)
-    inverse[:, conjugate, conjugate] = w
-    inverse[:, conjugate, amplitude] = z
-    inverse[:, amplitude, amplitude] = w.conj()
-    inverse[:, amplitude, conjugate] = z.conj()
-    return inverse
-
-
-def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float]:
-    """Invert ``(count, size, size)`` block stacks behind the threshold gate.
+def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
+    """Invert the stacks of block groups behind the threshold gate.
 
     ``stacks[k]`` holds the blocks on the slots ``blocks[k]``, a group as in
-    ``SystemMatrix.blocks``.  First the gate: every block must be stable,
-    every eigenvalue with a positive real part, or this raises naming the
-    smallest real part.  A group passes when each of its blocks lies inside
-    its column Gershgorin discs (``Re B_jj > sum_{i != j} |B_ij|``), or
-    else when the Hermitian parts of the blocks the discs leave open all
+    ``SystemMatrix.blocks``: a ``(count, size, size)`` array, or, for a
+    group of self-mirror blocks, each holding both slots of every one of
+    its modes, their ``_Quarters`` (``_BlockPieces.stacks``, ``_stacks``).
+    First the gate: every block must be stable, every eigenvalue with a
+    positive real part, or this raises naming the smallest real part.  A
+    group passes when each of its blocks lies inside its column Gershgorin
+    discs (``Re B_jj > sum_{i != j} |B_ij|``; a ``_Quarters`` group reads
+    them off ``K`` and ``D``, ``_Quarters.discs``), or else when the
+    Hermitian parts of the blocks the discs leave open, formed whole, all
     have a Cholesky factor, which puts their numerical ranges in the right
     half-plane.  One failed factor sends the group to the eigenvalues of
     one block of each open mirror pair (``_spectral_floor``; a block is open
     exactly when its mirror is), or to ``lowest(k)``, the caller's floor
     over at least the blocks of group ``k``.
 
-    Then the inverses.  A group of self-mirror blocks, each holding both
-    slots of every one of its modes, goes through the half-size Schur
-    complement of its blocks (``_schur_complement``,
-    ``_self_mirror_inverse``); any other group, one holding a mirror pair,
-    goes whole through ``np.linalg.inv``, since splitting a mixed group
-    saves little on large blocks and loses on small ones.  The Schur path
-    reads only the amplitude rows and relies on two facts of every stack,
-    which ``_block_pieces`` and ``assemble_system`` give by construction:
-    the entries joining two amplitude slots are zero off the diagonal, and
-    the stack is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).
-    ``phase_sweep`` relies on the first fact too: it solves its driven
-    column through the same Schur complement, on a block of either kind,
-    with the amplitude slots of the block read as one diagonal quarter.
+    Then the inverses.  A ``_Quarters`` group goes through the half-size
+    Schur complement of its blocks and returns ``(W, Z)``, the conjugate
+    rows of each inverse ``[[conj W, conj Z], [Z, W]]``
+    (``_Quarters.inverse``); no whole block or inverse of it is formed.
+    Any other group, one holding a mirror pair, goes whole through
+    ``np.linalg.inv``, since splitting a mixed group saves little on large
+    blocks and loses on small ones.  The Schur path relies on two facts of
+    every stack, which ``_BlockPieces`` and ``assemble_system`` give by
+    construction: the entries joining two amplitude slots are zero off the
+    diagonal, and the stack is exactly particle-hole symmetric
+    (``M = Sx conj(M) Sx``).
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
     they form (every column of it, or of its inverse, lies inside one
-    block).  A condition number that is not finite or exceeds
-    ``CONDITION_CAP`` raises too.
+    block; both columns of a mode of a self-mirror block have the norm
+    ``sum |W| + sum |Z|`` down its column of ``W`` and ``Z``).  A condition
+    number that is not finite or exceeds ``CONDITION_CAP`` raises too.
     """
     norm = 0.0
     for k, stack in enumerate(stacks):
-        columns, margins = _column_margins(stack)
+        quartered = isinstance(stack, _Quarters)
+        columns, margins = stack.discs() if quartered else _column_margins(stack)
         norm = np.maximum(norm, columns.max())
         is_open = (margins <= 0).any(axis=1)
-        open_blocks = stack[is_open]
-        if len(open_blocks) == 0:
+        if not is_open.any():
             continue
+        if quartered:
+            open_blocks = _Quarters(stack.k[is_open], stack.diagonal[is_open]).whole()
+        else:
+            open_blocks = stack[is_open]
         try:
             np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
         except np.linalg.LinAlgError:
@@ -429,16 +537,15 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list[np.ndarray], float
     inverses = []
     inverse_norm = 0.0
     try:
-        for stack, block in zip(stacks, blocks):
-            # self-mirror exactly when the first two slots are 2p and 2p + 1:
-            # the block's mirror then shares a slot with it, so is the block
-            if block.shape[1] > 1 and (block[:, 1] == (block[:, 0] | 1)).all():
-                schur, y = _schur_complement(stack, *_INTERLEAVED)
-                inverse = _self_mirror_inverse(np.linalg.inv(schur), y)
+        for stack in stacks:
+            if isinstance(stack, _Quarters):
+                inverse = w, z = stack.inverse()
+                columns = np.abs(w).sum(axis=1) + np.abs(z).sum(axis=1)
             else:
                 inverse = np.linalg.inv(stack)
+                columns = np.abs(inverse).sum(axis=1)
             inverses.append(inverse)
-            inverse_norm = np.maximum(inverse_norm, np.abs(inverse).sum(axis=1).max())
+            inverse_norm = np.maximum(inverse_norm, columns.max())
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
@@ -468,8 +575,7 @@ def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     stored coefficient matrix (the conventional factor of i is absorbed in
     the stored rows).
     """
-    m = system.matrix
-    stacks = [m[_block_index(block)] for block in system.blocks]
+    stacks = _stacks(system.matrix, system.blocks)
     s, cond = _scattering(stacks, system.blocks, system.k_coupling**2)
     return ScatteringMatrix(_Sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
 
@@ -478,13 +584,27 @@ def _scattering(stacks, blocks, gain: float) -> tuple[np.ndarray, float]:
     """The dense ``S = gain * M^-1 - I`` of the block groups ``blocks``, and its condition.
 
     ``stacks`` go through the threshold gate ``_invert_blocks``; entries
-    off the blocks are exact zeros before the identity is taken off.
+    off the blocks are exact zeros before the identity is taken off.  The
+    ``(W, Z)`` of a self-mirror group go straight into the four quarters of
+    its blocks, ``gain`` times ``[[conj W, conj Z], [Z, W]]``: through
+    strided slices of ``S`` when the group is one block on every slot, and
+    through a quarter index otherwise.
     """
     inverses, cond = _invert_blocks(stacks, blocks)
     size = sum(block.size for block in blocks)
     s = np.zeros((size, size), dtype=complex)
     for block, inverse in zip(blocks, inverses):
-        s[_block_index(block)] = gain * inverse
+        if not isinstance(inverse, tuple):
+            s[_block_index(block)] = gain * inverse
+            continue
+        w, z = inverse
+        strided = block.shape == (1, size)
+        slots = _INTERLEAVED if strided else (block[:, 0::2], block[:, 1::2])
+        for (rows, cols), quarter in _inverse_quarters(*slots, w, z):
+            if strided:
+                np.multiply(quarter[0], gain, out=s[rows, cols])
+            else:
+                s[rows[:, :, np.newaxis], cols[:, np.newaxis, :]] = gain * quarter
     s[np.diag_indices_from(s)] -= 1.0
     return s, cond
 
@@ -502,46 +622,57 @@ class _BlockPieces:
     into ``(c_0, ..., c_T-1, conj(c_0), ..., conj(c_T-1), 0)``, the last
     where no tone couples.  That gather plus
     ``diag(diagonal[blocks[k]] + gamma/2)`` is the assembled stack for port
-    coupling ``gamma``, bit for bit but for the sign of a zero.
+    coupling ``gamma``, bit for bit but for the sign of a zero.  A group
+    with ``quartered[k]`` set, one of self-mirror blocks on interleaved
+    slots, is gathered by its ``_Quarters`` instead: the amplitude-row,
+    conjugate-column quarter of ``slot[k]`` and the diagonal.
 
-    The ``blocks`` and ``slot`` maps are shared by every call on the same
-    mode count and offsets, whatever its grid or resonance, so they are
-    read-only, as is each call's ``diagonal``.  Each ``slot`` map is stored
-    in ``np.min_scalar_type(2 * T)``, one byte per entry below 128 tones:
-    the map of every group of a 1,001-mode comb stays small beside the
-    stacks a call gathers from it.
+    ``locator`` names the group and row of each slot, ``(2n, 2)``; it is
+    ``None`` on the pieces of one block that ``block_of`` returns.  The
+    ``blocks``, ``slot`` and ``locator`` maps are shared by every call on
+    the same mode count and offsets, whatever its grid or resonance, so
+    they are read-only, as is each call's ``diagonal``.  Each ``slot`` map
+    is stored in ``np.min_scalar_type(2 * T)``, one byte per entry below
+    128 tones: the map of every group of a 1,001-mode comb stays small
+    beside the stacks a call gathers from it.
     """
 
     blocks: tuple[np.ndarray, ...]
     diagonal: np.ndarray
     slot: tuple[np.ndarray, ...]
     resonance: float
+    quartered: tuple[bool, ...]
+    locator: np.ndarray | None
 
-    def stacks(self, strengths, gamma: float) -> list[np.ndarray]:
+    def stacks(self, strengths, gamma: float) -> list:
         """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
         s = np.asarray(strengths, dtype=complex)
         u = complex(0.0, -self.resonance)
         zero = np.zeros(s.shape[:-1] + (1,))
         entries = np.concatenate((u * s, u.conjugate() * s.conj(), zero), axis=-1)
         stacks = []
-        for block, slot in zip(self.blocks, self.slot):
+        for block, slot, quartered in zip(self.blocks, self.slot, self.quartered):
+            diagonal = self.diagonal[block] + gamma / 2.0
+            if quartered:
+                stacks.append(_Quarters(entries[..., slot[:, 0::2, 1::2]], diagonal))
+                continue
             stack = entries[..., slot]
             d = np.arange(slot.shape[-1])
-            stack[..., d, d] += self.diagonal[block] + gamma / 2.0
+            stack[..., d, d] += diagonal
             stacks.append(stack)
         return stacks
 
     def block_of(self, slot: int) -> _BlockPieces:
-        """The pieces of the one block holding ``slot``, its amplitude slots first."""
-        k, member = next(
-            (k, at[0]) for k, block in enumerate(self.blocks) for at in np.argwhere(block == slot)
-        )
+        """The pieces of the one block holding ``slot``, amplitude slots first, stacked whole."""
+        k, member = self.locator[slot]
         parity = np.argsort(self.blocks[k][member] % 2, kind="stable")
         return _BlockPieces(
             (self.blocks[k][member, parity][np.newaxis],),
             self.diagonal,
             (self.slot[k][member][parity[:, np.newaxis], parity][np.newaxis],),
             self.resonance,
+            (False,),
+            None,
         )
 
 
@@ -549,52 +680,66 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
     """The ``_BlockPieces`` of the system of ``scheme`` on ``grid`` and ``params``.
 
     The band check runs on every call, so a warning names each caller.
-    The block partition and slot maps come from ``_split``, memoized on the
-    mode count and the offsets; the ``+-i*detuning`` diagonal of the grid
-    and the resonance of ``params`` is built once per call, and each stack
-    reads its blocks' entries from it.  Every array of the pieces is
-    read-only.
+    The block partition, slot maps and locator come from ``_split``,
+    memoized on the mode count and the offsets; the ``+-i*detuning``
+    diagonal of the grid and the resonance of ``params`` is built once per
+    call, and each stack reads its blocks' entries from it.  Every array of
+    the pieces is read-only.
     """
     check_band(grid, params)
-    blocks, slot = _split(grid.half_span, scheme.offsets)
+    blocks, slot, quartered, locator = _split(grid.half_span, scheme.offsets)
     diagonal = _diagonal(grid, params.resonance_frequency)
     diagonal.flags.writeable = False
-    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency)
+    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency, quartered, locator)
 
 
 @functools.lru_cache(maxsize=1)
-def _split(half_span: int, offsets: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The read-only ``blocks`` and ``slot`` maps of ``_BlockPieces``, by mode sum alone.
+def _split(half_span: int, offsets: tuple[int, ...]) -> tuple:
+    """The read-only ``blocks``, ``slot``, ``quartered`` and ``locator`` of ``_BlockPieces``.
 
     The tone at offset ``m`` joins ``a_p`` and ``a*_q`` at the reflection
     ``q = m + 2J - p`` of each position ``p`` where ``q`` is on the grid:
-    those ``O(n * T)`` pairs are the edges of the block partition.  A
-    lookup by mode sum names the tone of each block entry, which takes its
-    tone's slot where its row and column parities differ.  A tone is in
-    the partition whatever its amplitude, and no map holds a frequency, so
-    a split made once serves every strength, phase, port coupling,
-    resonance and comb of ``2 * half_span + 1`` modes.
+    those ``O(n * T)`` pairs are the edges of the block partition, and
+    they are every coupled entry of every block, so each group's map is
+    scattered from them, ``t`` at ``(a_p, a*_q)`` and ``T + t`` at
+    ``(a*_q, a_p)``, into a map filled with the no-tone slot ``2T``.  The
+    offsets are pairwise distinct, so no entry is written twice.  A tone
+    is in the partition whatever its amplitude, and no map holds a
+    frequency, so a split made once serves every strength, phase, port
+    coupling, resonance and comb of ``2 * half_span + 1`` modes.
     """
     tones, reach, n_modes = len(offsets), 2 * half_span, 2 * half_span + 1
     index = np.min_scalar_type(2 * tones)
-    tone_of = np.full(2 * reach + 1, tones, dtype=index)  # by mode sum + reach; T for none
-    for t, m in enumerate(offsets):
-        if abs(m) <= reach:
-            tone_of[m + reach] = t
+    near = [t for t, m in enumerate(offsets) if abs(m) <= reach]
     # each tone's reflection q = m + 2J - p of every position p
-    partner = np.flatnonzero(tone_of < tones)[:, np.newaxis] - np.arange(n_modes)
+    partner = np.array([offsets[t] + reach for t in near], dtype=np.intp)[:, np.newaxis]
+    partner = partner - np.arange(n_modes)
     on = (partner >= 0) & (partner < n_modes)
-    blocks = _block_partition(2 * n_modes, 2 * np.nonzero(on)[1], 2 * partner[on] + 1)
+    tone, p = np.nonzero(on)
+    amplitude, conjugate = 2 * p, 2 * partner[on] + 1
+    blocks = _block_partition(2 * n_modes, amplitude, conjugate)
+
+    # where each slot sits: its group, its row and its place in the row
+    locator = np.empty((2 * n_modes, 2), dtype=np.intp)
+    place = np.empty(2 * n_modes, dtype=np.intp)
+    for k, block in enumerate(blocks):
+        locator[block, 0] = k
+        locator[block, 1] = np.arange(len(block))[:, np.newaxis]
+        place[block] = np.arange(block.shape[1])
+    rows = np.concatenate((amplitude, conjugate))
+    cols = np.concatenate((conjugate, amplitude))
+    values = np.array(near, dtype=index)[np.concatenate((tone, tone))]
+    values[len(tone) :] += tones
+    group, member = locator[rows].T
     slots = []
-    for block in blocks:
-        rows, cols = _block_index(block)
-        tone = tone_of[rows // 2 + cols // 2]
-        coupled = (rows % 2 != cols % 2) & (tone < tones)
-        tone += (tones * (rows % 2)).astype(index)
-        slots.append(np.where(coupled, tone, index.type(2 * tones)))
-    for array in (*blocks, *slots):
+    for k, block in enumerate(blocks):
+        slot = np.full(block.shape + block.shape[1:], 2 * tones, dtype=index)
+        mine = group == k
+        slot[member[mine], place[rows[mine]], place[cols[mine]]] = values[mine]
+        slots.append(slot)
+    for array in (*blocks, *slots, locator):
         array.flags.writeable = False
-    return blocks, tuple(slots)
+    return blocks, tuple(slots), tuple(_self_mirror(block) for block in blocks), locator
 
 
 def simulate_scattering(

@@ -1,15 +1,17 @@
 """Dense references for every simulation.
 
-The package splits each system into block pieces by mode sum and restacks
-them (``scattering._block_pieces``), whether it simulates one scheme,
-sweeps a phase, fits or searches.  The tests check those paths against
-the other builder: the public dense chain, which resolves a list of
-coupled pairs tone by tone, assembles the ``2n x 2n`` system and gathers
-its blocks back out of it.  That chain still inverts through the package's
-block inverter, so ``dense_scattering`` also checks the inverter: it
-inverts the whole assembled system with one plain ``np.linalg.inv``, and
-``dense_column``, which checks the phase sweep's half-size solve, solves
-it for one column with one plain ``np.linalg.solve``.
+The package splits each system into block pieces, scattered from the
+offsets' reflections, and restacks them (``scattering._block_pieces``),
+whether it simulates one scheme, sweeps a phase, fits or searches; a
+self-mirror group is stacked and inverted by its quarters.  The tests
+check those paths against the other builder: the public dense chain,
+which resolves a list of coupled pairs tone by tone, assembles the
+``2n x 2n`` system and gathers its blocks back out of it.  That chain
+still inverts through the package's block inverter, so
+``dense_scattering`` also checks the inverter: it inverts the whole
+assembled system with one plain ``np.linalg.inv``, and ``dense_column``,
+which checks the phase sweep's half-size solve, solves it for one column
+with one plain ``np.linalg.solve``.
 """
 
 import numpy as np

@@ -47,12 +47,16 @@ from combscatter.scattering import (
     CONDITION_CAP,
     Normalization,
     ScatteringMatrix,
+    _Quarters,
     _block_pieces,
     _column_discs,
     _column_margins,
     _disc_bound,
     _invert_blocks,
     _split,
+    _stacks,
+    _whole,
+    _whole_inverse,
 )
 from conftest import (
     COUPLING,
@@ -64,6 +68,7 @@ from conftest import (
     small_schemes,
     write_native_payload,
 )
+import split_reference
 from dense_reference import dense_scattering, dense_system, simulate_dense
 
 
@@ -501,11 +506,17 @@ class TestBlockSolver:
         assert len(stacks) == len(system.blocks)
         for block, stack in zip(system.blocks, stacks):
             rows, cols = block[:, :, np.newaxis], block[:, np.newaxis, :]
-            assert np.array_equal(stack, system.matrix[rows, cols])
+            assert np.array_equal(_whole(stack), system.matrix[rows, cols])
+            # exactly the self-mirror groups are gathered by their quarters
+            assert isinstance(stack, _Quarters) == (group_kind(block) == "self-mirror")
         # leading step axes broadcast: each step's stacks are the single ones
         steps = pieces.stacks([strengths, np.conj(strengths)], device.port_coupling)
         for single, stepped in zip(stacks, steps):
-            assert np.array_equal(stepped[0], single)
+            if isinstance(stepped, _Quarters):
+                first = _Quarters(stepped.k[0], stepped.diagonal)
+            else:
+                first = stepped[0]
+            assert np.array_equal(_whole(first), _whole(single))
 
     @settings(max_examples=60, deadline=None)
     @given(small_schemes(min_tones=0, ratios=st.one_of(st.just(0.0), st.floats(0.01, 0.6))))
@@ -565,7 +576,7 @@ class TestBlockSolver:
 
 
 def gathered(system):
-    """The stacks of ``system.matrix`` on its block groups."""
+    """The stacks of ``system.matrix`` on its block groups, whole."""
     return [system.matrix[b[:, :, np.newaxis], b[:, np.newaxis, :]] for b in system.blocks]
 
 
@@ -593,7 +604,7 @@ def assert_inverses_are_plain_inverses(stacks, blocks):
     inverses, cond = _invert_blocks(stacks, blocks)
     norm = inverse_norm = 0.0
     for stack, inverse in zip(stacks, inverses):
-        for b, b_inverse in zip(stack, inverse):
+        for b, b_inverse in zip(_whole(stack), _whole_inverse(inverse)):
             reference = np.linalg.inv(b)
             assert np.linalg.norm(b_inverse - reference) <= 1e-12 * np.linalg.norm(reference)
             norm = max(norm, np.linalg.norm(b, 1))
@@ -613,7 +624,8 @@ class TestSelfMirrorInverse:
         device = DeviceParams(RESONANCE, scale * COUPLING)
         size = 2 * grid.n_modes
         pieces = _block_pieces(grid, device, scheme)
-        stacks = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
+        strengths = [t.strength for t in scheme.tones]
+        stacks = [_whole(stack) for stack in pieces.stacks(strengths, device.port_coupling)]
         system = dense_system(grid, device, scheme)
         for blocks, group in ((pieces.blocks, stacks), (system.blocks, gathered(system))):
             m = placed(group, blocks, size)
@@ -677,6 +689,76 @@ class TestSelfMirrorInverse:
         assert s.condition_estimate == pytest.approx(cond, rel=1e-12)
 
 
+class TestGroupKinds:
+    """Each way a group reaches S, against one plain inverse of the whole system."""
+
+    @pytest.mark.parametrize(
+        "offsets, shapes, kinds",
+        [
+            # one self-mirror block on every slot: S by strided quarters
+            ([-4, 0, 5], [(1, 190)], ["self-mirror"]),
+            # a group of two self-mirror blocks: S by a quarter index
+            ([-2, 2], [(2, 47), (2, 48)], ["mirror pairs", "self-mirror"]),
+            # one self-mirror block beside a mixed group, inverted whole
+            ([-4, 0, 4], [(1, 46), (3, 48)], ["self-mirror", "mixed"]),
+        ],
+    )
+    def test_matches_one_plain_inverse_of_the_whole_system(self, grid, device, offsets, shapes,
+                                                           kinds):
+        scheme = balanced_scheme(device, offsets, 0.085, [0.4, 1.3, 2.9][: len(offsets)])
+        pieces = _block_pieces(grid, device, scheme)
+        assert [b.shape for b in pieces.blocks] == shapes
+        assert [group_kind(b) for b in pieces.blocks] == kinds
+        assert pieces.quartered == tuple(kind == "self-mirror" for kind in kinds)
+        s = simulate_scattering(grid, device, scheme)
+        reference, cond = dense_scattering(dense_system(grid, device, scheme))
+        assert np.max(np.abs(s.matrix - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert s.condition_estimate == pytest.approx(cond, rel=1e-12)
+        # the quarters of a self-mirror block make its part of S exactly symmetric
+        for block, quartered in zip(pieces.blocks, pieces.quartered):
+            for row in block if quartered else ():
+                assert particle_hole_defect(s.matrix[np.ix_(row, row)]) == 0.0
+
+    @pytest.mark.parametrize(
+        "ratio, phases, stages",
+        [
+            (0.1675, [0.0, 1.0, 2.0], ["cholesky"]),
+            (0.17, [0.0, 0.0, 0.0], ["cholesky", "eigvals"]),
+            (0.2, [0.0, 0.0, 0.0], ["cholesky", "eigvals"]),
+        ],
+    )
+    def test_open_self_mirror_block_reaches_the_whole_block_stages(
+        self, grid, device, monkeypatch, ratio, phases, stages
+    ):
+        # the discs leave the one 190-slot block open near the threshold, so
+        # its Hermitian part, and then its spectrum, decide on the whole block
+        scheme = balanced_scheme(device, [-4, 0, 5], ratio, phases)
+        pieces = _block_pieces(grid, device, scheme)
+        (stack,) = pieces.stacks([t.strength for t in scheme.tones], device.port_coupling)
+        assert isinstance(stack, _Quarters) and (stack.discs()[1] <= 0).any()
+        system = dense_system(grid, device, scheme)
+        floor = np.linalg.eigvals(system.matrix).real.min()
+        seen = []
+        for name in ("cholesky", "eigvals"):
+            run = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, run=run, name=name: seen.append((name, a.shape)) or run(a)
+            )
+        if floor > 0:
+            s = simulate_scattering(grid, device, scheme)
+            reference, cond = dense_scattering(system)
+            assert np.max(np.abs(s.matrix - reference)) <= 1e-12 * np.max(np.abs(reference))
+            assert s.condition_estimate == pytest.approx(cond, rel=1e-12)
+        else:
+            with pytest.raises(AboveThresholdError) as info:
+                simulate_scattering(grid, device, scheme)
+            assert str(info.value) == (
+                "parametric oscillation threshold reached: the system is dynamically "
+                f"unstable, with an eigenvalue of real part {floor:.6e} <= 0"
+            )
+        assert seen == [(name, (1, 190, 190)) for name in stages]
+
+
 def certified(grid, device, scheme, cap):
     return _disc_bound(grid, device, scheme) <= cap
 
@@ -703,7 +785,7 @@ class TestThresholdCertificate:
         if not clear:
             return
         stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
-        blocks = [block for stack in stacks for block in stack]
+        blocks = [block for stack in stacks for block in _whole(stack)]
         norm = max(np.linalg.norm(block, 1) for block in blocks)
         inverse_norm = max(np.linalg.norm(np.linalg.inv(block), 1) for block in blocks)
         assert norm * inverse_norm <= cap
@@ -749,7 +831,7 @@ class TestThresholdCertificate:
         device = DeviceParams(RESONANCE, coupling * COUPLING)
         gamma = device.port_coupling
         system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
-        assembled = [system.matrix[b[:, :, np.newaxis], b[:, np.newaxis, :]] for b in system.blocks]
+        assembled = _stacks(system.matrix, system.blocks)
         pieces = _block_pieces(grid, device, scheme)
         stacks = pieces.stacks([t.strength for t in scheme.tones], gamma)
         try:
@@ -762,7 +844,9 @@ class TestThresholdCertificate:
         event(f"certified: {certified(grid, device, scheme, 1e12)}")
         inverses, pieces_cond = _invert_blocks(stacks, pieces.blocks)
         assert len(inverses) == len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(inverses, expected))
+        assert all(
+            np.array_equal(_whole_inverse(a), _whole_inverse(b)) for a, b in zip(inverses, expected)
+        )
         assert pieces_cond == cond
 
     @pytest.mark.parametrize("ratio, expected", [(0.49, True), (0.5, False), (0.51, False)])
@@ -931,6 +1015,60 @@ class TestSplitCache:
             runs[kind]()
         assert _split.cache_info().hits == hits + 1
         assert [(w.category, w.filename) for w in caught] == [(BandMismatchWarning, __file__)] * 2
+
+
+@st.composite
+def split_cases(draw):
+    """A half span of 0-60 and 0-5 distinct offsets, some past the grid's reach of 4J."""
+    half_span = draw(st.integers(0, 60))
+    near = st.integers(-4 * half_span - 3, 4 * half_span + 3)
+    offsets = draw(st.lists(st.one_of(near, st.integers()), max_size=5, unique=True))
+    return half_span, tuple(offsets)
+
+
+class TestSplit:
+    """The split against its mode-sum reference, and what it adds beside the maps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_cases())
+    @example((MAX_HALF_SPAN, (-4, 0, 4)))
+    @example((MAX_HALF_SPAN, (0,)))
+    @example((3, (10**30, -(10**30), 1)))
+    @example((0, ()))
+    def test_equals_the_mode_sum_reference_byte_for_byte(self, case):
+        half_span, offsets = case
+        _split.cache_clear()
+        blocks, slots, quartered, locator = _split(half_span, offsets)
+        expected_blocks, expected_slots = split_reference.split(half_span, offsets)
+        assert identical(blocks, expected_blocks)
+        assert identical(slots, expected_slots)
+        assert not any(a.flags.writeable for a in (*blocks, *slots, locator))
+        assert quartered == tuple(group_kind(block) == "self-mirror" for block in blocks)
+        # every slot's group and row hold it
+        assert locator.shape == (2 * (2 * half_span + 1), 2)
+        for k, block in enumerate(blocks):
+            assert np.all(locator[block, 0] == k)
+            assert np.all(locator[block, 1] == np.arange(len(block))[:, np.newaxis])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_schemes(min_tones=0))
+    def test_block_of_every_slot_is_its_block_amplitudes_first(self, case):
+        grid, scheme = case
+        pieces = _block_pieces(grid, DeviceParams(RESONANCE, COUPLING), scheme)
+        for slot in range(2 * grid.n_modes):
+            # the block row holding the slot, found by scanning every group
+            k, member = next(
+                (k, at[0])
+                for k, block in enumerate(pieces.blocks)
+                for at in np.argwhere(block == slot)
+            )
+            driven = pieces.block_of(slot)
+            parity = np.argsort(pieces.blocks[k][member] % 2, kind="stable")
+            assert np.array_equal(driven.blocks[0][0], pieces.blocks[k][member, parity])
+            assert np.array_equal(
+                driven.slot[0][0], pieces.slot[k][member][parity[:, np.newaxis], parity]
+            )
+            assert driven.quartered == (False,)
 
 
 class TestNormalizePumpOff:
