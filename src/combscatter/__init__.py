@@ -15,11 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Data-file format names, kept here so the CLI parser reads them without
-# loading numpy through ``datafiles``.
-NATIVE_FORMAT = "artifact-native"
-CSV_FORMAT = "generic-csv"
-
 _EXPORTS = {
     "analysis": "FitResult PhaseSearchResult PhaseSweepResult SweepTrack fit_parameters "
     "phase_sweep search_phases",
@@ -34,7 +29,7 @@ _EXPORTS = {
     "export_dot extract_graph mode_level_db topology_report",
     "model": "BandMismatchWarning Coupling CouplingSet DeviceParams IntermodPrediction "
     "ModeGrid PumpScheme PumpTone predicted_intermod_indices resolve_couplings",
-    "scattering": "Normalization ScatteringMatrix SystemMatrix assemble_system magnitude_db "
+    "scattering": "ScatteringMatrix SystemMatrix assemble_system magnitude_db "
     "normalize_pump_off particle_hole_defect pump_off_scattering scale_for_ratio "
     "scattering_matrix simulate_scattering",
 }

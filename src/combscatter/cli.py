@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Every subcommand reads a config (a file path or the name of a bundled
-config), optionally a data file, and writes deterministic outputs into
-``--out-dir``.  Exit codes are a stable contract: 0 success, 2 validation
-failure, 3 above the oscillation threshold, 4 I/O or data-format failure.
-Failures emit one machine-readable JSON line on stderr, which carries the
-warnings the run raised before it failed.  Each subcommand imports the
-modules it uses when it runs, so ``--help`` and a rejected command line
-load neither numpy nor PyYAML.
+config), optionally a data file, native or CSV as its first bytes say, and
+writes deterministic outputs into ``--out-dir``.  Exit codes are a stable
+contract: 0 success, 2 validation failure, 3 above the oscillation
+threshold, 4 I/O or data-format failure.  Failures emit one
+machine-readable JSON line on stderr, which carries the warnings the run
+raised before it failed.  Each subcommand imports the modules it uses when
+it runs, so ``--help`` and a rejected command line load neither numpy nor
+PyYAML.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import CSV_FORMAT, NATIVE_FORMAT, __version__
+from . import __version__
 from .errors import (
     AboveThresholdError,
     CombScatterError,
@@ -128,7 +129,7 @@ class _Run:
         """The ``--data`` matrix, which must lie on exactly the config's grid."""
         from .datafiles import load_scattering_data
 
-        smat = load_scattering_data(self.args.data, self.args.format)
+        smat = load_scattering_data(self.args.data)
         if smat.grid != self.grid:
             raise DataFormatError(
                 f"data grid ({_describe_grid(smat.grid)}) differs from "
@@ -190,6 +191,12 @@ def _cmd_simulate(run: _Run) -> None:
 def _cmd_graph(run: _Run) -> None:
     from .scattering import magnitude_db, simulate_scattering
 
+    phases = [_FLAG_OF[dest] for dest in _PHASE_FLAGS if getattr(run.args, dest) is not None]
+    if run.args.data and phases:
+        raise InvalidArgumentError(
+            f"{', '.join(phases)} not allowed with --data: data is graphed as measured, "
+            "with no pump scheme to set a phase on"
+        )
     # the model's pump-off reference is the all-pass 1, so data of either
     # normalization tag and the simulated matrix read alike
     smat = run.data() if run.args.data else simulate_scattering(run.grid, run.params, run.scheme)
@@ -343,7 +350,6 @@ _FLAGS = {
     "--signal-index": {"type": int},
     "--tone": {"type": int, "dest": "swept_tone"},
     "--data": {},
-    "--format": {"default": NATIVE_FORMAT, "choices": [NATIVE_FORMAT, CSV_FORMAT]},
     "--target": {},
     "--phase-grid-points": {"type": int},
 }
@@ -354,11 +360,11 @@ _FLAG_OF = {spec.get("dest", flag[2:].replace("-", "_")): flag for flag, spec in
 # --out-dir, so a flag another subcommand reads is rejected, not ignored.
 _COMMANDS = {
     "simulate": (_cmd_simulate, ("--threshold-db", *_PHASES)),
-    "graph": (_cmd_graph, ("--threshold-db", *_PHASES, "--data", "--format")),
+    "graph": (_cmd_graph, ("--threshold-db", *_PHASES, "--data")),
     "sweep-phase": (_cmd_sweep_phase, (*_PHASES, "--steps", "--signal-index", "--tone")),
     "covariance": (_cmd_covariance, _PHASES),
     "sample-covariance": (_cmd_sample_covariance, ("--seed", *_PHASES, "--samples")),
-    "fit": (_cmd_fit, (*_PHASES, "--data", "--format")),
+    "fit": (_cmd_fit, (*_PHASES, "--data")),
     "search-phases": (
         _cmd_search_phases, ("--threshold-db", *_PHASES, "--target", "--phase-grid-points")
     ),

@@ -6,9 +6,13 @@ normalization tag) followed by the matrix payload as row-major float64
 (re, im) pairs and a CRC-32 of everything before it, so a truncated or
 corrupted file is rejected rather than read as other numbers.  Generic CSV
 carries one complex entry per cell and always requires an explicit JSON
-sidecar for the grid metadata and normalization flag; the loader never
-guesses.  Text outputs embed the tool version and
-the config hash so every file is traceable to what produced it.
+sidecar for the grid metadata and normalization tag; the loader never
+guesses.  A data file says which of the two it is: one that starts with
+the container's magic is native, any other is CSV and needs its sidecar.
+Both normalization tags, ``raw`` and ``pump_off_rel``, are validated and
+read alike, since the model's pump-off reference is exactly 1; the package
+writes ``raw``.  Text outputs embed the tool version and the config hash
+so every file is traceable to what produced it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import CSV_FORMAT, NATIVE_FORMAT
 from .errors import DataFormatError, InvalidArgumentError
 from .model import ModeGrid
-from .scattering import Normalization, ScatteringMatrix
+from .scattering import ScatteringMatrix
 
 if TYPE_CHECKING:
     from .graphs import CorrelationGraph, TopologyReport
@@ -36,19 +39,10 @@ _HEADER = struct.Struct("<8sII dd 16s16s")
 # trails version-2 files; version 1 had none and still loads
 _CHECKSUM = struct.Struct("<I")
 
-# wire names fit the fixed 16-byte header field
-_NORMALIZATION_TAGS = {
-    Normalization.RAW: "raw",
-    Normalization.PUMP_OFF_RELATIVE: "pump_off_rel",
-}
-_TAGS_TO_NORMALIZATION = {tag: norm for norm, tag in _NORMALIZATION_TAGS.items()}
-
-
-def _pad_tag(tag: str) -> bytes:
-    raw = tag.encode("ascii")
-    if len(raw) > 16:
-        raise DataFormatError(f"tag {tag!r} longer than 16 bytes")
-    return raw.ljust(16, b"\x00")
+# the normalization tags a file may carry, read alike; the package writes "raw"
+_NORMALIZATION_TAGS = ("raw", "pump_off_rel")
+# the basis and normalization tags the package writes, as 16-byte header fields
+_BASIS_FIELD, _RAW_FIELD = (tag.encode("ascii").ljust(16, b"\x00") for tag in (BASIS_TAG, "raw"))
 
 
 def save_scattering(path, smat: ScatteringMatrix) -> None:
@@ -60,8 +54,8 @@ def save_scattering(path, smat: ScatteringMatrix) -> None:
         n,
         smat.grid.spacing,
         smat.grid.center_frequency,
-        _pad_tag(BASIS_TAG),
-        _pad_tag(_NORMALIZATION_TAGS[smat.normalization]),
+        _BASIS_FIELD,
+        _RAW_FIELD,
     )
     blob = header + np.ascontiguousarray(smat.matrix, dtype=complex).tobytes()
     Path(path).write_bytes(blob + _CHECKSUM.pack(zlib.crc32(blob)))
@@ -84,9 +78,8 @@ def load_scattering(path) -> ScatteringMatrix:
             f"basis tag {basis!r} not supported; convert to {BASIS_TAG!r} first"
         )
     norm_tag = norm_raw.rstrip(b"\x00").decode("ascii", "replace")
-    if norm_tag not in _TAGS_TO_NORMALIZATION:
+    if norm_tag not in _NORMALIZATION_TAGS:
         raise DataFormatError(f"unknown normalization tag {norm_tag!r}")
-    normalization = _TAGS_TO_NORMALIZATION[norm_tag]
     if n < 1 or n % 2 == 0:
         raise DataFormatError(f"mode count {n} must be odd and positive")
     expected = _HEADER.size + 2 * (2 * n) * (2 * n) * 8 + trailer
@@ -104,7 +97,7 @@ def load_scattering(path) -> ScatteringMatrix:
         if stored != zlib.crc32(memoryview(blob)[: expected - trailer]):
             raise DataFormatError("checksum mismatch: the file is corrupted")
     # the type copies the file buffer's read-only view into an array of its own
-    return _admitted(matrix, grid, normalization)
+    return _admitted(matrix, grid)
 
 
 def _complex_repr(z: complex) -> str:
@@ -126,7 +119,7 @@ def save_scattering_csv(path, smat: ScatteringMatrix) -> None:
         "basis": BASIS_TAG,
         "center_hz": smat.grid.center_frequency / (2.0 * np.pi),
         "n_modes": smat.grid.n_modes,
-        "normalization": _NORMALIZATION_TAGS[smat.normalization],
+        "normalization": "raw",
         "spacing_hz": smat.grid.spacing / (2.0 * np.pi),
     }
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -156,9 +149,8 @@ def load_scattering_csv(path) -> ScatteringMatrix:
             f"basis tag {meta['basis']!r} not supported; convert to {BASIS_TAG!r} first"
         )
     tag = meta["normalization"]
-    if not isinstance(tag, str) or tag not in _TAGS_TO_NORMALIZATION:
+    if not isinstance(tag, str) or tag not in _NORMALIZATION_TAGS:
         raise DataFormatError(f"unknown normalization tag {tag!r}")
-    normalization = _TAGS_TO_NORMALIZATION[tag]
     n = meta["n_modes"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise DataFormatError(f"mode count {n!r} must be odd and positive")
@@ -184,25 +176,33 @@ def load_scattering_csv(path) -> ScatteringMatrix:
             rows.append([complex(c.strip()) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad complex entry ({exc})") from exc
-    return _admitted(rows, grid, normalization)
+    return _admitted(rows, grid)
 
 
-def _admitted(matrix, grid: ModeGrid, normalization: Normalization) -> ScatteringMatrix:
+def _admitted(matrix, grid: ModeGrid) -> ScatteringMatrix:
     try:
-        return ScatteringMatrix(matrix=matrix, grid=grid, normalization=normalization)
+        return ScatteringMatrix(matrix=matrix, grid=grid)
     except InvalidArgumentError as exc:
         raise DataFormatError(f"matrix: {exc}") from exc
 
 
-def load_scattering_data(path, format: str) -> ScatteringMatrix:
-    """Load measured or simulated scattering data in a declared format."""
-    if format == NATIVE_FORMAT:
+def load_scattering_data(path) -> ScatteringMatrix:
+    """Load measured or simulated scattering data as the file says it is stored.
+
+    A file that starts with ``MAGIC`` is read as the native container, any
+    other as generic CSV, whose sidecar must exist.
+    """
+    with open(path, "rb") as f:
+        native = f.read(len(MAGIC)) == MAGIC
+    if native:
         return load_scattering(path)
-    if format == CSV_FORMAT:
-        return load_scattering_csv(path)
-    raise DataFormatError(
-        f"unknown format {format!r}; use {NATIVE_FORMAT!r} or {CSV_FORMAT!r}"
-    )
+    meta_path = sidecar_path(path)
+    if not meta_path.exists():
+        raise DataFormatError(
+            f"{path} is neither a native container (it does not start with {MAGIC!r}) "
+            f"nor generic CSV ({meta_path} not found)"
+        )
+    return load_scattering_csv(path)
 
 
 def _cell(x) -> str:

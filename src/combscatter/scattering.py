@@ -49,7 +49,6 @@ no run path calls it.  A caller's matrix is checked once, by
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -106,11 +105,6 @@ def _frozen(value, dtype) -> np.ndarray:
     return a
 
 
-class Normalization(enum.Enum):
-    RAW = "raw"
-    PUMP_OFF_RELATIVE = "pump_off_relative"
-
-
 @dataclass(frozen=True)
 class SystemMatrix:
     """Coefficient matrix of the harmonic-balance system.
@@ -149,7 +143,6 @@ class ScatteringMatrix:
 
     matrix: np.ndarray
     grid: ModeGrid
-    normalization: Normalization = Normalization.RAW
     condition_estimate: float = float("nan")
 
     def __post_init__(self):
@@ -577,7 +570,7 @@ def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     """
     stacks = _stacks(system.matrix, system.blocks)
     s, cond = _scattering(stacks, system.blocks, system.k_coupling**2)
-    return ScatteringMatrix(_Sealed(s), system.grid, Normalization.RAW, condition_estimate=cond)
+    return ScatteringMatrix(_Sealed(s), system.grid, condition_estimate=cond)
 
 
 def _scattering(stacks, blocks, gain: float) -> tuple[np.ndarray, float]:
@@ -757,7 +750,7 @@ def simulate_scattering(
     gamma = params.port_coupling
     stacks = pieces.stacks([tone.strength for tone in scheme.tones], gamma)
     s, cond = _scattering(stacks, pieces.blocks, _gain(gamma))
-    return ScatteringMatrix(_Sealed(s), grid, Normalization.RAW, condition_estimate=cond)
+    return ScatteringMatrix(_Sealed(s), grid, condition_estimate=cond)
 
 
 def pump_off_scattering(grid: ModeGrid, params: DeviceParams) -> ScatteringMatrix:

@@ -50,18 +50,19 @@ def simulated_db(grid, device, scheme):
     return magnitude_db(simulate_scattering(grid, device, scheme).matrix)
 
 
-def write_native_payload(path, matrix, grid):
+def write_native_payload(path, matrix, grid, tag="raw"):
     """Write ``matrix`` as it stands, NaN or mis-shaped, into a current native
-    container on ``grid`` under a valid checksum; ``save_scattering`` takes
-    only a matrix ``ScatteringMatrix`` admitted."""
+    container on ``grid`` with normalization ``tag``, under a valid checksum;
+    ``save_scattering`` takes only a matrix ``ScatteringMatrix`` admitted, and
+    writes only ``raw``."""
     header = datafiles._HEADER.pack(
         datafiles.MAGIC,
         datafiles.FORMAT_VERSION,
         grid.n_modes,
         grid.spacing,
         grid.center_frequency,
-        datafiles._pad_tag(datafiles.BASIS_TAG),
-        datafiles._pad_tag("raw"),
+        datafiles._BASIS_FIELD,
+        tag.encode("ascii").ljust(16, b"\x00"),
     )
     blob = header + np.ascontiguousarray(matrix, dtype=complex).tobytes()
     path.write_bytes(blob + datafiles._CHECKSUM.pack(zlib.crc32(blob)))

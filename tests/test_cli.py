@@ -24,7 +24,6 @@ from combscatter import (
     InvalidArgumentError,
     PumpScheme,
     RunOptions,
-    ScatteringMatrix,
     bundled_config_path,
     parse_config,
     phase_sweep,
@@ -35,7 +34,6 @@ from combscatter.datafiles import (
     save_scattering_csv,
     sidecar_path,
 )
-from combscatter.scattering import Normalization
 from conftest import write_native_payload
 
 BUNDLED = sorted(
@@ -351,6 +349,22 @@ class TestGraph:
         # -4/0/4 joins modes 0 mod 4, modes 2 mod 4 and the odd modes, never across
         assert [len(c["nodes"]) for c in below["components"]] == [7, 12, 6]
 
+    @pytest.mark.parametrize("flag", ["--phase1", "--phase0", "--phase-1"])
+    def test_phase_flag_with_data_is_2_before_the_data_is_read(
+        self, small_config, tmp_path, capsys, flag
+    ):
+        # the data file is missing: reading it would exit 4
+        out = tmp_path / "o"
+        assert run(["graph", small_config, "--data", tmp_path / "absent.cmb", flag, "90deg",
+                    "--out-dir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        doc = strict_json(line)
+        assert doc["error"] == "validation"
+        assert doc["message"].startswith(f"{flag} not allowed with --data")
+        assert not out.exists()
+
 
 class TestSearchPhases:
     def test_reaches_target_from_simulated_topology(self, small_config, tmp_path):
@@ -607,8 +621,7 @@ class TestExitCodes:
         assert run(["simulate", small_config, "--out-dir", tmp_path]) == 0
         if tag == "pump_off_rel":
             smat = load_scattering(data)
-            save_scattering(data, ScatteringMatrix(smat.matrix, smat.grid,
-                                                   Normalization.PUMP_OFF_RELATIVE))
+            write_native_payload(data, smat.matrix, smat.grid, tag)
         other = tmp_path / "other.yaml"
         other.write_text(SMALL.replace(old, new))
         capsys.readouterr()
@@ -622,15 +635,15 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["graph", "fit"])
-    @pytest.mark.parametrize("form", ["artifact-native", "generic-csv"])
+    @pytest.mark.parametrize("kind", ["native", "csv"])
     def test_non_finite_data_is_4_with_one_json_line(
-        self, small_config, tmp_path, capsys, command, form
+        self, small_config, tmp_path, capsys, command, kind
     ):
         # a NaN in a file that is otherwise whole: the matrix type refuses it
         out = tmp_path / "out"
         assert run(["simulate", small_config, "--out-dir", out]) == 0
         data = out / "s_matrix.cmb"
-        if form == "generic-csv":
+        if kind == "csv":
             save_scattering_csv(out / "s.csv", load_scattering(data))
             data = out / "s.csv"
             rows = [line.split(",") for line in data.read_text().splitlines()]
@@ -642,8 +655,7 @@ class TestExitCodes:
             matrix[0, 7] = math.nan
             write_native_payload(data, matrix, saved.grid)
         capsys.readouterr()
-        assert run([command, small_config, "--data", data, "--format", form,
-                    "--out-dir", tmp_path / "o"]) == 4
+        assert run([command, small_config, "--data", data, "--out-dir", tmp_path / "o"]) == 4
         (line,) = capsys.readouterr().err.splitlines()
         doc = strict_json(line)
         assert doc["error"] == "io"
@@ -683,8 +695,7 @@ class TestExitCodes:
         meta = json.loads(sidecar_path(data).read_text())
         meta["n_modes"] = 25.5  # int() would truncate it to the true 25
         sidecar_path(data).write_text(json.dumps(meta))
-        assert run(["graph", small_config, "--data", data, "--format", "generic-csv",
-                    "--out-dir", out]) == 4
+        assert run(["graph", small_config, "--data", data, "--out-dir", out]) == 4
 
     @pytest.mark.parametrize(
         "key, value", [("center_hz", "four GHz"), ("spacing_hz", -1e5)]
@@ -698,8 +709,7 @@ class TestExitCodes:
         meta[key] = value
         sidecar_path(data).write_text(json.dumps(meta))
         capsys.readouterr()
-        assert run(["graph", small_config, "--data", data, "--format", "generic-csv",
-                    "--out-dir", out]) == 4
+        assert run(["graph", small_config, "--data", data, "--out-dir", out]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "io"
 
     def test_negative_port_coupling_is_2_with_line(self, tmp_path, capsys):
@@ -897,7 +907,8 @@ class TestEachInputOnce:
         "command, case",
         [(c, "--config") for c in sorted(cli._COMMANDS)]
         + [(c, "--seed") for c in sorted(cli._COMMANDS) if c != "sample-covariance"]
-        + [(c, "no CONFIG") for c in sorted(cli._COMMANDS)],
+        + [(c, "no CONFIG") for c in sorted(cli._COMMANDS)]
+        + [(c, "--format") for c in ("fit", "graph")],
     )
     def test_second_spelling_or_missing_config_is_2_before_any_output(
         self, root, tmp_path, capsys, command, case
@@ -909,6 +920,9 @@ class TestEachInputOnce:
             "--config": ([config, "--config", config], "unrecognized arguments: --config"),
             "--seed": ([config, "--seed", "1"], "unrecognized arguments: --seed 1"),
             "no CONFIG": ([], "the following arguments are required: CONFIG"),
+            # a data file says what it holds
+            "--format": ([config, "--format", "generic-csv"],
+                         "unrecognized arguments: --format generic-csv"),
         }[case]
         out = tmp_path / "o"
         assert run([command, *argv, *extra, "--out-dir", out]) == 2
@@ -931,6 +945,84 @@ class TestEachInputOnce:
         assert "# samples: 2" in meta and "# seed: 3" in meta
         for report in (root / "topology.json", tmp_path / "phase_search.json"):
             assert "seed" not in json.loads(report.read_text())["meta"]
+
+
+def _retag_sidecar(path, tag):
+    meta = json.loads(sidecar_path(path).read_text())
+    sidecar_path(path).write_text(json.dumps({**meta, "normalization": tag}))
+
+
+def _csv_tagged(tag):
+    def write(path, smat):
+        save_scattering_csv(path, smat)
+        _retag_sidecar(path, tag)
+    return write
+
+
+def _native_tagged(tag):
+    return lambda path, smat: write_native_payload(path, smat.matrix, smat.grid, tag)
+
+
+class TestDataRecognition:
+    """``--data`` is read as its first bytes say, whatever the file's name."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("recognition")
+        (root / "small.yaml").write_text(SMALL)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["simulate", root / "small.yaml", "--out-dir", root / "sim"]) == 0
+        return root
+
+    @staticmethod
+    def graph_bytes(root, data, out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["graph", root / "small.yaml", "--data", data, "--out-dir", out]) == 0
+        return [(out / name).read_bytes() for name in ("graph.gv", "topology.json")]
+
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            ("native.csv", save_scattering),
+            ("csv.cmb", save_scattering_csv),
+            ("native_rel.cmb", _native_tagged("pump_off_rel")),
+            ("csv_rel.csv", _csv_tagged("pump_off_rel")),
+        ],
+        ids=["native-named-csv", "csv-named-cmb", "native-pump-off-rel", "csv-pump-off-rel"],
+    )
+    def test_graph_reads_either_kind_and_tag_alike(self, root, tmp_path, name, write):
+        raw = root / "sim" / "s_matrix.cmb"
+        data = tmp_path / name
+        write(data, load_scattering(raw))
+        want = self.graph_bytes(root, raw, tmp_path / "raw")
+        assert self.graph_bytes(root, data, tmp_path / "o") == want
+
+    @pytest.mark.parametrize("case", ["empty", "flipped-magic"])
+    def test_file_of_neither_kind_is_4_naming_both(self, root, tmp_path, capsys, case):
+        data = tmp_path / "s.cmb"
+        blob = bytearray((root / "sim" / "s_matrix.cmb").read_bytes())
+        blob[3] ^= 0x20
+        data.write_bytes(b"" if case == "empty" else bytes(blob))
+        out = tmp_path / "o"
+        assert run(["graph", root / "small.yaml", "--data", data, "--out-dir", out]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert strict_json(line) == {
+            "error": "io",
+            "message": f"{data} is neither a native container (it does not start with "
+            f"b'CMBSCAT1') nor generic CSV ({data}.meta.json not found)",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, write", [("s.cmb", _native_tagged("guessed")), ("s.csv", _csv_tagged("guessed"))],
+        ids=["native", "csv"],
+    )
+    def test_unknown_tag_is_4(self, root, tmp_path, capsys, name, write):
+        data = tmp_path / name
+        write(data, load_scattering(root / "sim" / "s_matrix.cmb"))
+        assert run(["fit", root / "small.yaml", "--data", data, "--out-dir", tmp_path / "o"]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert strict_json(line) == {"error": "io", "message": "unknown normalization tag 'guessed'"}
 
 
 # 3 modes and one tone that couples none of them: a pump-off run whose
@@ -1138,9 +1230,9 @@ _FLAG_VALUES = {
     "--samples": (["2", "50"], ["0", "1", "-5"]),
     "--signal-index": (["0", "3", "-2"], ["40", "-7"]),
     "--tone": (["-1", "0", "1"], ["2", "9"]),
-    # the good value's suffix follows --format; badmeta.csv's sidecar is a JSON list
-    "--data": (["simulated"], ["missing.cmb", "garbage.bin", "badmeta.csv"]),
-    "--format": (["artifact-native", "generic-csv"], ["xlsx"]),
+    # badmeta.csv's sidecar is a JSON list; garbage.bin has the magic past its start
+    "--data": (["simulated.cmb", "simulated.csv"],
+               ["missing.cmb", "garbage.bin", "badmeta.csv"]),
     "--target": (["edges.json"], ["far.json", "ragged.json", "bad.json", "scalar.json",
                                   "binary.json", "missing.json"]),
     "--phase-grid-points": (["4"], ["0", "3"]),
@@ -1204,8 +1296,6 @@ class TestExitCodeContract:
         for flag in flags:
             good, bad = _FLAG_VALUES[flag]
             values[flag] = data.draw(st.sampled_from(bad if flag in broken else good))
-        if values.get("--data") == "simulated":
-            values["--data"] += ".csv" if values.get("--format") == "generic-csv" else ".cmb"
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             config = _write_inputs(root, config_text, "--data" in values)

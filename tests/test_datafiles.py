@@ -8,8 +8,7 @@ import pytest
 
 from combscatter import DataFormatError, pump_off_scattering, simulate_scattering
 from combscatter.datafiles import (
-    CSV_FORMAT,
-    NATIVE_FORMAT,
+    MAGIC,
     load_scattering,
     load_scattering_csv,
     load_scattering_data,
@@ -33,7 +32,6 @@ class TestNative:
         loaded = load_scattering(path)
         assert np.array_equal(loaded.matrix, sample.matrix)
         assert loaded.grid == sample.grid
-        assert loaded.normalization == sample.normalization
 
     def test_bad_magic_rejected(self, tmp_path, sample):
         path = tmp_path / "s.cmb"
@@ -111,30 +109,99 @@ class TestNative:
         with pytest.raises(DataFormatError, match="must be finite"):
             load_scattering(path)
 
-    def test_pump_off_relative_tag_round_trips(self, tmp_path, grid, device):
-        from combscatter.scattering import Normalization, ScatteringMatrix
-
-        marked = ScatteringMatrix(
-            pump_off_scattering(grid, device).matrix, grid, Normalization.PUMP_OFF_RELATIVE
-        )
+    def test_unknown_tag_rejected(self, tmp_path, sample):
         path = tmp_path / "s.cmb"
-        save_scattering(path, marked)
-        assert load_scattering(path).normalization is Normalization.PUMP_OFF_RELATIVE
+        write_native_payload(path, sample.matrix, sample.grid, "guessed")
+        with pytest.raises(DataFormatError, match="unknown normalization tag 'guessed'"):
+            load_scattering(path)
 
-    def test_dispatch_by_format_name(self, tmp_path, sample):
+    def test_package_writes_raw(self, tmp_path, sample):
         path = tmp_path / "s.cmb"
         save_scattering(path, sample)
-        loaded = load_scattering_data(path, NATIVE_FORMAT)
+        raw = tmp_path / "raw.cmb"
+        write_native_payload(raw, sample.matrix, sample.grid, "raw")
+        assert path.read_bytes() == raw.read_bytes()
+        save_scattering_csv(tmp_path / "s.csv", sample)
+        assert json.loads(sidecar_path(tmp_path / "s.csv").read_text())["normalization"] == "raw"
+
+
+def _neither(path) -> str:
+    return (
+        f"{path} is neither a native container (it does not start with {MAGIC!r}) "
+        f"nor generic CSV ({sidecar_path(path)} not found)"
+    )
+
+
+class TestRecognition:
+    """A data file is read as its first bytes say, whatever its name."""
+
+    def test_native_named_csv_loads_as_native(self, tmp_path, sample):
+        path = tmp_path / "s.csv"
+        save_scattering(path, sample)
+        loaded = load_scattering_data(path)
         assert np.array_equal(loaded.matrix, sample.matrix)
-        with pytest.raises(DataFormatError):
-            load_scattering_data(path, "parquet")
+        assert loaded.grid == sample.grid
+
+    def test_csv_named_cmb_loads_as_csv(self, tmp_path, sample):
+        path = tmp_path / "s.cmb"
+        save_scattering_csv(path, sample)
+        loaded = load_scattering_data(path)
+        assert np.array_equal(loaded.matrix, sample.matrix)
+        assert loaded.grid == sample.grid
+
+    def test_empty_file_is_neither(self, tmp_path):
+        path = tmp_path / "s.cmb"
+        path.write_bytes(b"")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_scattering_data(path)
+        assert str(excinfo.value) == _neither(path)
+
+    @pytest.mark.parametrize("byte", range(len(MAGIC)))
+    def test_flipped_magic_byte_is_neither(self, tmp_path, sample, byte):
+        path = tmp_path / "s.cmb"
+        save_scattering(path, sample)
+        blob = bytearray(path.read_bytes())
+        blob[byte] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as excinfo:
+            load_scattering_data(path)
+        assert str(excinfo.value) == _neither(path)
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [(len(MAGIC), "file too short"), (60, "file too short"), (-16, "payload size mismatch")],
+    )
+    def test_truncated_native_file_reports_the_container(
+        self, tmp_path, sample, keep, message
+    ):
+        path = tmp_path / "s.cmb"
+        save_scattering(path, sample)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataFormatError, match=message):
+            load_scattering_data(path)
+
+    def test_pump_off_relative_native_file_loads(self, tmp_path, sample):
+        path = tmp_path / "s.cmb"
+        write_native_payload(path, sample.matrix, sample.grid, "pump_off_rel")
+        loaded = load_scattering_data(path)
+        assert np.array_equal(loaded.matrix, sample.matrix)
+        assert loaded.grid == sample.grid
+
+    def test_pump_off_relative_csv_loads(self, tmp_path, sample):
+        path = tmp_path / "s.csv"
+        save_scattering_csv(path, sample)
+        meta = json.loads(sidecar_path(path).read_text())
+        sidecar_path(path).write_text(json.dumps({**meta, "normalization": "pump_off_rel"}))
+        loaded = load_scattering_data(path)
+        assert np.array_equal(loaded.matrix, sample.matrix)
+        assert loaded.grid == sample.grid
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path, sample):
         path = tmp_path / "s.csv"
         save_scattering_csv(path, sample)
-        loaded = load_scattering_data(path, CSV_FORMAT)
+        loaded = load_scattering_data(path)
         assert np.array_equal(loaded.matrix, sample.matrix)
         assert loaded.grid == sample.grid
 

@@ -29,7 +29,7 @@ from combscatter import (
     vacuum_covariance,
 )
 from combscatter.gaussian import _SAMPLE_CHUNK, IMAG_RESIDUAL_TOL, VACUUM_SCALE
-from combscatter.scattering import Normalization, ScatteringMatrix
+from combscatter.scattering import ScatteringMatrix
 from conftest import (
     COUPLING,
     RESONANCE,
@@ -56,7 +56,7 @@ def particle_hole_scattering(draw):
     m = np.empty((2 * n, 2 * n), dtype=complex)
     m[0::2, 0::2], m[0::2, 1::2] = a, b
     m[1::2, 0::2], m[1::2, 1::2] = np.conj(b), np.conj(a)
-    return ScatteringMatrix(m, grid, Normalization.RAW)
+    return ScatteringMatrix(m, grid)
 
 
 @st.composite
@@ -68,7 +68,7 @@ def near_particle_hole_scattering(draw):
     parts = [draw(arrays(float, (dim, dim), elements=st.floats(-2.0, 2.0))) for _ in range(2)]
     scale = draw(st.sampled_from([0.0, 1e-12, 1e-9, 3e-9, 1e-6, 1.0]))
     m = s.matrix + scale * (parts[0] + 1j * parts[1])
-    return ScatteringMatrix(m, s.grid, Normalization.RAW)
+    return ScatteringMatrix(m, s.grid)
 
 
 @st.composite
@@ -96,7 +96,7 @@ def counted_cholesky():
 
 
 def identity_scattering(grid):
-    return ScatteringMatrix(np.eye(2 * grid.n_modes, dtype=complex), grid, Normalization.RAW)
+    return ScatteringMatrix(np.eye(2 * grid.n_modes, dtype=complex), grid)
 
 
 class TestToQuadrature:
@@ -145,7 +145,7 @@ class TestToQuadrature:
     def test_malformed_basis_rejected(self, grid):
         broken = np.eye(2 * grid.n_modes, dtype=complex)
         broken[0, 1] = 0.5j  # violates particle-hole structure
-        fake = ScatteringMatrix(broken, grid, Normalization.RAW)
+        fake = ScatteringMatrix(broken, grid)
         with pytest.raises(BasisInconsistencyError):
             to_quadrature(fake)
 

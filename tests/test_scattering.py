@@ -45,7 +45,6 @@ from combscatter import scattering
 from combscatter.model import MAX_HALF_SPAN
 from combscatter.scattering import (
     CONDITION_CAP,
-    Normalization,
     ScatteringMatrix,
     _Quarters,
     _block_pieces,
@@ -1095,7 +1094,7 @@ class TestNormalizePumpOff:
         rng = np.random.default_rng(43)
         dim = 2 * grid.n_modes
         ref = rng.uniform(0.3, 3.0, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
-        s_off = ScatteringMatrix(np.diag(ref), grid, Normalization.RAW)
+        s_off = ScatteringMatrix(np.diag(ref), grid)
         expected = magnitude_db(s_on.matrix / np.abs(ref)[np.newaxis, :])
         db = normalize_pump_off(s_on, s_off)
         assert np.max(np.abs(db - expected)) <= 1e-12
@@ -1104,7 +1103,7 @@ class TestNormalizePumpOff:
         s_off = pump_off_scattering(grid, device)
         broken = np.array(s_off.matrix)
         broken[0, 0] = 0.0
-        fake = ScatteringMatrix(broken, grid, Normalization.RAW)
+        fake = ScatteringMatrix(broken, grid)
         with pytest.raises(DegenerateNormalizationError):
             normalize_pump_off(s_off, fake)
 
