@@ -32,7 +32,6 @@ from .model import (
 from .scattering import (
     CONDITION_CAP,
     ScatteringMatrix,
-    _block_index,
     _block_pieces,
     _disc_bound,
     _frozen,
@@ -41,8 +40,6 @@ from .scattering import (
     _scattering,
     _schur_complement,
     _spectral_floor,
-    _whole,
-    _whole_inverse,
     magnitude_db,
 )
 
@@ -123,15 +120,15 @@ def phase_sweep(
     from conjugate rows, two-pump products from amplitude rows.
 
     Only that column is computed.  It lies in one block of the system,
-    ``[[D, K], [L, D_c]]`` with its amplitude slots first and ``D``
-    diagonal, so it is solved on the conjugate slots alone, through the
-    Schur complement ``D_c + Y K`` with ``Y = -L D^-1``
-    (``_schur_complement``).  The swept tone's entries of ``K`` move
-    with its strength ``s``, those of ``Y`` with ``conj(s)``, and ``|s|``
-    is the same at every phase, so the complement is one fixed matrix plus
-    ``s`` and ``conj(s)`` times two more, all three formed once per sweep:
-    a step costs two scaled additions and one half-size solve, a few steps
-    at a time.  A driven slot alone in its block leaves the half-size
+    ``[[D, K], [K^H, D_c]]`` with its amplitude slots first and ``D``
+    diagonal, read off that block's quarters, so it is solved on the
+    conjugate slots alone, through the Schur complement ``D_c + Y K`` with
+    ``Y = -K^H D^-1`` (``_schur_complement``).  The swept tone's entries of
+    ``K`` move with its strength ``s``, those of ``Y`` with ``conj(s)``,
+    and ``|s|`` is the same at every phase, so the complement is one fixed
+    matrix plus ``s`` and ``conj(s)`` times two more, all three formed once
+    per sweep: a step costs two scaled additions and one half-size solve, a
+    few steps at a time.  A driven slot alone in its block leaves the half-size
     system empty.  The track rows are read straight off the solved block
     column, through a row-to-slot map made once per sweep; a row outside
     the block is an exact zero.
@@ -203,26 +200,22 @@ def phase_sweep(
                     phase=float(phase),
                 ) from exc
 
-    # the driven block with its amplitude slots first, [[D, K], [L, D_c]]
+    # the driven block, [[D, K], [K^H, D_c]] with its amplitude slots first
     driven = pieces.block_of(col)
     slots = driven.blocks[0][0]
     e = int(np.flatnonzero(slots == col)[0])
-    half = int(np.count_nonzero(slots % 2 == 0))
-    amplitude, conjugate = slice(None, half), slice(half, None)
     # K = K_0 + s K_1 and Y = Y_0 + conj(s) Y_1, read off the stacks without
     # the swept tone and with it alone at strength 1, which share D; so
     # D_c + Y K = S_0 + s Y_0 K_1 + conj(s) Y_1 K_0 + |s|^2 Y_1 K_1
     alone = np.arange(len(base)) == swept_tone
     (pair,) = driven.stacks([np.where(alone, 0.0, base), alone], gamma)
-    stack = pair[:, 0]
-    k = stack[:, amplitude, conjugate]
-    d, d_c = np.split(stack[0].diagonal(), [half])
-    schur, y = _schur_complement(d, np.ascontiguousarray(k), stack[:, conjugate, amplitude], d_c)
+    k, d, d_c = pair.k[:, 0], pair.d[0], pair.d_c[0]
+    schur, y = _schur_complement(d, k, d_c)
     fixed = schur[0] + abs(base[swept_tone]) ** 2 * (y[1] @ k[1])
     terms = np.stack((fixed, y[0] @ k[1], y[1] @ k[0])).reshape(3, -1)
     weights = np.stack((np.ones(period), strengths, strengths.conj()), axis=1)
 
-    h = len(slots) - half
+    h = len(d_c)
     chunk = max(1, _CHUNK_BYTES // (16 * max(1, h) ** 2))
     # each track row's place in (x_a / d, x_c, 0): the block's slots, then
     # a zero for a row outside the block
@@ -330,7 +323,9 @@ def fit_parameters(
     Only the pump strength and the port coupling change from cell to cell,
     so the blocks of the system are split once into pieces; each cell's
     stacks go through the threshold gate ``_invert_blocks``, and the
-    distance is summed block by block (the model is zero off the blocks).
+    distance is summed group by group over the conjugate rows of the
+    inverses and their mirror, the rows ``simulate_scattering`` writes
+    (the model is zero off the blocks); no whole inverse is formed.
     A block group the gate sends to its eigenvalues reads them from one
     spectrum per strength, shared by every coupling, and a revisited cell
     is evaluated once.
@@ -367,11 +362,19 @@ def fit_parameters(
     # resonant at omega0; gamma_lo makes the band check the strictest
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)
     unit_strengths = np.array([_tone_strength(2.0, t.phase) for t in scheme_shape.tones])
-    indices = [_block_index(block) for block in pieces.blocks]
-    measured_blocks = [measured[index] for index in indices]
+    # per group, its amplitude count, which offsets a row's diagonal entry,
+    # and the data on its conjugate rows and on their mirror, the entries
+    # _scattering writes from that group
+    measured_rows = []
     outside = np.ones(measured.shape, dtype=bool)
-    for index in indices:
-        outside[index] = False
+    for block, slot in zip(pieces.blocks, pieces.slot):
+        h = slot.shape[1]
+        data = []
+        for rows, cols in ((block[:, h:], block), (block[:, h:] ^ 1, block ^ 1)):
+            index = rows[:, :, np.newaxis], cols[:, np.newaxis, :]
+            data.append(measured[index])
+            outside[index] = False
+        measured_rows.append((h, *data))
     # the model vanishes off the blocks, where the distance is the data's own
     outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
 
@@ -380,7 +383,7 @@ def fit_parameters(
     @functools.cache
     def floor(g: float, k: int) -> float:
         stack = pieces.stacks(g * unit_strengths, 0.0)[k]
-        return _spectral_floor(_whole(stack), pieces.blocks[k])
+        return _spectral_floor(stack.whole(), pieces.blocks[k])
 
     worst_condition = 0.0
 
@@ -400,20 +403,22 @@ def fit_parameters(
             return np.inf
         worst_condition = max(worst_condition, condition)
         gain = _gain(gamma)
-        models = [
-            gain * inverse - np.eye(inverse.shape[-1]) for inverse in map(_whole_inverse, inverses)
-        ]
+        # (data, model, diagonal offset): the model's conjugate rows
+        # gain * [Z W] - I, and their mirror
+        terms = []
+        for (h, data, mirror), rows in zip(measured_rows, inverses):
+            model = gain * rows
+            i = np.arange(model.shape[1])
+            model[:, i, h + i] -= 1.0
+            terms += [(data, model, h), (mirror, model.conj(), h)]
         # one-time global phase alignment: instruments carry an arbitrary
         # electrical delay, so the mean diagonal phase is referenced out
         inner = sum(
-            np.sum(data.diagonal(0, 1, 2) * np.conj(model.diagonal(0, 1, 2)))
-            for data, model in zip(measured_blocks, models)
+            np.sum(data.diagonal(h, 1, 2) * np.conj(model.diagonal(h, 1, 2)))
+            for data, model, h in terms
         )
         rotation = inner / abs(inner) if abs(inner) > 0 else 1.0
-        inside = sum(
-            np.sum(np.abs(data - rotation * model) ** 2)
-            for data, model in zip(measured_blocks, models)
-        )
+        inside = sum(np.sum(np.abs(data - rotation * model) ** 2) for data, model, _ in terms)
         return float(np.sqrt(outside_norm + inside))
 
     g_values = np.linspace(g_lo, g_hi, grid_points)

@@ -170,8 +170,13 @@ def symplectic_defect(sx: QuadratureScattering) -> float:
 
 
 def vacuum_covariance(grid: ModeGrid) -> CovarianceMatrix:
-    """Uncorrelated vacuum input: ``VACUUM_SCALE`` times the identity."""
-    return CovarianceMatrix(_Sealed(VACUUM_SCALE * np.eye(2 * grid.n_modes)))
+    """Uncorrelated vacuum input: ``VACUUM_SCALE`` times the identity.
+
+    Every eigenvalue of ``VACUUM_SCALE * I`` is exactly ``VACUUM_SCALE``, so
+    that is its certificate, and no factorization runs.
+    """
+    vacuum = VACUUM_SCALE * np.eye(2 * grid.n_modes)
+    return CovarianceMatrix(_Sealed(vacuum, eig_floor=VACUUM_SCALE))
 
 
 def propagate_covariance(

@@ -12,15 +12,17 @@ pump-off reflection.  With one over-coupled port and no internal loss that
 reflection, ``(gamma/2 -+ i*detuning) / (gamma/2 +- i*detuning)``, is
 all-pass, of modulus 1 in closed form, so no run path computes it or
 divides by it; ``pump_off_scattering`` writes it down, inverting nothing,
-for callers who want it.  A self-mirror block, one holding both slots of
-every mode it touches, is its own particle-hole mirror, so it lives as
-its quarters from gather to ``S``: the stack holds only its
-amplitude-row, conjugate-column quarter ``K`` and its diagonal
-(``_Quarters``), it is inverted through its half-size Schur complement
-into the conjugate rows ``W`` and ``Z`` of its inverse, and those go
-straight into the four quarters of ``S``, the symmetry supplying the
-other two; the whole block is formed only when the gate must look past
-its discs.  Groups holding mirror pairs go whole to ``np.linalg.inv``.
+for callers who want it.  Every block lives as its quarters from gather
+to ``S``: on its slots, amplitude slots first, it reads
+``[[D, K], [K^H, D_c]]`` with ``D`` and ``D_c`` diagonal, so the stack
+holds only ``K`` and the two diagonals (``_Quarters``).  It is inverted
+through the Schur complement on its conjugate slots into the conjugate
+rows ``[Z W]`` of its inverse, which go into ``S`` together with their
+particle-hole mirror, conjugated on the swapped slots.  A block that
+holds both slots of each of its modes is its own mirror, so those rows
+are all of it; the two blocks of a mirror pair each write the rows the
+other lacks, so ``S`` is particle-hole symmetric by construction.  The
+whole block is formed only when the gate must look past its discs.
 
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
@@ -120,9 +122,10 @@ class SystemMatrix:
 
     ``blocks`` partitions the ``2n`` slots into the independent blocks of
     ``matrix``: one ``(count, size)`` integer array per distinct block
-    size, in ascending size.  Each row lists the slots of one block in
-    ascending order, rows are ordered by their first slot, and no nonzero
-    of ``matrix`` joins two blocks.
+    size and amplitude count, in ascending order of the two.  Each row
+    lists the amplitude slots of one block in ascending order and then its
+    conjugate slots in ascending order, rows are ordered by their smallest
+    slot, and no nonzero of ``matrix`` joins two blocks.
     """
 
     matrix: np.ndarray
@@ -188,7 +191,8 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     round hooks the root of every edge end onto the smaller of the two
     roots and then jumps pointers until every slot points at its root, so
     the final root of a component is its smallest slot.  Returns the
-    components grouped by size as described on ``SystemMatrix.blocks``.
+    components grouped by size and amplitude count, amplitude slots first,
+    as described on ``SystemMatrix.blocks``.
     """
     root = np.arange(size)
     while True:
@@ -203,11 +207,18 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    order = np.argsort(root, kind="stable")
+    # by component, its even (amplitude) slots before its odd ones
+    parity = np.arange(size) % 2
+    order = np.argsort(2 * root + parity, kind="stable")
     _, starts, sizes = np.unique(root[order], return_index=True, return_counts=True)
-    # the distinct sizes, ascending; a plain np.unique would import numpy.ma
-    distinct = np.flatnonzero(np.bincount(sizes))
-    return tuple(order[starts[sizes == s][:, np.newaxis] + np.arange(s)] for s in distinct)
+    amplitudes = np.add.reduceat(1 - parity[order], starts)
+    # the distinct keys, ascending; a plain np.unique would import numpy.ma
+    groups = []
+    for s in np.flatnonzero(np.bincount(sizes)):
+        for h in np.flatnonzero(np.bincount(amplitudes[sizes == s])):
+            first = starts[(sizes == s) & (amplitudes == h)]
+            groups.append(order[first[:, np.newaxis] + np.arange(s)])
+    return tuple(groups)
 
 
 def _detuning(grid: ModeGrid, resonance: float) -> np.ndarray:
@@ -275,149 +286,89 @@ def _gain(gamma: float) -> float:
     return float(np.sqrt(gamma)) ** 2
 
 
-def _block_index(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays gathering a ``(count, size)`` block group."""
-    return block[:, :, np.newaxis], block[:, np.newaxis, :]
+def _schur_complement(d, k, d_c) -> tuple[np.ndarray, np.ndarray]:
+    """``D_c + Y K`` and ``Y = -K^H D^-1`` of blocks ``[[D, K], [K^H, D_c]]``.
 
-
-def _self_mirror(block: np.ndarray) -> bool:
-    """Whether every block of a group holds both slots of each of its modes.
-
-    It does exactly when its first two slots are ``2p`` and ``2p + 1``: the
-    block's mirror then shares a slot with it, so is the block.
+    ``d`` and ``d_c`` are the diagonals of ``D`` and ``D_c`` and ``k`` is
+    ``K``, with any leading axes (``_Quarters``).  The first result is the
+    Schur complement of ``D``.  ``_Quarters.inverse`` inverts every block
+    through it, and ``phase_sweep`` solves its driven column through it.
     """
-    return block.shape[1] > 1 and bool((block[:, 1] == (block[:, 0] | 1)).all())
-
-
-# the amplitude and conjugate slots of a block on interleaved slots (a_p, a*_p)
-_INTERLEAVED = (slice(0, None, 2), slice(1, None, 2))
-
-
-def _schur_complement(d, k, l, d_c) -> tuple[np.ndarray, np.ndarray]:
-    """``D_c + Y K`` and ``Y = -L D^-1`` of blocks ``[[D, K], [L, D_c]]``.
-
-    ``D``, on a block's amplitude slots, and ``D_c``, on its conjugate
-    slots, are diagonal, since a tone joins an amplitude only to a
-    conjugate: ``d`` and ``d_c`` are their diagonals, ``k`` and ``l`` the
-    other two quarters, with any leading axes.  The first result is the
-    Schur complement of ``D``.  ``_Quarters.inverse`` inverts self-mirror
-    blocks through it, and ``phase_sweep`` solves its driven column through
-    it, on a block of either kind, with the block's amplitude slots read as
-    one quarter.
-    """
-    y = l / -d[..., np.newaxis, :]
+    y = k.conj().swapaxes(-1, -2) / -d[..., np.newaxis, :]
     schur = y @ k
     i = np.arange(schur.shape[-1])
     schur[..., i, i] += d_c
     return schur, y
 
 
-def _inverse_quarters(amplitude, conjugate, w, z) -> tuple:
-    """``((rows, columns), quarter)`` of each quarter of ``[[conj W, conj Z], [Z, W]]``.
-
-    That is the inverse of a self-mirror block on its slots ``amplitude``
-    and ``conjugate``, from ``W`` and ``Z``, its conjugate rows
-    (``_Quarters.inverse``).
-    """
-    return (
-        ((amplitude, amplitude), w.conj()),
-        ((amplitude, conjugate), z.conj()),
-        ((conjugate, amplitude), z),
-        ((conjugate, conjugate), w),
-    )
-
-
 class _Quarters:
-    """A stack of self-mirror blocks held by its quarters.
+    """A stack of blocks of ``M`` held by its quarters.
 
-    A block that holds both slots of each of its modes reads, on its
-    interleaved slots ``(a_p, a*_p, ...)``, ``[[D, K], [conj K, conj D]]``:
-    ``D``, on the amplitude slots, is diagonal, since a tone joins an
-    amplitude only to a conjugate, and particle-hole symmetry makes the
-    conjugate-row quarters the conjugates of the amplitude-row ones.  ``k``
-    is ``K`` of every block, ``(..., count, h, h)``, amplitude rows by
-    conjugate columns; ``diagonal`` is the whole diagonal of every block,
-    ``(count, 2h)`` in slot order, so ``D`` is ``diagonal[:, 0::2]`` and
-    ``conj D`` ``diagonal[:, 1::2]``.
+    On its slots, amplitude slots first, a block reads
+    ``[[D, K], [K^H, D_c]]``: ``D`` and ``D_c``, on its amplitude and
+    conjugate slots, are diagonal, since a tone joins an amplitude only to
+    a conjugate, and the entry joining ``a*_q`` to ``a_p`` is the conjugate
+    of the one joining ``a_p`` to ``a*_q``.  ``k`` is ``K`` of every block,
+    ``(..., count, h, h_c)``, amplitude rows by conjugate columns; ``d`` and
+    ``d_c`` are the diagonals, ``(count, h)`` and ``(count, h_c)``.
     """
 
-    __slots__ = ("k", "diagonal")
+    __slots__ = ("k", "d", "d_c")
 
-    def __init__(self, k: np.ndarray, diagonal: np.ndarray):
+    def __init__(self, k: np.ndarray, d: np.ndarray, d_c: np.ndarray):
         self.k = k
-        self.diagonal = diagonal
+        self.d = d
+        self.d_c = d_c
+
+    def __getitem__(self, which) -> _Quarters:
+        """The blocks ``which`` of a stack with no leading axes."""
+        return _Quarters(self.k[which], self.d[which], self.d_c[which])
 
     def discs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_column_margins`` per mode: both columns of a mode share them.
+        """Per column, ``sum_i |B_ij|`` and ``Re B_jj - sum_{i != j} |B_ij|``.
 
-        The amplitude column of mode ``j`` holds ``d_j`` and the column
-        ``conj K[:, j]``, its conjugate column ``K[:, j]`` and ``conj d_j``.
+        The columns come amplitude slots first.  The amplitude column of
+        mode ``p`` holds ``d_p`` and row ``p`` of ``K``, conjugated; the
+        conjugate column of mode ``q`` holds column ``q`` of ``K`` and
+        ``d_c q``.
         """
-        off = np.abs(self.k).sum(axis=-2)
-        d = self.diagonal[..., 0::2]
-        return np.abs(d) + off, d.real - off
+        magnitudes = np.abs(self.k)
+        off = np.concatenate((magnitudes.sum(axis=-1), magnitudes.sum(axis=-2)), axis=-1)
+        diagonal = np.concatenate((self.d, self.d_c), axis=-1)
+        return np.abs(diagonal) + off, diagonal.real - off
 
     def whole(self) -> np.ndarray:
-        """The blocks themselves, on their interleaved slots."""
-        h = self.k.shape[-1]
-        blocks = np.zeros(self.k.shape[:-2] + (2 * h, 2 * h), dtype=complex)
-        amplitude, conjugate = _INTERLEAVED
-        blocks[..., amplitude, conjugate] = self.k
-        blocks[..., conjugate, amplitude] = self.k.conj()
-        d = np.arange(2 * h)
-        blocks[..., d, d] = self.diagonal
+        """The blocks themselves, amplitude slots first."""
+        h = self.d.shape[-1]
+        size = h + self.d_c.shape[-1]
+        blocks = np.zeros(self.k.shape[:-2] + (size, size), dtype=complex)
+        blocks[..., :h, h:] = self.k
+        blocks[..., h:, :h] = self.k.conj().swapaxes(-1, -2)
+        i = np.arange(size)
+        blocks[..., i, i] = np.concatenate((self.d, self.d_c), axis=-1)
         return blocks
 
-    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """``W`` and ``Z``, the conjugate rows of every inverse: ``[[conj W, conj Z], [Z, W]]``.
+    def inverse(self) -> np.ndarray:
+        """``[Z W]``, the conjugate rows of every inverse, ``(count, h_c, h + h_c)``.
 
-        ``W`` inverts the Schur complement ``conj D + Y K`` of ``D``, with
-        ``Y = -conj K D^-1``, and ``Z = W Y``; particle-hole symmetry, which
-        the inverse inherits, gives the amplitude rows.
+        ``W = (D_c - K^H D^-1 K)^-1`` inverts the Schur complement of ``D``
+        and ``Z = -W K^H D^-1``; the amplitude rows are the conjugates of
+        the mirror block's conjugate rows (``_scattering``).
         """
-        d, k = self.diagonal, self.k
-        schur, y = _schur_complement(d[..., 0::2], k, k.conj(), d[..., 1::2])
+        schur, y = _schur_complement(self.d, self.k, self.d_c)
         w = np.linalg.inv(schur)
-        return w, w @ y
+        return np.concatenate((w @ y, w), axis=-1)
 
 
-def _whole(stack) -> np.ndarray:
-    """A group's stack as whole blocks, a ``_Quarters`` one assembled."""
-    return stack.whole() if isinstance(stack, _Quarters) else stack
-
-
-def _whole_inverse(inverse) -> np.ndarray:
-    """A group's inverses as whole blocks, the ``(W, Z)`` of a ``_Quarters`` one assembled."""
-    if not isinstance(inverse, tuple):
-        return inverse
-    w, z = inverse
-    blocks = np.empty(w.shape[:-2] + (2 * w.shape[-1],) * 2, dtype=complex)
-    for (rows, cols), quarter in _inverse_quarters(*_INTERLEAVED, w, z):
-        blocks[..., rows, cols] = quarter
-    return blocks
-
-
-def _stacks(matrix: np.ndarray, blocks) -> list:
-    """The stacks of ``matrix`` on the block groups, as ``_BlockPieces.stacks`` gives them.
-
-    A self-mirror group is read by its ``_Quarters``, any other whole.
-    """
+def _stacks(matrix: np.ndarray, blocks) -> list[_Quarters]:
+    """The stacks of ``matrix`` on the block groups, as ``_BlockPieces.stacks`` gives them."""
     stacks = []
     for block in blocks:
-        if _self_mirror(block):
-            amplitude, conjugate = block[:, 0::2], block[:, 1::2]
-            k = matrix[amplitude[:, :, np.newaxis], conjugate[:, np.newaxis, :]]
-            stacks.append(_Quarters(k, matrix[block, block]))
-        else:
-            stacks.append(matrix[_block_index(block)])
+        h = int(np.count_nonzero(block[0] % 2 == 0))
+        amplitude, conjugate = block[:, :h], block[:, h:]
+        k = matrix[amplitude[:, :, np.newaxis], conjugate[:, np.newaxis, :]]
+        stacks.append(_Quarters(k, matrix[amplitude, amplitude], matrix[conjugate, conjugate]))
     return stacks
-
-
-def _column_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of the last two axes: ``sum_i |B_ij|`` and ``Re B_jj - sum_{i != j} |B_ij|``."""
-    columns = np.abs(stack).sum(axis=-2)
-    diagonal = stack.diagonal(0, -2, -1)
-    return columns, diagonal.real - (columns - np.abs(diagonal))
 
 
 def _column_discs(
@@ -455,67 +406,61 @@ def _disc_bound(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> flo
 
 
 def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
-    """Least real part of the spectrum of the ``stack`` blocks on the slots ``block``.
+    """Least real part of the spectrum of the whole blocks ``stack`` on the slots ``block``.
 
-    ``stack`` holds whole blocks (``_whole``).  A block's mirror, on the
-    swapped slots of its modes, is its conjugate and has the conjugate
-    spectrum, so of each pair only the block that starts at an amplitude
-    slot is decomposed; a block holding both slots of a mode is its own
-    mirror, and starts at its amplitude slot.
+    A block's mirror, on the swapped slots of its modes, is its conjugate
+    and has the conjugate spectrum, so of each pair only the block whose
+    smallest slot is an amplitude slot is decomposed; a block holding both
+    slots of a mode is its own mirror, and its smallest slot is an
+    amplitude slot.  A group keyed by its amplitude count may hold only
+    the other members of pairs whose mirrors lie in another group; such a
+    group decomposes its own blocks.
     """
-    return np.linalg.eigvals(stack[block[:, 0] % 2 == 0]).real.min()
+    picked = block.min(axis=1) % 2 == 0
+    return np.linalg.eigvals(stack[picked] if picked.any() else stack).real.min()
 
 
 def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
     """Invert the stacks of block groups behind the threshold gate.
 
-    ``stacks[k]`` holds the blocks on the slots ``blocks[k]``, a group as in
-    ``SystemMatrix.blocks``: a ``(count, size, size)`` array, or, for a
-    group of self-mirror blocks, each holding both slots of every one of
-    its modes, their ``_Quarters`` (``_BlockPieces.stacks``, ``_stacks``).
-    First the gate: every block must be stable, every eigenvalue with a
-    positive real part, or this raises naming the smallest real part.  A
-    group passes when each of its blocks lies inside its column Gershgorin
-    discs (``Re B_jj > sum_{i != j} |B_ij|``; a ``_Quarters`` group reads
-    them off ``K`` and ``D``, ``_Quarters.discs``), or else when the
-    Hermitian parts of the blocks the discs leave open, formed whole, all
-    have a Cholesky factor, which puts their numerical ranges in the right
-    half-plane.  One failed factor sends the group to the eigenvalues of
-    one block of each open mirror pair (``_spectral_floor``; a block is open
-    exactly when its mirror is), or to ``lowest(k)``, the caller's floor
-    over at least the blocks of group ``k``.
+    ``stacks[k]`` is the ``_Quarters`` of the blocks on the slots
+    ``blocks[k]``, a group as in ``SystemMatrix.blocks``
+    (``_BlockPieces.stacks``, ``_stacks``).  First the gate: every block
+    must be stable, every eigenvalue with a positive real part, or this
+    raises naming the smallest real part.  A group passes when each of its
+    blocks lies inside its column Gershgorin discs
+    (``Re B_jj > sum_{i != j} |B_ij|``, read off the row and column sums
+    of ``|K|``, ``_Quarters.discs``), or else when the Hermitian parts of
+    the blocks the discs leave open, formed whole, all have a Cholesky
+    factor, which puts their numerical ranges in the right half-plane.
+    One failed factor sends the group to the eigenvalues of its open
+    blocks, one block of each mirror pair (``_spectral_floor``; a block is
+    open exactly when its mirror is), or to ``lowest(k)``, the caller's
+    floor over at least the blocks of group ``k``.
 
-    Then the inverses.  A ``_Quarters`` group goes through the half-size
-    Schur complement of its blocks and returns ``(W, Z)``, the conjugate
-    rows of each inverse ``[[conj W, conj Z], [Z, W]]``
-    (``_Quarters.inverse``); no whole block or inverse of it is formed.
-    Any other group, one holding a mirror pair, goes whole through
-    ``np.linalg.inv``, since splitting a mixed group saves little on large
-    blocks and loses on small ones.  The Schur path relies on two facts of
-    every stack, which ``_BlockPieces`` and ``assemble_system`` give by
-    construction: the entries joining two amplitude slots are zero off the
-    diagonal, and the stack is exactly particle-hole symmetric
-    (``M = Sx conj(M) Sx``).
+    Then the inverses: every group goes through the Schur complement on
+    its conjugate slots and returns ``[Z W]``, the conjugate rows of each
+    inverse (``_Quarters.inverse``); no whole block or inverse is formed.
+    The amplitude rows of a block's inverse are the conjugate rows of its
+    mirror's, conjugated on the swapped slots, since ``M`` is exactly
+    particle-hole symmetric (``M = Sx conj(M) Sx``).
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
-    they form (every column of it, or of its inverse, lies inside one
-    block; both columns of a mode of a self-mirror block have the norm
-    ``sum |W| + sum |Z|`` down its column of ``W`` and ``Z``).  A condition
-    number that is not finite or exceeds ``CONDITION_CAP`` raises too.
+    they form: every column of it, or of its inverse, lies inside one
+    block, and each column of the inverse is summed per slot from the
+    ``[Z W]`` holding it, at ``block``, and from the mirror rows, at
+    ``block ^ 1``.  A condition number that is not finite or exceeds
+    ``CONDITION_CAP`` raises too.
     """
     norm = 0.0
     for k, stack in enumerate(stacks):
-        quartered = isinstance(stack, _Quarters)
-        columns, margins = stack.discs() if quartered else _column_margins(stack)
+        columns, margins = stack.discs()
         norm = np.maximum(norm, columns.max())
         is_open = (margins <= 0).any(axis=1)
         if not is_open.any():
             continue
-        if quartered:
-            open_blocks = _Quarters(stack.k[is_open], stack.diagonal[is_open]).whole()
-        else:
-            open_blocks = stack[is_open]
+        open_blocks = stack[is_open].whole()
         try:
             np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
         except np.linalg.LinAlgError:
@@ -528,21 +473,18 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
                     f"unstable, with an eigenvalue of real part {floor:.6e} <= 0"
                 ) from None
     inverses = []
-    inverse_norm = 0.0
+    columns = np.zeros(sum(block.size for block in blocks))
     try:
-        for stack in stacks:
-            if isinstance(stack, _Quarters):
-                inverse = w, z = stack.inverse()
-                columns = np.abs(w).sum(axis=1) + np.abs(z).sum(axis=1)
-            else:
-                inverse = np.linalg.inv(stack)
-                columns = np.abs(inverse).sum(axis=1)
-            inverses.append(inverse)
-            inverse_norm = np.maximum(inverse_norm, columns.max())
+        for block, stack in zip(blocks, stacks):
+            rows = stack.inverse()
+            sums = np.abs(rows).sum(axis=1)
+            columns[block] += sums
+            columns[block ^ 1] += sums
+            inverses.append(rows)
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
-        cond = float(norm * inverse_norm)
+        cond = float(norm * columns.max())
     if not cond <= CONDITION_CAP:
         raise AboveThresholdError(
             "parametric oscillation threshold reached: system condition number "
@@ -555,13 +497,14 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
 def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     """Invert the harmonic-balance system into a scattering matrix.
 
-    The blocks of each size are gathered into one stack and inverted in a
-    single batched call; the inverse of the whole system is block-diagonal
-    with exact zeros between blocks.  A dynamically unstable system, at or
-    past the parametric oscillation threshold, raises ``AboveThresholdError``
-    before anything is inverted.  The reported condition estimate is the
-    exact 1-norm condition number ``||M||_1 * max_b ||B_b^-1||_1``, read off
-    the block inverses; one above ``CONDITION_CAP`` raises too.
+    The blocks of each size and amplitude count are gathered into one
+    stack and inverted in a single batched call; the inverse of the whole
+    system is block-diagonal with exact zeros between blocks.  A
+    dynamically unstable system, at or past the parametric oscillation
+    threshold, raises ``AboveThresholdError`` before anything is inverted.
+    The reported condition estimate is the exact 1-norm condition number
+    ``||M||_1 * max_b ||B_b^-1||_1``, read off the block inverses; one above
+    ``CONDITION_CAP`` raises too.
 
     With the coupling matrix a constant ``sqrt(gamma)`` on the diagonal,
     the input-output relation reduces to ``S = gamma * M^-1 - I`` for the
@@ -577,27 +520,32 @@ def _scattering(stacks, blocks, gain: float) -> tuple[np.ndarray, float]:
     """The dense ``S = gain * M^-1 - I`` of the block groups ``blocks``, and its condition.
 
     ``stacks`` go through the threshold gate ``_invert_blocks``; entries
-    off the blocks are exact zeros before the identity is taken off.  The
-    ``(W, Z)`` of a self-mirror group go straight into the four quarters of
-    its blocks, ``gain`` times ``[[conj W, conj Z], [Z, W]]``: through
-    strided slices of ``S`` when the group is one block on every slot, and
-    through a quarter index otherwise.
+    off the blocks are exact zeros before the identity is taken off.  Each
+    group writes ``gain * [Z W]`` on the rows of its conjugate slots and
+    its mirror, ``gain * conj([Z W])``, on the swapped rows and columns
+    (slot ``^ 1``): a block holding both slots of each of its modes writes
+    all its rows, and each block of a mirror pair the rows the other
+    lacks, so every entry of every block is written once.  A group of one
+    block on every slot writes through strided slices of ``S``, any other
+    through a row and column index.
     """
     inverses, cond = _invert_blocks(stacks, blocks)
     size = sum(block.size for block in blocks)
     s = np.zeros((size, size), dtype=complex)
-    for block, inverse in zip(blocks, inverses):
-        if not isinstance(inverse, tuple):
-            s[_block_index(block)] = gain * inverse
+    # the mirror is gain times the conjugate, not the conjugate of the
+    # product: a zero imaginary part of a positive entry then stays +0
+    for block, rows in zip(blocks, inverses):
+        if block.shape == (1, size):
+            # even (amplitude) slots first: [Z W] fills the odd rows of S,
+            # Z on the even columns, and its mirror the even rows
+            z, w = np.split(rows[0], 2, axis=1)
+            quarters = ((1, 0, z), (1, 1, w), (0, 1, z.conj()), (0, 0, w.conj()))
+            for row, col, quarter in quarters:
+                np.multiply(quarter, gain, out=s[row::2, col::2])
             continue
-        w, z = inverse
-        strided = block.shape == (1, size)
-        slots = _INTERLEAVED if strided else (block[:, 0::2], block[:, 1::2])
-        for (rows, cols), quarter in _inverse_quarters(*slots, w, z):
-            if strided:
-                np.multiply(quarter[0], gain, out=s[rows, cols])
-            else:
-                s[rows[:, :, np.newaxis], cols[:, np.newaxis, :]] = gain * quarter
+        conjugate = block[:, block.shape[1] - rows.shape[1] :]
+        s[conjugate[:, :, np.newaxis], block[:, np.newaxis, :]] = gain * rows
+        s[(conjugate ^ 1)[:, :, np.newaxis], (block ^ 1)[:, np.newaxis, :]] = gain * rows.conj()
     s[np.diag_indices_from(s)] -= 1.0
     return s, cond
 
@@ -607,64 +555,53 @@ class _BlockPieces:
     """The blocks of ``M`` as an index map onto the tone strengths.
 
     The tone at offset ``m`` owns the entries joining ``a_p`` and ``a*_q``
-    with ``p + q = m``: ``c_t = u * s_t`` in amplitude rows and
-    ``conj(u) * conj(s_t)`` in conjugate rows, for tone strengths ``s_t``,
-    ``t < T``, and ``u = -i * resonance``, the entry at strength 1.
-    ``diagonal`` holds the comb's ``+-i*detuning`` once, by slot.  For
-    block group ``k`` (as in ``blocks``), ``slot[k]`` indexes each entry
-    into ``(c_0, ..., c_T-1, conj(c_0), ..., conj(c_T-1), 0)``, the last
-    where no tone couples.  That gather plus
-    ``diag(diagonal[blocks[k]] + gamma/2)`` is the assembled stack for port
-    coupling ``gamma``, bit for bit but for the sign of a zero.  A group
-    with ``quartered[k]`` set, one of self-mirror blocks on interleaved
-    slots, is gathered by its ``_Quarters`` instead: the amplitude-row,
-    conjugate-column quarter of ``slot[k]`` and the diagonal.
+    with ``p + q = m``: ``c_t = u * s_t`` in amplitude rows, for tone
+    strengths ``s_t``, ``t < T``, and ``u = -i * resonance``, the entry at
+    strength 1; the conjugate rows hold their conjugates.  ``diagonal``
+    holds the comb's ``+-i*detuning`` once, by slot.  For block group
+    ``k`` (as in ``blocks``, amplitude slots first), ``slot[k]`` indexes
+    each entry of its ``K`` quarter, amplitude rows by conjugate columns,
+    into ``(c_0, ..., c_T-1, 0)``, the last where no tone couples.  That
+    gather, with ``diagonal[blocks[k]] + gamma/2`` split at the amplitude
+    count, is the ``_Quarters`` of the assembled stack for port coupling
+    ``gamma``, bit for bit but for the sign of a zero.
 
     ``locator`` names the group and row of each slot, ``(2n, 2)``; it is
     ``None`` on the pieces of one block that ``block_of`` returns.  The
     ``blocks``, ``slot`` and ``locator`` maps are shared by every call on
     the same mode count and offsets, whatever its grid or resonance, so
     they are read-only, as is each call's ``diagonal``.  Each ``slot`` map
-    is stored in ``np.min_scalar_type(2 * T)``, one byte per entry below
-    128 tones: the map of every group of a 1,001-mode comb stays small
-    beside the stacks a call gathers from it.
+    is stored in ``np.min_scalar_type(T)``, one byte per entry below 256
+    tones: the map of every group of a 1,001-mode comb stays small beside
+    the stacks a call gathers from it.
     """
 
     blocks: tuple[np.ndarray, ...]
     diagonal: np.ndarray
     slot: tuple[np.ndarray, ...]
     resonance: float
-    quartered: tuple[bool, ...]
     locator: np.ndarray | None
 
-    def stacks(self, strengths, gamma: float) -> list:
-        """Every group's stack of ``M``; leading axes of ``strengths`` lead."""
+    def stacks(self, strengths, gamma: float) -> list[_Quarters]:
+        """Every group's ``_Quarters``; leading axes of ``strengths`` lead its ``K``."""
         s = np.asarray(strengths, dtype=complex)
         u = complex(0.0, -self.resonance)
-        zero = np.zeros(s.shape[:-1] + (1,))
-        entries = np.concatenate((u * s, u.conjugate() * s.conj(), zero), axis=-1)
+        entries = np.concatenate((u * s, np.zeros(s.shape[:-1] + (1,))), axis=-1)
         stacks = []
-        for block, slot, quartered in zip(self.blocks, self.slot, self.quartered):
+        for block, slot in zip(self.blocks, self.slot):
             diagonal = self.diagonal[block] + gamma / 2.0
-            if quartered:
-                stacks.append(_Quarters(entries[..., slot[:, 0::2, 1::2]], diagonal))
-                continue
-            stack = entries[..., slot]
-            d = np.arange(slot.shape[-1])
-            stack[..., d, d] += diagonal
-            stacks.append(stack)
+            h = slot.shape[-2]
+            stacks.append(_Quarters(entries[..., slot], diagonal[:, :h], diagonal[:, h:]))
         return stacks
 
     def block_of(self, slot: int) -> _BlockPieces:
-        """The pieces of the one block holding ``slot``, amplitude slots first, stacked whole."""
+        """The pieces of the one block holding ``slot``."""
         k, member = self.locator[slot]
-        parity = np.argsort(self.blocks[k][member] % 2, kind="stable")
         return _BlockPieces(
-            (self.blocks[k][member, parity][np.newaxis],),
+            (self.blocks[k][member : member + 1],),
             self.diagonal,
-            (self.slot[k][member][parity[:, np.newaxis], parity][np.newaxis],),
+            (self.slot[k][member : member + 1],),
             self.resonance,
-            (False,),
             None,
         )
 
@@ -680,29 +617,29 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
     the pieces is read-only.
     """
     check_band(grid, params)
-    blocks, slot, quartered, locator = _split(grid.half_span, scheme.offsets)
+    blocks, slot, locator = _split(grid.half_span, scheme.offsets)
     diagonal = _diagonal(grid, params.resonance_frequency)
     diagonal.flags.writeable = False
-    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency, quartered, locator)
+    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency, locator)
 
 
 @functools.lru_cache(maxsize=1)
 def _split(half_span: int, offsets: tuple[int, ...]) -> tuple:
-    """The read-only ``blocks``, ``slot``, ``quartered`` and ``locator`` of ``_BlockPieces``.
+    """The read-only ``blocks``, ``slot`` and ``locator`` of ``_BlockPieces``.
 
     The tone at offset ``m`` joins ``a_p`` and ``a*_q`` at the reflection
     ``q = m + 2J - p`` of each position ``p`` where ``q`` is on the grid:
     those ``O(n * T)`` pairs are the edges of the block partition, and
-    they are every coupled entry of every block, so each group's map is
-    scattered from them, ``t`` at ``(a_p, a*_q)`` and ``T + t`` at
-    ``(a*_q, a_p)``, into a map filled with the no-tone slot ``2T``.  The
-    offsets are pairwise distinct, so no entry is written twice.  A tone
-    is in the partition whatever its amplitude, and no map holds a
-    frequency, so a split made once serves every strength, phase, port
-    coupling, resonance and comb of ``2 * half_span + 1`` modes.
+    they are every coupled entry of every ``K``, so each group's map is
+    scattered from them, ``t`` at ``(a_p, a*_q)``, into a map filled with
+    the no-tone slot ``T``.  The offsets are pairwise distinct, so no entry
+    is written twice.  A tone is in the partition whatever its amplitude,
+    and no map holds a frequency, so a split made once serves every
+    strength, phase, port coupling, resonance and comb of
+    ``2 * half_span + 1`` modes.
     """
     tones, reach, n_modes = len(offsets), 2 * half_span, 2 * half_span + 1
-    index = np.min_scalar_type(2 * tones)
+    index = np.min_scalar_type(tones)
     near = [t for t, m in enumerate(offsets) if abs(m) <= reach]
     # each tone's reflection q = m + 2J - p of every position p
     partner = np.array([offsets[t] + reach for t in near], dtype=np.intp)[:, np.newaxis]
@@ -712,27 +649,26 @@ def _split(half_span: int, offsets: tuple[int, ...]) -> tuple:
     amplitude, conjugate = 2 * p, 2 * partner[on] + 1
     blocks = _block_partition(2 * n_modes, amplitude, conjugate)
 
-    # where each slot sits: its group, its row and its place in the row
+    # where each slot sits: its group, its row and its place in the row; a
+    # conjugate slot's column of K is its place less the amplitude count
     locator = np.empty((2 * n_modes, 2), dtype=np.intp)
     place = np.empty(2 * n_modes, dtype=np.intp)
     for k, block in enumerate(blocks):
         locator[block, 0] = k
         locator[block, 1] = np.arange(len(block))[:, np.newaxis]
         place[block] = np.arange(block.shape[1])
-    rows = np.concatenate((amplitude, conjugate))
-    cols = np.concatenate((conjugate, amplitude))
-    values = np.array(near, dtype=index)[np.concatenate((tone, tone))]
-    values[len(tone) :] += tones
-    group, member = locator[rows].T
+    values = np.array(near, dtype=index)[tone]
+    group, member = locator[amplitude].T
     slots = []
     for k, block in enumerate(blocks):
-        slot = np.full(block.shape + block.shape[1:], 2 * tones, dtype=index)
+        h = int(np.count_nonzero(block[0] % 2 == 0))
+        slot = np.full((len(block), h, block.shape[1] - h), tones, dtype=index)
         mine = group == k
-        slot[member[mine], place[rows[mine]], place[cols[mine]]] = values[mine]
+        slot[member[mine], place[amplitude[mine]], place[conjugate[mine]] - h] = values[mine]
         slots.append(slot)
     for array in (*blocks, *slots, locator):
         array.flags.writeable = False
-    return blocks, tuple(slots), tuple(_self_mirror(block) for block in blocks), locator
+    return blocks, tuple(slots), locator
 
 
 def simulate_scattering(

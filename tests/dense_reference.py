@@ -2,11 +2,12 @@
 
 The package splits each system into block pieces, scattered from the
 offsets' reflections, and restacks them (``scattering._block_pieces``),
-whether it simulates one scheme, sweeps a phase, fits or searches; a
-self-mirror group is stacked and inverted by its quarters.  The tests
-check those paths against the other builder: the public dense chain,
-which resolves a list of coupled pairs tone by tone, assembles the
-``2n x 2n`` system and gathers its blocks back out of it.  That chain
+whether it simulates one scheme, sweeps a phase, fits or searches; every
+block is stacked by its quarters, inverted on its conjugate slots, and
+written into ``S`` with its particle-hole mirror.  The tests check those
+paths against the other builder: the public dense chain, which resolves
+a list of coupled pairs tone by tone, assembles the ``2n x 2n`` system
+and gathers its blocks back out of it.  That chain
 still inverts through the package's block inverter, so
 ``dense_scattering`` also checks the inverter: it inverts the whole
 assembled system with one plain ``np.linalg.inv``, and ``dense_column``,

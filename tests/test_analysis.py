@@ -347,7 +347,7 @@ class TestPhaseSweep:
         # pair; a step that needs its eigenvalues decomposes two of the three
         scheme = ladder(device, 0.17, 0.0)
         pieces = _block_pieces(grid, device, scheme)
-        halves = {block.shape[1]: int(np.sum(block[:, 0] % 2 == 0)) for block in pieces.blocks}
+        halves = {b.shape[1]: int(np.sum(b.min(axis=1) % 2 == 0)) for b in pieces.blocks}
         assert (halves[48], len(pieces.blocks[-1])) == (2, 3)
         spectra = []
         eigvals = np.linalg.eigvals
@@ -662,6 +662,37 @@ class TestFit:
         assert refined.distance == pytest.approx(
             dense_distance(measured, grid, scheme, refined.best_g, refined.best_gamma),
             rel=1e-12,
+        )
+
+    @pytest.mark.filterwarnings("ignore::combscatter.model.BandMismatchWarning")
+    def test_group_of_one_member_of_each_pair_gets_its_floor(self, device, monkeypatch):
+        # -2/5 on 95 modes 10 MHz apart: one (2, 27) group holds only blocks
+        # whose smallest slot is a conjugate slot; cells from ratio 0.42
+        # send it to its eigenvalues, and the surface is the dense one
+        grid = ModeGrid(RESONANCE, TWO_PI * 10e6, 47)
+        scheme = balanced_scheme(device, [-2, 5], 0.3, [0.3, 1.0])
+        measured = simulate_scattering(grid, device, scheme)
+        floors = []
+        spectral_floor = analysis._spectral_floor
+        monkeypatch.setattr(
+            analysis, "_spectral_floor",
+            lambda stack, block: floors.append(block) or spectral_floor(stack, block),
+        )
+        g_range = (0.3 * COUPLING / RESONANCE, 0.5 * COUPLING / RESONANCE)
+        gamma_range = (0.9 * COUPLING, 1.1 * COUPLING)
+        result = fit_parameters(measured, grid, scheme, g_range, gamma_range, 5, refine_steps=0)
+        assert any(np.all(block.min(axis=1) % 2 == 1) for block in floors)
+        expected = np.array([
+            [dense_distance(measured.matrix, grid, scheme, g, gamma)
+             for gamma in result.gamma_values]
+            for g in result.g_values
+        ])
+        assert 0 < result.cells_above_threshold < 25
+        assert np.array_equal(np.isinf(result.surface), np.isinf(expected))
+        # the true cell's distance is rounding, 7e-15
+        finite = np.isfinite(expected)
+        np.testing.assert_allclose(
+            result.surface[finite], expected[finite], rtol=1e-12, atol=1e-14
         )
 
     def test_one_spectrum_per_strength_and_block_group(self, device, monkeypatch):

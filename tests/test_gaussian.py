@@ -28,6 +28,7 @@ from combscatter import (
     to_quadrature,
     vacuum_covariance,
 )
+from combscatter import gaussian
 from combscatter.gaussian import _SAMPLE_CHUNK, IMAG_RESIDUAL_TOL, VACUUM_SCALE
 from combscatter.scattering import ScatteringMatrix
 from conftest import (
@@ -317,6 +318,18 @@ class TestPsdCertificate:
         assert cholesky.call_count == 0
         tol = 1e-10 * max(1.0, float(np.max(np.abs(v))))
         assert float(np.min(np.linalg.eigvalsh(v))) >= -0.5 * tol
+
+    @pytest.mark.parametrize("half_span", [0, 47, 500])
+    def test_vacuum_is_certified_by_its_scale(self, half_span):
+        # VACUUM_SCALE * I has every eigenvalue equal to VACUUM_SCALE, so
+        # neither a Cholesky factor nor a spectrum is taken
+        grid = ModeGrid(2e9, 1e6, half_span)
+        refuse = mock.Mock(side_effect=AssertionError("no factorization expected"))
+        with mock.patch.object(gaussian, "_cholesky_certifies", refuse), \
+                mock.patch.object(np.linalg, "eigvalsh", refuse):
+            vacuum = vacuum_covariance(grid).matrix
+        assert np.array_equal(vacuum, VACUUM_SCALE * np.eye(2 * grid.n_modes))
+        assert refuse.call_count == 0
 
     def test_census_vacuum_needs_no_cholesky(self, grid, device):
         rng = np.random.default_rng(31)
