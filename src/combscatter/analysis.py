@@ -187,12 +187,12 @@ def phase_sweep(
 
     # the swept tone's magnitude is the same at every phase, so one
     # certificate can clear the threshold gate for the whole sweep
-    if _disc_bound(grid, params, base_scheme) > CONDITION_CAP:
+    if _disc_bound(pieces, base, gamma) > CONDITION_CAP:
         for phase, strength in zip(phases[:period], strengths):
             step = base.copy()
             step[swept_tone] = strength
             try:
-                _invert_blocks(pieces.stacks(step, gamma), pieces.blocks)
+                _invert_blocks(pieces, step, gamma)
             except AboveThresholdError as exc:
                 raise AboveThresholdError(
                     f"above threshold at swept phase {phase:.6f} rad: {exc}",
@@ -395,9 +395,7 @@ def fit_parameters(
             return np.inf
         try:
             inverses, condition = _invert_blocks(
-                pieces.stacks(g * unit_strengths, gamma),
-                pieces.blocks,
-                lambda k: gamma / 2.0 + floor(g, k),
+                pieces, g * unit_strengths, gamma, lambda k: gamma / 2.0 + floor(g, k)
             )
         except AboveThresholdError:
             return np.inf
@@ -556,7 +554,6 @@ def search_phases(
         )
     pieces = _block_pieces(grid, params, scheme)
     gamma = params.port_coupling
-    gain = _gain(gamma)
 
     best = None  # (objective, phases, graph)
     seen = set()
@@ -578,7 +575,7 @@ def search_phases(
         phases = tuple(TWO_PI * c / phase_grid_points for c in combo)
         strengths = [_tone_strength(t.amplitude, p) for t, p in zip(scheme.tones, phases)]
         try:
-            s, _ = _scattering(pieces.stacks(strengths, gamma), pieces.blocks, gain)
+            s, _ = _scattering(pieces, strengths, gamma)
         except AboveThresholdError:
             skipped += 1
             continue

@@ -27,26 +27,28 @@ whole block is formed only when the gate must look past its discs.
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
 Gardiner & Collett, PRA 31, 3761, 1985); ``_invert_blocks`` is the one
-gate that decides it, and the only code that inverts block stacks.  Its
-first stage, the column Gershgorin discs, also bounds the condition
-(Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase sweep clear
-the gate once for all its steps.  The sweep reads the discs in closed
-form (``_disc_bound``): both columns of mode ``p`` hold one entry of
-modulus ``resonance * |s_t|`` per tone ``t`` whose partner ``m_t - p`` is
-on the grid, so with ``c_p`` their sum the margin is ``gamma/2 - c_p`` and
-the 1-norm ``|gamma/2 + i*detuning_p| + c_p``, at ``O(n * T)`` cost with
-no stack gathered; the gate itself keeps scanning the stacks it is given.
-Every simulation, sweep, fit and search splits the system into an index
-map onto the tone strengths, scattered from the offsets' reflections
-(``_split``), and restacks it at every point.  The split depends only on
-the mode count and the tone offsets, so it is made once per comb and
-offsets: the package keeps a read-only split of the last comb, and
-concurrent calls may share it; each call brings its own device's detuning
-diagonal, which every stack reads by slot.  The dense chain
-``resolve_couplings`` -> ``assemble_system`` -> ``scattering_matrix``
-serves hand-made coupling sets and the tests as an independent reference;
-no run path calls it.  A caller's matrix is checked once, by
-``ScatteringMatrix``.  Otherwise pure functions on immutable inputs.
+gate that decides it on the blocks, and the only code that inverts block
+stacks.  Its first stage, the column Gershgorin discs, also bounds the
+condition (Varah, Linear Algebra Appl. 11, 3, 1975), which lets a phase
+sweep clear the gate once for all its steps (``_disc_bound``).  Both read
+the discs in closed form (``_BlockPieces.discs``): both columns of mode
+``p`` hold one entry of modulus ``resonance * |s_t|`` per tone ``t`` whose
+partner ``m_t - p`` is on the grid, so with ``c_p`` their sum the margin
+is ``gamma/2 - c_p`` and the 1-norm ``|gamma/2 + i*detuning_p| + c_p``, at
+``O(n * T)`` cost with no stack gathered.  Every simulation, sweep, fit
+and search splits the system into an index map onto the tone strengths,
+scattered from the offsets' reflections (``_split``), and restacks it at
+every point.  The split depends only on the mode count and the tone
+offsets, so it is made once per comb and offsets: the package keeps a
+read-only split of the last comb, and concurrent calls may share it; each
+call brings its own device's detuning diagonal, which every stack reads
+by slot.  The dense chain ``resolve_couplings`` -> ``assemble_system`` ->
+``scattering_matrix`` serves hand-made coupling sets and the tests as an
+independent reference: it inverts ``M`` whole, after the same discs taken
+on all of ``M`` and its spectrum where they fail, and reads neither the
+split nor the block inverter; no run path calls it.  A caller's matrix is
+checked once, by ``ScatteringMatrix``.  Otherwise pure functions on
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -119,24 +121,14 @@ class SystemMatrix:
     particle-hole symmetry ``M = Sx conj(M) Sx`` with ``Sx`` the per-mode
     swap of each interleaved pair.  ``k_coupling`` is the constant diagonal
     of the mode/transmission-line coupling matrix, ``sqrt(gamma)``.
-
-    ``blocks`` partitions the ``2n`` slots into the independent blocks of
-    ``matrix``: one ``(count, size)`` integer array per distinct block
-    size and amplitude count, in ascending order of the two.  Each row
-    lists the amplitude slots of one block in ascending order and then its
-    conjugate slots in ascending order, rows are ordered by their smallest
-    slot, and no nonzero of ``matrix`` joins two blocks.
     """
 
     matrix: np.ndarray
     k_coupling: float
     grid: ModeGrid
-    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix, complex))
-        blocks = tuple(_frozen(b, np.intp) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
 
 
 @dataclass(frozen=True)
@@ -190,9 +182,15 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     Every slot points at a smaller-or-equal slot of its component; each
     round hooks the root of every edge end onto the smaller of the two
     roots and then jumps pointers until every slot points at its root, so
-    the final root of a component is its smallest slot.  Returns the
-    components grouped by size and amplitude count, amplitude slots first,
-    as described on ``SystemMatrix.blocks``.
+    the final root of a component is its smallest slot.
+
+    Returns the components of the ``size`` slots as block groups: one
+    ``(count, size)`` integer array per distinct block size and amplitude
+    (even) slot count, in ascending order of the two.  Each row lists the
+    amplitude slots of one block in ascending order and then its conjugate
+    slots in ascending order, and rows are ordered by their smallest slot.
+    ``_split`` takes the blocks of ``M`` from it, with the coupled slot
+    pairs as edges, so no nonzero of ``M`` joins two blocks.
     """
     root = np.arange(size)
     while True:
@@ -221,15 +219,10 @@ def _block_partition(size: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     return tuple(groups)
 
 
-def _detuning(grid: ModeGrid, resonance: float) -> np.ndarray:
-    """The detuning ``resonance - w_p`` of every mode, in ascending mode order."""
-    half = grid.half_span
-    return resonance - (grid.center_frequency + np.arange(-half, half + 1) * grid.spacing)
-
-
 def _diagonal(grid: ModeGrid, resonance: float) -> np.ndarray:
-    """The ``+-i*detuning`` of every slot: the diagonal of ``M`` less ``gamma/2``."""
-    detuning = _detuning(grid, resonance)
+    """The ``+-i*(resonance - w_p)`` of every slot: the diagonal of ``M`` less ``gamma/2``."""
+    half = grid.half_span
+    detuning = resonance - (grid.center_frequency + np.arange(-half, half + 1) * grid.spacing)
     diagonal = np.empty(2 * grid.n_modes, dtype=complex)
     diagonal[0::2] = 1j * detuning
     diagonal[1::2] = -1j * detuning
@@ -239,17 +232,14 @@ def _diagonal(grid: ModeGrid, resonance: float) -> np.ndarray:
 def assemble_system(
     grid: ModeGrid, params: DeviceParams, couplings: CouplingSet
 ) -> SystemMatrix:
-    """Build the harmonic-balance coefficient matrix and its block partition.
+    """Build the harmonic-balance coefficient matrix.
 
     Each mode contributes a 2x2 diagonal block with detuning and damping;
     each coupling entry populates the amplitude-to-conjugate positions of
-    its pair (both orientations) and their conjugate mirrors.  The same
-    slot pairs ``a_i -- a*_j`` and ``a_j -- a*_i`` are the edges whose
-    connected components make the independent blocks.  A coupling
+    its pair (both orientations) and their conjugate mirrors.  A coupling
     referencing an index off the grid is an internal inconsistency, not a
     user error.
     """
-    n = grid.n_modes
     half = grid.half_span
     gamma = params.port_coupling
     m = np.diag(_diagonal(grid, params.resonance_frequency) + gamma / 2.0)
@@ -271,17 +261,16 @@ def assemble_system(
     cols = np.concatenate((a_j + 1, a_j, a_i[distinct] + 1, a_i[distinct]))
     values = np.concatenate((off, off.conj(), off[distinct], off[distinct].conj()))
     np.add.at(m, (rows, cols), values)
-
-    blocks = _block_partition(2 * n, np.concatenate((a_i, a_j)), np.concatenate((a_j, a_i)) + 1)
-    return SystemMatrix(_Sealed(m), float(np.sqrt(gamma)), grid, blocks)
+    return SystemMatrix(_Sealed(m), float(np.sqrt(gamma)), grid)
 
 
 def _gain(gamma: float) -> float:
     """Input-output factor ``gamma`` as applied: the square of ``sqrt(gamma)``.
 
-    ``SystemMatrix`` stores the coupling ``sqrt(gamma)``; every path that
-    turns block inverses into scattering entries squares that stored value,
-    so they all agree bit for bit.
+    ``SystemMatrix`` stores the coupling ``sqrt(gamma)``, and the dense
+    ``scattering_matrix`` squares that stored value.  The block paths
+    square it as well rather than take ``gamma`` itself, which may differ
+    in the last ulp, so that no byte of any output moves.
     """
     return float(np.sqrt(gamma)) ** 2
 
@@ -324,19 +313,6 @@ class _Quarters:
         """The blocks ``which`` of a stack with no leading axes."""
         return _Quarters(self.k[which], self.d[which], self.d_c[which])
 
-    def discs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per column, ``sum_i |B_ij|`` and ``Re B_jj - sum_{i != j} |B_ij|``.
-
-        The columns come amplitude slots first.  The amplitude column of
-        mode ``p`` holds ``d_p`` and row ``p`` of ``K``, conjugated; the
-        conjugate column of mode ``q`` holds column ``q`` of ``K`` and
-        ``d_c q``.
-        """
-        magnitudes = np.abs(self.k)
-        off = np.concatenate((magnitudes.sum(axis=-1), magnitudes.sum(axis=-2)), axis=-1)
-        diagonal = np.concatenate((self.d, self.d_c), axis=-1)
-        return np.abs(diagonal) + off, diagonal.real - off
-
     def whole(self) -> np.ndarray:
         """The blocks themselves, amplitude slots first."""
         h = self.d.shape[-1]
@@ -360,47 +336,19 @@ class _Quarters:
         return np.concatenate((w @ y, w), axis=-1)
 
 
-def _stacks(matrix: np.ndarray, blocks) -> list[_Quarters]:
-    """The stacks of ``matrix`` on the block groups, as ``_BlockPieces.stacks`` gives them."""
-    stacks = []
-    for block in blocks:
-        h = int(np.count_nonzero(block[0] % 2 == 0))
-        amplitude, conjugate = block[:, :h], block[:, h:]
-        k = matrix[amplitude[:, :, np.newaxis], conjugate[:, np.newaxis, :]]
-        stacks.append(_Quarters(k, matrix[amplitude, amplitude], matrix[conjugate, conjugate]))
-    return stacks
-
-
-def _column_discs(
-    grid: ModeGrid, params: DeviceParams, scheme: PumpScheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per mode, the 1-norm and disc margin of both its columns of ``M`` (``_disc_bound``)."""
-    half = grid.half_span
-    gamma = params.port_coupling
-    partner = np.subtract.outer(scheme.offsets, np.arange(-half, half + 1))
-    magnitudes = np.array([abs(tone.strength) for tone in scheme.tones], dtype=float)
-    off_diagonal = params.resonance_frequency * (magnitudes @ (np.abs(partner) <= half))
-    diagonal = np.hypot(gamma / 2.0, _detuning(grid, params.resonance_frequency))
-    return diagonal + off_diagonal, gamma / 2.0 - off_diagonal
-
-
-def _disc_bound(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> float:
+def _disc_bound(pieces: _BlockPieces, strengths, gamma: float) -> float:
     """Twice ``max ||B||_1 / min margin`` over every block of ``M``, or +inf if a margin is <= 0.
 
-    The column discs in closed form.  In the amplitude column of mode
-    ``p``, and in its conjugate column alike, each tone ``t`` whose partner
-    ``m_t - p`` is on the grid puts one entry of modulus
-    ``resonance * |s_t|``; with ``c_p`` their sum, both columns have the
-    1-norm ``|gamma/2 + i*detuning_p| + c_p`` and the margin
-    ``gamma/2 - c_p``.  That is ``O(n * T)``, with no stack gathered.
-    Positive margins put every eigenvalue in the right half-plane (column
-    Gershgorin discs), and Varah's bound applied to ``B^T`` gives
-    ``||B^-1||_1 <= 1 / min margin``, so this bounds the 1-norm condition;
-    the factor 2 covers rounding.  A bound within ``CONDITION_CAP``
-    certifies that ``_invert_blocks`` would pass; ``phase_sweep`` takes it
-    once, at its base phases, to clear the gate for every step.
+    The column discs of ``pieces`` at ``strengths`` and ``gamma``
+    (``_BlockPieces.discs``).  Positive margins put every eigenvalue in the
+    right half-plane (column Gershgorin discs), and Varah's bound applied
+    to ``B^T`` gives ``||B^-1||_1 <= 1 / min margin``, so this bounds the
+    1-norm condition; the factor 2 covers rounding.  A bound within
+    ``CONDITION_CAP`` certifies that ``_invert_blocks`` would pass;
+    ``phase_sweep`` takes it once, at its base phases, to clear the gate
+    for every step.
     """
-    norms, margins = _column_discs(grid, params, scheme)
+    norms, margins = pieces.discs(strengths, gamma)
     margin = float(margins.min())
     return 2.0 * float(norms.max()) / margin if margin > 0 else math.inf
 
@@ -414,36 +362,55 @@ def _spectral_floor(stack: np.ndarray, block: np.ndarray) -> float:
     slots of a mode is its own mirror, and its smallest slot is an
     amplitude slot.  A group keyed by its amplitude count may hold only
     the other members of pairs whose mirrors lie in another group; such a
-    group decomposes its own blocks.
+    group decomposes nothing and returns +inf.  Its mirror group holds the
+    picked members, which are open exactly when its blocks are
+    (``_invert_blocks``), so the spectrum of every pair is still read once.
     """
     picked = block.min(axis=1) % 2 == 0
-    return np.linalg.eigvals(stack[picked] if picked.any() else stack).real.min()
+    if not picked.any():
+        return math.inf
+    return np.linalg.eigvals(stack[picked]).real.min()
 
 
-def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
-    """Invert the stacks of block groups behind the threshold gate.
+def _unstable(floor: float) -> AboveThresholdError:
+    return AboveThresholdError(
+        "parametric oscillation threshold reached: the system is dynamically "
+        f"unstable, with an eigenvalue of real part {floor:.6e} <= 0"
+    )
 
-    ``stacks[k]`` is the ``_Quarters`` of the blocks on the slots
-    ``blocks[k]``, a group as in ``SystemMatrix.blocks``
-    (``_BlockPieces.stacks``, ``_stacks``).  First the gate: every block
-    must be stable, every eigenvalue with a positive real part, or this
-    raises naming the smallest real part.  A group passes when each of its
-    blocks lies inside its column Gershgorin discs
-    (``Re B_jj > sum_{i != j} |B_ij|``, read off the row and column sums
-    of ``|K|``, ``_Quarters.discs``), or else when the Hermitian parts of
-    the blocks the discs leave open, formed whole, all have a Cholesky
-    factor, which puts their numerical ranges in the right half-plane.
-    One failed factor sends the group to the eigenvalues of its open
-    blocks, one block of each mirror pair (``_spectral_floor``; a block is
-    open exactly when its mirror is), or to ``lowest(k)``, the caller's
-    floor over at least the blocks of group ``k``.
 
-    Then the inverses: every group goes through the Schur complement on
-    its conjugate slots and returns ``[Z W]``, the conjugate rows of each
-    inverse (``_Quarters.inverse``); no whole block or inverse is formed.
-    The amplitude rows of a block's inverse are the conjugate rows of its
-    mirror's, conjugated on the swapped slots, since ``M`` is exactly
-    particle-hole symmetric (``M = Sx conj(M) Sx``).
+def _over_cap(cond: float) -> AboveThresholdError:
+    return AboveThresholdError(
+        "parametric oscillation threshold reached: system condition number "
+        f"{cond:.3e} exceeds cap {CONDITION_CAP:.1e}",
+        condition_estimate=cond,
+    )
+
+
+def _invert_blocks(
+    pieces: _BlockPieces, strengths, gamma: float, lowest=None
+) -> tuple[list, float]:
+    """Invert the blocks of ``pieces`` at ``strengths`` and ``gamma`` behind the threshold gate.
+
+    First the gate: every block must be stable, every eigenvalue with a
+    positive real part, or this raises naming the smallest real part.  A
+    block passes when it lies inside its column Gershgorin discs
+    (``Re B_jj > sum_{i != j} |B_ij|``), read per mode in closed form
+    (``_BlockPieces.discs``): a block is open when a mode of one of its
+    slots has a margin <= 0, so a block and its mirror, on the same modes,
+    are open together.  The open blocks of a group pass when their
+    Hermitian parts, formed whole, all have a Cholesky factor, which puts
+    their numerical ranges in the right half-plane.  One failed factor
+    sends the group to the eigenvalues of its open blocks, one block of
+    each mirror pair (``_spectral_floor``), or to ``lowest(k)``, the
+    caller's floor over at least the blocks of group ``k``.
+
+    Then the inverses: every group of ``pieces.stacks`` goes through the
+    Schur complement on its conjugate slots and returns ``[Z W]``, the
+    conjugate rows of each inverse (``_Quarters.inverse``); no whole block
+    or inverse is formed.  The amplitude rows of a block's inverse are the
+    conjugate rows of its mirror's, conjugated on the swapped slots, since
+    ``M`` is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
@@ -453,29 +420,27 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
     ``block ^ 1``.  A condition number that is not finite or exceeds
     ``CONDITION_CAP`` raises too.
     """
-    norm = 0.0
-    for k, stack in enumerate(stacks):
-        columns, margins = stack.discs()
-        norm = np.maximum(norm, columns.max())
-        is_open = (margins <= 0).any(axis=1)
-        if not is_open.any():
-            continue
-        open_blocks = stack[is_open].whole()
-        try:
-            np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
-        except np.linalg.LinAlgError:
-            floor = (
-                _spectral_floor(open_blocks, blocks[k][is_open]) if lowest is None else lowest(k)
-            )
-            if not floor > 0:
-                raise AboveThresholdError(
-                    "parametric oscillation threshold reached: the system is dynamically "
-                    f"unstable, with an eigenvalue of real part {floor:.6e} <= 0"
-                ) from None
+    stacks = pieces.stacks(strengths, gamma)
+    norms, margins = pieces.discs(strengths, gamma)
+    open_modes = margins <= 0
+    if open_modes.any():
+        for k, (block, stack) in enumerate(zip(pieces.blocks, stacks)):
+            is_open = open_modes[block >> 1].any(axis=1)
+            if not is_open.any():
+                continue
+            open_blocks = stack[is_open].whole()
+            try:
+                np.linalg.cholesky(0.5 * (open_blocks + open_blocks.conj().swapaxes(1, 2)))
+            except np.linalg.LinAlgError:
+                floor = (
+                    _spectral_floor(open_blocks, block[is_open]) if lowest is None else lowest(k)
+                )
+                if not floor > 0:
+                    raise _unstable(floor) from None
     inverses = []
-    columns = np.zeros(sum(block.size for block in blocks))
+    columns = np.zeros(len(pieces.diagonal))
     try:
-        for block, stack in zip(blocks, stacks):
+        for block, stack in zip(pieces.blocks, stacks):
             rows = stack.inverse()
             sums = np.abs(rows).sum(axis=1)
             columns[block] += sums
@@ -484,26 +449,23 @@ def _invert_blocks(stacks, blocks, lowest=None) -> tuple[list, float]:
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
-        cond = float(norm * columns.max())
+        cond = float(norms.max() * columns.max())
     if not cond <= CONDITION_CAP:
-        raise AboveThresholdError(
-            "parametric oscillation threshold reached: system condition number "
-            f"{cond:.3e} exceeds cap {CONDITION_CAP:.1e}",
-            condition_estimate=cond,
-        )
+        raise _over_cap(cond)
     return inverses, cond
 
 
 def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
-    """Invert the harmonic-balance system into a scattering matrix.
+    """Invert the harmonic-balance system whole into a scattering matrix.
 
-    The blocks of each size and amplitude count are gathered into one
-    stack and inverted in a single batched call; the inverse of the whole
-    system is block-diagonal with exact zeros between blocks.  A
-    dynamically unstable system, at or past the parametric oscillation
-    threshold, raises ``AboveThresholdError`` before anything is inverted.
-    The reported condition estimate is the exact 1-norm condition number
-    ``||M||_1 * max_b ||B_b^-1||_1``, read off the block inverses; one above
+    The dense reference: it reads neither the block split nor the block
+    inverter.  The gate is the same test on all of ``M``: a system inside
+    its column Gershgorin discs is stable, and otherwise the least real
+    part of the spectrum of ``M`` decides; a dynamically unstable system,
+    at or past the parametric oscillation threshold, raises
+    ``AboveThresholdError`` before anything is inverted.  Then one
+    ``np.linalg.inv`` of ``M``.  The reported condition estimate is the
+    exact 1-norm condition number ``||M||_1 * ||M^-1||_1``; one above
     ``CONDITION_CAP`` raises too.
 
     With the coupling matrix a constant ``sqrt(gamma)`` on the diagonal,
@@ -511,30 +473,47 @@ def scattering_matrix(system: SystemMatrix) -> ScatteringMatrix:
     stored coefficient matrix (the conventional factor of i is absorbed in
     the stored rows).
     """
-    stacks = _stacks(system.matrix, system.blocks)
-    s, cond = _scattering(stacks, system.blocks, system.k_coupling**2)
+    m = system.matrix
+    columns = np.abs(m).sum(axis=0)
+    diagonal = m.diagonal()
+    if not np.all(diagonal.real > columns - np.abs(diagonal)):
+        floor = np.linalg.eigvals(m).real.min()
+        if not floor > 0:
+            raise _unstable(floor)
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = float(columns.max() * np.abs(inverse).sum(axis=0).max())
+    if not cond <= CONDITION_CAP:
+        raise _over_cap(cond)
+    s = system.k_coupling**2 * inverse
+    s[np.diag_indices_from(s)] -= 1.0
     return ScatteringMatrix(_Sealed(s), system.grid, condition_estimate=cond)
 
 
-def _scattering(stacks, blocks, gain: float) -> tuple[np.ndarray, float]:
-    """The dense ``S = gain * M^-1 - I`` of the block groups ``blocks``, and its condition.
+def _scattering(pieces: _BlockPieces, strengths, gamma: float) -> tuple[np.ndarray, float]:
+    """The dense ``S = gamma * M^-1 - I`` of ``pieces`` at ``strengths``, and its condition.
 
-    ``stacks`` go through the threshold gate ``_invert_blocks``; entries
+    The blocks go through the threshold gate ``_invert_blocks``; entries
     off the blocks are exact zeros before the identity is taken off.  Each
     group writes ``gain * [Z W]`` on the rows of its conjugate slots and
     its mirror, ``gain * conj([Z W])``, on the swapped rows and columns
-    (slot ``^ 1``): a block holding both slots of each of its modes writes
-    all its rows, and each block of a mirror pair the rows the other
-    lacks, so every entry of every block is written once.  A group of one
-    block on every slot writes through strided slices of ``S``, any other
-    through a row and column index.
+    (slot ``^ 1``), with ``gain`` the ``_gain`` of ``gamma``: a block
+    holding both slots of each of its modes writes all its rows, and each
+    block of a mirror pair the rows the other lacks, so every entry of
+    every block is written once.  A group of one block on every slot
+    writes through strided slices of ``S``, any other through a row and
+    column index.
     """
-    inverses, cond = _invert_blocks(stacks, blocks)
-    size = sum(block.size for block in blocks)
+    inverses, cond = _invert_blocks(pieces, strengths, gamma)
+    gain = _gain(gamma)
+    size = len(pieces.diagonal)
     s = np.zeros((size, size), dtype=complex)
     # the mirror is gain times the conjugate, not the conjugate of the
     # product: a zero imaginary part of a positive entry then stays +0
-    for block, rows in zip(blocks, inverses):
+    for block, rows in zip(pieces.blocks, inverses):
         if block.shape == (1, size):
             # even (amplitude) slots first: [Z W] fills the odd rows of S,
             # Z on the even columns, and its mirror the even rows
@@ -564,16 +543,19 @@ class _BlockPieces:
     into ``(c_0, ..., c_T-1, 0)``, the last where no tone couples.  That
     gather, with ``diagonal[blocks[k]] + gamma/2`` split at the amplitude
     count, is the ``_Quarters`` of the assembled stack for port coupling
-    ``gamma``, bit for bit but for the sign of a zero.
+    ``gamma``, bit for bit but for the sign of a zero.  ``reach[t, p]`` tells
+    whether the partner ``m_t - p`` of mode ``p`` (in ascending mode order)
+    is on the grid, that is, whether tone ``t`` puts an entry in the
+    columns of mode ``p``; ``discs`` sums them.
 
     ``locator`` names the group and row of each slot, ``(2n, 2)``; it is
     ``None`` on the pieces of one block that ``block_of`` returns.  The
-    ``blocks``, ``slot`` and ``locator`` maps are shared by every call on
-    the same mode count and offsets, whatever its grid or resonance, so
-    they are read-only, as is each call's ``diagonal``.  Each ``slot`` map
-    is stored in ``np.min_scalar_type(T)``, one byte per entry below 256
-    tones: the map of every group of a 1,001-mode comb stays small beside
-    the stacks a call gathers from it.
+    ``blocks``, ``slot``, ``locator`` and ``reach`` maps are shared by
+    every call on the same mode count and offsets, whatever its grid or
+    resonance, so they are read-only, as is each call's ``diagonal``.
+    Each ``slot`` map is stored in ``np.min_scalar_type(T)``, one byte per
+    entry below 256 tones: the map of every group of a 1,001-mode comb
+    stays small beside the stacks a call gathers from it.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -581,6 +563,22 @@ class _BlockPieces:
     slot: tuple[np.ndarray, ...]
     resonance: float
     locator: np.ndarray | None
+    reach: np.ndarray
+
+    def discs(self, strengths, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per mode, the 1-norm and the disc margin of both its columns of ``M``.
+
+        In the amplitude column of mode ``p``, and in its conjugate column
+        alike, each tone ``t`` whose partner ``m_t - p`` is on the grid puts
+        one entry of modulus ``resonance * |s_t|``; with ``c_p`` their sum,
+        both columns have the 1-norm ``|gamma/2 + i*detuning_p| + c_p`` and
+        the margin ``Re B_jj - sum_{i != j} |B_ij| = gamma/2 - c_p``.  That
+        is ``O(n * T)``, with no stack gathered.
+        """
+        magnitudes = np.abs(np.asarray(strengths, dtype=complex))
+        off_diagonal = self.resonance * (magnitudes @ self.reach)
+        diagonal = np.hypot(gamma / 2.0, self.diagonal[0::2].imag)
+        return diagonal + off_diagonal, gamma / 2.0 - off_diagonal
 
     def stacks(self, strengths, gamma: float) -> list[_Quarters]:
         """Every group's ``_Quarters``; leading axes of ``strengths`` lead its ``K``."""
@@ -603,6 +601,7 @@ class _BlockPieces:
             (self.slot[k][member : member + 1],),
             self.resonance,
             None,
+            self.reach,
         )
 
 
@@ -610,22 +609,22 @@ def _block_pieces(grid: ModeGrid, params: DeviceParams, scheme: PumpScheme) -> _
     """The ``_BlockPieces`` of the system of ``scheme`` on ``grid`` and ``params``.
 
     The band check runs on every call, so a warning names each caller.
-    The block partition, slot maps and locator come from ``_split``,
+    The block partition, slot maps, locator and reach come from ``_split``,
     memoized on the mode count and the offsets; the ``+-i*detuning``
     diagonal of the grid and the resonance of ``params`` is built once per
     call, and each stack reads its blocks' entries from it.  Every array of
     the pieces is read-only.
     """
     check_band(grid, params)
-    blocks, slot, locator = _split(grid.half_span, scheme.offsets)
+    blocks, slot, locator, reach = _split(grid.half_span, scheme.offsets)
     diagonal = _diagonal(grid, params.resonance_frequency)
     diagonal.flags.writeable = False
-    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency, locator)
+    return _BlockPieces(blocks, diagonal, slot, params.resonance_frequency, locator, reach)
 
 
 @functools.lru_cache(maxsize=1)
 def _split(half_span: int, offsets: tuple[int, ...]) -> tuple:
-    """The read-only ``blocks``, ``slot`` and ``locator`` of ``_BlockPieces``.
+    """The read-only ``blocks``, ``slot``, ``locator`` and ``reach`` of ``_BlockPieces``.
 
     The tone at offset ``m`` joins ``a_p`` and ``a*_q`` at the reflection
     ``q = m + 2J - p`` of each position ``p`` where ``q`` is on the grid:
@@ -638,13 +637,15 @@ def _split(half_span: int, offsets: tuple[int, ...]) -> tuple:
     strength, phase, port coupling, resonance and comb of
     ``2 * half_span + 1`` modes.
     """
-    tones, reach, n_modes = len(offsets), 2 * half_span, 2 * half_span + 1
+    tones, span, n_modes = len(offsets), 2 * half_span, 2 * half_span + 1
     index = np.min_scalar_type(tones)
-    near = [t for t, m in enumerate(offsets) if abs(m) <= reach]
+    near = [t for t, m in enumerate(offsets) if abs(m) <= span]
     # each tone's reflection q = m + 2J - p of every position p
-    partner = np.array([offsets[t] + reach for t in near], dtype=np.intp)[:, np.newaxis]
+    partner = np.array([offsets[t] + span for t in near], dtype=np.intp)[:, np.newaxis]
     partner = partner - np.arange(n_modes)
     on = (partner >= 0) & (partner < n_modes)
+    reach = np.zeros((tones, n_modes), dtype=bool)
+    reach[near] = on
     tone, p = np.nonzero(on)
     amplitude, conjugate = 2 * p, 2 * partner[on] + 1
     blocks = _block_partition(2 * n_modes, amplitude, conjugate)
@@ -666,9 +667,9 @@ def _split(half_span: int, offsets: tuple[int, ...]) -> tuple:
         mine = group == k
         slot[member[mine], place[amplitude[mine]], place[conjugate[mine]] - h] = values[mine]
         slots.append(slot)
-    for array in (*blocks, *slots, locator):
+    for array in (*blocks, *slots, locator, reach):
         array.flags.writeable = False
-    return blocks, tuple(slots), locator
+    return blocks, tuple(slots), locator, reach
 
 
 def simulate_scattering(
@@ -678,14 +679,14 @@ def simulate_scattering(
 
     These are the calls a phase search makes for one gauge class: the
     dense ``M`` is never built, and the one threshold gate
-    ``_invert_blocks`` decides stability.  Values and condition number are
-    those of ``scattering_matrix`` on the assembled system, bit for bit but
-    for the sign of a zero where a tone has amplitude 0.
+    ``_invert_blocks`` decides stability.  Values and condition number
+    agree with those of the dense ``scattering_matrix`` on the assembled
+    system to rounding, and the two reach the same verdict but at the
+    threshold itself.
     """
     pieces = _block_pieces(grid, params, scheme)
-    gamma = params.port_coupling
-    stacks = pieces.stacks([tone.strength for tone in scheme.tones], gamma)
-    s, cond = _scattering(stacks, pieces.blocks, _gain(gamma))
+    strengths = [tone.strength for tone in scheme.tones]
+    s, cond = _scattering(pieces, strengths, params.port_coupling)
     return ScatteringMatrix(_Sealed(s), grid, condition_estimate=cond)
 
 

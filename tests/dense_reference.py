@@ -7,12 +7,12 @@ block is stacked by its quarters, inverted on its conjugate slots, and
 written into ``S`` with its particle-hole mirror.  The tests check those
 paths against the other builder: the public dense chain, which resolves
 a list of coupled pairs tone by tone, assembles the ``2n x 2n`` system
-and gathers its blocks back out of it.  That chain
-still inverts through the package's block inverter, so
-``dense_scattering`` also checks the inverter: it inverts the whole
-assembled system with one plain ``np.linalg.inv``, and ``dense_column``,
-which checks the phase sweep's half-size solve, solves it for one column
-with one plain ``np.linalg.solve``.
+and inverts it whole with one ``np.linalg.inv`` (``scattering_matrix``),
+behind the column discs of all of ``M`` and, where they fail, its
+spectrum.  It reads neither the block partition nor the block inverter,
+so it checks both.  ``dense_column``, which checks the phase sweep's
+half-size solve, solves the assembled system for one column with one
+plain ``np.linalg.solve``.
 """
 
 import numpy as np
@@ -30,12 +30,11 @@ def simulate_dense(grid, params, scheme):
     return scattering_matrix(dense_system(grid, params, scheme))
 
 
-def dense_scattering(system):
-    """``S = gamma * M^-1 - I`` and the 1-norm condition, ``M`` inverted whole."""
-    m = system.matrix
-    inverse = np.linalg.inv(m)
-    s = system.k_coupling**2 * inverse - np.eye(len(m))
-    return s, np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1)
+def rounding(cond):
+    """The relative agreement of the block inverses with the whole ``M``'s
+    inverse for a system of condition ``cond``: the two round differently,
+    by an amount that grows with the condition near the threshold."""
+    return 1e-12 * np.maximum(1.0, 1e-3 * cond)
 
 
 def dense_column(grid, params, scheme, slot):

@@ -41,7 +41,7 @@ from conftest import (
     simulated_db,
     small_schemes,
 )
-from dense_reference import dense_column, dense_system, simulate_dense
+from dense_reference import dense_column, dense_system, rounding, simulate_dense
 from search_reference import exhaustive_search
 
 
@@ -53,16 +53,38 @@ def aligned_distance(measured, model):
     return float(np.sqrt(np.sum(np.abs(measured - model) ** 2)))
 
 
-def dense_distance(measured, grid, shape, g, gamma):
-    """Reference fit cell: full S over its full pump-off reference."""
+def dense_cell(measured, grid, shape, g, gamma):
+    """Reference fit cell: the distance of full S over its full pump-off
+    reference, and the condition number of the dense system."""
     params = DeviceParams(grid.center_frequency, gamma)
     scheme = PumpScheme(tuple(PumpTone(t.offset, 2.0 * g, t.phase) for t in shape.tones))
     try:
         s_on = simulate_dense(grid, params, scheme)
     except AboveThresholdError:
-        return math.inf
+        return math.inf, math.inf
     reference = np.abs(np.diag(pump_off_scattering(grid, params).matrix))
-    return aligned_distance(measured, s_on.matrix / reference[np.newaxis, :])
+    distance = aligned_distance(measured, s_on.matrix / reference[np.newaxis, :])
+    return distance, s_on.condition_estimate
+
+
+def dense_distance(measured, grid, shape, g, gamma):
+    """Reference fit cell: full S over its full pump-off reference."""
+    return dense_cell(measured, grid, shape, g, gamma)[0]
+
+
+def assert_same_search(result, expected):
+    """A search result against the exhaustive one, simulated by the dense
+    chain: the same objective, phases, edges, loops and report, and edge
+    weights to rounding."""
+    objective, phases, graph, report = expected
+    assert (result.objective, result.best_phases, result.report) == (objective, phases, report)
+    found = result.graph
+    assert (found.nodes, found.threshold_db) == (graph.nodes, graph.threshold_db)
+    assert [(e.i, e.j) for e in found.edges] == [(e.i, e.j) for e in graph.edges]
+    assert [mode for mode, _ in found.self_loops] == [mode for mode, _ in graph.self_loops]
+    weights = [e.weight_db for e in found.edges] + [w for _, w in found.self_loops]
+    reference = [e.weight_db for e in graph.edges] + [w for _, w in graph.self_loops]
+    assert weights == pytest.approx(reference, rel=0, abs=1e-9)
 
 
 def ladder(device, ratio, phase):
@@ -282,7 +304,8 @@ class TestPhaseSweep:
             margins.append(np.linalg.eigvals(system.matrix).real.min())
         assert margins[0] > 0.1 * gamma and margins[1] > 0.005 * gamma
         assert margins[2] < -0.03 * gamma
-        row = next(row for b in system.blocks for row in b if grid.a_slot(2) in row)
+        blocks = _block_pieces(grid, device, ladder(device, 0.22, np.pi / 2)).blocks
+        row = next(row for b in blocks for row in b if grid.a_slot(2) in row)
         assert np.linalg.eigvals(system.matrix[np.ix_(row, row)]).real.min() > 0.05 * gamma
         with pytest.raises(AboveThresholdError, match="dynamically unstable") as excinfo:
             phase_sweep(ladder(device, 0.22, 0.0), 1, 8, 2, grid, device)
@@ -337,7 +360,9 @@ class TestPhaseSweep:
         # the tone ratios sum to 0.51 > 1/2, so the column discs do not clear
         # the gate and every step takes the exact one; every step is stable
         scheme = ladder(device, 0.17, 0.0)
-        assert _disc_bound(grid, device, scheme) > CONDITION_CAP
+        pieces = _block_pieces(grid, device, scheme)
+        strengths = [t.strength for t in scheme.tones]
+        assert _disc_bound(pieces, strengths, device.port_coupling) > CONDITION_CAP
         assert_tracks_equal_simulated_columns(scheme, swept, 5, grid, device)
 
     def test_uncertified_step_decomposes_one_block_of_each_mirror_pair(
@@ -651,13 +676,16 @@ class TestFit:
         g_range = (0.01 * COUPLING / RESONANCE, 1.0 * COUPLING / RESONANCE)
         gamma_range = (0.5 * COUPLING, 2.0 * COUPLING)
         result = fit_parameters(measured, grid, scheme, g_range, gamma_range, 5, refine_steps=0)
-        expected = np.array([
-            [dense_distance(measured, grid, scheme, g, gamma) for gamma in result.gamma_values]
+        expected, condition = np.moveaxis(np.array([
+            [dense_cell(measured, grid, scheme, g, gamma) for gamma in result.gamma_values]
             for g in result.g_values
-        ])
+        ]), -1, 0)
         assert np.array_equal(np.isinf(result.surface), np.isinf(expected))
+        # the dense inverse agrees with the block inverses to rounding, which
+        # grows with the condition number near the threshold
         finite = np.isfinite(expected)
-        np.testing.assert_allclose(result.surface[finite], expected[finite], rtol=1e-12, atol=0)
+        rtol = rounding(condition[finite])
+        assert np.all(np.abs(result.surface[finite] - expected[finite]) <= rtol * expected[finite])
         refined = fit_parameters(measured, grid, scheme, g_range, gamma_range, 5)
         assert refined.distance == pytest.approx(
             dense_distance(measured, grid, scheme, refined.best_g, refined.best_gamma),
@@ -668,20 +696,32 @@ class TestFit:
     def test_group_of_one_member_of_each_pair_gets_its_floor(self, device, monkeypatch):
         # -2/5 on 95 modes 10 MHz apart: one (2, 27) group holds only blocks
         # whose smallest slot is a conjugate slot; cells from ratio 0.42
-        # send it to its eigenvalues, and the surface is the dense one
+        # send it to the spectral stage, where its floor is +inf and its
+        # mirror group, open in the same cells, decomposes the pair once per
+        # strength; the surface is the dense one
         grid = ModeGrid(RESONANCE, TWO_PI * 10e6, 47)
         scheme = balanced_scheme(device, [-2, 5], 0.3, [0.3, 1.0])
         measured = simulate_scattering(grid, device, scheme)
         floors = []
         spectral_floor = analysis._spectral_floor
+
+        def recorded(stack, block):
+            floors.append((block, spectral_floor(stack, block)))
+            return floors[-1][1]
+
+        monkeypatch.setattr(analysis, "_spectral_floor", recorded)
+        decomposed = []
+        eigvals = np.linalg.eigvals
         monkeypatch.setattr(
-            analysis, "_spectral_floor",
-            lambda stack, block: floors.append(block) or spectral_floor(stack, block),
+            np.linalg, "eigvals", lambda a: decomposed.append(a.shape) or eigvals(a)
         )
         g_range = (0.3 * COUPLING / RESONANCE, 0.5 * COUPLING / RESONANCE)
         gamma_range = (0.9 * COUPLING, 1.1 * COUPLING)
         result = fit_parameters(measured, grid, scheme, g_range, gamma_range, 5, refine_steps=0)
-        assert any(np.all(block.min(axis=1) % 2 == 1) for block in floors)
+        odd = [floor for block, floor in floors if np.all(block.min(axis=1) % 2 == 1)]
+        assert odd and all(floor == np.inf for floor in odd)
+        pairs = [block for block, _ in floors if block.shape == (2, 27)]
+        assert decomposed.count((2, 27, 27)) == len(pairs) - len(odd) > 0
         expected = np.array([
             [dense_distance(measured.matrix, grid, scheme, g, gamma)
              for gamma in result.gamma_values]
@@ -806,7 +846,7 @@ class TestSearchPhases:
             return
         result = search_phases(*args)
         event(f"{len(scheme.tones)} tones, objective {result.objective}")
-        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+        assert_same_search(result, expected)
         assert 1 <= result.evaluated <= points ** len(scheme.tones)
 
     @pytest.mark.parametrize("half_span", [12, 47])
@@ -819,7 +859,7 @@ class TestSearchPhases:
         result = search_phases(*args)
         assert (result.evaluated, result.skipped_above_threshold) == (8, 0)
         expected = exhaustive_search(*args)
-        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+        assert_same_search(result, expected)
 
     @pytest.mark.parametrize("points", [4, 5, 6])
     def test_walk_stops_after_the_last_class(self, device, points):
@@ -831,7 +871,7 @@ class TestSearchPhases:
         result = search_phases(*args)
         assert result.evaluated == points
         expected = exhaustive_search(*args)
-        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+        assert_same_search(result, expected)
 
     def test_fine_three_tone_grid_simulates_only_its_classes(self, device):
         # 128 ** 3 combinations and 128 classes: the walk ends after the first 128
@@ -861,7 +901,7 @@ class TestSearchPhases:
         result = search_phases(*args)
         assert (result.evaluated, result.skipped_above_threshold) == (8, 1)
         expected = exhaustive_search(*args)
-        assert (result.objective, result.best_phases, result.graph, result.report) == expected
+        assert_same_search(result, expected)
 
     def test_band_warns_once_at_the_callers_line(self):
         # 21 modes 20 MHz apart reach 200 MHz from resonance: 40 linewidths at 5 MHz

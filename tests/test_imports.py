@@ -6,6 +6,8 @@ and report which of the heavy third-party modules ended up in
 no subcommand needs it.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -200,3 +202,18 @@ class TestLazyExports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             combscatter.no_such_name
+
+
+class TestTracedNames:
+    def test_every_traced_name_is_a_callable_of_its_module(self):
+        # the benchmark's tracer wraps these by name; one that is gone would
+        # break a traced run, not an import
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TRACED
+        for name in tracer.TRACED:
+            module_name, function_name = name.split(".")
+            module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+            assert callable(getattr(module, function_name, None)), name
