@@ -35,7 +35,6 @@ from .scattering import (
     _block_pieces,
     _disc_bound,
     _frozen,
-    _gain,
     _invert_blocks,
     _scattering,
     _schur_complement,
@@ -177,7 +176,6 @@ def phase_sweep(
     col = grid.a_slot(signal_index)
     rows = [row for *_, row in products]
     gamma = params.port_coupling
-    gain = _gain(gamma)
 
     # only the swept tone's strength changes from step to step
     base = np.array([tone.strength for tone in base_scheme.tones])
@@ -235,7 +233,7 @@ def phase_sweep(
         x_a[:, e] += 1.0
         zero = np.zeros((stop - start, 1))
         column = np.concatenate((x_a / d, x_c, zero), axis=1)[:, position]
-        column *= gain
+        column *= gamma
         column[:, driven_row] -= 1.0
         data[:, start:stop] = magnitude_db(column).T
 
@@ -304,7 +302,7 @@ def fit_parameters(
     scales ``ridge_ratio``.  The model sets every tone of
     ``scheme_shape`` to the common strength ``g`` under test, and compares
     complex scattering matrices, summing squared entry differences.  The
-    model of a cell is ``gain * M^-1 - I`` itself: its pump-off reference is
+    model of a cell is ``gamma * M^-1 - I`` itself: its pump-off reference is
     the all-pass reflection, of modulus 1, and it is not divided by.
 
     The coarse grid scan is followed by a descent from the best cell along
@@ -400,12 +398,11 @@ def fit_parameters(
         except AboveThresholdError:
             return np.inf
         worst_condition = max(worst_condition, condition)
-        gain = _gain(gamma)
         # (data, model, diagonal offset): the model's conjugate rows
-        # gain * [Z W] - I, and their mirror
+        # gamma * [Z W] - I, and their mirror
         terms = []
         for (h, data, mirror), rows in zip(measured_rows, inverses):
-            model = gain * rows
+            model = gamma * rows
             i = np.arange(model.shape[1])
             model[:, i, h + i] -= 1.0
             terms += [(data, model, h), (mirror, model.conj(), h)]

@@ -7,6 +7,12 @@ angular frequency, converted once at this boundary.  Validation collects
 every problem (with line and field context) instead of stopping at the
 first, and ``serialize_config`` emits a canonical form that survives
 parse/serialize round trips byte-for-byte.
+
+Validation reads the nodes ``yaml.compose`` returns, and only those the
+schema names: an unknown key is reported and its value never read, an
+alias in a read field resolves to its target, and a scalar is constructed
+only when its field is read.  An explicit tag whose text does not parse
+(``!!int "x1"``) is an issue like any other wrong value.
 """
 
 from __future__ import annotations
@@ -141,72 +147,55 @@ class ExperimentConfig:
 _SCALARS = yaml.constructor.SafeConstructor()
 
 
-class _Node:
-    """A parsed YAML value with its source line, for error context."""
+def _value(node: yaml.Node):
+    """The value a reader sees in ``node``, constructed when it asks.
 
-    __slots__ = ("value", "line")
-
-    def __init__(self, value, line):
-        self.value = value
-        self.line = line
-
-
-def _keys(node: _Node) -> dict:
-    """A mapping node's entries; nothing for any other node."""
-    return node.value if isinstance(node.value, dict) else {}
-
-
-def _convert(node, converted: dict) -> _Node:
-    """The ``_Node`` tree of a composed YAML node, each node converted once.
-
-    ``yaml.compose`` shares an aliased node among all its references, and
-    ``converted`` (``id`` of each composed node converted so far in this
-    parse -> its ``_Node``) shares the converted one: a chain of anchors
-    each aliasing the one before many times costs one conversion per node,
-    not one per path to it.
+    An int or float scalar follows the YAML 1.1 rules, and one whose text
+    they cannot read (``!!int "x1"``) stays text, so its reader reports it
+    as it would any other wrong value.  A null scalar, a mapping and a
+    sequence give None; any other scalar gives its text.
     """
-    done = converted[id(node)] = _Node(None, node.start_mark.line + 1)
-    # loops, not comprehensions: one stack frame per level of nesting
-    if isinstance(node, yaml.MappingNode):
-        done.value = {}
-        for key_node, child in node.value:
-            done.value[str(key_node.value)] = converted.get(id(child)) or _convert(child, converted)
-    elif isinstance(node, yaml.SequenceNode):
-        done.value = []
-        for child in node.value:
-            done.value.append(converted.get(id(child)) or _convert(child, converted))
-    elif node.tag.endswith(":int"):
-        done.value = _SCALARS.construct_yaml_int(node)
-    elif node.tag.endswith(":float"):
-        done.value = _SCALARS.construct_yaml_float(node)
-    elif not node.tag.endswith(":null"):
-        done.value = str(node.value)
-    return done
+    if not isinstance(node, yaml.ScalarNode) or node.tag.endswith(":null"):
+        return None
+    try:
+        if node.tag.endswith(":int"):
+            return _SCALARS.construct_yaml_int(node)
+        if node.tag.endswith(":float"):
+            return _SCALARS.construct_yaml_float(node)
+    except (ValueError, IndexError, OverflowError):
+        pass
+    return node.value
 
 
 class _Validator:
+    """Reads the nodes of ``yaml.compose`` that the schema names, and no other."""
+
     def __init__(self):
         self.issues: list[ConfigIssue] = []
 
-    def problem(self, path: str, message: str, line=None):
+    def problem(self, path: str, message: str, node: yaml.Node | None = None):
+        line = None if node is None else node.start_mark.line + 1
         self.issues.append(ConfigIssue(path, message, line))
 
-    def mapping(self, node: _Node, path: str, known) -> dict:
-        if not isinstance(node.value, dict):
-            self.problem(path, "expected a mapping", node.line)
+    def mapping(self, node: yaml.Node, path: str, known) -> dict:
+        """A mapping node's children by key (the last of a repeated key)."""
+        if not isinstance(node, yaml.MappingNode):
+            self.problem(path, "expected a mapping", node)
             return {}
-        for key, child in node.value.items():
+        given = {str(key.value): child for key, child in node.value}
+        for key, child in given.items():
             if key not in known:
-                self.problem(f"{path}.{key}", "unknown key", child.line)
-        return node.value
+                self.problem(f"{path}.{key}", "unknown key", child)
+        return given
 
-    def section(self, node: _Node, path: str, readers: dict, optional=()) -> dict:
+    def section(self, node: yaml.Node, path: str, readers: dict, optional=()) -> tuple[dict, dict]:
         """Read a mapping through a table of key -> reader.
 
         Unknown keys are reported first; then each key in table order is
         read, or reported missing at the mapping's line unless it is
         optional.  A reader reports its own problems and returns None for
-        a value it rejects; the result holds every value read.
+        a value it rejects.  The result is the mapping's children by key
+        and every value read.
         """
         given = self.mapping(node, path, readers)
         values = {}
@@ -216,72 +205,75 @@ class _Validator:
                 if got is not None:
                     values[key] = got
             elif key not in optional:
-                self.problem(f"{path}.{key}", "missing", node.line)
-        return values
+                self.problem(f"{path}.{key}", "missing", node)
+        return given, values
 
-    def quantity(self, node: _Node, path: str) -> Quantity | None:
-        if isinstance(node.value, (int, float)):
-            self.problem(path, "missing unit tag (write e.g. '4.2 GHz')", node.line)
+    def quantity(self, node: yaml.Node, path: str) -> Quantity | None:
+        value = _value(node)
+        if isinstance(value, (int, float)):
+            self.problem(path, "missing unit tag (write e.g. '4.2 GHz')", node)
             return None
-        if not isinstance(node.value, str):
-            self.problem(path, "expected a quantity string like '0.1 MHz'", node.line)
+        if not isinstance(value, str):
+            self.problem(path, "expected a quantity string like '0.1 MHz'", node)
             return None
-        match = _QUANTITY_RE.match(node.value)
+        match = _QUANTITY_RE.match(value)
         if not match:
-            self.problem(path, f"cannot parse quantity {node.value!r}", node.line)
+            self.problem(path, f"cannot parse quantity {value!r}", node)
             return None
         got = Quantity(float(match.group(1)), match.group(2))
         if not math.isfinite(got.angular):
-            self.problem(path, "must be finite", node.line)
+            self.problem(path, "must be finite", node)
             return None
         return got
 
-    def positive_quantity(self, node: _Node, path: str) -> Quantity | None:
+    def positive_quantity(self, node: yaml.Node, path: str) -> Quantity | None:
         got = self.quantity(node, path)
         if got is not None and got.hz <= 0:
-            self.problem(path, "must be positive", node.line)
+            self.problem(path, "must be positive", node)
             return None
         return got
 
-    def number(self, node: _Node, path: str, kind=float):
+    def number(self, node: yaml.Node, path: str, kind=float):
+        value = _value(node)
         if kind is int:
-            if not isinstance(node.value, int):
-                self.problem(path, "expected an integer", node.line)
+            if not isinstance(value, int):
+                self.problem(path, "expected an integer", node)
                 return None
-            return node.value
-        if not isinstance(node.value, (int, float)):
-            self.problem(path, "expected a number", node.line)
+            return value
+        if not isinstance(value, (int, float)):
+            self.problem(path, "expected a number", node)
             return None
         try:
-            value = float(node.value)
+            value = float(value)
         except OverflowError:  # an integer past the float range
             value = math.inf
         if not math.isfinite(value):
-            self.problem(path, "must be finite", node.line)
+            self.problem(path, "must be finite", node)
             return None
         return value
 
-    def half_span(self, node: _Node, path: str) -> int | None:
+    def half_span(self, node: yaml.Node, path: str) -> int | None:
         got = self.number(node, path, int)
         if got is not None and not 0 <= got <= MAX_HALF_SPAN:
-            self.problem(path, f"must be in 0..{MAX_HALF_SPAN}", node.line)
+            self.problem(path, f"must be in 0..{MAX_HALF_SPAN}", node)
             return None
         return got
 
-    def offset(self, node: _Node, path: str) -> int | None:
-        if not isinstance(node.value, int):
-            self.problem(path, "offset must be integer", node.line)
+    def offset(self, node: yaml.Node, path: str) -> int | None:
+        value = _value(node)
+        if not isinstance(value, int):
+            self.problem(path, "offset must be integer", node)
             return None
-        return node.value
+        return value
 
-    def amplitude(self, node: _Node, path: str) -> float | None:
+    def amplitude(self, node: yaml.Node, path: str) -> float | None:
         got = self.number(node, path)
         if got is not None and got < 0:
-            self.problem(path, "must be non-negative", node.line)
+            self.problem(path, "must be non-negative", node)
             return None
         return got
 
-    def setting(self, node: _Node, path: str):
+    def setting(self, node: yaml.Node, path: str):
         """A ``run`` value, of its default's type and held to ``run_problem``."""
         name = path.removeprefix("run.")
         default = getattr(_RUN_DEFAULTS, name)
@@ -291,7 +283,7 @@ class _Validator:
             got = self.number(node, path, type(default))
         problem = None if got is None else run_problem(name, got)
         if problem is not None:
-            self.problem(path, problem, node.line)
+            self.problem(path, problem, node)
             return None
         return got
 
@@ -333,16 +325,19 @@ def run_problem(name: str, value) -> str | None:
     return None
 
 
-def _check_fit_ranges(v: _Validator, node: _Node, run_kwargs: dict) -> None:
-    """Each fit range's low end must lie below its high end, as the fit needs."""
-    run = _keys(node)
+def _check_fit_ranges(v: _Validator, run: dict, run_kwargs: dict) -> None:
+    """Each fit range's low end must lie below its high end, as the fit needs.
+
+    ``run`` is the ``run`` section's children by key, ``run_kwargs`` the
+    values read from them.
+    """
     for low, high in (("fit_g_min", "fit_g_max"), ("fit_gamma_min", "fit_gamma_max")):
         given = [name for name in (low, high) if name in run]
         if not given or any(name not in run_kwargs for name in given):
             continue
         lo, hi = (run_kwargs.get(name, getattr(_RUN_DEFAULTS, name)) for name in (low, high))
         if getattr(lo, "angular", lo) >= getattr(hi, "angular", hi):
-            v.problem(f"run.{given[0]}", f"{low} must be below {high}", run[given[0]].line)
+            v.problem(f"run.{given[0]}", f"{low} must be below {high}", run[given[0]])
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -353,22 +348,21 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     try:
         root = yaml.compose(text)
-        tree = None if root is None else _convert(root, {})
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         raise ConfigError([ConfigIssue("<document>", f"not valid YAML: {exc}", line)]) from exc
     except RecursionError:
         raise ConfigError([ConfigIssue("<document>", "nested too deep")]) from None
-    if tree is None:
+    if root is None:
         raise ConfigError([ConfigIssue("<document>", "empty configuration")])
 
     v = _Validator()
-    top = v.mapping(tree, "<top>", {"device", "grid", "scheme", "run"})
+    top = v.mapping(root, "<top>", {"device", "grid", "scheme", "run"})
 
     def section(name: str, readers: dict) -> dict:
         if name in top:
-            return v.section(top[name], name, readers)
+            return v.section(top[name], name, readers)[1]
         v.problem(name, "missing section")
         return {}
 
@@ -383,23 +377,24 @@ def parse_config(text: str) -> ExperimentConfig:
     tone_readers = {
         "offset": v.offset, "amplitude": v.amplitude, "phase_deg": v.number, "phase_rad": v.number
     }
+    phases = {"phase_deg", "phase_rad"}
     if "scheme" in top:
         scheme_node = top["scheme"]
-        if not isinstance(scheme_node.value, list):
-            v.problem("scheme", "expected a list of tones", scheme_node.line)
+        if not isinstance(scheme_node, yaml.SequenceNode):
+            v.problem("scheme", "expected a list of tones", scheme_node)
         else:
             seen_offsets = set()
             for idx, tone_node in enumerate(scheme_node.value):
                 path = f"scheme[{idx}]"
-                tone = v.section(tone_node, path, tone_readers, optional={"phase_deg", "phase_rad"})
-                if {"phase_deg", "phase_rad"} <= _keys(tone_node).keys():
-                    v.problem(path, "give phase_deg or phase_rad, not both", tone_node.line)
+                given, tone = v.section(tone_node, path, tone_readers, optional=phases)
+                if phases <= given.keys():
+                    v.problem(path, "give phase_deg or phase_rad, not both", tone_node)
                 unit = "rad" if "phase_rad" in tone else "deg"
                 phase = tone.get(f"phase_{unit}", 0.0)
                 if "offset" in tone and "amplitude" in tone:
                     offset = tone["offset"]
                     if offset in seen_offsets:
-                        v.problem(f"{path}.offset", f"duplicate offset {offset}", tone_node.line)
+                        v.problem(f"{path}.offset", f"duplicate offset {offset}", tone_node)
                     else:
                         seen_offsets.add(offset)
                         tones.append(ToneSpec(offset, tone["amplitude"], phase, unit))
@@ -408,8 +403,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     run_kwargs = {}
     if "run" in top:
-        run_kwargs = v.section(top["run"], "run", dict.fromkeys(_RUN_KEYS, v.setting), _RUN_KEYS)
-        _check_fit_ranges(v, top["run"], run_kwargs)
+        readers = dict.fromkeys(_RUN_KEYS, v.setting)
+        run, run_kwargs = v.section(top["run"], "run", readers, optional=_RUN_KEYS)
+        _check_fit_ranges(v, run, run_kwargs)
 
     if v.issues:
         raise ConfigError(v.issues)

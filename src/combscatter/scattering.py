@@ -264,17 +264,6 @@ def assemble_system(
     return SystemMatrix(_Sealed(m), float(np.sqrt(gamma)), grid)
 
 
-def _gain(gamma: float) -> float:
-    """Input-output factor ``gamma`` as applied: the square of ``sqrt(gamma)``.
-
-    ``SystemMatrix`` stores the coupling ``sqrt(gamma)``, and the dense
-    ``scattering_matrix`` squares that stored value.  The block paths
-    square it as well rather than take ``gamma`` itself, which may differ
-    in the last ulp, so that no byte of any output moves.
-    """
-    return float(np.sqrt(gamma)) ** 2
-
-
 def _schur_complement(d, k, d_c) -> tuple[np.ndarray, np.ndarray]:
     """``D_c + Y K`` and ``Y = -K^H D^-1`` of blocks ``[[D, K], [K^H, D_c]]``.
 
@@ -498,20 +487,18 @@ def _scattering(pieces: _BlockPieces, strengths, gamma: float) -> tuple[np.ndarr
 
     The blocks go through the threshold gate ``_invert_blocks``; entries
     off the blocks are exact zeros before the identity is taken off.  Each
-    group writes ``gain * [Z W]`` on the rows of its conjugate slots and
-    its mirror, ``gain * conj([Z W])``, on the swapped rows and columns
-    (slot ``^ 1``), with ``gain`` the ``_gain`` of ``gamma``: a block
-    holding both slots of each of its modes writes all its rows, and each
-    block of a mirror pair the rows the other lacks, so every entry of
-    every block is written once.  A group of one block on every slot
-    writes through strided slices of ``S``, any other through a row and
-    column index.
+    group writes ``gamma * [Z W]`` on the rows of its conjugate slots and
+    its mirror, ``gamma * conj([Z W])``, on the swapped rows and columns
+    (slot ``^ 1``): a block holding both slots of each of its modes writes
+    all its rows, and each block of a mirror pair the rows the other lacks,
+    so every entry of every block is written once.  A group of one block on
+    every slot writes through strided slices of ``S``, any other through a
+    row and column index.
     """
     inverses, cond = _invert_blocks(pieces, strengths, gamma)
-    gain = _gain(gamma)
     size = len(pieces.diagonal)
     s = np.zeros((size, size), dtype=complex)
-    # the mirror is gain times the conjugate, not the conjugate of the
+    # the mirror is gamma times the conjugate, not the conjugate of the
     # product: a zero imaginary part of a positive entry then stays +0
     for block, rows in zip(pieces.blocks, inverses):
         if block.shape == (1, size):
@@ -520,11 +507,11 @@ def _scattering(pieces: _BlockPieces, strengths, gamma: float) -> tuple[np.ndarr
             z, w = np.split(rows[0], 2, axis=1)
             quarters = ((1, 0, z), (1, 1, w), (0, 1, z.conj()), (0, 0, w.conj()))
             for row, col, quarter in quarters:
-                np.multiply(quarter, gain, out=s[row::2, col::2])
+                np.multiply(quarter, gamma, out=s[row::2, col::2])
             continue
         conjugate = block[:, block.shape[1] - rows.shape[1] :]
-        s[conjugate[:, :, np.newaxis], block[:, np.newaxis, :]] = gain * rows
-        s[(conjugate ^ 1)[:, :, np.newaxis], (block ^ 1)[:, np.newaxis, :]] = gain * rows.conj()
+        s[conjugate[:, :, np.newaxis], block[:, np.newaxis, :]] = gamma * rows
+        s[(conjugate ^ 1)[:, :, np.newaxis], (block ^ 1)[:, np.newaxis, :]] = gamma * rows.conj()
     s[np.diag_indices_from(s)] -= 1.0
     return s, cond
 

@@ -401,6 +401,18 @@ class TestExitCodes:
         bad.write_text("device:\n  resonance_frequency: 4.2\n")
         assert run(["simulate", bad, "--out-dir", tmp_path]) == 2
 
+    def test_tagged_text_that_does_not_parse_is_2(self, tmp_path, capsys):
+        text = bundled_config_path("threepump").read_text()
+        config = tmp_path / "tagged.yaml"
+        config.write_text(text.replace("half_span: 47", 'half_span: !!int "x1"'))
+        capsys.readouterr()
+        assert run(["predict-idlers", config, "--out-dir", tmp_path / "o"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        number = text.splitlines().index("  half_span: 47") + 1
+        assert strict_json(line)["issues"] == [
+            f"grid.half_span (line {number}): expected an integer"
+        ]
+
     def test_above_threshold_is_3(self, tmp_path, capsys):
         # every tone at ratio 1/2, far past the threshold of the three together
         config = tmp_path / "hot.yaml"

@@ -1,12 +1,12 @@
 """Config parsing, validation, canonical serialization."""
 
+import json
 import math
 import time
 import tracemalloc
 
 import pytest
-import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from combscatter import ConfigError, bundled_config_path, config, parse_config, serialize_config
@@ -320,36 +320,95 @@ class TestParse:
         fields = {i.field for i in excinfo.value.issues}
         assert "grid" in fields and "scheme" in fields
 
-    def test_aliased_nodes_are_converted_once(self, monkeypatch):
+    def test_unknown_keys_are_reported_and_never_read(self, monkeypatch):
         # each anchor lists ten aliases of the one before: 10**8 paths reach
-        # the innermost list, which a conversion per path would take hours on
-        chain = ["a0: &a0 [1]"] + [
+        # the innermost list, which a walk per path would take hours on
+        chain = ["a0: &a0 [1, 2.5]"] + [
             f"a{k}: &a{k} [{', '.join([f'*a{k - 1}'] * 10)}]" for k in range(1, 9)
         ]
         text = GOOD + "\n".join(chain) + "\n"
-        distinct, pending = set(), [yaml.compose(text)]
-        while pending:
-            node = pending.pop()
-            if id(node) not in distinct:
-                distinct.add(id(node))
-                if isinstance(node, yaml.MappingNode):
-                    pending += [value for _, value in node.value]
-                elif isinstance(node, yaml.SequenceNode):
-                    pending += node.value
-        calls = 0
-        convert = config._convert
+        first = text.splitlines().index(chain[0]) + 1
+        constructed = []
+        for name in ("construct_yaml_int", "construct_yaml_float"):
+            def spy(node, construct=getattr(config._SCALARS, name)):
+                constructed.append(node.start_mark.line + 1)
+                return construct(node)
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            if calls > len(distinct):
-                raise AssertionError(f"more than {len(distinct)} conversions")
-            return convert(*args)
-
-        monkeypatch.setattr(config, "_convert", counted)
+            monkeypatch.setattr(config._SCALARS, name, spy)
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
-        assert [i.field for i in excinfo.value.issues] == [f"<top>.a{k}" for k in range(9)]
+        assert [(i.field, i.message, i.line) for i in excinfo.value.issues] == [
+            (f"<top>.a{k}", "unknown key", first + k) for k in range(9)
+        ]
+        assert constructed and max(constructed) < first
+
+    @pytest.mark.parametrize(
+        "section, issues",
+        [
+            ("scheme: &s [*s]", [("scheme[0]", "expected a mapping"),
+                                 ("scheme[0].offset", "missing"),
+                                 ("scheme[0].amplitude", "missing")]),
+            ("run: &r {steps: *r}", [("run.steps", "expected an integer")]),
+        ],
+    )
+    def test_recursive_alias_in_a_read_field_is_an_issue(self, section, issues):
+        text = GOOD.split(section.partition(" ")[0])[0] + section + "\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        line = len(text.splitlines())
+        assert [(i.field, i.message, i.line) for i in excinfo.value.issues] == [
+            (field, message, line) for field, message in issues
+        ]
+
+    @pytest.mark.parametrize(
+        "old, new, field, message",
+        [
+            ("half_span: 47", f'half_span: !!{tag} "{text}"', "grid.half_span",
+             "expected an integer")
+            for tag, text in [("float", "abc"), ("int", "x1"), ("int", ""), ("float", ""),
+                              ("int", "0b"), ("float", "."), ("int", "0x")]
+        ] + [
+            ("amplitude: 0.004", "amplitude: !!float 'x'", "scheme[0].amplitude",
+             "expected a number"),
+            pytest.param("amplitude: 0.004", "amplitude: " + ":".join(["1"] * 200) + ".0",
+                         "scheme[0].amplitude", "expected a number",
+                         id="sexagesimal-past-the-float-range"),
+            pytest.param("half_span: 47", f"half_span: {'1' * 5000}", "grid.half_span",
+                         "expected an integer", id="integer-past-the-digit-limit"),
+            ("run:", "extra: !!float nope\nrun:", "<top>.extra", "unknown key"),
+        ],
+    )
+    def test_tagged_text_that_does_not_parse_is_an_issue(self, old, new, field, message):
+        bad = GOOD.replace(old, new, 1)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(bad)
+        (issue,) = excinfo.value.issues
+        assert (issue.field, issue.message) == (field, message)
+        first = new.splitlines()[0]
+        assert issue.line == next(k for k, text in enumerate(bad.splitlines(), 1) if first in text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tag=st.sampled_from(["!!int", "!!float", "!!null", "!!bool", "!!str"]),
+        text=st.text(),
+        place=st.sampled_from([
+            ("  half_span: 47", "  half_span: {}", "grid.half_span"),
+            ("    amplitude: 0.004", "    amplitude: {}", "scheme[0].amplitude"),
+            ("  signal_index: 28", "  signal_index: 28\n  steps: {}", "run.steps"),
+            ("  port_coupling: 112 MHz", "  port_coupling: {}", "device.port_coupling"),
+            ("run:", "extra: {}\nrun:", "<top>.extra"),
+        ]),
+    )
+    @example(tag="!!int", text="", place=("run:", "extra: {}\nrun:", "<top>.extra"))
+    def test_tagged_scalar_is_a_value_or_an_issue(self, tag, text, place):
+        old, new, field = place
+        value = f"{tag} {json.dumps(text)}"
+        bad = GOOD.replace(old, new.format(value), 1)
+        try:
+            parse_config(bad)
+        except ConfigError as exc:
+            line = next(k for k, row in enumerate(bad.splitlines(), 1) if value in row)
+            assert {(i.field, i.line) for i in exc.issues} == {(field, line)}
 
     @pytest.mark.parametrize("opening, closing", [("[", "]"), ("{a: ", "}")])
     def test_nesting_past_the_stack_is_one_issue(self, opening, closing):
