@@ -25,8 +25,8 @@ _EXPORTS = {
     "InternalConsistencyError InvalidArgumentError",
     "gaussian": "CovarianceMatrix QuadratureScattering propagate_covariance "
     "sample_covariance symplectic_defect to_quadrature vacuum_covariance",
-    "graphs": "CorrelationGraph GraphEdge TopologyLabel TopologyReport classify_topology "
-    "export_dot extract_graph mode_level_db topology_report",
+    "graphs": "CorrelationGraph GraphEdge TopologyLabel TopologyReport export_dot "
+    "extract_graph mode_level_db topology_report",
     "model": "BandMismatchWarning Coupling CouplingSet DeviceParams IntermodPrediction "
     "ModeGrid PumpScheme PumpTone predicted_intermod_indices resolve_couplings",
     "scattering": "ScatteringMatrix SystemMatrix assemble_system magnitude_db "

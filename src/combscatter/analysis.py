@@ -50,6 +50,10 @@ TWO_PI = 2.0 * math.pi
 # the step count.
 _CHUNK_BYTES = 1 << 18
 
+# The fit's descent stops after this many rounds if its steps have not
+# shrunk to convergence by then.
+REFINE_ROUNDS = 60
+
 
 @dataclass(frozen=True)
 class SweepTrack:
@@ -261,9 +265,9 @@ class FitResult:
     coupling) at the optimum, the direction the distance is most sensitive
     to.  ``evaluations`` is the number of distinct cells evaluated, grid
     and refinement together, and ``converged`` tells whether the
-    refinement's steps fell below their stop size before its step budget
-    ran out.  ``worst_condition`` is the largest exact 1-norm condition
-    number among the evaluated cells below threshold.
+    refinement's steps fell below their stop size within its
+    ``REFINE_ROUNDS`` rounds.  ``worst_condition`` is the largest exact
+    1-norm condition number among the evaluated cells below threshold.
     """
 
     best_g: float
@@ -290,7 +294,6 @@ def fit_parameters(
     g_range: tuple[float, float],
     gamma_range: tuple[float, float],
     grid_points: int,
-    refine_steps: int = 60,
     *,
     resonance: float | None = None,
 ) -> FitResult:
@@ -314,9 +317,9 @@ def fit_parameters(
     both steps, which start at one grid step in ``g`` (over the best
     cell's ``gamma``) and in ``gamma``; the fit has converged once the
     ``gamma`` step falls below ``1e-6`` of its range, and stops after
-    ``refine_steps`` rounds otherwise.  The best cell is kept as the pair
-    that was evaluated, so a refinement that never moves returns the grid
-    cell as it is.
+    ``REFINE_ROUNDS`` (60) rounds otherwise.  The best cell is kept as the
+    pair that was evaluated, so a refinement that never moves returns the
+    grid cell as it is.
 
     Only the pump strength and the port coupling change from cell to cell,
     so the blocks of the system are split once into pieces; each cell's
@@ -434,7 +437,7 @@ def fit_parameters(
     step_ratio = (g_hi - g_lo) / (grid_points - 1) / best_gamma
     step_gamma = (gamma_hi - gamma_lo) / (grid_points - 1)
     converged = False
-    for _ in range(refine_steps):
+    for _ in range(REFINE_ROUNDS):
         improved = False
         for dr, dgamma in (
             (step_ratio, 0.0), (-step_ratio, 0.0), (0.0, step_gamma), (0.0, -step_gamma)

@@ -167,6 +167,19 @@ def _value(node: yaml.Node):
     return node.value
 
 
+def _key_name(key: yaml.Node) -> str:
+    """A scalar key's text; a sequence or mapping key by its kind and place.
+
+    A non-scalar key is never spelled out: an alias chain in it would
+    repeat its target along every path, exponentially in the chain's length.
+    """
+    if isinstance(key, yaml.ScalarNode):
+        return str(key.value)
+    kind = "sequence" if isinstance(key, yaml.SequenceNode) else "mapping"
+    mark = key.start_mark
+    return f"<{kind} key at line {mark.line + 1}, column {mark.column + 1}>"
+
+
 class _Validator:
     """Reads the nodes of ``yaml.compose`` that the schema names, and no other."""
 
@@ -182,7 +195,7 @@ class _Validator:
         if not isinstance(node, yaml.MappingNode):
             self.problem(path, "expected a mapping", node)
             return {}
-        given = {str(key.value): child for key, child in node.value}
+        given = {_key_name(key): child for key, child in node.value}
         for key, child in given.items():
             if key not in known:
                 self.problem(f"{path}.{key}", "unknown key", child)

@@ -72,32 +72,40 @@ def load_scattering(path) -> ScatteringMatrix:
     if version not in (1, FORMAT_VERSION):
         raise DataFormatError(f"unsupported container version {version}")
     trailer = _CHECKSUM.size if version == FORMAT_VERSION else 0
-    basis = basis_raw.rstrip(b"\x00").decode("ascii", "replace")
-    if basis != BASIS_TAG:
-        raise DataFormatError(
-            f"basis tag {basis!r} not supported; convert to {BASIS_TAG!r} first"
-        )
-    norm_tag = norm_raw.rstrip(b"\x00").decode("ascii", "replace")
-    if norm_tag not in _NORMALIZATION_TAGS:
-        raise DataFormatError(f"unknown normalization tag {norm_tag!r}")
-    if n < 1 or n % 2 == 0:
-        raise DataFormatError(f"mode count {n} must be odd and positive")
+    basis, tag = (raw.rstrip(b"\x00").decode("ascii", "replace") for raw in (basis_raw, norm_raw))
+    grid = _described_grid("header", basis, tag, n, center, spacing)
     expected = _HEADER.size + 2 * (2 * n) * (2 * n) * 8 + trailer
     if len(blob) != expected:
         raise DataFormatError(f"payload size mismatch: {len(blob)} bytes, expected {expected}")
     matrix = np.frombuffer(
         blob, dtype=complex, count=(2 * n) ** 2, offset=_HEADER.size
     ).reshape(2 * n, 2 * n)
-    try:
-        grid = ModeGrid(center_frequency=center, spacing=spacing, half_span=(n - 1) // 2)
-    except InvalidArgumentError as exc:
-        raise DataFormatError(f"header grid: {exc}") from exc
     if trailer:
         (stored,) = _CHECKSUM.unpack_from(blob, expected - trailer)
         if stored != zlib.crc32(memoryview(blob)[: expected - trailer]):
             raise DataFormatError("checksum mismatch: the file is corrupted")
     # the type copies the file buffer's read-only view into an array of its own
     return _admitted(matrix, grid)
+
+
+def _described_grid(source, basis, tag, n, center, spacing, to_angular=1.0) -> ModeGrid:
+    """The grid a file's ``source`` ("header" or "sidecar") describes.
+
+    The basis and normalization tags must be ones the package reads, and
+    the mode count an odd positive integer; ``center`` and ``spacing``,
+    times ``to_angular``, are the grid's angular frequencies.
+    """
+    if basis != BASIS_TAG:
+        raise DataFormatError(f"basis tag {basis!r} not supported; convert to {BASIS_TAG!r} first")
+    if not isinstance(tag, str) or tag not in _NORMALIZATION_TAGS:
+        raise DataFormatError(f"unknown normalization tag {tag!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0:
+        raise DataFormatError(f"mode count {n!r} must be odd and positive")
+    # OverflowError: an integer sidecar frequency past the float range
+    try:
+        return ModeGrid(to_angular * center, to_angular * spacing, (n - 1) // 2)
+    except (InvalidArgumentError, OverflowError) as exc:
+        raise DataFormatError(f"{source} grid: {exc}") from exc
 
 
 def _complex_repr(z: complex) -> str:
@@ -144,27 +152,14 @@ def load_scattering_csv(path) -> ScatteringMatrix:
     for key in ("basis", "center_hz", "n_modes", "normalization", "spacing_hz"):
         if key not in meta:
             raise DataFormatError(f"sidecar missing required key {key!r}")
-    if meta["basis"] != BASIS_TAG:
-        raise DataFormatError(
-            f"basis tag {meta['basis']!r} not supported; convert to {BASIS_TAG!r} first"
-        )
-    tag = meta["normalization"]
-    if not isinstance(tag, str) or tag not in _NORMALIZATION_TAGS:
-        raise DataFormatError(f"unknown normalization tag {tag!r}")
-    n = meta["n_modes"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise DataFormatError(f"mode count {n!r} must be odd and positive")
     for key in ("center_hz", "spacing_hz"):
         if isinstance(meta[key], bool) or not isinstance(meta[key], (int, float)):
             raise DataFormatError(f"sidecar {key} {meta[key]!r} must be a number")
-    try:
-        grid = ModeGrid(
-            center_frequency=2.0 * np.pi * meta["center_hz"],
-            spacing=2.0 * np.pi * meta["spacing_hz"],
-            half_span=(n - 1) // 2,
-        )
-    except (InvalidArgumentError, OverflowError) as exc:
-        raise DataFormatError(f"sidecar grid: {exc}") from exc
+    n = meta["n_modes"]
+    grid = _described_grid(
+        "sidecar", meta["basis"], meta["normalization"], n,
+        meta["center_hz"], meta["spacing_hz"], 2.0 * np.pi,
+    )
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():

@@ -15,7 +15,8 @@ component runs one peel-and-match pass, and the match that sets its label
 also gives its rung pairs.
 
 The pass works on plain adjacency: one insertion-ordered neighbor dict per
-node, built once per report, gives the components by breadth-first search.
+node, built once per report, gives the components by breadth-first search,
+and ``topology_report`` classifies only those connected components.
 Counting comes first: each peeled node takes one or two edges with it, so
 a component none of whose peelable node and edge counts fits either
 template is OTHER without a variant enumerated.  Otherwise a component's
@@ -321,14 +322,15 @@ def _match_clique_chain(adj, nodes, removed):
 def _classify(adj, nodes):
     """Label and rung pairs of one component, from a single peel-and-match.
 
-    ``nodes`` is sorted and ``adj`` holds every edge among them.  The peel
-    variants are enumerated once, as removed-node sets, and each carries its
-    size and edge count.  Ladder matches take priority over clique chains;
-    within each, the least-peeled variant that matches gives both the label
-    and the rungs.  A variant is walked only if it passes the matcher's
-    size and edge conditions.  When no count that peeling can leave meets
-    either template's (``_some_variant_counts``), the component is OTHER
-    before any variant is enumerated.
+    ``nodes`` is one connected component of ``adj``, sorted, so one with an
+    edge fewer than nodes and no degree above two is a path, a chain.  The
+    peel variants are enumerated once, as removed-node sets, and each
+    carries its size and edge count.  Ladder matches take priority over
+    clique chains; within each, the least-peeled variant that matches gives
+    both the label and the rungs.  A variant is walked only if it passes
+    the matcher's size and edge conditions.  When no count that peeling can
+    leave meets either template's (``_some_variant_counts``), the component
+    is OTHER before any variant is enumerated.
     """
     size = len(nodes)
     edges = sum(len(adj[v]) for v in nodes) // 2
@@ -336,12 +338,7 @@ def _classify(adj, nodes):
         return TopologyLabel.ISOLATED, ()
     if size == 2 and edges == 1:
         return TopologyLabel.PAIR, ()
-    # classify_topology may pass nodes that are not all connected
-    if (
-        max(len(adj[v]) for v in nodes) <= 2
-        and edges == size - 1
-        and len(_reach(adj, nodes[0])) == size
-    ):
+    if max(len(adj[v]) for v in nodes) <= 2 and edges == size - 1:
         return TopologyLabel.CHAIN, ()
     if not _some_variant_counts(size, edges):
         return TopologyLabel.OTHER, ()
@@ -363,22 +360,15 @@ def _classify(adj, nodes):
     return TopologyLabel.OTHER, ()
 
 
-def classify_topology(component, edges) -> TopologyLabel:
-    """Structurally classify one connected component.
+def topology_report(graph: CorrelationGraph) -> TopologyReport:
+    """Full report: components, labels, and rung pairs for ladder types.
 
     Labels depend only on the edge structure (never on weights or on index
     arithmetic): single nodes are isolated, one edge over two nodes is a
     pair, an acyclic path is a chain, and ladder recognition tolerates up
-    to two peeled boundary defects from the finite comb truncation.
+    to two peeled boundary defects from the finite comb truncation.  Edges
+    with an endpoint outside ``graph.nodes`` are ignored.
     """
-    nodes = sorted(set(component))
-    if not nodes:
-        raise InvalidArgumentError("a component needs at least one node")
-    return _classify(_adjacency(nodes, edges), nodes)[0]
-
-
-def topology_report(graph: CorrelationGraph) -> TopologyReport:
-    """Full report: components, labels, and rung pairs for ladder types."""
     adj = _adjacency(graph.nodes, graph.edges)
     components = _components(adj)
     results = [_classify(adj, comp) for comp in components]

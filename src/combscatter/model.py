@@ -182,10 +182,6 @@ class PumpTone:
         """Complex pump strength, half the amplitude at the stored phase."""
         return _tone_strength(self.amplitude, self.phase)
 
-    def frequency(self, grid: ModeGrid) -> float:
-        """Angular frequency of the tone on the given grid."""
-        return 2.0 * grid.center_frequency + self.offset * grid.spacing
-
 
 @dataclass(frozen=True)
 class PumpScheme:
@@ -216,26 +212,6 @@ class PumpScheme:
         if len(phases) != len(offs):
             raise InvalidArgumentError("phases must match offsets in length")
         return cls(tuple(PumpTone(o, amplitude, p) for o, p in zip(offs, phases)))
-
-    @classmethod
-    def merged(cls, tones) -> "PumpScheme":
-        """Build a scheme from tones, merging coincident offsets.
-
-        Tones at the same offset are combined by complex addition of their
-        strengths; the merged tone keeps the resulting amplitude and phase.
-        """
-        total: dict[int, complex] = {}
-        order: list[int] = []
-        for t in tones:
-            if t.offset not in total:
-                total[t.offset] = 0j
-                order.append(t.offset)
-            total[t.offset] += t.strength
-        merged = []
-        for off in order:
-            g = total[off]
-            merged.append(PumpTone(off, 2.0 * abs(g), math.atan2(g.imag, g.real)))
-        return cls(tuple(merged))
 
     def with_phase(self, tone_index: int, phase: float) -> "PumpScheme":
         """Copy of the scheme with one tone's phase replaced."""

@@ -13,11 +13,12 @@ from combscatter import (
     ModeGrid,
     PumpScheme,
     PumpTone,
+    fit_parameters,
     magnitude_db,
     scale_for_ratio,
     simulate_scattering,
 )
-from combscatter import datafiles
+from combscatter import analysis, datafiles
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +43,13 @@ def grid():
 def balanced_scheme(device, offsets, ratio, phases=None) -> PumpScheme:
     """Equal-strength scheme at a given dimensionless strength ratio."""
     return PumpScheme.balanced(offsets, scale_for_ratio(ratio, device), phases)
+
+
+def fit_in_rounds(rounds, *args, **kwargs):
+    """``fit_parameters`` with its descent cut to at most ``rounds`` rounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "REFINE_ROUNDS", rounds)
+        return fit_parameters(*args, **kwargs)
 
 
 def simulated_db(grid, device, scheme):

@@ -38,6 +38,7 @@ from conftest import (
     SPACING,
     TWO_PI,
     balanced_scheme,
+    fit_in_rounds,
     simulated_db,
     small_schemes,
 )
@@ -574,11 +575,11 @@ class TestFit:
             (0.5 * COUPLING, 2.0 * COUPLING),
             6,
         )
-        scan = fit_parameters(*args, refine_steps=0)
+        scan = fit_in_rounds(0, *args)
         above = int(np.isinf(scan.surface).sum())
         assert 0 < above < 36
         assert (scan.evaluations, scan.converged, scan.cells_above_threshold) == (36, False, above)
-        assert not fit_parameters(*args, refine_steps=3).converged
+        assert not fit_in_rounds(3, *args).converged
         refined = fit_parameters(*args)
         assert refined.converged and refined.evaluations > 36
         assert refined.cells_above_threshold == above
@@ -588,12 +589,12 @@ class TestFit:
         grid = ModeGrid(RESONANCE, SPACING, 6)
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
         measured = simulate_scattering(grid, device, scheme)
-        scan = fit_parameters(
+        scan = fit_in_rounds(
+            0,
             measured, grid, scheme,
             (0.05 * COUPLING / RESONANCE, 0.6 * COUPLING / RESONANCE),
             (0.5 * COUPLING, 2.0 * COUPLING),
             6,
-            refine_steps=0,
         )
         conditions = [
             simulate_dense(
@@ -675,7 +676,7 @@ class TestFit:
         # strength ratios from 0.01 to 1 put cells on both sides of the threshold
         g_range = (0.01 * COUPLING / RESONANCE, 1.0 * COUPLING / RESONANCE)
         gamma_range = (0.5 * COUPLING, 2.0 * COUPLING)
-        result = fit_parameters(measured, grid, scheme, g_range, gamma_range, 5, refine_steps=0)
+        result = fit_in_rounds(0, measured, grid, scheme, g_range, gamma_range, 5)
         expected, condition = np.moveaxis(np.array([
             [dense_cell(measured, grid, scheme, g, gamma) for gamma in result.gamma_values]
             for g in result.g_values
@@ -717,7 +718,7 @@ class TestFit:
         )
         g_range = (0.3 * COUPLING / RESONANCE, 0.5 * COUPLING / RESONANCE)
         gamma_range = (0.9 * COUPLING, 1.1 * COUPLING)
-        result = fit_parameters(measured, grid, scheme, g_range, gamma_range, 5, refine_steps=0)
+        result = fit_in_rounds(0, measured, grid, scheme, g_range, gamma_range, 5)
         odd = [floor for block, floor in floors if np.all(block.min(axis=1) % 2 == 1)]
         assert odd and all(floor == np.inf for floor in odd)
         pairs = [block for block, _ in floors if block.shape == (2, 27)]
@@ -745,12 +746,12 @@ class TestFit:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: spectra.append(a) or eigvals(a))
         points = 6
-        result = fit_parameters(
+        result = fit_in_rounds(
+            0,
             measured, grid, scheme,
             g_range=(0.05 * COUPLING / RESONANCE, 0.6 * COUPLING / RESONANCE),
             gamma_range=(0.5 * COUPLING, 2.0 * COUPLING),
             grid_points=points,
-            refine_steps=0,
         )
         assert np.isinf(result.surface).any() and np.isfinite(result.surface).any()
         groups = len(_block_pieces(grid, device, scheme).blocks)
@@ -952,8 +953,8 @@ def test_analyses_split_once_and_never_assemble(device, monkeypatch, kind):
         "simulate": lambda: simulate_scattering(grid, device, scheme).n_modes,
         "search": lambda: search_phases(scheme, [(-12, 0)], 8, -20.0, grid, device).evaluated,
         "sweep": lambda: len(phase_sweep(scheme, 1, 8, 0, grid, device).phases),
-        "fit": lambda: fit_parameters(
-            measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4, refine_steps=2
+        "fit": lambda: fit_in_rounds(
+            2, measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4
         ).evaluations,
     }
     calls = {"split": 0, "assemble": 0, "diagonal": 0}

@@ -413,6 +413,25 @@ class TestExitCodes:
             f"grid.half_span (line {number}): expected an integer"
         ]
 
+    def test_alias_chain_key_is_2_with_a_short_issue(self, tmp_path, capsys):
+        # spelled out, the key would hold 2**30 scalars
+        chain = ["extra:", "  - &a0 [1, 1]"] + [
+            f"  - &a{k} [*a{k - 1}, *a{k - 1}]" for k in range(1, 30)
+        ]
+        config = tmp_path / "keyed.yaml"
+        text = bundled_config_path("threepump").read_text()
+        config.write_text(text + "\n".join([*chain, "? *a29", ": 1"]) + "\n")
+        capsys.readouterr()
+        assert run(["predict-idlers", config, "--out-dir", tmp_path / "o"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert len(line) < 1024
+        extra = len(text.splitlines()) + 1
+        key = f"<sequence key at line {extra + 30}, column 5>"
+        assert strict_json(line)["issues"] == [
+            f"<top>.extra (line {extra + 1}): unknown key",
+            f"<top>.{key} (line {extra + 32}): unknown key",
+        ]
+
     def test_above_threshold_is_3(self, tmp_path, capsys):
         # every tone at ratio 1/2, far past the threshold of the three together
         config = tmp_path / "hot.yaml"

@@ -342,6 +342,26 @@ class TestParse:
         ]
         assert constructed and max(constructed) < first
 
+    def test_non_scalar_key_is_named_by_its_kind_and_place(self):
+        # each link aliases the one before twice: spelled out, the last key
+        # would hold 2**30 scalars
+        chain = ["extra:", "  - &a0 [1, 1]"] + [
+            f"  - &a{k} [*a{k - 1}, *a{k - 1}]" for k in range(1, 30)
+        ]
+        text = GOOD + "\n".join([*chain, "? *a29", ": 1", "? {x: [1, 2]}", ": 2"]) + "\n"
+        extra = text.splitlines().index("extra:") + 1
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert time.perf_counter() - start < 1.0
+        assert len(str(excinfo.value)) < 1024
+        # an alias names the node it points to, at that node's place
+        assert [(i.field, i.message, i.line) for i in excinfo.value.issues] == [
+            ("<top>.extra", "unknown key", extra + 1),
+            (f"<top>.<sequence key at line {extra + 30}, column 5>", "unknown key", extra + 32),
+            (f"<top>.<mapping key at line {extra + 33}, column 3>", "unknown key", extra + 34),
+        ]
+
     @pytest.mark.parametrize(
         "section, issues",
         [

@@ -5,8 +5,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from combscatter import DataFormatError, pump_off_scattering, simulate_scattering
+from combscatter import (
+    DataFormatError,
+    ModeGrid,
+    ScatteringMatrix,
+    pump_off_scattering,
+    simulate_scattering,
+)
 from combscatter.datafiles import (
     MAGIC,
     load_scattering,
@@ -23,6 +31,29 @@ from conftest import balanced_scheme, write_native_payload
 @pytest.fixture()
 def sample(grid, device):
     return simulate_scattering(grid, device, balanced_scheme(device, [-4, 0, 4], 0.05))
+
+
+# any JSON value: floats include NaN and both infinities, and the integers
+# reach past the float range both ways
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.integers(10**308, 10**400) | st.integers(-(10**400), -(10**308)),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+MISSING = object()
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory, device):
+    """A generic CSV file of 3 modes, with its sidecar's keys and values."""
+    grid = ModeGrid(device.resonance_frequency, 2.0 * np.pi * 1e5, 1)
+    path = tmp_path_factory.mktemp("sidecar") / "s.csv"
+    scheme = balanced_scheme(device, [0], 0.05)
+    save_scattering_csv(path, simulate_scattering(grid, device, scheme))
+    return path, json.loads(sidecar_path(path).read_text())
 
 
 class TestNative:
@@ -312,6 +343,28 @@ class TestCsv:
         sidecar_path(path).write_text(json.dumps(meta))
         with pytest.raises(DataFormatError):
             load_scattering_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_sidecar_loads_or_is_a_data_format_error(self, small_csv, data):
+        path, meta = small_csv
+        meta = dict(meta)
+        # any of the keys, each missing, near its valid value or any JSON value
+        near = ["interleaved", "blocked", "raw", "pump_off_rel", 1, 3, 5, 3.0, -1e5, 0, 1e300]
+        for key in data.draw(st.sets(st.sampled_from(sorted(meta))), label="keys"):
+            drawn = data.draw(st.just(MISSING) | st.sampled_from(near) | JSON_VALUES, label=key)
+            if drawn is MISSING:
+                del meta[key]
+            else:
+                meta[key] = drawn
+        sidecar_path(path).write_text(json.dumps(meta))
+        try:
+            loaded = load_scattering_data(path)
+        except DataFormatError:
+            event("rejected")
+            return
+        event("loaded")
+        assert isinstance(loaded, ScatteringMatrix)
 
     def test_integer_sidecar_frequencies_accepted(self, tmp_path, sample):
         path = tmp_path / "s.csv"

@@ -17,7 +17,6 @@ from combscatter import (
     InvalidArgumentError,
     ModeGrid,
     TopologyLabel,
-    classify_topology,
     export_dot,
     extract_graph,
     mode_level_db,
@@ -44,6 +43,11 @@ def make_graph(nodes, pairs, loops=(), threshold=-20.0):
         self_loops=tuple((i, -8.0) for i in loops),
         threshold_db=threshold,
     )
+
+
+def labels_of(nodes, pairs, loops=()):
+    """The labels ``topology_report`` gives the graph of ``pairs`` on ``nodes``."""
+    return topology_report(make_graph(nodes, pairs, loops)).labels
 
 
 def ladder_pairs(rail_a, rail_b):
@@ -349,14 +353,8 @@ class TestConnectedComponents:
 
 class TestClassifyTopology:
     def test_isolated_and_pair(self):
-        g = make_graph([3], [])
-        assert classify_topology((3,), g.edges) is TopologyLabel.ISOLATED
-        g = make_graph([1, -1], [(1, -1)])
-        assert classify_topology((1, -1), g.edges) is TopologyLabel.PAIR
-
-    def test_empty_component_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="at least one node"):
-            classify_topology((), ())
+        assert labels_of([3], []) == (TopologyLabel.ISOLATED,)
+        assert labels_of([1, -1], [(1, -1)]) == (TopologyLabel.PAIR,)
 
     def test_node_less_graph_gives_empty_report(self):
         report = topology_report(make_graph([], []))
@@ -364,22 +362,20 @@ class TestClassifyTopology:
 
     def test_chain(self):
         nodes = list(range(6))
-        g = make_graph(nodes, list(zip(nodes, nodes[1:])))
-        assert classify_topology(nodes, g.edges) is TopologyLabel.CHAIN
+        assert labels_of(nodes, zip(nodes, nodes[1:])) == (TopologyLabel.CHAIN,)
 
     def test_synthetic_square_ladder(self):
         rail_a = list(range(0, 10))
         rail_b = list(range(100, 110))
-        g = make_graph(rail_a + rail_b, ladder_pairs(rail_a, rail_b))
-        assert classify_topology(rail_a + rail_b, g.edges) is TopologyLabel.SQUARE_LADDER
+        labels = labels_of(rail_a + rail_b, ladder_pairs(rail_a, rail_b))
+        assert labels == (TopologyLabel.SQUARE_LADDER,)
 
     def test_ladder_with_cap_node_still_ladder(self):
         rail_a = list(range(0, 10))
         rail_b = list(range(100, 110))
         pairs = ladder_pairs(rail_a, rail_b) | {(500, 0), (500, 100)}
         nodes = rail_a + rail_b + [500]
-        g = make_graph(nodes, pairs)
-        assert classify_topology(nodes, g.edges) is TopologyLabel.SQUARE_LADDER
+        assert labels_of(nodes, pairs) == (TopologyLabel.SQUARE_LADDER,)
 
     def test_ladder_with_all_diagonals(self):
         rail_a = list(range(0, 8))
@@ -388,8 +384,7 @@ class TestClassifyTopology:
         pairs |= set(zip(rail_a, rail_b[1:]))
         pairs |= set(zip(rail_b, rail_a[1:]))
         nodes = rail_a + rail_b
-        g = make_graph(nodes, pairs)
-        assert classify_topology(nodes, g.edges) is TopologyLabel.LADDER_WITH_DIAGONALS
+        assert labels_of(nodes, pairs) == (TopologyLabel.LADDER_WITH_DIAGONALS,)
 
     def test_four_cycle_pairs_smallest_node_with_its_larger_neighbor(self):
         for cycle in itertools.permutations((-3, 0, 2, 7)):
@@ -444,9 +439,7 @@ class TestClassifyTopology:
         chain = ladder_pairs(rail_a, rail_b) | set(zip(rail_a, rail_b[1:]))
         chain |= set(zip(rail_b, rail_a[1:]))
         nodes = rail_a + rail_b
-        assert classify_topology(nodes, make_graph(nodes, chain).edges) is (
-            TopologyLabel.LADDER_WITH_DIAGONALS
-        )
+        assert labels_of(nodes, chain) == (TopologyLabel.LADDER_WITH_DIAGONALS,)
         # one chord more, and one chord in place of a diagonal (same edge count)
         for pairs in (chain | {(0, 7)}, chain - {(0, 5)} | {(0, 7)}):
             graph = make_graph(nodes, pairs)
@@ -488,14 +481,16 @@ class TestClassifyTopology:
         # 10 nodes, 13 edges and four degree-2 corners, like a 5-rung ladder
         rail_a, rail_b, clique = [0, 1, 2], [3, 4, 5], [6, 7, 8, 9]
         pairs = ladder_pairs(rail_a, rail_b) | set(itertools.combinations(clique, 2))
-        nodes = rail_a + rail_b + clique
-        assert classify_topology(nodes, make_graph(nodes, pairs).edges) is TopologyLabel.OTHER
+        report = topology_report(make_graph(rail_a + rail_b + clique, pairs))
+        assert report.components == (tuple(rail_a + rail_b), tuple(clique))
+        assert report.labels == (
+            TopologyLabel.SQUARE_LADDER, TopologyLabel.LADDER_WITH_DIAGONALS
+        )
 
     def test_other_for_dense_junk(self):
         nodes = list(range(7))
         pairs = [(i, j) for i in nodes for j in nodes if i < j]  # complete graph K7
-        g = make_graph(nodes, pairs)
-        assert classify_topology(nodes, g.edges) is TopologyLabel.OTHER
+        assert labels_of(nodes, pairs) == (TopologyLabel.OTHER,)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(31)
@@ -504,9 +499,7 @@ class TestClassifyTopology:
         pairs = ladder_pairs(rail_a, rail_b)
         relabel = dict(zip(range(24), rng.permutation(np.arange(1000, 1024))))
         moved = [(int(relabel[i]), int(relabel[j])) for i, j in pairs]
-        g = make_graph(list(relabel.values()), moved)
-        label = classify_topology(list(relabel.values()), g.edges)
-        assert label is TopologyLabel.SQUARE_LADDER
+        assert labels_of(relabel.values(), moved) == (TopologyLabel.SQUARE_LADDER,)
 
     def test_three_pump_labels(self, grid, device, three_pump_db):
         for phase, expected in ((np.pi, TopologyLabel.SQUARE_LADDER),
@@ -528,10 +521,7 @@ class TestClassifyTopology:
     @settings(max_examples=300, deadline=None)
     @given(graph=defect_graphs())
     def test_single_pass_equals_three_pass_reference(self, graph):
-        report = topology_report(graph)
-        assert report == graph_reference.topology_report(graph)
-        for comp, label in zip(report.components, report.labels):
-            assert classify_topology(comp[::-1], graph.edges) is label
+        assert topology_report(graph) == graph_reference.topology_report(graph)
 
     @settings(max_examples=300, deadline=None)
     @given(graph=st.one_of(random_graphs(), defect_graphs(max_defects=2)))
@@ -551,8 +541,7 @@ class TestClassifyTopology:
                 assert label in (TopologyLabel.CHAIN, TopologyLabel.OTHER)
 
     def test_self_loops_do_not_affect_labels(self):
-        g = make_graph([1, -1], [(1, -1)], loops=[1, -1])
-        assert classify_topology((1, -1), g.edges) is TopologyLabel.PAIR
+        assert labels_of([1, -1], [(1, -1)], loops=[1, -1]) == (TopologyLabel.PAIR,)
 
 
 class TestExportDot:

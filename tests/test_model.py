@@ -110,24 +110,11 @@ class TestPumpScheme:
         with pytest.raises(InvalidArgumentError):
             PumpScheme((PumpTone(0, 0.1), PumpTone(0, 0.2)))
 
-    def test_merged_adds_strengths_complex(self):
-        merged = PumpScheme.merged(
-            [PumpTone(2, 0.2, 0.0), PumpTone(2, 0.2, math.pi), PumpTone(0, 0.1, 0.3)]
-        )
-        assert merged.offsets == (2, 0)
-        # opposite phases cancel
-        assert merged.tones[0].amplitude == pytest.approx(0.0, abs=1e-16)
-        assert merged.tones[1].amplitude == pytest.approx(0.1)
-
     def test_with_phase_replaces_single_tone(self):
         scheme = PumpScheme.balanced([-4, 0, 4], 0.01)
         shifted = scheme.with_phase(2, 1.0)
         assert shifted.tones[2].phase == pytest.approx(1.0)
         assert shifted.tones[:2] == scheme.tones[:2]
-
-    def test_tone_frequency(self, grid):
-        tone = PumpTone(offset=4, amplitude=0.01)
-        assert tone.frequency(grid) == 2 * grid.center_frequency + 4 * grid.spacing
 
 
 def integer_det(rows):
@@ -256,9 +243,10 @@ class TestResolveCouplings:
         "entry", ["resolve_couplings", "simulate_scattering", "phase_sweep", "fit_parameters",
                   "search_phases"],
     )
-    def test_band_warning_points_at_the_caller(self, entry):
+    def test_band_warning_points_at_the_caller(self, entry, monkeypatch):
         import combscatter
 
+        monkeypatch.setattr("combscatter.analysis.REFINE_ROUNDS", 2)
         device = DeviceParams(RESONANCE, COUPLING)
         grid = ModeGrid(RESONANCE, TWO_PI * 100e6, 4)  # 3.6 linewidths from resonance
         scheme = balanced_scheme(device, [-2, 2], 0.05)
@@ -268,7 +256,7 @@ class TestResolveCouplings:
             "phase_sweep": lambda: combscatter.phase_sweep(scheme, 0, 8, 1, grid, device),
             "fit_parameters": lambda: combscatter.fit_parameters(
                 combscatter.simulate_scattering(grid, device, scheme), grid, scheme,
-                (1e-4, 1e-2), (0.5 * COUPLING, 2 * COUPLING), 4, refine_steps=2),
+                (1e-4, 1e-2), (0.5 * COUPLING, 2 * COUPLING), 4),
             "search_phases": lambda: combscatter.search_phases(
                 scheme, [(-4, 1)], 4, -20.0, grid, device),
         }

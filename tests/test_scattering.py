@@ -59,6 +59,7 @@ from conftest import (
     TWO_PI,
     analytic_two_mode_block,
     balanced_scheme,
+    fit_in_rounds,
     small_schemes,
     write_native_payload,
 )
@@ -1126,8 +1127,8 @@ class TestSplitCache:
         g, gamma = 0.085 * COUPLING / RESONANCE, COUPLING
         _split.cache_clear()
         measured = simulate_scattering(grid, detuned, scheme)
-        fit_parameters(
-            measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4, refine_steps=2
+        fit_in_rounds(
+            2, measured, grid, scheme, (0.5 * g, 2 * g), (0.5 * gamma, 2 * gamma), 4
         )
         phase_sweep(scheme, 1, 8, 3, grid, detuned)
         search_phases(scheme, [(-10, 0)], 4, -20.0, grid, detuned)
