@@ -37,7 +37,6 @@ from .scattering import (
     _frozen,
     _invert_blocks,
     _scattering,
-    _schur_complement,
     _spectral_floor,
     magnitude_db,
 )
@@ -45,10 +44,11 @@ from .scattering import (
 TWO_PI = 2.0 * math.pi
 
 # A sweep solves the half-size system of its driven block for this many
-# bytes of stacked steps at a time (28 steps of 24 conjugate slots), so its
-# temporaries stay below what a fit of the same system allocates, whatever
-# the step count.
-_CHUNK_BYTES = 1 << 18
+# bytes of stacked complements at a time: 113 steps on 24 conjugate slots,
+# so a 72-step sweep of a 95-mode -4/0/4 comb is one solve, while a
+# 10,000-step sweep holds a few MB.  A complement larger than this, as on
+# a 1,001-mode comb, is solved alone.
+_CHUNK_BYTES = 1 << 20
 
 # The fit's descent stops after this many rounds if its steps have not
 # shrunk to convergence by then.
@@ -126,15 +126,18 @@ def phase_sweep(
     ``[[D, K], [K^H, D_c]]`` with its amplitude slots first and ``D``
     diagonal, read off that block's quarters, so it is solved on the
     conjugate slots alone, through the Schur complement ``D_c + Y K`` with
-    ``Y = -K^H D^-1`` (``_schur_complement``).  The swept tone's entries of
-    ``K`` move with its strength ``s``, those of ``Y`` with ``conj(s)``,
-    and ``|s|`` is the same at every phase, so the complement is one fixed
-    matrix plus ``s`` and ``conj(s)`` times two more, all three formed once
-    per sweep: a step costs two scaled additions and one half-size solve, a
-    few steps at a time.  A driven slot alone in its block leaves the half-size
-    system empty.  The track rows are read straight off the solved block
-    column, through a row-to-slot map made once per sweep; a row outside
-    the block is an exact zero.
+    ``Y = -K^H D^-1``.  The swept tone's entries of ``K`` move with its
+    strength ``s``, those of ``Y`` with ``conj(s)``, and ``|s|`` is the
+    same at every phase, so the complement is one fixed matrix plus ``s``
+    and ``conj(s)`` times two more, all three formed once per sweep from
+    the four products of the two parts of ``Y`` and ``K``.  The steps'
+    complements are stacked and solved by one batched solve, up to
+    ``_CHUNK_BYTES`` of complements at a time.  A driven slot alone in its
+    block leaves the half-size system empty.  Only the track rows are then
+    evaluated, through a row-to-slot map made once per sweep: a conjugate
+    row is read off the solved half ``x_c``, an amplitude row is
+    ``(e - K x_c) / D`` on its rows of the two parts of ``K``, gathered
+    once per sweep, and a row outside the block is an exact zero.
 
     Only a step's gauge class is solved.  Rephasing the modes shifts the
     tone at offset ``m`` by ``2*alpha + beta*m`` and changes no ``|S_ij|``
@@ -208,35 +211,45 @@ def phase_sweep(
     e = int(np.flatnonzero(slots == col)[0])
     # K = K_0 + s K_1 and Y = Y_0 + conj(s) Y_1, read off the stacks without
     # the swept tone and with it alone at strength 1, which share D; so
-    # D_c + Y K = S_0 + s Y_0 K_1 + conj(s) Y_1 K_0 + |s|^2 Y_1 K_1
+    # D_c + Y K = (D_c + Y_0 K_0) + s Y_0 K_1 + conj(s) Y_1 K_0 + |s|^2 Y_1 K_1
     alone = np.arange(len(base)) == swept_tone
     (pair,) = driven.stacks([np.where(alone, 0.0, base), alone], gamma)
-    k, d, d_c = pair.k[:, 0], pair.d[0], pair.d_c[0]
-    schur, y = _schur_complement(d, k, d_c)
-    fixed = schur[0] + abs(base[swept_tone]) ** 2 * (y[1] @ k[1])
-    terms = np.stack((fixed, y[0] @ k[1], y[1] @ k[0])).reshape(3, -1)
+    k, d, d_c, y = pair.k[:, 0], pair.d[0], pair.d_c[0], pair.y()[:, 0]
+    h = len(d_c)
+    yk = y[:, np.newaxis] @ k
+    fixed = yk[0, 0]
+    fixed[np.arange(h), np.arange(h)] += d_c
+    fixed += abs(base[swept_tone]) ** 2 * yk[1, 1]
+    terms = np.stack((fixed, yk[0, 1], yk[1, 0])).reshape(3, -1)
     weights = np.stack((np.ones(period), strengths, strengths.conj()), axis=1)
 
-    h = len(d_c)
-    chunk = max(1, _CHUNK_BYTES // (16 * max(1, h) ** 2))
-    # each track row's place in (x_a / d, x_c, 0): the block's slots, then
-    # a zero for a row outside the block
-    place = np.full(2 * grid.n_modes, len(slots))
+    # each track row is an amplitude slot of the block, (e - K x_c) / D, one
+    # of its conjugate slots, read off x_c, or a row outside it, a zero
+    place = np.full(2 * grid.n_modes, -1)
     place[slots] = np.arange(len(slots))
     position = place[rows]
+    amplitude = (position >= 0) & (position < len(d))
+    conjugate = position >= len(d)
+    k_rows = k[:, position[amplitude]].swapaxes(1, 2)
+    d_rows = d[position[amplitude]]
     driven_row = np.array(rows) == col
+    drives = y[:, :, e]
+
+    chunk = max(1, _CHUNK_BYTES // (16 * max(1, h) ** 2))
     data = np.empty((len(rows), period))
     for start in range(0, period, chunk):
         stop = min(start + chunk, period)
         _, s, conj_s = weights[start:stop].T
         complement = (weights[start:stop] @ terms).reshape(stop - start, h, h)
-        # x_c = S^-1 Y e on the conjugate slots, x_a = D^-1 (e - K x_c)
-        drive = y[0][:, e] + conj_s[:, np.newaxis] * y[1][:, e]
+        # x_c = S^-1 Y e on the conjugate slots, then e - K x_c on the
+        # tracked amplitude rows
+        drive = drives[0] + conj_s[:, np.newaxis] * drives[1]
         x_c = np.linalg.solve(complement, drive[:, :, np.newaxis])[:, :, 0]
-        x_a = -(x_c @ k[0].T) - s[:, np.newaxis] * (x_c @ k[1].T)
-        x_a[:, e] += 1.0
-        zero = np.zeros((stop - start, 1))
-        column = np.concatenate((x_a / d, x_c, zero), axis=1)[:, position]
+        x_a = -(x_c @ k_rows[0]) - s[:, np.newaxis] * (x_c @ k_rows[1])
+        x_a[:, driven_row[amplitude]] += 1.0
+        column = np.zeros((stop - start, len(rows)), dtype=complex)
+        column[:, amplitude] = x_a / d_rows
+        column[:, conjugate] = x_c[:, position[conjugate] - len(d)]
         column *= gamma
         column[:, driven_row] -= 1.0
         data[:, start:stop] = magnitude_db(column).T
@@ -324,9 +337,15 @@ def fit_parameters(
     Only the pump strength and the port coupling change from cell to cell,
     so the blocks of the system are split once into pieces; each cell's
     stacks go through the threshold gate ``_invert_blocks``, and the
-    distance is summed group by group over the conjugate rows of the
-    inverses and their mirror, the rows ``simulate_scattering`` writes
-    (the model is zero off the blocks); no whole inverse is formed.
+    distance is taken over the conjugate rows of the inverses and their
+    mirror, the rows ``simulate_scattering`` writes (the model is zero off
+    the blocks); no whole inverse is formed.  The measured entries of those
+    rows are gathered once per fit into one flat array, and each cell
+    writes its model in the same layout, ``gamma * [Z W]`` and its
+    conjugate less the diagonal 1, so the alignment and the residual are a
+    few numpy reductions.  Those are numpy's own pairwise sums, one per
+    group's rows or mirror, never a BLAS product, so the distance does not
+    depend on the BLAS thread count.
     A block group the gate sends to its eigenvalues reads them from one
     spectrum per strength, shared by every coupling, and a revisited cell
     is evaluated once.
@@ -363,19 +382,36 @@ def fit_parameters(
     # resonant at omega0; gamma_lo makes the band check the strictest
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)
     unit_strengths = np.array([_tone_strength(2.0, t.phase) for t in scheme_shape.tones])
-    # per group, its amplitude count, which offsets a row's diagonal entry,
-    # and the data on its conjugate rows and on their mirror, the entries
-    # _scattering writes from that group
-    measured_rows = []
+    # the data on the conjugate rows of each group with a conjugate slot and
+    # on their mirror, the entries _scattering writes from that group, laid
+    # out flat as each cell writes its model: per group k, its rows [Z W]
+    # at [start, middle) and their mirror at [middle, stop).  These halves
+    # are the terms of the distance, each with its slice of the data and of
+    # diagonal, the entries of the model gamma * M^-1 - I that take off 1
+    groups, terms, data, diagonal = [], [], [], []
     outside = np.ones(measured.shape, dtype=bool)
-    for block, slot in zip(pieces.blocks, pieces.slot):
+    stop = on_diagonal = 0
+    for k, (block, slot) in enumerate(zip(pieces.blocks, pieces.slot)):
         h = slot.shape[1]
-        data = []
-        for rows, cols in ((block[:, h:], block), (block[:, h:] ^ 1, block ^ 1)):
-            index = rows[:, :, np.newaxis], cols[:, np.newaxis, :]
-            data.append(measured[index])
+        rows = block[:, h:]
+        if not rows.size:
+            continue
+        shape = rows.shape + block.shape[1:]
+        size = math.prod(shape)
+        member, row = np.indices(rows.shape)
+        at = np.ravel_multi_index((member, row, h + row), shape).ravel()
+        groups.append((k, stop, stop + size, stop + 2 * size))
+        for r, c in ((rows, block), (rows ^ 1, block ^ 1)):
+            index = r[:, :, np.newaxis], c[:, np.newaxis, :]
+            data.append(measured[index].ravel())
             outside[index] = False
-        measured_rows.append((h, *data))
+            diagonal.append(stop + at)
+            terms.append((slice(stop, stop + size), slice(on_diagonal, on_diagonal + at.size)))
+            stop += size
+            on_diagonal += at.size
+    data = np.concatenate(data)
+    diagonal = np.concatenate(diagonal)
+    data_diagonal = data[diagonal]
     # the model vanishes off the blocks, where the distance is the data's own
     outside_norm = float(np.sum(np.abs(measured[outside]) ** 2))
 
@@ -401,22 +437,25 @@ def fit_parameters(
         except AboveThresholdError:
             return np.inf
         worst_condition = max(worst_condition, condition)
-        # (data, model, diagonal offset): the model's conjugate rows
-        # gamma * [Z W] - I, and their mirror
-        terms = []
-        for (h, data, mirror), rows in zip(measured_rows, inverses):
-            model = gamma * rows
-            i = np.arange(model.shape[1])
-            model[:, i, h + i] -= 1.0
-            terms += [(data, model, h), (mirror, model.conj(), h)]
+        # the model's conjugate rows gamma * [Z W] - I and their mirror
+        model = np.empty(len(data), dtype=complex)
+        for k, start, middle, stop in groups:
+            rows = model[start:middle]
+            np.multiply(inverses[k], gamma, out=rows.reshape(inverses[k].shape))
+            np.conjugate(rows, out=model[middle:stop])
+        model[diagonal] -= 1.0
         # one-time global phase alignment: instruments carry an arbitrary
-        # electrical delay, so the mean diagonal phase is referenced out
-        inner = sum(
-            np.sum(data.diagonal(h, 1, 2) * np.conj(model.diagonal(h, 1, 2)))
-            for data, model, h in terms
-        )
+        # electrical delay, so the mean diagonal phase is referenced out.
+        # Near the optimum the distance is what is left of entries of order
+        # 1, whose last digits follow the order of summation, so each term
+        # is summed on its own and the terms in turn
+        products = data_diagonal * model[diagonal].conj()
+        inner = sum(np.sum(products[diagonals]) for _, diagonals in terms)
         rotation = inner / abs(inner) if abs(inner) > 0 else 1.0
-        inside = sum(np.sum(np.abs(data - rotation * model) ** 2) for data, model, _ in terms)
+        model *= rotation
+        np.subtract(data, model, out=model)
+        residuals = np.abs(model) ** 2
+        inside = sum(np.sum(residuals[entries]) for entries, _ in terms)
         return float(np.sqrt(outside_norm + inside))
 
     g_values = np.linspace(g_lo, g_hi, grid_points)

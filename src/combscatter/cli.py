@@ -8,14 +8,12 @@ threshold, 4 I/O or data-format failure.  Failures emit one
 machine-readable JSON line on stderr, which carries the warnings the run
 raised before it failed.  Each subcommand imports the modules it uses when
 it runs, so ``--help`` and a rejected command line load neither numpy nor
-PyYAML.
+PyYAML, and ``predict-idlers`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 import warnings
@@ -115,6 +113,8 @@ class _Run:
 
     def meta(self, **extra) -> dict:
         """The provenance every output embeds, with ``extra`` added."""
+        import hashlib
+
         from .config import serialize_config
 
         digest = hashlib.sha256(serialize_config(self.config).encode()).hexdigest()
@@ -152,15 +152,24 @@ def _write_mode_table(run: _Run, name: str, parts: tuple[str, str], matrix, meta
     write_table(run.out(name), "row\\col", slots, slots, matrix, meta)
 
 
+def _write_json(path: Path, payload: dict, meta: dict) -> None:
+    """JSON report with stable key ordering and embedded provenance."""
+    import json
+
+    body = dict(payload)
+    body["meta"] = {str(k): meta[k] for k in sorted(meta)}
+    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+
+
 def _write_graph(run: _Run, db):
     """Threshold ``db`` into a graph; write ``graph.gv`` and ``topology.json``."""
-    from .datafiles import topology_report_dict, write_json
+    from .datafiles import topology_report_dict
     from .graphs import export_dot, extract_graph, topology_report
 
     graph = extract_graph(db, run.grid, run.settings.threshold_db)
     report = topology_report(graph)
     run.out("graph.gv").write_text(export_dot(graph, report))
-    write_json(run.out("topology.json"), topology_report_dict(graph, report), run.meta())
+    _write_json(run.out("topology.json"), topology_report_dict(graph, report), run.meta())
     return graph, report
 
 
@@ -243,7 +252,7 @@ def _cmd_sample_covariance(run: _Run) -> None:
 
 def _cmd_fit(run: _Run) -> None:
     from .analysis import fit_parameters
-    from .datafiles import write_json, write_table
+    from .datafiles import write_table
 
     if not run.args.data:
         raise InvalidArgumentError("fit requires --data")
@@ -272,15 +281,17 @@ def _cmd_fit(run: _Run) -> None:
         cells_above_threshold=result.cells_above_threshold,
         worst_condition=repr(result.worst_condition),
     )
-    write_json(run.out("fit.json"), payload, meta)
+    _write_json(run.out("fit.json"), payload, meta)
     write_table(run.out("fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,
                 result.surface, run.meta())
     print(f"fit: ridge ratio {result.ridge_ratio:.5f}, distance {result.distance:.3e}")
 
 
 def _cmd_search_phases(run: _Run) -> None:
+    import json
+
     from .analysis import search_phases
-    from .datafiles import topology_report_dict, write_json
+    from .datafiles import topology_report_dict
 
     if not run.args.target:
         raise InvalidArgumentError("search-phases requires --target")
@@ -312,7 +323,7 @@ def _cmd_search_phases(run: _Run) -> None:
     }
     skipped = result.skipped_above_threshold
     meta = run.meta(evaluated=result.evaluated, skipped_above_threshold=skipped)
-    write_json(run.out("phase_search.json"), payload, meta)
+    _write_json(run.out("phase_search.json"), payload, meta)
     print(
         f"search-phases: objective {result.objective}, phases "
         + ",".join(f"{p:.4f}" for p in result.best_phases)
@@ -320,7 +331,6 @@ def _cmd_search_phases(run: _Run) -> None:
 
 
 def _cmd_predict_idlers(run: _Run) -> None:
-    from .datafiles import write_json
     from .model import predicted_intermod_indices
 
     signal = run.settings.signal_index
@@ -331,7 +341,7 @@ def _cmd_predict_idlers(run: _Run) -> None:
         "third_order": [[idx, count] for idx, count in prediction.third_order],
         "dropped_out_of_grid": prediction.dropped_out_of_grid,
     }
-    write_json(run.out("idlers.json"), payload, run.meta())
+    _write_json(run.out("idlers.json"), payload, run.meta())
     print(
         f"predict-idlers: signal {signal} -> 2nd order {list(prediction.second_order)}, "
         f"3rd order {[idx for idx, _ in prediction.third_order]}"
@@ -396,6 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(kind: str, exc: Exception, code: int, caught) -> int:
+    import json
+
     detail = {"error": kind, "message": str(exc)}
     if isinstance(exc, ConfigError):
         detail["issues"] = [str(i) for i in exc.issues]

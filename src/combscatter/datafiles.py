@@ -235,9 +235,3 @@ def topology_report_dict(graph: CorrelationGraph, report: TopologyReport) -> dic
         "self_loops": [[i, w] for i, w in graph.self_loops],
     }
 
-
-def write_json(path, payload: dict, meta: dict) -> None:
-    """JSON report with stable key ordering and embedded provenance."""
-    body = dict(payload)
-    body["meta"] = {str(k): meta[k] for k in sorted(meta)}
-    Path(path).write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")

@@ -264,21 +264,6 @@ def assemble_system(
     return SystemMatrix(_Sealed(m), float(np.sqrt(gamma)), grid)
 
 
-def _schur_complement(d, k, d_c) -> tuple[np.ndarray, np.ndarray]:
-    """``D_c + Y K`` and ``Y = -K^H D^-1`` of blocks ``[[D, K], [K^H, D_c]]``.
-
-    ``d`` and ``d_c`` are the diagonals of ``D`` and ``D_c`` and ``k`` is
-    ``K``, with any leading axes (``_Quarters``).  The first result is the
-    Schur complement of ``D``.  ``_Quarters.inverse`` inverts every block
-    through it, and ``phase_sweep`` solves its driven column through it.
-    """
-    y = k.conj().swapaxes(-1, -2) / -d[..., np.newaxis, :]
-    schur = y @ k
-    i = np.arange(schur.shape[-1])
-    schur[..., i, i] += d_c
-    return schur, y
-
-
 class _Quarters:
     """A stack of blocks of ``M`` held by its quarters.
 
@@ -313,14 +298,21 @@ class _Quarters:
         blocks[..., i, i] = np.concatenate((self.d, self.d_c), axis=-1)
         return blocks
 
+    def y(self) -> np.ndarray:
+        """``Y = -K^H D^-1`` of every block, ``(..., count, h_c, h)``."""
+        return self.k.conj().swapaxes(-1, -2) / -self.d[..., np.newaxis, :]
+
     def inverse(self) -> np.ndarray:
         """``[Z W]``, the conjugate rows of every inverse, ``(count, h_c, h + h_c)``.
 
-        ``W = (D_c - K^H D^-1 K)^-1`` inverts the Schur complement of ``D``
-        and ``Z = -W K^H D^-1``; the amplitude rows are the conjugates of
-        the mirror block's conjugate rows (``_scattering``).
+        ``W = (D_c + Y K)^-1 = (D_c - K^H D^-1 K)^-1`` inverts the Schur
+        complement of ``D`` and ``Z = W Y``; the amplitude rows are the
+        conjugates of the mirror block's conjugate rows (``_scattering``).
         """
-        schur, y = _schur_complement(self.d, self.k, self.d_c)
+        y = self.y()
+        schur = y @ self.k
+        i = np.arange(schur.shape[-1])
+        schur[..., i, i] += self.d_c
         w = np.linalg.inv(schur)
         return np.concatenate((w @ y, w), axis=-1)
 
@@ -399,7 +391,11 @@ def _invert_blocks(
     conjugate rows of each inverse (``_Quarters.inverse``); no whole block
     or inverse is formed.  The amplitude rows of a block's inverse are the
     conjugate rows of its mirror's, conjugated on the swapped slots, since
-    ``M`` is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).
+    ``M`` is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).  A
+    group with no conjugate slot (the uncoupled amplitude slots of a
+    one-tone scheme) has no such rows: it is skipped, and its entry is an
+    empty ``(count, 0, size)`` array, since its mirror group's rows already
+    hold its blocks' inverses.
 
     Returns the inverses and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
@@ -430,6 +426,11 @@ def _invert_blocks(
     columns = np.zeros(len(pieces.diagonal))
     try:
         for block, stack in zip(pieces.blocks, stacks):
+            if not stack.d_c.shape[-1]:
+                # no conjugate slot, so no rows: the mirror group writes the
+                # rows of these blocks and sums their columns
+                inverses.append(np.empty((len(block), 0, block.shape[1]), dtype=complex))
+                continue
             rows = stack.inverse()
             sums = np.abs(rows).sum(axis=1)
             columns[block] += sums
@@ -492,8 +493,9 @@ def _scattering(pieces: _BlockPieces, strengths, gamma: float) -> tuple[np.ndarr
     (slot ``^ 1``): a block holding both slots of each of its modes writes
     all its rows, and each block of a mirror pair the rows the other lacks,
     so every entry of every block is written once.  A group of one block on
-    every slot writes through strided slices of ``S``, any other through a
-    row and column index.
+    every slot writes through strided slices of ``S``, a group with no
+    conjugate slot writes nothing, and any other writes through a row and
+    column index.
     """
     inverses, cond = _invert_blocks(pieces, strengths, gamma)
     size = len(pieces.diagonal)
@@ -501,6 +503,8 @@ def _scattering(pieces: _BlockPieces, strengths, gamma: float) -> tuple[np.ndarr
     # the mirror is gamma times the conjugate, not the conjugate of the
     # product: a zero imaginary part of a positive entry then stays +0
     for block, rows in zip(pieces.blocks, inverses):
+        if not rows.size:
+            continue
         if block.shape == (1, size):
             # even (amplitude) slots first: [Z W] fills the odd rows of S,
             # Z on the even columns, and its mirror the even rows

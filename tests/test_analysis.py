@@ -111,12 +111,16 @@ def mode_pair_db(grid, scheme, phases):
     return np.maximum(reduced, reduced.T)
 
 
-def assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device, steps=8):
-    """A sweep's tracks against the driven column of the whole system at each phase."""
+def assert_tracks_equal_simulated_columns(
+    scheme, swept, signal, grid, device, steps=8, sampled=None
+):
+    """A sweep's tracks against the driven column of the whole system at each
+    phase, or at the ``sampled`` steps only."""
     result = phase_sweep(scheme, swept, steps, signal, grid, device)
     reference = np.abs(np.diag(pump_off_scattering(grid, device).matrix))
     col = grid.a_slot(signal)
-    for step, phase in enumerate(result.phases):
+    for step in range(steps) if sampled is None else sampled:
+        phase = result.phases[step]
         column = dense_column(grid, device, scheme.with_phase(swept, phase), col) / reference[col]
         for track in result.tracks:
             mode = track.mode_index
@@ -339,6 +343,48 @@ class TestPhaseSweep:
         assert np.all(np.bincount(modes)[modes] == slots_per_mode)
         for swept in range(3):
             assert_tracks_equal_simulated_columns(scheme, swept, signal, grid, device, steps=72)
+
+    @pytest.mark.parametrize("swept, period", [(0, 72), (1, 36), (2, 72)])
+    def test_benchmark_sweep_is_one_solve(self, grid, device, monkeypatch, swept, period):
+        # every class of a 72-step -4/0/4 sweep on its 24 conjugate slots
+        # fits one batch
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        shapes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+        phase_sweep(scheme, swept, 72, 5, grid, device)
+        assert shapes == [(period, 24, 24)]
+
+    def test_classes_across_solve_batches_equal_dense_columns(self, grid, device, monkeypatch):
+        # an outer tone has 1,000 classes at 1,000 steps, more than one batch
+        # holds; the samples straddle the batch edges.  The phases keep every
+        # track above -80 dB: at an interference null (-114 dB near step 999
+        # of the pi-phased ladder) the dB of an entry is only as exact as the
+        # rounding of its column, in the dense reference as in the sweep
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.4, 1.3, 2.9])
+        batches = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            # the dense reference solves one whole system, two-dimensional
+            np.linalg, "solve", lambda a, b: a.ndim == 3 and batches.append(len(a)) or solve(a, b)
+        )
+        chunk = analysis._CHUNK_BYTES // (16 * 24**2)
+        sampled = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 500, 999]
+        assert_tracks_equal_simulated_columns(scheme, 0, 5, grid, device, 1000, sampled)
+        assert batches == [chunk] * (1000 // chunk) + [1000 % chunk]
+
+    def test_many_step_sweep_solves_a_batch_at_a_time(self, grid, device):
+        # the complements of all 10,000 classes at once would take 92 MB
+        scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+        phase_sweep(scheme, 0, 8, 5, grid, device)
+        tracemalloc.start()
+        try:
+            result = phase_sweep(scheme, 0, 10_000, 5, grid, device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.evaluated == 10_000
+        assert peak < 8e6
 
     @pytest.mark.parametrize("swept", [0, 1])
     def test_driven_slot_alone_in_its_block(self, device, swept):

@@ -164,6 +164,14 @@ class TestFreshInterpreter:
         assert loaded.isdisjoint({"networkx", "numpy.ma"})
         assert any(out.iterdir())
 
+    def test_predict_idlers_loads_only_yaml(self, small):
+        # the prediction is integer arithmetic on the config: no numpy
+        out = small / "predict-idlers-only"
+        code, loaded = probe(["predict-idlers", str(small / "small.yaml"), "--out-dir", str(out)])
+        assert code == 0
+        assert loaded == {"yaml"}
+        assert {p.name for p in out.iterdir()} == {"idlers.json"}
+
     def test_simulate_runs_end_to_end(self, small):
         out = small / "simulate"
         code, loaded = probe(["simulate", str(small / "small.yaml"), "--out-dir", str(out)])

@@ -823,6 +823,24 @@ class TestGroupKinds:
         assert_agrees(s, simulate_dense(grid, device, scheme))
         assert particle_hole_defect(s.matrix) == 0.0
 
+    def test_group_with_no_conjugate_slot_is_not_inverted(self, grid, device, monkeypatch):
+        # at offset 3 no tone reaches modes -47..-45: their amplitude slots
+        # are a group with no conjugate slot, whose inverses are the mirrors
+        # of the rows the group of their conjugate slots writes
+        scheme = balanced_scheme(device, [3], 0.085, [0.4])
+        pieces = _block_pieces(grid, device, scheme)
+        assert [b.shape for b in pieces.blocks] == [(3, 1), (3, 1), (92, 2)]
+        assert [slot.shape for slot in pieces.slot] == [(3, 0, 1), (3, 1, 0), (92, 1, 1)]
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        s = simulate_scattering(grid, device, scheme)
+        assert shapes == [(3, 1, 1), (92, 1, 1)]
+        assert_agrees(s, simulate_dense(grid, device, scheme))
+        assert particle_hole_defect(s.matrix) == 0.0
+        inverses, _ = _invert_blocks(pieces, [t.strength for t in scheme.tones], COUPLING)
+        assert inverses[1].shape == (3, 0, 1)
+
     @pytest.mark.parametrize(
         "ratio, phases, stages",
         [
