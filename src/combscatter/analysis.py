@@ -338,12 +338,13 @@ def fit_parameters(
     so the blocks of the system are split once into pieces; each cell's
     stacks go through the threshold gate ``_invert_blocks``, and the
     distance is taken over the conjugate rows of the inverses and their
-    mirror, the rows ``simulate_scattering`` writes (the model is zero off
-    the blocks); no whole inverse is formed.  The measured entries of those
-    rows are gathered once per fit into one flat array, and each cell
-    writes its model in the same layout, ``gamma * [Z W]`` and its
-    conjugate less the diagonal 1, so the alignment and the residual are a
-    few numpy reductions.  Those are numpy's own pairwise sums, one per
+    mirror, the entries ``simulate_scattering`` writes (the model is zero
+    off the blocks); no whole inverse is formed.  The measured entries are
+    gathered once per fit, through the same index ``_BlockPieces.written``
+    that the writer walks, into one flat array, and each cell writes its
+    model in the same layout, ``gamma * [Z W]`` and its conjugate less the
+    diagonal 1, so the alignment and the residual are a few numpy
+    reductions.  Those are numpy's own pairwise sums, one per
     group's rows or mirror, never a BLAS product, so the distance does not
     depend on the BLAS thread count.
     A block group the gate sends to its eigenvalues reads them from one
@@ -382,33 +383,27 @@ def fit_parameters(
     # resonant at omega0; gamma_lo makes the band check the strictest
     pieces = _block_pieces(grid, DeviceParams(omega0, gamma_lo), scheme_shape)
     unit_strengths = np.array([_tone_strength(2.0, t.phase) for t in scheme_shape.tones])
-    # the data on the conjugate rows of each group with a conjugate slot and
-    # on their mirror, the entries _scattering writes from that group, laid
-    # out flat as each cell writes its model: per group k, its rows [Z W]
-    # at [start, middle) and their mirror at [middle, stop).  These halves
-    # are the terms of the distance, each with its slice of the data and of
-    # diagonal, the entries of the model gamma * M^-1 - I that take off 1
+    # the data at the index _scattering writes each group through, its rows
+    # [Z W] and their mirror, laid out flat as each cell writes its model:
+    # per group k, its rows at [start, middle) and their mirror at
+    # [middle, stop).  These halves are the terms of the distance, each with
+    # its slice of the data and of diagonal, the entries of the model
+    # gamma * M^-1 - I that take off 1, where the index's row and column meet
     groups, terms, data, diagonal = [], [], [], []
     outside = np.ones(measured.shape, dtype=bool)
     stop = on_diagonal = 0
-    for k, (block, slot) in enumerate(zip(pieces.blocks, pieces.slot)):
-        h = slot.shape[1]
-        rows = block[:, h:]
-        if not rows.size:
-            continue
-        shape = rows.shape + block.shape[1:]
-        size = math.prod(shape)
-        member, row = np.indices(rows.shape)
-        at = np.ravel_multi_index((member, row, h + row), shape).ravel()
-        groups.append((k, stop, stop + size, stop + 2 * size))
-        for r, c in ((rows, block), (rows ^ 1, block ^ 1)):
-            index = r[:, :, np.newaxis], c[:, np.newaxis, :]
+    for k, *indices in pieces.written:
+        start = stop
+        for index in indices:
             data.append(measured[index].ravel())
             outside[index] = False
+            at = np.flatnonzero(index[0] == index[1])
             diagonal.append(stop + at)
+            size = data[-1].size
             terms.append((slice(stop, stop + size), slice(on_diagonal, on_diagonal + at.size)))
             stop += size
             on_diagonal += at.size
+        groups.append((k, start, start + size, stop))
     data = np.concatenate(data)
     diagonal = np.concatenate(diagonal)
     data_diagonal = data[diagonal]

@@ -18,11 +18,13 @@ to ``S``: on its slots, amplitude slots first, it reads
 holds only ``K`` and the two diagonals (``_Quarters``).  It is inverted
 through the Schur complement on its conjugate slots into the conjugate
 rows ``[Z W]`` of its inverse, which go into ``S`` together with their
-particle-hole mirror, conjugated on the swapped slots.  A block that
-holds both slots of each of its modes is its own mirror, so those rows
-are all of it; the two blocks of a mirror pair each write the rows the
-other lacks, so ``S`` is particle-hole symmetric by construction.  The
-whole block is formed only when the gate must look past its discs.
+particle-hole mirror, conjugated on the swapped slots, through one index
+(``_BlockPieces.written``) that the gate, the writer and the fit all
+walk.  A block that holds both slots of each of its modes is its own
+mirror, so those rows are all of it; the two blocks of a mirror pair each
+write the rows the other lacks, so ``S`` is particle-hole symmetric by
+construction.  The whole block is formed only when the gate must look
+past its discs.
 
 The model holds only below the parametric oscillation threshold, where
 every eigenvalue of ``M`` has a positive real part (the Hurwitz condition,
@@ -362,8 +364,8 @@ def _unstable(floor: float) -> AboveThresholdError:
 
 def _over_cap(cond: float) -> AboveThresholdError:
     return AboveThresholdError(
-        "parametric oscillation threshold reached: system condition number "
-        f"{cond:.3e} exceeds cap {CONDITION_CAP:.1e}",
+        "ill-conditioned near the parametric oscillation threshold: the system "
+        f"is stable, but its condition number {cond:.3e} exceeds cap {CONDITION_CAP:.1e}",
         condition_estimate=cond,
     )
 
@@ -386,24 +388,24 @@ def _invert_blocks(
     each mirror pair (``_spectral_floor``), or to ``lowest(k)``, the
     caller's floor over at least the blocks of group ``k``.
 
-    Then the inverses: every group of ``pieces.stacks`` goes through the
-    Schur complement on its conjugate slots and returns ``[Z W]``, the
-    conjugate rows of each inverse (``_Quarters.inverse``); no whole block
-    or inverse is formed.  The amplitude rows of a block's inverse are the
-    conjugate rows of its mirror's, conjugated on the swapped slots, since
-    ``M`` is exactly particle-hole symmetric (``M = Sx conj(M) Sx``).  A
-    group with no conjugate slot (the uncoupled amplitude slots of a
-    one-tone scheme) has no such rows: it is skipped, and its entry is an
-    empty ``(count, 0, size)`` array, since its mirror group's rows already
+    Then the inverses: every group that ``pieces.written`` holds goes
+    through the Schur complement on its conjugate slots and returns
+    ``[Z W]``, the conjugate rows of each inverse (``_Quarters.inverse``);
+    no whole block or inverse is formed.  The amplitude rows of a block's
+    inverse are the conjugate rows of its mirror's, conjugated on the
+    swapped slots, since ``M`` is exactly particle-hole symmetric
+    (``M = Sx conj(M) Sx``).  A group with no conjugate slot (the uncoupled
+    amplitude slots of a one-tone scheme) has no such rows and is never
+    visited: its entry is ``None``, since its mirror group's rows already
     hold its blocks' inverses.
 
-    Returns the inverses and the exact 1-norm condition number
+    Returns the inverses, by group, and the exact 1-norm condition number
     ``max_b ||B_b||_1 * max_b ||B_b^-1||_1`` of the block-diagonal matrix
     they form: every column of it, or of its inverse, lies inside one
     block, and each column of the inverse is summed per slot from the
-    ``[Z W]`` holding it, at ``block``, and from the mirror rows, at
-    ``block ^ 1``.  A condition number that is not finite or exceeds
-    ``CONDITION_CAP`` raises too.
+    ``[Z W]`` holding it and from the mirror rows, at the columns of the
+    index ``written`` gives each.  A condition number that is not finite
+    or exceeds ``CONDITION_CAP`` raises too.
     """
     stacks = pieces.stacks(strengths, gamma)
     norms, margins = pieces.discs(strengths, gamma)
@@ -422,20 +424,14 @@ def _invert_blocks(
                 )
                 if not floor > 0:
                     raise _unstable(floor) from None
-    inverses = []
+    inverses = [None] * len(stacks)
     columns = np.zeros(len(pieces.diagonal))
     try:
-        for block, stack in zip(pieces.blocks, stacks):
-            if not stack.d_c.shape[-1]:
-                # no conjugate slot, so no rows: the mirror group writes the
-                # rows of these blocks and sums their columns
-                inverses.append(np.empty((len(block), 0, block.shape[1]), dtype=complex))
-                continue
-            rows = stack.inverse()
-            sums = np.abs(rows).sum(axis=1)
-            columns[block] += sums
-            columns[block ^ 1] += sums
-            inverses.append(rows)
+        for k, (_, own), (_, swapped) in pieces.written:
+            inverses[k] = stacks[k].inverse()
+            sums = np.abs(inverses[k]).sum(axis=1, keepdims=True)
+            columns[own] += sums
+            columns[swapped] += sums
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
@@ -488,34 +484,21 @@ def _scattering(pieces: _BlockPieces, strengths, gamma: float) -> tuple[np.ndarr
 
     The blocks go through the threshold gate ``_invert_blocks``; entries
     off the blocks are exact zeros before the identity is taken off.  Each
-    group writes ``gamma * [Z W]`` on the rows of its conjugate slots and
-    its mirror, ``gamma * conj([Z W])``, on the swapped rows and columns
-    (slot ``^ 1``): a block holding both slots of each of its modes writes
-    all its rows, and each block of a mirror pair the rows the other lacks,
-    so every entry of every block is written once.  A group of one block on
-    every slot writes through strided slices of ``S``, a group with no
-    conjugate slot writes nothing, and any other writes through a row and
-    column index.
+    group that ``pieces.written`` holds writes ``gamma * [Z W]`` on the
+    rows of its conjugate slots and its mirror, ``gamma * conj([Z W])``, on
+    the swapped rows and columns (slot ``^ 1``), through that one index: a
+    block holding both slots of each of its modes writes all its rows, and
+    each block of a mirror pair the rows the other lacks, so every entry of
+    every block is written once.
     """
     inverses, cond = _invert_blocks(pieces, strengths, gamma)
     size = len(pieces.diagonal)
     s = np.zeros((size, size), dtype=complex)
     # the mirror is gamma times the conjugate, not the conjugate of the
     # product: a zero imaginary part of a positive entry then stays +0
-    for block, rows in zip(pieces.blocks, inverses):
-        if not rows.size:
-            continue
-        if block.shape == (1, size):
-            # even (amplitude) slots first: [Z W] fills the odd rows of S,
-            # Z on the even columns, and its mirror the even rows
-            z, w = np.split(rows[0], 2, axis=1)
-            quarters = ((1, 0, z), (1, 1, w), (0, 1, z.conj()), (0, 0, w.conj()))
-            for row, col, quarter in quarters:
-                np.multiply(quarter, gamma, out=s[row::2, col::2])
-            continue
-        conjugate = block[:, block.shape[1] - rows.shape[1] :]
-        s[conjugate[:, :, np.newaxis], block[:, np.newaxis, :]] = gamma * rows
-        s[(conjugate ^ 1)[:, :, np.newaxis], (block ^ 1)[:, np.newaxis, :]] = gamma * rows.conj()
+    for k, at, mirror in pieces.written:
+        s[at] = gamma * inverses[k]
+        s[mirror] = gamma * inverses[k].conj()
     s[np.diag_indices_from(s)] -= 1.0
     return s, cond
 
@@ -539,11 +522,13 @@ class _BlockPieces:
     is on the grid, that is, whether tone ``t`` puts an entry in the
     columns of mode ``p``; ``discs`` sums them.
 
-    ``locator`` names the group and row of each slot, ``(2n, 2)``; it is
-    ``None`` on the pieces of one block that ``block_of`` returns.  The
-    ``blocks``, ``slot``, ``locator`` and ``reach`` maps are shared by
-    every call on the same mode count and offsets, whatever its grid or
-    resonance, so they are read-only, as is each call's ``diagonal``.
+    ``written`` holds where the conjugate rows ``[Z W]`` of each group's
+    inverses, and their mirror, go in ``S``.  ``locator`` names the group
+    and row of each slot, ``(2n, 2)``; it is ``None`` on the pieces of one
+    block that ``block_of`` returns.  The ``blocks``, ``slot``, ``locator``
+    and ``reach`` maps are shared by every call on the same mode count and
+    offsets, whatever its grid or resonance, so they are read-only, as is
+    each call's ``diagonal``.
     Each ``slot`` map is stored in ``np.min_scalar_type(T)``, one byte per
     entry below 256 tones: the map of every group of a 1,001-mode comb
     stays small beside the stacks a call gathers from it.
@@ -570,6 +555,25 @@ class _BlockPieces:
         off_diagonal = self.resonance * (magnitudes @ self.reach)
         diagonal = np.hypot(gamma / 2.0, self.diagonal[0::2].imag)
         return diagonal + off_diagonal, gamma / 2.0 - off_diagonal
+
+    @functools.cached_property
+    def written(self) -> tuple:
+        """Where each group's conjugate rows ``[Z W]`` and their mirror go in ``S``.
+
+        Holds ``k, at, mirror`` for every group ``k`` with a conjugate slot:
+        ``at`` indexes its ``[Z W]``, ``(count, h_c, size)``, the rows of
+        its conjugate slots by the columns of its slots, and ``mirror`` the
+        same entries on the swapped slots (``^ 1``).  A group with no
+        conjugate slot has no such rows; its mirror group's rows hold its
+        blocks' inverses.  Built once per pieces, since a fit reads it at
+        every cell.
+        """
+        index = []
+        for k, (block, slot) in enumerate(zip(self.blocks, self.slot)):
+            if slot.shape[-1]:
+                rows, columns = block[:, slot.shape[-2] :, np.newaxis], block[:, np.newaxis, :]
+                index.append((k, (rows, columns), (rows ^ 1, columns ^ 1)))
+        return tuple(index)
 
     def stacks(self, strengths, gamma: float) -> list[_Quarters]:
         """Every group's ``_Quarters``; leading axes of ``strengths`` lead its ``K``."""

@@ -19,6 +19,7 @@ from combscatter import (
     PumpScheme,
     PumpTone,
     TopologyLabel,
+    extract_graph,
     fit_parameters,
     magnitude_db,
     mode_level_db,
@@ -28,6 +29,7 @@ from combscatter import (
     pump_off_scattering,
     search_phases,
     simulate_scattering,
+    topology_report,
 )
 from combscatter import analysis, scattering
 from combscatter.model import MAX_HALF_SPAN
@@ -508,7 +510,42 @@ def self_fit_cases(draw):
     return ModeGrid(RESONANCE, SPACING, half_span), device, scheme
 
 
+def noisy_destructive(grid, device, sigma, seed):
+    """Bundled threepump with its +4 tone at pi, and its ``S`` plus complex
+    Gaussian noise of ``E|n|^2 = sigma^2`` on every entry."""
+    scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])
+    s = simulate_scattering(grid, device, scheme).matrix
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+    return scheme, s + sigma / math.sqrt(2.0) * noise
+
+
+NOISY = [(sigma, seed) for sigma in (1e-3, 1e-2) for seed in (1, 2, 3)]
+
+
+class TestNoisyGraph:
+    @pytest.mark.parametrize("sigma, seed", NOISY)
+    def test_destructive_threepump_stays_three_square_ladders(self, grid, device, sigma, seed):
+        # noise-free, the verdict holds for thresholds on (-23.161, -8.918]
+        # dB; noise of -60 and -40 dB per entry carries no weight across it
+        _, measured = noisy_destructive(grid, device, sigma, seed)
+        report = topology_report(extract_graph(magnitude_db(measured), grid, -20.0))
+        assert report.labels == (TopologyLabel.SQUARE_LADDER,) * 3
+
+
 class TestFit:
+    @pytest.mark.parametrize("sigma, seed", NOISY)
+    def test_noisy_self_fit_recovers_ratio_and_coupling(self, grid, device, sigma, seed):
+        # a 12 x 12 grid over the bundled ranges; the noise breaks the
+        # particle-hole symmetry of the data, which the model keeps
+        scheme, measured = noisy_destructive(grid, device, sigma, seed)
+        result = fit_parameters(
+            measured, grid, scheme, (5e-4, 5e-3), (TWO_PI * 56e6, TWO_PI * 224e6), 12
+        )
+        assert result.converged
+        assert abs(result.ridge_ratio / 0.085 - 1.0) < 1e-3
+        assert abs(result.best_gamma / COUPLING - 1.0) < 2e-2
+
     def test_self_fit_recovers_ratio(self, grid, device):
         g_true = 0.085 * COUPLING / RESONANCE
         scheme = balanced_scheme(device, [-4, 0, 4], 0.085, [0.0, 0.0, np.pi])

@@ -306,6 +306,19 @@ class TestScatteringMatrix:
             simulate_scattering(grid, device, scheme)
         assert info.value.condition_estimate > 5 * CONDITION_CAP
 
+    def test_over_cap_message_says_stable_not_threshold_reached(self, device):
+        # a stable system over the cap is told apart from an unstable one by
+        # its message alone: both raise the same error and exit 3
+        grid = ModeGrid(RESONANCE, TWO_PI * 0.1e6, 1)
+        scheme = balanced_scheme(device, [0], 0.5 - 1e-13)
+        system = assemble_system(grid, device, resolve_couplings(grid, scheme, device))
+        for run in (lambda: simulate_scattering(grid, device, scheme),
+                    lambda: scattering_matrix(system)):
+            with pytest.raises(AboveThresholdError, match="exceeds cap") as info:
+                run()
+            assert "threshold reached" not in str(info.value)
+            assert "is stable" in str(info.value)
+
     @pytest.mark.parametrize("ratio", [0.51, 0.8])
     def test_one_pump_past_half_raises(self, device, ratio):
         # past ratio 1/2 the centre pair is unstable, though far from singular
@@ -665,6 +678,10 @@ def placed_inverses(inverses, blocks):
     size = sum(block.size for block in blocks)
     inverse, written = np.zeros((size, size), dtype=complex), np.zeros((size, size), dtype=int)
     for block, rows in zip(blocks, inverses):
+        # a group with no conjugate slot has no rows; its mirror group's hold them
+        assert (rows is None) == np.all(block % 2 == 0)
+        if rows is None:
+            continue
         conjugate = block[:, block.shape[1] - rows.shape[1] :]
         for r, c, values in ((conjugate, block, rows), (conjugate ^ 1, block ^ 1, rows.conj())):
             inverse[r[:, :, np.newaxis], c[:, np.newaxis, :]] = values
@@ -798,15 +815,18 @@ class TestQuarterInverse:
 
 
 class TestGroupKinds:
-    """Each way a group reaches S, against one plain inverse of the whole system."""
+    """Each kind of group, written into S through the one index, against one
+    plain inverse of the whole system."""
 
     @pytest.mark.parametrize(
         "offsets, shapes, kinds",
         [
-            # one self-mirror block on every slot: S by strided quarters
+            # one self-mirror block on every slot, its rows all of S's odd
+            # rows and their mirror all of its even rows
             ([-4, 0, 5], [(1, 190)], ["self-mirror"]),
             # the two blocks of a mirror pair, each in a group of its own,
-            # beside a group of two self-mirror blocks: S by a row index
+            # each writing the rows the other lacks, beside a group of two
+            # self-mirror blocks
             ([-2, 2], [(1, 47), (1, 47), (2, 48)],
              ["one of each pair", "one of each pair", "self-mirror"]),
             # one self-mirror block beside a group holding another and a pair
@@ -839,7 +859,29 @@ class TestGroupKinds:
         assert_agrees(s, simulate_dense(grid, device, scheme))
         assert particle_hole_defect(s.matrix) == 0.0
         inverses, _ = _invert_blocks(pieces, [t.strength for t in scheme.tones], COUPLING)
-        assert inverses[1].shape == (3, 0, 1)
+        assert inverses[1] is None
+        assert [k for k, *_ in pieces.written] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "offsets", [[3], [-4, 0, 5], [-2, 2], [-4, 0, 4], [-2, 5], [1], []]
+    )
+    def test_written_index_covers_every_block_entry_once(self, grid, device, offsets):
+        # written holds exactly the groups with a conjugate slot, and their
+        # rows and mirrors together reach every entry of every block once
+        pieces = _block_pieces(grid, device, balanced_scheme(device, offsets, 0.085))
+        conjugate = [k for k, block in enumerate(pieces.blocks) if np.any(block % 2)]
+        assert [k for k, *_ in pieces.written] == conjugate
+        count = np.zeros((2 * grid.n_modes,) * 2, dtype=int)
+        for k, *indices in pieces.written:
+            block, slot = pieces.blocks[k], pieces.slot[k]
+            for rows, columns in indices:
+                shape = np.broadcast(rows, columns).shape
+                assert shape == (len(block), slot.shape[-1], block.shape[1])
+                np.add.at(count, (rows, columns), 1)
+        expected = np.zeros_like(count)
+        for block in pieces.blocks:
+            expected[block[:, :, np.newaxis], block[:, np.newaxis, :]] = 1
+        assert np.array_equal(count, expected)
 
     @pytest.mark.parametrize(
         "ratio, phases, stages",
