@@ -83,7 +83,7 @@ class _Run:
     def __init__(self, args):
         from dataclasses import fields, replace
 
-        from .config import RunOptions, bundled_config_path, parse_config, run_problem
+        from .config import RunOptions, bundled_config_path, parse_config, value_problem
 
         self.args = args
         path = Path(args.config)
@@ -103,7 +103,7 @@ class _Run:
         for setting in fields(RunOptions):
             value = getattr(args, setting.name, None)
             if value is not None:
-                problem = run_problem(setting.name, value)
+                problem = value_problem(setting.name, value)
                 if problem is not None:
                     raise InvalidArgumentError(f"{_FLAG_OF[setting.name]} {problem}")
                 flags[setting.name] = value
@@ -112,12 +112,17 @@ class _Run:
         self.params = self.config.to_device_params()
 
     def meta(self, **extra) -> dict:
-        """The provenance every output embeds, with ``extra`` added."""
+        """The provenance every output embeds, with ``extra`` added.
+
+        A float extra goes in as the ``repr`` of a Python float, so a numpy
+        scalar reads as its number; an int or a bool goes in as given.
+        """
         import hashlib
 
         from .config import serialize_config
 
         digest = hashlib.sha256(serialize_config(self.config).encode()).hexdigest()
+        extra = {k: repr(float(v)) if isinstance(v, float) else v for k, v in extra.items()}
         return {"tool": "combscatter", "version": __version__, "config_sha256": digest, **extra}
 
     def out(self, name: str) -> Path:
@@ -235,17 +240,18 @@ def _cmd_covariance(run: _Run) -> None:
     sx = _quadrature(run)
     v_out = propagate_covariance(sx, vacuum_covariance(run.grid))
     defect = symplectic_defect(sx)
-    meta = run.meta(symplectic_defect=repr(defect))
+    meta = run.meta(symplectic_defect=defect)
     _write_mode_table(run, "covariance.csv", ("x", "p"), v_out.matrix, meta)
     print(f"covariance: analytic, defect {defect:.3e}")
 
 
 def _cmd_sample_covariance(run: _Run) -> None:
-    from .gaussian import sample_covariance
+    from .gaussian import sample_covariance, symplectic_defect
 
     samples, seed = run.settings.samples, run.settings.seed
-    v = sample_covariance(_quadrature(run), samples, seed)
-    meta = run.meta(seed=seed, samples=samples)
+    sx = _quadrature(run)
+    v = sample_covariance(sx, samples, seed)
+    meta = run.meta(seed=seed, samples=samples, symplectic_defect=symplectic_defect(sx))
     _write_mode_table(run, "covariance_mc.csv", ("x", "p"), v.matrix, meta)
     print(f"sample-covariance: {samples} samples, seed {seed}")
 
@@ -253,6 +259,7 @@ def _cmd_sample_covariance(run: _Run) -> None:
 def _cmd_fit(run: _Run) -> None:
     from .analysis import fit_parameters
     from .datafiles import write_table
+    from .scattering import particle_hole_defect
 
     if not run.args.data:
         raise InvalidArgumentError("fit requires --data")
@@ -279,7 +286,8 @@ def _cmd_fit(run: _Run) -> None:
         evaluations=result.evaluations,
         converged=result.converged,
         cells_above_threshold=result.cells_above_threshold,
-        worst_condition=repr(result.worst_condition),
+        worst_condition=result.worst_condition,
+        particle_hole_defect=particle_hole_defect(measured.matrix),
     )
     _write_json(run.out("fit.json"), payload, meta)
     write_table(run.out("fit_surface.csv"), "g\\gamma", result.gamma_values, result.g_values,

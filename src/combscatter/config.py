@@ -8,6 +8,11 @@ every problem (with line and field context) instead of stopping at the
 first, and ``serialize_config`` emits a canonical form that survives
 parse/serialize round trips byte-for-byte.
 
+Every key is read by one reader, as the kind one table (``_SECTIONS``)
+names, and held to one rule function, ``value_problem``, which the CLI
+flags that override ``run`` keys share.  The canonical form writes every
+value through one renderer.
+
 Validation reads the nodes ``yaml.compose`` returns, and only those the
 schema names: an unknown key is reported and its value never read, an
 alias in a read field resolves to its target, and a scalar is constructed
@@ -181,7 +186,12 @@ def _key_name(key: yaml.Node) -> str:
 
 
 class _Validator:
-    """Reads the nodes of ``yaml.compose`` that the schema names, and no other."""
+    """Reads the nodes of ``yaml.compose`` that the schema names, and no other.
+
+    ``quantity`` and ``number`` parse a scalar; ``value`` reads a key
+    through the one that its kind calls for and holds what it got to
+    ``value_problem``.
+    """
 
     def __init__(self):
         self.issues: list[ConfigIssue] = []
@@ -201,20 +211,19 @@ class _Validator:
                 self.problem(f"{path}.{key}", "unknown key", child)
         return given
 
-    def section(self, node: yaml.Node, path: str, readers: dict, optional=()) -> tuple[dict, dict]:
-        """Read a mapping through a table of key -> reader.
+    def section(self, node: yaml.Node, path: str, keys, optional=()) -> tuple[dict, dict]:
+        """Read a mapping's ``keys`` through ``value``.
 
-        Unknown keys are reported first; then each key in table order is
-        read, or reported missing at the mapping's line unless it is
-        optional.  A reader reports its own problems and returns None for
-        a value it rejects.  The result is the mapping's children by key
-        and every value read.
+        Unknown keys are reported first; then each key in order is read,
+        or reported missing at the mapping's line unless it is optional.
+        A value ``value`` rejects is reported and left out.  The result is
+        the mapping's children by key and every value read.
         """
-        given = self.mapping(node, path, readers)
+        given = self.mapping(node, path, keys)
         values = {}
-        for key, reader in readers.items():
+        for key in keys:
             if key in given:
-                got = reader(given[key], f"{path}.{key}")
+                got = self.value(given[key], f"{path}.{key}")
                 if got is not None:
                     values[key] = got
             elif key not in optional:
@@ -239,13 +248,6 @@ class _Validator:
             return None
         return got
 
-    def positive_quantity(self, node: yaml.Node, path: str) -> Quantity | None:
-        got = self.quantity(node, path)
-        if got is not None and got.hz <= 0:
-            self.problem(path, "must be positive", node)
-            return None
-        return got
-
     def number(self, node: yaml.Node, path: str, kind=float):
         value = _value(node)
         if kind is int:
@@ -265,36 +267,12 @@ class _Validator:
             return None
         return value
 
-    def half_span(self, node: yaml.Node, path: str) -> int | None:
-        got = self.number(node, path, int)
-        if got is not None and not 0 <= got <= MAX_HALF_SPAN:
-            self.problem(path, f"must be in 0..{MAX_HALF_SPAN}", node)
-            return None
-        return got
-
-    def offset(self, node: yaml.Node, path: str) -> int | None:
-        value = _value(node)
-        if not isinstance(value, int):
-            self.problem(path, "offset must be integer", node)
-            return None
-        return value
-
-    def amplitude(self, node: yaml.Node, path: str) -> float | None:
-        got = self.number(node, path)
-        if got is not None and got < 0:
-            self.problem(path, "must be non-negative", node)
-            return None
-        return got
-
-    def setting(self, node: yaml.Node, path: str):
-        """A ``run`` value, of its default's type and held to ``run_problem``."""
-        name = path.removeprefix("run.")
-        default = getattr(_RUN_DEFAULTS, name)
-        if isinstance(default, Quantity):
-            got = self.quantity(node, path)
-        else:
-            got = self.number(node, path, type(default))
-        problem = None if got is None else run_problem(name, got)
+    def value(self, node: yaml.Node, path: str):
+        """The key ``path`` ends in, read as ``_KINDS`` names it and held to ``value_problem``."""
+        name = path.rpartition(".")[2]
+        kind = _KINDS[name]
+        got = self.quantity(node, path) if kind is Quantity else self.number(node, path, kind)
+        problem = None if got is None else value_problem(name, got)
         if problem is not None:
             self.problem(path, problem, node)
             return None
@@ -315,21 +293,37 @@ RUN_MINIMUMS = {
 # the largest value of each run size that allocates in proportion to it
 RUN_MAXIMUMS = {"steps": MAX_SWEEP_STEPS, "fit_grid_points": MAX_FIT_GRID_POINTS}
 
-_POSITIVE = {"fit_g_min", "fit_g_max", "fit_gamma_min", "fit_gamma_max"}
+_POSITIVE = {
+    "resonance_frequency", "port_coupling", "spacing",
+    "fit_g_min", "fit_g_max", "fit_gamma_min", "fit_gamma_max",
+}
+_NON_NEGATIVE = {"amplitude", "seed"}
+
+# each section's keys in the order they are read, with the kind each value
+# is read as: a quantity, an int or a float; a run key's is its default's type
+_SECTIONS = {
+    "device": {"resonance_frequency": Quantity, "port_coupling": Quantity},
+    "grid": {"center": Quantity, "spacing": Quantity, "half_span": int},
+    "scheme": {"offset": int, "amplitude": float, "phase_deg": float, "phase_rad": float},
+    "run": {name: type(getattr(_RUN_DEFAULTS, name)) for name in _RUN_KEYS},
+}
+_KINDS = {key: kind for keys in _SECTIONS.values() for key, kind in keys.items()}
 
 
-def run_problem(name: str, value) -> str | None:
-    """What is wrong with ``value`` as the run setting ``name``, or None.
+def value_problem(name: str, value) -> str | None:
+    """What is wrong with ``value`` as the config key ``name``, or None.
 
-    The one rule set for run settings: the config's ``run`` section and the
-    CLI flags that override its keys are both held to it.
+    The one rule table for config values: every key of the config and the
+    CLI flags that override ``run`` keys are held to it.
     """
     if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
-    if name == "seed" and value < 0:
+    if name in _NON_NEGATIVE and value < 0:
         return "must be non-negative"
     if name in _POSITIVE and getattr(value, "hz", value) <= 0:
         return "must be positive"
+    if name == "half_span" and not 0 <= value <= MAX_HALF_SPAN:
+        return f"must be in 0..{MAX_HALF_SPAN}"
     least, most = RUN_MINIMUMS.get(name), RUN_MAXIMUMS.get(name)
     if least is not None and value < least:
         return f"must be at least {least}"
@@ -371,25 +365,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([ConfigIssue("<document>", "empty configuration")])
 
     v = _Validator()
-    top = v.mapping(root, "<top>", {"device", "grid", "scheme", "run"})
+    top = v.mapping(root, "<top>", _SECTIONS)
 
-    def section(name: str, readers: dict) -> dict:
+    def section(name: str) -> dict:
         if name in top:
-            return v.section(top[name], name, readers)[1]
+            return v.section(top[name], name, _SECTIONS[name])[1]
         v.problem(name, "missing section")
         return {}
 
-    device = section(
-        "device", {"resonance_frequency": v.positive_quantity, "port_coupling": v.positive_quantity}
-    )
-    grid = section(
-        "grid", {"center": v.quantity, "spacing": v.positive_quantity, "half_span": v.half_span}
-    )
+    device, grid = section("device"), section("grid")
 
     tones: list[ToneSpec] = []
-    tone_readers = {
-        "offset": v.offset, "amplitude": v.amplitude, "phase_deg": v.number, "phase_rad": v.number
-    }
     phases = {"phase_deg", "phase_rad"}
     if "scheme" in top:
         scheme_node = top["scheme"]
@@ -399,7 +385,7 @@ def parse_config(text: str) -> ExperimentConfig:
             seen_offsets = set()
             for idx, tone_node in enumerate(scheme_node.value):
                 path = f"scheme[{idx}]"
-                given, tone = v.section(tone_node, path, tone_readers, optional=phases)
+                given, tone = v.section(tone_node, path, _SECTIONS["scheme"], optional=phases)
                 if phases <= given.keys():
                     v.problem(path, "give phase_deg or phase_rad, not both", tone_node)
                 unit = "rad" if "phase_rad" in tone else "deg"
@@ -416,8 +402,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     run_kwargs = {}
     if "run" in top:
-        readers = dict.fromkeys(_RUN_KEYS, v.setting)
-        run, run_kwargs = v.section(top["run"], "run", readers, optional=_RUN_KEYS)
+        run, run_kwargs = v.section(top["run"], "run", _RUN_KEYS, optional=_RUN_KEYS)
         _check_fit_ranges(v, run, run_kwargs)
 
     if v.issues:
@@ -446,33 +431,28 @@ def _yaml_float(value: float) -> str:
     return text
 
 
+def _render(value) -> str:
+    """A value as the canonical form writes it."""
+    if isinstance(value, Quantity):
+        return value.render()
+    if isinstance(value, float):
+        return _yaml_float(value)
+    return str(value)
+
+
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form: fixed key order, shortest round-trip decimals."""
-    lines = [
-        "device:",
-        f"  port_coupling: {config.port_coupling.render()}",
-        f"  resonance_frequency: {config.resonance_frequency.render()}",
-        "grid:",
-        f"  center: {config.center.render()}",
-        f"  half_span: {config.half_span}",
-        f"  spacing: {config.spacing.render()}",
-        "scheme:",
-    ]
+    """Canonical text form: sorted keys, shortest round-trip decimals."""
+
+    def section(name: str, record) -> list[str]:
+        keys = sorted(_SECTIONS[name])
+        return [f"{name}:", *(f"  {key}: {_render(getattr(record, key))}" for key in keys)]
+
+    lines = [*section("device", config), *section("grid", config), "scheme:"]
     for tone in sorted(config.scheme, key=lambda t: t.offset):
-        lines.append(f"- amplitude: {_yaml_float(tone.amplitude)}")
-        lines.append(f"  offset: {tone.offset}")
-        lines.append(f"  phase_{tone.phase_unit}: {_yaml_float(tone.phase_value)}")
-    lines.append("run:")
-    for name in sorted(_RUN_KEYS):
-        value = getattr(config.run, name)
-        if isinstance(value, Quantity):
-            text = value.render()
-        elif isinstance(value, float):
-            text = _yaml_float(value)
-        else:
-            text = str(value)
-        lines.append(f"  {name}: {text}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"- amplitude: {_render(tone.amplitude)}")
+        lines.append(f"  offset: {_render(tone.offset)}")
+        lines.append(f"  phase_{tone.phase_unit}: {_render(tone.phase_value)}")
+    return "\n".join([*lines, *section("run", config.run)]) + "\n"
 
 
 def bundled_config_path(name: str):

@@ -13,6 +13,7 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -24,9 +25,14 @@ from combscatter import (
     InvalidArgumentError,
     PumpScheme,
     RunOptions,
+    ScatteringMatrix,
     bundled_config_path,
     parse_config,
+    particle_hole_defect,
     phase_sweep,
+    simulate_scattering,
+    symplectic_defect,
+    to_quadrature,
 )
 from combscatter.datafiles import (
     load_scattering,
@@ -269,6 +275,14 @@ class TestCovariance:
         assert (a / "covariance_mc.csv").read_bytes() == (b / "covariance_mc.csv").read_bytes()
         assert (a / "covariance_mc.csv").read_bytes() != (c / "covariance_mc.csv").read_bytes()
 
+    def test_sampled_records_the_symplectic_defect_of_its_sx(self, small_config, tmp_path):
+        assert run(["sample-covariance", small_config, "--out-dir", tmp_path]) == 0
+        config = parse_config(small_config.read_text())
+        s = simulate_scattering(config.to_mode_grid(), config.to_device_params(),
+                                config.to_scheme())
+        lines = (tmp_path / "covariance_mc.csv").read_text().splitlines()
+        assert f"# symplectic_defect: {symplectic_defect(to_quadrature(s))!r}" in lines
+
 
 class TestFit:
     def test_self_fit_round_trip(self, small_config, tmp_path):
@@ -309,6 +323,20 @@ class TestFit:
         # a repr'd float, as the other float diagnostics in meta
         worst = float(meta["worst_condition"])
         assert meta["worst_condition"] == repr(worst) and 1.0 <= worst <= 1e12
+        # a simulated S is particle-hole symmetric by construction
+        assert meta["particle_hole_defect"] == "0.0"
+
+    def test_measured_data_records_its_particle_hole_defect(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", "threepump", "--out-dir", out]) == 0
+        smat = load_scattering(out / "s_matrix.cmb")
+        moved = np.array(smat.matrix)
+        moved[2, 3] += 1e-6
+        save_scattering_csv(out / "moved.csv", ScatteringMatrix(moved, smat.grid))
+        assert run(["fit", "threepump", "--data", out / "moved.csv", "--out-dir", out]) == 0
+        meta = json.loads((out / "fit.json").read_text())["meta"]
+        defect = particle_hole_defect(moved)
+        assert meta["particle_hole_defect"] == repr(defect) and 0.0 < defect <= 2e-6
 
     def test_fit_requires_data(self, small_config, tmp_path):
         assert run(["fit", small_config, "--out-dir", tmp_path]) == 2

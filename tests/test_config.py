@@ -43,6 +43,30 @@ run:
 """
 
 
+# each device, grid and last-tone key of GOOD: its line there and the kind it is read as
+_EDGE_KEYS = {
+    "device.resonance_frequency": ("resonance_frequency: 4.2 GHz", config.Quantity),
+    "device.port_coupling": ("port_coupling: 112 MHz", config.Quantity),
+    "grid.center": ("center: 4.2 GHz", config.Quantity),
+    "grid.spacing": ("spacing: 0.1 MHz", config.Quantity),
+    "grid.half_span": ("half_span: 47", int),
+    "scheme[2].offset": ("offset: 4", int),
+    "scheme[2].amplitude": ("amplitude: 0.004", float),
+    "scheme[2].phase_deg": ("phase_deg: 180.0", float),
+}
+# zero, negative, tiny and huge values, the non-finite ones, integers past
+# the float range, and floats as YAML 1.1 reads them (a dot and a signed exponent)
+_EDGE_NUMBERS = st.one_of(
+    st.sampled_from([
+        "0", "-0.0", "-1", "5.0e-324", "-5.0e-324", "1.0e-330", "1.7976931348623157e+308",
+        "-1.7976931348623157e+308", ".inf", "-.inf", ".nan", str(10**400), str(-10**400),
+    ]),
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17e}"),
+)
+_NON_INTEGERS = st.sampled_from(["2.5", "-3.5", "47.0", "1.0e+3"])
+
+
 class TestParse:
     def test_bundled_threepump_matches_experiment_values(self):
         config = parse_config(bundled_config_path("threepump").read_text())
@@ -68,7 +92,8 @@ class TestParse:
         bad = GOOD.replace("offset: -4", "offset: -3.5")
         with pytest.raises(ConfigError) as excinfo:
             parse_config(bad)
-        assert any("offset must be integer" in str(i) for i in excinfo.value.issues)
+        issues = [(i.field, i.message) for i in excinfo.value.issues]
+        assert issues == [("scheme[0].offset", "expected an integer")]
 
     def test_bare_number_frequency_rejected(self):
         bad = GOOD.replace("4.2 GHz", "4.2")
@@ -441,6 +466,115 @@ class TestParse:
             parse_config(GOOD + "loop: &loop [1, *loop]\n")
         assert [i.field for i in excinfo.value.issues] == ["<top>.loop"]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(sorted(_EDGE_KEYS)))
+    def test_config_edge_agrees_with_the_model_types(self, data, key):
+        # A value the config accepts must build the model's records, whose
+        # own rules guard API callers; one it rejects is an issue at its key.
+        # The tone is the last, so a duplicate offset is reported there too.
+        old, kind = _EDGE_KEYS[key]
+        number = data.draw(_EDGE_NUMBERS | (_NON_INTEGERS if kind is int else st.nothing()))
+        if kind is config.Quantity and data.draw(st.booleans()):
+            number = f"{number} {data.draw(st.sampled_from(['Hz', 'kHz', 'MHz', 'GHz']))}"
+        new = f"{old.partition(':')[0]}: {number}"
+        head, _, tail = GOOD.rpartition(old)
+        text = head + new + tail
+        try:
+            parsed = parse_config(text)
+        except ConfigError as exc:
+            line = len((head + new).splitlines())
+            assert {(i.field, i.line) for i in exc.issues} == {(key, line)}
+        else:
+            parsed.to_device_params()
+            parsed.to_mode_grid()
+            parsed.to_scheme()
+
+
+# units other than GHz and MHz, a phase in radians, a negative phase in
+# degrees, and an amplitude whose repr has no dot
+MIXED = """
+device:
+  resonance_frequency: 4200000 kHz
+  port_coupling: 112000000 Hz
+grid:
+  center: 4.2 GHz
+  spacing: 100 kHz
+  half_span: 10
+scheme:
+  - offset: 3
+    amplitude: 0.004
+    phase_deg: -45.5
+  - offset: -2
+    amplitude: 1.0e-05
+    phase_rad: 0.5
+run:
+  fit_gamma_min: 56000 kHz
+  threshold_db: -25.5
+"""
+
+CANONICAL_MIXED = """\
+device:
+  port_coupling: 112000000.0 Hz
+  resonance_frequency: 4200000.0 kHz
+grid:
+  center: 4.2 GHz
+  half_span: 10
+  spacing: 100.0 kHz
+scheme:
+- amplitude: 1.0e-05
+  offset: -2
+  phase_rad: 0.5
+- amplitude: 0.004
+  offset: 3
+  phase_deg: -45.5
+run:
+  fit_g_max: 0.01
+  fit_g_min: 0.0001
+  fit_gamma_max: 224.0 MHz
+  fit_gamma_min: 56000.0 kHz
+  fit_grid_points: 40
+  phase_grid_points: 8
+  samples: 100000
+  seed: 1234
+  signal_index: 0
+  steps: 72
+  swept_tone: 0
+  threshold_db: -25.5
+"""
+
+CANONICAL_THREEPUMP = """\
+device:
+  port_coupling: 112.0 MHz
+  resonance_frequency: 4.2 GHz
+grid:
+  center: 4.2 GHz
+  half_span: 47
+  spacing: 0.1 MHz
+scheme:
+- amplitude: 0.004533333333333334
+  offset: -4
+  phase_deg: 0.0
+- amplitude: 0.004533333333333334
+  offset: 0
+  phase_deg: 0.0
+- amplitude: 0.004533333333333334
+  offset: 4
+  phase_deg: 0.0
+run:
+  fit_g_max: 0.005
+  fit_g_min: 0.0005
+  fit_gamma_max: 224.0 MHz
+  fit_gamma_min: 56.0 MHz
+  fit_grid_points: 40
+  phase_grid_points: 8
+  samples: 100000
+  seed: 1234
+  signal_index: 28
+  steps: 72
+  swept_tone: 1
+  threshold_db: -20.0
+"""
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_equal(self):
@@ -494,6 +628,14 @@ class TestRoundTrip:
         text = serialize_config(config)
         assert "  fit_g_min: 1.0e-05\n" in text
         assert parse_config(text) == config
+
+    @pytest.mark.parametrize("text, canonical", [
+        (bundled_config_path("threepump").read_text(), CANONICAL_THREEPUMP),
+        (MIXED, CANONICAL_MIXED),
+    ], ids=["threepump", "mixed"])
+    def test_canonical_form_is_pinned(self, text, canonical):
+        # every output's config_sha256 hashes this text, so no byte may move
+        assert serialize_config(parse_config(text)) == canonical
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):
